@@ -39,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.core.problem import QuadraticProblem
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_repeated
+from repro.service import ExperimentService
 from repro.sim.clock import VirtualClock
 from repro.sim.cost import CostModel
 from repro.sim.scheduler import Scheduler, SchedulerConfig
@@ -155,7 +156,8 @@ def bench_harness(*, repeats: int, max_updates: int) -> dict:
         max_updates=max_updates, max_virtual_time=1e9,
     )
     start = time.perf_counter()
-    serial = run_repeated(problem, cost, config, repeats=repeats, workers=1)
+    with ExperimentService(workers=1) as service:
+        serial = run_repeated(problem, cost, config, repeats=repeats, service=service)
     serial_s = time.perf_counter() - start
 
     # Never oversubscribe: on a single-core host a 2-worker pool is
@@ -163,7 +165,8 @@ def bench_harness(*, repeats: int, max_updates: int) -> dict:
     # and resolve_workers would cap the request anyway.
     workers = min(os.cpu_count() or 1, repeats)
     start = time.perf_counter()
-    parallel = run_repeated(problem, cost, config, repeats=repeats, workers=workers)
+    with ExperimentService(workers=workers) as service:
+        parallel = run_repeated(problem, cost, config, repeats=repeats, service=service)
     parallel_s = time.perf_counter() - start
 
     identical = all(

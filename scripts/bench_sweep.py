@@ -5,7 +5,7 @@ Times one η-column sweep (4 algorithms x |η| step sizes x K seeds at
 m=4 on the Table II MLP) through three execution strategies and records
 into ``BENCH_sweep.json``:
 
-1. **Cold** — one ephemeral worker pool per ``map_runs`` call (the
+1. **Cold** — one ephemeral worker pool per column's service (the
    pre-pool behavior: every η column pays process spawn + a full
    problem broadcast).
 2. **Warm** — one persistent :class:`repro.harness.pool.WorkerPool`
@@ -53,10 +53,11 @@ from repro.core.problem import DLProblem
 from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.harness.cache import RunCache, simulation_fingerprint
 from repro.harness.config import RunConfig
-from repro.harness.parallel import map_runs, resolve_workers
+from repro.harness.parallel import resolve_workers
 from repro.harness.pool import WorkerPool
 from repro.harness.runner import run_once
 from repro.nn.architectures import mlp_mnist
+from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 
 #: The sweep's algorithm set (SEQ is pinned to m=1 by config rules).
@@ -99,7 +100,8 @@ def build_columns(etas, seeds: int, max_updates: int, cost: CostModel):
 def time_sweep(problem, cost, columns, *, workers, pool=None, cache=None) -> float:
     t0 = time.perf_counter()
     for column in columns:
-        map_runs(problem, cost, column, workers=workers, pool=pool, cache=cache)
+        with ExperimentService(workers=workers, pool=pool, cache=cache) as service:
+            service.map(problem, cost, column)
     return time.perf_counter() - t0
 
 
@@ -130,7 +132,7 @@ def main() -> int:
     print(f"== sweep data plane: {len(columns)} columns / {n_runs} runs, "
           f"workers={n_workers} ({pool_mode()}) ==")
 
-    # -- cold: ephemeral pool (spawn + broadcast) per map_runs call ----
+    # -- cold: ephemeral pool (spawn + broadcast) per column -----------
     cold_best = min(
         time_sweep(problem, cost, columns, workers=args.workers)
         for _ in range(spec["reps"])
@@ -168,7 +170,8 @@ def main() -> int:
         for algorithm, column in zip(ALGORITHMS, columns[:: len(spec["etas"])]):
             config = column[0]
             assert config.algorithm == algorithm
-            served = map_runs(problem, cost, [config], cache=cache)[0]
+            with ExperimentService(cache=cache) as service:
+                served = service.map(problem, cost, [config])[0]
             fresh = run_once(problem, cost, config)
             identity[algorithm] = (
                 simulation_fingerprint(served) == simulation_fingerprint(fresh)

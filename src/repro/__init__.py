@@ -20,6 +20,9 @@ Public API overview
   events on, the pluggable Section-IV validation probes, and the
   schema-versioned metrics / JSONL results pipeline.
 * :mod:`repro.harness` — profiles, runner, and the S1-S5 experiments.
+* :mod:`repro.service` — :class:`~repro.service.ExperimentService`, the
+  one entry point that executes a batch of runs (``run_repeated``,
+  sweeps and S1-S5 all go through it; volatile or journalled).
 
 Quickstart
 ----------

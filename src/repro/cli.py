@@ -524,6 +524,8 @@ def _cmd_table1() -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.harness.grid import SweepGrid, archive, summarize
+    from repro.harness.progress import ProgressReporter
+    from repro.service import ExperimentService
 
     workloads = Workloads(get_profile())
     problem = workloads.problem(args.workload)
@@ -541,12 +543,10 @@ def _cmd_sweep(args) -> int:
         max_virtual_time=workloads.profile.max_virtual_time,
         max_wall_seconds=workloads.profile.max_wall_seconds,
     )
-    results = grid.run(
-        problem, cost,
-        progress=lambda msg: print(f"running {msg} ..."),
-        workers=args.workers,
-        replicas=args.replicas,
-    )
+    with ExperimentService(
+        workers=args.workers, replicas=args.replicas
+    ) as service, ProgressReporter() as heartbeat:
+        results = grid.run(problem, cost, progress=heartbeat, service=service)
     print()
     print(summarize(results, target))
     if args.json:
@@ -711,19 +711,14 @@ def _cmd_analyze(args) -> int:
             probes=probes,
         )
         from repro.harness.cache import RunCache, resolve_cache_dir
+        from repro.service import ExperimentService
 
         cache_dir = resolve_cache_dir(args.cache_dir, no_cache=args.no_cache)
         cache = RunCache(cache_dir) if cache_dir is not None else None
+        with ExperimentService(workers=1, replicas=1, cache=cache) as svc:
+            result = svc.map(problem, cost, [config])[0]
         if cache is not None:
-            # Route through a volatile service so the queue/cache
-            # interaction (tasks served vs executed) shows up in stats.
-            from repro.service import ExperimentService
-
-            with ExperimentService(workers=1, replicas=1, cache=cache) as svc:
-                result = svc.map(problem, cost, [config])[0]
             print(f"cache: {cache.stats} ({cache_dir})")
-        else:
-            result = run_once(problem, cost, config)
         if args.jsonl:
             path = write_jsonl([result], args.jsonl, append=True)
             print(f"appended run to {path}")

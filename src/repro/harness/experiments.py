@@ -31,33 +31,12 @@ from repro.harness.results import (
     staleness_boxes,
     time_per_update_boxes,
 )
-from repro.harness.parallel import map_runs
-from repro.harness.runner import RunResult, repeated_configs
+from repro.harness.runner import RunResult, _map_configs, repeated_configs
 from repro.utils.tables import five_number_summary, render_boxes, render_series, render_table
 
 #: The algorithm set of Section V (SEQ is run only at m=1).
 DEFAULT_ALGORITHMS = ("SEQ", "ASYNC", "HOG", "LSH_psinf", "LSH_ps1", "LSH_ps0")
 PARALLEL_ALGORITHMS = ("ASYNC", "HOG", "LSH_psinf", "LSH_ps1", "LSH_ps0")
-
-
-def _dispatch(
-    problem, cost, configs, *, workers=None, replicas=None, progress=None,
-    pool=None, cache=None, service=None,
-):
-    """Route one config batch to the execution plane.
-
-    With a :class:`~repro.service.experiment.ExperimentService` the
-    batch goes through the durable queue (the service owns workers /
-    replicas / pool / cache, so those arguments are ignored); without
-    one it is the classic direct :func:`map_runs` fan-out. Both return
-    the same results in the same order — the service is a routing
-    change, not a semantic one."""
-    if service is not None:
-        return service.map(problem, cost, configs, progress=progress)
-    return map_runs(
-        problem, cost, configs, workers=workers, replicas=replicas,
-        progress=progress, pool=pool, cache=cache,
-    )
 
 
 @dataclass
@@ -101,27 +80,18 @@ def _sweep(
     repeats: int | None = None,
     epsilons: tuple[float, ...] | None = None,
     max_updates: int | None = None,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> list[RunResult]:
     """Run every (algorithm, m) cell ``repeats`` times.
 
-    All cells × seeds are fanned out over one process pool when
-    ``workers`` (or ``REPRO_WORKERS``) asks for parallelism, and each
-    cell's repeat seeds are batched into lockstep replica cohorts when
-    ``replicas`` (or ``REPRO_REPLICAS``) asks for vectorization; the
-    result list is identical to the serial one either way. ``pool``
-    reuses one persistent :class:`~repro.harness.pool.WorkerPool`
-    across the whole experiment suite (one spawn, one problem
-    broadcast per workload), ``cache`` serves already-computed cells
-    from a :class:`~repro.harness.cache.RunCache` — neither changes a
-    single result bit. ``service`` routes the batch through a durable
-    :class:`~repro.service.experiment.ExperimentService` queue instead
-    (crash/resume support; same results)."""
+    All cells × seeds go to ``service`` (an
+    :class:`~repro.service.experiment.ExperimentService`) as one batch;
+    it decides processes, lockstep replica cohorts, pool reuse and
+    cache hits, none of which changes a single result bit. Sharing one
+    service across the whole experiment suite shares its pool (one
+    spawn, one problem broadcast per workload) and its cache; ``None``
+    opens a volatile service for this batch."""
     problem = workloads.problem(kind)
     cost = workloads.cost(kind)
     repeats = repeats or workloads.profile.repeats
@@ -136,10 +106,7 @@ def _sweep(
             if max_updates is not None:
                 cfg = replace(cfg, max_updates=max_updates)
             configs.extend(repeated_configs(cfg, repeats=repeats))
-    return _dispatch(
-        problem, cost, configs, workers=workers, replicas=replicas, progress=progress,
-        pool=pool, cache=cache, service=service,
-    )
+    return _map_configs(problem, cost, configs, service=service, progress=progress)
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +120,7 @@ def s1_scalability(
     eta: float | None = None,
     seed: int = 100,
     repeats: int | None = None,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     """Fig. 3: MLP 50%-convergence wall-clock time (left) and time per
@@ -173,11 +136,7 @@ def s1_scalability(
         seed=seed,
         repeats=repeats,
         epsilons=(0.75, 0.5),
-        workers=workers,
-        replicas=replicas,
         progress=progress,
-        pool=pool,
-        cache=cache,
         service=service,
     )
     key = lambda r: f"{r.config.algorithm}/m={r.config.m}"  # noqa: E731
@@ -209,11 +168,7 @@ def s1_stepsize(
     m: int = 16,
     seed: int = 200,
     repeats: int | None = None,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     """Fig. 8: 50%-convergence time vs step size (left) and statistical
@@ -232,10 +187,7 @@ def s1_stepsize(
                 target_epsilon=0.5,
             )
             configs.extend(repeated_configs(cfg, repeats=repeats))
-    runs = _dispatch(
-        problem, cost, configs, workers=workers, replicas=replicas, progress=progress,
-        pool=pool, cache=cache, service=service,
-    )
+    runs = _map_configs(problem, cost, configs, service=service, progress=progress)
     key = lambda r: f"{r.config.algorithm}/eta={r.config.eta:g}"  # noqa: E731
     boxes, failures = convergence_boxes(runs, 0.5, key=key)
     stat_eff = statistical_efficiency_boxes(runs, 0.5, key=key)
@@ -268,19 +220,14 @@ def _precision_staleness_progress(
     seed: int,
     repeats: int | None,
     fig_prefix: str,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     profile = workloads.profile
     epsilons = profile.mlp_epsilons if kind != "cnn" else profile.cnn_epsilons
     runs = _sweep(
         workloads, kind, algorithms, (m,), eta=eta, seed=seed, repeats=repeats,
-        epsilons=epsilons, workers=workers, replicas=replicas, progress=progress,
-        pool=pool, cache=cache, service=service,
+        epsilons=epsilons, progress=progress, service=service,
     )
     sections = []
     per_eps = {}
@@ -346,11 +293,7 @@ def s2_high_precision(
     algorithms: Sequence[str] = PARALLEL_ALGORITHMS,
     seed: int = 300,
     repeats: int | None = None,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     """S2 — Figs 4 (left), 5 (left), 6 (left): MLP high-precision
@@ -358,8 +301,7 @@ def s2_high_precision(
     eta = eta if eta is not None else workloads.profile.default_eta
     return _precision_staleness_progress(
         workloads, "mlp", m=m, eta=eta, algorithms=algorithms, seed=seed,
-        repeats=repeats, fig_prefix="S2/Fig4-6", workers=workers, replicas=replicas,
-        progress=progress, pool=pool, cache=cache, service=service,
+        repeats=repeats, fig_prefix="S2/Fig4-6", progress=progress, service=service,
     )
 
 
@@ -371,19 +313,14 @@ def s3_cnn(
     algorithms: Sequence[str] = PARALLEL_ALGORITHMS,
     seed: int = 400,
     repeats: int | None = None,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     """S3 — Fig 7: CNN convergence rate / progress / staleness at m=16."""
     eta = eta if eta is not None else workloads.profile.default_eta
     return _precision_staleness_progress(
         workloads, "cnn", m=m, eta=eta, algorithms=algorithms, seed=seed,
-        repeats=repeats, fig_prefix="S3/Fig7", workers=workers, replicas=replicas,
-        progress=progress, pool=pool, cache=cache, service=service,
+        repeats=repeats, fig_prefix="S3/Fig7", progress=progress, service=service,
     )
 
 
@@ -395,11 +332,7 @@ def s4_high_parallelism(
     algorithms: Sequence[str] = PARALLEL_ALGORITHMS,
     seed: int = 500,
     repeats: int | None = None,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     """S4 — Figs 4-6 (middle/right): MLP stress test at m in {24,34,68}."""
@@ -409,8 +342,7 @@ def s4_high_parallelism(
         _precision_staleness_progress(
             workloads, "mlp", m=m, eta=eta, algorithms=algorithms,
             seed=seed + 10 * m, repeats=repeats, fig_prefix=f"S4/m={m}",
-            workers=workers, replicas=replicas, progress=progress,
-            pool=pool, cache=cache, service=service,
+            progress=progress, service=service,
         )
         for m in thread_counts
     ]
@@ -436,11 +368,7 @@ def s5_memory(
     seed: int = 600,
     repeats: int = 1,
     max_updates: int = 400,
-    workers: int | None = None,
-    replicas: int | None = None,
     progress=None,
-    pool=None,
-    cache=None,
     service=None,
 ) -> ExperimentResult:
     """S5 — Fig 10: continuous memory measurement; Leashed-SGD's dynamic
@@ -453,8 +381,7 @@ def s5_memory(
         for m in thread_counts:
             runs = _sweep(
                 workloads, kind, algorithms, (m,), eta=eta, seed=seed,
-                repeats=repeats, max_updates=max_updates, workers=workers,
-                replicas=replicas, progress=progress, pool=pool, cache=cache,
+                repeats=repeats, max_updates=max_updates, progress=progress,
                 service=service,
             )
             runs_all.extend(runs)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.problem import Problem
 from repro.errors import ConfigurationError
 from repro.harness.config import RunConfig
-from repro.harness.runner import RunResult, repeated_configs, run_once
+from repro.harness.runner import RunResult, _map_configs, repeated_configs
 from repro.sim.cost import CostModel
 from repro.utils.tables import render_table
 
@@ -110,59 +110,25 @@ class SweepGrid:
         problem: Problem,
         cost: CostModel,
         *,
-        progress: Callable[[str], None] | None = None,
-        workers: int | None = None,
-        replicas: int | None = None,
-        pool=None,
-        cache=None,
+        progress: Callable[[int, int, str], None] | None = None,
         service=None,
     ) -> list[RunResult]:
         """Execute the grid; returns all runs (repeats included).
 
-        ``workers`` fans the whole sweep — every (cell, seed) pair at
-        once, not cell-by-cell — over a process pool (default: serial,
-        or ``REPRO_WORKERS``); ``replicas`` batches each cell's repeats
-        into lockstep cohorts (default: 1, or ``REPRO_REPLICAS``) —
-        same-shape cells (the η column at fixed algorithm/m) merge into
-        one super-cohort when ``replicas`` allows, so a grid column
-        runs as a single stacked kernel stream. ``pool`` reuses a
-        persistent :class:`~repro.harness.pool.WorkerPool` (and its
-        shared-memory problem broadcast) across grids; ``cache`` serves
-        already-computed cells from a
-        :class:`~repro.harness.cache.RunCache`. ``service`` routes the
-        sweep through a durable
-        :class:`~repro.service.experiment.ExperimentService` queue
-        (crash/resume; the service's own pool/cache/replicas apply).
-        Result order and contents are identical to the serial sweep.
+        The whole sweep — every (cell, seed) pair at once, not
+        cell-by-cell — goes through ``service`` (an
+        :class:`~repro.service.experiment.ExperimentService`; its
+        workers / replicas / pool / cache apply, and same-shape cells —
+        the η column at fixed algorithm/m — merge into one super-cohort
+        when its ``replicas`` allows). Without one a volatile service
+        is opened for the call. ``progress`` is the service's
+        ``(done, total, label)`` heartbeat. Result order and contents
+        are identical to a serial ``run_once`` loop over
+        :meth:`configs`.
         """
-        from repro.harness.parallel import map_runs, resolve_replicas, resolve_workers
-
-        if service is not None:
-            if progress is not None:
-                for algorithm, m, eta in self.cells():
-                    progress(f"{algorithm} m={m} eta={eta:g}")
-            return service.map(problem, cost, self.configs())
-        n_replicas = resolve_replicas(replicas)
-        if (
-            pool is not None
-            or cache is not None
-            or n_replicas > 1
-            or resolve_workers(workers, cohort_replicas=n_replicas) > 1
-        ):
-            if progress is not None:
-                for algorithm, m, eta in self.cells():
-                    progress(f"{algorithm} m={m} eta={eta:g}")
-            return map_runs(
-                problem, cost, self.configs(),
-                workers=workers, replicas=n_replicas, pool=pool, cache=cache,
-            )
-        results: list[RunResult] = []
-        for algorithm, m, eta in self.cells():
-            if progress is not None:
-                progress(f"{algorithm} m={m} eta={eta:g}")
-            cell = repeated_configs(self._cell_config(algorithm, m, eta), repeats=self.repeats)
-            results.extend(run_once(problem, cost, config) for config in cell)
-        return results
+        return _map_configs(
+            problem, cost, self.configs(), service=service, progress=progress
+        )
 
 
 def summarize(results: Sequence[RunResult], eps: float) -> str:

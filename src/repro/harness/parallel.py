@@ -1,36 +1,22 @@
-"""Process-parallel and replica-batched experiment execution.
+"""Worker-count, cohort-size and cohort-plan resolution.
 
 The paper's protocol multiplies every configuration by 11 seeds and
 whole algorithm × thread-count grids; each of those runs is an
 independent simulation, deterministic given its :class:`RunConfig`
-seed. That makes the harness embarrassingly parallel: this module fans
-a list of configs out over a process pool and collects the results
-**in submission order**, so a parallel sweep returns exactly the list a
-serial loop would have produced (bitwise-identical results, since each
-``run_once`` derives every RNG stream from its config's seed via
-:class:`repro.utils.rng.RngFactory`).
+seed. :class:`repro.service.experiment.ExperimentService` is the one
+entry point that executes a batch of them; this module holds the three
+pure decisions it makes first:
 
-Orthogonally to processes, **replica batching** groups same-shape
-configs (identical except for their seed and step size η — η never
-enters the gradient math, each replica applies its own in
-``step_from``, so a sweep's whole η grid column at fixed m merges into
-one super-cohort of K×|η| stacked replicas) into lockstep cohorts of
-up to ``replicas`` runs that execute inside *one* process with stacked
-gradient kernels (:func:`repro.harness.runner.run_cohort`). The two
-compose: cohorts batch within a worker, chunks spread across workers.
-
-The data plane under a fan-out (see :mod:`repro.harness.pool` and
-:mod:`repro.harness.cache`):
-
-* ``pool`` — a persistent :class:`~repro.harness.pool.WorkerPool`
-  reused across ``map_runs`` calls (one executor spawn, one
-  shared-memory problem broadcast per workload). Without one, an
-  ephemeral pool is created and torn down per call — the historical
-  behaviour.
-* ``cache`` — a content-addressed
-  :class:`~repro.harness.cache.RunCache`; configs whose key is present
-  skip execution entirely and scatter their archived result (bitwise-
-  identical to recomputation by construction *and* by test).
+* how many worker processes (:func:`resolve_workers`);
+* how many lockstep replicas per cohort (:func:`resolve_replicas`);
+* which configs share a cohort (:func:`plan_cohorts`): configs that are
+  identical except for their seed and step size η — η never enters the
+  gradient math, each replica applies its own in ``step_from``, so a
+  sweep's whole η grid column at fixed m merges into one super-cohort
+  of K×|η| stacked replicas that execute inside *one* process with
+  stacked gradient kernels (:func:`repro.harness.runner.run_cohort`).
+  The two compose: cohorts batch within a worker, chunks spread across
+  workers.
 
 Worker-count resolution (:func:`resolve_workers`):
 
@@ -47,20 +33,7 @@ Worker-count resolution (:func:`resolve_workers`):
 
 Replica-count resolution (:func:`resolve_replicas`) mirrors the worker
 rules with the ``REPRO_REPLICAS`` environment variable; ``0``/``1``
-mean "no batching".
-
-``0``/``1`` workers mean serial. The pool is also skipped, with a
-serial fallback, when there is only one task, when the task payload
-cannot be pickled (e.g. a user-defined problem holding a lambda), or
-when the host cannot spawn processes at all. A worker crash mid-sweep
-(``BrokenProcessPool``) respawns the pool and resubmits only the
-unfinished chunks; chunks that already completed keep their results.
-
-Telemetry crosses the process boundary intact: ``RunConfig.probes``
-carries probe *names* (resolved inside each worker's ``run_once``), and
-the returned :class:`~repro.telemetry.metrics.RunMetrics` is a plain
-picklable mapping — so a parallel sweep's JSONL export is byte-for-byte
-the serial one's.
+mean "no batching". ``0``/``1`` workers mean serial.
 """
 
 from __future__ import annotations
@@ -71,14 +44,9 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
-from repro.harness.pool import WorkerPool
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
-    from repro.core.problem import Problem
-    from repro.harness.cache import RunCache
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.config import RunConfig
-    from repro.harness.runner import RunResult
-    from repro.sim.cost import CostModel
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -167,7 +135,7 @@ def plan_cohorts(configs: Sequence["RunConfig"], replicas: int) -> list[list[int
     therefore merges into one compatibility group of K×|η| replicas.
     Each group is chunked in first-appearance order, so results scatter
     back into the caller's ordering deterministically. Singleton chunks
-    are fine — the runner routes them through the plain serial path.
+    are fine — ``run_cohort`` runs them as the plain serial ``run_once``.
     """
     groups: dict = {}
     order = []
@@ -187,232 +155,3 @@ def plan_cohorts(configs: Sequence["RunConfig"], replicas: int) -> list[list[int
         for start in range(0, len(indices), replicas):
             chunks.append(indices[start : start + replicas])
     return chunks
-
-
-def _label(config) -> str:
-    """The heartbeat label for a just-finished run."""
-    return f"{config.algorithm}/m={config.m}/seed={config.seed}"
-
-
-def _run_serial(problem, cost, configs, progress=None) -> list:
-    """Plain in-process loop (no pool, no cohorts, no cache)."""
-    from repro.harness.runner import run_once
-
-    results = []
-    for config in configs:
-        results.append(run_once(problem, cost, config))
-        if progress is not None:
-            progress(len(results), len(configs), _label(config))
-    return results
-
-
-def map_runs(
-    problem: "Problem",
-    cost: "CostModel",
-    configs: Sequence["RunConfig"],
-    *,
-    workers: int | None = None,
-    replicas: int | None = None,
-    progress=None,
-    pool: "WorkerPool | None" = None,
-    cache: "RunCache | None" = None,
-) -> list["RunResult"]:
-    """Execute every config, fanning out over processes and batching
-    same-shape configs into lockstep replica cohorts.
-
-    Results come back in the order of ``configs`` and are identical to
-    a serial loop's, whatever the worker count, replica grouping, pool
-    reuse, or cache state (``wall_seconds`` and the other host-side
-    fields excepted — they measure the execution strategy, not the
-    simulation). Falls back to serial execution (with a warning) when
-    the payload cannot be pickled or the pool cannot be brought up;
-    exceptions raised *inside* a simulation propagate unchanged either
-    way.
-
-    ``pool`` reuses a persistent :class:`~repro.harness.pool.WorkerPool`
-    (its width wins over ``workers``); without one an ephemeral pool is
-    created for this call when parallelism is requested. ``cache``
-    consults a :class:`~repro.harness.cache.RunCache` before executing
-    anything: hits scatter their archived result immediately (progress
-    labels them ``[cache]``), misses execute normally and are stored.
-
-    ``progress`` is an optional heartbeat callback invoked as
-    ``progress(done, total, label)`` in the parent process after every
-    completed run (or cohort chunk), in *completion* order — see
-    :class:`repro.harness.progress.ProgressReporter`. It observes the
-    sweep without participating in it: results are identical with or
-    without the callback.
-    """
-    from repro.harness.runner import run_cohort, run_once
-
-    configs = list(configs)
-    if not configs:
-        return []
-    n_replicas = resolve_replicas(replicas)
-    cohort = n_replicas > 1 and len(configs) > 1
-    if pool is not None:
-        n_workers = pool.workers
-    else:
-        n_workers = resolve_workers(
-            workers, cohort_replicas=n_replicas if cohort else 1
-        )
-
-    total = len(configs)
-    results: list = [None] * total
-    done_runs = 0
-
-    def _scatter(indices: list[int], chunk_results: list, note: str = "") -> None:
-        nonlocal done_runs
-        for index, result in zip(indices, chunk_results):
-            results[index] = result
-        done_runs += len(indices)
-        if progress is not None:
-            progress(done_runs, total, _label(configs[indices[-1]]) + note)
-
-    # -- cache partition: hits scatter now, misses execute below -------
-    pending = list(range(total))
-    if cache is not None:
-        missing = []
-        for index in pending:
-            config = configs[index]
-            if not cache.eligible(config):
-                cache.note_bypass("self_profile")
-                missing.append(index)
-                continue
-            hit = cache.get(problem, cost, config)
-            if hit is not None:
-                _scatter([index], [hit], note=" [cache]")
-            else:
-                missing.append(index)
-        pending = missing
-    if not pending:
-        return results
-
-    # -- chunk plan: cohorts of same-shape configs, else singletons ----
-    if cohort:
-        chunks = [
-            [pending[j] for j in chunk]
-            for chunk in plan_cohorts([configs[i] for i in pending], n_replicas)
-        ]
-    else:
-        chunks = [[index] for index in pending]
-
-    def _finish(indices: list[int], chunk_results: list) -> None:
-        if cache is not None:
-            for index, result in zip(indices, chunk_results):
-                if cache.eligible(configs[index]):
-                    cache.put(problem, cost, configs[index], result)
-        _scatter(indices, chunk_results)
-
-    def _run_chunk_inline(indices: list[int]) -> list:
-        chunk_configs = [configs[i] for i in indices]
-        if len(chunk_configs) > 1:
-            return run_cohort(problem, cost, chunk_configs)
-        return [run_once(problem, cost, chunk_configs[0])]
-
-    # -- execution: pool for what it can take, serial for the rest -----
-    use_pool = len(chunks) > 1 and n_workers > 1
-    owned = None
-    if use_pool and pool is None:
-        owned = pool = WorkerPool(min(n_workers, len(chunks)))
-    try:
-        if use_pool:
-            pool.run_chunks(
-                problem, cost,
-                [[configs[i] for i in chunk] for chunk in chunks],
-                cohort=cohort,
-                on_done=lambda chunk_index, chunk_results: _finish(
-                    chunks[chunk_index], chunk_results
-                ),
-            )
-        # Serial pass covers everything the pool did not deliver: the
-        # whole plan when serial, the unfinished chunks after a pool
-        # failure mid-sweep, nothing on a clean parallel run.
-        for indices in chunks:
-            if results[indices[0]] is None:
-                _finish(indices, _run_chunk_inline(indices))
-    finally:
-        if owned is not None:
-            owned.close()
-    return results
-
-
-class ParallelRunner:
-    """A bound (problem, cost, workers, replicas) tuple for repeated
-    fan-outs.
-
-    Thin convenience over :func:`map_runs` for callers that sweep many
-    config batches against one workload — and the natural owner of a
-    persistent :class:`~repro.harness.pool.WorkerPool`: the first
-    parallel ``map`` spawns it, every later call reuses it (one problem
-    broadcast, one executor), and :meth:`close` (or the context manager)
-    releases it::
-
-        with ParallelRunner(problem, cost, workers=8, replicas=11) as runner:
-            for batch in batches:
-                results = runner.map(batch)
-
-    ``cache`` (optional) is consulted on every ``map`` — see
-    :class:`~repro.harness.cache.RunCache`.
-    """
-
-    def __init__(
-        self,
-        problem: "Problem",
-        cost: "CostModel",
-        *,
-        workers: int | None = None,
-        replicas: int | None = None,
-        cache: "RunCache | None" = None,
-    ) -> None:
-        self.problem = problem
-        self.cost = cost
-        self.replicas = resolve_replicas(replicas)
-        self.workers = resolve_workers(workers, cohort_replicas=self.replicas)
-        self.cache = cache
-        self._pool: WorkerPool | None = None
-
-    @property
-    def pool(self) -> WorkerPool | None:
-        """The persistent worker pool (spawned lazily; None when
-        serial)."""
-        if self._pool is None and self.workers > 1:
-            self._pool = WorkerPool(self.workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Release the pool's workers and shared-memory segments."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # Runs on KeyboardInterrupt/SIGINT unwinds too (the `with`
-        # statement guarantees it): closing the pool unlinks every
-        # broadcast shm segment, so an interrupted sweep leaves nothing
-        # behind in /dev/shm. Runners abandoned *without* the context
-        # manager are backstopped by WorkerPool's GC/exit finalizer —
-        # see :func:`repro.harness.pool._close_broadcasts`.
-        self.close()
-
-    def map(self, configs: Sequence["RunConfig"], *, progress=None) -> list["RunResult"]:
-        """Run every config; ordered, deterministic results."""
-        return map_runs(
-            self.problem, self.cost, configs,
-            workers=self.workers, replicas=self.replicas, progress=progress,
-            pool=self.pool, cache=self.cache,
-        )
-
-    def run_repeated(
-        self, config: "RunConfig", *, repeats: int, seed_stride: int = 1_000, progress=None
-    ) -> list["RunResult"]:
-        """The parallel counterpart of :func:`repro.harness.runner.run_repeated`."""
-        from repro.harness.runner import repeated_configs
-
-        return self.map(
-            repeated_configs(config, repeats=repeats, seed_stride=seed_stride),
-            progress=progress,
-        )

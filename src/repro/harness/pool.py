@@ -1,19 +1,16 @@
 """Persistent worker pool with zero-copy problem broadcast.
 
-Before this module, every :func:`repro.harness.parallel.map_runs` call
-built a fresh ``ProcessPoolExecutor`` and shipped the whole pickled
-problem — network, synthetic-MNIST corpus, cost model — into each
-worker through the pool initializer. Fine for one fan-out; wasteful for
-the paper's protocol, which is *many* fan-outs against the same
-workload (11 seeds × η grid × m grid × 6 algorithms, S1–S5 back to
-back). The two costs this module removes:
+The paper's protocol is *many* fan-outs against the same workload (11
+seeds × η grid × m grid × 6 algorithms, S1–S5 back to back). The
+experiment service's dispatcher hands its cohort chunks to one
+:class:`WorkerPool`, which removes two per-fan-out costs:
 
-* **pool churn** — :class:`WorkerPool` is spawned once by the sweep /
-  experiment layer and reused across ``run_repeated`` cohorts, grid
-  columns and experiment phases. It health-checks (:meth:`WorkerPool.
-  ping`) and respawns crashed workers (a ``BrokenProcessPool`` discards
-  the executor, respawns, and resubmits the chunks that had not
-  completed — up to ``max_respawns`` times before the serial fallback);
+* **pool churn** — the pool is spawned once per service and reused
+  across every batch mapped through it. It health-checks
+  (:meth:`WorkerPool.ping`) and respawns crashed workers (a
+  ``BrokenProcessPool`` discards the executor, respawns, and resubmits
+  the chunks that had not completed — up to ``max_respawns`` times
+  before the serial fallback);
 * **payload shipping** — the immutable arrays of a problem (training
   images/labels, eval split) go into ``multiprocessing.shared_memory``
   segments created *once per broadcast* (:func:`make_broadcast`); the
@@ -29,14 +26,16 @@ Fallback ladder (each step preserves bitwise-identical results):
    segment creation, e.g. no ``/dev/shm``), the full payload ships per
    task and is unpickled once per worker (memoized by broadcast key);
 3. serial — when the payload cannot be pickled at all (problems holding
-   lambdas/closures), :func:`make_broadcast` returns ``None`` with the
-   same ``RuntimeWarning`` the pre-pool harness raised, and the caller
-   runs in-process.
+   lambdas/closures), :func:`make_broadcast` returns ``None`` with a
+   ``RuntimeWarning``, and the caller runs in-process.
 
 Results never change across the ladder: workers execute the same
-``run_once`` / ``run_cohort`` the serial path does, and the broadcast
-reconstructs arrays with identical bytes (see
-``tests/harness/test_pool.py``).
+``run_cohort`` the serial path does, and the broadcast reconstructs
+arrays with identical bytes (see ``tests/harness/test_pool.py``).
+Telemetry crosses the process boundary intact: ``RunConfig.probes``
+carries probe *names* (resolved inside each worker's run), and the
+returned :class:`~repro.telemetry.metrics.RunMetrics` is a plain
+picklable mapping.
 """
 
 from __future__ import annotations
@@ -223,8 +222,8 @@ class ProblemBroadcast:
 
 
 def make_broadcast(problem: "Problem", cost: "CostModel") -> ProblemBroadcast | None:
-    """Stage ``(problem, cost)`` for the pool, or ``None`` (with the
-    historical serial-fallback warning) when it cannot be pickled.
+    """Stage ``(problem, cost)`` for the pool, or ``None`` (with a
+    serial-fallback warning) when it cannot be pickled.
 
     Tries the shared-memory hoist first; an ``OSError`` while creating
     segments (no shm on this host) degrades to a plain full pickle.
@@ -304,13 +303,11 @@ def _worker_problem(key: str, payload: bytes) -> tuple:
     return entry[0], entry[1]
 
 
-def _pool_run_chunk(key, payload, configs, cohort):  # pragma: no cover - subprocess
-    from repro.harness.runner import run_cohort, run_once
+def _pool_run_chunk(key, payload, configs):  # pragma: no cover - subprocess
+    from repro.harness.runner import run_cohort
 
     problem, cost = _worker_problem(key, payload)
-    if cohort and len(configs) > 1:
-        return run_cohort(problem, cost, list(configs))
-    return [run_once(problem, cost, config) for config in configs]
+    return run_cohort(problem, cost, list(configs))
 
 
 def _pool_ping():  # pragma: no cover - subprocess
@@ -352,22 +349,22 @@ class PoolStats:
 class WorkerPool:
     """A persistent process pool for repeated sweep fan-outs.
 
-    Create once at the sweep/experiment layer, pass into every
-    :func:`repro.harness.parallel.map_runs` (or let the harness create
-    an ephemeral one per call, the pre-pool behaviour), close when the
-    sweep is done::
+    An :class:`~repro.service.experiment.ExperimentService` creates one
+    when parallelism is requested; to share a pool across services,
+    create it yourself and close it when the sweeps are done::
 
         with WorkerPool(workers=8) as pool:
-            for column in columns:
-                results = map_runs(problem, cost, column, pool=pool)
+            for run_dir in run_dirs:
+                with ExperimentService(run_dir, pool=pool) as service:
+                    results = service.map(problem, cost, configs)
 
     The executor is spawned lazily on first use and respawned after a
     worker crash (``BrokenProcessPool``): completed chunks keep their
     results, incomplete chunks are resubmitted, and after
     ``max_respawns`` failed attempts the caller's serial fallback takes
     over. Problem broadcasts (:func:`make_broadcast`) are memoized per
-    (problem, cost) identity, so repeated ``map_runs`` calls against one
-    workload stage its arrays into shared memory exactly once.
+    (problem, cost) identity, so repeated batches against one workload
+    stage its arrays into shared memory exactly once.
     """
 
     def __init__(self, workers: int | None = None, *, max_respawns: int = 2) -> None:
@@ -451,11 +448,11 @@ class WorkerPool:
         cost: "CostModel",
         chunks: Sequence[Sequence["RunConfig"]],
         *,
-        cohort: bool = False,
         on_done: Callable[[int, list], None],
     ) -> bool:
-        """Execute config chunks on the pool; ``on_done(chunk_index,
-        results)`` fires in completion order.
+        """Execute config chunks on the pool, each as one
+        ``run_cohort``; ``on_done(chunk_index, results)`` fires in
+        completion order.
 
         Returns True when every chunk completed through the pool. On a
         worker crash the executor is respawned and the chunks that have
@@ -489,7 +486,7 @@ class WorkerPool:
                 pending = {
                     executor.submit(
                         _pool_run_chunk, broadcast.key, broadcast.payload,
-                        list(chunks[i]), cohort,
+                        list(chunks[i]),
                     ): i
                     for i in sorted(remaining)
                 }

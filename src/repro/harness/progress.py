@@ -3,10 +3,10 @@
 A paper-profile sweep fans hundreds of runs out over a process pool and
 then goes silent for minutes — indistinguishable, from the terminal,
 from a hung pool. :class:`ProgressReporter` is the harness's heartbeat:
-:func:`repro.harness.parallel.map_runs` (and everything layered on it)
-accepts a ``progress`` callback invoked as ``progress(done, total,
-label)`` after every completed run, and the reporter renders those
-ticks either as
+:meth:`repro.service.experiment.ExperimentService.map` (and everything
+layered on it) accepts a ``progress`` callback invoked as
+``progress(done, total, label)`` after every completed cohort box, and
+the reporter renders those ticks either as
 
 * a single in-place updating status line (``\\r``) when the output
   stream is a TTY, or
@@ -29,7 +29,7 @@ from typing import Callable, TextIO
 
 __all__ = ["ProgressCallback", "ProgressReporter"]
 
-#: The callback shape ``map_runs`` invokes: ``progress(done, total, label)``.
+#: The callback shape the service invokes: ``progress(done, total, label)``.
 ProgressCallback = Callable[[int, int, str], None]
 
 

@@ -423,11 +423,22 @@ def repeated_configs(
     config: RunConfig, *, repeats: int, seed_stride: int = 1_000
 ) -> list[RunConfig]:
     """The seed-derived configs of a repeated experiment (seeds
-    ``seed + i * seed_stride``), shared by the serial and parallel paths
-    so both produce identical per-seed runs."""
+    ``seed + i * seed_stride``)."""
     if repeats <= 0:
         raise ValueError(f"repeats must be > 0, got {repeats}")
     return [config.with_seed(config.seed + i * seed_stride) for i in range(repeats)]
+
+
+def _map_configs(problem, cost, configs, *, service=None, progress=None) -> list[RunResult]:
+    """Execute ``configs`` through ``service``; ``None`` opens a volatile
+    :class:`~repro.service.experiment.ExperimentService` for this call
+    (so ``REPRO_WORKERS`` / ``REPRO_REPLICAS`` apply)."""
+    if service is not None:
+        return service.map(problem, cost, configs, progress=progress)
+    from repro.service.experiment import ExperimentService  # local: it imports the harness
+
+    with ExperimentService() as volatile:
+        return volatile.map(problem, cost, configs, progress=progress)
 
 
 def run_repeated(
@@ -437,30 +448,17 @@ def run_repeated(
     *,
     repeats: int,
     seed_stride: int = 1_000,
-    workers: int | None = None,
-    replicas: int | None = None,
-    pool=None,
-    cache=None,
+    service=None,
 ) -> list[RunResult]:
     """Run ``repeats`` independent executions (seeds
     ``seed + i * seed_stride``), as the paper does 11 times per box.
 
-    ``workers`` fans the repeats out over processes (default: serial,
-    or the ``REPRO_WORKERS`` environment variable); ``replicas`` groups
-    same-shape repeats into lockstep cohorts of up to that many replicas
-    with stacked gradient kernels (default: 1, or ``REPRO_REPLICAS``;
-    see :mod:`repro.harness.parallel`). The two compose — cohorts batch
-    *within* a worker process while configs spread *across* workers.
-    ``pool`` reuses a persistent :class:`~repro.harness.pool.WorkerPool`
-    across calls; ``cache`` serves already-computed seeds from a
-    :class:`~repro.harness.cache.RunCache`. Results are returned in
-    seed order and are identical whatever the worker count, replica
-    grouping, pool reuse, or cache state.
+    The repeats execute through ``service`` (an
+    :class:`~repro.service.experiment.ExperimentService`, which owns
+    worker processes, lockstep replica cohorts, the pool and the run
+    cache); without one a volatile service is opened for the call.
+    Results are returned in seed order and are identical to a
+    :func:`run_once` loop whatever the service's configuration.
     """
-    from repro.harness.parallel import map_runs
-
     configs = repeated_configs(config, repeats=repeats, seed_stride=seed_stride)
-    return map_runs(
-        problem, cost, configs, workers=workers, replicas=replicas,
-        pool=pool, cache=cache,
-    )
+    return _map_configs(problem, cost, configs, service=service)

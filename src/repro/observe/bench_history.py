@@ -153,21 +153,6 @@ def _extract_sweep(payload: dict) -> dict[str, float]:
     return out
 
 
-def _extract_queue(payload: dict) -> dict[str, float]:
-    out = {}
-    queue = payload.get("queue") or {}
-    value = _finite(queue.get("dispatch_overhead_frac"))
-    if value is not None:
-        out["queue.dispatch_overhead_frac"] = value
-    value = _finite(queue.get("resume_latency_s"))
-    if value is not None:
-        out["queue.resume_latency_s"] = value
-    value = _finite(queue.get("resume_tasks_per_sec"))
-    if value is not None:
-        out["queue.resume_tasks_per_sec"] = value
-    return out
-
-
 def _extract_report(payload: dict) -> dict[str, float]:
     out = {}
     report = payload.get("report") or {}
@@ -189,7 +174,6 @@ EXTRACTORS = {
     "BENCH_replica.json": _extract_replica,
     "BENCH_profile.json": _extract_profile,
     "BENCH_sweep.json": _extract_sweep,
-    "BENCH_queue.json": _extract_queue,
     "BENCH_report.json": _extract_report,
 }
 

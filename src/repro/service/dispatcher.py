@@ -15,9 +15,11 @@ One :meth:`Dispatcher.run` call drives one workload batch end to end:
    tentpole contract that resumption and dedup share one identity.
    Tasks fully satisfied without simulating complete immediately.
 3. **Execute** — the rest go onto the persistent
-   :class:`~repro.harness.pool.WorkerPool` as super-cohort chunks
-   (exactly :func:`~repro.harness.parallel.map_runs`'s shape), with the
-   same serial covering pass when the pool declines or degrades.
+   :class:`~repro.harness.pool.WorkerPool` as super-cohort chunks, with
+   a serial covering pass for everything the pool did not deliver: the
+   whole plan without a pool (or with a single chunk), the unfinished
+   chunks after a pool failure mid-sweep, nothing on a clean parallel
+   run.
    Completion of each task is atomic in the durable order that makes
    resume sound: cache-store, journal-append (fsync), *then*
    ``task_done`` — a crash between any two steps leaves the task
@@ -42,7 +44,6 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.harness.parallel import _label
 from repro.service.queue import TaskQueue, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,6 +66,11 @@ KILL_EXIT_CODE = 17
 #: by owner mismatch long before this expires (the timeout only matters
 #: for a dispatcher that hangs without dying).
 DEFAULT_LEASE_TIMEOUT = 15 * 60.0
+
+
+def _label(config) -> str:
+    """The heartbeat label for a just-finished run."""
+    return f"{config.algorithm}/m={config.m}/seed={config.seed}"
 
 
 @dataclass
@@ -183,7 +189,7 @@ class Dispatcher:
         progress: Callable[[int, int, str], None] | None = None,
     ) -> None:
         """Complete every planned task (results land in the measurer)."""
-        from repro.harness.runner import run_cohort, run_once
+        from repro.harness.runner import run_cohort
 
         total = sum(len(task) for task in planned)
         done_runs = 0
@@ -265,18 +271,12 @@ class Dispatcher:
             self._maybe_die()
 
         if self.pool is not None and len(chunks) > 1:
-            self.pool.run_chunks(
-                problem, cost, chunks, cohort=True, on_done=_finish
-            )
-        for index, (task, missing, _, _) in enumerate(exec_plan):
+            self.pool.run_chunks(problem, cost, chunks, on_done=_finish)
+        for index, (task, *_) in enumerate(exec_plan):
             if delivered[index]:
                 continue
-            chunk_configs = [task.configs[i] for i in missing]
             try:
-                if len(chunk_configs) > 1:
-                    chunk_results = run_cohort(problem, cost, chunk_configs)
-                else:
-                    chunk_results = [run_once(problem, cost, chunk_configs[0])]
+                chunk_results = run_cohort(problem, cost, chunks[index])
             except Exception as exc:
                 self.queue.mark_failed(task.task_id, error=repr(exc))
                 raise

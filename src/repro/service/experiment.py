@@ -1,12 +1,13 @@
 """The experiment service facade: scheduler + queue + dispatcher +
 measurer behind one ``map``-shaped call.
 
-:class:`ExperimentService` is what the CLI and the experiment helpers
-actually talk to. Its :meth:`~ExperimentService.map` has the exact
-contract of :func:`repro.harness.parallel.map_runs` — results in
-submission order, bitwise-identical to a serial loop modulo the host
-fields — but every batch flows through the durable queue, so the same
-code path serves three modes:
+:class:`ExperimentService` is the one entry point that turns a list of
+``RunConfig`` into a list of ``RunResult``: the CLI, ``run_repeated``,
+``SweepGrid.run`` and the S1–S5 helpers all call its
+:meth:`~ExperimentService.map` — results in submission order,
+bitwise-identical to a serial ``run_once`` loop modulo the host fields.
+Every batch flows through the task queue, so the same code path serves
+three modes:
 
 * **volatile** (``run_dir=None``) — in-memory queue and measurer, no
   files: the plain ``repro experiment s1`` behaviour;
@@ -115,11 +116,13 @@ def _merge_timelines(old: dict, new: dict) -> dict:
 class ExperimentService:
     """One experiment session over the queue/dispatcher/measurer split.
 
-    Parameters mirror the harness layer: ``workers`` / ``replicas``
-    resolve exactly as in :func:`~repro.harness.parallel.map_runs`
-    (env fallbacks included); ``pool`` / ``cache`` are shared data-plane
-    objects (the service creates its own pool when parallelism is
-    requested and none is given, and closes only what it created).
+    ``workers`` / ``replicas`` resolve through
+    :func:`~repro.harness.parallel.resolve_workers` /
+    :func:`~repro.harness.parallel.resolve_replicas` (env fallbacks
+    included); ``pool`` / ``cache`` are shared data-plane objects (a
+    given pool's width wins over ``workers``; the service creates its
+    own pool when parallelism is requested and none is given, and
+    closes only what it created).
     ``manifest`` (durable mode) records invocation facts; on an existing
     run directory its guarded keys must match what is already there.
     """
@@ -138,9 +141,12 @@ class ExperimentService:
     ) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.replicas = resolve_replicas(replicas)
-        self.workers = resolve_workers(
-            workers, cohort_replicas=self.replicas
-        )
+        if pool is not None:
+            self.workers = pool.workers
+        else:
+            self.workers = resolve_workers(
+                workers, cohort_replicas=self.replicas
+            )
         self.owner = f"pid{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self._lock = None
         if self.run_dir is not None:
@@ -215,8 +221,19 @@ class ExperimentService:
         progress: Callable[[int, int, str], None] | None = None,
     ) -> list["RunResult"]:
         """Run every config through the service; results in submission
-        order, identical to :func:`~repro.harness.parallel.map_runs`
-        modulo the host fields."""
+        order, identical to a serial ``run_once`` loop modulo the host
+        fields, whatever the worker count, replica grouping, pool reuse,
+        cache or journal state. Falls back to serial execution (with a
+        warning) when the payload cannot be pickled or the pool cannot
+        be brought up; exceptions raised *inside* a simulation propagate
+        unchanged either way.
+
+        ``progress`` is an optional heartbeat callback invoked as
+        ``progress(done, total, label)`` in this process after every
+        completed cohort box, in *completion* order (boxes served
+        without simulating are labelled ``[cache]`` / ``[journal]``) —
+        see :class:`repro.harness.progress.ProgressReporter`. It
+        observes the sweep without participating in it."""
         configs = list(configs)
         if not configs:
             return []

@@ -88,8 +88,7 @@ class PlannedTask:
 class SweepScheduler:
     """Expands config batches into planned tasks and enqueues them.
 
-    ``replicas`` bounds the cohort size exactly as in
-    :func:`~repro.harness.parallel.map_runs` (None consults
+    ``replicas`` bounds the cohort size (None consults
     ``REPRO_REPLICAS``); with 1, every box is a singleton task.
     """
 

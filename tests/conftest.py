@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.problem import QuadraticProblem
 from repro.harness.config import Profile, RunConfig, Workloads
+from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 from repro.utils.rng import RngFactory
 
@@ -79,3 +80,13 @@ def make_run_config(**overrides) -> RunConfig:
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def service_map(problem, cost, configs, *, progress=None, **knobs):
+    """One batch through a fresh volatile ``ExperimentService(**knobs)``.
+
+    A fresh service per batch matters to tests that repeat a batch: the
+    repeat must execute again (or hit the run cache), not be served from
+    the first service's own in-memory results."""
+    with ExperimentService(**knobs) as service:
+        return service.map(problem, cost, configs, progress=progress)

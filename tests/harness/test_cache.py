@@ -19,10 +19,11 @@ from repro.harness.cache import (
     simulation_fingerprint,
 )
 from repro.harness.config import RunConfig
-from repro.harness.parallel import map_runs
 from repro.harness.runner import run_once
 from repro.sim.cost import CostModel
 from repro.telemetry.bus import ProbeBus
+
+from tests.conftest import service_map
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +144,9 @@ class TestMapRunsIntegration:
         cache = RunCache(tmp_path)
         configs = [make_config(seed=s) for s in range(3)]
         serial = [run_once(problem, cost, c) for c in configs]
-        first = map_runs(problem, cost, configs, cache=cache)
+        first = service_map(problem, cost, configs, cache=cache)
         assert cache.stats.misses == 3 and cache.stats.stores == 3
-        second = map_runs(problem, cost, configs, cache=cache)
+        second = service_map(problem, cost, configs, cache=cache)
         assert cache.stats.hits == 3
         for a, b, c in zip(first, second, serial):
             assert simulation_fingerprint(a) == simulation_fingerprint(c)
@@ -154,9 +155,9 @@ class TestMapRunsIntegration:
     def test_hit_labels_progress(self, problem, cost, tmp_path):
         cache = RunCache(tmp_path)
         configs = [make_config(seed=7)]
-        map_runs(problem, cost, configs, cache=cache)
+        service_map(problem, cost, configs, cache=cache)
         labels = []
-        map_runs(
+        service_map(
             problem, cost, configs, cache=cache,
             progress=lambda done, total, label: labels.append(label),
         )
@@ -165,7 +166,7 @@ class TestMapRunsIntegration:
     def test_self_profile_bypasses(self, problem, cost, tmp_path):
         cache = RunCache(tmp_path)
         config = make_config(self_profile=True)
-        map_runs(problem, cost, [config], cache=cache)
+        service_map(problem, cost, [config], cache=cache)
         assert cache.stats.bypasses == 1
         assert cache.stats.stores == 0 and cache.stats.hits == 0
 
@@ -173,8 +174,8 @@ class TestMapRunsIntegration:
         cache = RunCache(tmp_path)
         configs = [make_config(seed=s) for s in range(4)]
         serial = [run_once(problem, cost, c) for c in configs]
-        map_runs(problem, cost, configs, replicas=2, cache=cache)
-        results = map_runs(problem, cost, configs, replicas=2, cache=cache)
+        service_map(problem, cost, configs, replicas=2, cache=cache)
+        results = service_map(problem, cost, configs, replicas=2, cache=cache)
         assert cache.stats.hits == 4
         for got, want in zip(results, serial):
             assert simulation_fingerprint(got) == simulation_fingerprint(want)

@@ -53,10 +53,12 @@ class TestRun:
         assert labels == {("ASYNC", 2), ("ASYNC", 4), ("LSH_ps0", 2), ("LSH_ps0", 4)}
 
     def test_progress_callback_invoked(self, problem, cost):
-        grid = SweepGrid(algorithms=("HOG",), thread_counts=(2,), etas=(0.05,), repeats=1)
+        # The ordinary (done, total, label) heartbeat: one tick per
+        # *finished* run, never a line for a cell that has not started.
+        grid = SweepGrid(algorithms=("HOG",), thread_counts=(2,), etas=(0.05,), repeats=2)
         seen = []
-        grid.run(problem, cost, progress=seen.append)
-        assert seen == ["HOG m=2 eta=0.05"]
+        grid.run(problem, cost, progress=lambda *tick: seen.append(tick))
+        assert seen == [(1, 2, "HOG/m=2/seed=0"), (2, 2, "HOG/m=2/seed=1000")]
 
     def test_deterministic(self, problem, cost):
         grid = SweepGrid(algorithms=("LSH_psinf",), thread_counts=(3,), etas=(0.05,),

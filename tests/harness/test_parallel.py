@@ -1,4 +1,4 @@
-"""Tests for the process-parallel experiment harness."""
+"""Tests for process-parallel execution through the experiment service."""
 
 from __future__ import annotations
 
@@ -9,9 +9,12 @@ from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError
 from repro.harness.config import RunConfig
 from repro.harness.grid import SweepGrid
-from repro.harness.parallel import ParallelRunner, map_runs, resolve_workers
-from repro.harness.runner import repeated_configs
+from repro.harness.parallel import resolve_workers
+from repro.harness.runner import repeated_configs, run_repeated
+from repro.service import ExperimentService
 from repro.sim.cost import CostModel
+
+from tests.conftest import service_map
 
 
 @pytest.fixture(scope="module")
@@ -88,35 +91,43 @@ class TestResolveWorkers:
 class TestMapRuns:
     def test_ordered_results(self, problem, cost):
         configs = [make_config(seed=s) for s in (3, 1, 2)]
-        results = map_runs(problem, cost, configs, workers=2)
+        results = service_map(problem, cost, configs, workers=2)
         assert [r.config.seed for r in results] == [3, 1, 2]
 
-    def test_single_task_stays_serial(self, problem, cost):
-        results = map_runs(problem, cost, [make_config()], workers=4)
+    def test_single_task_stays_serial(self, problem, cost, monkeypatch):
+        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
+        with ExperimentService(workers=4) as service:
+            results = service.map(problem, cost, [make_config()])
+            assert service.pool.stats.spawns == 0
         assert len(results) == 1
 
     def test_parallel_equals_serial(self, problem, cost):
         configs = repeated_configs(make_config(seed=11), repeats=3)
-        serial = map_runs(problem, cost, configs, workers=1)
-        parallel = map_runs(problem, cost, configs, workers=2)
+        serial = service_map(problem, cost, configs, workers=1)
+        parallel = service_map(problem, cost, configs, workers=2)
         for s, p in zip(serial, parallel):
             assert s.virtual_time == p.virtual_time
             assert s.n_updates == p.n_updates
             np.testing.assert_array_equal(s.staleness_values, p.staleness_values)
 
     def test_empty_config_list(self, problem, cost):
-        assert map_runs(problem, cost, [], workers=4) == []
+        assert service_map(problem, cost, [], workers=4) == []
 
 
 class TestParallelRunner:
+    """A service bound to one pool, reused for several batches."""
+
     def test_run_repeated(self, problem, cost):
-        runner = ParallelRunner(problem, cost, workers=2)
-        results = runner.run_repeated(make_config(seed=5), repeats=3)
+        with ExperimentService(workers=2) as service:
+            results = run_repeated(
+                problem, cost, make_config(seed=5), repeats=3, service=service
+            )
         assert [r.config.seed for r in results] == [5, 1005, 2005]
 
     def test_map(self, problem, cost):
-        runner = ParallelRunner(problem, cost, workers=1)
-        results = runner.map([make_config(seed=9)])
+        with ExperimentService(workers=1) as service:
+            results = service.map(problem, cost, [make_config(seed=9)])
+            assert service.pool is None
         assert results[0].config.seed == 9
 
 
@@ -132,8 +143,10 @@ class TestGridParallel:
             max_virtual_time=10.0,
             max_wall_seconds=60.0,
         )
-        serial = grid.run(problem, cost, workers=1)
-        parallel = grid.run(problem, cost, workers=2)
+        with ExperimentService(workers=1) as service:
+            serial = grid.run(problem, cost, service=service)
+        with ExperimentService(workers=2) as service:
+            parallel = grid.run(problem, cost, service=service)
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
             assert s.config == p.config

@@ -11,7 +11,6 @@ import pytest
 from repro.core.problem import QuadraticProblem
 from repro.harness.cache import simulation_fingerprint
 from repro.harness.config import RunConfig
-from repro.harness.parallel import map_runs
 from repro.harness.pool import (
     MIN_SHM_BYTES,
     WorkerPool,
@@ -20,6 +19,8 @@ from repro.harness.pool import (
 )
 from repro.harness.runner import run_once
 from repro.sim.cost import CostModel
+
+from tests.conftest import service_map
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,7 @@ class TestWorkerPool:
         configs = [make_config(seed=s) for s in range(4)]
         serial = [run_once(problem, cost, c) for c in configs]
         with WorkerPool(2) as pool:
-            results = map_runs(problem, cost, configs, pool=pool)
+            results = service_map(problem, cost, configs, pool=pool)
         for got, want in zip(results, serial):
             assert simulation_fingerprint(got) == simulation_fingerprint(want)
 
@@ -139,8 +140,8 @@ class TestWorkerPool:
         problem = BigArrayProblem()
         configs = [make_config(seed=s) for s in range(4)]
         with WorkerPool(2) as pool:
-            map_runs(problem, cost, configs, pool=pool)
-            map_runs(problem, cost, configs, pool=pool)
+            service_map(problem, cost, configs, pool=pool)
+            service_map(problem, cost, configs, pool=pool)
             assert pool.stats.spawns == 1
             assert pool.stats.broadcasts == 1
             assert pool.stats.chunks_completed == 8
@@ -158,7 +159,7 @@ class TestWorkerPool:
         reference = QuadraticProblem(32)
         serial = [run_once(reference, cost, c) for c in configs]
         with pytest.warns(RuntimeWarning, match="payload not picklable"):
-            results = map_runs(problem, cost, configs, workers=2)
+            results = service_map(problem, cost, configs, workers=2)
         for got, want in zip(results, serial):
             assert simulation_fingerprint(got) == simulation_fingerprint(want)
 
@@ -168,7 +169,7 @@ class TestWorkerPool:
         serial = [run_once(problem, cost, c) for c in configs]
         with WorkerPool(2) as pool:
             with pytest.warns(RuntimeWarning, match="respawning"):
-                results = map_runs(problem, cost, configs, pool=pool)
+                results = service_map(problem, cost, configs, pool=pool)
             assert pool.stats.respawns >= 1
         for got, want in zip(results, serial):
             assert simulation_fingerprint(got) == simulation_fingerprint(want)
@@ -190,7 +191,7 @@ class TestWorkerPool:
         serial = [run_once(problem, cost, c) for c in configs]
         with WorkerPool(2, max_respawns=1) as pool:
             with pytest.warns(RuntimeWarning):
-                results = map_runs(problem, cost, configs, pool=pool)
+                results = service_map(problem, cost, configs, pool=pool)
             assert pool.stats.respawns >= 1
         for got, want in zip(results, serial):
             assert simulation_fingerprint(got) == simulation_fingerprint(want)

@@ -1,4 +1,4 @@
-"""Progress heartbeats: reporter rendering modes and the map_runs
+"""Progress heartbeats: reporter rendering modes and the service's
 callback contract (ticks observe, never perturb)."""
 
 from __future__ import annotations
@@ -7,10 +7,9 @@ import io
 
 import numpy as np
 
-from repro.harness.parallel import map_runs
 from repro.harness.progress import ProgressReporter
 
-from tests.conftest import make_run_config
+from tests.conftest import make_run_config, service_map
 from tests.test_determinism import assert_identical
 
 
@@ -72,23 +71,23 @@ class TestMapRunsHeartbeat:
     def test_serial_ticks_once_per_run(self, quadratic, cost_model):
         configs = [make_run_config(m=2, seed=s) for s in range(3)]
         ticks = []
-        map_runs(quadratic, cost_model, configs,
-                 progress=lambda d, t, lab: ticks.append((d, t, lab)))
+        service_map(quadratic, cost_model, configs,
+                    progress=lambda d, t, lab: ticks.append((d, t, lab)))
         assert [(d, t) for d, t, _ in ticks] == [(1, 3), (2, 3), (3, 3)]
         assert ticks[0][2] == "LSH_psinf/m=2/seed=0"
 
     def test_cohort_ticks_per_chunk(self, quadratic, cost_model):
         configs = [make_run_config(m=2, seed=s) for s in range(4)]
         ticks = []
-        map_runs(quadratic, cost_model, configs, replicas=2,
-                 progress=lambda d, t, lab: ticks.append((d, t)))
+        service_map(quadratic, cost_model, configs, replicas=2,
+                    progress=lambda d, t, lab: ticks.append((d, t)))
         assert ticks == [(2, 4), (4, 4)]
 
     def test_callback_does_not_perturb_results(self, quadratic, cost_model):
         configs = [make_run_config(m=2, seed=s) for s in range(3)]
-        plain = map_runs(quadratic, cost_model, configs)
-        ticked = map_runs(quadratic, cost_model, configs,
-                          progress=lambda *a: None)
+        plain = service_map(quadratic, cost_model, configs)
+        ticked = service_map(quadratic, cost_model, configs,
+                             progress=lambda *a: None)
         for a, b in zip(plain, ticked):
             assert_identical(a, b)
             np.testing.assert_array_equal(a.staleness_values, b.staleness_values)

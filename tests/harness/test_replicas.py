@@ -12,13 +12,9 @@ import pytest
 from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError
 from repro.harness.config import RunConfig
-from repro.harness.parallel import (
-    REPLICAS_ENV,
-    map_runs,
-    plan_cohorts,
-    resolve_replicas,
-)
+from repro.harness.parallel import REPLICAS_ENV, plan_cohorts, resolve_replicas
 from repro.harness.runner import repeated_configs, run_once, run_repeated
+from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 
 
@@ -132,8 +128,11 @@ class TestPlanCohorts:
 class TestReplicaHarness:
     def test_run_repeated_with_replicas_matches_serial(self, problem):
         config = make_config()
-        serial = run_repeated(problem, COST, config, repeats=5)
-        batched = run_repeated(problem, COST, config, repeats=5, replicas=3)
+        serial = [
+            run_once(problem, COST, c) for c in repeated_configs(config, repeats=5)
+        ]
+        with ExperimentService(replicas=3) as service:
+            batched = run_repeated(problem, COST, config, repeats=5, service=service)
         assert [identity_of(r) for r in serial] == [identity_of(r) for r in batched]
 
     def test_map_runs_with_replicas_matches_serial(self, problem):
@@ -142,17 +141,17 @@ class TestReplicaHarness:
         # shape); results must still scatter back identically.
         configs.append(replace(configs[0], eta=0.02))
         serial = [identity_of(run_once(problem, COST, c)) for c in configs]
-        batched = [
-            identity_of(r)
-            for r in map_runs(problem, COST, configs, replicas=3)
-        ]
+        with ExperimentService(replicas=3) as service:
+            batched = [identity_of(r) for r in service.map(problem, COST, configs)]
         assert serial == batched
 
     def test_replicas_env_var_drives_map_runs(self, problem, monkeypatch):
         monkeypatch.setenv(REPLICAS_ENV, "3")
         configs = repeated_configs(make_config(), repeats=3)
         serial = [identity_of(run_once(problem, COST, c)) for c in configs]
-        batched = [identity_of(r) for r in map_runs(problem, COST, configs)]
+        with ExperimentService() as service:
+            assert service.replicas == 3
+            batched = [identity_of(r) for r in service.map(problem, COST, configs)]
         assert serial == batched
 
     def test_replicas_compose_with_workers(self, problem, monkeypatch):
@@ -161,8 +160,6 @@ class TestReplicaHarness:
         monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
         configs = repeated_configs(make_config(), repeats=6)
         serial = [identity_of(run_once(problem, COST, c)) for c in configs]
-        batched = [
-            identity_of(r)
-            for r in map_runs(problem, COST, configs, workers=2, replicas=3)
-        ]
+        with ExperimentService(workers=2, replicas=3) as service:
+            batched = [identity_of(r) for r in service.map(problem, COST, configs)]
         assert serial == batched

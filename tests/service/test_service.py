@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.harness.cache import RunCache, simulation_fingerprint
-from repro.harness.parallel import map_runs
+from repro.harness.pool import WorkerPool
+from repro.harness.runner import run_once
 from repro.service import ExperimentService, load_manifest
 from repro.service.queue import TaskState
 
@@ -23,7 +24,7 @@ class TestMapContract:
     def test_matches_map_runs_bitwise(self, problem, cost):
         configs = [make_config(seed=s, algorithm=a)
                    for a in ("ASYNC", "LSH_ps0") for s in (0, 1)]
-        base = map_runs(problem, cost, configs, workers=1, replicas=1)
+        base = [run_once(problem, cost, c) for c in configs]
         with ExperimentService(workers=1, replicas=2) as service:
             got = service.map(problem, cost, configs)
         assert fingerprints(got) == fingerprints(base)
@@ -57,7 +58,7 @@ class TestMapContract:
         # One healthy replica, one diverging one, in the same cohort box.
         configs = [make_config(seed=0, eta=0.05),
                    make_config(seed=0, eta=50.0)]
-        base = map_runs(problem, cost, configs, workers=1, replicas=1)
+        base = [run_once(problem, cost, c) for c in configs]
         with ExperimentService(workers=1, replicas=2) as service:
             got = service.map(problem, cost, configs)
         assert fingerprints(got) == fingerprints(base)
@@ -87,6 +88,16 @@ class TestDurableMode:
         # ingester relies on this to attach natural keys).
         assert len(stored["run_keys"]) == 2
         assert all(":" in key for key in stored["run_keys"])
+
+    def test_manifest_records_the_given_pools_width(self, tmp_path,
+                                                    monkeypatch):
+        # "The pool's width wins": workers=None would resolve to 1.
+        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        with WorkerPool(3) as pool:
+            with ExperimentService(tmp_path / "run", pool=pool) as service:
+                assert service.workers == 3
+        assert load_manifest(tmp_path / "run")["workers"] == 3
 
     def test_resume_executes_nothing_when_complete(self, tmp_path, problem,
                                                    cost):
@@ -158,7 +169,7 @@ class TestDurableMode:
             got = service.map(problem, cost, configs)
             assert service.stats.tasks_requeued == 1
             assert service.stats.runs_executed == 2
-        base = map_runs(problem, cost, configs, workers=1, replicas=1)
+        base = [run_once(problem, cost, c) for c in configs]
         assert fingerprints(got) == fingerprints(base)
 
     def test_manifest_mismatch_refuses_resume(self, tmp_path, problem, cost):

@@ -14,6 +14,7 @@ import pytest
 from repro.core.problem import QuadraticProblem
 from repro.harness.config import RunConfig
 from repro.harness.runner import repeated_configs, run_once, run_repeated
+from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 
 
@@ -137,8 +138,10 @@ class TestSerialParallelEquivalence:
 
     def test_parallel_matches_serial(self, problem, cost):
         config = make_config("LSH_ps1", seed=42)
-        serial = run_repeated(problem, cost, config, repeats=4, workers=1)
-        parallel = run_repeated(problem, cost, config, repeats=4, workers=2)
+        with ExperimentService(workers=1) as service:
+            serial = run_repeated(problem, cost, config, repeats=4, service=service)
+        with ExperimentService(workers=2) as service:
+            parallel = run_repeated(problem, cost, config, repeats=4, service=service)
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
             assert_identical(s, p)
@@ -161,6 +164,9 @@ class TestSerialParallelEquivalence:
         # pre-flight) is actually attempted on single-core CI hosts.
         monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 2)
         config = make_config("SEQ", m=1)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            runs = run_repeated(ClosureProblem(), cost, config, repeats=2, workers=2)
+        with ExperimentService(workers=2) as service:
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                runs = run_repeated(
+                    ClosureProblem(), cost, config, repeats=2, service=service
+                )
         assert len(runs) == 2
