@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data.batcher import MiniBatcher
 from repro.errors import ConfigurationError
+from repro.nn.inference import InferencePlan, plan_for
 from repro.nn.network import Network
 from repro.sim.grad import GradTask
 from repro.utils.validation import check_positive
@@ -179,16 +180,26 @@ class DLProblem(Problem):
             return None
         return DLGradTask(self, rng)
 
+    def _eval_plan(self, theta: np.ndarray) -> InferencePlan:
+        """The forward-only plan for the held-out split: built on the
+        first evaluation and kept outside ``vars(self)`` (see
+        :mod:`repro.nn.inference`), so evaluating changes neither the
+        problem's fingerprint nor its pickle."""
+        return plan_for(self, self.network, self.eval_x, self.eval_y, np.asarray(theta).dtype)
+
     def eval_loss(self, theta: np.ndarray) -> float:
+        """``network.loss`` on the held-out split, bit for bit."""
         if not np.all(np.isfinite(theta)):
             return float("nan")
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.network.loss(self.eval_x, self.eval_y, theta)
+            return self._eval_plan(theta).loss(theta)
 
     def eval_accuracy(self, theta: np.ndarray) -> float:
+        """``network.accuracy`` on the held-out split, bit for bit; right
+        after :meth:`eval_loss` on the same theta it costs no forward."""
         if not np.all(np.isfinite(theta)):
             return float("nan")
-        return self.network.accuracy(self.eval_x, self.eval_y, theta)
+        return self._eval_plan(theta).accuracy(theta)
 
 
 class DLGradTask(GradTask):

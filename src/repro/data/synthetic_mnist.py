@@ -27,7 +27,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.batcher import Dataset
 from repro.errors import ConfigurationError
@@ -50,6 +49,37 @@ IMAGE_SIZE = 28
 N_CLASSES = 10
 
 
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a 2-D float32 image, bit for bit what
+    ``scipy.ndimage.gaussian_filter(image, sigma)`` returns (the corpus
+    bits feed every DL fingerprint; ``tests/data`` pins them and
+    cross-checks scipy where it is installed).
+
+    That means reproducing ``correlate1d``'s symmetric-kernel loop, not
+    just its mathematics: per axis the lines are filtered in float64
+    over ``reflect`` padding, the centre tap starts the accumulator, tap
+    pairs are added from the outermost inwards, and the result is cast
+    back to float32 before the next axis.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    weights /= weights.sum()
+    for axis in range(image.ndim):
+        n = image.shape[axis]
+        pad = [(0, 0)] * image.ndim
+        pad[axis] = (radius, radius)
+        # numpy calls scipy's `reflect` (d c b a | a b c d | d c b a) `symmetric`.
+        lines = np.moveaxis(np.pad(image.astype(np.float64), pad, mode="symmetric"), axis, 0)
+        acc = lines[radius : radius + n] * weights[radius]
+        for k in range(radius, 0, -1):
+            left = lines[radius - k : radius - k + n]
+            right = lines[radius + k : radius + k + n]
+            acc += (left + right) * weights[radius + k]
+        image = np.moveaxis(acc, 0, axis).astype(np.float32, order="C")
+    return image
+
+
 def _base_glyph(digit: int, *, blur_sigma: float = 0.7) -> np.ndarray:
     """The 28x28 canonical image of ``digit`` (float32 in [0, 1])."""
     rows = _GLYPHS_5x7[digit]
@@ -60,7 +90,7 @@ def _base_glyph(digit: int, *, blur_sigma: float = 0.7) -> np.ndarray:
     left = (IMAGE_SIZE - scaled.shape[1]) // 2
     canvas[top : top + scaled.shape[0], left : left + scaled.shape[1]] = scaled
     if blur_sigma > 0:
-        canvas = ndimage.gaussian_filter(canvas, blur_sigma)
+        canvas = _gaussian_blur(canvas, blur_sigma)
         peak = canvas.max()
         if peak > 0:
             canvas /= peak

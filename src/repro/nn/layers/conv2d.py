@@ -27,6 +27,25 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int, int]:
     return patches.reshape(n, oh * ow, -1), oh, ow
 
 
+#: Contraction paths of the backward einsum, keyed by operand shapes:
+#: ``optimize=True`` re-runs a path search on every call, which for the
+#: small operands here costs as much as the contraction itself. Module
+#: level, not on the layer: anything in ``vars(layer)`` is hashed by
+#: ``problem_fingerprint``, and a cache filled by the first backward
+#: would make a problem's fingerprint change after it ran.
+_EINSUM_PATHS: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
+
+
+def weight_grad_path(g2: np.ndarray, cols: np.ndarray) -> list:
+    """The ``npf,npk->fk`` contraction path for operands shaped like
+    ``g2`` / ``cols`` (shared with :mod:`repro.nn.replica`)."""
+    key = (g2.shape, cols.shape)
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = _EINSUM_PATHS[key] = np.einsum_path("npf,npk->fk", g2, cols, optimize=True)[0]
+    return path
+
+
 class Conv2D(Layer):
     """Multi-channel 2-D convolution: ``(N, C, H, W) -> (N, F, OH, OW)``
     with ``OH = H - kh + 1`` and ``OW = W - kw + 1``."""
@@ -44,11 +63,6 @@ class Conv2D(Layer):
         self.kernel = (int(kernel[0]), int(kernel[1]))
         self._in_shape: tuple[int, int, int] | None = None
         self._out_shape: tuple[int, int, int] | None = None
-        # Contraction-path cache for the backward einsum: optimize=True
-        # re-runs a path search on every call, which for the small
-        # operands here costs as much as the contraction itself. Paths
-        # depend only on operand shapes, so one entry per batch shape.
-        self._einsum_paths: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
 
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3:
@@ -129,12 +143,7 @@ class Conv2D(Layer):
         kh, kw = self.kernel
         g2 = grad_out.reshape(n, self.filters, oh * ow).transpose(0, 2, 1)  # (N, OH*OW, F)
         # Parameter gradients: contract over batch and positions at once.
-        path_key = (g2.shape, cols.shape)
-        path = self._einsum_paths.get(path_key)
-        if path is None:
-            path = np.einsum_path("npf,npk->fk", g2, cols, optimize=True)[0]
-            self._einsum_paths[path_key] = path
-        np.einsum("npf,npk->fk", g2, cols, out=gW, optimize=path)
+        np.einsum("npf,npk->fk", g2, cols, out=gW, optimize=weight_grad_path(g2, cols))
         np.sum(grad_out, axis=(0, 2, 3), out=gb)
         # Input gradient: scatter-add each kernel offset (kh*kw small loops,
         # each a fully vectorized slice-add).

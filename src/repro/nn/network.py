@@ -142,8 +142,9 @@ class Network:
         ``workspace`` may supply a :class:`~repro.nn.workspace.StepWorkspace`
         (from :meth:`make_workspace`) holding every intermediate buffer;
         results are bitwise identical with or without it. A workspace
-        sized for a different batch size or dtype is silently ignored
-        (the monitor's held-out evaluations take the allocating path).
+        sized for a different batch size or dtype is silently ignored.
+        (The monitor's held-out evaluations never come here: they run
+        the forward-only :class:`repro.nn.inference.InferencePlan`.)
         """
         theta = self._check_theta(theta)
         if grad_out is None:

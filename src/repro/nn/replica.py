@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.layers.conv2d import weight_grad_path
 from repro.observe import profiler as _profiler
 
 __all__ = ["ReplicaKernel"]
@@ -476,21 +477,15 @@ class ReplicaKernel:
                     for r in range(k):
                         np.multiply(g[r], mask3[r], out=g[r])
             elif tag == "conv_s":
-                _, i, layer, bufs, _span = step
+                _, i, _layer, bufs, _span = step
                 cols4, _mm4, _out5, gcols4, gx5, dims = bufs
                 c, _h, _w, f, oh, ow, kh, kw = dims
                 p = oh * ow
                 # Per-replica view with exactly the serial g2 strides
                 # ((F*P, 1, P) elements), so einsum/matmul match bits.
                 g4 = g[:k].reshape(k, n, f, p).transpose(0, 1, 3, 2)
-                paths = layer._einsum_paths  # shared with the serial
-                path_key = (g4.shape[1:], cols4.shape[1:])  # layer: paths
-                path = paths.get(path_key)  # depend on shapes only
-                if path is None:
-                    path = np.einsum_path(
-                        "npf,npk->fk", g4[0], cols4[0], optimize=True
-                    )[0]
-                    paths[path_key] = path
+                # Shared with the serial layer: paths depend on shapes only.
+                path = weight_grad_path(g4[0], cols4[0])
                 for r in range(k):
                     W = params[r][i][0]
                     gW, gb = grads[r][i]

@@ -22,8 +22,9 @@ Guarantees:
   matches the paper's per-thread memory story.
 * **Fixed batch size.** Buffers are sized for exactly ``batch_size``
   samples; ``loss_and_grad`` falls back to the allocating path (it does
-  not fail) when handed a batch of any other size or dtype — e.g. the
-  convergence monitor's held-out evaluations.
+  not fail) when handed a batch of any other size or dtype. The
+  convergence monitor's held-out evaluations have their own forward-only
+  scratch (:mod:`repro.nn.inference`).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.data.synthetic_mnist import (
     IMAGE_SIZE,
     N_CLASSES,
     _base_glyph,
+    _gaussian_blur,
     generate_synthetic_mnist,
     load_idx_images,
     load_idx_labels,
@@ -31,6 +33,35 @@ class TestBaseGlyphs:
         for i in range(10):
             for j in range(i + 1, 10):
                 assert np.abs(glyphs[i] - glyphs[j]).sum() > 1.0
+
+
+class TestDataBits:
+    """The corpus bits feed every DL fingerprint: the numpy blur that
+    replaced ``scipy.ndimage.gaussian_filter`` may not move one of them."""
+
+    def test_corpus_digest_is_pinned(self):
+        # Computed with the scipy blur, before it was replaced.
+        c = generate_synthetic_mnist(n_train=256, n_eval=64, seed=7)
+        h = hashlib.sha256()
+        for split in (c.train, c.eval):
+            h.update(split.images.tobytes())
+            h.update(split.labels.tobytes())
+        assert h.hexdigest() == (
+            "4c303a4523a456fc4ca3f26f91600aec922cc23f9ce4807e5839f3e22688a767"
+        )
+
+    def test_blur_matches_scipy_bit_for_bit(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(0)
+        images = [_base_glyph(d, blur_sigma=0.0) for d in range(10)]
+        images += [rng.random((28, 28)).astype(np.float32) for _ in range(5)]
+        images += [rng.random((9, 31)).astype(np.float32)]  # kernel wider than an axis
+        for sigma in (0.3, 0.7, 1.1, 2.0):
+            for image in images:
+                got = _gaussian_blur(image, sigma)
+                want = ndimage.gaussian_filter(image, sigma)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGeneration:

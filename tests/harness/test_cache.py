@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.convergence import RunStatus
-from repro.core.problem import QuadraticProblem
+from repro.core.problem import DLProblem, QuadraticProblem
+from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.harness.cache import (
     CACHE_ENV,
     RunCache,
+    _fingerprint_value,
     cache_key,
     problem_fingerprint,
     resolve_cache_dir,
@@ -20,6 +23,7 @@ from repro.harness.cache import (
 )
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_once
+from repro.nn.architectures import cnn_mnist
 from repro.sim.cost import CostModel
 from repro.telemetry.bus import ProbeBus
 
@@ -68,6 +72,42 @@ class TestCacheKey:
         assert problem_fingerprint(problem) == problem_fingerprint(problem)
         clone = QuadraticProblem(32, h=1.0, b=1.0, noise_sigma=0.1)
         assert problem_fingerprint(problem) == problem_fingerprint(clone)
+
+
+def _raw_fingerprint(problem) -> str:
+    """``problem_fingerprint`` without its per-object memo: what a fresh
+    process (or an unpickled copy) would compute now."""
+    h = hashlib.sha256()
+    _fingerprint_value(h, problem, set())
+    return h.hexdigest()
+
+
+class TestFingerprintIsStableUnderUse:
+    """Nothing a run or an evaluation does may hang state on the
+    problem, its network or the layers: a problem that ran once and is
+    hashed again under a new ``id`` must get the same cache key."""
+
+    @pytest.fixture()
+    def cnn_problem(self):
+        corpus = generate_synthetic_mnist(n_train=128, n_eval=32, seed=3)
+        return DLProblem(
+            cnn_mnist(), corpus.train.as_images(), corpus.train.labels,
+            corpus.eval.as_images(), corpus.eval.labels, batch_size=8,
+        )
+
+    def test_unchanged_by_a_run(self, cnn_problem):
+        before = _raw_fingerprint(cnn_problem)
+        config = RunConfig(algorithm="ASYNC", m=2, eta=0.01, seed=0, max_updates=4)
+        run_once(cnn_problem, CostModel.cnn_default(), config)  # serial backward included
+        assert _raw_fingerprint(cnn_problem) == before
+        assert problem_fingerprint(cnn_problem) == before
+
+    def test_unchanged_by_an_evaluation(self, cnn_problem):
+        before = _raw_fingerprint(cnn_problem)
+        theta = cnn_problem.init_theta(np.random.default_rng(0))
+        cnn_problem.eval_loss(theta)
+        cnn_problem.eval_accuracy(theta)
+        assert _raw_fingerprint(cnn_problem) == before
 
 
 class TestRoundTrip:
