@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.utils.serialization import _decode, _encode
 
 __all__ = [
     "FailureCounts",
@@ -136,9 +137,11 @@ def row_digest(row: dict) -> str:
     idempotently). Simulation fields and the provenance manifest are
     hashed; host wall-clock fields are not (see the module docstring).
     """
-    from repro.utils.serialization import _encode
+    return _digest_of_encoded(_encode(row))
 
-    encoded = _encode(row)
+
+def _digest_of_encoded(encoded: dict) -> str:
+    """:func:`row_digest` of an already-encoded row."""
     payload = {k: v for k, v in encoded.items() if k not in _DIGEST_EXCLUDED}
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
@@ -244,6 +247,12 @@ class ResultStore:
         run identity when known; ``original_schema_version`` the version
         the row was *written* under (migration overwrites it in the row
         itself) — provenance for "which builds produced this sample".
+
+        The row is encoded once; its digest and (for a new row) its
+        ``row_json`` both come from that encoding. A digest that is
+        already stored returns after the identity adoption alone — no
+        column values, no ``row_json``. The lookup is only an early
+        out: the UNIQUE ``row_digest`` constraint still decides dedup.
         """
         config = row.get("config")
         report = row.get("report")
@@ -251,7 +260,13 @@ class ResultStore:
             raise ConfigurationError(
                 "run row has no config/report mapping — not a result row"
             )
-        digest = row_digest(row)
+        encoded = _encode(row)
+        digest = _digest_of_encoded(encoded)
+        if self._conn.execute(
+            "SELECT 1 FROM runs WHERE row_digest = ?", (digest,)
+        ).fetchone():
+            self._adopt_identity(digest, run_key=run_key, workload=workload)
+            return False
         provenance = row.get("provenance") or {}
         if not isinstance(provenance, dict):
             provenance = {}
@@ -269,8 +284,6 @@ class ResultStore:
             if virtual_time is not None and n_updates
             else None
         )
-        from repro.utils.serialization import _encode
-
         cur = self._conn.execute(
             """
             INSERT OR IGNORE INTO runs (
@@ -317,27 +330,11 @@ class ResultStore:
                 provenance.get("git_sha"),
                 provenance.get("hostname"),
                 _int_or_none(provenance.get("cpu_count")),
-                _canonical(_encode(row)),
+                _canonical(encoded),
             ),
         )
         if cur.rowcount == 0:
-            # A service dir journals each run twice (per-workload file
-            # + merged.jsonl), each copy knowing a different half of
-            # the identity: merged carries the run_key, the journal the
-            # workload key. Dedup keeps one row; adopt whichever half
-            # this duplicate knows and the stored row still lacks.
-            if run_key is not None:
-                self._conn.execute(
-                    "UPDATE runs SET run_key = ? WHERE row_digest = ?"
-                    " AND run_key IS NULL",
-                    (run_key, digest),
-                )
-            if workload is not None:
-                self._conn.execute(
-                    "UPDATE runs SET workload = ? WHERE row_digest = ?"
-                    " AND workload IS NULL",
-                    (workload, digest),
-                )
+            self._adopt_identity(digest, run_key=run_key, workload=workload)
             return False
         run_id = cur.lastrowid
         threshold_times = report.get("threshold_times") or {}
@@ -352,6 +349,30 @@ class ResultStore:
                 (run_id, float(eps), _finite_or_none(t), _int_or_none(n)),
             )
         return True
+
+    def _adopt_identity(
+        self, digest: str, *, run_key: str | None, workload: str | None
+    ) -> None:
+        """Backfill a stored row's identity from a duplicate of it.
+
+        A service dir journals each run twice (per-workload file +
+        merged.jsonl), each copy knowing a different half of the
+        identity: merged carries the run_key, the journal the workload
+        key. Dedup keeps one row; adopt whichever half this duplicate
+        knows and the stored row still lacks.
+        """
+        if run_key is not None:
+            self._conn.execute(
+                "UPDATE runs SET run_key = ? WHERE row_digest = ?"
+                " AND run_key IS NULL",
+                (run_key, digest),
+            )
+        if workload is not None:
+            self._conn.execute(
+                "UPDATE runs SET workload = ? WHERE row_digest = ?"
+                " AND workload IS NULL",
+                (workload, digest),
+            )
 
     @staticmethod
     def _config_hash_of(config: dict) -> str:
@@ -471,6 +492,7 @@ class ResultStore:
             else:
                 group.failures.converged += 1
         band = max(abs(eps) * 1e-9, 1e-12)
+        times: dict[tuple, list[float]] = {}
         for w, a, m, eta, t in self._conn.execute(
             f"SELECT r.workload, r.algorithm, r.m, r.eta, th.t"
             f" FROM runs r JOIN thresholds th ON th.run_id = r.id"
@@ -480,9 +502,11 @@ class ResultStore:
             " r.seed, r.id",
             (*params, eps - band, eps + band),
         ):
-            group = stats.get((w, a, m, eta))
+            times.setdefault((w, a, m, eta), []).append(t)
+        for key, sample in times.items():
+            group = stats.get(key)
             if group is not None:
-                group.times = group.times + (t,)
+                group.times = tuple(sample)
         return list(stats.values())
 
     def convergence_times(
@@ -568,8 +592,6 @@ class ResultStore:
         self, *, workload: str | None = None, algorithm: str | None = None
     ) -> Iterable[dict]:
         """Full decoded rows (arrays restored) for detail consumers."""
-        from repro.utils.serialization import _decode
-
         clauses, params = [], []
         if workload is not None:
             clauses.append("workload = ?")

@@ -95,11 +95,11 @@ def _ingest_result_file(
     run_keys: list[str] | None = None,
 ) -> IngestReport:
     """One JSONL file of run rows. ``run_keys`` (when given) aligns
-    line *i* (counting result rows, not file lines) with its service
-    run key."""
+    with the file's non-blank lines: line *i* owns ``run_keys[i]``
+    whether or not it is usable, so a skipped line never shifts the
+    rows after it onto their predecessors' keys."""
     report = IngestReport(files=[str(path)])
-    row_index = 0
-    for lineno, payload, _ in _iter_lines(path):
+    for slot, (lineno, payload, _) in enumerate(_iter_lines(path)):
         where = f"{path}:{lineno}"
         if payload is None:
             _warn_skip(where, "torn or corrupt JSON line")
@@ -117,9 +117,8 @@ def _ingest_result_file(
             report.skipped += 1
             continue
         run_key = None
-        if run_keys is not None and row_index < len(run_keys):
-            run_key = run_keys[row_index]
-        row_index += 1
+        if run_keys is not None and slot < len(run_keys):
+            run_key = run_keys[slot]
         try:
             fresh = store.insert_row(
                 row, source=source, workload=workload, run_key=run_key,

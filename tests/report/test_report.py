@@ -8,9 +8,11 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.report import build_report, validate_report_html, write_report
+from repro.report import build, build_report, validate_report_html, write_report
 from repro.report.html import html_page, html_table
 from repro.store import ResultStore, ingest_path
+
+from tests.report.test_stats import reference_bootstrap_ci
 
 
 @pytest.fixture
@@ -108,6 +110,52 @@ class TestDeterminism:
         with ResultStore(db) as disk:
             ingest_path(disk, history)
             assert build_report(disk, generated_at="PINNED") == want
+
+
+def _synthetic_row(algorithm: str, seed: int, t: float | None) -> dict:
+    """A minimal hand-made run row (``t`` None = diverged, no sample)."""
+    return {
+        "config": {"algorithm": algorithm, "m": 4, "eta": 0.05, "seed": seed,
+                   "epsilons": [0.1], "target_epsilon": 0.1},
+        "status": "diverged" if t is None else "converged",
+        "report": {
+            "threshold_times": {} if t is None else {"0.1": [t, 100 + seed]},
+            "final_loss": 0.05,
+        },
+        "schema_version": 3,
+        "n_updates": 100 + seed,
+        "virtual_time": 9.0 if t is None else t,
+    }
+
+
+class TestBootstrapPathOnThePage:
+    def test_page_identical_under_reference_row_loop(self, monkeypatch):
+        """The page's CIs come from the block-gather bootstrap; swapping
+        in the per-resample reference loop must not move one byte."""
+        samples = {
+            "ASYNC": [3.25, 1.5, 2.75],            # odd n
+            "HOG": [2.0, 2.0, 4.5, 1.125],         # even n, tied values
+            "LSH_ps0": [0.875, 1.0, 0.9375, 1.0, 0.75, 1.25, 0.8125],
+            "LSH_ps1": [0.625],                    # n = 1
+            "LSH_psinf": [None, None],             # no sample: ranked last
+        }
+        with ResultStore(":memory:") as store:
+            for algorithm, times in samples.items():
+                for seed, t in enumerate(times):
+                    assert store.insert_row(
+                        _synthetic_row(algorithm, seed, t), source="synthetic"
+                    )
+            page = build_report(store, generated_at="PINNED", seed=3)
+            calls = []
+
+            def reference(values, **kwargs):
+                calls.append(len(values))
+                return reference_bootstrap_ci(values, **kwargs)
+
+            monkeypatch.setattr(build, "bootstrap_ci", reference)
+            assert build_report(store, generated_at="PINNED", seed=3) == page
+        assert sorted(calls) == [1, 3, 4, 7]
+        validate_report_html(page)
 
 
 class TestValidator:

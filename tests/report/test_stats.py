@@ -3,11 +3,15 @@ closed-form cases and invariance properties."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.report import stats as stats_module
 from repro.report.stats import (
+    BootstrapCI,
     a12_magnitude,
     bootstrap_ci,
     mann_whitney_u,
@@ -92,6 +96,100 @@ class TestA12:
         assert a12_magnitude(0.95) == "large"
 
 
+def reference_bootstrap_ci(
+    values, *, stat=np.median, n_boot=2000, confidence=0.95, seed=0
+) -> BootstrapCI:
+    """The per-resample row loop ``bootstrap_ci`` replaced, kept as the
+    reference: same single index draw, one 1-D ``stat`` call per row."""
+    arr = np.asarray(values, dtype=float)
+    rng = np.random.default_rng(seed)
+    estimates = np.empty(n_boot, dtype=float)
+    indices = rng.integers(0, arr.size, size=(n_boot, arr.size))
+    for i in range(n_boot):
+        estimates[i] = stat(arr[indices[i]])
+    alpha = (1.0 - confidence) / 2.0
+    low, high = np.quantile(estimates, [alpha, 1.0 - alpha])
+    return BootstrapCI(
+        estimate=float(stat(arr)),
+        low=float(low),
+        high=float(high),
+        confidence=confidence,
+        n_boot=n_boot,
+    )
+
+
+def _bits(ci: BootstrapCI) -> tuple[str, str, str]:
+    """estimate/low/high as exact bit strings (every NaN reads "nan":
+    the contract is the same NaN-ness, not the same payload)."""
+    return tuple(
+        "nan" if math.isnan(v) else v.hex() for v in (ci.estimate, ci.low, ci.high)
+    )
+
+
+def _assert_bit_equal(values, **kwargs) -> None:
+    with np.errstate(invalid="ignore"):
+        want = reference_bootstrap_ci(values, **kwargs)
+        got = bootstrap_ci(values, **kwargs)
+    assert _bits(got) == _bits(want)
+
+
+class TestBootstrapMatchesRowLoop:
+    """``bootstrap_ci`` gathers and reduces whole blocks of resamples;
+    it must stay bit-equal (``float.hex``, never ``allclose``) to the
+    row loop over the same index matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 1000])
+    def test_sizes_and_seeds(self, n):
+        values = np.random.default_rng(1000 + n).normal(5.0, 2.0, n)
+        for seed in range(5):
+            _assert_bit_equal(values, seed=seed)
+
+    def test_crosses_gather_block_boundaries(self):
+        block_bytes = stats_module._GATHER_BLOCK_BYTES
+        # Several blocks with a ragged last one ...
+        n, n_boot = 1000, 2000
+        rows = block_bytes // (8 * n)
+        assert 1 < rows < n_boot and n_boot % rows
+        values = np.random.default_rng(11).normal(size=n)
+        _assert_bit_equal(values, n_boot=n_boot, seed=1)
+        # ... and a sample wider than a block: one row per gather.
+        n = block_bytes // 8 + 1
+        values = np.random.default_rng(12).normal(size=n)
+        _assert_bit_equal(values, n_boot=3, seed=2)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [4, 7, 63])
+    def test_confidence_levels(self, n, confidence):
+        values = np.random.default_rng(n).exponential(3.0, n)
+        _assert_bit_equal(values, confidence=confidence, seed=n)
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 63])
+    def test_tied_values(self, n):
+        values = np.round(np.random.default_rng(n).normal(5.0, 2.0, n))
+        for seed in range(5):
+            _assert_bit_equal(values, seed=seed)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_infinite_values(self, n):
+        values = np.random.default_rng(n).normal(size=n)
+        values[0], values[-1] = np.inf, -np.inf
+        for seed in range(5):
+            _assert_bit_equal(values, seed=seed)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_nan_values(self, n):
+        values = np.random.default_rng(n).normal(size=n)
+        values[n // 2] = np.nan
+        for seed in range(5):
+            _assert_bit_equal(values, seed=seed)
+
+    @pytest.mark.parametrize("stat", [np.median, np.mean])
+    @pytest.mark.parametrize("n", [3, 8, 64, 1000])
+    def test_mean_and_median_share_the_path(self, stat, n):
+        values = np.random.default_rng(n).normal(10.0, 3.0, n)
+        _assert_bit_equal(values, stat=stat, seed=n)
+
+
 class TestBootstrap:
     def test_deterministic_under_seed(self):
         values = np.random.default_rng(1).normal(5.0, 2.0, 40).tolist()
@@ -113,10 +211,21 @@ class TestBootstrap:
         assert (large.high - large.low) < (small.high - small.low)
 
     def test_custom_statistic(self):
-        ci = bootstrap_ci(
+        # The extension point is axis-aware: one call reduces the 1-D
+        # sample (axis=0), one call per block the resample matrix.
+        axes = []
+
+        def mean(samples, axis):
+            axes.append((samples.ndim, axis))
+            return np.mean(samples, axis=axis)
+
+        ci = bootstrap_ci([1.0, 2.0, 3.0], stat=mean, seed=0)
+        assert ci.estimate == pytest.approx(2.0)
+        assert sorted(axes) == [(1, 0), (2, 1)]
+        want = reference_bootstrap_ci(
             [1.0, 2.0, 3.0], stat=lambda x: float(np.mean(x)), seed=0
         )
-        assert ci.estimate == pytest.approx(2.0)
+        assert _bits(ci) == _bits(want)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="non-empty"):

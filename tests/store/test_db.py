@@ -3,12 +3,14 @@ semantics, and the typed query API."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.store import FailureCounts, GroupKey, ResultStore, ingest_path, row_digest
+from repro.store import db as db_module
 from repro.telemetry.jsonl import read_jsonl
 
 
@@ -73,6 +75,83 @@ class TestInsert:
         keys = [k for (k,) in store._conn.execute(
             "SELECT run_key FROM runs WHERE run_key IS NOT NULL")]
         assert keys == ["wk:abc"]
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Count ``db``'s own calls into the row codec: ``_encode`` (the
+    top-level call per row; its recursion stays inside serialization)
+    and ``_canonical`` (one JSON dump each)."""
+    calls = {"_encode": 0, "_canonical": 0}
+    for name in calls:
+        def counting(value, _name=name, _real=getattr(db_module, name)):
+            calls[_name] += 1
+            return _real(value)
+        monkeypatch.setattr(db_module, name, counting)
+    return calls
+
+
+class TestEncodeOnceLookupFirst:
+    def test_duplicate_encodes_once_and_serialises_no_row_json(
+        self, store, sweep_jsonl, codec_calls
+    ):
+        (row,) = read_jsonl(sweep_jsonl)[:1]
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        assert store.insert_row(row, source="again") is False
+        store._conn.set_trace_callback(None)
+        # One encoding; one dump for the digest, none for row_json.
+        assert codec_calls == {"_encode": 1, "_canonical": 1}
+        assert not any("INSERT" in sql for sql in statements)
+
+    def test_fresh_row_encodes_once(self, sweep_jsonl, codec_calls):
+        (row,) = read_jsonl(sweep_jsonl)[:1]
+        with ResultStore(":memory:") as fresh:
+            assert fresh.insert_row(row, source="new") is True
+        # One encoding shared by the digest and row_json dumps.
+        assert codec_calls == {"_encode": 1, "_canonical": 2}
+
+    def test_stored_digest_is_row_digest(self, store, sweep_jsonl):
+        rows = read_jsonl(sweep_jsonl)
+        stored = {d for (d,) in store._conn.execute("SELECT row_digest FROM runs")}
+        assert stored == {row_digest(row) for row in rows}
+        for row in rows:
+            (text,) = store._conn.execute(
+                "SELECT row_json FROM runs WHERE row_digest = ?", (row_digest(row),)
+            ).fetchone()
+            assert row_digest(json.loads(text)) == row_digest(row)
+
+    @pytest.mark.parametrize("merged_first", [True, False])
+    def test_identity_adoption_in_both_orders(self, sweep_jsonl, merged_first):
+        # The merged copy knows the run_key, the journal copy the
+        # workload; whichever lands second completes the stored row.
+        (row,) = read_jsonl(sweep_jsonl)[:1]
+        copies = [{"run_key": "wk:abc"}, {"workload": "wk"}]
+        if not merged_first:
+            copies.reverse()
+        with ResultStore(":memory:") as s:
+            assert s.insert_row(row, source="svc", **copies[0]) is True
+            assert s.insert_row(row, source="svc", **copies[1]) is False
+            # A later duplicate never overwrites an adopted identity.
+            assert s.insert_row(
+                row, source="svc", run_key="other:key", workload="other"
+            ) is False
+            assert s._conn.execute(
+                "SELECT run_key, workload FROM runs").fetchall() == [("wk:abc", "wk")]
+
+    @pytest.mark.parametrize("bad", [
+        {"config": [], "report": {}},
+        {"config": {}, "report": "text"},
+        {"report": {}},
+    ])
+    def test_non_mapping_row_raises_before_any_lookup(self, store, codec_calls, bad):
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        with pytest.raises(ConfigurationError, match="config/report"):
+            store.insert_row(bad, source="junk")
+        store._conn.set_trace_callback(None)
+        assert codec_calls == {"_encode": 0, "_canonical": 0}
+        assert statements == []
 
 
 class TestQueries:

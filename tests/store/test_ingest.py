@@ -5,11 +5,12 @@ torn/corrupt/foreign rows."""
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.store import ResultStore, ingest_path, ingest_paths
+from repro.store import ResultStore, ingest_path, ingest_paths, row_digest
 from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.metrics import SCHEMA_VERSION
 
@@ -212,6 +213,71 @@ class TestServiceRunDir:
         summary = json.loads((run_dir / "summary.json").read_text())
         merged = read_jsonl(run_dir / "merged.jsonl")
         assert len(summary["run_keys"]) == len(merged) == 4
+
+    @staticmethod
+    def _dump(store):
+        return (
+            store._conn.execute("SELECT * FROM runs ORDER BY id").fetchall(),
+            store._conn.execute(
+                "SELECT * FROM thresholds ORDER BY run_id, eps").fetchall(),
+        )
+
+    def test_double_ingest_stores_what_a_single_ingest_does(self, store, run_dir):
+        first = ingest_path(store, run_dir)
+        again = ingest_path(store, run_dir)
+        assert (first.inserted, first.duplicates,
+                again.inserted, again.duplicates) == (4, 4, 0, 8)
+        assert first.skipped == again.skipped == 0
+        with ResultStore(":memory:") as once:
+            ingest_path(once, run_dir)
+            assert self._dump(once) == self._dump(store)
+        runs, thresholds = self._dump(store)
+        assert len(runs) == 4 and thresholds
+
+    @pytest.mark.parametrize("with_journals", [True, False])
+    @pytest.mark.parametrize("damage", ["torn", "non-object", "forward-version"])
+    def test_skipped_merged_line_keeps_run_keys_aligned(
+        self, run_dir, tmp_path, damage, with_journals
+    ):
+        """Every non-blank merged line owns its slot of ``run_keys``: a
+        skipped line must not shift later rows onto earlier keys."""
+        with ResultStore(":memory:") as intact:
+            ingest_path(intact, run_dir)
+            want = dict(intact._conn.execute("SELECT row_digest, run_key FROM runs"))
+            (wkey,) = intact.workloads()
+        assert len(want) == 4 and all(want.values())
+
+        broken = tmp_path / run_dir.name
+        shutil.copytree(run_dir, broken)
+        if not with_journals:
+            for journal in broken.glob("results-*.jsonl"):
+                journal.unlink()
+        lines = (broken / "merged.jsonl").read_text().splitlines()
+        victim = row_digest(json.loads(lines[1]))
+        if damage == "torn":
+            lines[1] = lines[1][: len(lines[1]) // 2]
+        elif damage == "non-object":
+            lines[1] = "[1, 2, 3]"
+        else:
+            lines[1] = json.dumps(
+                {**json.loads(lines[1]), "schema_version": SCHEMA_VERSION + 1})
+        (broken / "merged.jsonl").write_text("\n".join(lines) + "\n")
+
+        with ResultStore(":memory:") as s:
+            with pytest.warns(UserWarning, match="ingest: skipping"):
+                report = ingest_path(s, broken)
+            assert report.skipped == 1
+            got = {
+                digest: (key, workload) for digest, key, workload in
+                s._conn.execute("SELECT row_digest, run_key, workload FROM runs")
+            }
+        if with_journals:
+            # The journal copy still stores the run: no key, its workload.
+            assert got.pop(victim) == (None, wkey)
+        assert set(got) == set(want) - {victim}
+        for digest, (key, workload) in got.items():
+            assert key == want[digest]
+            assert workload == (wkey if with_journals else None)
 
 
 class TestMultiplePaths:
