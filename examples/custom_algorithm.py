@@ -81,15 +81,16 @@ class ShardedAsyncSGD(Algorithm):
             handle.grad_fn(local.theta, grad)
             yield ctx.cost.tc
             probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
-            # shard-wise consistent update
-            with np.errstate(over="ignore", invalid="ignore"):
-                for sl, lock in zip(self.slices, self.locks):
-                    requested = ctx.scheduler.now
-                    yield lock.acquire()
-                    probes.lock_wait(requested, ctx.scheduler.now, thread.tid)
-                    param.theta[sl] -= ctx.eta * grad[sl]
-                    yield ctx.cost.tu / k
-                    lock.release(thread)
+            # shard-wise consistent update (no np.errstate block here: the
+            # run silences overflow, and a block held across a yield would
+            # leak into the other threads)
+            for sl, lock in zip(self.slices, self.locks):
+                requested = ctx.scheduler.now
+                yield lock.acquire()
+                probes.lock_wait(requested, ctx.scheduler.now, thread.tid)
+                param.theta[sl] -= ctx.eta * grad[sl]
+                yield ctx.cost.tu / k
+                lock.release(thread)
             seq = ctx.global_seq.fetch_add(1)
             probes.publish(ctx.scheduler.now, thread.tid, seq, seq - view_seq)
 

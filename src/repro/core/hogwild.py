@@ -98,16 +98,19 @@ class HogwildSGD(Algorithm):
                     float(np.linalg.norm(local_param.theta - shared)),
                 )
             accessors.fetch_add(1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for sl in slices:
-                    if scratch is None:
-                        shared[sl] -= eta * grad[sl]
-                    else:
-                        # eta * grad[sl] lands in the worker's scratch slice
-                        # instead of a per-chunk temporary (same bits).
-                        np.multiply(grad[sl], eta, out=scratch[sl])
-                        shared[sl] -= scratch[sl]
-                    yield ctx.cost.contended(update_chunk_cost, accessors.load() - 1)
+            # Overflow under a destructive step size is silenced by the
+            # run (Scheduler.run owns the numeric error state): a block
+            # opened here would span the yields below and be left, out of
+            # order, while other workers are inside theirs.
+            for sl in slices:
+                if scratch is None:
+                    shared[sl] -= eta * grad[sl]
+                else:
+                    # eta * grad[sl] lands in the worker's scratch slice
+                    # instead of a per-chunk temporary (same bits).
+                    np.multiply(grad[sl], eta, out=scratch[sl])
+                    shared[sl] -= scratch[sl]
+                yield ctx.cost.contended(update_chunk_cost, accessors.load() - 1)
             accessors.fetch_add(-1)
             param.t += 1  # measurement-only sequence bump (no sync in HOGWILD!)
             seq = ctx.global_seq.fetch_add(1)

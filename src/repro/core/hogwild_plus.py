@@ -94,19 +94,20 @@ class HogwildPlusPlus(Algorithm):
     def _token_body(self, ctx: SGDContext, thread: SimThread, period: float) -> Generator:
         token = self.token
         cluster = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                yield period  # travel + wait between visits
-                replica = self.replicas[cluster]
-                snapshot = self.snapshots[cluster]
-                # Fold the cluster's progress since the last visit into
-                # the token, then mix the token back into the replica.
-                delta = replica.theta - snapshot
-                token.theta += delta
-                replica.theta += self.mix * (token.theta - replica.theta)
-                np.copyto(snapshot, replica.theta)
-                yield 2.0 * ctx.cost.tu  # two bulk passes over d
-                cluster = (cluster + 1) % self.n_clusters
+        # Overflow here is silenced by the run, not by a block of this
+        # body's own (see HogwildSGD.worker_body).
+        while True:
+            yield period  # travel + wait between visits
+            replica = self.replicas[cluster]
+            snapshot = self.snapshots[cluster]
+            # Fold the cluster's progress since the last visit into
+            # the token, then mix the token back into the replica.
+            delta = replica.theta - snapshot
+            token.theta += delta
+            replica.theta += self.mix * (token.theta - replica.theta)
+            np.copyto(snapshot, replica.theta)
+            yield 2.0 * ctx.cost.tu  # two bulk passes over d
+            cluster = (cluster + 1) % self.n_clusters
 
     def worker_body(
         self, ctx: SGDContext, thread: SimThread, handle: WorkerHandle
@@ -142,14 +143,13 @@ class HogwildPlusPlus(Algorithm):
 
             shared = replica.theta
             accessors.fetch_add(1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for sl in slices:
-                    if scratch is None:
-                        shared[sl] -= eta * grad[sl]
-                    else:
-                        np.multiply(grad[sl], eta, out=scratch[sl])
-                        shared[sl] -= scratch[sl]
-                    yield ctx.cost.contended(update_chunk, accessors.load() - 1)
+            for sl in slices:
+                if scratch is None:
+                    shared[sl] -= eta * grad[sl]
+                else:
+                    np.multiply(grad[sl], eta, out=scratch[sl])
+                    shared[sl] -= scratch[sl]
+                yield ctx.cost.contended(update_chunk, accessors.load() - 1)
             accessors.fetch_add(-1)
             replica.t += 1
             seq = ctx.global_seq.fetch_add(1)

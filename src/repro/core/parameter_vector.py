@@ -149,15 +149,16 @@ class ParameterVector:
         """
         self._require_live("update")
         self.t += 1
-        # errstate: with a destructive step size the payload legitimately
+        # With a destructive step size the payload legitimately
         # overflows; the paper calls those executions 'Crash' and the
-        # convergence monitor detects them via non-finite loss.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if scratch is None:
-                self.theta -= eta * delta
-            else:
-                np.multiply(delta, eta, out=scratch)
-                self.theta -= scratch
+        # convergence monitor detects them via non-finite loss. The
+        # numeric error state that keeps this quiet is owned by
+        # Scheduler.run, once per run, not entered here per step.
+        if scratch is None:
+            self.theta -= eta * delta
+        else:
+            np.multiply(delta, eta, out=scratch)
+            self.theta -= scratch
 
     def step_from(
         self,
@@ -182,16 +183,15 @@ class ParameterVector:
         source._require_live("step_from source")
         self.t = source.t + 1
         dst, src = self.theta, source.theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            if dst.size <= _STEP_BLOCK:
-                np.multiply(delta, -eta, out=dst)
-                dst += src
-            else:
-                for i in range(0, dst.size, _STEP_BLOCK):
-                    j = i + _STEP_BLOCK
-                    block = dst[i:j]
-                    np.multiply(delta[i:j], -eta, out=block)
-                    block += src[i:j]
+        if dst.size <= _STEP_BLOCK:
+            np.multiply(delta, -eta, out=dst)
+            dst += src
+        else:
+            for i in range(0, dst.size, _STEP_BLOCK):
+                j = i + _STEP_BLOCK
+                block = dst[i:j]
+                np.multiply(delta[i:j], -eta, out=block)
+                block += src[i:j]
 
     # -- internals ----------------------------------------------------------
     def _release_payload(self) -> None:

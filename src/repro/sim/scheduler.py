@@ -24,6 +24,25 @@ overhead aggressively:
   events. Draws stay fully deterministic given the seed, but the
   *order* of the underlying RNG stream differs from releases that drew
   one scalar per event (see docs/simulator.md, "Performance").
+* An event costs one heap exchange and one generator resume. A thread
+  that yields a plain duration hands its continuation to
+  ``heapq.heappushpop``, which returns the next event in the same C
+  call, and returns the continuation itself without touching the heap
+  when it is already the smallest (most yields are far shorter than
+  the bulk operations other threads are inside, so the same thread is
+  usually next). The pop sequence is that of push-then-pop: same
+  entries, same total order.
+* :meth:`SimThread.step` and the clock advance are inlined in the loop
+  (no call frame per event); ``step`` stays the public single-step API
+  and ``tests/sim/test_scheduler_model.py`` pins the two equal.
+* :meth:`Scheduler.run` owns the numeric error state: one
+  ``np.errstate(over="ignore", invalid="ignore")`` per call, entered
+  and left in ``run``'s own frame, covers everything thread bodies and
+  inline gradients do (a destructive step size legitimately overflows
+  the payload; the monitor classifies those runs from the non-finite
+  loss). Thread bodies must not open their own block across a
+  ``yield``: a generator has no context of its own, so the block would
+  be entered by one thread and left, out of order, under another's.
 """
 
 from __future__ import annotations
@@ -278,14 +297,6 @@ class Scheduler:
         self._seq = seq + 1
         heapq.heappush(self._queue, (self.clock.now + d, self._next_tiebreak(), seq, thread))
 
-    def _jitter(self, duration: float, thread: SimThread) -> float:
-        if duration < 0:
-            raise SimulationError(f"thread {thread.name!r} yielded a negative duration {duration!r}")
-        d = duration * thread.speed_factor
-        if self.config.jitter_sigma > 0 and d > 0:
-            d *= self._next_jitter_factor()
-        return d
-
     # ------------------------------------------------------------------
     def run(self, *, until: float = float("inf")) -> None:
         """Process events until no thread remains runnable, a stop is
@@ -304,119 +315,165 @@ class Scheduler:
         queue = self._queue
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
         clock = self.clock
         max_events = self.config.max_events
         jitter_on = self.config.jitter_sigma > 0
         suspend_after = self._suspend_after
         pending_tids = self._pending_tids
         events = self._events_processed
+        READY = ThreadState.READY
+        BLOCKED = ThreadState.BLOCKED
+        FINISHED = ThreadState.FINISHED
+        FAILED = ThreadState.FAILED
         # Self-profiler span for the whole loop segment (a cohort-mode
         # scheduler runs many segments per replica); ACTIVE is a no-op
         # object unless the run opted in via RunConfig.self_profile.
         prof = _profiler.ACTIVE
         prof_t0 = prof.start()
+        # The event being processed; None means "take the next one off
+        # the heap". The plain-duration path sets it directly from its
+        # heap exchange, every other path goes back through the heap.
+        entry = None
         try:
-            while queue and not self._stopped:
-                if events >= max_events:
-                    nxt = queue[0][3]
-                    raise SimulationError(
-                        f"scheduler exceeded max_events={max_events} at virtual "
-                        f"time {clock.now:.6g}s (next runnable thread: {nxt.name!r}); "
-                        "likely a zero-duration spin loop in a thread body"
-                    )
-                entry = heappop(queue)
-                at = entry[0]
-                if at > until:
-                    # Put it back so a later run(until=...) continues seamlessly.
-                    heappush(queue, entry)
-                    clock.advance_to(until)
-                    return
-                thread = entry[3]
-                if pending_tids and thread.tid in pending_tids:
-                    # The next event belongs to a thread whose deferred
-                    # gradient has not been executed yet: pause for the
-                    # cohort round. The entry goes back unchanged (same
-                    # time/tiebreak/seq → same heap position) and is
-                    # re-popped after the round.
-                    heappush(queue, entry)
-                    break
-                clock.advance_to(at)
-                events += 1
-                if suspend_after:
-                    deadline = suspend_after.get(thread.tid)
-                    if deadline is not None and at >= deadline:
-                        self._suspended.append(thread)
-                        del suspend_after[thread.tid]
-                        continue  # frozen: never rescheduled, holdings kept
-                yielded = thread.step()
-                if yielded is None:
-                    continue  # thread finished
-                if isinstance(yielded, (int, float)):
-                    # Hot path: a plain duration. Inlines _jitter + _schedule.
-                    if yielded < 0:
-                        raise SimulationError(
-                            f"thread {thread.name!r} yielded a negative duration {yielded!r}"
-                        )
-                    d = yielded * thread.speed_factor
-                    if jitter_on and d > 0:
-                        i = self._jitter_idx
-                        block = self._jitters
-                        if i >= len(block):
-                            block = self._jitters = np.exp(
-                                self._rng.normal(0.0, self.config.jitter_sigma, _RNG_BLOCK)
-                            ).tolist()
-                            i = 0
-                        self._jitter_idx = i + 1
-                        d *= block[i]
-                    thread.state = ThreadState.READY
-                    i = self._tiebreak_idx
-                    block = self._tiebreaks
-                    if i >= len(block):
-                        block = self._tiebreaks = self._rng.random(_RNG_BLOCK).tolist()
-                        i = 0
-                    self._tiebreak_idx = i + 1
-                    seq = self._seq
-                    self._seq = seq + 1
-                    heappush(queue, (clock.now + d, block[i], seq, thread))
-                elif isinstance(yielded, GradCompute):
-                    if self._cohort:
-                        # Park the request for the cohort driver, which
-                        # executes it (possibly stacked with other
-                        # replicas') and calls resume_after_grads().
-                        if yielded.deferrable:
-                            # Schedule the continuation now — the exact
-                            # RNG draws of the serial path — and keep
-                            # processing other threads' events, so one
-                            # round harvests every in-flight gradient.
-                            self._pending_grads.append((thread, yielded, True))
-                            pending_tids.add(thread.tid)
-                            self._schedule_after(thread, yielded.duration)
-                            continue
-                        self._pending_grads.append((thread, yielded, False))
+            # The run owns the numeric error state (module docstring):
+            # entered and left in this frame, never inside a generator.
+            with np.errstate(over="ignore", invalid="ignore"):
+                while True:
+                    if entry is None:
+                        if not queue or self._stopped:
+                            break
+                        if events >= max_events:
+                            nxt = queue[0][3]
+                            raise SimulationError(
+                                f"scheduler exceeded max_events={max_events} at virtual "
+                                f"time {clock.now:.6g}s (next runnable thread: {nxt.name!r}); "
+                                "likely a zero-duration spin loop in a thread body"
+                            )
+                        entry = heappop(queue)
+                    at = entry[0]
+                    if at > until:
+                        # Put it back so a later run(until=...) continues seamlessly.
+                        heappush(queue, entry)
+                        clock.advance_to(until)
+                        return
+                    thread = entry[3]
+                    if pending_tids and thread.tid in pending_tids:
+                        # The next event belongs to a thread whose deferred
+                        # gradient has not been executed yet: pause for the
+                        # cohort round. The entry goes back unchanged (same
+                        # time/tiebreak/seq -> same place in the order) and
+                        # is re-popped after the round.
+                        heappush(queue, entry)
                         break
-                    # Serial: run the gradient now, at the instant the
-                    # worker yielded — exactly when the old inline call
-                    # happened — then reschedule after its duration
-                    # (jitter draw then tiebreak draw, as above).
-                    yielded.execute()
-                    self._schedule_after(thread, yielded.duration)
-                elif isinstance(yielded, AcquireRequest):
-                    granted = yielded.lock._on_acquire(thread, self)
-                    if granted:
-                        self._schedule(thread, clock.now + yielded.lock.acquire_cost)
-                    else:
-                        thread.state = ThreadState.BLOCKED
+                    entry = None
+                    # Inlined VirtualClock.advance_to: the never-backwards
+                    # guard stays, and a violation raises from there.
+                    if at < clock._now:
+                        clock.advance_to(at)
+                    clock._now = at
+                    events += 1
+                    if suspend_after:
+                        deadline = suspend_after.get(thread.tid)
+                        if deadline is not None and at >= deadline:
+                            self._suspended.append(thread)
+                            del suspend_after[thread.tid]
+                            continue  # frozen: never rescheduled, holdings kept
+                    # Inlined SimThread.step (same guard, same transitions).
+                    state = thread.state
+                    if state is FINISHED or state is FAILED:
+                        raise SimulationError(
+                            f"thread {thread.name!r} stepped after termination"
+                        )
+                    try:
+                        yielded = next(thread._gen)
+                    except StopIteration:
+                        thread.state = FINISHED
+                        continue
+                    except BaseException as exc:
+                        thread.state = FAILED
+                        thread.error = exc
+                        raise
+                    cls = type(yielded)
+                    if cls is float or cls is int or isinstance(yielded, (int, float)):
+                        # Hot path: a plain duration. Inlines _schedule_after.
+                        if yielded < 0:
+                            raise SimulationError(
+                                f"thread {thread.name!r} yielded a negative duration {yielded!r}"
+                            )
+                        d = yielded * thread.speed_factor
+                        if jitter_on and d > 0:
+                            i = self._jitter_idx
+                            block = self._jitters
+                            if i >= len(block):
+                                block = self._jitters = np.exp(
+                                    self._rng.normal(0.0, self.config.jitter_sigma, _RNG_BLOCK)
+                                ).tolist()
+                                i = 0
+                            self._jitter_idx = i + 1
+                            d *= block[i]
+                        thread.state = READY
+                        i = self._tiebreak_idx
+                        block = self._tiebreaks
+                        if i >= len(block):
+                            block = self._tiebreaks = self._rng.random(_RNG_BLOCK).tolist()
+                            i = 0
+                        self._tiebreak_idx = i + 1
+                        seq = self._seq
+                        self._seq = seq + 1
+                        if self._stopped or events >= max_events:
+                            # Leaving: the continuation goes onto the heap
+                            # so the exit at the loop top sees every
+                            # runnable thread.
+                            heappush(queue, (at + d, block[i], seq, thread))
+                        else:
+                            # One exchange: push the continuation, pop the
+                            # next event (the continuation itself, heap
+                            # untouched, when it is the earliest).
+                            entry = heappushpop(queue, (at + d, block[i], seq, thread))
+                    elif isinstance(yielded, GradCompute):
+                        if self._cohort:
+                            # Park the request for the cohort driver, which
+                            # executes it (possibly stacked with other
+                            # replicas') and calls resume_after_grads().
+                            if yielded.deferrable:
+                                # Schedule the continuation now — the exact
+                                # RNG draws of the serial path — and keep
+                                # processing other threads' events, so one
+                                # round harvests every in-flight gradient.
+                                self._pending_grads.append((thread, yielded, True))
+                                pending_tids.add(thread.tid)
+                                self._schedule_after(thread, yielded.duration)
+                                continue
+                            self._pending_grads.append((thread, yielded, False))
+                            break
+                        # Serial: run the gradient now, at the instant the
+                        # worker yielded — exactly when the old inline call
+                        # happened — then reschedule after its duration
+                        # (jitter draw then tiebreak draw, as above).
+                        yielded.execute()
+                        self._schedule_after(thread, yielded.duration)
+                    elif isinstance(yielded, AcquireRequest):
+                        granted = yielded.lock._on_acquire(thread, self)
+                        if granted:
+                            self._schedule(thread, at + yielded.lock.acquire_cost)
+                        else:
+                            thread.state = BLOCKED
+                            self._blocked_count += 1
+                    elif isinstance(yielded, BarrierRequest):
+                        thread.state = BLOCKED
                         self._blocked_count += 1
-                elif isinstance(yielded, BarrierRequest):
-                    thread.state = ThreadState.BLOCKED
-                    self._blocked_count += 1
-                    released = yielded.barrier._on_arrive(thread, self)
-                    if released:
-                        self._wake(thread, delay=yielded.barrier.release_cost)
-                else:
-                    raise SimulationError(
-                        f"thread {thread.name!r} yielded unsupported value {yielded!r}"
-                    )
+                        released = yielded.barrier._on_arrive(thread, self)
+                        if released:
+                            self._wake(thread, delay=yielded.barrier.release_cost)
+                    elif yielded is None:
+                        # A bare ``yield`` is what step() reports for a
+                        # finished body: the thread is not rescheduled.
+                        pass
+                    else:
+                        raise SimulationError(
+                            f"thread {thread.name!r} yielded unsupported value {yielded!r}"
+                        )
         finally:
             self._events_processed = events
             prof.stop("scheduler.run", prof_t0)

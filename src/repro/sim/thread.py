@@ -58,6 +58,13 @@ class SimThread:
 
         Returns the yielded value, or ``None`` if the body finished.
         Exceptions from the body mark the thread FAILED and re-raise.
+
+        This is the public single-step API. :meth:`Scheduler.run
+        <repro.sim.scheduler.Scheduler.run>` inlines exactly these
+        semantics (guard, ``next``, FINISHED / FAILED transitions) to
+        save a call frame per event;
+        ``tests/sim/test_scheduler_model.py`` pins the inlined copy
+        equal to a reference loop that calls this method.
         """
         if self.state in (ThreadState.FINISHED, ThreadState.FAILED):
             raise SimulationError(f"thread {self.name!r} stepped after termination")

@@ -9,12 +9,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from repro.core import ALGORITHMS
 from repro.core.problem import QuadraticProblem
 from repro.harness.config import Profile, RunConfig, Workloads
 from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 from repro.utils.rng import RngFactory
+
+# Hypothesis budgets. ``default`` is what tier-1 runs: small, and with no
+# per-example deadline (a stalled host must not fail a property).
+# ``ci`` is the large derandomised pass of the CI ``tests`` job
+# (``--hypothesis-profile=ci``); ``print_blob`` makes a failure there
+# reproducible locally with ``@reproduce_failure``.
+settings.register_profile("default", max_examples=100, deadline=None)
+settings.register_profile(
+    "ci", derandomize=True, max_examples=1000, deadline=None, print_blob=True
+)
+settings.load_profile("default")
+
+#: The paper's evaluated set plus the registered extensions.
+EVERY_ALGORITHM = ALGORITHMS + ("SYNC", "HOGPP_c2", "HOGPP_c4", "LSH_ADAPT")
 
 
 @pytest.fixture

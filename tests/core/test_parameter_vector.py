@@ -3,12 +3,15 @@ reader-count recycling protocol, and its race-tolerance guarantees."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.parameter_vector import ParameterVector
 from repro.errors import MemoryAccountingError, SimulationError
 from repro.sim.memory import MemoryAccountant
+from repro.sim.scheduler import Scheduler
 
 
 @pytest.fixture
@@ -137,8 +140,24 @@ class TestCrashSemantics:
     def test_overflowing_update_is_silent(self):
         # The paper's 'Crash' outcome: destructive steps produce
         # non-finite parameters without raising; detection is the
-        # monitor's job.
+        # monitor's job. The run owns the error state that keeps the
+        # step quiet, so the step is taken where steps are taken: in a
+        # thread body, under a filter that turns any warning into an
+        # error.
         pv = ParameterVector(2, dtype=np.float32)
+        fused = ParameterVector(2, dtype=np.float32)
         pv.theta[...] = 1.0
-        pv.update(np.full(2, np.float32(3e38)), eta=1e30)
+        big = np.full(2, np.float32(3e38))
+
+        def body(thread):
+            pv.update(big, eta=1e30)
+            fused.step_from(pv, big, 1e30)
+            yield 1.0
+
+        scheduler = Scheduler(np.random.default_rng(0))
+        scheduler.spawn("w", body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scheduler.run()
         assert not np.all(np.isfinite(pv.theta))
+        assert not np.all(np.isfinite(fused.theta))

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.convergence import RunStatus
+from repro.errors import SimulationError
 from repro.harness.config import RunConfig
-from repro.harness.runner import default_eval_interval, run_once, run_repeated
+from repro.harness.runner import (
+    _prepare_run,
+    default_eval_interval,
+    run_cohort,
+    run_once,
+    run_repeated,
+)
 from repro.sim.cost import CostModel
 
-from tests.conftest import make_run_config
+from tests.conftest import EVERY_ALGORITHM, make_run_config
 
 
 @pytest.fixture
@@ -71,6 +80,76 @@ class TestRunOnce:
         # Budget enforced with the monitor's sampling granularity
         # (default cadence ~ every 8 updates).
         assert result.n_updates <= 40 + 16 * cfg.m
+
+
+@pytest.fixture
+def warn_state():
+    """A known, non-default-looking error state to detect leaks against."""
+    saved = np.seterr(over="warn", invalid="warn", divide="raise")
+    try:
+        yield np.geterr()
+    finally:
+        np.seterr(**saved)
+
+
+class TestNumericErrorState:
+    """The run owns the numeric error state and gives it back: numpy's
+    state is a context variable and a generator has no context of its
+    own, so a block a body held across a ``yield`` used to be left out
+    of order and leak ``ignore`` into the rest of the process."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("algorithm", EVERY_ALGORITHM)
+    def test_unchanged_by_run_once_and_run_cohort(
+        self, problem, cost_model, warn_state, algorithm, m
+    ):
+        if algorithm == "SEQ" and m != 1:
+            pytest.skip("SEQ is sequential")
+        # Every one of these is stopped by the monitor mid-flight: the
+        # worker bodies are closed wherever they happen to be parked.
+        config = make_run_config(algorithm=algorithm, m=m, max_updates=200)
+        assert run_once(problem, cost_model, config).n_updates > 0
+        assert np.geterr() == warn_state
+        results = run_cohort(problem, cost_model, [config, config.with_seed(8)])
+        assert len(results) == 2
+        assert np.geterr() == warn_state
+
+    @pytest.mark.parametrize("algorithm", ["HOG", "HOGPP_c2", "LSH_ps1"])
+    def test_unchanged_by_update_budget_stop(self, problem, cost_model, warn_state, algorithm):
+        config = make_run_config(algorithm=algorithm, m=4, eta=1e-9, max_updates=40)
+        assert run_once(problem, cost_model, config).status is RunStatus.STOPPED
+        assert np.geterr() == warn_state
+
+    @pytest.mark.parametrize("algorithm", ["HOG", "HOGPP_c2", "ASYNC", "LSH_ps1"])
+    def test_unchanged_by_run_that_raises(self, problem, cost_model, warn_state, algorithm):
+        prepared = _prepare_run(problem, cost_model, make_run_config(algorithm=algorithm, m=4))
+        prepared.scheduler.config.max_events = 60
+        try:
+            with pytest.raises(SimulationError, match="max_events"):
+                prepared.scheduler.run()
+        finally:
+            prepared.scheduler.close()
+        assert prepared.scheduler.events_processed == 60
+        assert np.geterr() == warn_state
+
+    @pytest.mark.parametrize("cohort", [False, True])
+    @pytest.mark.parametrize("algorithm", EVERY_ALGORITHM)
+    def test_destructive_step_is_silent_inside_a_run(
+        self, problem, cost_model, warn_state, algorithm, cohort
+    ):
+        # Overflowing updates are the paper's 'Crash' outcome, not a
+        # warning: the run's own block covers every body's arithmetic.
+        config = make_run_config(
+            algorithm=algorithm, m=1 if algorithm == "SEQ" else 4, eta=1e30
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if cohort:
+                results = run_cohort(problem, cost_model, [config, config.with_seed(8)])
+            else:
+                results = [run_once(problem, cost_model, config)]
+        assert all(r.status is RunStatus.CRASHED for r in results)
+        assert np.geterr() == warn_state
 
 
 class TestRunRepeated:

@@ -170,6 +170,148 @@ class TestSchedulerBasics:
             sched.run()
 
 
+class TestSchedulerExitPaths:
+    """Every way out of the run loop leaves the state the next call (or
+    the caller) relies on, not merely 'no exception'."""
+
+    @staticmethod
+    def ticker(sched, log, period=1.0, n=None):
+        def body(thread):
+            def gen():
+                k = 0
+                while n is None or k < n:
+                    log.append((sched.now, thread.tid))
+                    k += 1
+                    yield period * (1 + thread.tid)
+            return gen()
+        return body
+
+    def test_stop_from_a_body_keeps_its_continuation(self):
+        sched = make_scheduler()
+        log = []
+
+        def stopper(thread):
+            def gen():
+                yield 2.5
+                sched.stop()
+                yield 1.0
+            return gen()
+
+        for i in range(3):
+            sched.spawn(f"w{i}", self.ticker(sched, log))
+        sched.spawn("stopper", stopper)
+        sched.run()
+        assert sched.stopped
+        # All four threads are still runnable: the stopping thread's own
+        # continuation went onto the heap before the loop left.
+        assert len(sched._queue) == 4
+        assert sorted(e[3].name for e in sched._queue) == ["stopper", "w0", "w1", "w2"]
+        # 4 first steps at t=0, w0 at 1 and 2, w1 at 2, then the stopping
+        # event itself at 2.5.
+        assert sched.events_processed == 8
+        assert sched.now == 2.5
+
+    def test_max_events_raises_with_the_heap_intact(self):
+        sched = Scheduler(
+            RngFactory(1).named("s"),
+            SchedulerConfig(jitter_sigma=0.0, speed_spread_sigma=0.0, max_events=7),
+        )
+        log = []
+        for i in range(2):
+            sched.spawn(f"w{i}", self.ticker(sched, log))
+        with pytest.raises(SimulationError) as excinfo:
+            sched.run()
+        assert sched.events_processed == 7 == len(log)
+        assert len(sched._queue) == 2
+        nxt = min(sched._queue)[3]
+        assert f"next runnable thread: {nxt.name!r}" in str(excinfo.value)
+        assert "max_events=7" in str(excinfo.value)
+
+    def test_run_until_twice_equals_one_run(self):
+        def execute(cuts):
+            sched = make_scheduler(seed=5, jitter_sigma=0.08, speed_spread_sigma=0.05)
+            log = []
+            for i in range(3):
+                sched.spawn(f"w{i}", self.ticker(sched, log, period=0.3, n=12))
+            for cut in cuts:
+                sched.run(until=cut)
+                assert sched.now == cut
+            sched.run()
+            return (
+                log, sched.now, sched.events_processed, sched._seq,
+                sched._tiebreak_idx, sched._jitter_idx,
+            )
+
+        assert execute([1.7, 4.0]) == execute([])
+
+    def test_raising_body_fails_its_thread(self):
+        sched = make_scheduler()
+        log = []
+
+        def bad(thread):
+            def gen():
+                yield 1.5
+                raise ValueError("boom")
+            return gen()
+
+        sched.spawn("w0", self.ticker(sched, log))
+        t = sched.spawn("bad", bad)
+        with pytest.raises(ValueError, match="boom"):
+            sched.run()
+        assert t.state is ThreadState.FAILED
+        assert isinstance(t.error, ValueError)
+        # bad@0, w0@0, w0@1, then the raising event at 1.5.
+        assert sched.events_processed == 4
+        assert sched.now == 1.5
+        assert [e[3].name for e in sched._queue] == ["w0"]
+        with pytest.raises(SimulationError, match="'bad' stepped after termination"):
+            t.step()
+
+    def test_release_during_a_step_orders_waiter_before_releaser(self):
+        sched = make_scheduler()
+        lock = SimLock("l", acquire_cost=0.0)
+
+        def holder(thread):
+            def gen():
+                yield lock.acquire()
+                yield 1.0
+                lock.release(thread)  # wakes the waiter inside this step...
+                sched.stop()
+                yield 0.0  # ...before this step's own continuation exists
+            return gen()
+
+        def waiter(thread):
+            def gen():
+                yield 0.5
+                yield lock.acquire()
+                lock.release(thread)
+            return gen()
+
+        a = sched.spawn("holder", holder)
+        b = sched.spawn("waiter", waiter)
+        sched.run()
+        entries = {e[3]: e for e in sched._queue}
+        assert set(entries) == {a, b}
+        assert entries[a][0] == entries[b][0] == 1.0
+        assert entries[b][2] + 1 == entries[a][2]
+        assert lock.owner is b and b.state is ThreadState.READY
+
+    @pytest.mark.parametrize("value, what", [(-1.0, "negative duration"), ("nope", "unsupported")])
+    def test_bad_yield_names_the_thread(self, value, what):
+        sched = make_scheduler()
+
+        def body(thread):
+            def gen():
+                yield value
+            return gen()
+
+        sched.spawn("culprit", body)
+        with pytest.raises(SimulationError, match=what) as excinfo:
+            sched.run()
+        assert "'culprit'" in str(excinfo.value)
+        assert sched.events_processed == 1
+
+
 class TestSchedulerJitter:
     def test_zero_jitter_exact_durations(self):
         sched = make_scheduler()
