@@ -676,7 +676,7 @@ def _occupancy_smoke(rows: list[dict], tolerance: float) -> int:
 
 def _cmd_analyze(args) -> int:
     from repro.telemetry import STANDARD_PROBES, read_jsonl, write_jsonl
-    from repro.utils.serialization import _decode, result_to_dict
+    from repro.identity import decode, encode
 
     if args.from_jsonl:
         rows = read_jsonl(args.from_jsonl)
@@ -722,7 +722,7 @@ def _cmd_analyze(args) -> int:
         if args.jsonl:
             path = write_jsonl([result], args.jsonl, append=True)
             print(f"appended run to {path}")
-        rows = [_decode(result_to_dict(result))]
+        rows = [decode(encode(result))]
     for row in rows:
         _print_analysis(row)
     if len(rows) > 1:

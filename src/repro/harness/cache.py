@@ -7,28 +7,22 @@ whole suite). Every run is a pure function of its inputs — that is the
 repo's determinism contract — so its result can be cached by content
 address and a hit can *skip the simulation entirely*.
 
-Cache key (:func:`cache_key`)
-    ``sha256`` over (1) the run's PR-5 provenance config hash — the
-    canonical ``repr`` of the frozen :class:`RunConfig`, covering
-    algorithm, m, η, seed, probe set, budgets; (2) a structural
-    fingerprint of the workload (:func:`problem_fingerprint`: every
-    array's bytes, every scalar attribute, the class names); (3) the
-    cost model's ``repr``; (4) the RunMetrics :data:`SCHEMA_VERSION`.
-    Anything that can change a result changes the key.
+Key
+    :func:`repro.identity.cache_key`: config hash, workload fingerprint,
+    cost model and :data:`~repro.identity.SCHEMA_VERSION`. Anything that
+    can change a result changes the key.
 
 Value
-    The run's flattened JSONL row (:func:`repro.telemetry.jsonl.
-    result_to_line`), one file per key under ``<root>/<key[:2]>/``,
-    written atomically (tmp + rename). :func:`result_from_row` rebuilds
-    a full :class:`RunResult` — config, status, convergence report,
-    metrics — that is bitwise-identical to recomputation on every
-    simulation field (``tests/harness/test_cache.py`` enforces it via
-    :func:`simulation_fingerprint`).
+    The run's canonical row line (:func:`repro.identity.result_to_line`),
+    one file per key under ``<root>/<key[:2]>/``, written atomically
+    (tmp + rename). A hit rebuilds a full :class:`RunResult` that is
+    bitwise-identical to recomputation on every simulation field
+    (``tests/harness/test_cache.py`` enforces it via
+    :func:`~repro.identity.simulation_fingerprint`).
 
 Invalidation rules
-    * a :data:`SCHEMA_VERSION` bump invalidates everything (the version
-      is part of the key — exactly the PRs that change what a run
-      reports);
+    * a schema bump invalidates everything (the version is part of the
+      key — exactly the PRs that change what a run reports);
     * any config field, workload array byte, or cost parameter change
       produces a different key;
     * code changes that alter simulation *semantics without* a schema
@@ -52,21 +46,26 @@ Hits/misses/bypasses are tallied on :class:`CacheStats` and — when a
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import math
 import os
 import warnings
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.errors import ConfigurationError
+from repro.identity import (
+    cache_key,
+    migrate_row_strict,
+    result_from_row,
+    result_to_line,
+    row_from_line,
+)
 
-from repro.observe.provenance import config_hash
-from repro.telemetry.metrics import SCHEMA_VERSION, RunMetrics
+# Not used in this module: bound under their original import path for
+# bench/workloads.py and scripts/bench_sweep.py (simulation_fingerprint)
+# and the cache / resume tests (all three).
+from repro.identity import HOST_FIELDS, problem_fingerprint, simulation_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.problem import Problem
@@ -89,11 +88,6 @@ __all__ = [
 #: Environment variable consulted when no explicit cache dir is given.
 CACHE_ENV = "REPRO_CACHE_DIR"
 
-#: Row fields that describe the *execution* rather than the simulation:
-#: excluded from :func:`simulation_fingerprint`, exactly the fields the
-#: serial/parallel/cohort identity contract already excepts.
-HOST_FIELDS = ("wall_seconds", "wall_phases", "profile", "provenance", "kernel_fallbacks")
-
 
 def resolve_cache_dir(cache_dir: str | None = None, *, no_cache: bool = False) -> str | None:
     """The effective cache directory: explicit argument, else the
@@ -104,166 +98,6 @@ def resolve_cache_dir(cache_dir: str | None = None, *, no_cache: bool = False) -
     if cache_dir:
         return cache_dir
     return os.environ.get(CACHE_ENV) or None
-
-
-# ----------------------------------------------------------------------
-# Content addressing
-# ----------------------------------------------------------------------
-_FINGERPRINT_MEMO: dict[int, tuple] = {}  # id -> (weakref, digest)
-
-
-def _fingerprint_value(h, value, seen: set) -> None:
-    if isinstance(value, np.ndarray):
-        h.update(b"nd:")
-        h.update(value.dtype.str.encode())
-        h.update(repr(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-        return
-    if value is None or isinstance(value, (bool, int, float, str, bytes, complex)):
-        h.update(repr(value).encode())
-        return
-    if isinstance(value, (list, tuple)):
-        h.update(b"seq:")
-        for item in value:
-            _fingerprint_value(h, item, seen)
-        return
-    if isinstance(value, dict):
-        h.update(b"map:")
-        for k in sorted(value, key=repr):
-            h.update(repr(k).encode())
-            _fingerprint_value(h, value[k], seen)
-        return
-    if isinstance(value, type):
-        h.update(f"type:{value.__module__}.{value.__qualname__}".encode())
-        return
-    # Arbitrary objects: class identity + state, with a cycle guard.
-    if id(value) in seen:
-        h.update(b"cycle")
-        return
-    seen.add(id(value))
-    h.update(f"obj:{type(value).__module__}.{type(value).__qualname__}:".encode())
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            h.update(f.name.encode())
-            _fingerprint_value(h, getattr(value, f.name), seen)
-    elif hasattr(value, "__dict__"):
-        for name in sorted(vars(value)):
-            h.update(name.encode())
-            _fingerprint_value(h, vars(value)[name], seen)
-    else:
-        h.update(repr(value).encode())
-
-
-def problem_fingerprint(problem: "Problem") -> str:
-    """A structural content hash of a workload: class names, scalar
-    attributes, and the exact bytes of every array (corpus, eval split,
-    curvatures, ...). Memoized per live object — hashing a 60k-image
-    corpus once per sweep, not once per run."""
-    memo = _FINGERPRINT_MEMO.get(id(problem))
-    if memo is not None and memo[0]() is problem:
-        return memo[1]
-    h = hashlib.sha256()
-    _fingerprint_value(h, problem, set())
-    digest = h.hexdigest()
-    try:
-        _FINGERPRINT_MEMO[id(problem)] = (weakref.ref(problem), digest)
-    except TypeError:  # pragma: no cover - non-weakrefable problem type
-        pass
-    return digest
-
-
-def cache_key(problem: "Problem", cost: "CostModel", config: "RunConfig") -> str:
-    """The content address of one run (hex sha256)."""
-    material = "|".join((
-        f"schema={SCHEMA_VERSION}",
-        f"config={config_hash(config)}",
-        f"problem={problem_fingerprint(problem)}",
-        f"cost={cost!r}",
-    ))
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Row <-> RunResult reconstruction
-# ----------------------------------------------------------------------
-_DTYPES_BY_REPR = {
-    repr(t): t for t in (np.float16, np.float32, np.float64, np.longdouble)
-}
-
-
-def _config_from_dict(payload: dict) -> "RunConfig":
-    from repro.harness.config import RunConfig
-
-    kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(RunConfig):
-        if f.name not in payload:
-            continue
-        value = payload[f.name]
-        if f.name == "epsilons":
-            value = tuple(float(v) for v in value)
-        elif f.name == "probes":
-            value = tuple(str(v) for v in value)
-        elif f.name == "dtype":
-            if value not in _DTYPES_BY_REPR:
-                raise ValueError(f"unknown archived dtype {value!r}")
-            value = _DTYPES_BY_REPR[value]
-        kwargs[f.name] = value
-    return RunConfig(**kwargs)
-
-
-def _report_from_dict(payload: dict):
-    from repro.core.convergence import ConvergenceReport, RunStatus
-
-    return ConvergenceReport(
-        status=RunStatus(payload["status"]),
-        initial_loss=float(payload["initial_loss"]),
-        final_loss=float(payload["final_loss"]),
-        threshold_times={
-            float(eps): (float(t), int(n))
-            for eps, (t, n) in payload["threshold_times"].items()
-        },
-        curve_t=[float(v) for v in payload["curve_t"]],
-        curve_loss=[float(v) for v in payload["curve_loss"]],
-        curve_updates=[int(v) for v in payload["curve_updates"]],
-    )
-
-
-def result_from_row(row: dict) -> "RunResult":
-    """Rebuild a full :class:`RunResult` from a decoded flat JSONL row
-    (the inverse of ``repro.utils.serialization.result_to_dict``)."""
-    from repro.core.convergence import RunStatus
-    from repro.harness.runner import RunResult
-
-    values = {
-        key: value
-        for key, value in row.items()
-        if key not in ("config", "status", "report", "schema_version")
-    }
-    # JSON turned these tuples into lists; the accessors unpack them.
-    for key in ("memory_timeline", "retry_occupancy"):
-        if isinstance(values.get(key), list):
-            values[key] = tuple(values[key])
-    return RunResult(
-        config=_config_from_dict(row["config"]),
-        status=RunStatus(row["status"]),
-        report=_report_from_dict(row["report"]),
-        metrics=RunMetrics(
-            values=values, schema_version=row.get("schema_version", SCHEMA_VERSION)
-        ),
-    )
-
-
-def simulation_fingerprint(result) -> str:
-    """Canonical hash of a run's *simulation* outputs — every row field
-    except :data:`HOST_FIELDS` (wall clocks, profiles, provenance: facts
-    about the execution, not the simulated system). Two results are
-    interchangeable under the identity contract iff these match."""
-    from repro.utils.serialization import _encode
-
-    row = _encode(result)  # flattens RunResult; idempotent on flat rows
-    payload = {k: v for k, v in row.items() if k not in HOST_FIELDS}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +176,7 @@ class RunCache:
     def get(self, problem: "Problem", cost: "CostModel", config: "RunConfig") -> "RunResult | None":
         """The cached result for this exact (problem, cost, config), or
         None (counting a miss). Corrupt or foreign-schema entries are
-        treated as misses, never errors."""
+        warned misses, never errors."""
         key = cache_key(problem, cost, config)
         path = self._path(key)
         row = None
@@ -355,16 +189,12 @@ class RunCache:
                           RuntimeWarning, stacklevel=2)
             text = None
         if text is not None:
-            from repro.utils.serialization import _decode
-
+            where = str(path)
             try:
-                row = _decode(json.loads(text))
-                if row.get("schema_version") != SCHEMA_VERSION:
-                    row = None
-            except (json.JSONDecodeError, ValueError, AttributeError) as exc:
-                warnings.warn(f"run cache: corrupt entry {path} ({exc}); re-running",
+                row = migrate_row_strict(row_from_line(text, where=where), where=where)
+            except ConfigurationError as exc:  # names the path itself
+                warnings.warn(f"run cache: corrupt entry {exc}; re-running",
                               RuntimeWarning, stacklevel=2)
-                row = None
         if row is not None:
             try:
                 result = result_from_row(row)
@@ -385,7 +215,6 @@ class RunCache:
         """Store one completed run; returns False (a bypass) for results
         the cache must not serve (see the module docstring)."""
         from repro.core.convergence import RunStatus
-        from repro.telemetry.jsonl import result_to_line
 
         if (
             result.status is RunStatus.STOPPED

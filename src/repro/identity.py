@@ -1,0 +1,503 @@
+"""Run identity and the row format: what a run row is, and every key
+derived from one.
+
+Every layer above the simulator asks "is this the same run?" — the cache
+to skip it, the queue to resume it, the store to de-duplicate it, the
+CI gates to compare it across hosts. This module is the only code that
+answers: it owns the row codec, the schema gate, the declaration of
+which fields are host-volatile, and all nine derived keys. Everything
+else imports from here (the old import paths — ``repro.harness.cache``,
+``repro.service``, ``repro.store``, ``repro.telemetry``,
+``repro.observe.provenance`` — are plain re-bindings of these names).
+
+The row
+    A run is archived as one **flat row**: ``config`` / ``status`` /
+    ``report`` / ``schema_version`` next to the :class:`~repro.telemetry.
+    metrics.RunMetrics` keys. :func:`encode` turns a ``RunResult`` (or a
+    decoded row, idempotently) into JSON-ready primitives, tunnelling
+    NumPy arrays as ``{"__ndarray__": [...], "dtype": ...}`` and
+    NaN/inf as ``{"__float__": "nan"|"inf"|"-inf"}``; :func:`decode` is
+    the inverse. :func:`canonical` (sorted keys, compact) is the one
+    text form: every ``results-<wkey>.jsonl`` / ``merged.jsonl`` line,
+    cache entry and ``row_json`` column holds it, and every digest below
+    hashes it. A canonical line parses back to the encoded row
+    (``canonical(json.loads(line)) == line``), which is what lets a
+    line written once serve as journal row, merge row and fingerprint
+    input (:func:`line_fingerprint`).
+
+Reading
+    :func:`row_from_line` followed by :func:`migrate_row_strict` is the
+    tolerant-reader contract shared by ``read_jsonl``, ``RunCache.get``,
+    ``Measurer.load_workload`` and the store's ingester: anything that
+    is not a readable row of a schema this build knows raises
+    :class:`~repro.errors.ConfigurationError` (its subclass
+    :class:`~repro.errors.SchemaVersionError` for the version gate) and
+    nothing else, so each reader turns exactly one exception family into
+    its warned skip.
+
+Volatile fields
+    :data:`WALL_FIELDS` are host clocks that jitter between two
+    executions of the same run on the same tree; :data:`HOST_FIELDS`
+    adds the facts that differ between *hosts or execution modes*.
+    The identity contract (serial == cohort == pooled == cached ==
+    resumed, :func:`simulation_fingerprint`) excepts all of
+    ``HOST_FIELDS``; the store's dedup address (:func:`row_digest`)
+    excepts only ``WALL_FIELDS``, because a sample from another tree or
+    host (different ``provenance``) is a new sample, not a duplicate.
+
+The nine keys
+    :func:`config_hash`, :func:`problem_fingerprint`,
+    :func:`workload_key`, :func:`cache_key`, :func:`run_key`,
+    :func:`task_id_for`, :func:`simulation_fingerprint`,
+    :func:`merged_fingerprint`, :func:`row_digest`. Existing caches, run
+    directories and SQLite files are addressed by them, so the formulas
+    are frozen: ``tests/test_identity.py`` pins each to a golden value,
+    and ``docs/service.md`` ("Run identity and the row format") tabulates
+    what each includes, excludes and is used for.
+
+Nothing here imports from ``repro`` at module level except
+:mod:`repro.errors` (``repro.telemetry`` imports this module while it is
+itself being imported); the result classes are imported where a result
+is rebuilt.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import math
+import weakref
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+import numpy as np
+
+from repro.errors import ConfigurationError, SchemaVersionError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.problem import Problem
+    from repro.harness.config import RunConfig
+    from repro.harness.runner import RunResult
+    from repro.sim.cost import CostModel
+
+__all__ = [
+    "HOST_FIELDS",
+    "SCHEMA_VERSION",
+    "WALL_FIELDS",
+    "archived_config_hash",
+    "cache_key",
+    "canonical",
+    "config_hash",
+    "content_digest",
+    "decode",
+    "encode",
+    "encoded_row_digest",
+    "line_fingerprint",
+    "merged_fingerprint",
+    "migrate_row",
+    "migrate_row_strict",
+    "problem_fingerprint",
+    "result_from_row",
+    "result_to_line",
+    "row_digest",
+    "row_from_line",
+    "run_key",
+    "simulation_fingerprint",
+    "task_id_for",
+    "workload_key",
+]
+
+#: Bump on any incompatible change to the row's key layout
+#: (:mod:`repro.telemetry.metrics` documents the keys per version).
+SCHEMA_VERSION = 3
+
+#: Host clocks: differ between two executions of the same run anywhere.
+WALL_FIELDS = ("wall_seconds", "wall_phases", "profile")
+
+#: Everything that describes the *execution* rather than the simulation:
+#: the clocks, the provenance manifest (tree, host) and the stacked
+#: kernels' de-vectorization tally (execution mode).
+HOST_FIELDS = WALL_FIELDS + ("provenance", "kernel_fallbacks")
+
+
+# ----------------------------------------------------------------------
+# Codec
+# ----------------------------------------------------------------------
+def encode(value: Any) -> Any:
+    """``value`` as JSON-ready primitives (idempotent on encoded input)."""
+    if isinstance(value, np.ndarray):
+        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        value = float(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return {"__float__": "nan"}
+        if math.isinf(value):
+            return {"__float__": "inf" if value > 0 else "-inf"}
+        return value
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    # RunResult-shaped objects (duck-typed to avoid a harness import):
+    # flatten the RunMetrics mapping into the top level, so the JSON
+    # keeps the flat pre-telemetry shape ("staleness_values" etc. next
+    # to "config"/"status") that archived payloads and reports expect.
+    metrics = getattr(value, "metrics", None)
+    if (
+        metrics is not None
+        and hasattr(metrics, "schema_version")
+        and isinstance(getattr(metrics, "values", None), dict)
+        and hasattr(value, "config")
+        and hasattr(value, "report")
+    ):
+        flat = {
+            "config": encode(value.config),
+            "status": encode(value.status),
+            "report": encode(value.report),
+            "schema_version": metrics.schema_version,
+        }
+        flat.update({str(k): encode(v) for k, v in metrics.values.items()})
+        return flat
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if hasattr(value, "value") and value.__class__.__module__.startswith("repro"):
+        return value.value  # enums (RunStatus)
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def decode(value: Any) -> Any:
+    """Restore arrays and NaN/inf in parsed JSON (inverse of
+    :func:`encode`). A sentinel that does not hold what it claims raises
+    whatever NumPy / ``float`` raise (``TypeError``, ``ValueError``,
+    ``OverflowError``); :func:`row_from_line` is the reader that turns
+    those into a skip."""
+    if isinstance(value, dict):
+        if "__ndarray__" in value:
+            return np.asarray(value["__ndarray__"], dtype=value.get("dtype", "float64"))
+        if "__float__" in value:
+            return float(value["__float__"])
+        return {k: decode(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [decode(v) for v in value]
+    return value
+
+
+def canonical(encoded: Any) -> str:
+    """The one text form of an encoded value: sorted keys, compact."""
+    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+
+
+def content_digest(encoded: Any) -> str:
+    """Hex sha256 of :func:`canonical`."""
+    return hashlib.sha256(canonical(encoded).encode()).hexdigest()
+
+
+def result_to_line(result) -> str:
+    """One run (a ``RunResult`` or an already-flat row, decoded or not)
+    as one canonical JSON line."""
+    payload = encode(result)
+    payload.setdefault("schema_version", SCHEMA_VERSION)
+    return canonical(payload)
+
+
+def row_from_line(line: str, *, where: str = "<row>") -> dict:
+    """Parse one archived line into a decoded flat row.
+
+    Raises :class:`ConfigurationError` naming ``where`` (``path:lineno``
+    for file readers) for a torn or corrupt line, JSON that is not an
+    object, or a sentinel :func:`decode` cannot restore. Follow with
+    :func:`migrate_row_strict`: the pair accepts exactly the readable
+    rows of a known schema."""
+    try:
+        payload = json.loads(line)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: torn or corrupt JSON line ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{where}: not a JSON object")
+    try:
+        return decode(payload)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{where}: undecodable value ({exc})") from None
+
+
+# ----------------------------------------------------------------------
+# Schema gate
+# ----------------------------------------------------------------------
+def migrate_row(row: dict) -> dict:
+    """Migrate one flat run row written under an older schema to the
+    current layout, in place (rows already current pass through).
+
+    v1 -> v2 fills the observability keys with their never-ran / empty
+    defaults: ``wall_phases`` all-NaN, ``profile`` ``{}``,
+    ``provenance`` ``{}``. v2 -> v3 fills ``kernel_fallbacks`` with
+    ``0`` (no stacked kernel existed, so nothing ever de-vectorized).
+    """
+    version = row.get("schema_version")
+    if version == 1:
+        from repro.telemetry.metrics import nan_wall_phases
+
+        row.setdefault("wall_phases", nan_wall_phases())
+        row.setdefault("profile", {})
+        row.setdefault("provenance", {})
+    if version in (1, 2):
+        row.setdefault("kernel_fallbacks", 0)
+        row["schema_version"] = SCHEMA_VERSION
+    return row
+
+
+def migrate_row_strict(row: dict, *, where: str = "<row>") -> dict:
+    """:func:`migrate_row` behind the version gate: ``schema_version``
+    must be an ``int`` (not a ``bool``) in ``1..SCHEMA_VERSION``;
+    anything else (missing, newer, or not a version at all) raises
+    :class:`SchemaVersionError` naming ``where``."""
+    version = row.get("schema_version")
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"{where}: schema_version {version!r} not supported "
+            f"(this build reads <= {SCHEMA_VERSION})"
+        )
+    return migrate_row(row)
+
+
+# ----------------------------------------------------------------------
+# Row -> RunResult reconstruction
+# ----------------------------------------------------------------------
+_DTYPES_BY_REPR = {
+    repr(t): t for t in (np.float16, np.float32, np.float64, np.longdouble)
+}
+
+
+def _config_from_dict(payload: dict) -> "RunConfig":
+    from repro.harness.config import RunConfig
+
+    kwargs: dict[str, Any] = {}
+    for f in dataclasses.fields(RunConfig):
+        if f.name not in payload:
+            continue
+        value = payload[f.name]
+        if f.name == "epsilons":
+            value = tuple(float(v) for v in value)
+        elif f.name == "probes":
+            value = tuple(str(v) for v in value)
+        elif f.name == "dtype":
+            if value not in _DTYPES_BY_REPR:
+                raise ValueError(f"unknown archived dtype {value!r}")
+            value = _DTYPES_BY_REPR[value]
+        kwargs[f.name] = value
+    return RunConfig(**kwargs)
+
+
+def _report_from_dict(payload: dict):
+    from repro.core.convergence import ConvergenceReport, RunStatus
+
+    return ConvergenceReport(
+        status=RunStatus(payload["status"]),
+        initial_loss=float(payload["initial_loss"]),
+        final_loss=float(payload["final_loss"]),
+        threshold_times={
+            float(eps): (float(t), int(n))
+            for eps, (t, n) in payload["threshold_times"].items()
+        },
+        curve_t=[float(v) for v in payload["curve_t"]],
+        curve_loss=[float(v) for v in payload["curve_loss"]],
+        curve_updates=[int(v) for v in payload["curve_updates"]],
+    )
+
+
+def result_from_row(row: dict) -> "RunResult":
+    """Rebuild a full :class:`RunResult` from a decoded flat row (the
+    inverse of :func:`encode` on a result): bitwise-identical to
+    recomputation on every simulation field."""
+    from repro.core.convergence import RunStatus
+    from repro.harness.runner import RunResult
+    from repro.telemetry.metrics import RunMetrics
+
+    values = {
+        key: value
+        for key, value in row.items()
+        if key not in ("config", "status", "report", "schema_version")
+    }
+    # JSON turned these tuples into lists; the accessors unpack them.
+    for key in ("memory_timeline", "retry_occupancy"):
+        if isinstance(values.get(key), list):
+            values[key] = tuple(values[key])
+    return RunResult(
+        config=_config_from_dict(row["config"]),
+        status=RunStatus(row["status"]),
+        report=_report_from_dict(row["report"]),
+        metrics=RunMetrics(
+            values=values, schema_version=row.get("schema_version", SCHEMA_VERSION)
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
+# Keys of a run that has not executed yet: config, workload, task
+# ----------------------------------------------------------------------
+def config_hash(config) -> str:
+    """Stable short hash of a frozen config's canonical ``repr``
+    (algorithm, m, eta, seed, probe set, budgets): recorded in every
+    provenance manifest, the second half of :func:`run_key`."""
+    return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
+
+
+def archived_config_hash(config: dict) -> str:
+    """:func:`config_hash` of a decoded row's ``config`` mapping, for rows
+    whose provenance recorded none (v1): rebuild the frozen ``RunConfig`` and
+    hash that; a config that no longer reconstructs falls back to a
+    digest of the mapping itself."""
+    try:
+        return config_hash(_config_from_dict(config))
+    except Exception:
+        return content_digest(config)[:16]
+
+
+_FINGERPRINT_MEMO: dict[int, tuple] = {}  # id -> (weakref, digest)
+
+
+def _fingerprint_value(h, value, seen: set) -> None:
+    if isinstance(value, np.ndarray):
+        h.update(b"nd:")
+        h.update(value.dtype.str.encode())
+        h.update(repr(value.shape).encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+        return
+    if value is None or isinstance(value, (bool, int, float, str, bytes, complex)):
+        h.update(repr(value).encode())
+        return
+    if isinstance(value, (list, tuple)):
+        h.update(b"seq:")
+        for item in value:
+            _fingerprint_value(h, item, seen)
+        return
+    if isinstance(value, dict):
+        h.update(b"map:")
+        for k in sorted(value, key=repr):
+            h.update(repr(k).encode())
+            _fingerprint_value(h, value[k], seen)
+        return
+    if isinstance(value, type):
+        h.update(f"type:{value.__module__}.{value.__qualname__}".encode())
+        return
+    # Arbitrary objects: class identity + state, with a cycle guard.
+    if id(value) in seen:
+        h.update(b"cycle")
+        return
+    seen.add(id(value))
+    h.update(f"obj:{type(value).__module__}.{type(value).__qualname__}:".encode())
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            h.update(f.name.encode())
+            _fingerprint_value(h, getattr(value, f.name), seen)
+    elif hasattr(value, "__dict__"):
+        for name in sorted(vars(value)):
+            h.update(name.encode())
+            _fingerprint_value(h, vars(value)[name], seen)
+    else:
+        h.update(repr(value).encode())
+
+
+def problem_fingerprint(problem: "Problem") -> str:
+    """A structural content hash of a workload: class names, scalar
+    attributes, and the exact bytes of every array (corpus, eval split,
+    curvatures, ...). Memoized per live object — hashing a 60k-image
+    corpus once per sweep, not once per run."""
+    memo = _FINGERPRINT_MEMO.get(id(problem))
+    if memo is not None and memo[0]() is problem:
+        return memo[1]
+    h = hashlib.sha256()
+    _fingerprint_value(h, problem, set())
+    digest = h.hexdigest()
+    try:
+        _FINGERPRINT_MEMO[id(problem)] = (weakref.ref(problem), digest)
+    except TypeError:  # pragma: no cover - non-weakrefable problem type
+        pass
+    return digest
+
+
+def workload_key(problem: "Problem", cost: "CostModel") -> str:
+    """Content address of a (problem, cost) pair, 16 hex chars: the
+    first half of :func:`run_key` and the ``<wkey>`` in a run dir's
+    ``results-<wkey>.jsonl``. Memoized through
+    :func:`problem_fingerprint`."""
+    material = f"problem={problem_fingerprint(problem)}|cost={cost!r}"
+    return hashlib.sha256(material.encode()).hexdigest()[:16]
+
+
+def cache_key(problem: "Problem", cost: "CostModel", config: "RunConfig") -> str:
+    """The run cache's content address of one run (hex sha256): the
+    material of :func:`run_key` plus :data:`SCHEMA_VERSION`, so a schema
+    bump invalidates every entry."""
+    material = "|".join((
+        f"schema={SCHEMA_VERSION}",
+        f"config={config_hash(config)}",
+        f"problem={problem_fingerprint(problem)}",
+        f"cost={cost!r}",
+    ))
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
+def run_key(wkey: str, config: "RunConfig") -> str:
+    """The service-wide identity of one run: workload + config hash.
+    (:func:`config_hash` alone is not one: S5 sweeps the *same* configs
+    against both the MLP and the CNN.)"""
+    return f"{wkey}:{config_hash(config)}"
+
+
+def task_id_for(run_keys: Sequence[str]) -> str:
+    """The queue's id of one cohort box: hash of its ordered run keys,
+    so re-expanding an identical sweep after a crash reproduces it."""
+    digest = hashlib.sha256("|".join(run_keys).encode()).hexdigest()[:16]
+    return f"t-{digest}"
+
+
+# ----------------------------------------------------------------------
+# Keys of a run that has executed: fingerprints and the dedup address
+# ----------------------------------------------------------------------
+def _digest_without(encoded: dict, excluded: tuple) -> str:
+    return content_digest({k: v for k, v in encoded.items() if k not in excluded})
+
+
+def simulation_fingerprint(result) -> str:
+    """Canonical hash of a run's *simulation* outputs: every row field
+    except :data:`HOST_FIELDS`. Two results (``RunResult``\\ s or flat
+    rows) are interchangeable under the identity contract iff these
+    match."""
+    return _digest_without(encode(result), HOST_FIELDS)
+
+
+def line_fingerprint(line: str) -> str:
+    """:func:`simulation_fingerprint` of the run a
+    :func:`result_to_line` line holds; the parsed line *is* the encoded
+    row, so nothing is encoded again."""
+    return _digest_without(json.loads(line), HOST_FIELDS)
+
+
+def merged_fingerprint(fingerprints: Iterable[str]) -> str:
+    """sha256 over per-run simulation fingerprints in submission order:
+    the identity of the *science* one service run produced (the resume
+    gate and the benchmark's ``sim_fingerprint``)."""
+    h = hashlib.sha256()
+    for fingerprint in fingerprints:
+        h.update(fingerprint.encode())
+    return h.hexdigest()
+
+
+def row_digest(row: dict) -> str:
+    """The result store's content address of one run row (decoded or
+    encoded): every field except :data:`WALL_FIELDS`, so a re-run on the
+    same tree and host de-duplicates while the same config from another
+    tree or host (different ``provenance``) is a new sample."""
+    return encoded_row_digest(encode(row))
+
+
+def encoded_row_digest(encoded: dict) -> str:
+    """:func:`row_digest` of an already-encoded row."""
+    return _digest_without(encoded, WALL_FIELDS)

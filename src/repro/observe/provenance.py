@@ -7,8 +7,8 @@ record and every ``BENCH_*.json`` carries a provenance manifest:
 * ``git_sha`` / ``git_dirty`` — the commit the working tree was at, and
   whether uncommitted changes were present (a dirty SHA is a warning
   sign, not an identity);
-* ``config_hash`` — a stable hash of the run's full ``RunConfig``
-  ``repr`` (frozen dataclass, so the repr is canonical);
+* ``config_hash`` — :func:`repro.identity.config_hash` of the run's
+  full ``RunConfig`` (re-bound here under its original import path);
 * ``python`` / ``numpy`` / ``platform`` / ``cpu_count`` / ``hostname``
   — the execution environment;
 * ``seed`` / ``seed_protocol`` — the run's seed and how per-stream
@@ -20,14 +20,13 @@ the same config on the same tree must produce byte-identical records
 whose outputs are point-in-time measurements, add their own timestamp
 next to the manifest via :func:`bench_manifest`.
 
-Everything here is stdlib-only and failure-tolerant: a missing ``git``
-binary or a non-repo checkout yields ``"unknown"`` fields, never an
-exception — provenance must not be able to break a run.
+Everything here is failure-tolerant: a missing ``git`` binary or a
+non-repo checkout yields ``"unknown"`` fields, never an exception —
+provenance must not be able to break a run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import platform
 import socket
@@ -36,6 +35,8 @@ import sys
 import time
 from functools import lru_cache
 from pathlib import Path
+
+from repro.identity import config_hash
 
 __all__ = [
     "collect_provenance",
@@ -72,11 +73,6 @@ def git_state() -> tuple[str, bool]:
         return sha.stdout.strip(), dirty
     except (OSError, subprocess.SubprocessError):
         return "unknown", False
-
-
-def config_hash(config) -> str:
-    """Stable short hash of a frozen config's canonical ``repr``."""
-    return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
 
 
 def collect_provenance(config=None) -> dict:

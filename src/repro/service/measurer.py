@@ -2,44 +2,46 @@
 
 The measurer is the service's result plane. As the dispatcher completes
 cohort boxes it hands their :class:`RunResult`\\ s over one task at a
-time, and the measurer appends them — as ordinary schema-v3 JSONL rows
-— to a per-workload journal ``results-<workload_key>.jsonl`` in the run
+time, and the measurer appends them — as canonical row lines — to a
+per-workload journal ``results-<workload_key>.jsonl`` in the run
 directory (append + flush + fsync, so a crash after ``task_done`` never
 loses the rows that justified it). On resume, replaying the journals
-rebuilds bitwise-identical :class:`RunResult`\\ s via the same
-:func:`~repro.harness.cache.result_from_row` path the run cache uses —
-the journal *is* a cache keyed by run key instead of content address.
+rebuilds bitwise-identical :class:`RunResult`\\ s through the same
+reader the run cache uses — the journal *is* a cache keyed by run key
+instead of content address. Journals are per-workload because the run
+key embeds the workload key: replay needs only the config of each row
+plus the file's own workload prefix, never a re-fingerprint of the
+corpus.
 
-Journals are per-workload because the run key embeds the workload key
-(:func:`~repro.service.scheduler.run_key`): replay needs only the
-config hash of each row plus the file's own workload prefix, never a
-re-fingerprint of the corpus.
+**A result is encoded once.** The measurer keeps, per run key, the line
+its one :func:`~repro.identity.result_to_line` call produced from the
+result it stores; the journal append, :meth:`Measurer.merged_fingerprint`
+and :meth:`Measurer.write_merged` all read that line. The lines are
+dropped by :meth:`Measurer.close`, and in volatile mode (``run_dir=None``: same interface, no
+files — the one-shot CLI path) nothing is encoded until a summary asks.
 
-:meth:`Measurer.finalize` writes the cross-call artifacts:
-
-* ``merged.jsonl`` — every run row in global submission order (atomic
-  tmp + rename), the file downstream analysis reads;
-* a ``merged_fingerprint`` — sha256 over the per-row
-  :func:`~repro.harness.cache.simulation_fingerprint`\\ s in order.
-  Two service runs produced the same science iff these match (host
-  fields excepted), which is what the resume-smoke CI gate compares.
-
-Volatile mode (``run_dir=None``) keeps results purely in memory: same
-interface, no files — the one-shot CLI path.
+:meth:`Measurer.write_merged` writes ``merged.jsonl`` — every run row in
+global submission order (atomic tmp + rename), the file downstream
+analysis reads; the :func:`~repro.identity.merged_fingerprint` over the
+same order is what the resume-smoke CI gate compares.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.harness.cache import result_from_row, simulation_fingerprint
-from repro.observe.provenance import config_hash
-from repro.telemetry.jsonl import result_to_line
+from repro.identity import (
+    line_fingerprint,
+    merged_fingerprint,
+    migrate_row_strict,
+    result_from_row,
+    result_to_line,
+    row_from_line,
+    run_key,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.runner import RunResult
@@ -53,8 +55,16 @@ class Measurer:
     def __init__(self, run_dir: str | Path | None = None) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self._results: dict[str, "RunResult"] = {}
+        self._lines: dict[str, str] = {}  # run key -> the result's one encoding
         self._journals: dict[str, object] = {}  # wkey -> open append handle
         self._loaded: set[str] = set()
+
+    def _line(self, key: str) -> str:
+        """The canonical line of the stored result, encoded on first use."""
+        line = self._lines.get(key)
+        if line is None:
+            line = self._lines[key] = result_to_line(self._results[key])
+        return line
 
     # -- journal replay ------------------------------------------------
     def _journal_path(self, wkey: str) -> Path:
@@ -73,14 +83,13 @@ class Measurer:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             return 0
-        from repro.utils.serialization import _decode
-
         loaded = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                row = _decode(json.loads(line))
+                row = migrate_row_strict(row_from_line(line, where=where), where=where)
                 result = result_from_row(row)
             except Exception as exc:
                 warnings.warn(
@@ -89,8 +98,7 @@ class Measurer:
                     RuntimeWarning, stacklevel=2,
                 )
                 continue
-            key = f"{wkey}:{config_hash(result.config)}"
-            self._results.setdefault(key, result)
+            self._results.setdefault(run_key(wkey, result.config), result)
             loaded += 1
         return loaded
 
@@ -119,19 +127,17 @@ class Measurer:
             journal = self._journals[wkey] = open(
                 self._journal_path(wkey), "a", encoding="utf-8"
             )
-        for _, result in fresh:
-            journal.write(result_to_line(result) + "\n")
+        for key, _ in fresh:
+            journal.write(self._line(key) + "\n")
         journal.flush()
         os.fsync(journal.fileno())
 
     # -- finalization --------------------------------------------------
     def merged_fingerprint(self, order: Sequence[str]) -> str:
-        """sha256 over the ordered per-run simulation fingerprints: the
-        identity of the *science* this service run produced."""
-        h = hashlib.sha256()
-        for key in order:
-            h.update(simulation_fingerprint(self._results[key]).encode())
-        return h.hexdigest()
+        """:func:`repro.identity.merged_fingerprint` of the runs in
+        ``order``: the identity of the *science* this service run
+        produced."""
+        return merged_fingerprint(line_fingerprint(self._line(key)) for key in order)
 
     def write_merged(self, order: Sequence[str], path: str | Path) -> Path:
         """``merged.jsonl``: every run row in submission order, written
@@ -142,7 +148,7 @@ class Measurer:
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         with tmp.open("w", encoding="utf-8") as fh:
             for key in order:
-                fh.write(result_to_line(self._results[key]) + "\n")
+                fh.write(self._line(key) + "\n")
         os.replace(tmp, path)
         return path
 
@@ -150,6 +156,9 @@ class Measurer:
         for journal in self._journals.values():
             journal.close()
         self._journals.clear()
+        # The service that owns this measurer sits in a reference cycle,
+        # so without this the lines would wait for a garbage collection.
+        self._lines.clear()
 
     def __len__(self) -> int:
         return len(self._results)

@@ -1,21 +1,14 @@
 """Sweep expansion: configs -> content-addressed seed-cohort tasks.
 
 The scheduler is the pure half of the service: it never runs anything.
-Given a workload and a config list it derives, deterministically,
-
-* a **run key** per config — ``<workload_key>:<config_hash>``. The
-  PR-5 :func:`~repro.observe.provenance.config_hash` alone is not a run
-  identity: S5 sweeps the *same* RunConfigs against both the MLP and
-  the CNN, so the workload must be part of the address. The workload
-  key hashes the problem's structural fingerprint (every corpus byte)
-  plus the cost model, i.e. the same material as the run cache's
-  :func:`~repro.harness.cache.cache_key` — resumption and cache dedup
-  share one identity, per the tentpole contract.
-* a **task id** per cohort box — the hash of the box's ordered run
-  keys. Boxes come from the same :func:`~repro.harness.parallel.
-  plan_cohorts` the data plane batches with, so one task is exactly one
-  super-cohort chunk, and re-expanding an identical sweep spec after a
-  crash reproduces identical task ids (the property resume rests on).
+Given a workload and a config list it derives, deterministically, a
+:func:`~repro.identity.run_key` per config and a
+:func:`~repro.identity.task_id_for` per cohort box (the identities
+resumption and cache dedup share; :mod:`repro.identity` defines them).
+Boxes come from the same :func:`~repro.harness.parallel.plan_cohorts`
+the data plane batches with, so one task is exactly one super-cohort
+chunk, and re-expanding an identical sweep spec after a crash
+reproduces identical task ids (the property resume rests on).
 
 :meth:`SweepScheduler.schedule` folds the expansion into a
 :class:`~repro.service.queue.TaskQueue`: unknown tasks are enqueued,
@@ -24,13 +17,11 @@ known ones are left untouched (their DONE state *is* the checkpoint).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.harness.cache import problem_fingerprint
 from repro.harness.parallel import plan_cohorts, resolve_replicas
-from repro.observe.provenance import config_hash
+from repro.identity import run_key, task_id_for, workload_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.problem import Problem
@@ -45,26 +36,6 @@ __all__ = [
     "task_id_for",
     "workload_key",
 ]
-
-
-def workload_key(problem: "Problem", cost: "CostModel") -> str:
-    """Content address of a (problem, cost) pair, 16 hex chars.
-
-    Memoized through :func:`problem_fingerprint`, so sweeping thousands
-    of configs against one corpus hashes it once."""
-    material = f"problem={problem_fingerprint(problem)}|cost={cost!r}"
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-
-def run_key(wkey: str, config: "RunConfig") -> str:
-    """The service-wide identity of one run: workload + config hash."""
-    return f"{wkey}:{config_hash(config)}"
-
-
-def task_id_for(run_keys: Sequence[str]) -> str:
-    """The task id of one cohort box: hash of its ordered run keys."""
-    digest = hashlib.sha256("|".join(run_keys).encode()).hexdigest()[:16]
-    return f"t-{digest}"
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,8 @@ traces). The statistics and HTML layers on top live in
 :mod:`repro.report`.
 """
 
-from repro.store.db import (
-    FailureCounts,
-    GroupKey,
-    GroupStats,
-    ResultStore,
-    row_digest,
-)
+from repro.identity import row_digest
+from repro.store.db import FailureCounts, GroupKey, GroupStats, ResultStore
 from repro.store.ingest import IngestReport, ingest_path, ingest_paths
 
 __all__ = [

@@ -9,9 +9,9 @@ recorded seeds" means re-parsing thousands of rows by hand. The
 (:mod:`repro.report`) and future dashboards can query.
 
 Dedup is **provenance-aware and content-addressed**
-(:func:`row_digest`): the address hashes every simulation field of a
-row *plus* its provenance manifest, but none of the host wall-clock
-fields. Consequences:
+(:func:`repro.identity.row_digest`): the address hashes every simulation
+field of a row *plus* its provenance manifest, but none of the host
+wall-clock fields. Consequences:
 
 * re-ingesting the same file is a no-op (the acceptance contract);
 * re-*running* the same config on the same tree/host and ingesting the
@@ -30,30 +30,28 @@ Everything is stdlib ``sqlite3`` + numpy; no ORM, no scipy.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ConfigurationError
-from repro.utils.serialization import _decode, _encode
+from repro.identity import (
+    archived_config_hash,
+    canonical,
+    content_digest,
+    encode,
+    encoded_row_digest,
+    row_from_line,
+)
 
 __all__ = [
     "FailureCounts",
     "GroupKey",
     "GroupStats",
     "ResultStore",
-    "row_digest",
 ]
-
-#: Row fields excluded from the content address: host wall-clock facts
-#: that jitter between identical executions. ``provenance`` is *kept*
-#: (it is timestamp-free by construction) — that is the provenance-aware
-#: part of the dedup contract.
-_DIGEST_EXCLUDED = ("wall_seconds", "wall_phases", "profile")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -122,28 +120,6 @@ CREATE TABLE IF NOT EXISTS traces (
     run_dir TEXT
 );
 """
-
-
-def _canonical(value: Any) -> str:
-    """Canonical JSON for hashing (sorted keys, compact, NaN-safe via
-    the repo's encoder conventions — callers pass already-encoded rows)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def row_digest(row: dict) -> str:
-    """The content address of one run row (hex sha256).
-
-    ``row`` is a flat run row (decoded or encoded — it is re-encoded
-    idempotently). Simulation fields and the provenance manifest are
-    hashed; host wall-clock fields are not (see the module docstring).
-    """
-    return _digest_of_encoded(_encode(row))
-
-
-def _digest_of_encoded(encoded: dict) -> str:
-    """:func:`row_digest` of an already-encoded row."""
-    payload = {k: v for k, v in encoded.items() if k not in _DIGEST_EXCLUDED}
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def _finite_or_none(value) -> float | None:
@@ -260,8 +236,8 @@ class ResultStore:
             raise ConfigurationError(
                 "run row has no config/report mapping — not a result row"
             )
-        encoded = _encode(row)
-        digest = _digest_of_encoded(encoded)
+        encoded = encode(row)
+        digest = encoded_row_digest(encoded)
         if self._conn.execute(
             "SELECT 1 FROM runs WHERE row_digest = ?", (digest,)
         ).fetchone():
@@ -270,7 +246,7 @@ class ResultStore:
         provenance = row.get("provenance") or {}
         if not isinstance(provenance, dict):
             provenance = {}
-        config_hash = provenance.get("config_hash") or self._config_hash_of(config)
+        config_hash = provenance.get("config_hash") or archived_config_hash(config)
         epsilons = [float(v) for v in config.get("epsilons", ())]
         target = config.get("target_epsilon")
         if target is None and epsilons:
@@ -330,7 +306,7 @@ class ResultStore:
                 provenance.get("git_sha"),
                 provenance.get("hostname"),
                 _int_or_none(provenance.get("cpu_count")),
-                _canonical(encoded),
+                canonical(encoded),
             ),
         )
         if cur.rowcount == 0:
@@ -374,22 +350,6 @@ class ResultStore:
                 (workload, digest),
             )
 
-    @staticmethod
-    def _config_hash_of(config: dict) -> str:
-        """Config hash for rows whose provenance lacks one (v1 rows):
-        rebuild the frozen RunConfig and hash its canonical repr —
-        the same derivation :func:`repro.observe.provenance.config_hash`
-        uses. Falls back to a hash of the config dict itself for rows
-        whose config no longer reconstructs."""
-        from repro.observe.provenance import config_hash
-
-        try:
-            from repro.harness.cache import _config_from_dict
-
-            return config_hash(_config_from_dict(config))
-        except Exception:
-            return hashlib.sha256(_canonical(config).encode()).hexdigest()[:16]
-
     def insert_bench_entry(self, entry: dict, *, entry_index: int) -> int:
         """Insert one BENCH_history trajectory entry (one row per
         metric); returns how many metric rows were new."""
@@ -397,7 +357,7 @@ class ResultStore:
         if not isinstance(metrics, dict):
             raise ConfigurationError("bench history entry has no 'metrics' dict")
         provenance = entry.get("provenance") or {}
-        digest = hashlib.sha256(_canonical(entry).encode()).hexdigest()
+        digest = content_digest(entry)
         inserted = 0
         for metric in sorted(metrics):
             cur = self._conn.execute(
@@ -605,7 +565,7 @@ class ResultStore:
             " workload, algorithm, m, eta, seed, id",
             params,
         ):
-            yield _decode(json.loads(text))
+            yield row_from_line(text, where="runs.row_json")
 
     @staticmethod
     def _workload_filter(workload: str | None) -> tuple[str, tuple]:

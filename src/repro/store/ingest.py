@@ -3,9 +3,9 @@
 ``repro db ingest PATH...`` accepts, per path:
 
 * a **plain JSONL results file** — ``repro analyze --jsonl`` output or
-  any v1/v2/v3 rows (older rows go through the shared
-  :func:`~repro.telemetry.jsonl.migrate_row_strict` gate, the same
-  version policy as ``read_jsonl``);
+  any v1/v2/v3 rows (read through :func:`repro.identity.row_from_line`
+  and the :func:`~repro.identity.migrate_row_strict` gate, the same
+  reader as ``read_jsonl``, the run cache and the service journal);
 * a **service run dir** from the PR 8 experiment service — every
   ``results-<wkey>.jsonl`` journal is read with its workload key taken
   from the filename; ``merged.jsonl`` is aligned line-by-line with
@@ -19,9 +19,10 @@
 * a **Chrome/Perfetto trace JSON** — registered as a trace link.
 
 Robustness contract (the ingester reads files that may be mid-write by
-a live service, or hand-concatenated): a torn/corrupt line or a row
-under a foreign schema version is a *warned skip*, never an abort —
-one bad line must not discard the thousands of good rows around it.
+a live service, or hand-concatenated): a torn/corrupt line, a value
+the codec cannot restore, or a row under a foreign schema version is a
+*warned skip*, never an abort — one bad line must not discard the
+thousands of good rows around it.
 The per-file tallies come back in :class:`IngestReport` so callers
 (and CI) can assert exact insert/duplicate/skip counts.
 """
@@ -33,10 +34,9 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ConfigurationError, SchemaVersionError
+from repro.errors import ConfigurationError
+from repro.identity import migrate_row_strict, row_from_line
 from repro.store.db import ResultStore
-from repro.telemetry.jsonl import migrate_row_strict
-from repro.utils.serialization import _decode
 
 __all__ = ["IngestReport", "ingest_path", "ingest_paths"]
 
@@ -68,22 +68,26 @@ class IngestReport:
         )
 
 
-def _warn_skip(where: str, reason: str) -> None:
-    warnings.warn(f"ingest: skipping {where}: {reason}", stacklevel=3)
+def _warn_skip(what: str) -> None:
+    warnings.warn(f"ingest: skipping {what}", stacklevel=3)
+
+
+def _nonblank_lines(path: Path):
+    """Yield ``(lineno, text)`` per non-blank line."""
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
 
 
 def _iter_lines(path: Path):
-    """Yield ``(lineno, parsed-or-None, raw)`` per non-blank line; a
+    """Yield ``(lineno, parsed-or-None)`` per non-blank line; a
     torn/corrupt line parses to None (callers warn + count it)."""
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line), line
-            except json.JSONDecodeError:
-                yield lineno, None, line
+    for lineno, line in _nonblank_lines(path):
+        try:
+            yield lineno, json.loads(line)
+        except json.JSONDecodeError:
+            yield lineno, None
 
 
 def _ingest_result_file(
@@ -99,21 +103,14 @@ def _ingest_result_file(
     whether or not it is usable, so a skipped line never shifts the
     rows after it onto their predecessors' keys."""
     report = IngestReport(files=[str(path)])
-    for slot, (lineno, payload, _) in enumerate(_iter_lines(path)):
+    for slot, (lineno, line) in enumerate(_nonblank_lines(path)):
         where = f"{path}:{lineno}"
-        if payload is None:
-            _warn_skip(where, "torn or corrupt JSON line")
-            report.skipped += 1
-            continue
-        if not isinstance(payload, dict):
-            _warn_skip(where, "not a JSON object")
-            report.skipped += 1
-            continue
-        original_version = payload.get("schema_version")
         try:
-            row = migrate_row_strict(_decode(payload), where=where)
-        except SchemaVersionError as exc:
-            _warn_skip(where, str(exc))
+            row = row_from_line(line, where=where)
+            original_version = row.get("schema_version")
+            row = migrate_row_strict(row, where=where)
+        except ConfigurationError as exc:  # names ``where`` itself
+            _warn_skip(str(exc))
             report.skipped += 1
             continue
         run_key = None
@@ -125,7 +122,7 @@ def _ingest_result_file(
                 original_schema_version=original_version,
             )
         except ConfigurationError as exc:
-            _warn_skip(where, str(exc))
+            _warn_skip(f"{where}: {exc}")
             report.skipped += 1
             continue
         if fresh:
@@ -139,16 +136,16 @@ def _ingest_result_file(
 def _ingest_bench_history(store: ResultStore, path: Path) -> IngestReport:
     report = IngestReport(files=[str(path)])
     entry_index = 0
-    for lineno, payload, _ in _iter_lines(path):
+    for lineno, payload in _iter_lines(path):
         where = f"{path}:{lineno}"
         if payload is None:
-            _warn_skip(where, "torn or corrupt JSON line")
+            _warn_skip(f"{where}: torn or corrupt JSON line")
             report.skipped += 1
             continue
         if not isinstance(payload, dict) or not isinstance(
             payload.get("metrics"), dict
         ):
-            _warn_skip(where, "not a bench trajectory entry")
+            _warn_skip(f"{where}: not a bench trajectory entry")
             report.skipped += 1
             continue
         report.bench_entries += store.insert_bench_entry(
@@ -163,7 +160,7 @@ def _looks_like_bench_history(path: Path) -> bool:
     """Bench trajectory entries carry ``metrics`` and no per-run
     ``config`` — distinguishable from result rows on the first parsable
     line (filename alone is not trusted: histories get copied around)."""
-    for _, payload, _ in _iter_lines(path):
+    for _, payload in _iter_lines(path):
         if payload is None:
             continue
         if isinstance(payload, dict):

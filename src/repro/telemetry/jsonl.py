@@ -2,18 +2,18 @@
 
 One JSON object per line, one line per run — the append-friendly shape
 that survives the process-parallel harness (workers can be merged by
-concatenation) and streams into ``repro analyze``. Lines are the
-flattened :func:`repro.utils.serialization.result_to_dict` payload, so
-NumPy arrays and NaN/inf round-trip exactly, and every line carries the
-:data:`~repro.telemetry.metrics.SCHEMA_VERSION` it was written under.
+concatenation) and streams into ``repro analyze``. A line is the
+canonical form of the flat run row (:func:`repro.identity.
+result_to_line`), so NumPy arrays and NaN/inf round-trip exactly, and
+every line carries the :data:`~repro.identity.SCHEMA_VERSION` it was
+written under.
 
-Versioning policy:
+Versioning policy (the gate itself is :func:`repro.identity.
+migrate_row_strict`):
 
 * rows written under an **older** schema are migrated forward on read
-  (:func:`migrate_row` fills keys later versions added with their
-  never-ran / empty defaults — a v1 row gains NaN ``wall_phases``, an
-  empty ``profile`` and an empty ``provenance``; v1 and v2 rows gain
-  ``kernel_fallbacks`` ``0``);
+  (a v1 row gains NaN ``wall_phases``, an empty ``profile`` and an empty
+  ``provenance``; v1 and v2 rows gain ``kernel_fallbacks`` ``0``);
 * rows written under a **newer or missing** schema raise
   :class:`~repro.errors.SchemaVersionError` (a
   :class:`~repro.errors.ConfigurationError`) under ``strict`` reads —
@@ -22,27 +22,30 @@ Versioning policy:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.errors import SchemaVersionError
-from repro.telemetry.metrics import SCHEMA_VERSION, nan_wall_phases
-from repro.utils.serialization import _decode, _encode, result_to_dict
+from repro.identity import (
+    SCHEMA_VERSION,
+    migrate_row,
+    migrate_row_strict,
+    result_to_line,
+    row_from_line,
+)
 
-
-def result_to_line(result) -> str:
-    """One run (a ``RunResult`` or an already-flat dict) as one compact
-    JSON line."""
-    # Dicts are re-encoded (idempotently), so rows from read_jsonl —
-    # carrying restored ndarrays / NaN — can be written straight back.
-    payload = _encode(result) if isinstance(result, dict) else result_to_dict(result)
-    payload.setdefault("schema_version", SCHEMA_VERSION)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+__all__ = [
+    "migrate_row",
+    "migrate_row_strict",
+    "read_jsonl",
+    "result_to_line",
+    "write_jsonl",
+]
 
 
 def write_jsonl(results: Iterable, path: str | Path, *, append: bool = False) -> Path:
-    """Write runs as JSONL; ``append=True`` adds to an existing file."""
+    """Write runs as JSONL; ``append=True`` adds to an existing file.
+    Already-flat rows (e.g. from :func:`read_jsonl`, carrying restored
+    ndarrays / NaN) are valid inputs and can be written straight back."""
     path = Path(path)
     mode = "a" if append else "w"
     with path.open(mode) as fh:
@@ -51,62 +54,29 @@ def write_jsonl(results: Iterable, path: str | Path, *, append: bool = False) ->
     return path
 
 
-def migrate_row(row: dict) -> dict:
-    """Migrate one flat run row written under an older schema to the
-    current layout, in place (rows already current pass through).
-
-    v1 -> v2 fills the observability keys with their never-ran / empty
-    defaults: ``wall_phases`` all-NaN, ``profile`` ``{}``,
-    ``provenance`` ``{}``. v2 -> v3 fills ``kernel_fallbacks`` with
-    ``0`` (no stacked kernel existed, so nothing ever de-vectorized).
-    """
-    version = row.get("schema_version")
-    if version == 1:
-        row.setdefault("wall_phases", nan_wall_phases())
-        row.setdefault("profile", {})
-        row.setdefault("provenance", {})
-    if version in (1, 2):
-        row.setdefault("kernel_fallbacks", 0)
-        row["schema_version"] = SCHEMA_VERSION
-    return row
-
-
-def migrate_row_strict(row: dict, *, where: str = "<row>") -> dict:
-    """:func:`migrate_row`, but rows written under a **newer or
-    missing** schema raise :class:`~repro.errors.SchemaVersionError`
-    instead of passing through unmigrated. ``where`` labels the error
-    (``path:lineno`` for file readers). This is the shared version gate
-    of :func:`read_jsonl` and the result-store ingester."""
-    version = row.get("schema_version")
-    if version is None or version > SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"{where}: schema_version {version!r} not supported "
-            f"(this build reads <= {SCHEMA_VERSION})"
-        )
-    return migrate_row(row)
-
-
 def read_jsonl(path: str | Path, *, strict: bool = True) -> list[dict]:
     """Read runs back as plain dicts (arrays/NaN restored).
 
     Rows written under older schema versions are migrated to the
-    current layout (:func:`migrate_row`). ``strict`` raises
-    :class:`~repro.errors.SchemaVersionError` on lines written under a
-    *newer* schema than this code knows (or none at all); ``strict=
-    False`` passes them through unmigrated.
+    current layout. A line that is not a readable row raises
+    :class:`~repro.errors.ConfigurationError`, a row whose
+    ``schema_version`` is not a version at all
+    :class:`~repro.errors.SchemaVersionError`. ``strict`` extends the
+    latter to rows written under a *newer* schema than this code knows
+    (or none at all); ``strict=False`` passes those through unmigrated.
     """
     out: list[dict] = []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            row = _decode(json.loads(line))
-            if strict:
-                row = migrate_row_strict(row, where=f"{path}:{lineno}")
-            else:
-                version = row.get("schema_version")
-                if version is not None and version <= SCHEMA_VERSION:
-                    row = migrate_row(row)
+            where = f"{path}:{lineno}"
+            row = row_from_line(line, where=where)
+            version = row.get("schema_version")
+            newer = version is None or (
+                type(version) is int and version > SCHEMA_VERSION
+            )
+            if strict or not newer:
+                row = migrate_row_strict(row, where=where)
             out.append(row)
     return out

@@ -9,8 +9,8 @@ that mapping — ``run_once`` no longer hand-plucks ~20 aggregate fields.
 
 The mapping is:
 
-* **schema-versioned** — :data:`SCHEMA_VERSION` rides along, so JSONL
-  consumers can reject (or migrate) foreign layouts;
+* **schema-versioned** — :data:`~repro.identity.SCHEMA_VERSION` rides
+  along, so JSONL consumers can reject (or migrate) foreign layouts;
 * **picklable** — plain dict of floats / ints / dicts / NumPy arrays,
   so it survives the process-parallel harness unchanged;
 * **JSON-exportable** — :mod:`repro.telemetry.jsonl` round-trips it
@@ -66,8 +66,8 @@ Keys added in schema v3 (replica-stacked kernels, see
                       outside the serial/cohort identity contract.
 ====================  =====================================================
 
-Older rows load after migration (:func:`repro.telemetry.jsonl.
-migrate_row` fills the newer keys with their never-ran/empty defaults).
+Older rows load after migration (:func:`repro.identity.migrate_row`
+fills the newer keys with their never-ran/empty defaults).
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-#: Bump on any incompatible change to the key layout above.
-SCHEMA_VERSION = 3
+#: Owned by :mod:`repro.identity`; bumped on any incompatible change to
+#: the key layout above.
+from repro.identity import SCHEMA_VERSION
 
 _NAN = float("nan")
 

@@ -1,96 +1,35 @@
-"""JSON serialization of run and experiment results.
+"""Pretty-printed JSON archives of run and experiment results.
 
-Benchmark sweeps are expensive; these helpers archive their outcomes
-(`RunResult` -> plain dict -> JSON) so reports can be regenerated and
-compared across machines without re-running. NumPy arrays are stored as
-lists; NaN/inf are kept JSON-representable via string sentinels.
+``repro run --json`` and :func:`repro.harness.grid.archive` archive
+their outcomes as one indented JSON document (a list of flat rows) so
+reports can be regenerated and compared across machines without
+re-running. The row codec itself (NumPy arrays, NaN/inf sentinels, the
+flat ``RunResult`` shape) is :mod:`repro.identity`'s; the one-line-per-
+run JSONL form lives in :mod:`repro.telemetry.jsonl`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
 from pathlib import Path
-from typing import Any
 
-import numpy as np
-
-
-def _encode(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return {"__float__": "nan"}
-        if math.isinf(value):
-            return {"__float__": "inf" if value > 0 else "-inf"}
-        return value
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    # RunResult-shaped objects (duck-typed to avoid a harness import):
-    # flatten the RunMetrics mapping into the top level, so the JSON
-    # keeps the flat pre-telemetry shape ("staleness_values" etc. next
-    # to "config"/"status") that archived payloads and reports expect.
-    metrics = getattr(value, "metrics", None)
-    if (
-        metrics is not None
-        and hasattr(metrics, "schema_version")
-        and isinstance(getattr(metrics, "values", None), dict)
-        and hasattr(value, "config")
-        and hasattr(value, "report")
-    ):
-        flat = {
-            "config": _encode(value.config),
-            "status": _encode(value.status),
-            "report": _encode(value.report),
-            "schema_version": metrics.schema_version,
-        }
-        flat.update({str(k): _encode(v) for k, v in metrics.values.items()})
-        return flat
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)
-        }
-    if hasattr(value, "value") and value.__class__.__module__.startswith("repro"):
-        return value.value  # enums (RunStatus)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-def _decode(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__ndarray__" in value:
-            return np.asarray(value["__ndarray__"], dtype=value.get("dtype", "float64"))
-        if "__float__" in value:
-            return float(value["__float__"])
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
+from repro.identity import decode, encode
 
 
 def result_to_dict(result) -> dict:
     """Flatten a :class:`repro.harness.runner.RunResult` (or any
     dataclass) into JSON-ready primitives."""
-    return _encode(result)
+    return encode(result)
 
 
 def save_results(results, path: str | Path) -> Path:
     """Write a list of results (or one) as pretty-printed JSON."""
     path = Path(path)
-    payload = _encode(results if isinstance(results, list) else [results])
+    payload = encode(results if isinstance(results, list) else [results])
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 
 def load_results(path: str | Path) -> list[dict]:
     """Read back what :func:`save_results` wrote (as plain dicts)."""
-    return _decode(json.loads(Path(path).read_text()))
+    return decode(json.loads(Path(path).read_text()))

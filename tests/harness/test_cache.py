@@ -15,7 +15,6 @@ from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.harness.cache import (
     CACHE_ENV,
     RunCache,
-    _fingerprint_value,
     cache_key,
     problem_fingerprint,
     resolve_cache_dir,
@@ -23,6 +22,7 @@ from repro.harness.cache import (
 )
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_once
+from repro.identity import _fingerprint_value
 from repro.nn.architectures import cnn_mnist
 from repro.sim.cost import CostModel
 from repro.telemetry.bus import ProbeBus
@@ -149,7 +149,8 @@ class TestRoundTrip:
         row = json.loads(path.read_text())
         row["schema_version"] = 99
         path.write_text(json.dumps(row))
-        assert cache.get(problem, cost, config) is None
+        with pytest.warns(RuntimeWarning, match="schema_version 99 not supported"):
+            assert cache.get(problem, cost, config) is None
 
     def test_stopped_under_wall_cap_refused(self, problem, cost, tmp_path):
         cache = RunCache(tmp_path)

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro import identity
 from repro.errors import ConfigurationError
 from repro.store import FailureCounts, GroupKey, ResultStore, ingest_path, row_digest
 from repro.store import db as db_module
@@ -79,15 +80,23 @@ class TestInsert:
 
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Count ``db``'s own calls into the row codec: ``_encode`` (the
-    top-level call per row; its recursion stays inside serialization)
-    and ``_canonical`` (one JSON dump each)."""
-    calls = {"_encode": 0, "_canonical": 0}
-    for name in calls:
-        def counting(value, _name=name, _real=getattr(db_module, name)):
-            calls[_name] += 1
-            return _real(value)
-        monkeypatch.setattr(db_module, name, counting)
+    """Count the row-codec work of one ``insert_row``: ``encode`` as
+    ``db`` calls it (the top-level call per row; its recursion stays
+    inside :mod:`repro.identity`) and ``canonical`` (one JSON dump
+    each), whether ``db`` dumps the ``row_json`` itself or ``identity``
+    dumps for the digest."""
+    calls = {"encode": 0, "canonical": 0}
+
+    def counting(name, real):
+        def wrapper(value):
+            calls[name] += 1
+            return real(value)
+        return wrapper
+
+    monkeypatch.setattr(db_module, "encode", counting("encode", identity.encode))
+    dump = counting("canonical", identity.canonical)
+    monkeypatch.setattr(db_module, "canonical", dump)
+    monkeypatch.setattr(identity, "canonical", dump)
     return calls
 
 
@@ -101,7 +110,7 @@ class TestEncodeOnceLookupFirst:
         assert store.insert_row(row, source="again") is False
         store._conn.set_trace_callback(None)
         # One encoding; one dump for the digest, none for row_json.
-        assert codec_calls == {"_encode": 1, "_canonical": 1}
+        assert codec_calls == {"encode": 1, "canonical": 1}
         assert not any("INSERT" in sql for sql in statements)
 
     def test_fresh_row_encodes_once(self, sweep_jsonl, codec_calls):
@@ -109,7 +118,7 @@ class TestEncodeOnceLookupFirst:
         with ResultStore(":memory:") as fresh:
             assert fresh.insert_row(row, source="new") is True
         # One encoding shared by the digest and row_json dumps.
-        assert codec_calls == {"_encode": 1, "_canonical": 2}
+        assert codec_calls == {"encode": 1, "canonical": 2}
 
     def test_stored_digest_is_row_digest(self, store, sweep_jsonl):
         rows = read_jsonl(sweep_jsonl)
@@ -150,7 +159,7 @@ class TestEncodeOnceLookupFirst:
         with pytest.raises(ConfigurationError, match="config/report"):
             store.insert_row(bad, source="junk")
         store._conn.set_trace_callback(None)
-        assert codec_calls == {"_encode": 0, "_canonical": 0}
+        assert codec_calls == {"encode": 0, "canonical": 0}
         assert statements == []
 
 

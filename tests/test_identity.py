@@ -1,0 +1,493 @@
+"""``repro.identity``: the row codec, the schema gate, the volatile-field
+declaration and the nine derived keys, each defined once.
+
+The golden values below were computed **at the parent commit of the PR
+that introduced the module, with the parent's own functions** (then
+spread over five modules). They pin the formulas: a future change that
+moves any of them fails here, and must say why.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro import identity
+from repro.core.problem import QuadraticProblem
+from repro.errors import ConfigurationError, SchemaVersionError
+from repro.harness.cache import RunCache
+from repro.harness.config import RunConfig
+from repro.harness.runner import run_once
+from repro.service import ExperimentService, Measurer
+from repro.service import measurer as measurer_module
+from repro.sim.cost import CostModel
+from repro.store import ResultStore, ingest_path
+from repro.telemetry.jsonl import read_jsonl
+
+# ----------------------------------------------------------------------
+# (i) Golden values
+# ----------------------------------------------------------------------
+CONFIG_A = RunConfig(
+    algorithm="LSH_ps1", m=4, eta=0.05, seed=7, epsilons=(0.5, 0.1),
+    target_epsilon=0.1, max_updates=1000, max_virtual_time=100.0,
+)
+CONFIG_B = RunConfig(algorithm="HOG", m=2, eta=0.005, seed=0, probes=("occupancy",))
+COST = CostModel(tc=2e-3, tu=1e-3, t_copy=5e-4)
+ROW = {
+    "config": {"algorithm": "HOG", "m": 2, "eta": 0.005, "seed": 0,
+               "epsilons": [0.5, 0.1], "target_epsilon": 0.1},
+    "status": "crashed",
+    "report": {
+        "status": "crashed", "initial_loss": 12.5,
+        "final_loss": {"__float__": "nan"},
+        "threshold_times": {"0.5": [0.25, 40], "0.1": [{"__float__": "inf"}, -1]},
+        "curve_t": [0.0, 0.25], "curve_loss": [12.5, {"__float__": "nan"}],
+        "curve_updates": [0, 40],
+    },
+    "schema_version": 3,
+    "virtual_time": 0.5,
+    "n_updates": 41,
+    "n_dropped": 0,
+    "cas_failure_rate": {"__float__": "nan"},
+    "mean_lock_wait": {"__float__": "nan"},
+    "staleness": {"mean": 1.5, "median": 1.0, "p90": 3.0, "max": 4},
+    "staleness_values": {"__ndarray__": [0, 1, 1, 4], "dtype": "int64"},
+    "updates_per_thread": {"__ndarray__": [21, 20], "dtype": "int64"},
+    "final_accuracy": {"__float__": "nan"},
+    "probes": {},
+    "wall_seconds": 0.0125,
+    "wall_phases": {"setup": 0.001, "simulate": 0.011, "teardown": {"__float__": "nan"}},
+    "profile": {},
+    "provenance": {"git_sha": "0123abc", "git_dirty": False, "hostname": "golden",
+                   "config_hash": "feedfacefeedface", "seed": 0},
+    "kernel_fallbacks": 0,
+}
+FINGERPRINTS = ["a" * 64, "0f" * 32, "b1" * 32]
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return QuadraticProblem(4, h=1.0, b=1.5, noise_sigma=0.05)
+
+
+class TestGoldenKeys:
+    def test_config_hash(self):
+        assert identity.config_hash(CONFIG_A) == "32ec3b0883bd0db6"
+        assert identity.config_hash(CONFIG_B) == "3d9f195e2469c2fa"
+
+    def test_problem_fingerprint(self, problem):
+        assert identity.problem_fingerprint(problem) == (
+            "f6682f47b72e394935ea872076271e68fecb52a457471c8dbe64f784f7912111"
+        )
+
+    def test_workload_key(self, problem):
+        assert identity.workload_key(problem, COST) == "dd5d628fe6dd1baf"
+
+    def test_cache_key(self, problem):
+        assert identity.cache_key(problem, COST, CONFIG_A) == (
+            "27ba9fc7a356bd3e95f8689da6e76b191f3f013ce38e2329078ebbbfece72e90"
+        )
+        assert identity.cache_key(problem, COST, CONFIG_B) == (
+            "4aaf72caa90c5c96bb6ada4e9b9ddad057941f2a9564569d059dbede079fe1e2"
+        )
+
+    def test_run_key_and_task_id(self, problem):
+        wkey = identity.workload_key(problem, COST)
+        keys = [identity.run_key(wkey, CONFIG_A), identity.run_key(wkey, CONFIG_B)]
+        assert keys == [
+            "dd5d628fe6dd1baf:32ec3b0883bd0db6",
+            "dd5d628fe6dd1baf:3d9f195e2469c2fa",
+        ]
+        assert identity.task_id_for(keys) == "t-9f1eb10f6668eabe"
+
+    def test_simulation_fingerprint(self):
+        golden = "710dc410b962dffd8e611ba8d648cc881e3a31b2a874b2f18de6dd2ceb7e1bce"
+        assert identity.simulation_fingerprint(ROW) == golden
+        # The decoded row and its canonical line are the same run.
+        assert identity.simulation_fingerprint(identity.decode(ROW)) == golden
+        assert identity.line_fingerprint(identity.result_to_line(ROW)) == golden
+
+    def test_merged_fingerprint(self):
+        assert identity.merged_fingerprint(FINGERPRINTS) == (
+            "eaf59bd3c43ca5c8ac5ae0464406bf29c12c6d825f589046aa4ff3d96e0fb37f"
+        )
+        assert identity.merged_fingerprint(iter(FINGERPRINTS[::-1])) != (
+            identity.merged_fingerprint(FINGERPRINTS)
+        )
+
+    def test_row_digest(self):
+        golden = "476d57aed7f32bf937d0738a72cf25d631ba97dc0ec7315844ad9503b2a37f07"
+        assert identity.row_digest(ROW) == golden
+        assert identity.row_digest(identity.decode(ROW)) == golden
+        assert identity.encoded_row_digest(ROW) == golden
+
+
+# ----------------------------------------------------------------------
+# (ii) One definition behind every old import path
+# ----------------------------------------------------------------------
+OLD_PATHS = [
+    ("repro.harness.cache", "HOST_FIELDS"),
+    ("repro.harness.cache", "cache_key"),
+    ("repro.harness.cache", "problem_fingerprint"),
+    ("repro.harness.cache", "result_from_row"),
+    ("repro.harness.cache", "simulation_fingerprint"),
+    ("repro.service", "run_key"),
+    ("repro.service", "task_id_for"),
+    ("repro.service", "workload_key"),
+    ("repro.service.scheduler", "run_key"),
+    ("repro.service.scheduler", "task_id_for"),
+    ("repro.service.scheduler", "workload_key"),
+    ("repro.service.measurer", "result_to_line"),
+    ("repro.service.measurer", "result_from_row"),
+    ("repro.store", "row_digest"),
+    ("repro.store.ingest", "migrate_row_strict"),
+    ("repro.telemetry", "SCHEMA_VERSION"),
+    ("repro.telemetry", "migrate_row"),
+    ("repro.telemetry", "migrate_row_strict"),
+    ("repro.telemetry", "result_to_line"),
+    ("repro.telemetry.jsonl", "migrate_row"),
+    ("repro.telemetry.jsonl", "migrate_row_strict"),
+    ("repro.telemetry.jsonl", "result_to_line"),
+    ("repro.telemetry.metrics", "SCHEMA_VERSION"),
+    ("repro.observe.provenance", "config_hash"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", OLD_PATHS)
+def test_old_import_path_is_the_identity_object(module_name, name):
+    import importlib
+
+    module = importlib.import_module(module_name)
+    # ``vars``: a module-level binding (what bench/trace.py patches),
+    # not something resolved through ``__getattr__``.
+    assert vars(module)[name] is getattr(identity, name)
+
+
+def test_serialization_keeps_its_public_names(tmp_path):
+    from repro.utils.serialization import load_results, result_to_dict, save_results
+
+    assert result_to_dict(identity.decode(ROW)) == ROW
+    assert load_results(save_results([ROW], tmp_path / "rows.json"))[0].keys() == ROW.keys()
+
+
+# ----------------------------------------------------------------------
+# (iii) One declaration of the volatile fields
+# ----------------------------------------------------------------------
+class TestVolatileFields:
+    def test_wall_fields_are_a_proper_subset(self):
+        assert set(identity.WALL_FIELDS) < set(identity.HOST_FIELDS)
+        assert set(identity.HOST_FIELDS) - set(identity.WALL_FIELDS) == {
+            "provenance", "kernel_fallbacks"
+        }
+
+    @pytest.mark.parametrize("field, value", [
+        ("wall_seconds", 99.0),
+        ("wall_phases", {"setup": 1.0, "simulate": 2.0, "teardown": 3.0}),
+        ("profile", {"scheduler.run": {"count": 1, "total_s": 0.5}}),
+    ])
+    def test_wall_fields_move_no_key(self, field, value):
+        assert field in identity.WALL_FIELDS
+        other = {**ROW, field: value}
+        assert identity.row_digest(other) == identity.row_digest(ROW)
+        assert identity.simulation_fingerprint(other) == identity.simulation_fingerprint(ROW)
+
+    @pytest.mark.parametrize("field, value", [
+        ("provenance", {**ROW["provenance"], "hostname": "elsewhere"}),
+        ("kernel_fallbacks", 3),
+    ])
+    def test_host_only_fields_move_the_store_address_alone(self, field, value):
+        # Another tree/host/execution mode: the same science, a new sample.
+        other = {**ROW, field: value}
+        assert identity.simulation_fingerprint(other) == identity.simulation_fingerprint(ROW)
+        assert identity.row_digest(other) != identity.row_digest(ROW)
+
+    def test_simulation_fields_move_both(self):
+        other = {**ROW, "n_updates": 42}
+        assert identity.simulation_fingerprint(other) != identity.simulation_fingerprint(ROW)
+        assert identity.row_digest(other) != identity.row_digest(ROW)
+
+
+# ----------------------------------------------------------------------
+# (iv) Codec round trips on generated encoded rows
+# ----------------------------------------------------------------------
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_ELEMENTS = {
+    "int64": _INT64,
+    "float32": st.floats(allow_nan=False, allow_infinity=False, width=32),
+    "float64": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _encoded_arrays(draw):
+    dtype = draw(st.sampled_from(sorted(_ELEMENTS)))
+    if draw(st.booleans()):  # 1-D, possibly empty
+        data = draw(st.lists(_ELEMENTS[dtype], max_size=5))
+    else:  # 2-D, possibly with zero columns
+        width = draw(st.integers(min_value=0, max_value=3))
+        data = draw(st.lists(
+            st.lists(_ELEMENTS[dtype], min_size=width, max_size=width),
+            min_size=1, max_size=3,
+        ))
+    return {"__ndarray__": data, "dtype": dtype}
+
+
+_KEYS = st.text(max_size=8).filter(lambda k: k not in ("__ndarray__", "__float__"))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["nan", "inf", "-inf"]).map(lambda s: {"__float__": s}),
+    _encoded_arrays(),
+)
+_ENCODED = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCodecProperty:
+    @given(_ENCODED)
+    def test_encode_inverts_decode(self, encoded):
+        assert identity.encode(identity.decode(encoded)) == encoded
+
+    @given(_ENCODED)
+    def test_canonical_parses_back_to_the_encoded_value(self, encoded):
+        text = identity.canonical(encoded)
+        assert json.loads(text) == encoded
+        assert identity.canonical(json.loads(text)) == text
+
+    def test_real_row_line_is_a_fixed_point(self, good_line):
+        parsed = json.loads(good_line)
+        assert identity.canonical(parsed) == good_line
+        assert identity.encode(identity.decode(parsed)) == parsed
+
+
+# ----------------------------------------------------------------------
+# (v) A result is encoded once per measurer
+# ----------------------------------------------------------------------
+def _configs(n=4):
+    return [
+        RunConfig(algorithm="ASYNC", m=2, eta=0.05, seed=seed, epsilons=(0.5, 0.1),
+                  max_updates=60, max_virtual_time=10.0)
+        for seed in range(n)
+    ]
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Calls of the measurer's own ``result_to_line`` binding."""
+    calls = []
+
+    def counting(result):
+        calls.append(result)
+        return identity.result_to_line(result)
+
+    monkeypatch.setattr(measurer_module, "result_to_line", counting)
+    return calls
+
+
+class TestEncodeOnce:
+    def test_durable_session_encodes_each_run_once(self, tmp_path, problem, encodes):
+        configs = _configs()
+        with ExperimentService(tmp_path, workers=1, replicas=2) as service:
+            service.map(problem, COST, configs)
+            assert len(encodes) == len(configs)  # the journal appends
+            first = service.finalize()
+            assert len(encodes) == len(configs)  # fingerprint + merge: none
+            assert service.summary()["merged_fingerprint"] == first["merged_fingerprint"]
+            assert service.summary() == service.summary()
+            assert len(encodes) == len(configs)
+        assert service.measurer._lines == {}  # dropped by close(), not by a gc
+        merged = (tmp_path / "merged.jsonl").read_text().splitlines()
+        (journal,) = tmp_path.glob("results-*.jsonl")
+        assert merged == journal.read_text().splitlines()
+        assert first["merged_fingerprint"] == identity.merged_fingerprint(
+            identity.simulation_fingerprint(json.loads(line)) for line in merged
+        )
+
+    def test_resumed_session_encodes_each_run_once(self, tmp_path, problem, encodes):
+        configs = _configs()
+        with ExperimentService(tmp_path, workers=1, replicas=2) as service:
+            service.map(problem, COST, configs)
+            populated = service.finalize()
+        merged = (tmp_path / "merged.jsonl").read_bytes()
+        del encodes[:]
+        with ExperimentService(tmp_path, workers=1, replicas=2) as service:
+            service.map(problem, COST, configs)
+            assert service.stats.runs_from_journal == len(configs)
+            assert encodes == []  # replayed rows are not re-journaled
+            resumed = service.finalize()
+            service.summary()
+        assert len(encodes) == len(configs)
+        assert resumed["merged_fingerprint"] == populated["merged_fingerprint"]
+        assert (tmp_path / "merged.jsonl").read_bytes() == merged
+
+    def test_volatile_session_encodes_nothing_until_asked(self, problem, encodes):
+        configs = _configs()
+        with ExperimentService(workers=1, replicas=2) as service:
+            results = service.map(problem, COST, configs)
+            assert encodes == []
+            fingerprint = service.summary()["merged_fingerprint"]
+            service.summary()
+        assert len(encodes) == len(configs)
+        assert fingerprint == identity.merged_fingerprint(
+            identity.simulation_fingerprint(result) for result in results
+        )
+
+    def test_lines_follow_the_stored_result_not_a_later_offer(self, problem):
+        # ``ingest`` never replaces a stored result, so neither may the
+        # line: a second offer under a known key changes nothing.
+        (config,) = _configs(1)
+        first = run_once(problem, COST, config)
+        other = run_once(problem, COST, _configs(2)[1])
+        measurer = Measurer()
+        measurer.ingest("wk", [("wk:k", first)])
+        before = measurer.merged_fingerprint(["wk:k"])
+        measurer.ingest("wk", [("wk:k", other)])
+        assert measurer.merged_fingerprint(["wk:k"]) == before
+        assert before == identity.merged_fingerprint([identity.simulation_fingerprint(first)])
+
+
+# ----------------------------------------------------------------------
+# (vi) Every reader skips the same bad rows
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def good_run(problem):
+    (config,) = _configs(1)
+    return config, run_once(problem, COST, config)
+
+
+@pytest.fixture(scope="module")
+def good_line(good_run):
+    return identity.result_to_line(good_run[1])
+
+
+def _with(line: str, **changes) -> str:
+    row = json.loads(line)
+    row.update(changes)
+    return json.dumps(row)
+
+
+#: id -> (row mutation, the error the one reader raises for it).
+BAD_ROWS = {
+    # Fix 1: values the codec cannot restore.
+    "ndarray-unknown-dtype": (
+        {"staleness_values": {"__ndarray__": [1, 2], "dtype": "nonsense"}},
+        ConfigurationError,
+    ),
+    "float-sentinel-not-a-float": (
+        {"mean_lock_wait": {"__float__": "abc"}}, ConfigurationError,
+    ),
+    "ndarray-ragged": (
+        {"staleness_values": {"__ndarray__": [[1, 2], [3]], "dtype": "float64"}},
+        ConfigurationError,
+    ),
+    "ndarray-overflow": (
+        {"staleness_values": {"__ndarray__": [2**70], "dtype": "int64"}},
+        ConfigurationError,
+    ),
+    # Fix 2: schema versions that are not versions.
+    "version-string": ({"schema_version": "3"}, SchemaVersionError),
+    "version-list": ({"schema_version": [3]}, SchemaVersionError),
+    "version-zero": ({"schema_version": 0}, SchemaVersionError),
+    "version-negative": ({"schema_version": -1}, SchemaVersionError),
+    "version-fractional": ({"schema_version": 2.5}, SchemaVersionError),
+    "version-bool": ({"schema_version": True}, SchemaVersionError),
+}
+
+
+@pytest.fixture(params=sorted(BAD_ROWS))
+def bad(request, good_line):
+    changes, error = BAD_ROWS[request.param]
+    return _with(good_line, **changes), error
+
+
+class TestTolerantReaders:
+    def test_the_one_reader_raises_only_its_family(self, bad):
+        line, error = bad
+        with pytest.raises(error, match="somewhere:7") as excinfo:
+            identity.migrate_row_strict(
+                identity.row_from_line(line, where="somewhere:7"), where="somewhere:7"
+            )
+        if error is ConfigurationError:
+            assert not isinstance(excinfo.value, SchemaVersionError)
+
+    @pytest.mark.parametrize("line", ['{"torn', "[1, 2]", '"text"', "3"])
+    def test_not_a_row_at_all(self, line):
+        with pytest.raises(ConfigurationError, match="f:1"):
+            identity.row_from_line(line, where="f:1")
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_read_jsonl_names_the_line(self, tmp_path, good_line, bad, strict):
+        line, error = bad
+        path = tmp_path / "runs.jsonl"
+        path.write_text(good_line + "\n" + line + "\n")
+        with pytest.raises(error, match=r"runs\.jsonl:2"):
+            read_jsonl(path, strict=strict)
+
+    def test_ingest_skips_the_row_and_keeps_its_neighbours(self, tmp_path, good_line, bad):
+        line, _ = bad
+        path = tmp_path / "runs.jsonl"
+        later = _with(good_line, n_updates=json.loads(good_line)["n_updates"] + 1)
+        path.write_text(good_line + "\n" + line + "\n" + later + "\n")
+        with ResultStore(tmp_path / "results.sqlite") as store:
+            with pytest.warns(UserWarning, match=r"ingest: skipping .*runs\.jsonl:2"):
+                report = ingest_path(store, path)
+            assert (report.inserted, report.duplicates, report.skipped) == (2, 0, 1)
+            assert store.count() == 2
+        # ... and the good rows were committed, not rolled back.
+        with ResultStore(tmp_path / "results.sqlite") as store:
+            assert store.count() == 2
+
+    def test_run_cache_entry_is_a_warned_miss(self, tmp_path, problem, good_run, bad):
+        line, _ = bad
+        config, result = good_run
+        cache = RunCache(tmp_path)
+        cache.put(problem, COST, config, result)
+        cache._path(identity.cache_key(problem, COST, config)).write_text(line + "\n")
+        with pytest.warns(RuntimeWarning, match="run cache: corrupt entry"):
+            assert cache.get(problem, COST, config) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+    def test_journal_row_is_a_warned_skip(self, tmp_path, good_line, bad):
+        line, _ = bad
+        (tmp_path / "results-wk.jsonl").write_text(good_line + "\n" + line + "\n")
+        measurer = Measurer(tmp_path)
+        with pytest.warns(RuntimeWarning, match=r"skipping unreadable row .*:2 "):
+            assert measurer.load_workload("wk") == 1
+
+    def test_non_strict_read_still_passes_newer_and_missing(self, tmp_path, good_line):
+        newer = _with(good_line, schema_version=identity.SCHEMA_VERSION + 1)
+        missing = json.loads(good_line)
+        del missing["schema_version"]
+        path = tmp_path / "runs.jsonl"
+        path.write_text(newer + "\n" + json.dumps(missing) + "\n")
+        rows = read_jsonl(path, strict=False)
+        assert [row.get("schema_version") for row in rows] == [
+            identity.SCHEMA_VERSION + 1, None
+        ]
+        with pytest.raises(SchemaVersionError, match=r"runs\.jsonl:1"):
+            read_jsonl(path)
+
+    def test_older_versions_still_migrate(self, good_line):
+        row = json.loads(good_line)
+        row["schema_version"] = 2
+        del row["kernel_fallbacks"]
+        migrated = identity.migrate_row_strict(identity.row_from_line(json.dumps(row)))
+        assert migrated["schema_version"] == identity.SCHEMA_VERSION
+        assert migrated["kernel_fallbacks"] == 0
+
+    def test_archived_config_hash(self, good_run):
+        config, result = good_run
+        archived = identity.decode(identity.encode(result))["config"]
+        assert identity.archived_config_hash(archived) == identity.config_hash(config)
+        # A config that no longer reconstructs still gets a stable label.
+        broken = {**archived, "m": 0}
+        assert identity.archived_config_hash(broken) == identity.content_digest(broken)[:16]
