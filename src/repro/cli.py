@@ -23,10 +23,11 @@ Commands
     Chrome-trace JSON (open in Perfetto / ``chrome://tracing``), with
     an optional pure-SVG swimlane fallback.
 ``bench-history``
-    Merge the ``BENCH_*.json`` headline numbers into a trajectory file
-    and exit nonzero when the current numbers regress past the previous
-    recorded entry (the CI performance gate); warns when the previous
-    entry was recorded under different provenance (host/cpus/pool mode).
+    Show the benchmark trajectory (``BENCH_history.jsonl``), optionally
+    beside one ``python -m bench --out`` result file, and with
+    ``--record`` append that result's 20 headline medians under its own
+    provenance; warns when the last record was measured on a different
+    host/cpus/pool mode. Gives no verdict: ``bench/compare.py`` does.
 ``db``
     The queryable result store: ``db ingest`` loads result JSONL files,
     service run directories, and ``BENCH_history.jsonl`` into a SQLite
@@ -47,7 +48,7 @@ Examples
     python -m repro analyze --algorithm LSH_ps1 --m 8 --jsonl runs.jsonl
     python -m repro analyze --smoke --tolerance 0.5
     python -m repro trace --algorithm LSH_psinf --m 4 --out trace.json --svg trace.svg
-    python -m repro bench-history --record --label "$(git rev-parse --short HEAD)"
+    python -m repro bench-history R.json --record --label "$(git rev-parse --short HEAD)"
     python -m repro db ingest runs.jsonl service_run/ --db results.sqlite
     python -m repro report --db results.sqlite --out report.html
 """
@@ -145,17 +146,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hist_p = sub.add_parser(
         "bench-history",
-        help="merge BENCH_*.json headlines into a trajectory and gate on "
-             "regressions vs the previous entry",
+        help="show the benchmark trajectory, and record a `python -m bench "
+             "--out` result file into it",
     )
-    hist_p.add_argument("--bench-dir", default=".", metavar="DIR",
-                        help="directory holding the BENCH_*.json files")
+    hist_p.add_argument("result", nargs="?", default=None, metavar="RESULT.json",
+                        help="a `python -m bench --out` result file to set "
+                             "beside the trajectory")
     hist_p.add_argument("--history", default=None, metavar="PATH",
-                        help="trajectory JSONL (default: <bench-dir>/BENCH_history.jsonl)")
-    hist_p.add_argument("--max-drop", type=float, default=None, metavar="FRAC",
-                        help="regression threshold as a fractional drop (default 0.15)")
+                        help="trajectory JSONL (default: ./BENCH_history.jsonl)")
     hist_p.add_argument("--record", action="store_true",
-                        help="append the current headlines to the trajectory")
+                        help="append the result's headline medians, with the "
+                             "result's own provenance, to the trajectory")
     hist_p.add_argument("--label", default="", metavar="TEXT",
                         help="label for the recorded entry (e.g. a git SHA)")
     hist_p.add_argument("--report", default=None, metavar="PATH",
@@ -466,37 +467,37 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench_history(args) -> int:
+    from repro.errors import ConfigurationError
     from repro.observe.bench_history import (
         DEFAULT_HISTORY,
-        DEFAULT_MAX_DROP,
         append_history,
-        check_regressions,
+        check_recordable,
         extract_headlines,
         load_history,
+        load_result,
         provenance_mismatches,
         render_report,
-        unrecognized_bench_files,
     )
-    from repro.observe.provenance import bench_manifest
 
-    bench_dir = args.bench_dir
-    history_path = args.history or f"{bench_dir.rstrip('/')}/{DEFAULT_HISTORY}"
-    max_drop = args.max_drop if args.max_drop is not None else DEFAULT_MAX_DROP
-    current = extract_headlines(bench_dir)
-    if not current:
-        print(f"bench-history: no recognized BENCH_*.json under {bench_dir}")
-        return 1
-    for name in unrecognized_bench_files(bench_dir):
-        print(f"bench-history: note — no extractor for {name}; skipped")
+    if args.record and not args.result:
+        raise ConfigurationError(
+            "bench-history --record needs a RESULT.json (python -m bench --out)"
+        )
+    history_path = args.history or DEFAULT_HISTORY
     history = load_history(history_path)
-    previous = history[-1]["metrics"] if history else {}
-    if history:
-        for mismatch in provenance_mismatches(
-            bench_manifest(), history[-1].get("provenance") or {}
-        ):
-            print(f"bench-history: WARNING — {mismatch}")
-    regressions = check_regressions(current, previous, max_drop=max_drop)
-    report = render_report(history, current, regressions, max_drop=max_drop)
+    current = None
+    if args.result:
+        result = load_result(args.result)
+        current = extract_headlines(result, where=args.result)
+        provenance = result.get("provenance") or {}
+        if args.record:
+            check_recordable(result, where=args.result)
+        if history:
+            for mismatch in provenance_mismatches(
+                provenance, history[-1].get("provenance") or {}
+            ):
+                print(f"bench-history: WARNING — {mismatch}")
+    report = render_report(history, current)
     print(report)
     if args.report:
         from pathlib import Path
@@ -506,12 +507,8 @@ def _cmd_bench_history(args) -> int:
         out.write_text(report + "\n")
         print(f"\nwrote {out}")
     if args.record:
-        path = append_history(history_path, current, label=args.label)
+        path = append_history(history_path, current, provenance, label=args.label)
         print(f"recorded {len(current)} metrics to {path}")
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION: {regression}")
-        return 1
     return 0
 
 

@@ -135,8 +135,8 @@ class Algorithm(abc.ABC):
         rng = ctx.rng_factory.named(f"worker{index}")
         # Scratch rides with the arena switch: with pooling off the run
         # reproduces the pre-arena allocation pattern exactly (anonymous
-        # eta*grad temporaries and all), which is what the before/after
-        # comparison in scripts/bench_step.py measures.
+        # eta*grad temporaries and all); tests/sim/test_replica.py
+        # holds the two paths bitwise equal.
         scratch = (
             np.empty(ctx.problem.d, dtype=ctx.dtype) if ctx.arena is not None else None
         )

@@ -27,9 +27,10 @@ Invalidation rules
       produces a different key;
     * code changes that alter simulation *semantics without* a schema
       bump are not detected — that is what the ``--no-cache`` escape
-      hatch and the bench_sweep bitwise-identity gate exist for (each
-      cached row still carries the provenance manifest of the execution
-      that produced it, so stale entries are attributable).
+      hatch and the benchmark's populate == cached == resumed check on
+      ``warm_replay`` exist for (each cached row still carries the
+      provenance manifest of the execution that produced it, so stale
+      entries are attributable).
 
 Not cached
     * ``self_profile=True`` runs (the profile is a host-time
@@ -63,8 +64,8 @@ from repro.identity import (
 )
 
 # Not used in this module: bound under their original import path for
-# bench/workloads.py and scripts/bench_sweep.py (simulation_fingerprint)
-# and the cache / resume tests (all three).
+# bench/workloads.py (simulation_fingerprint) and the cache / resume
+# tests (all three).
 from repro.identity import HOST_FIELDS, problem_fingerprint, simulation_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

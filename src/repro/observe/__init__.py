@@ -12,14 +12,14 @@ Three layers on top of the telemetry bus (:mod:`repro.telemetry`):
   stacked kernels, arena traffic), prebound to a no-op when disabled,
   aggregated into ``RunMetrics["profile"]``.
 * :mod:`repro.observe.provenance` / :mod:`repro.observe.bench_history`
-  — run-provenance manifests on every record, and the benchmark
-  trajectory + regression gate behind ``python -m repro bench-history``.
+  — run-provenance manifests on every record, and the trajectory of
+  ``python -m bench`` results behind ``python -m repro bench-history``.
 
 This ``__init__`` imports only the stdlib-light profiler/provenance
 layers eagerly — the scheduler imports the profiler from its own hot
 path, so the package root must stay cycle-free and cheap. The timeline
-and bench-history modules (which pull in the telemetry/probe stack)
-load lazily on first attribute access.
+module (which pulls in the telemetry/probe stack) loads lazily on first
+attribute access; bench-history is imported by the CLI command alone.
 """
 
 from __future__ import annotations

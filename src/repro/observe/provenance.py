@@ -2,7 +2,7 @@
 
 Reproducible benchmarking lives or dies on knowing exactly which tree
 and environment produced a number (the FuzzBench lesson), so every run
-record and every ``BENCH_*.json`` carries a provenance manifest:
+record and every ``python -m bench`` result carries a provenance manifest:
 
 * ``git_sha`` / ``git_dirty`` — the commit the working tree was at, and
   whether uncommitted changes were present (a dirty SHA is a warning
@@ -16,9 +16,9 @@ record and every ``BENCH_*.json`` carries a provenance manifest:
 
 Per-run manifests deliberately contain **no timestamps**: two runs of
 the same config on the same tree must produce byte-identical records
-(the determinism contract extends to provenance). Benchmark scripts,
-whose outputs are point-in-time measurements, add their own timestamp
-next to the manifest via :func:`bench_manifest`.
+(the determinism contract extends to provenance). The benchmark,
+whose results are point-in-time measurements, adds a timestamp and the
+host's ``pool_mode`` via :func:`bench_manifest`.
 
 Everything here is failure-tolerant: a missing ``git`` binary or a
 non-repo checkout yields ``"unknown"`` fields, never an exception —
@@ -44,7 +44,6 @@ __all__ = [
     "git_state",
     "config_hash",
     "pool_mode",
-    "warn_single_core",
 ]
 
 #: How RngFactory derives per-stream seeds from ``RunConfig.seed`` —
@@ -111,25 +110,6 @@ def pool_mode() -> str:
     degenerate to ~1x).
     """
     return "process-pool" if (os.cpu_count() or 1) > 1 else "serial-fallback"
-
-
-def warn_single_core(stream=None) -> bool:
-    """Print a visible warning when benchmarks run on a 1-core host.
-
-    Returns True when the warning fired. Benchmark scripts call this up
-    front so a reader of the console output (or of a committed
-    ``BENCH_*.json``, via the manifest's ``pool_mode``) knows that
-    pool-parallel speedups measured here are meaningless.
-    """
-    if (os.cpu_count() or 1) > 1:
-        return False
-    print(
-        "WARNING: single-core host — worker pool capped at 1 process "
-        "(pool_mode=serial-fallback); parallel speedups are not "
-        "measurable here.",
-        file=stream if stream is not None else sys.stderr,
-    )
-    return True
 
 
 def bench_manifest() -> dict:

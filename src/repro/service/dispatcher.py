@@ -28,8 +28,8 @@ One :meth:`Dispatcher.run` call drives one workload batch end to end:
 Fault injection: when ``REPRO_SERVICE_KILL_AFTER=N`` is set, the
 dispatcher hard-exits (``os._exit(17)``) immediately after the N-th
 task it completes *in this process* — after the journal fsync, before
-anything else. This is the crash/resume test hook (the resume-smoke CI
-job and ``scripts/resume_smoke.py``): a real SIGKILL at the worst
+anything else. This is the crash/resume test hook
+(``tests/service/test_resume_crash.py``): a real SIGKILL at the worst
 survivable instant, deterministic on a serial host.
 
 A simulation exception on the serial path marks its task FAILED (the

@@ -12,11 +12,11 @@ Storage is *columnar*: each record kind appends its fields onto
 parallel Python lists, so the per-event cost is a few list appends
 instead of a frozen-dataclass allocation, and every aggregation turns a
 column into one NumPy array instead of a Python-level attribute walk.
-The record dataclasses remain the public vocabulary: ``record_*``
-accepts them, and the ``updates`` / ``dropped`` / ``retry_loops`` /
-``lock_waits`` / ``view_divergences`` properties materialize them
-on demand (cached until the next append). Hot paths should prefer the
-positional ``add_*`` methods, which skip record construction entirely.
+Events arrive positionally: over the probe bus (the ``on_*`` handlers;
+what every algorithm does) or through the ``add_*`` methods. The record
+dataclasses are the read-side vocabulary: the ``updates`` / ``dropped``
+/ ``retry_loops`` / ``lock_waits`` / ``view_divergences`` properties
+materialize them on demand (cached until the next append).
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ class TraceRecorder:
         self._lock_view: list[LockWaitRecord] | None = []
         self._vd_view: list[ViewDivergenceRecord] | None = []
 
-    # -- fast positional recording ------------------------------------
+    # -- positional recording -------------------------------------------
     def add_update(
         self, time: float, thread: int, seq: int, staleness: int, cas_failures: int = 0
     ) -> None:
-        """Append a published update without building an UpdateRecord."""
+        """Append a published update."""
         self._upd_time.append(time)
         self._upd_thread.append(thread)
         self._upd_seq.append(seq)
@@ -132,7 +132,7 @@ class TraceRecorder:
         self._updates_view = None
 
     def add_dropped(self, time: float, thread: int, cas_failures: int) -> None:
-        """Append a dropped gradient without building a record."""
+        """Append a dropped gradient."""
         self._drop_time.append(time)
         self._drop_thread.append(thread)
         self._drop_cas.append(cas_failures)
@@ -141,7 +141,7 @@ class TraceRecorder:
     def add_retry_loop(
         self, enter_time: float, exit_time: float, thread: int, attempts: int, published: bool
     ) -> None:
-        """Append a completed LAU-SPC loop stay without building a record."""
+        """Append a completed LAU-SPC loop stay."""
         self._retry_enter.append(enter_time)
         self._retry_exit.append(exit_time)
         self._retry_thread.append(thread)
@@ -150,14 +150,14 @@ class TraceRecorder:
         self._retry_view = None
 
     def add_lock_wait(self, request_time: float, acquire_time: float, thread: int) -> None:
-        """Append a lock wait without building a record."""
+        """Append a lock wait."""
         self._lock_request.append(request_time)
         self._lock_acquire.append(acquire_time)
         self._lock_thread.append(thread)
         self._lock_view = None
 
     def add_view_divergence(self, time: float, thread: int, l2: float) -> None:
-        """Append an elastic-consistency measurement without a record."""
+        """Append an elastic-consistency measurement."""
         self._vd_time.append(time)
         self._vd_thread.append(thread)
         self._vd_l2.append(l2)
@@ -235,29 +235,6 @@ class TraceRecorder:
     def kernel_fallback_kinds(self) -> dict[str, int]:
         """Fallback tallies keyed by the declining reason/layer kind."""
         return dict(self._kernel_fallback_kinds)
-
-    # -- record-object recording (back-compat) ------------------------
-    def record_update(self, record: UpdateRecord) -> None:
-        """Append a published-update record."""
-        self.add_update(record.time, record.thread, record.seq, record.staleness, record.cas_failures)
-
-    def record_dropped(self, record: DroppedGradientRecord) -> None:
-        """Append a dropped-gradient record."""
-        self.add_dropped(record.time, record.thread, record.cas_failures)
-
-    def record_retry_loop(self, record: RetryLoopRecord) -> None:
-        """Append a completed LAU-SPC loop stay."""
-        self.add_retry_loop(
-            record.enter_time, record.exit_time, record.thread, record.attempts, record.published
-        )
-
-    def record_lock_wait(self, record: LockWaitRecord) -> None:
-        """Append a lock wait."""
-        self.add_lock_wait(record.request_time, record.acquire_time, record.thread)
-
-    def record_view_divergence(self, record: ViewDivergenceRecord) -> None:
-        """Append an elastic-consistency measurement."""
-        self.add_view_divergence(record.time, record.thread, record.l2)
 
     # -- materialized record views ------------------------------------
     @property

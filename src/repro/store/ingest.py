@@ -134,9 +134,12 @@ def _ingest_result_file(
 
 
 def _ingest_bench_history(store: ResultStore, path: Path) -> IngestReport:
+    """A trajectory file. A record's ``entry_index`` is its position
+    among the file's non-blank lines whether or not the lines before it
+    are usable (the ``run_keys`` slot rule above): a skipped line keeps
+    its slot, so repairing it later never renumbers its successors."""
     report = IngestReport(files=[str(path)])
-    entry_index = 0
-    for lineno, payload in _iter_lines(path):
+    for entry_index, (lineno, payload) in enumerate(_iter_lines(path)):
         where = f"{path}:{lineno}"
         if payload is None:
             _warn_skip(f"{where}: torn or corrupt JSON line")
@@ -151,7 +154,6 @@ def _ingest_bench_history(store: ResultStore, path: Path) -> IngestReport:
         report.bench_entries += store.insert_bench_entry(
             payload, entry_index=entry_index
         )
-        entry_index += 1
     store.commit()
     return report
 

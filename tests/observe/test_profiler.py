@@ -3,6 +3,8 @@ neutrality contract (profiling must not perturb the simulation)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.observe import profiler as _profiler
 from repro.observe.profiler import SpanProfiler
 
 from tests.conftest import make_run_config
+from tests.sim.test_replica import COST, make_configs, tiny_mlp_problem
 from tests.test_determinism import assert_identical
 
 
@@ -57,22 +60,49 @@ class TestSpanProfiler:
         assert _profiler.ACTIVE is _profiler.NULL
 
 
+def check_run_once_neutral(problem, cost, config):
+    """Run ``config`` plain and with ``self_profile=True``, hold the two
+    bitwise equal, and hand back the profiled result."""
+    plain = run_once(problem, cost, config)
+    profiled = run_once(problem, cost, replace(config, self_profile=True))
+    assert_identical(plain, profiled, check_config=False)
+    np.testing.assert_array_equal(
+        plain.report.curve_loss, profiled.report.curve_loss
+    )
+    assert plain.profile == {}
+    return profiled
+
+
+def check_cohort_neutral(problem, cost, configs):
+    """The same for one cohort; the profiled results come back."""
+    plain = run_cohort(problem, cost, configs)
+    profiled = run_cohort(
+        problem, cost, [replace(c, self_profile=True) for c in configs]
+    )
+    for a, b in zip(plain, profiled):
+        assert_identical(a, b, check_config=False)
+    # Cohort-wide spans (rounds, kernels) land in every opted-in run.
+    assert all("cohort.round" in r.profile for r in profiled)
+    assert all(r.profile == {} for r in plain)
+    return profiled
+
+
 class TestNeutrality:
     """self_profile=True must change *nothing* about the simulation."""
 
     @pytest.mark.parametrize("algorithm", ["LSH_psinf", "ASYNC", "HOG"])
     def test_run_once_bitwise_identical(self, quadratic, cost_model, algorithm):
-        base = make_run_config(algorithm=algorithm, m=4, seed=31)
-        plain = run_once(quadratic, cost_model, base)
-        profiled = run_once(
-            quadratic, cost_model, make_run_config(
-                algorithm=algorithm, m=4, seed=31, self_profile=True
-            )
+        check_run_once_neutral(
+            quadratic, cost_model,
+            make_run_config(algorithm=algorithm, m=4, seed=31),
         )
-        assert_identical(plain, profiled, check_config=False)
-        np.testing.assert_array_equal(
-            plain.report.curve_loss, profiled.report.curve_loss
-        )
+
+    @pytest.mark.parametrize("algorithm", ["LSH_psinf", "ASYNC", "HOG"])
+    def test_run_once_bitwise_identical_on_dl_problem(self, algorithm):
+        """The arena spans only fire on a ``DLProblem``."""
+        (config,) = make_configs(algorithm, 1, m=2, max_updates=40)
+        profiled = check_run_once_neutral(tiny_mlp_problem(), COST, config)
+        assert "arena.acquire" in profiled.profile
 
     def test_profile_populated_only_when_enabled(self, quadratic, cost_model):
         plain = run_once(quadratic, cost_model, make_run_config(m=2, seed=5))
@@ -98,14 +128,15 @@ class TestNeutrality:
         assert not _profiler.is_active()
 
     def test_cohort_profiling_neutral_and_scoped(self, quadratic, cost_model):
-        configs = [make_run_config(m=2, seed=s) for s in (1, 2, 3)]
-        plain = run_cohort(quadratic, cost_model, configs)
-        profiled = run_cohort(
+        check_cohort_neutral(
             quadratic, cost_model,
-            [make_run_config(m=2, seed=s, self_profile=True) for s in (1, 2, 3)],
+            [make_run_config(m=2, seed=s) for s in (1, 2, 3)],
         )
-        for a, b in zip(plain, profiled):
-            assert_identical(a, b, check_config=False)
-        # Cohort-wide spans (rounds, kernels) land in every opted-in run.
-        assert all("cohort.round" in r.profile for r in profiled)
-        assert all(r.profile == {} for r in plain)
+
+    def test_cohort_profiling_neutral_and_scoped_on_dl_problem(self):
+        """The stacked-kernel spans only fire on a ``DLProblem``."""
+        profiled = check_cohort_neutral(
+            tiny_mlp_problem(), COST, make_configs("LSH_ps1", 3, m=2, max_updates=40)
+        )
+        for result in profiled:
+            assert {"kernel.execute", "arena.acquire"} <= set(result.profile)

@@ -34,15 +34,16 @@ from repro.sim.scheduler import Scheduler, SchedulerConfig
 # the conv/pool-stacked (CNN) kernel paths.
 
 
-def tiny_mlp_problem() -> DLProblem:
+def tiny_mlp_problem(**switches) -> DLProblem:
     rng = np.random.default_rng(42)
     net = mlp_custom(12, (10, 8), 4, name="tiny_mlp")
     x = rng.normal(size=(96, 12)).astype(np.float32)
     y = rng.integers(0, 4, size=96)
-    return DLProblem(net, x, y, x[:24], y[:24], batch_size=6, dtype=np.float32)
+    return DLProblem(net, x, y, x[:24], y[:24], batch_size=6, dtype=np.float32,
+                     **switches)
 
 
-def tiny_cnn_problem() -> DLProblem:
+def tiny_cnn_problem(**switches) -> DLProblem:
     rng = np.random.default_rng(43)
     net = Network(
         [Conv2D(2, (3, 3)), ReLU(), MaxPool2D((2, 2)), Flatten(), Dense(8), ReLU(), Dense(3)],
@@ -51,7 +52,8 @@ def tiny_cnn_problem() -> DLProblem:
     )
     x = rng.normal(size=(48, 1, 8, 8)).astype(np.float32)
     y = rng.integers(0, 3, size=48)
-    return DLProblem(net, x, y, x[:12], y[:12], batch_size=4, dtype=np.float32)
+    return DLProblem(net, x, y, x[:12], y[:12], batch_size=4, dtype=np.float32,
+                     **switches)
 
 
 COST = CostModel(tc=5e-3, tu=1e-3, t_copy=5e-4)
@@ -157,6 +159,32 @@ class TestBitwiseIdentity:
         run_cohort(problem, COST, configs)
         assert group_sizes, "kernel never invoked"
         assert max(group_sizes) > len(configs)
+
+
+# ---------------------------------------------------------------------------
+class TestPooledEqualsCompat:
+    """The default step path (buffer arena + step workspace) computes
+    what ``use_arena=False`` on a ``use_workspace=False`` problem
+    computes, bit for bit: pooling changes where bytes live, never what
+    is computed. Compared field by field, not by
+    ``simulation_fingerprint``, which hashes the config."""
+
+    @pytest.mark.parametrize("algorithm", ["SEQ", "ASYNC", "HOG", "LSH_ps1"])
+    @pytest.mark.parametrize("build", [tiny_mlp_problem, tiny_cnn_problem],
+                             ids=["mlp", "cnn"])
+    def test_run_once(self, build, algorithm):
+        (config,) = make_configs(algorithm, 1, m=2, max_updates=40)
+        pooled = run_once(build(), COST, config)
+        compat = run_once(
+            build(use_workspace=False), COST, replace(config, use_arena=False)
+        )
+        assert identity_of(pooled) == identity_of(compat)
+        np.testing.assert_array_equal(
+            pooled.report.curve_loss, compat.report.curve_loss
+        )
+        # The switch took effect: only the pooled run drew from the arena.
+        assert pooled.pool_misses > 0
+        assert compat.pool_hits == compat.pool_misses == 0
 
 
 # ---------------------------------------------------------------------------

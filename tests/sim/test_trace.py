@@ -22,7 +22,7 @@ def trace():
 
 def add_updates(trace, stalenesses, *, dt=1.0):
     for i, tau in enumerate(stalenesses):
-        trace.record_update(UpdateRecord(time=i * dt, thread=i % 3, seq=i, staleness=tau))
+        trace.add_update(i * dt, i % 3, i, tau)
 
 
 class TestStaleness:
@@ -50,8 +50,8 @@ class TestStaleness:
 
 class TestOccupancy:
     def test_occupancy_counts_overlap(self, trace):
-        trace.record_retry_loop(RetryLoopRecord(0.0, 10.0, 0, 1, True))
-        trace.record_retry_loop(RetryLoopRecord(5.0, 15.0, 1, 2, True))
+        trace.add_retry_loop(0.0, 10.0, 0, 1, True)
+        trace.add_retry_loop(5.0, 15.0, 1, 2, True)
         t, occ = trace.retry_loop_occupancy(resolution=100)
         mid = np.searchsorted(t, 7.0)
         assert occ[mid] == 2
@@ -64,9 +64,9 @@ class TestOccupancy:
 
 class TestRates:
     def test_cas_failure_rate(self, trace):
-        trace.record_update(UpdateRecord(0.0, 0, 0, 0, cas_failures=3))
-        trace.record_update(UpdateRecord(1.0, 1, 1, 0, cas_failures=0))
-        trace.record_dropped(DroppedGradientRecord(2.0, 2, 2))
+        trace.add_update(0.0, 0, 0, 0, cas_failures=3)
+        trace.add_update(1.0, 1, 1, 0, cas_failures=0)
+        trace.add_dropped(2.0, 2, 2)
         # failures = 3 + 0 + 2 = 5; successes = 2; total = 7
         assert trace.cas_failure_rate() == pytest.approx(5 / 7)
 
@@ -87,8 +87,8 @@ class TestRates:
         assert trace.cas_failure_rate() == 0.0
 
     def test_mean_lock_wait(self, trace):
-        trace.record_lock_wait(LockWaitRecord(0.0, 1.0, 0))
-        trace.record_lock_wait(LockWaitRecord(2.0, 2.5, 1))
+        trace.add_lock_wait(0.0, 1.0, 0)
+        trace.add_lock_wait(2.0, 2.5, 1)
         assert trace.mean_lock_wait() == pytest.approx(0.75)
 
     def test_mean_lock_wait_empty_is_nan(self, trace):
@@ -164,27 +164,20 @@ class TestPinnedAggregations:
 
 
 class TestColumnarRecordEquivalence:
-    """The fast positional add_* API and the record-object API must be
-    indistinguishable, and the materialized record views must round-trip
-    the columns."""
+    """The materialized record views must round-trip the columns the
+    positional add_* API appends."""
 
-    def test_record_and_add_produce_same_state(self):
-        a, b = TraceRecorder(), TraceRecorder()
-        a.record_update(UpdateRecord(1.0, 2, 3, 4, cas_failures=5))
-        b.add_update(1.0, 2, 3, 4, 5)
-        assert a.updates == b.updates
-        a.record_dropped(DroppedGradientRecord(1.5, 0, 2))
-        b.add_dropped(1.5, 0, 2)
-        assert a.dropped == b.dropped
-        a.record_retry_loop(RetryLoopRecord(0.0, 1.0, 1, 2, True))
-        b.add_retry_loop(0.0, 1.0, 1, 2, True)
-        assert a.retry_loops == b.retry_loops
-        a.record_lock_wait(LockWaitRecord(0.0, 0.5, 3))
-        b.add_lock_wait(0.0, 0.5, 3)
-        assert a.lock_waits == b.lock_waits
-        a.record_view_divergence(ViewDivergenceRecord(2.0, 1, 0.25))
-        b.add_view_divergence(2.0, 1, 0.25)
-        assert a.view_divergences == b.view_divergences
+    def test_record_and_add_produce_same_state(self, trace):
+        trace.add_update(1.0, 2, 3, 4, 5)
+        assert trace.updates == [UpdateRecord(1.0, 2, 3, 4, cas_failures=5)]
+        trace.add_dropped(1.5, 0, 2)
+        assert trace.dropped == [DroppedGradientRecord(1.5, 0, 2)]
+        trace.add_retry_loop(0.0, 1.0, 1, 2, True)
+        assert trace.retry_loops == [RetryLoopRecord(0.0, 1.0, 1, 2, True)]
+        trace.add_lock_wait(0.0, 0.5, 3)
+        assert trace.lock_waits == [LockWaitRecord(0.0, 0.5, 3)]
+        trace.add_view_divergence(2.0, 1, 0.25)
+        assert trace.view_divergences == [ViewDivergenceRecord(2.0, 1, 0.25)]
 
     def test_materialized_records_refresh_after_append(self, trace):
         trace.add_update(0.0, 0, 0, 1)
@@ -208,7 +201,7 @@ class TestPerThread:
         assert counts[0] == 3  # threads cycle 0,1,2
 
     def test_out_of_range_thread_ignored(self, trace):
-        trace.record_update(UpdateRecord(0.0, 99, 0, 0))
+        trace.add_update(0.0, 99, 0, 0)
         assert trace.updates_per_thread(3).sum() == 0
 
     def test_n_updates(self, trace):

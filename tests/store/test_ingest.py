@@ -151,6 +151,24 @@ class TestBenchHistory:
         again = ingest_path(store, path)
         assert again.bench_entries == 0
 
+    def test_skipped_line_keeps_its_slot(self, store, tmp_path):
+        """A record is numbered by its position among the file's
+        non-blank lines: a torn line, later repaired, must neither
+        renumber its successors nor land on one of their positions."""
+        path = tmp_path / "BENCH_history.jsonl"
+        lines = [json.dumps({"label": label, "metrics": {"x.rate": value}})
+                 for label, value in (("a", 1.0), ("b", 2.0), ("c", 3.0))]
+        path.write_text(f"{lines[0]}\n\n{lines[1][:20]}\n{lines[2]}\n")
+        with pytest.warns(UserWarning, match="torn or corrupt"):
+            report = ingest_path(store, path)
+        assert (report.bench_entries, report.skipped) == (2, 1)
+        assert store.bench_trajectory()["x.rate"] == [(0, "a", 1.0), (2, "c", 3.0)]
+        path.write_text("".join(line + "\n" for line in lines))
+        assert ingest_path(store, path).bench_entries == 1
+        assert store.bench_trajectory()["x.rate"] == [
+            (0, "a", 1.0), (1, "b", 2.0), (2, "c", 3.0)
+        ]
+
     def test_repo_history_file_is_recognized(self, store):
         from pathlib import Path
 
