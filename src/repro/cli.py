@@ -255,15 +255,22 @@ def _build_parser() -> argparse.ArgumentParser:
              "trajectories and trace JSON into the store (idempotent)",
     )
     ing_p.add_argument("paths", nargs="+", metavar="PATH",
-                       help="results .jsonl / service run dir / "
-                            "BENCH_history.jsonl / trace .json")
+                       help="results .jsonl or --json archive / service run "
+                            "dir / BENCH_history.jsonl / trace .json")
     ing_p.add_argument("--db", default="results.sqlite", metavar="FILE")
     stats_p = db_sub.add_parser("stats", help="summarize what the store holds")
     stats_p.add_argument("--db", default="results.sqlite", metavar="FILE")
     return parser
 
 
-def _cmd_run(args) -> int:
+def _single_run(
+    args, *, quadratic_epsilons=(0.5, 0.1), target_eps=None, max_updates=None, **config_fields
+):
+    """``(problem, cost, config)`` of a single-run command (``run``,
+    ``trace``, ``analyze``): the workload's problem and cost model, its
+    epsilon ladder (``quadratic_epsilons`` off the DL workloads, widened
+    by a ``target_eps`` outside it), the profile's default eta and
+    budgets, and the command's own ``config_fields``."""
     workloads = Workloads(get_profile(args.profile))
     problem = workloads.problem(args.workload)
     cost = workloads.cost(args.workload)
@@ -271,9 +278,9 @@ def _cmd_run(args) -> int:
     epsilons = (
         profile.mlp_epsilons if args.workload == "mlp"
         else profile.cnn_epsilons if args.workload == "cnn"
-        else (0.5, 0.1, 0.01)
+        else quadratic_epsilons
     )
-    target = args.target_eps if args.target_eps is not None else min(epsilons)
+    target = target_eps if target_eps is not None else min(epsilons)
     if target not in epsilons:
         epsilons = tuple(sorted(set(epsilons) | {target}, reverse=True))
     eta = args.eta if args.eta is not None else (
@@ -286,9 +293,17 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         epsilons=epsilons,
         target_epsilon=target,
-        max_updates=profile.max_updates,
+        max_updates=max_updates or profile.max_updates,
         max_virtual_time=profile.max_virtual_time,
         max_wall_seconds=profile.max_wall_seconds,
+        **config_fields,
+    )
+    return problem, cost, config
+
+
+def _cmd_run(args) -> int:
+    problem, cost, config = _single_run(
+        args, quadratic_epsilons=(0.5, 0.1, 0.01), target_eps=args.target_eps,
         self_profile=args.self_profile,
     )
     result = run_once(problem, cost, config)
@@ -314,7 +329,8 @@ def _cmd_run(args) -> int:
     print(
         render_table(
             ["metric", "value"], rows,
-            title=f"{args.algorithm} on {args.workload}, m={args.m}, eta={eta:g}, seed={args.seed}",
+            title=f"{args.algorithm} on {args.workload}, m={args.m}, "
+                  f"eta={config.eta:g}, seed={args.seed}",
         )
     )
     phases = result.wall_phases
@@ -425,29 +441,8 @@ def _cmd_trace(args) -> int:
                   "--service")
         return 0
 
-    workloads = Workloads(get_profile(args.profile))
-    problem = workloads.problem(args.workload)
-    cost = workloads.cost(args.workload)
-    profile = workloads.profile
-    epsilons = (
-        profile.mlp_epsilons if args.workload == "mlp"
-        else profile.cnn_epsilons if args.workload == "cnn"
-        else (0.5, 0.1)
-    )
-    eta = args.eta if args.eta is not None else (
-        profile.default_eta if args.workload in ("mlp", "cnn") else 0.05
-    )
-    config = RunConfig(
-        algorithm=args.algorithm,
-        m=args.m,
-        eta=eta,
-        seed=args.seed,
-        epsilons=epsilons,
-        target_epsilon=min(epsilons),
-        max_updates=args.max_updates or profile.max_updates,
-        max_virtual_time=profile.max_virtual_time,
-        max_wall_seconds=profile.max_wall_seconds,
-        probes=("timeline",),
+    problem, cost, config = _single_run(
+        args, max_updates=args.max_updates, probes=("timeline",)
     )
     result = run_once(problem, cost, config)
     timeline = result.metrics.probe("timeline")
@@ -678,35 +673,12 @@ def _cmd_analyze(args) -> int:
     if args.from_jsonl:
         rows = read_jsonl(args.from_jsonl)
     else:
-        workloads = Workloads(get_profile(args.profile))
-        problem = workloads.problem(args.workload)
-        cost = workloads.cost(args.workload)
-        profile = workloads.profile
-        epsilons = (
-            profile.mlp_epsilons if args.workload == "mlp"
-            else profile.cnn_epsilons if args.workload == "cnn"
-            else (0.5, 0.1)
-        )
-        eta = args.eta if args.eta is not None else (
-            profile.default_eta if args.workload in ("mlp", "cnn") else 0.05
-        )
         probes = (
             tuple(p.strip() for p in args.probes.split(",") if p.strip())
             if args.probes is not None
             else STANDARD_PROBES
         )
-        config = RunConfig(
-            algorithm=args.algorithm,
-            m=args.m,
-            eta=eta,
-            seed=args.seed,
-            epsilons=epsilons,
-            target_epsilon=min(epsilons),
-            max_updates=profile.max_updates,
-            max_virtual_time=profile.max_virtual_time,
-            max_wall_seconds=profile.max_wall_seconds,
-            probes=probes,
-        )
+        problem, cost, config = _single_run(args, probes=probes)
         from repro.harness.cache import RunCache, resolve_cache_dir
         from repro.service import ExperimentService
 

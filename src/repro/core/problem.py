@@ -22,7 +22,8 @@ from repro.data.batcher import MiniBatcher
 from repro.errors import ConfigurationError
 from repro.nn.inference import InferencePlan, plan_for
 from repro.nn.network import Network
-from repro.sim.grad import GradTask
+from repro.nn.workspace import StepWorkspace
+from repro.sim.grad import GradCompute, GradTask
 from repro.utils.validation import check_positive
 
 #: A worker's gradient function: fills ``out`` with the stochastic
@@ -61,8 +62,8 @@ class Problem(abc.ABC):
 
         When a problem returns a task, the worker uses ``task.run`` as
         its gradient function — one sampling stream serves both the
-        serial and the replica-stacked execution paths, keeping them
-        bitwise interchangeable (see :mod:`repro.sim.grad`).
+        serial and the replica-stacked executions, keeping them bitwise
+        interchangeable (see :mod:`repro.sim.grad`).
         """
         return None
 
@@ -86,11 +87,6 @@ class DLProblem(Problem):
         ``"normal"`` (paper) or ``"he"`` / ``"xavier"`` extensions.
     dtype:
         Parameter dtype.
-    use_workspace:
-        Give each worker's gradient closure a preallocated
-        :class:`repro.nn.workspace.StepWorkspace` so the steady-state
-        forward/backward pass allocates nothing (on by default; results
-        are bitwise identical either way).
     """
 
     def __init__(
@@ -105,7 +101,6 @@ class DLProblem(Problem):
         init_std: float = 0.1,
         init_scheme: str = "normal",
         dtype: np.dtype | type = np.float32,
-        use_workspace: bool = True,
     ) -> None:
         if train_x.shape[0] != train_y.shape[0]:
             raise ConfigurationError("train_x / train_y sample counts disagree")
@@ -122,7 +117,6 @@ class DLProblem(Problem):
         self.init_std = float(init_std)
         self.init_scheme = init_scheme
         self.dtype = dtype
-        self.use_workspace = bool(use_workspace)
 
     @property
     def d(self) -> int:
@@ -134,50 +128,12 @@ class DLProblem(Problem):
         )
 
     def make_grad_fn(self, rng: np.random.Generator) -> GradFn:
-        batcher = MiniBatcher(self.train_x, self.train_y, self.batch_size, rng)
-        network = self.network
-        # Per-worker scratch: the batcher's (possibly clipped) batch size
-        # is fixed for its lifetime, so one workspace covers every call.
-        workspace = (
-            network.make_workspace(batcher.batch_size, dtype=self.dtype)
-            if self.use_workspace
-            else None
-        )
+        """One gradient stream: a :class:`DLGradTask`'s ``run``."""
+        return DLGradTask(self, rng).run
 
-        if workspace is not None:
-            # Completing the zero-allocation step: the batch gather also
-            # lands in worker-owned buffers (same samples, same bits —
-            # see MiniBatcher.next_batch_into). Safe to reuse per call:
-            # forward caches only outlive the buffers' contents within a
-            # single loss_and_grad invocation.
-            x_buf = np.empty(
-                (batcher.batch_size,) + self.train_x.shape[1:], dtype=self.train_x.dtype
-            )
-            y_buf = np.empty(batcher.batch_size, dtype=self.train_y.dtype)
-
-            def grad_fn(theta: np.ndarray, out: np.ndarray) -> None:
-                x, y = batcher.next_batch_into(x_buf, y_buf)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    network.loss_and_grad(x, y, theta, grad_out=out, workspace=workspace)
-
-        else:
-
-            def grad_fn(theta: np.ndarray, out: np.ndarray) -> None:
-                x, y = batcher.next_batch()
-                with np.errstate(over="ignore", invalid="ignore"):
-                    network.loss_and_grad(x, y, theta, grad_out=out, workspace=workspace)
-
-        return grad_fn
-
-    def make_grad_task(self, rng: np.random.Generator) -> "DLGradTask | None":
-        """The batchable counterpart of :meth:`make_grad_fn`.
-
-        Only the workspace path batches: without a workspace the closure
-        uses the unbuffered ``next_batch`` RNG pattern, which has no
-        staging seam. A None return simply means "serial closure only".
-        """
-        if not self.use_workspace:
-            return None
+    def make_grad_task(self, rng: np.random.Generator) -> "DLGradTask":
+        """The worker's gradient stream as a batchable task (its ``run``
+        is what :meth:`make_grad_fn` returns)."""
         return DLGradTask(self, rng)
 
     def _eval_plan(self, theta: np.ndarray) -> InferencePlan:
@@ -202,50 +158,65 @@ class DLProblem(Problem):
         return self._eval_plan(theta).accuracy(theta)
 
 
+#: ``DLGradTask._kernel`` before the first :meth:`DLGradTask.run`
+#: (``None`` means built and declined).
+_UNBUILT = object()
+
+
 class DLGradTask(GradTask):
     """One worker's gradient stream over a :class:`DLProblem`, split
     into a stageable sampling half and a compute half.
 
-    :meth:`run` performs exactly the work of the workspace-path closure
-    from :meth:`DLProblem.make_grad_fn` (same blocked index RNG, same
-    ``take`` gather, same in-place forward/backward), so a worker built
-    on a task is bitwise identical to one built on the closure.
-    :meth:`stage` draws only the indices, letting a
-    :class:`repro.nn.replica.ReplicaKernel` gather and compute many
-    replicas' batches in stacked kernel calls.
+    :meth:`stage` draws only the batch indices (the blocked stream of
+    ``MiniBatcher.next_batch_indices``); the math runs in a
+    :class:`repro.nn.replica.ReplicaKernel`, which gathers and computes
+    many replicas' batches in stacked calls. :meth:`run`, the worker's
+    gradient function whenever no cohort harvests its requests, is that
+    same kernel over a group of one, built on first use and owned by the
+    task (never by the problem, the network or a layer: those are
+    fingerprinted, pickled and hoisted into shared memory). A request
+    the kernel declines (``ReplicaKernel.reject_reason``, or a
+    ``theta`` / ``out`` of another dtype than the problem's) takes the
+    reference path instead: the same index draw, then
+    ``Network.loss_and_grad``. Either way the worker's RNG stream is
+    consumed identically, so serial, stacked and declined executions are
+    bitwise interchangeable.
     """
 
     __slots__ = (
-        "problem", "network", "batcher", "workspace", "x_buf", "y_buf",
-        "stack_key", "probes",
+        "problem", "network", "batcher", "workspace", "stack_key", "probes",
+        "_kernel", "_batch_bufs",
     )
 
     def __init__(self, problem: DLProblem, rng: np.random.Generator) -> None:
         self.problem = problem
         self.network = problem.network
         self.batcher = MiniBatcher(problem.train_x, problem.train_y, problem.batch_size, rng)
-        self.workspace = problem.network.make_workspace(
-            self.batcher.batch_size, dtype=problem.dtype
-        )
-        self.x_buf = np.empty(
-            (self.batcher.batch_size,) + problem.train_x.shape[1:],
-            dtype=problem.train_x.dtype,
-        )
-        self.y_buf = np.empty(self.batcher.batch_size, dtype=problem.train_y.dtype)
+        self.workspace = StepWorkspace(problem.dtype)
         # Tasks sharing a key draw same-shape batches from the same
         # corpus against the same network — the precondition for fusing
         # their forward/backward passes into one stacked call.
         self.stack_key = (id(problem), self.batcher.batch_size, np.dtype(problem.dtype))
         self.probes = None
+        self._kernel = _UNBUILT
+        self._batch_bufs = None
 
     def run(self, theta: np.ndarray, out: np.ndarray) -> None:
-        idx = self.batcher.next_batch_indices()
-        self.problem.train_x.take(idx, axis=0, out=self.x_buf)
-        self.problem.train_y.take(idx, axis=0, out=self.y_buf)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.network.loss_and_grad(
-                self.x_buf, self.y_buf, theta, grad_out=out, workspace=self.workspace
+        kernel = self._kernel
+        if kernel is _UNBUILT:
+            kernel = self._kernel = self.make_kernel(1)
+        if kernel is not None and theta.dtype == out.dtype == kernel.dtype:
+            kernel.execute([GradCompute(self.run, theta, out, 0.0, self)])
+            return
+        if self._batch_bufs is None:
+            n, problem = self.batcher.batch_size, self.problem
+            self._batch_bufs = (
+                np.empty((n,) + problem.train_x.shape[1:], dtype=problem.train_x.dtype),
+                np.empty(n, dtype=problem.train_y.dtype),
             )
+        x, y = self.batcher.next_batch_into(*self._batch_bufs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.network.loss_and_grad(x, y, theta, grad_out=out)
 
     def stage(self) -> np.ndarray:
         return self.batcher.next_batch_indices()

@@ -15,7 +15,7 @@ their synchronization protocol dictates.
 from repro.nn.parameter import ParameterLayout
 from repro.nn.network import Network
 from repro.nn.workspace import StepWorkspace
-from repro.nn.loss import softmax_cross_entropy, softmax_cross_entropy_inplace, softmax
+from repro.nn.loss import softmax_cross_entropy, softmax
 from repro.nn.layers import Dense, ReLU, Flatten, Conv2D, MaxPool2D, Dropout
 from repro.nn.init import normal_init, he_init, xavier_init
 from repro.nn.architectures import mlp_mnist, cnn_mnist, mlp_custom, MLP_DIMENSION, CNN_DIMENSION
@@ -25,7 +25,6 @@ __all__ = [
     "Network",
     "StepWorkspace",
     "softmax_cross_entropy",
-    "softmax_cross_entropy_inplace",
     "softmax",
     "Dense",
     "ReLU",

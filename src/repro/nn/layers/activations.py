@@ -22,29 +22,9 @@ class ReLU(Layer):
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return []
 
-    def make_workspace(
-        self,
-        batch: int,
-        in_shape: tuple[int, ...],
-        out_shape: tuple[int, ...],
-        dtype: np.dtype,
-    ) -> dict[str, np.ndarray]:
-        full = (batch, *in_shape)
-        return {
-            "mask": np.empty(full, dtype=bool),
-            "out": np.empty(full, dtype=dtype),
-        }
-
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
-        if ws is None:
-            mask = x > 0
-            return x * mask, mask
-        mask = ws["mask"]
-        np.greater(x, 0, out=mask)
-        np.multiply(x, mask, out=ws["out"])
-        return ws["out"], mask
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
+        mask = x > 0
+        return x * mask, mask
 
     def backward(
         self,
@@ -52,15 +32,8 @@ class ReLU(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
-        if ws is None:
-            return grad_out * cache
-        # grad_out is a gradient conduit (a workspace buffer), never a
-        # cached activation — consuming it in place is safe.
-        np.multiply(grad_out, cache, out=grad_out)
-        return grad_out
+        return grad_out * cache
 
 
 class Softmax(Layer):
@@ -81,9 +54,7 @@ class Softmax(Layer):
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return []
 
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         p = softmax(x)
         return p, p
 
@@ -93,8 +64,6 @@ class Softmax(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         p = cache
         inner = np.sum(grad_out * p, axis=-1, keepdims=True)

@@ -6,12 +6,14 @@ layer's parameter views (slices of the shared flat theta) and
 buffers. The only state a layer carries is its architecture (sizes),
 fixed at construction.
 
-Both passes accept an optional ``ws`` dictionary of preallocated scratch
-buffers (built once per worker by :meth:`make_workspace` and threaded
-through :class:`repro.nn.workspace.StepWorkspace`). With ``ws`` the
-layer writes into those buffers via ``out=`` variants of the same
-operations — bitwise-identical results, zero per-call allocations;
-without it the layer allocates as before.
+The contract is ``build``, ``param_shapes``, ``forward(x, params)`` and
+``backward(grad_out, cache, params, grads)``; both passes allocate their
+results. They are the *reference*: the gradient checks, ``Network``'s
+``forward`` / ``loss`` / ``accuracy`` / ``predict`` and the inference
+plan run them, and so does training for a network the stacked kernel
+(:class:`repro.nn.replica.ReplicaKernel`) declines. The kernel
+re-implements the stock kinds over preallocated slabs and is held
+bitwise equal to these methods by ``tests/nn/test_kernel_model.py``.
 """
 
 from __future__ import annotations
@@ -40,32 +42,12 @@ class Layer(abc.ABC):
         """Named shapes of this layer's parameter tensors, in order.
         Empty for parameter-free layers. Valid only after :meth:`build`."""
 
-    def make_workspace(
-        self,
-        batch: int,
-        in_shape: tuple[int, ...],
-        out_shape: tuple[int, ...],
-        dtype: np.dtype,
-    ) -> dict[str, np.ndarray] | None:
-        """Preallocated scratch buffers for a fixed ``batch`` size.
-
-        Returns a dict handed back verbatim as the ``ws`` argument of
-        :meth:`forward` / :meth:`backward`, or ``None`` when the layer
-        needs no scratch (the default). The buffers are uninitialized;
-        the layer must fully overwrite whatever it later reads.
-        """
-        return None
-
     @abc.abstractmethod
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         """Compute outputs for batch ``x``.
 
         Returns ``(output, cache)`` where ``cache`` carries whatever the
-        backward pass needs. With ``ws``, ``output`` and ``cache`` may
-        reference workspace buffers — valid until the next forward call
-        with the same workspace.
+        backward pass needs.
         """
 
     @abc.abstractmethod
@@ -75,17 +57,12 @@ class Layer(abc.ABC):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         """Back-propagate ``grad_out``.
 
         Writes this layer's parameter gradients into ``grads`` (views of
         the flat gradient buffer, same order as :attr:`param_shapes`)
-        and returns the gradient with respect to the layer input. With
-        ``ws``, the returned gradient may live in a workspace buffer and
-        ``grad_out`` may be consumed in place (it is always a gradient
-        conduit, never a cached activation).
+        and returns the gradient with respect to the layer input.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics

@@ -16,7 +16,7 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int, int]:
     """Rearrange ``(N, C, H, W)`` into ``(N, OH*OW, C*kh*kw)`` patches.
 
     Uses :func:`numpy.lib.stride_tricks.sliding_window_view` for the
-    windowing (zero-copy) and one reshape (the single unavoidable copy).
+    windowing (zero-copy) and one copy into the contiguous patch matrix.
     Returns ``(patches, OH, OW)``.
     """
     n = x.shape[0]
@@ -24,7 +24,12 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int, int]:
     # windows: (N, C, OH, OW, kh, kw) -> (N, OH, OW, C, kh, kw) -> flat patches
     patches = windows.transpose(0, 2, 3, 1, 4, 5)
     oh, ow = patches.shape[1], patches.shape[2]
-    return patches.reshape(n, oh * ow, -1), oh, ow
+    # The copy is explicit: a bare reshape copies too, except for a 1x1
+    # (or single-channel kx1) kernel, where it can return a strided view
+    # and the contractions downstream then reduce in another order than
+    # the training kernel's contiguous slab (found by
+    # tests/nn/test_kernel_model.py; same bytes for every other shape).
+    return np.ascontiguousarray(patches).reshape(n, oh * ow, -1), oh, ow
 
 
 #: Contraction paths of the backward einsum, keyed by operand shapes:
@@ -84,47 +89,13 @@ class Conv2D(Layer):
         # W stored as (F, C*kh*kw): the matmul-ready filter matrix.
         return [("W", (self.filters, c * kh * kw)), ("b", (self.filters,))]
 
-    def make_workspace(
-        self,
-        batch: int,
-        in_shape: tuple[int, ...],
-        out_shape: tuple[int, ...],
-        dtype: np.dtype,
-    ) -> dict[str, np.ndarray]:
-        c, h, w = in_shape
-        f, oh, ow = out_shape
-        kh, kw = self.kernel
-        return {
-            # im2col patch matrix (forward) and its gradient (backward);
-            # both live across the matmuls, so they cannot share storage.
-            "cols": np.empty((batch, oh * ow, c * kh * kw), dtype=dtype),
-            "mm": np.empty((batch, oh * ow, f), dtype=dtype),
-            "out": np.empty((batch, f, oh, ow), dtype=dtype),
-            "gcols": np.empty((batch, oh * ow, c * kh * kw), dtype=dtype),
-            "gx": np.empty((batch, c, h, w), dtype=dtype),
-        }
-
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         W, b = params
         kh, kw = self.kernel
         n = x.shape[0]
-        if ws is None:
-            cols, oh, ow = im2col(x, kh, kw)
-            out = cols @ W.T + b  # (N, OH*OW, F)
-            out = out.transpose(0, 2, 1).reshape(n, self.filters, oh, ow)
-            return out, (cols, x.shape, oh, ow)
-        oh, ow = self._out_shape[1], self._out_shape[2]
-        cols, mm, out = ws["cols"], ws["mm"], ws["out"]
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        patches = windows.transpose(0, 2, 3, 1, 4, 5)  # (N, OH, OW, C, kh, kw)
-        # Axis-splitting reshape of the contiguous cols buffer is a view,
-        # so this is the im2col copy written straight into the workspace.
-        np.copyto(cols.reshape(patches.shape), patches)
-        np.matmul(cols, W.T, out=mm)
-        mm += b
-        np.copyto(out.reshape(n, self.filters, oh * ow), mm.transpose(0, 2, 1))
+        cols, oh, ow = im2col(x, kh, kw)
+        out = cols @ W.T + b  # (N, OH*OW, F)
+        out = out.transpose(0, 2, 1).reshape(n, self.filters, oh, ow)
         return out, (cols, x.shape, oh, ow)
 
     def backward(
@@ -133,8 +104,6 @@ class Conv2D(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         W, _ = params
         gW, gb = grads
@@ -147,13 +116,8 @@ class Conv2D(Layer):
         np.sum(grad_out, axis=(0, 2, 3), out=gb)
         # Input gradient: scatter-add each kernel offset (kh*kw small loops,
         # each a fully vectorized slice-add).
-        if ws is None:
-            gcols = g2 @ W  # (N, OH*OW, C*kh*kw)
-            gx = np.zeros(x_shape, dtype=grad_out.dtype)
-        else:
-            gcols, gx = ws["gcols"], ws["gx"]
-            np.matmul(g2, W, out=gcols)
-            gx.fill(0)
+        gcols = g2 @ W  # (N, OH*OW, C*kh*kw)
+        gx = np.zeros(x_shape, dtype=grad_out.dtype)
         gcols = gcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
         for i in range(kh):
             for j in range(kw):

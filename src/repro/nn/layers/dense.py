@@ -40,28 +40,9 @@ class Dense(Layer):
             raise ShapeError("Dense.param_shapes accessed before build()")
         return [("W", (self._in_features, self.units)), ("b", (self.units,))]
 
-    def make_workspace(
-        self,
-        batch: int,
-        in_shape: tuple[int, ...],
-        out_shape: tuple[int, ...],
-        dtype: np.dtype,
-    ) -> dict[str, np.ndarray]:
-        return {
-            "out": np.empty((batch, self.units), dtype=dtype),
-            "gin": np.empty((batch, self._in_features), dtype=dtype),
-        }
-
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         W, b = params
-        if ws is None:
-            return x @ W + b, x
-        out = ws["out"]
-        np.matmul(x, W, out=out)
-        out += b
-        return out, x
+        return x @ W + b, x
 
     def backward(
         self,
@@ -69,8 +50,6 @@ class Dense(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         x = cache
         W, _ = params
@@ -78,10 +57,7 @@ class Dense(Layer):
         # Write into the flat-gradient views in place (no temporaries kept).
         np.matmul(x.T, grad_out, out=gW)
         grad_out.sum(axis=0, out=gb)
-        if ws is None:
-            return grad_out @ W.T
-        np.matmul(grad_out, W.T, out=ws["gin"])
-        return ws["gin"]
+        return grad_out @ W.T
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Dense(units={self.units})"

@@ -49,9 +49,7 @@ class Dropout(Layer):
         """Disable masking (identity pass-through for evaluation)."""
         self.training = False
 
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         if not self.training or self.rate == 0.0:
             return x, None
         keep = 1.0 - self.rate
@@ -64,8 +62,6 @@ class Dropout(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         if cache is None:
             return grad_out

@@ -26,9 +26,7 @@ class Flatten(Layer):
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return []
 
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(
@@ -37,7 +35,5 @@ class Flatten(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         return grad_out.reshape(cache)

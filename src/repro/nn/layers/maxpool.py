@@ -42,41 +42,17 @@ class MaxPool2D(Layer):
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return []
 
-    def make_workspace(
-        self,
-        batch: int,
-        in_shape: tuple[int, ...],
-        out_shape: tuple[int, ...],
-        dtype: np.dtype,
-    ) -> dict[str, np.ndarray]:
-        c, h, w = in_shape
-        ph, pw = self.pool
-        oh, ow = h // ph, w // pw
-        return {
-            "tiles": np.empty((batch, c, oh, ow, ph * pw), dtype=dtype),
-            "idx": np.empty((batch, c, oh, ow), dtype=np.intp),
-            "gtiles": np.empty((batch, c, oh, ow, ph * pw), dtype=dtype),
-            "gx": np.empty((batch, c, h, w), dtype=dtype),
-        }
-
-    def forward(
-        self, x: np.ndarray, params: Sequence[np.ndarray], *, ws: dict | None = None
-    ) -> tuple[np.ndarray, Any]:
+    def forward(self, x: np.ndarray, params: Sequence[np.ndarray]) -> tuple[np.ndarray, Any]:
         n, c, h, w = x.shape
         ph, pw = self.pool
         oh, ow = h // ph, w // pw
         cropped = x[:, :, : oh * ph, : ow * pw]
         # Group each window's elements on the last axis, then reduce.
         windows = cropped.reshape(n, c, oh, ph, ow, pw).transpose(0, 1, 2, 4, 3, 5)
-        if ws is None:
-            tiles = windows.reshape(n, c, oh, ow, ph * pw)
-            idx = tiles.argmax(axis=-1)
-        else:
-            tiles, idx = ws["tiles"], ws["idx"]
-            np.copyto(tiles.reshape(windows.shape), windows)
-            np.argmax(tiles, axis=-1, out=idx)
+        tiles = windows.reshape(n, c, oh, ow, ph * pw)
+        idx = tiles.argmax(axis=-1)
         # take_along_axis (not np.max) so the selected element matches idx
-        # exactly even on -0.0 / +0.0 ties — identical on both paths.
+        # exactly even on -0.0 / +0.0 ties.
         out = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
         return out, (idx, x.shape)
 
@@ -86,23 +62,16 @@ class MaxPool2D(Layer):
         cache: Any,
         params: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
-        *,
-        ws: dict | None = None,
     ) -> np.ndarray:
         idx, x_shape = cache
         n, c, h, w = x_shape
         ph, pw = self.pool
         oh, ow = h // ph, w // pw
-        if ws is None:
-            gtiles = np.zeros((n, c, oh, ow, ph * pw), dtype=grad_out.dtype)
-            gx = np.zeros(x_shape, dtype=grad_out.dtype)
-        else:
-            gtiles, gx = ws["gtiles"], ws["gx"]
-            gtiles.fill(0)
-            gx.fill(0)
+        gtiles = np.zeros((n, c, oh, ow, ph * pw), dtype=grad_out.dtype)
+        gx = np.zeros(x_shape, dtype=grad_out.dtype)
         np.put_along_axis(gtiles, idx[..., None], grad_out[..., None], axis=-1)
         # Destination reshape splits axes of a contiguous slice (a view),
-        # so the un-tiling writes straight into gx on both paths.
+        # so the un-tiling writes straight into gx.
         np.copyto(
             gx[:, :, : oh * ph, : ow * pw].reshape(n, c, oh, ph, ow, pw),
             gtiles.reshape(n, c, oh, ow, ph, pw).transpose(0, 1, 2, 4, 3, 5),

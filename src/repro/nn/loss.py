@@ -66,55 +66,6 @@ def softmax_cross_entropy(
     return loss, dlogits
 
 
-#: ``arange(n)`` row indices per batch size, built once — the in-place
-#: loss runs once per simulated SGD step and its batch sizes are few.
-_ROW_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _row_indices(n: int) -> np.ndarray:
-    rows = _ROW_INDEX_CACHE.get(n)
-    if rows is None:
-        if len(_ROW_INDEX_CACHE) > 64:
-            _ROW_INDEX_CACHE.clear()
-        rows = _ROW_INDEX_CACHE[n] = np.arange(n)
-    return rows
-
-
-def softmax_cross_entropy_inplace(logits: np.ndarray, labels: np.ndarray) -> float:
-    """:func:`softmax_cross_entropy` that turns ``logits`` into the
-    gradient in place.
-
-    Performs the exact same floating-point operations in the same order,
-    so the loss and the gradient left in ``logits`` are bitwise
-    identical to the allocating version — but the only allocations are
-    ``O(N)`` row statistics, never a second ``(N, K)`` array. Used by
-    ``Network.loss_and_grad`` on the workspace path, where ``logits``
-    is the final layer's output buffer and doubles as the gradient
-    conduit for the backward pass.
-    """
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be (N, K), got shape {logits.shape}")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ShapeError(
-            f"labels must be (N,) matching logits N={logits.shape[0]}, got {labels.shape}"
-        )
-    n, k = logits.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ShapeError(f"labels must lie in [0, {k}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)  # shifted
-    rows = _row_indices(n)
-    picked = logits[rows, labels]  # fancy indexing copies: survives the exp
-    np.exp(logits, out=logits)  # exp
-    denom = logits.sum(axis=1, keepdims=True)
-    loss = float(-(picked - np.log(denom[:, 0])).mean()) if n else 0.0
-    logits /= denom  # dlogits
-    logits[rows, labels] -= 1.0
-    logits /= max(n, 1)
-    return loss
-
-
 def cross_entropy_from_probs(probs: np.ndarray, labels: np.ndarray, *, eps: float = 1e-12) -> float:
     """Mean cross-entropy when you already hold probabilities (used for
     evaluation of a Softmax-terminated inference stack)."""

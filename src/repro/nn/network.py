@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.layers.base import Layer
-from repro.nn.loss import softmax, softmax_cross_entropy, softmax_cross_entropy_inplace
+from repro.nn.loss import softmax, softmax_cross_entropy
 from repro.nn.parameter import ParameterLayout, ParamSlot
 
 
@@ -68,13 +68,6 @@ class Network:
     def layer_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Per-layer ``(in_shape, out_shape)`` (per-sample, no batch axis)."""
         return list(self._layer_shapes)
-
-    def make_workspace(self, batch_size: int, *, dtype: np.dtype | type = np.float32):
-        """Preallocated scratch for :meth:`loss_and_grad` at a fixed
-        batch size (see :class:`repro.nn.workspace.StepWorkspace`)."""
-        from repro.nn.workspace import StepWorkspace  # local import avoids a cycle
-
-        return StepWorkspace(self, batch_size, dtype=dtype)
 
     def _params_for(self, theta: np.ndarray, i: int) -> list[np.ndarray]:
         return [self.layout.view(theta, slot) for slot in self._layer_slots[i]]
@@ -131,7 +124,6 @@ class Network:
         theta: np.ndarray,
         *,
         grad_out: np.ndarray | None = None,
-        workspace=None,
     ) -> tuple[float, np.ndarray]:
         """Loss and flat gradient ``df/dtheta`` for the batch.
 
@@ -139,12 +131,12 @@ class Network:
         ``d`` (reused across iterations by the SGD workers to avoid
         repeated allocation — the guide's "be easy on the memory").
 
-        ``workspace`` may supply a :class:`~repro.nn.workspace.StepWorkspace`
-        (from :meth:`make_workspace`) holding every intermediate buffer;
-        results are bitwise identical with or without it. A workspace
-        sized for a different batch size or dtype is silently ignored.
-        (The monitor's held-out evaluations never come here: they run
-        the forward-only :class:`repro.nn.inference.InferencePlan`.)
+        This is the reference gradient: every intermediate is allocated
+        by the layers' own ``forward`` / ``backward``. Training computes
+        the same bits in :class:`repro.nn.replica.ReplicaKernel` and
+        comes here only for a network that kernel declines; the
+        monitor's held-out evaluations run the forward-only
+        :class:`repro.nn.inference.InferencePlan`.
         """
         theta = self._check_theta(theta)
         if grad_out is None:
@@ -154,36 +146,16 @@ class Network:
                 f"grad_out must have shape ({self.n_params},), got {grad_out.shape}"
             )
         activations = np.asarray(x, dtype=theta.dtype)
-        use_ws = workspace is not None and workspace.matches(activations.shape[0], theta.dtype)
-        if use_ws:
-            per_layer_ws = workspace.per_layer
-            # Slot views are pure functions of the backing buffer, and a
-            # worker cycles through few buffers (its grad buffer, the
-            # arena's pooled payloads) — memoize them per buffer.
-            per_layer_params = workspace.cached_views(theta, self._all_param_views)
-            per_layer_grads = workspace.cached_views(grad_out, self._all_param_views)
-        else:
-            per_layer_ws = [None] * len(self.layers)
-            per_layer_params = [self._params_for(theta, i) for i in range(len(self.layers))]
-            per_layer_grads = [
-                [self.layout.view(grad_out, slot) for slot in slots]
-                for slots in self._layer_slots
-            ]
+        per_layer_params = self._all_param_views(theta)
+        per_layer_grads = self._all_param_views(grad_out)
         caches = []
         for i, layer in enumerate(self.layers):
-            activations, cache = layer.forward(
-                activations, per_layer_params[i], ws=per_layer_ws[i]
-            )
+            activations, cache = layer.forward(activations, per_layer_params[i])
             caches.append(cache)
-        if use_ws:
-            # The final logits buffer doubles as the gradient conduit.
-            loss_value = softmax_cross_entropy_inplace(activations, y)
-            grad = activations
-        else:
-            loss_value, grad = softmax_cross_entropy(activations, y)
+        loss_value, grad = softmax_cross_entropy(activations, y)
         for i in range(len(self.layers) - 1, -1, -1):
             grad = self.layers[i].backward(
-                grad, caches[i], per_layer_params[i], per_layer_grads[i], ws=per_layer_ws[i]
+                grad, caches[i], per_layer_params[i], per_layer_grads[i]
             )
         return loss_value, grad_out
 

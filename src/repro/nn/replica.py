@@ -1,19 +1,23 @@
-"""Replica-stacked gradient kernel.
+"""The training kernel: one replica-stacked gradient step for K >= 1.
 
-When :class:`repro.sim.replica.LockstepCohort` advances K replica
-simulations in lockstep, every round harvests up to K pending
+Every DL gradient the simulator computes runs here. A serial run's
+worker hands each request to a kernel of one
+(:meth:`repro.core.problem.DLGradTask.run`); when
+:class:`repro.sim.replica.LockstepCohort` advances K replica simulations
+in lockstep, every round harvests the pending
 :class:`~repro.sim.grad.GradCompute` requests whose tasks share a
 ``stack_key`` — same problem, same batch size, same dtype, and (because
-replicas differ only in seed or step size) the same network. A
-:class:`ReplicaKernel` executes such a group as *stacked* NumPy calls
-over a replica axis instead of K interpreter round-trips through
-``loss_and_grad``.
+replicas differ only in seed or step size) the same network — and a
+:class:`ReplicaKernel` executes the group as *stacked* NumPy calls over
+a replica axis. A group of one is the same code at ``k = 1``.
 
 Bitwise identity
 ----------------
-The acceptance bar is that every replica's results are **bitwise
-identical** to its serial run, so the kernel only fuses operations whose
-stacked form performs the exact same floating-point work per replica:
+The reference is the allocating ``Network.loss_and_grad`` (the layers'
+own ``forward`` / ``backward``); ``tests/nn/test_kernel_model.py`` holds
+the kernel's gradient **bitwise identical** to it per replica on
+generated networks. So the kernel only fuses operations whose stacked
+form performs the exact same floating-point work per replica:
 
 * **Elementwise ops stack freely.** ReLU forward/backward, the softmax
   shift/exp/divide chain, the gathers/scatters (``copyto``,
@@ -29,44 +33,45 @@ stacked form performs the exact same floating-point work per replica:
 * **Conv2D stacks its im2col.** One ``sliding_window_view`` +
   transpose-``copyto`` fills a K-stacked ``(K, N, OH*OW, C*kh*kw)``
   patch slab; the filter matmuls loop per replica over contiguous
-  slices of it (exactly the serial ``cols`` layout); one stacked
+  slices of it (exactly the reference ``cols`` layout); one stacked
   transpose-``copyto`` produces all replicas' feature maps. Backward
   mirrors it: per-replica ``einsum``/``matmul`` (the contraction-path
-  cache is shared with the serial layer — paths depend on shapes only)
-  plus the per-replica multi-axis bias sum (kept serial-shaped: a
+  cache is shared with the reference layer — paths depend on shapes
+  only) plus the per-replica multi-axis bias sum (kept reference-shaped: a
   stacked ``(K, N, F, OH, OW)`` reduction would reassociate), then one
   stacked zero-fill + slice-add scatter for the input gradient.
 * **MaxPool2D stacks wholesale.** Tiling, argmax (first-max
   tie-breaking is per row, hence per replica), ``take_along_axis``,
   and the backward ``put_along_axis`` / un-tiling are all row-local;
   per-replica argmax indices route each replica's gradient exactly as
-  its serial run would.
-* **The first layer's input gradient is skipped.** The serial backward
+  the reference layer would.
+* **The first layer's input gradient is skipped.** The reference backward
   computes layer 0's ``d loss / d input`` and discards it
   (``Network.loss_and_grad`` never uses the final conduit); for the
   paper's CNN this kills conv 0's ``gcols`` matmul and scatter, the
   most expensive backward ops in the step, and changes no result.
 * **The loss scalar is skipped.** Worker bodies discard the return of
   their gradient function; the kernel computes only the logits
-  gradient. (The ``picked``/``log`` reads in the serial loss do not
-  touch the logits buffer, so skipping them is bit-neutral.)
+  gradient. (The reference loss reads the logits without writing
+  them, so skipping it is bit-neutral.)
 
-Scratch slabs come from the cohort's :class:`~repro.sim.arena.
-BufferArena` when one is supplied (``build(..., arena=...)``): the
-kernel acquires flat buffers, views them at stacked shapes, and
-:meth:`ReplicaKernel.release` returns them when the cohort rebuilds
-with more headroom — the conv path allocates nothing per step. The
-cohort's arena is deliberately *not* wired to any per-replica
-``MemoryAccountant``: kernel slabs are host-side execution scratch, and
-accounting them would perturb each replica's ``pool_*`` metrics away
-from its serial run.
+A step's scratch lives in the kernel's slabs, sized once at build. They
+come from the cohort's :class:`~repro.sim.arena.BufferArena` when one is
+supplied (``build(..., arena=...)``): the kernel acquires flat buffers,
+views them at stacked shapes, and :meth:`ReplicaKernel.release` returns
+them when the cohort rebuilds with more headroom. The cohort's arena is
+deliberately *not* wired to any per-replica ``MemoryAccountant``: kernel
+slabs are host-side execution scratch, and accounting them would
+perturb each replica's ``pool_*`` metrics away from its serial run. A
+kernel of one has no arena and allocates its slabs directly.
 
 ``build`` returns ``None`` whenever any precondition fails
 (:meth:`ReplicaKernel.reject_reason`: unsupported layer kind, non-dense
-head, dtype mismatch between the corpus and the workspace); the cohort
-then executes that group serially and emits one ``kernel_fallback``
-probe event per de-vectorized request, so silent fallbacks are
-observable in ``metrics["kernel_fallbacks"]``.
+head, dtype mismatch between the corpus and the parameters); every
+gradient of that network then runs the reference path, and a cohort
+emits one ``kernel_fallback`` probe event per request of a group it
+could have stacked, so silent de-vectorizations are observable in
+``metrics["kernel_fallbacks"]``.
 """
 
 from __future__ import annotations
@@ -78,36 +83,37 @@ from repro.observe import profiler as _profiler
 
 __all__ = ["ReplicaKernel"]
 
-#: Layer kinds the plan walker stacks. Anything else (e.g. a stateful
-#: dropout layer, whose shared RNG stream is order-sensitive) disables
-#: stacking for the whole network — ``build`` declines and the cohort
-#: runs that group serially, emitting ``kernel_fallback`` events.
+#: Layer kinds the kernel stacks. Anything else (e.g. a stateful
+#: dropout layer, whose shared RNG stream is order-sensitive) makes
+#: ``build`` decline the whole network, which then runs the reference
+#: path (with ``kernel_fallback`` events where a cohort would have
+#: stacked it).
 _SUPPORTED_KINDS = frozenset({"dense", "relu", "flatten", "conv2d", "maxpool2d"})
 
 
 class ReplicaKernel:
     """Stacked forward/backward executor for one ``stack_key``.
 
-    One kernel instance is shared by every task in a cohort with the
-    same key; it holds only per-problem state (corpus references, the
-    network, and its own ``(kmax, N, ...)`` stacking buffers), never
-    per-task state — per-task buffers (weight views, serial-fallback
-    scratch) come in through each
-    :class:`~repro.core.problem.DLGradTask`.
+    One kernel instance serves every task in a cohort with the same key
+    (or the one task that owns a kernel of one); it holds only
+    per-problem state (corpus references, the network, and its own
+    ``(kmax, N, ...)`` slabs), never per-task state: the slot views of
+    each request's ``theta`` / ``out`` come from its task's
+    :class:`~repro.nn.workspace.StepWorkspace` memo.
     """
 
     @classmethod
     def reject_reason(cls, task) -> str | None:
-        """Why this task cannot stack, or None if it can.
+        """Why this task's network cannot run in the kernel, or None.
 
         The returned string feeds the ``kernel_fallback`` event's
-        ``kind`` field: ``"dtype"`` for a corpus/workspace dtype
+        ``kind`` field: ``"dtype"`` for a corpus/parameter dtype
         mismatch, the offending layer kind for an unsupported layer,
         ``"head:<kind>"`` for a non-dense logits head.
         """
         problem = task.problem
         if np.dtype(problem.train_x.dtype) != task.workspace.dtype:
-            return "dtype"  # serial path would convert-copy the batch
+            return "dtype"  # the reference path convert-copies the batch
         kinds = [layer.kind for layer in task.network.layers]
         for kind in kinds:
             if kind not in _SUPPORTED_KINDS:
@@ -118,13 +124,12 @@ class ReplicaKernel:
 
     @classmethod
     def build(cls, task, kmax: int, arena=None) -> "ReplicaKernel | None":
-        """A kernel for ``task``'s stack key, or None if unsupported.
+        """A kernel for groups of up to ``kmax >= 1`` requests on
+        ``task``'s stack key, or None if :meth:`reject_reason` declines.
 
-        ``arena`` optionally supplies the stacking slabs (see the
-        module docstring); without one the kernel allocates directly.
+        ``arena`` optionally supplies the slabs (see the module
+        docstring); without one the kernel allocates directly.
         """
-        if kmax < 2:
-            return None  # nothing to stack
         if cls.reject_reason(task) is not None:
             return None
         return cls(task, kmax, arena=arena)
@@ -151,43 +156,36 @@ class ReplicaKernel:
         # (K*N, 1) row statistic for the softmax (max, then denominator).
         self._rowstat = self._alloc((km * n, 1), dt)
 
-        # --- plan: one step per layer, with stacked buffers where the
-        # activation conduit is stacked. ``stacked`` mirrors, at build
-        # time, exactly the conduit state the executor tracks at run
-        # time, so buffer shapes always match. Every step tuple ends
-        # with its profiler span name (constant strings: the per-kind
-        # time split costs nothing when no profiler is active).
+        # --- plan: one step per layer with its stacked buffers. Every
+        # step tuple ends with its profiler span name (constant strings:
+        # the per-kind time split costs nothing when no profiler is
+        # active).
         steps: list[tuple] = []
-        stacked = True  # the gathered input batch is stacked
         for i, layer in enumerate(network.layers):
             layer_in, layer_out = network.layer_shapes[i]
             kind = layer.kind
             if kind == "dense":
                 out3 = self._alloc((km, n, layer.units), dt)
                 # Layer 0's input gradient is computed-and-discarded on
-                # the serial path; the kernel skips it outright.
+                # the reference path; the kernel skips it outright.
                 gin3 = None if i == 0 else self._alloc((km, n, layer_in[0]), dt)
                 # Stacked bias-gradient landing zone: one (k, units)
                 # reduction replaces k per-replica sums (same axis
                 # length, same accumulation order → bitwise identical),
                 # then each row is copied into that replica's gb view.
                 gb3 = self._alloc((km, layer.units), dt)
-                steps.append(("dense", i, layer, out3, gin3, gb3, "kernel.dense"))
-                stacked = True
+                steps.append(("dense", i, out3, gin3, gb3, "kernel.dense"))
             elif kind == "relu":
-                if stacked:
-                    full = (km, n) + layer_in
-                    # dtype (not bool) masks: np.greater writes exact
-                    # 1.0/0.0, and x * 1.0f == x, x * 0.0f == ±0.0 —
-                    # bit-for-bit what the bool mask's promotion gives —
-                    # while skipping the bool→float convert per multiply.
-                    mask3 = self._alloc(full, dt)
-                    out3 = self._alloc(full, dt)
-                    steps.append(("relu_s", i, layer, mask3, out3, "kernel.relu"))
-                else:
-                    steps.append(("perk", i, layer, None, "kernel.perk"))
+                full = (km, n) + layer_in
+                # dtype (not bool) masks: np.greater writes exact
+                # 1.0/0.0, and x * 1.0f == x, x * 0.0f == ±0.0 —
+                # bit-for-bit what the bool mask's promotion gives —
+                # while skipping the bool→float convert per multiply.
+                mask3 = self._alloc(full, dt)
+                out3 = self._alloc(full, dt)
+                steps.append(("relu", i, mask3, out3, "kernel.relu"))
             elif kind == "flatten":
-                steps.append(("flatten", i, layer, layer_in, "kernel.flatten"))
+                steps.append(("flatten", i, layer_in, "kernel.flatten"))
             elif kind == "conv2d":
                 c, h, w = layer_in
                 f, oh, ow = layer_out
@@ -195,7 +193,7 @@ class ReplicaKernel:
                 p, ckk = oh * ow, c * kh * kw
                 # The K-stacked im2col slab and its companions. Each
                 # per-replica slice is contiguous with exactly the
-                # serial workspace buffer's layout.
+                # reference ``cols`` layout.
                 cols4 = self._alloc((km, n, p, ckk), dt)
                 mm4 = self._alloc((km, n, p, f), dt)
                 out5 = self._alloc((km, n, f, oh, ow), dt)
@@ -205,9 +203,8 @@ class ReplicaKernel:
                     gcols4 = self._alloc((km, n, p, ckk), dt)
                     gx5 = self._alloc((km, n, c, h, w), dt)
                 bufs = (cols4, mm4, out5, gcols4, gx5, (c, h, w, f, oh, ow, kh, kw))
-                steps.append(("conv_s", i, layer, bufs, "kernel.conv2d"))
-                stacked = True
-            elif kind == "maxpool2d":
+                steps.append(("conv2d", i, bufs, "kernel.conv2d"))
+            else:  # maxpool2d: reject_reason admits no other kind
                 c, h, w = layer_in
                 _, oh, ow = layer_out
                 ph, pw = layer.pool
@@ -219,23 +216,11 @@ class ReplicaKernel:
                     gtiles6 = self._alloc((km, n, c, oh, ow, ph * pw), dt)
                     gx5 = self._alloc((km, n, c, h, w), dt)
                 bufs = (tiles6, idx5, gtiles6, gx5, (c, h, w, oh, ow, ph, pw))
-                steps.append(("pool_s", i, layer, bufs, "kernel.maxpool2d"))
-                stacked = True
-            else:
-                # Guarded escape hatch: run an in-plan layer per replica
-                # through its own serial workspace (bitwise by
-                # construction) while the surrounding stages still
-                # stack. Unreachable for the kinds above — ``build``
-                # rejects unknown kinds outright — but kept so a future
-                # partially-stackable layer has a correct fallback.
-                steps.append(("perk", i, layer, None, "kernel.perk"))
-                stacked = False
+                steps.append(("maxpool2d", i, bufs, "kernel.maxpool2d"))
         self._steps = steps
-        n_layers = len(network.layers)
-        # Per-call records for the backward pass (conduits index
-        # uniformly: stacked[r] and per-k-list[r] both give replica r).
-        self._fwd_in: list = [None] * n_layers
-        self._caches: list = [None] * n_layers
+        # Per-call record for the backward pass: each dense layer's
+        # stacked input conduit.
+        self._fwd_in: list = [None] * len(network.layers)
         self._logits = None
 
     # ------------------------------------------------------------------
@@ -270,19 +255,17 @@ class ReplicaKernel:
 
     # ------------------------------------------------------------------
     def execute(self, gcs: list) -> None:
-        """Run every request's gradient; stacked where profitable.
+        """Run every request's gradient as one stacked step (a group of
+        one included).
 
-        Falls back to per-request serial execution for singleton groups
-        (silently: a lone survivor is not a de-vectorization) and — with
-        a ``kernel_fallback`` event per request — for groups that
-        outgrow ``kmax`` or carry a dtype the serial path would itself
-        not run through the workspace (keeping the fallback on the
-        serial instruction sequence).
+        A group that outgrows ``kmax``, or that carries a ``theta`` /
+        ``out`` of another dtype than the kernel's, runs request by
+        request through each task's own ``run`` instead, with a
+        ``kernel_fallback`` event per request. (``DLGradTask.run``
+        checks the dtype before it comes here, so a kernel of one never
+        takes that branch.)
         """
         k = len(gcs)
-        if k == 1:
-            gcs[0].execute()
-            return
         if k > self.kmax:
             for gc in gcs:
                 self._emit_fallback(gc, "overflow", k)
@@ -321,47 +304,45 @@ class ReplicaKernel:
             for task, gc in zip(tasks, gcs)
         ]
         with np.errstate(over="ignore", invalid="ignore"):
-            self._forward(k, tasks, params)
+            self._forward(k, params)
             t0 = prof.start()
             self._softmax_ce(k)
             prof.stop("kernel.softmax", t0)
-            self._backward(k, tasks, params, grads)
+            self._backward(k, params, grads)
         for gc in gcs:
             if gc.post is not None:
                 gc.post()
         prof.stop("kernel.execute", prof_t0)
 
     # ------------------------------------------------------------------
-    def _forward(self, k: int, tasks: list, params: list) -> None:
+    def _forward(self, k: int, params: list) -> None:
         prof = _profiler.ACTIVE
         fwd_in = self._fwd_in
-        caches = self._caches
         n = self.batch
         cur = self._x3
-        stacked = True
         for step in self._steps:
             tag = step[0]
             t0 = prof.start()
             if tag == "dense":
-                _, i, _layer, out3, _gin3, _gb3, _span = step
+                _, i, out3, _gin3, _gb3, _span = step
                 fwd_in[i] = cur
                 for r in range(k):
                     W, b = params[r][i]
                     np.matmul(cur[r], W, out=out3[r])
                     out3[r] += b
-                cur, stacked = out3, True
-            elif tag == "relu_s":
-                _, _i, _layer, mask3, out3, _span = step
+                cur = out3
+            elif tag == "relu":
+                _, _i, mask3, out3, _span = step
                 ck = cur[:k]
                 np.greater(ck, 0, out=mask3[:k])
                 np.multiply(ck, mask3[:k], out=out3[:k])
-                cur, stacked = out3, True
-            elif tag == "conv_s":
-                _, i, _layer, bufs, _span = step
+                cur = out3
+            elif tag == "conv2d":
+                _, i, bufs, _span = step
                 cols4, mm4, out5, _gcols4, _gx5, dims = bufs
                 _c, _h, _w, f, oh, ow, kh, kw = dims
                 # One stacked im2col copy: per-replica slices of cols4
-                # are contiguous (N, OH*OW, C*kh*kw) — the serial
+                # are contiguous (N, OH*OW, C*kh*kw) — the reference
                 # ``cols`` layout, so the matmuls below see identical
                 # operands.
                 windows = np.lib.stride_tricks.sliding_window_view(
@@ -376,9 +357,9 @@ class ReplicaKernel:
                 np.copyto(
                     out5[:k].reshape(k, n, f, oh * ow), mm4[:k].transpose(0, 1, 3, 2)
                 )
-                cur, stacked = out5, True
-            elif tag == "pool_s":
-                _, _i, _layer, bufs, _span = step
+                cur = out5
+            elif tag == "maxpool2d":
+                _, _i, bufs, _span = step
                 tiles6, idx5, _gtiles6, _gx5, dims = bufs
                 c, _h, _w, oh, ow, ph, pw = dims
                 cropped = cur[:k, :, :, : oh * ph, : ow * pw]
@@ -391,40 +372,20 @@ class ReplicaKernel:
                 # take_along_axis (not np.max) so the selected element
                 # matches idx exactly even on -0.0 / +0.0 ties; argmax
                 # tie-breaking (first max) is row-local, hence
-                # per-replica identical to serial. The fresh result
-                # array mirrors the serial layer's own allocation.
+                # per-replica identical to the reference layer. The
+                # fresh result array mirrors that layer's own allocation.
                 cur = np.take_along_axis(tk, idx5[:k][..., None], axis=-1)[..., 0]
-                stacked = True
-            elif tag == "flatten":
-                _, i, _layer, _in_shape, _span = step
-                fwd_in[i] = cur
-                if stacked:
-                    # Contiguous stacked conduit: one zero-copy reshape.
-                    cur = cur.reshape(cur.shape[0], cur.shape[1], -1)
-                else:
-                    cur = [cur[r].reshape(self.batch, -1) for r in range(k)]
-            else:  # perk — the guarded per-replica escape hatch
-                _, i, layer, _bufs, _span = step
-                fwd_in[i] = cur
-                outs = []
-                layer_caches = []
-                for r in range(k):
-                    out, cache = layer.forward(
-                        cur[r], params[r][i], ws=tasks[r].workspace.per_layer[i]
-                    )
-                    outs.append(out)
-                    layer_caches.append(cache)
-                caches[i] = layer_caches
-                cur, stacked = outs, False
+            else:  # flatten: one zero-copy reshape of the contiguous conduit
+                cur = cur.reshape(cur.shape[0], cur.shape[1], -1)
             prof.stop(step[-1], t0)
-        self._logits = cur  # stacked (last layer is dense)
+        self._logits = cur  # the last layer is dense
 
     def _softmax_ce(self, k: int) -> None:
         """In-place softmax cross-entropy gradient over the stacked
-        logits — the op sequence of ``softmax_cross_entropy_inplace``
-        applied to all replicas' rows at once (each row's arithmetic is
-        independent, so per-replica slices are bitwise identical), minus
-        the loss scalar the workers discard."""
+        logits: the op sequence of ``softmax_cross_entropy`` with
+        ``out=`` targets, applied to all replicas' rows at once (each
+        row's arithmetic is independent, so per-replica slices are
+        bitwise identical), minus the loss scalar the workers discard."""
         n = self.batch
         kn = k * n
         lg = self._logits[:k].reshape(kn, -1)
@@ -438,20 +399,18 @@ class ReplicaKernel:
         lg /= n  # mean over each replica's own batch
         self._logits = None
 
-    def _backward(self, k: int, tasks: list, params: list, grads: list) -> None:
+    def _backward(self, k: int, params: list, grads: list) -> None:
         prof = _profiler.ACTIVE
         fwd_in = self._fwd_in
-        caches = self._caches
         n = self.batch
         # The gradient conduit starts at the last dense layer's stacked
         # output buffer, which _softmax_ce turned into dlogits in place.
-        g = self._steps[-1][3]
-        gstacked = True
+        g = self._steps[-1][2]
         for step in reversed(self._steps):
             tag = step[0]
             t0 = prof.start()
             if tag == "dense":
-                _, i, _layer, _out3, gin3, gb3, _span = step
+                _, i, _out3, gin3, gb3, _span = step
                 x_in = fwd_in[i]
                 # One stacked reduction over the batch axis for every
                 # replica's bias gradient (bitwise-identical to the
@@ -467,24 +426,20 @@ class ReplicaKernel:
                         np.matmul(gr, W.T, out=gin3[r])
                 if gin3 is None:
                     prof.stop(step[-1], t0)
-                    return  # layer 0: serial discards the input gradient
-                g, gstacked = gin3, True
-            elif tag == "relu_s":
-                _, _i, _layer, mask3, _out3, _span = step
-                if gstacked:
-                    np.multiply(g[:k], mask3[:k], out=g[:k])
-                else:
-                    for r in range(k):
-                        np.multiply(g[r], mask3[r], out=g[r])
-            elif tag == "conv_s":
-                _, i, _layer, bufs, _span = step
+                    return  # layer 0: the input gradient is discarded
+                g = gin3
+            elif tag == "relu":
+                mask3 = step[2]
+                np.multiply(g[:k], mask3[:k], out=g[:k])
+            elif tag == "conv2d":
+                _, i, bufs, _span = step
                 cols4, _mm4, _out5, gcols4, gx5, dims = bufs
                 c, _h, _w, f, oh, ow, kh, kw = dims
                 p = oh * ow
-                # Per-replica view with exactly the serial g2 strides
+                # Per-replica view with exactly the reference g2 strides
                 # ((F*P, 1, P) elements), so einsum/matmul match bits.
                 g4 = g[:k].reshape(k, n, f, p).transpose(0, 1, 3, 2)
-                # Shared with the serial layer: paths depend on shapes only.
+                # Shared with the reference layer: paths depend on shapes only.
                 path = weight_grad_path(g4[0], cols4[0])
                 for r in range(k):
                     W = params[r][i][0]
@@ -499,9 +454,9 @@ class ReplicaKernel:
                         np.matmul(g2, W, out=gcols4[r])
                 if gcols4 is None:
                     prof.stop(step[-1], t0)
-                    return  # layer 0: serial discards the input gradient
+                    return  # layer 0: the input gradient is discarded
                 # Stacked input-gradient scatter: each (i, j) slice-add
-                # touches each element in the same order as serial.
+                # touches each element in the same order as the reference.
                 gx5[:k].fill(0)
                 gcv = gcols4[:k].reshape(k, n, oh, ow, c, kh, kw).transpose(
                     0, 1, 4, 5, 6, 2, 3
@@ -509,14 +464,14 @@ class ReplicaKernel:
                 for di in range(kh):
                     for dj in range(kw):
                         gx5[:k, :, :, di : di + oh, dj : dj + ow] += gcv[:, :, :, di, dj]
-                g, gstacked = gx5, True
-            elif tag == "pool_s":
-                _, _i, _layer, bufs, _span = step
+                g = gx5
+            elif tag == "maxpool2d":
+                _, _i, bufs, _span = step
                 _tiles6, idx5, gtiles6, gx5, dims = bufs
                 c, _h, _w, oh, ow, ph, pw = dims
                 if gx5 is None:
                     prof.stop(step[-1], t0)
-                    return  # layer 0: serial discards the input gradient
+                    return  # layer 0: the input gradient is discarded
                 gtiles6[:k].fill(0)
                 np.put_along_axis(
                     gtiles6[:k], idx5[:k][..., None], g[:k][..., None], axis=-1
@@ -530,28 +485,9 @@ class ReplicaKernel:
                     .reshape(k, n, c, oh, ow, ph, pw)
                     .transpose(0, 1, 2, 3, 5, 4, 6),
                 )
-                g, gstacked = gx5, True
-            elif tag == "flatten":
-                _, _i, _layer, in_shape, _span = step
-                if gstacked:
-                    g = g.reshape((g.shape[0], self.batch) + in_shape)
-                else:
-                    g = [g[r].reshape((self.batch,) + in_shape) for r in range(k)]
-            else:  # perk — the guarded per-replica escape hatch
-                _, i, layer, _bufs, _span = step
-                layer_caches = caches[i]
-                outs = []
-                for r in range(k):
-                    outs.append(
-                        layer.backward(
-                            g[r],
-                            layer_caches[r],
-                            params[r][i],
-                            grads[r][i],
-                            ws=tasks[r].workspace.per_layer[i],
-                        )
-                    )
-                g, gstacked = outs, False
+                g = gx5
+            else:  # flatten
+                g = g.reshape((g.shape[0], n) + step[2])
             prof.stop(step[-1], t0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics

@@ -12,7 +12,8 @@ virtual duration. The scheduler decides how it runs:
   host work at the same virtual instant, consuming the scheduler RNG in
   the same order as the old inline pattern (no draws during the
   gradient, then one jitter draw, then one tiebreak draw). Results are
-  bitwise identical.
+  bitwise identical. Nothing is parked: a DL task's ``run`` hands the
+  request to its own kernel of one on the spot.
 * **Cohort mode**: the scheduler parks the request so a
   :class:`~repro.sim.replica.LockstepCohort` can harvest pending
   gradients across replicas and execute the batch as stacked array
@@ -50,7 +51,7 @@ behaviour.
 stage their sampling separately from the math (see
 ``DLProblem.make_grad_task``) attach one, and requests whose tasks share
 a ``stack_key`` may be fused. A request without a task always executes
-serially — correct in either mode, just not batched.
+through its closure — correct in either mode, just not batched.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class GradTask:
     """Batching interface of one worker's gradient stream.
 
     ``run`` must be *the* gradient function of the worker (the serial
-    scheduler and any non-batched fallback call it), so that serial and
-    cohort executions consume the worker's RNG stream identically.
+    scheduler and any non-batched fallback call it) and draw its sample
+    through :meth:`stage`'s stream, so that serial and cohort executions
+    consume the worker's RNG stream identically.
     """
 
     #: Requests whose tasks share an equal, non-None key may execute as
@@ -91,12 +93,12 @@ class GradTask:
         raise NotImplementedError
 
     def make_kernel(self, kmax: int, arena=None):
-        """A stacked executor for up to ``kmax`` same-key tasks, or
-        ``None`` if this task cannot be batched (unsupported layer,
-        dtype mismatch, ...). Called once per cohort per ``stack_key``.
-        ``arena`` is the cohort's :class:`~repro.sim.arena.BufferArena`
-        for the kernel's scratch slabs (kernels allocate directly when
-        it is None)."""
+        """A stacked executor for groups of up to ``kmax >= 1``
+        same-key tasks, or ``None`` if this task cannot be batched
+        (unsupported layer, dtype mismatch, ...). Called once per cohort
+        per ``stack_key`` (and per headroom rebuild). ``arena`` is the
+        cohort's :class:`~repro.sim.arena.BufferArena` for the kernel's
+        scratch slabs (kernels allocate directly when it is None)."""
         return None
 
     def bind_probes(self, bus) -> None:

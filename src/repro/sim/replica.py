@@ -13,7 +13,8 @@ workers' compute windows overlap when ``tc`` dominates the protocol
 costs, so a round typically harvests close to K*m requests, not K) or
 finishes; the parked requests are grouped by their tasks'
 ``stack_key`` and executed as stacked kernel calls
-(:class:`repro.nn.replica.ReplicaKernel`), then every paused scheduler
+(:class:`repro.nn.replica.ReplicaKernel`, the same kernel a serial
+run's worker drives with a group of one), then every paused scheduler
 is resumed and the next round begins.
 
 The cohort owns one :class:`~repro.sim.arena.BufferArena` for the
@@ -33,7 +34,8 @@ and parameter trajectory of its own serial run.
 
 Replicas finish independently (a replica may DIVERGE or hit its stop
 condition early); finished schedulers simply drop out of subsequent
-rounds while the survivors keep batching among themselves.
+rounds while the survivors keep batching among themselves; a lone
+survivor's rounds are groups of one through the same stacked code.
 """
 
 from __future__ import annotations
@@ -136,11 +138,12 @@ class LockstepCohort:
             if kernel is None:
                 # Stackable-looking group the kernel builder declined
                 # (unsupported layer, dtype mismatch, ...): execute
-                # serially and make the de-vectorization observable —
-                # one event per request on its own replica's bus.
-                # Singleton groups are excluded: a lone survivor would
-                # have nothing to stack with even on a supported
-                # network, so it is not a de-vectorization.
+                # request by request (each task's ``run`` takes the
+                # reference path) and make the de-vectorization
+                # observable — one event per request on its own
+                # replica's bus. Singleton groups are excluded: a lone
+                # survivor would have nothing to stack with even on a
+                # supported network, so it is not a de-vectorization.
                 emit = len(requests) > 1
                 for request in requests:
                     if emit:

@@ -299,6 +299,11 @@ class TraceRecorder:
         """Number of published updates (global SGD iterations)."""
         return len(self._upd_time)
 
+    @property
+    def n_dropped(self) -> int:
+        """Number of dropped gradients (without building the records)."""
+        return len(self._drop_time)
+
     def staleness_values(self) -> np.ndarray:
         """All observed staleness values, in publish order."""
         return np.asarray(self._upd_staleness, dtype=int)

@@ -6,6 +6,9 @@
   any v1/v2/v3 rows (read through :func:`repro.identity.row_from_line`
   and the :func:`~repro.identity.migrate_row_strict` gate, the same
   reader as ``read_jsonl``, the run cache and the service journal);
+* a **``--json`` archive** — the JSON list of rows ``repro run --json``
+  and ``repro sweep --json`` write (``save_results``): each element
+  goes through the same gate and skip rules as a JSONL line;
 * a **service run dir** from the PR 8 experiment service — every
   ``results-<wkey>.jsonl`` journal is read with its workload key taken
   from the filename; ``merged.jsonl`` is aligned line-by-line with
@@ -16,7 +19,12 @@
 * a **bench trajectory file** (``BENCH_history.jsonl`` layout: entries
   with a ``metrics`` dict and no per-run ``config``) — one store row
   per (entry, metric) for the report's trajectory page;
-* a **Chrome/Perfetto trace JSON** — registered as a trace link.
+* a **Chrome/Perfetto trace JSON** (an object with a ``traceEvents``
+  list) — registered as a trace link.
+
+A ``*.json`` file is told apart by its content, never by its name; one
+that is neither a row list nor a trace is a
+:class:`~repro.errors.ConfigurationError`.
 
 Robustness contract (the ingester reads files that may be mid-write by
 a live service, or hand-concatenated): a torn/corrupt line, a value
@@ -97,14 +105,17 @@ def _ingest_result_file(
     source: str,
     workload: str | None = None,
     run_keys: list[str] | None = None,
+    rows=None,
 ) -> IngestReport:
-    """One JSONL file of run rows. ``run_keys`` (when given) aligns
-    with the file's non-blank lines: line *i* owns ``run_keys[i]``
-    whether or not it is usable, so a skipped line never shifts the
-    rows after it onto their predecessors' keys."""
+    """One file of run rows: a JSONL file's non-blank lines, or the
+    ``(where, row text)`` pairs in ``rows``. ``run_keys`` (when given)
+    aligns with the rows: row *i* owns ``run_keys[i]`` whether or not
+    it is usable, so a skipped line never shifts the rows after it onto
+    their predecessors' keys."""
     report = IngestReport(files=[str(path)])
-    for slot, (lineno, line) in enumerate(_nonblank_lines(path)):
-        where = f"{path}:{lineno}"
+    if rows is None:
+        rows = ((f"{path}:{lineno}", line) for lineno, line in _nonblank_lines(path))
+    for slot, (where, line) in enumerate(rows):
         try:
             row = row_from_line(line, where=where)
             original_version = row.get("schema_version")
@@ -235,12 +246,27 @@ def _is_service_run_dir(path: Path) -> bool:
     )
 
 
-def _ingest_trace_file(store: ResultStore, path: Path) -> IngestReport:
-    report = IngestReport(files=[str(path)])
-    if store.insert_trace(path, kind="chrome_trace"):
-        report.traces += 1
-    store.commit()
-    return report
+def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
+    """A single-JSON artifact, told apart by content: an object with a
+    ``traceEvents`` list is a Chrome/Perfetto trace (registered as a
+    link), a list is a ``--json`` archive of run rows."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
+    if isinstance(payload, list):
+        rows = ((f"{path}[{i}]", json.dumps(item)) for i, item in enumerate(payload))
+        return _ingest_result_file(store, path, source=path.name, rows=rows)
+    if isinstance(payload, dict) and isinstance(payload.get("traceEvents"), list):
+        report = IngestReport(files=[str(path)])
+        if store.insert_trace(path, kind="chrome_trace"):
+            report.traces += 1
+        store.commit()
+        return report
+    raise ConfigurationError(
+        f"{path}: neither a list of run rows nor a trace "
+        "(a JSON object with a 'traceEvents' list)"
+    )
 
 
 def ingest_path(store: ResultStore, path: str | Path) -> IngestReport:
@@ -257,9 +283,7 @@ def ingest_path(store: ResultStore, path: str | Path) -> IngestReport:
     if not path.exists():
         raise ConfigurationError(f"{path}: no such file")
     if path.suffix == ".json":
-        # Chrome/Perfetto traces are the only single-JSON artifacts the
-        # store records; everything row-shaped is JSONL.
-        return _ingest_trace_file(store, path)
+        return _ingest_json_file(store, path)
     if _looks_like_bench_history(path):
         return _ingest_bench_history(store, path)
     return _ingest_result_file(store, path, source=path.name)

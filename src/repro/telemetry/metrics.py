@@ -150,7 +150,7 @@ def collect_run_metrics(
         "profile": dict(profile) if profile is not None else {},
         "provenance": dict(provenance) if provenance is not None else {},
         "n_updates": trace.n_updates,
-        "n_dropped": len(trace.dropped),
+        "n_dropped": trace.n_dropped,
         "cas_failure_rate": trace.cas_failure_rate(),
         "mean_lock_wait": trace.mean_lock_wait(),
         "staleness": trace.staleness_summary(),

@@ -25,6 +25,11 @@ from repro.nn.network import Network
 
 N_EVAL = 48
 
+#: The pool-tie corpus (shared with ``tests/nn/test_kernel_model.py``):
+#: few distinct values, so every pool window sees signed-zero ties,
+#: equal-value ties and +-inf in every position.
+TIE_VALUES = (-0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -1.0, np.inf, -np.inf)
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -158,7 +163,7 @@ class TestPoolTies:
     def test_signed_zero_and_equal_value_ties_in_every_position(self, dtype):
         # Odd H, W: the paper's 11x11 -> 5x5 crop. Few distinct values,
         # many samples: every window sees every tie pattern.
-        values = np.array([-0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -1.0, np.inf, -np.inf], dtype=dtype)
+        values = np.array(TIE_VALUES, dtype=dtype)
         rng = np.random.default_rng(0)
         x = values[rng.integers(0, values.size, size=(512, 2, 11, 11))]
         got, want = self._pool_only(x)

@@ -1,9 +1,11 @@
-"""StepWorkspace: the zero-allocation gradient path must be invisible.
+"""A worker's gradient stream: the kernel of one must be invisible.
 
-Every buffered operation reruns the allocating path's floating-point
-program with ``out=`` targets, so a workspace may change *where* bytes
-live but never *what* is computed — checked bit for bit on both paper
-architectures, together with the fallback and caching contracts.
+``DLGradTask.run`` computes in a :class:`ReplicaKernel` over a group of
+one, whose slabs are reused across calls; that may change *where* bytes
+live but never *what* is computed, checked bit for bit against the
+allocating ``Network.loss_and_grad`` on both paper architectures,
+together with the declined-request path and the slot-view memo
+(:class:`StepWorkspace`) the kernel reads.
 """
 
 from __future__ import annotations
@@ -11,19 +13,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.problem import DLProblem
 from repro.data.batcher import MiniBatcher
 from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.nn.architectures import cnn_mnist, mlp_mnist
+from repro.nn.replica import ReplicaKernel
 from repro.nn.workspace import StepWorkspace
 
 BATCH = 8
 
 
-def _batch(net, n=BATCH, seed=0):
+def _problem(net, *, n=64, batch=BATCH, dtype=np.float32, seed=0) -> DLProblem:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n,) + net.input_shape).astype(np.float32)
     y = rng.integers(0, net.output_shape[0], size=n)
-    return x, y
+    return DLProblem(net, x, y, x[:8], y[:8], batch_size=batch, dtype=dtype)
+
+
+def twin_batcher(problem: DLProblem, seed: int) -> MiniBatcher:
+    """Replays the index stream of ``problem.make_grad_task(default_rng(seed))``."""
+    return MiniBatcher(
+        problem.train_x, problem.train_y, problem.batch_size, np.random.default_rng(seed)
+    )
+
+
+def reference_gradient(problem: DLProblem, batcher: MiniBatcher, theta: np.ndarray) -> np.ndarray:
+    """The allocating path on the batch ``batcher`` draws next (shared
+    with ``tests/sim/test_replica.py`` and ``tests/nn/test_kernel_model.py``)."""
+    idx = batcher.next_batch_indices()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, grad = problem.network.loss_and_grad(
+            problem.train_x[idx], problem.train_y[idx], theta
+        )
+    return grad
 
 
 @pytest.fixture(params=["mlp", "cnn"])
@@ -31,88 +53,95 @@ def net(request):
     return mlp_mnist() if request.param == "mlp" else cnn_mnist()
 
 
-class TestBitwiseIdentity:
-    def test_workspace_matches_allocating_path(self, net):
-        x, y = _batch(net)
-        rng = np.random.default_rng(3)
-        theta = net.init_theta(rng, dtype=np.float32)
-        ws = net.make_workspace(BATCH)
-        grad_plain = np.empty(net.n_params, dtype=np.float32)
-        grad_ws = np.empty(net.n_params, dtype=np.float32)
-        loss_plain, _ = net.loss_and_grad(x, y, theta, grad_out=grad_plain)
-        loss_ws, _ = net.loss_and_grad(x, y, theta, grad_out=grad_ws, workspace=ws)
-        assert loss_ws == loss_plain
-        np.testing.assert_array_equal(grad_ws, grad_plain)
+@pytest.fixture
+def executes(monkeypatch) -> list[int]:
+    """Group sizes of every ``ReplicaKernel.execute`` call."""
+    sizes: list[int] = []
+    execute = ReplicaKernel.execute
 
-    def test_identity_survives_buffer_reuse(self, net):
-        # The second call reads dirty workspace buffers — their contents
-        # must never leak into the result.
-        rng = np.random.default_rng(4)
-        theta = net.init_theta(rng, dtype=np.float32)
-        ws = net.make_workspace(BATCH)
-        grad_plain = np.empty(net.n_params, dtype=np.float32)
-        grad_ws = np.empty(net.n_params, dtype=np.float32)
-        for seed in range(3):
-            x, y = _batch(net, seed=seed)
-            loss_plain, _ = net.loss_and_grad(x, y, theta, grad_out=grad_plain)
-            loss_ws, _ = net.loss_and_grad(x, y, theta, grad_out=grad_ws, workspace=ws)
-            assert loss_ws == loss_plain
-            np.testing.assert_array_equal(grad_ws, grad_plain)
-            theta -= 0.05 * grad_plain
+    def spy(self, gcs):
+        sizes.append(len(gcs))
+        return execute(self, gcs)
+
+    monkeypatch.setattr(ReplicaKernel, "execute", spy)
+    return sizes
+
+
+class TestBitwiseIdentity:
+    def test_workspace_matches_allocating_path(self, net, executes):
+        problem = _problem(net)
+        theta = problem.init_theta(np.random.default_rng(3))
+        grad = np.empty_like(theta)
+        problem.make_grad_task(np.random.default_rng(1)).run(theta, grad)
+        assert executes == [1]
+        np.testing.assert_array_equal(
+            grad, reference_gradient(problem, twin_batcher(problem, 1), theta)
+        )
+
+    def test_identity_survives_buffer_reuse(self, net, executes):
+        # Later calls read dirty kernel slabs — their contents must
+        # never leak into the result.
+        problem = _problem(net)
+        theta = problem.init_theta(np.random.default_rng(4))
+        grad = np.empty_like(theta)
+        task = problem.make_grad_task(np.random.default_rng(1))
+        twin = twin_batcher(problem, 1)
+        for _ in range(3):
+            task.run(theta, grad)
+            np.testing.assert_array_equal(grad, reference_gradient(problem, twin, theta))
+            theta -= 0.05 * grad
+        assert executes == [1, 1, 1]
 
 
 class TestFallback:
-    def test_mismatched_batch_takes_allocating_path(self, net):
-        # The monitor's held-out evals hand arbitrary batch sizes to the
-        # same network; the workspace must step aside, not fail.
-        x, y = _batch(net, n=BATCH + 3)
-        theta = net.init_theta(np.random.default_rng(5), dtype=np.float32)
-        ws = net.make_workspace(BATCH)
-        loss_ws, grad_ws = net.loss_and_grad(x, y, theta, workspace=ws)
-        loss_plain, grad_plain = net.loss_and_grad(x, y, theta)
-        assert loss_ws == loss_plain
-        np.testing.assert_array_equal(grad_ws, grad_plain)
-
-    def test_mismatched_dtype_takes_allocating_path(self, net):
-        x, y = _batch(net)
-        theta = net.init_theta(np.random.default_rng(6), dtype=np.float64)
-        ws = net.make_workspace(BATCH)  # float32 workspace
-        loss_ws, grad_ws = net.loss_and_grad(x, y, theta, workspace=ws)
-        loss_plain, grad_plain = net.loss_and_grad(x, y, theta)
-        assert loss_ws == loss_plain
-        np.testing.assert_array_equal(grad_ws, grad_plain)
-
-    def test_matches_predicate(self, net):
-        ws = net.make_workspace(BATCH)
-        assert ws.matches(BATCH, np.float32)
-        assert not ws.matches(BATCH + 1, np.float32)
-        assert not ws.matches(BATCH, np.float64)
-
-
-class TestConstruction:
-    def test_buffers_are_preallocated_and_counted(self, net):
-        ws = net.make_workspace(BATCH)
-        assert len(ws.per_layer) == len(net.layers)
-        assert ws.nbytes > 0
-        assert ws.nbytes == sum(
-            buf.nbytes for d in ws.per_layer if d is not None for buf in d.values()
+    def test_mismatched_batch_takes_allocating_path(self, net, executes):
+        # Nothing is declined by size any more: a corpus smaller than
+        # the configured batch clips the batcher, the kernel is sized
+        # from the batcher, and its bits are the allocating path's at
+        # that size.
+        problem = _problem(net, n=BATCH - 3)
+        theta = problem.init_theta(np.random.default_rng(5))
+        grad = np.empty_like(theta)
+        task = problem.make_grad_task(np.random.default_rng(1))
+        task.run(theta, grad)
+        assert task.batcher.batch_size == BATCH - 3
+        assert executes == [1]
+        np.testing.assert_array_equal(
+            grad, reference_gradient(problem, twin_batcher(problem, 1), theta)
         )
 
-    def test_rejects_nonpositive_batch(self, net):
-        with pytest.raises(ValueError):
-            StepWorkspace(net, 0)
+    def test_mismatched_dtype_takes_allocating_path(self, net, executes):
+        # float64 parameters on a float32 problem: the kernel is built
+        # for float32, so the request steps aside to the allocating
+        # path (which convert-copies the batch) instead of failing.
+        problem = _problem(net)
+        theta = problem.init_theta(np.random.default_rng(6)).astype(np.float64)
+        grad = np.empty_like(theta)
+        task = problem.make_grad_task(np.random.default_rng(1))
+        twin = twin_batcher(problem, 1)
+        for _ in range(2):
+            task.run(theta, grad)
+            np.testing.assert_array_equal(grad, reference_gradient(problem, twin, theta))
+        assert executes == []
+        # ... and the same task still serves float32 requests stacked,
+        # continuing the one index stream.
+        theta32 = theta.astype(np.float32)
+        grad32 = np.empty_like(theta32)
+        task.run(theta32, grad32)
+        assert executes == [1]
+        np.testing.assert_array_equal(grad32, reference_gradient(problem, twin, theta32))
 
 
 class TestViewCache:
     def test_views_memoized_per_buffer(self, net):
-        ws = net.make_workspace(BATCH)
+        ws = StepWorkspace(np.float32)
         theta = net.init_theta(np.random.default_rng(7), dtype=np.float32)
         first = ws.cached_views(theta, net._all_param_views)
         assert ws.cached_views(theta, net._all_param_views) is first
         assert first[0][0].base is theta
 
     def test_distinct_buffers_get_distinct_views(self, net):
-        ws = net.make_workspace(BATCH)
+        ws = StepWorkspace(np.float32)
         a = np.zeros(net.n_params, dtype=np.float32)
         b = np.zeros(net.n_params, dtype=np.float32)
         assert ws.cached_views(a, net._all_param_views) is not ws.cached_views(
@@ -121,7 +150,7 @@ class TestViewCache:
 
     def test_cache_cap_clears_then_rebuilds(self):
         net = mlp_mnist()
-        ws = net.make_workspace(BATCH)
+        ws = StepWorkspace(np.float32)
         keep = np.zeros(net.n_params, dtype=np.float32)
         kept_views = ws.cached_views(keep, net._all_param_views)
         filler = [np.zeros(net.n_params, dtype=np.float32)

@@ -14,11 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.problem import DLProblem
+from repro.core.problem import DLGradTask, DLProblem
 from repro.errors import SimulationError
 from repro.harness.config import RunConfig
 from repro.harness.runner import repeated_configs, run_cohort, run_once
-from repro.nn.architectures import mlp_custom
+from repro.nn.architectures import cnn_mnist, mlp_custom, mlp_mnist
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 from repro.nn.replica import ReplicaKernel
@@ -27,6 +27,8 @@ from repro.sim.grad import GradCompute
 from repro.sim.replica import LockstepCohort
 from repro.sim.scheduler import Scheduler, SchedulerConfig
 
+from tests.nn.test_workspace import reference_gradient, twin_batcher
+
 
 # ---------------------------------------------------------------------------
 # Tiny problems: small enough that the full identity matrix runs in
@@ -34,16 +36,15 @@ from repro.sim.scheduler import Scheduler, SchedulerConfig
 # the conv/pool-stacked (CNN) kernel paths.
 
 
-def tiny_mlp_problem(**switches) -> DLProblem:
+def tiny_mlp_problem() -> DLProblem:
     rng = np.random.default_rng(42)
     net = mlp_custom(12, (10, 8), 4, name="tiny_mlp")
     x = rng.normal(size=(96, 12)).astype(np.float32)
     y = rng.integers(0, 4, size=96)
-    return DLProblem(net, x, y, x[:24], y[:24], batch_size=6, dtype=np.float32,
-                     **switches)
+    return DLProblem(net, x, y, x[:24], y[:24], batch_size=6, dtype=np.float32)
 
 
-def tiny_cnn_problem(**switches) -> DLProblem:
+def tiny_cnn_problem() -> DLProblem:
     rng = np.random.default_rng(43)
     net = Network(
         [Conv2D(2, (3, 3)), ReLU(), MaxPool2D((2, 2)), Flatten(), Dense(8), ReLU(), Dense(3)],
@@ -52,8 +53,7 @@ def tiny_cnn_problem(**switches) -> DLProblem:
     )
     x = rng.normal(size=(48, 1, 8, 8)).astype(np.float32)
     y = rng.integers(0, 3, size=48)
-    return DLProblem(net, x, y, x[:12], y[:12], batch_size=4, dtype=np.float32,
-                     **switches)
+    return DLProblem(net, x, y, x[:12], y[:12], batch_size=4, dtype=np.float32)
 
 
 COST = CostModel(tc=5e-3, tu=1e-3, t_copy=5e-4)
@@ -82,6 +82,41 @@ def identity_of(result):
         float(result.virtual_time),
         float(result.report.final_loss),
         result.status.value,
+    )
+
+
+@pytest.fixture
+def calls(monkeypatch) -> dict[str, list]:
+    """Every ``ReplicaKernel.execute`` (group size), ``DLGradTask.run``
+    and ``Network.loss_and_grad`` call made while the fixture lives."""
+    seen: dict[str, list] = {"execute": [], "run": [], "loss_and_grad": []}
+    execute, run, loss_and_grad = (
+        ReplicaKernel.execute, DLGradTask.run, Network.loss_and_grad,
+    )
+
+    def spy_execute(self, gcs):
+        seen["execute"].append(len(gcs))
+        return execute(self, gcs)
+
+    def spy_run(self, theta, out):
+        seen["run"].append(1)
+        return run(self, theta, out)
+
+    def spy_loss_and_grad(self, *args, **kwargs):
+        seen["loss_and_grad"].append(1)
+        return loss_and_grad(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReplicaKernel, "execute", spy_execute)
+    monkeypatch.setattr(DLGradTask, "run", spy_run)
+    monkeypatch.setattr(Network, "loss_and_grad", spy_loss_and_grad)
+    return seen
+
+
+def decline_every_network(monkeypatch) -> None:
+    """Send whole runs down the reference path (production code has no
+    switch for it: the kernel declines from what it observes)."""
+    monkeypatch.setattr(
+        ReplicaKernel, "reject_reason", classmethod(lambda cls, task: "declined-by-test")
     )
 
 
@@ -163,21 +198,27 @@ class TestBitwiseIdentity:
 
 # ---------------------------------------------------------------------------
 class TestPooledEqualsCompat:
-    """The default step path (buffer arena + step workspace) computes
-    what ``use_arena=False`` on a ``use_workspace=False`` problem
-    computes, bit for bit: pooling changes where bytes live, never what
-    is computed. Compared field by field, not by
-    ``simulation_fingerprint``, which hashes the config."""
+    """The default step path (buffer arena + training kernel) computes
+    what a fully allocating run (``use_arena=False``, every gradient
+    through ``Network.loss_and_grad``) computes, bit for bit: pooling
+    changes where bytes live, never what is computed. Compared field by
+    field, not by ``simulation_fingerprint``, which hashes the config."""
 
     @pytest.mark.parametrize("algorithm", ["SEQ", "ASYNC", "HOG", "LSH_ps1"])
     @pytest.mark.parametrize("build", [tiny_mlp_problem, tiny_cnn_problem],
                              ids=["mlp", "cnn"])
-    def test_run_once(self, build, algorithm):
+    def test_run_once(self, build, algorithm, calls, monkeypatch):
         (config,) = make_configs(algorithm, 1, m=2, max_updates=40)
         pooled = run_once(build(), COST, config)
-        compat = run_once(
-            build(use_workspace=False), COST, replace(config, use_arena=False)
-        )
+        # Every gradient of the default run went through a kernel of one.
+        assert calls["execute"] == [1] * len(calls["run"]) and calls["run"]
+        assert not calls["loss_and_grad"]
+        pooled_runs = len(calls["run"])
+        calls["execute"].clear()
+        decline_every_network(monkeypatch)
+        compat = run_once(build(), COST, replace(config, use_arena=False))
+        assert not calls["execute"]
+        assert len(calls["loss_and_grad"]) == len(calls["run"]) - pooled_runs == pooled_runs
         assert identity_of(pooled) == identity_of(compat)
         np.testing.assert_array_equal(
             pooled.report.curve_loss, compat.report.curve_loss
@@ -185,6 +226,69 @@ class TestPooledEqualsCompat:
         # The switch took effect: only the pooled run drew from the arena.
         assert pooled.pool_misses > 0
         assert compat.pool_hits == compat.pool_misses == 0
+        assert pooled.metrics["kernel_fallbacks"] == compat.metrics["kernel_fallbacks"] == 0
+
+    @pytest.mark.parametrize("build", [tiny_mlp_problem, tiny_cnn_problem],
+                             ids=["mlp", "cnn"])
+    def test_cohort_with_lone_survivor_rounds(self, build, calls, monkeypatch):
+        """K = 3 with two replicas stopping early: the last rounds are
+        groups of one, which run the same stacked code."""
+        configs = [
+            replace(c, eval_interval=(COST.tc + COST.tu) / 2)
+            for c in make_configs("LSH_ps1", 3, m=1, max_updates=30)
+        ]
+        configs[0] = replace(configs[0], max_updates=4)
+        configs[1] = replace(configs[1], max_updates=8)
+        pooled = run_cohort(build(), COST, configs)
+        assert 1 in calls["execute"] and 3 in calls["execute"]
+        assert not calls["run"] and not calls["loss_and_grad"]
+        calls["execute"].clear()
+        decline_every_network(monkeypatch)
+        compat = run_cohort(
+            build(), COST, [replace(c, use_arena=False) for c in configs]
+        )
+        assert not calls["execute"]
+        assert len(calls["loss_and_grad"]) == len(calls["run"]) > 0
+        for p, c in zip(pooled, compat):
+            assert identity_of(p) == identity_of(c)
+            np.testing.assert_array_equal(p.report.curve_loss, c.report.curve_loss)
+            assert p.metrics["kernel_fallbacks"] == 0
+        # Declined groups of two or three are de-vectorizations, lone
+        # survivors are not: the longest-lived replica saw both.
+        assert 0 < compat[2].metrics["kernel_fallbacks"] < compat[2].n_updates
+
+
+# ---------------------------------------------------------------------------
+class TestOneKernel:
+    """On the paper's networks every training gradient of a serial run
+    is one ``ReplicaKernel.execute`` of a group of one; declined, it is
+    one ``Network.loss_and_grad``: same run either way."""
+
+    @pytest.mark.parametrize("make_net, shape", [(mlp_mnist, (784,)), (cnn_mnist, (1, 28, 28))],
+                             ids=["table2_mlp", "table3_cnn"])
+    def test_run_once_counts(self, make_net, shape, calls, monkeypatch):
+        def build():
+            rng = np.random.default_rng(3)
+            x = rng.normal(size=(40,) + shape).astype(np.float32)
+            y = rng.integers(0, 10, size=40)
+            return DLProblem(make_net(), x, y, x[:8], y[:8], batch_size=8)
+
+        task = build().make_grad_task(np.random.default_rng(0))
+        assert ReplicaKernel.build(task, 1) is not None
+        (config,) = make_configs("LSH_ps1", 1, m=4, max_updates=12)
+        kernel = run_once(build(), COST, config)
+        gradients = len(calls["run"])
+        assert gradients >= 12
+        assert calls["execute"] == [1] * gradients
+        assert not calls["loss_and_grad"]
+        decline_every_network(monkeypatch)
+        reference = run_once(build(), COST, config)
+        assert len(calls["execute"]) == gradients
+        assert len(calls["loss_and_grad"]) == len(calls["run"]) - gradients == gradients
+        assert identity_of(kernel) == identity_of(reference)
+        np.testing.assert_array_equal(
+            kernel.report.curve_loss, reference.report.curve_loss
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +384,16 @@ class TestSchedulerCohortMode:
 # ---------------------------------------------------------------------------
 class TestStackedConvPool:
     """Kernel-level bitwise identity of the stacked Conv2D/MaxPool2D
-    path (the sim-level matrix above covers it end-to-end; these pin
-    the gradient *bytes* at the kernel boundary)."""
+    path against the allocating layers (the sim-level matrix above
+    covers it end-to-end; these pin the gradient *bytes* at the kernel
+    boundary, and ``tests/nn/test_kernel_model.py`` does on generated
+    networks)."""
 
     def _stacked_vs_serial(self, problem, k: int):
         tasks = [
             problem.make_grad_task(np.random.default_rng(100 + r)) for r in range(k)
         ]
-        kernel = ReplicaKernel.build(
-            problem.make_grad_task(np.random.default_rng(0)), max(k, 2)
-        )
+        kernel = ReplicaKernel.build(problem.make_grad_task(np.random.default_rng(0)), k)
         assert kernel is not None
         theta_rng = np.random.default_rng(7)
         thetas = [problem.init_theta(theta_rng) for _ in range(k)]
@@ -301,11 +405,9 @@ class TestStackedConvPool:
             ]
         )
         for r in range(k):
-            # Fresh same-seeded task: replays replica r's batch draw.
-            ref_task = problem.make_grad_task(np.random.default_rng(100 + r))
-            ref = np.empty_like(thetas[r])
-            ref_task.run(thetas[r], ref)
-            np.testing.assert_array_equal(outs[r], ref)
+            np.testing.assert_array_equal(
+                outs[r], reference_gradient(problem, twin_batcher(problem, 100 + r), thetas[r])
+            )
 
     @pytest.mark.parametrize("k", [1, 3, 11])
     def test_conv_backward_bitwise_vs_serial(self, k):
@@ -399,8 +501,9 @@ class TestKernelFallbackEvents:
         net = mlp_custom(6, (5,), 3)
         x = rng.normal(size=(32, 6)).astype(np.float32)
         y = rng.integers(0, 3, size=32)
-        # float64 workspace over a float32 corpus: build declines, the
-        # cohort runs serially and reports every de-vectorized request.
+        # float64 parameters over a float32 corpus: build declines, the
+        # cohort runs request by request through the allocating path
+        # and reports every de-vectorized request.
         problem = DLProblem(net, x, y, x[:8], y[:8], batch_size=4, dtype=np.float64)
         configs = make_configs("LSH_ps1", 3, max_updates=10)
         results = run_cohort(problem, COST, configs)
@@ -424,17 +527,26 @@ class TestReplicaKernelBuild:
         assert kernel is not None
         assert kernel.kmax == 4
 
-    def test_kmax_below_two_unsupported(self):
-        task = self._task(tiny_mlp_problem())
-        assert ReplicaKernel.build(task, 1) is None
+    def test_kernel_of_one_matches_reference(self):
+        for problem in (tiny_mlp_problem(), tiny_cnn_problem()):
+            task = self._task(problem)
+            kernel = ReplicaKernel.build(task, 1)
+            assert kernel is not None and kernel.kmax == 1
+            theta = problem.init_theta(np.random.default_rng(1))
+            out = np.empty_like(theta)
+            for _ in range(2):  # first use, then dirty slabs
+                kernel.execute([GradCompute(task.run, theta, out, 1.0, task)])
+            twin = twin_batcher(problem, 0)
+            twin.next_batch_indices()  # the first call's batch
+            np.testing.assert_array_equal(out, reference_gradient(problem, twin, theta))
 
     def test_dtype_mismatch_unsupported(self):
         rng = np.random.default_rng(0)
         net = mlp_custom(6, (5,), 3)
         x = rng.normal(size=(32, 6)).astype(np.float32)
         y = rng.integers(0, 3, size=32)
-        # float64 workspace over a float32 corpus: the serial path would
-        # convert-copy, so stacking is declined.
+        # float64 parameters over a float32 corpus: the allocating path
+        # convert-copies the batch, so the kernel declines.
         problem = DLProblem(net, x, y, x[:8], y[:8], batch_size=4, dtype=np.float64)
         task = self._task(problem)
         assert ReplicaKernel.build(task, 4) is None
@@ -445,19 +557,20 @@ class TestReplicaKernelBuild:
         for make_problem in (tiny_mlp_problem, tiny_cnn_problem):
             assert ReplicaKernel.reject_reason(self._task(make_problem())) is None
 
-    def test_singleton_group_falls_back_serially(self):
+    def test_singleton_group_falls_back_serially(self, calls):
+        """(Historical name.) A group of one on a wider kernel no longer
+        falls back to its task's ``run``: it is the stacked code at
+        k = 1, with the reference's bits."""
         problem = tiny_mlp_problem()
         task = self._task(problem)
         kernel = ReplicaKernel.build(task, 4)
         theta = problem.init_theta(np.random.default_rng(1))
         out = np.empty_like(theta)
-        ref = np.empty_like(theta)
-        gc = GradCompute(task.run, theta, out, 1.0, task)
-        kernel.execute([gc])
-        # Same RNG position -> same batch: fresh task, serial execution.
-        task2 = problem.make_grad_task(np.random.default_rng(0))
-        task2.run(theta, ref)
-        np.testing.assert_array_equal(out, ref)
+        kernel.execute([GradCompute(task.run, theta, out, 1.0, task)])
+        assert not calls["run"] and not calls["loss_and_grad"]
+        np.testing.assert_array_equal(
+            out, reference_gradient(problem, twin_batcher(problem, 0), theta)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.sim.memory import MemoryAccountant
 from repro.sim.trace import (
     DroppedGradientRecord,
     LockWaitRecord,
@@ -13,6 +14,7 @@ from repro.sim.trace import (
     UpdateRecord,
     ViewDivergenceRecord,
 )
+from repro.telemetry.metrics import collect_run_metrics
 
 
 @pytest.fixture
@@ -178,6 +180,18 @@ class TestColumnarRecordEquivalence:
         assert trace.lock_waits == [LockWaitRecord(0.0, 0.5, 3)]
         trace.add_view_divergence(2.0, 1, 0.25)
         assert trace.view_divergences == [ViewDivergenceRecord(2.0, 1, 0.25)]
+
+    def test_n_dropped_counts_without_building_records(self, trace):
+        trace.on_drop(0.5, 0, 3)
+        trace.add_dropped(1.5, 1, 2)
+        trace.on_drop(2.0, 2, 1, loop_enter=1.0)
+        assert trace.n_dropped == 3
+        metrics = collect_run_metrics(
+            trace, MemoryAccountant(lambda: 0.0), m=3, virtual_time=2.0, wall_seconds=0.0
+        )
+        assert metrics["n_dropped"] == 3
+        assert trace._dropped_view is None  # counted off the column
+        assert trace.n_dropped == len(trace.dropped)
 
     def test_materialized_records_refresh_after_append(self, trace):
         trace.add_update(0.0, 0, 0, 1)

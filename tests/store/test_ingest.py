@@ -298,6 +298,89 @@ class TestServiceRunDir:
             assert workload == (wkey if with_journals else None)
 
 
+class TestJsonFiles:
+    """A ``*.json`` path is dispatched on its content, not its suffix."""
+
+    @pytest.fixture(scope="class")
+    def traced_run(self):
+        from repro.core.problem import QuadraticProblem
+        from repro.harness.runner import run_once
+        from repro.sim.cost import CostModel
+
+        from tests.conftest import make_run_config
+
+        return run_once(
+            QuadraticProblem(32, h=1.0, b=1.5, noise_sigma=0.05),
+            CostModel(tc=2e-3, tu=1e-3, t_copy=0.5e-3),
+            make_run_config(algorithm="ASYNC", m=2, seed=1, max_updates=2_000,
+                            probes=("timeline",)),
+        )
+
+    def test_run_json_archive_stores_its_rows(self, store, traced_run, tmp_path):
+        # What ``repro run --json`` / ``repro sweep --json`` write.
+        from repro.telemetry.jsonl import write_jsonl
+        from repro.utils.serialization import save_results
+
+        archive = save_results(traced_run, tmp_path / "out.json")
+        first = ingest_path(store, archive)
+        assert (first.inserted, first.duplicates, first.skipped, first.traces) == (1, 0, 0, 0)
+        assert store.sources() == ["out.json"]
+        again = ingest_path(store, archive)
+        assert (again.inserted, again.duplicates, again.traces) == (0, 1, 0)
+        # The same run in ``analyze --jsonl`` form is the same sample.
+        as_jsonl = ingest_path(store, write_jsonl([traced_run], tmp_path / "out.jsonl"))
+        assert (as_jsonl.inserted, as_jsonl.duplicates) == (0, 1)
+        assert store.count() == 1
+        assert store.trace_links() == []
+
+    def test_archive_elements_take_the_jsonl_skip_rules(self, store, sweep_results, tmp_path):
+        from repro.utils.serialization import save_results
+
+        archive = save_results(sweep_results, tmp_path / "sweep.json")
+        rows = json.loads(archive.read_text())
+        rows[1] = [1, 2, 3]
+        rows[2] = {**rows[2], "schema_version": SCHEMA_VERSION + 1}
+        archive.write_text(json.dumps(rows))
+        with pytest.warns(UserWarning, match=r"sweep\.json\[[12]\]"):
+            report = ingest_path(store, archive)
+        assert (report.inserted, report.skipped) == (6, 2)
+
+    def test_chrome_trace_still_registers(self, store, traced_run, tmp_path):
+        from repro.observe.timeline import export_chrome_trace
+
+        path = export_chrome_trace(traced_run.metrics.probe("timeline"), tmp_path / "trace.json")
+        report = ingest_path(store, path)
+        assert (report.inserted, report.traces) == (0, 1)
+        assert ingest_path(store, path).traces == 0  # already linked
+        assert store.count() == 0
+
+    def test_service_timeline_still_registers(self, store, tmp_path):
+        from repro.core.problem import QuadraticProblem
+        from repro.service import ExperimentService
+        from repro.sim.cost import CostModel
+
+        from tests.conftest import make_run_config
+
+        with ExperimentService(tmp_path / "run", workers=1) as service:
+            service.map(
+                QuadraticProblem(32, h=1.0, b=1.5, noise_sigma=0.05),
+                CostModel(tc=2e-3, tu=1e-3, t_copy=0.5e-3),
+                [make_run_config(algorithm="ASYNC", max_updates=2_000)],
+            )
+            service.finalize()
+        report = ingest_path(store, tmp_path / "run" / "service_timeline.json")
+        assert (report.inserted, report.traces) == (0, 1)
+
+    @pytest.mark.parametrize("text", ["42", '"rows"', '{"config": {}}',
+                                      '{"traceEvents": "none"}', "{not json"])
+    def test_anything_else_raises_naming_the_file(self, store, tmp_path, text):
+        path = tmp_path / "mystery.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="mystery.json"):
+            ingest_path(store, path)
+        assert store.count() == 0 and store.trace_links() == []
+
+
 class TestMultiplePaths:
     def test_ingest_paths_merges_tallies(self, store, sweep_jsonl, tmp_path):
         other = tmp_path / "copy.jsonl"
