@@ -412,7 +412,7 @@ def _cmd_experiment(args) -> int:
     if cache is not None:
         print(f"cache: {cache.stats} ({cache_dir})")
     if run_dir is not None:
-        print(f"run dir: {run_dir} — merged.jsonl + summary.json "
+        print(f"run dir: {run_dir} — results-*.jsonl + summary.json "
               f"(fingerprint {summary['merged_fingerprint'][:16]})")
     return 0
 

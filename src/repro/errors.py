@@ -34,9 +34,5 @@ class MemoryAccountingError(SimulationError):
     (double free, free of unknown block, negative live count)."""
 
 
-class NumericalDivergence(ReproError):
-    """Training produced non-finite parameters (the paper's 'Crash')."""
-
-
 class ShapeError(ReproError):
     """An array had the wrong shape / dimensionality for an operation."""

@@ -18,12 +18,12 @@ The row
     NumPy arrays as ``{"__ndarray__": [...], "dtype": ...}`` and
     NaN/inf as ``{"__float__": "nan"|"inf"|"-inf"}``; :func:`decode` is
     the inverse. :func:`canonical` (sorted keys, compact) is the one
-    text form: every ``results-<wkey>.jsonl`` / ``merged.jsonl`` line,
-    cache entry and ``row_json`` column holds it, and every digest below
-    hashes it. A canonical line parses back to the encoded row
+    text form: every ``results-<wkey>.jsonl`` line, cache entry and
+    ``row_json`` column holds it, and every digest below hashes it. A
+    canonical line parses back to the encoded row
     (``canonical(json.loads(line)) == line``), which is what lets a
-    line written once serve as journal row, merge row and fingerprint
-    input (:func:`line_fingerprint`).
+    line written once serve as journal row, resumed row and
+    fingerprint input (:func:`line_fingerprint`).
 
 Reading
     :func:`row_from_line` followed by :func:`migrate_row_strict` is the
@@ -99,6 +99,7 @@ __all__ = [
     "problem_fingerprint",
     "result_from_row",
     "result_to_line",
+    "row_config_hash",
     "row_digest",
     "row_from_line",
     "run_key",
@@ -357,6 +358,17 @@ def archived_config_hash(config: dict) -> str:
         return config_hash(_config_from_dict(config))
     except Exception:
         return content_digest(config)[:16]
+
+
+def row_config_hash(row: dict) -> str:
+    """:func:`config_hash` of the run a decoded row archives: the one its
+    provenance recorded, else :func:`archived_config_hash` of its
+    ``config``. A run dir states each row once, in
+    ``results-<wkey>.jsonl``; the file name gives the first half of the
+    row's :func:`run_key` and this the second."""
+    provenance = row.get("provenance")
+    recorded = provenance.get("config_hash") if isinstance(provenance, dict) else None
+    return recorded or archived_config_hash(row.get("config"))
 
 
 _FINGERPRINT_MEMO: dict[int, tuple] = {}  # id -> (weakref, digest)

@@ -85,15 +85,6 @@ class ServiceStats:
     runs_from_cache: int = 0
     runs_from_journal: int = 0
 
-    @property
-    def tasks_served(self) -> int:
-        """Boxes satisfied without simulating anything."""
-        return self.tasks_from_cache + self.tasks_from_journal
-
-    @property
-    def tasks_done(self) -> int:
-        return self.tasks_executed + self.tasks_served
-
     def as_dict(self) -> dict:
         return {
             "tasks_executed": self.tasks_executed,
@@ -117,19 +108,13 @@ class Dispatcher:
         owner: str,
         pool: "WorkerPool | None" = None,
         cache: "RunCache | None" = None,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        kill_after: int | None = None,
     ) -> None:
         self.queue = queue
         self.measurer = measurer
         self.owner = owner
         self.pool = pool
         self.cache = cache
-        self.lease_timeout = float(lease_timeout)
-        if kill_after is None:
-            env = os.environ.get(KILL_AFTER_ENV)
-            kill_after = int(env) if env else 0
-        self.kill_after = int(kill_after)
+        self.kill_after = int(os.environ.get(KILL_AFTER_ENV) or 0)
         self.stats = ServiceStats()
         self._session_completions = 0
 
@@ -218,7 +203,7 @@ class Dispatcher:
                 self.queue.requeue(task.task_id, reason="retry-failed")
                 self.stats.tasks_requeued += 1
             self.queue.lease(
-                task.task_id, owner=self.owner, timeout=self.lease_timeout
+                task.task_id, owner=self.owner, timeout=DEFAULT_LEASE_TIMEOUT
             )
             served: dict[int, object] = {}
             cached: list[int] = []

@@ -23,9 +23,10 @@ The run directory (durable mode) holds::
     LOCK                      single-dispatcher lock (pid + owner)
     manifest.json             step/profile/shape + provenance
     queue.jsonl               task-state journal (append-only)
-    results-<wkey>.jsonl      completed run rows, per workload
-    merged.jsonl              finalize(): all runs, submission order
-    summary.json              finalize(): counts + merged_fingerprint
+    results-<wkey>.jsonl      completed run rows, per workload: the
+                              one copy resume and the store read
+    summary.json              finalize(): counts, run_keys (submission
+                              order) + merged_fingerprint
     service_timeline.json     finalize(): queue lifecycle Chrome trace
 
 Safety order per task: cache-store -> journal fsync -> ``task_done``
@@ -47,7 +48,7 @@ from repro.errors import ConfigurationError
 from repro.harness.parallel import resolve_replicas, resolve_workers
 from repro.harness.pool import WorkerPool
 from repro.observe.timeline import TimelineRecorder, export_chrome_trace
-from repro.service.dispatcher import DEFAULT_LEASE_TIMEOUT, Dispatcher
+from repro.service.dispatcher import Dispatcher
 from repro.service.measurer import Measurer
 from repro.service.queue import TaskQueue, acquire_run_lock
 from repro.service.scheduler import SweepScheduler, run_key, workload_key
@@ -135,8 +136,6 @@ class ExperimentService:
         replicas: int | None = None,
         pool: "WorkerPool | None" = None,
         cache: "RunCache | None" = None,
-        bus: ProbeBus | None = None,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         manifest: dict | None = None,
     ) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -160,7 +159,7 @@ class ExperimentService:
                 self._lock.unlink(missing_ok=True)
                 raise
 
-        self.bus = bus if bus is not None else ProbeBus()
+        self.bus = ProbeBus()
         self.timeline = TimelineRecorder()
         self.bus.attach(self.timeline)
         self._t0 = time.monotonic()
@@ -178,7 +177,7 @@ class ExperimentService:
         self.pool = pool
         self.dispatcher = Dispatcher(
             self.queue, self.measurer, owner=self.owner,
-            pool=self.pool, cache=self.cache, lease_timeout=lease_timeout,
+            pool=self.pool, cache=self.cache,
         )
         self._order: list[str] = []
         self._seen: set[str] = set()
@@ -258,10 +257,9 @@ class ExperimentService:
     def summary(self) -> dict:
         """Counts + the merged fingerprint of everything mapped so far.
 
-        ``run_keys`` (submission order) aligns ``merged.jsonl`` line
-        *i* with its service-wide run identity — the result store's
-        ingester reads them side by side, so rows keep their natural
-        key without the store having to re-derive workload hashes.
+        ``run_keys`` is the one record of submission order: the
+        journals hold the rows in completion order, and
+        ``merged_fingerprint`` hashes them in this one.
         """
         payload = {
             "n_runs": len(self._order),
@@ -280,7 +278,6 @@ class ExperimentService:
         summary. Call once, after the last :meth:`map`."""
         summary = self.summary()
         if self.run_dir is not None:
-            self.measurer.write_merged(self._order, self.run_dir / "merged.jsonl")
             trace_path = self.run_dir / "service_timeline.json"
             payload = self.timeline.result()
             if trace_path.exists():

@@ -11,19 +11,24 @@ reader the run cache uses — the journal *is* a cache keyed by run key
 instead of content address. Journals are per-workload because the run
 key embeds the workload key: replay needs only the config of each row
 plus the file's own workload prefix, never a re-fingerprint of the
-corpus.
+corpus. The journals are also the run directory's one row store: the
+result store ingests them directly, and nothing writes a second copy.
 
-**A result is encoded once.** The measurer keeps, per run key, the line
-its one :func:`~repro.identity.result_to_line` call produced from the
-result it stores; the journal append, :meth:`Measurer.merged_fingerprint`
-and :meth:`Measurer.write_merged` all read that line. The lines are
-dropped by :meth:`Measurer.close`, and in volatile mode (``run_dir=None``: same interface, no
-files — the one-shot CLI path) nothing is encoded until a summary asks.
+**A result is encoded once.** The measurer keeps, per run key, the one
+line that encodes the result it stores: what its single
+:func:`~repro.identity.result_to_line` call produced for a run that
+completed in this session, the journal line itself for a run replayed
+from disk (a row migrated from an older schema is re-encoded when
+first asked for). The journal append and
+:meth:`Measurer.merged_fingerprint` both read that line. The lines are
+dropped by :meth:`Measurer.close`, and in volatile mode
+(``run_dir=None``: same interface, no files — the one-shot CLI path)
+nothing is encoded until a summary asks.
 
-:meth:`Measurer.write_merged` writes ``merged.jsonl`` — every run row in
-global submission order (atomic tmp + rename), the file downstream
-analysis reads; the :func:`~repro.identity.merged_fingerprint` over the
-same order is what the resume-smoke CI gate compares.
+The :func:`~repro.identity.merged_fingerprint` over the runs in global
+submission order (``summary.json`` ``run_keys``) is what the
+resume-smoke CI gate compares; anyone can recompute it from the
+journals and that list.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.identity import (
+    SCHEMA_VERSION,
     line_fingerprint,
     merged_fingerprint,
     migrate_row_strict,
@@ -89,8 +95,9 @@ class Measurer:
                 continue
             where = f"{path}:{lineno}"
             try:
-                row = migrate_row_strict(row_from_line(line, where=where), where=where)
-                result = result_from_row(row)
+                row = row_from_line(line, where=where)
+                current = row.get("schema_version") == SCHEMA_VERSION
+                result = result_from_row(migrate_row_strict(row, where=where))
             except Exception as exc:
                 warnings.warn(
                     f"measurer: skipping unreadable row {path}:{lineno} "
@@ -98,7 +105,11 @@ class Measurer:
                     RuntimeWarning, stacklevel=2,
                 )
                 continue
-            self._results.setdefault(run_key(wkey, result.config), result)
+            key = run_key(wkey, result.config)
+            if key not in self._results:
+                self._results[key] = result
+                if current:
+                    self._lines[key] = line
             loaded += 1
         return loaded
 
@@ -138,19 +149,6 @@ class Measurer:
         ``order``: the identity of the *science* this service run
         produced."""
         return merged_fingerprint(line_fingerprint(self._line(key)) for key in order)
-
-    def write_merged(self, order: Sequence[str], path: str | Path) -> Path:
-        """``merged.jsonl``: every run row in submission order, written
-        atomically (tmp + rename) so a crash never leaves a partial
-        merge next to a DONE queue."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for key in order:
-                fh.write(self._line(key) + "\n")
-        os.replace(tmp, path)
-        return path
 
     def close(self) -> None:
         for journal in self._journals.values():

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -239,10 +239,6 @@ class Scheduler:
         self._threads.append(thread)
         self._schedule(thread, self.now)
         return thread
-
-    def spawn_all(self, factories: Iterable[tuple[str, Callable[[SimThread], "object"]]]) -> list[SimThread]:
-        """Spawn a batch of threads; returns them in order."""
-        return [self.spawn(name, factory) for name, factory in factories]
 
     # -- amortized RNG -------------------------------------------------
     def _next_tiebreak(self) -> float:

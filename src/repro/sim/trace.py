@@ -111,7 +111,6 @@ class TraceRecorder:
         # replica-kernel de-vectorization tally (host-side execution
         # events: no virtual time, outside the identity contract)
         self._kernel_fallbacks = 0
-        self._kernel_fallback_kinds: dict[str, int] = {}
         # materialized-record caches (invalidated on append)
         self._updates_view: list[UpdateRecord] | None = []
         self._dropped_view: list[DroppedGradientRecord] | None = []
@@ -223,18 +222,11 @@ class TraceRecorder:
         """Bus handler for one serially-executed request that a stacked
         replica kernel declined (``kind`` names the reason)."""
         self._kernel_fallbacks += 1
-        kinds = self._kernel_fallback_kinds
-        kinds[kind] = kinds.get(kind, 0) + 1
 
     @property
     def kernel_fallbacks(self) -> int:
         """Total gradient requests that de-vectorized to serial execution."""
         return self._kernel_fallbacks
-
-    @property
-    def kernel_fallback_kinds(self) -> dict[str, int]:
-        """Fallback tallies keyed by the declining reason/layer kind."""
-        return dict(self._kernel_fallback_kinds)
 
     # -- materialized record views ------------------------------------
     @property

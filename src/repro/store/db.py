@@ -1,10 +1,10 @@
 """The queryable result store: run rows in SQLite.
 
 The repo emits schema-versioned JSONL everywhere — ``repro analyze
---jsonl``, the experiment service's ``results-<wkey>.jsonl`` /
-``merged.jsonl`` journals, the run cache's entries — but those files
-are write-only: asking "is LSH faster than HOGWILD at m=16 across all
-recorded seeds" means re-parsing thousands of rows by hand. The
+--jsonl``, the experiment service's ``results-<wkey>.jsonl``
+journals, the run cache's entries — but those files are write-only:
+asking "is LSH faster than HOGWILD at m=16 across all recorded
+seeds" means re-parsing thousands of rows by hand. The
 :class:`ResultStore` turns them into a database the report layer
 (:mod:`repro.report`) and future dashboards can query.
 
@@ -23,7 +23,9 @@ wall-clock fields. Consequences:
 
 ``run_key`` / ``config_hash`` ride along as natural keys for grouping
 (the same identities the experiment service and run cache use), never
-for dedup — two distinct executions share them by design.
+for dedup — two distinct executions share them by design. They, and
+``workload`` and ``source``, are first-writer-wins: a duplicate changes
+nothing about the stored row.
 
 Everything is stdlib ``sqlite3`` + numpy; no ORM, no scipy.
 """
@@ -38,11 +40,11 @@ from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.identity import (
-    archived_config_hash,
     canonical,
     content_digest,
     encode,
     encoded_row_digest,
+    row_config_hash,
     row_from_line,
 )
 
@@ -226,9 +228,11 @@ class ResultStore:
 
         The row is encoded once; its digest and (for a new row) its
         ``row_json`` both come from that encoding. A digest that is
-        already stored returns after the identity adoption alone — no
-        column values, no ``row_json``. The lookup is only an early
-        out: the UNIQUE ``row_digest`` constraint still decides dedup.
+        already stored returns at once — no column values, no
+        ``row_json``, and the stored row keeps the ``run_key``,
+        ``workload`` and ``source`` it was first written with. The
+        lookup is only an early out: the UNIQUE ``row_digest``
+        constraint still decides dedup.
         """
         config = row.get("config")
         report = row.get("report")
@@ -241,12 +245,10 @@ class ResultStore:
         if self._conn.execute(
             "SELECT 1 FROM runs WHERE row_digest = ?", (digest,)
         ).fetchone():
-            self._adopt_identity(digest, run_key=run_key, workload=workload)
             return False
         provenance = row.get("provenance") or {}
         if not isinstance(provenance, dict):
             provenance = {}
-        config_hash = provenance.get("config_hash") or archived_config_hash(config)
         epsilons = [float(v) for v in config.get("epsilons", ())]
         target = config.get("target_epsilon")
         if target is None and epsilons:
@@ -276,7 +278,7 @@ class ResultStore:
             (
                 digest,
                 run_key,
-                config_hash,
+                row_config_hash(row),
                 workload,
                 source,
                 str(config.get("algorithm", "?")),
@@ -310,7 +312,6 @@ class ResultStore:
             ),
         )
         if cur.rowcount == 0:
-            self._adopt_identity(digest, run_key=run_key, workload=workload)
             return False
         run_id = cur.lastrowid
         threshold_times = report.get("threshold_times") or {}
@@ -325,30 +326,6 @@ class ResultStore:
                 (run_id, float(eps), _finite_or_none(t), _int_or_none(n)),
             )
         return True
-
-    def _adopt_identity(
-        self, digest: str, *, run_key: str | None, workload: str | None
-    ) -> None:
-        """Backfill a stored row's identity from a duplicate of it.
-
-        A service dir journals each run twice (per-workload file +
-        merged.jsonl), each copy knowing a different half of the
-        identity: merged carries the run_key, the journal the workload
-        key. Dedup keeps one row; adopt whichever half this duplicate
-        knows and the stored row still lacks.
-        """
-        if run_key is not None:
-            self._conn.execute(
-                "UPDATE runs SET run_key = ? WHERE row_digest = ?"
-                " AND run_key IS NULL",
-                (run_key, digest),
-            )
-        if workload is not None:
-            self._conn.execute(
-                "UPDATE runs SET workload = ? WHERE row_digest = ?"
-                " AND workload IS NULL",
-                (workload, digest),
-            )
 
     def insert_bench_entry(self, entry: dict, *, entry_index: int) -> int:
         """Insert one BENCH_history trajectory entry (one row per

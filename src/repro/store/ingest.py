@@ -9,13 +9,16 @@
 * a **``--json`` archive** — the JSON list of rows ``repro run --json``
   and ``repro sweep --json`` write (``save_results``): each element
   goes through the same gate and skip rules as a JSONL line;
-* a **service run dir** from the PR 8 experiment service — every
-  ``results-<wkey>.jsonl`` journal is read with its workload key taken
-  from the filename; ``merged.jsonl`` is aligned line-by-line with
-  ``summary.json``'s ``run_keys`` so rows keep their service-wide
-  natural key; ``service_timeline.json`` is registered as a Perfetto
-  trace link (journals and the merge carry the same rows, so dedup
-  collapses them — ingesting a finalized dir stores each run once);
+* a **service run dir** from the experiment service — every
+  ``results-<wkey>.jsonl`` journal is read once: the file name gives a
+  row's workload key, the row's own config hash
+  (:func:`repro.identity.row_config_hash`) the rest of its service-wide
+  ``run_key``, so a dir killed before ``finalize()`` keys its rows like
+  a finished one; ``service_timeline.json`` is registered as a Perfetto
+  trace link. The journals are the dir's one row store: an N-run dir
+  reports N inserted and 0 duplicate. A dir with a ``queue.jsonl`` and
+  no journal yet (the run died inside its first box) is an empty run
+  dir, not an error;
 * a **bench trajectory file** (``BENCH_history.jsonl`` layout: entries
   with a ``metrics`` dict and no per-run ``config``) — one store row
   per (entry, metric) for the report's trajectory page;
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.identity import migrate_row_strict, row_from_line
+from repro.identity import migrate_row_strict, row_config_hash, row_from_line
 from repro.store.db import ResultStore
 
 __all__ = ["IngestReport", "ingest_path", "ingest_paths"]
@@ -103,19 +106,18 @@ def _ingest_result_file(
     path: Path,
     *,
     source: str,
-    workload: str | None = None,
-    run_keys: list[str] | None = None,
+    wkey: str | None = None,
     rows=None,
 ) -> IngestReport:
     """One file of run rows: a JSONL file's non-blank lines, or the
-    ``(where, row text)`` pairs in ``rows``. ``run_keys`` (when given)
-    aligns with the rows: row *i* owns ``run_keys[i]`` whether or not
-    it is usable, so a skipped line never shifts the rows after it onto
-    their predecessors' keys."""
+    ``(where, row text)`` pairs in ``rows``. ``wkey`` (a service
+    journal's workload key) labels every row's ``workload`` and, with
+    the row's own config hash, gives its ``run_key``: nothing about a
+    row's identity depends on the lines around it."""
     report = IngestReport(files=[str(path)])
     if rows is None:
         rows = ((f"{path}:{lineno}", line) for lineno, line in _nonblank_lines(path))
-    for slot, (where, line) in enumerate(rows):
+    for where, line in rows:
         try:
             row = row_from_line(line, where=where)
             original_version = row.get("schema_version")
@@ -124,12 +126,10 @@ def _ingest_result_file(
             _warn_skip(str(exc))
             report.skipped += 1
             continue
-        run_key = None
-        if run_keys is not None and slot < len(run_keys):
-            run_key = run_keys[slot]
+        run_key = None if wkey is None else f"{wkey}:{row_config_hash(row)}"
         try:
             fresh = store.insert_row(
-                row, source=source, workload=workload, run_key=run_key,
+                row, source=source, workload=wkey, run_key=run_key,
                 original_schema_version=original_version,
             )
         except ConfigurationError as exc:
@@ -147,8 +147,8 @@ def _ingest_result_file(
 def _ingest_bench_history(store: ResultStore, path: Path) -> IngestReport:
     """A trajectory file. A record's ``entry_index`` is its position
     among the file's non-blank lines whether or not the lines before it
-    are usable (the ``run_keys`` slot rule above): a skipped line keeps
-    its slot, so repairing it later never renumbers its successors."""
+    are usable: a skipped line keeps its slot, so repairing it later
+    never renumbers its successors."""
     report = IngestReport(files=[str(path)])
     for entry_index, (lineno, payload) in enumerate(_iter_lines(path)):
         where = f"{path}:{lineno}"
@@ -182,44 +182,15 @@ def _looks_like_bench_history(path: Path) -> bool:
     return False
 
 
-def _service_run_keys(run_dir: Path) -> list[str] | None:
-    """``run_keys`` from a finalized service dir's summary.json (None
-    when absent/foreign — merged rows then store without run keys)."""
-    summary_path = run_dir / "summary.json"
-    if not summary_path.exists():
-        return None
-    try:
-        summary = json.loads(summary_path.read_text())
-    except json.JSONDecodeError:
-        return None
-    keys = summary.get("run_keys")
-    if isinstance(keys, list) and all(isinstance(k, str) for k in keys):
-        return keys
-    return None
-
-
 def _ingest_run_dir(store: ResultStore, run_dir: Path) -> IngestReport:
-    """A PR 8 service run dir: journals + merge + timeline trace."""
+    """A service run dir: every journal once, then the timeline trace.
+    No journal yet means no rows yet, and the report comes back empty."""
     report = IngestReport()
-    merged = run_dir / "merged.jsonl"
-    if merged.exists():
-        # Merged first: its rows carry summary.json's run_keys, so the
-        # content-addressed row lands with its natural key attached and
-        # the per-workload journal copies dedup against it below.
-        report.merge(
-            _ingest_result_file(
-                store,
-                merged,
-                source=f"service:{run_dir.name}",
-                run_keys=_service_run_keys(run_dir),
-            )
-        )
-    journals = sorted(run_dir.glob("results-*.jsonl"))
-    for journal in journals:
+    for journal in sorted(run_dir.glob("results-*.jsonl")):
         wkey = journal.name[len("results-") : -len(".jsonl")]
         report.merge(
             _ingest_result_file(
-                store, journal, source=f"service:{run_dir.name}", workload=wkey
+                store, journal, source=f"service:{run_dir.name}", wkey=wkey
             )
         )
     timeline = run_dir / "service_timeline.json"
@@ -229,21 +200,12 @@ def _ingest_run_dir(store: ResultStore, run_dir: Path) -> IngestReport:
         ):
             report.traces += 1
         report.files.append(str(timeline))
-    if not report.files:
-        raise ConfigurationError(
-            f"{run_dir} has no results-*.jsonl, merged.jsonl or "
-            "service_timeline.json — not a service run dir"
-        )
     store.commit()
     return report
 
 
 def _is_service_run_dir(path: Path) -> bool:
-    return (
-        any(path.glob("results-*.jsonl"))
-        or (path / "merged.jsonl").exists()
-        or (path / "queue.jsonl").exists()
-    )
+    return any(path.glob("results-*.jsonl")) or (path / "queue.jsonl").exists()
 
 
 def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
@@ -278,7 +240,7 @@ def ingest_path(store: ResultStore, path: str | Path) -> IngestReport:
             return _ingest_run_dir(store, path)
         raise ConfigurationError(
             f"{path} is a directory but not a service run dir "
-            "(no results-*.jsonl / merged.jsonl / queue.jsonl)"
+            "(no results-*.jsonl / queue.jsonl)"
         )
     if not path.exists():
         raise ConfigurationError(f"{path}: no such file")

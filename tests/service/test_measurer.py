@@ -1,4 +1,4 @@
-"""Measurer: journal roundtrip, idempotent ingestion, merged outputs."""
+"""Measurer: journal roundtrip, idempotent ingestion, merged fingerprint."""
 
 from __future__ import annotations
 
@@ -95,12 +95,3 @@ class TestMerged:
         order = [key for key, _ in items]
         assert m.merged_fingerprint(order) != \
             m.merged_fingerprint(list(reversed(order)))
-
-    def test_write_merged_in_submission_order(self, tmp_path, runs):
-        wkey, items = runs
-        m = Measurer()
-        m.ingest(wkey, items)
-        order = [key for key, _ in items]
-        path = m.write_merged(order, tmp_path / "merged.jsonl")
-        lines = path.read_text().splitlines()
-        assert lines == [result_to_line(result) for _, result in items]

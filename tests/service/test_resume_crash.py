@@ -4,8 +4,9 @@ The child process runs a small durable sweep with
 ``REPRO_SERVICE_KILL_AFTER=N`` so the dispatcher hard-exits
 (``os._exit(17)``) right after journalling its N-th box — the worst
 survivable instant. The resumed run must re-execute only the unfinished
-boxes and produce a ``merged.jsonl`` identical to an uninterrupted run
-modulo the host fields.
+boxes and leave journal rows that, taken in ``summary.json``'s
+``run_keys`` order, are identical to an uninterrupted run's modulo the
+host fields.
 """
 
 from __future__ import annotations
@@ -64,15 +65,23 @@ def run_child(run_dir, *, kill_after=None):
     )
 
 
-def merged_rows(run_dir):
-    """merged.jsonl rows with the host fields stripped."""
-    rows = []
-    for line in (Path(run_dir) / "merged.jsonl").read_text().splitlines():
-        row = json.loads(line)
-        for field in HOST_FIELDS:
-            row.pop(field, None)
-        rows.append(json.dumps(row, sort_keys=True))
-    return rows
+def journal_rows(run_dir):
+    """The journal rows in ``run_keys`` (submission) order, host fields
+    stripped."""
+    run_dir = Path(run_dir)
+    by_key = {}
+    for journal in run_dir.glob("results-*.jsonl"):
+        wkey = journal.stem.removeprefix("results-")
+        for line in journal.read_text().splitlines():
+            row = json.loads(line)
+            key = f"{wkey}:{row['provenance']['config_hash']}"
+            assert key not in by_key  # a run is journalled once
+            for field in HOST_FIELDS:
+                row.pop(field, None)
+            by_key[key] = json.dumps(row, sort_keys=True)
+    run_keys = json.loads((run_dir / "summary.json").read_text())["run_keys"]
+    assert sorted(run_keys) == sorted(by_key)
+    return [by_key[key] for key in run_keys]
 
 
 @pytest.mark.slow
@@ -91,7 +100,7 @@ class TestCrashResume:
         # rows and its DONE line are on disk, nothing else is.
         journal = (killed_dir / "queue.jsonl").read_text()
         assert journal.count('"op":"done"') == 1
-        assert not (killed_dir / "merged.jsonl").exists()
+        assert not (killed_dir / "summary.json").exists()
 
         out = run_child(killed_dir)
         assert out.returncode == 0, out.stderr
@@ -101,9 +110,9 @@ class TestCrashResume:
         assert resumed["stats"]["tasks_from_journal"] == 1
         assert resumed["stats"]["runs_executed"] == 4
         assert resumed["stats"]["runs_from_journal"] == 2
-        # Identical science, down to the merged rows (host fields aside).
+        # Identical science, down to the rows (host fields aside).
         assert resumed["fingerprint"] == full["fingerprint"]
-        assert merged_rows(killed_dir) == merged_rows(full_dir)
+        assert journal_rows(killed_dir) == journal_rows(full_dir)
 
     def test_kill_twice_then_resume(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -120,5 +129,5 @@ class TestCrashResume:
         assert resumed["fingerprint"] == reference["fingerprint"]
         # Mixed statuses survived the crash/resume cycles.
         statuses = {json.loads(row)["status"]
-                    for row in merged_rows(run_dir)}
+                    for row in journal_rows(run_dir)}
         assert len(statuses) == 2

@@ -76,18 +76,19 @@ class TestDurableMode:
             service.map(problem, cost, configs)
             summary = service.finalize()
         run_dir = tmp_path / "run"
-        for name in ("manifest.json", "queue.jsonl", "merged.jsonl",
-                     "summary.json", "service_timeline.json"):
-            assert (run_dir / name).exists(), name
-        assert not (run_dir / "LOCK").exists()  # released on close
+        (journal,) = run_dir.glob("results-*.jsonl")
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted((
+            "manifest.json", "queue.jsonl", journal.name,
+            "summary.json", "service_timeline.json",
+        ))  # each run once: no merged.jsonl; LOCK released on close
         stored = json.loads((run_dir / "summary.json").read_text())
         assert stored["merged_fingerprint"] == summary["merged_fingerprint"]
         assert stored["n_runs"] == 2
         assert stored["queue"]["DONE"] == 1
-        # run_keys align 1:1 with merged.jsonl lines (the store's
-        # ingester relies on this to attach natural keys).
+        # run_keys: submission order, keyed by the journal's workload.
+        wkey = journal.stem.removeprefix("results-")
         assert len(stored["run_keys"]) == 2
-        assert all(":" in key for key in stored["run_keys"])
+        assert all(key.startswith(f"{wkey}:") for key in stored["run_keys"])
 
     def test_manifest_records_the_given_pools_width(self, tmp_path,
                                                     monkeypatch):

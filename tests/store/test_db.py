@@ -70,12 +70,20 @@ class TestInsert:
         ).fetchall()
         assert rows and all(v is None for (v,) in rows)
 
-    def test_run_key_backfill_on_duplicate(self, store, sweep_jsonl):
-        (row,) = read_jsonl(sweep_jsonl)[:1]
-        assert store.insert_row(row, source="x", run_key="wk:abc") is False
-        keys = [k for (k,) in store._conn.execute(
-            "SELECT run_key FROM runs WHERE run_key IS NOT NULL")]
-        assert keys == ["wk:abc"]
+    def test_duplicate_leaves_identity_as_first_written(self, sweep_jsonl):
+        # Identity columns are first-writer-wins, like ``source``: a
+        # duplicate neither fills a NULL nor replaces a value.
+        keyed, bare = read_jsonl(sweep_jsonl)[:2]
+        with ResultStore(":memory:") as s:
+            assert s.insert_row(keyed, source="svc", run_key="wk:abc", workload="wk")
+            assert s.insert_row(bare, source="plain.jsonl")
+            for row in (keyed, bare):
+                assert s.insert_row(
+                    row, source="later", run_key="other:key", workload="other"
+                ) is False
+            assert s._conn.execute(
+                "SELECT run_key, workload, source FROM runs ORDER BY id"
+            ).fetchall() == [("wk:abc", "wk", "svc"), (None, None, "plain.jsonl")]
 
 
 @pytest.fixture
@@ -129,24 +137,6 @@ class TestEncodeOnceLookupFirst:
                 "SELECT row_json FROM runs WHERE row_digest = ?", (row_digest(row),)
             ).fetchone()
             assert row_digest(json.loads(text)) == row_digest(row)
-
-    @pytest.mark.parametrize("merged_first", [True, False])
-    def test_identity_adoption_in_both_orders(self, sweep_jsonl, merged_first):
-        # The merged copy knows the run_key, the journal copy the
-        # workload; whichever lands second completes the stored row.
-        (row,) = read_jsonl(sweep_jsonl)[:1]
-        copies = [{"run_key": "wk:abc"}, {"workload": "wk"}]
-        if not merged_first:
-            copies.reverse()
-        with ResultStore(":memory:") as s:
-            assert s.insert_row(row, source="svc", **copies[0]) is True
-            assert s.insert_row(row, source="svc", **copies[1]) is False
-            # A later duplicate never overwrites an adopted identity.
-            assert s.insert_row(
-                row, source="svc", run_key="other:key", workload="other"
-            ) is False
-            assert s._conn.execute(
-                "SELECT run_key, workload FROM runs").fetchall() == [("wk:abc", "wk")]
 
     @pytest.mark.parametrize("bad", [
         {"config": [], "report": {}},

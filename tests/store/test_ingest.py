@@ -6,11 +6,17 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.store import ResultStore, ingest_path, ingest_paths, row_digest
+from repro.service.measurer import Measurer
+from repro.store import ResultStore, ingest_path, ingest_paths
 from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.metrics import SCHEMA_VERSION
 
@@ -19,6 +25,22 @@ from repro.telemetry.metrics import SCHEMA_VERSION
 def store():
     with ResultStore(":memory:") as s:
         yield s
+
+
+def finalized_run_dir(run_dir, configs, **knobs):
+    """Map quadratic ``configs`` through a durable service and finalize;
+    returns ``(results, summary)``."""
+    from repro.core.problem import QuadraticProblem
+    from repro.service import ExperimentService
+    from repro.sim.cost import CostModel
+
+    with ExperimentService(run_dir, workers=1, **knobs) as service:
+        results = service.map(
+            QuadraticProblem(32, h=1.0, b=1.5, noise_sigma=0.05),
+            CostModel(tc=2e-3, tu=1e-3, t_copy=0.5e-3),
+            configs,
+        )
+        return results, service.finalize()
 
 
 class TestPlainJsonl:
@@ -170,8 +192,6 @@ class TestBenchHistory:
         ]
 
     def test_repo_history_file_is_recognized(self, store):
-        from pathlib import Path
-
         history = Path(__file__).resolve().parents[2] / "BENCH_history.jsonl"
         report = ingest_path(store, history)
         assert report.bench_entries > 0
@@ -181,32 +201,25 @@ class TestBenchHistory:
 class TestServiceRunDir:
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
-        from repro.core.problem import QuadraticProblem
-        from repro.service import ExperimentService
-        from repro.sim.cost import CostModel
-
         from tests.conftest import make_run_config
 
         run_dir = tmp_path_factory.mktemp("svc") / "run"
-        configs = [
+        finalized_run_dir(run_dir, [
             make_run_config(algorithm=a, seed=s, max_updates=5_000)
             for a in ("ASYNC", "HOG") for s in range(2)
-        ]
-        with ExperimentService(run_dir, workers=1) as service:
-            service.map(
-                QuadraticProblem(32, h=1.0, b=1.5, noise_sigma=0.05),
-                CostModel(tc=2e-3, tu=1e-3, t_copy=0.5e-3),
-                configs,
-            )
-            service.finalize()
+        ])
         return run_dir
 
     def test_journals_and_merge_dedup_to_one_row_per_run(self, store, run_dir):
+        # The journals are the dir's one row store: nothing to dedup.
         report = ingest_path(store, run_dir)
         assert store.count() == 4
         assert report.inserted == 4
-        assert report.duplicates == 4  # journal copies of the merged rows
+        assert report.duplicates == 0
         assert report.traces == 1
+        assert sorted(Path(f).name for f in report.files) == sorted(
+            [*(p.name for p in run_dir.glob("results-*.jsonl")),
+             "service_timeline.json"])
 
     def test_rows_carry_run_key_and_workload(self, store, run_dir):
         ingest_path(store, run_dir)
@@ -227,11 +240,6 @@ class TestServiceRunDir:
         assert again.inserted == 0
         assert again.traces == 0
 
-    def test_summary_run_keys_align_with_merged(self, run_dir):
-        summary = json.loads((run_dir / "summary.json").read_text())
-        merged = read_jsonl(run_dir / "merged.jsonl")
-        assert len(summary["run_keys"]) == len(merged) == 4
-
     @staticmethod
     def _dump(store):
         return (
@@ -244,7 +252,7 @@ class TestServiceRunDir:
         first = ingest_path(store, run_dir)
         again = ingest_path(store, run_dir)
         assert (first.inserted, first.duplicates,
-                again.inserted, again.duplicates) == (4, 4, 0, 8)
+                again.inserted, again.duplicates) == (4, 0, 0, 4)
         assert first.skipped == again.skipped == 0
         with ResultStore(":memory:") as once:
             ingest_path(once, run_dir)
@@ -252,50 +260,188 @@ class TestServiceRunDir:
         runs, thresholds = self._dump(store)
         assert len(runs) == 4 and thresholds
 
-    @pytest.mark.parametrize("with_journals", [True, False])
-    @pytest.mark.parametrize("damage", ["torn", "non-object", "forward-version"])
-    def test_skipped_merged_line_keeps_run_keys_aligned(
-        self, run_dir, tmp_path, damage, with_journals
-    ):
-        """Every non-blank merged line owns its slot of ``run_keys``: a
-        skipped line must not shift later rows onto earlier keys."""
-        with ResultStore(":memory:") as intact:
-            ingest_path(intact, run_dir)
-            want = dict(intact._conn.execute("SELECT row_digest, run_key FROM runs"))
-            (wkey,) = intact.workloads()
-        assert len(want) == 4 and all(want.values())
+    def test_merge_file_of_an_older_build_is_not_read(self, store, run_dir, tmp_path):
+        """Older builds also wrote every row to ``merged.jsonl``. The
+        journals of such a dir ingest to the same table; the file is
+        neither read nor touched, and still ingests as a plain JSONL."""
+        old = tmp_path / run_dir.name
+        shutil.copytree(run_dir, old)
+        (journal,) = old.glob("results-*.jsonl")
+        (old / "merged.jsonl").write_bytes(journal.read_bytes())
+        report = ingest_path(store, old)
+        assert (report.inserted, report.duplicates) == (4, 0)
+        assert not any(f.endswith("merged.jsonl") for f in report.files)
+        assert (old / "merged.jsonl").read_bytes() == journal.read_bytes()
+        with ResultStore(":memory:") as plain:
+            ingest_path(plain, run_dir)
+            assert self._dump(plain) == self._dump(store)
+        as_file = ingest_path(store, old / "merged.jsonl")
+        assert (as_file.inserted, as_file.duplicates) == (0, 4)
 
-        broken = tmp_path / run_dir.name
-        shutil.copytree(run_dir, broken)
-        if not with_journals:
-            for journal in broken.glob("results-*.jsonl"):
-                journal.unlink()
-        lines = (broken / "merged.jsonl").read_text().splitlines()
-        victim = row_digest(json.loads(lines[1]))
-        if damage == "torn":
-            lines[1] = lines[1][: len(lines[1]) // 2]
-        elif damage == "non-object":
-            lines[1] = "[1, 2, 3]"
+
+class TestEmptyRunDir:
+    """A run that died inside its first box has a queue and no journal
+    yet: an empty run dir, not an error that drops the paths after it."""
+
+    @pytest.fixture
+    def dead_dir(self, tmp_path):
+        from repro.service import ExperimentService
+
+        dead = tmp_path / "dead"
+        with ExperimentService(dead, workers=1) as service:
+            service.queue.enqueue("t-0", ("wk:abc",))
+            service.queue.lease("t-0", owner=service.owner, timeout=60.0)
+        assert sorted(p.name for p in dead.iterdir()) == ["manifest.json", "queue.jsonl"]
+        return dead
+
+    def test_ingests_as_nothing(self, store, dead_dir):
+        report = ingest_path(store, dead_dir)
+        assert (report.inserted, report.duplicates, report.skipped,
+                report.traces, report.files) == (0, 0, 0, 0, [])
+        assert store.count() == 0
+
+    def test_paths_after_it_are_still_ingested(self, store, dead_dir, sweep_jsonl, tmp_path):
+        other = tmp_path / "copy.jsonl"
+        other.write_text(sweep_jsonl.read_text())
+        report = ingest_paths(store, [sweep_jsonl, dead_dir, other])
+        assert (report.inserted, report.duplicates, report.skipped) == (8, 8, 0)
+        assert report.files == [str(sweep_jsonl), str(other)]
+        assert store.sources() == ["sweep.jsonl"]  # first writer wins
+        assert store.count() == 8
+
+    def test_dir_without_queue_or_journal_still_raises(self, store, dead_dir):
+        (dead_dir / "queue.jsonl").unlink()
+        with pytest.raises(ConfigurationError, match="not a service run dir"):
+            ingest_path(store, dead_dir)
+
+
+# ----------------------------------------------------------------------
+# Generated damage: the journal's two readers agree on what a row is
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """A finalized run dir (4 converged + 2 stopped runs, one journal)
+    and what an undamaged ingest of it stores, per journal line."""
+    from repro.store import row_digest
+
+    from tests.conftest import make_run_config
+
+    run_dir = tmp_path_factory.mktemp("damage") / "run"
+    configs = [
+        make_run_config(algorithm=a, seed=s, max_updates=5_000)
+        for a in ("ASYNC", "LSH_ps1") for s in range(2)
+    ] + [make_run_config(algorithm="HOG", seed=s, max_updates=5) for s in range(2)]
+    results, summary = finalized_run_dir(run_dir, configs, replicas=2)
+    run_keys = summary["run_keys"]
+    assert sorted({r.status.value for r in results}) == ["converged", "stopped"]
+    (journal,) = run_dir.glob("results-*.jsonl")
+    wkey = journal.stem.removeprefix("results-")
+    lines = journal.read_text().splitlines()
+    with ResultStore(":memory:") as s:
+        report = ingest_path(s, run_dir)
+        keys = dict(s._conn.execute("SELECT row_digest, run_key FROM runs"))
+    assert (report.inserted, report.duplicates, report.skipped) == (6, 0, 0)
+    assert sorted(keys.values()) == sorted(run_keys)
+    return wkey, lines, [keys[row_digest(json.loads(line))] for line in lines]
+
+
+def _damage(lines, edits):
+    """Apply ``edits`` to the journal ``lines``. Returns the new text
+    lines and, aligned with them, which original line each still holds
+    readably (``None`` for an unreadable line, ``"blank"`` for a blank
+    one). Damage is monotone: no edit makes an unreadable line readable."""
+    text, holds = list(lines), list(range(len(lines)))
+    for kind, where, offset in edits:
+        if kind == "blank":
+            at = where % (len(text) + 1)
+            text.insert(at, "")
+            holds.insert(at, "blank")
+            continue
+        rows = [i for i, h in enumerate(holds) if h != "blank"]
+        i = rows[where % len(rows)]
+        if kind == "duplicate":
+            text.append(text[i])
+            holds.append(holds[i])
+            continue
+        if kind == "tear":
+            if len(text[i]) < 2:
+                continue
+            text[i] = text[i][: 1 + offset % (len(text[i]) - 1)]
+        elif kind == "non-object":
+            text[i] = "[1, 2, 3]"
         else:
-            lines[1] = json.dumps(
-                {**json.loads(lines[1]), "schema_version": SCHEMA_VERSION + 1})
-        (broken / "merged.jsonl").write_text("\n".join(lines) + "\n")
+            try:
+                row = json.loads(text[i])
+            except ValueError:
+                continue
+            if not isinstance(row, dict):
+                continue
+            if kind == "forward-version":
+                row["schema_version"] = SCHEMA_VERSION + 1 + offset % 3
+            else:  # "unknown-dtype"
+                row["staleness_values"] = {**row["staleness_values"], "dtype": "float99"}
+            text[i] = json.dumps(row)
+        holds[i] = None
+    return text, holds
 
-        with ResultStore(":memory:") as s:
-            with pytest.warns(UserWarning, match="ingest: skipping"):
-                report = ingest_path(s, broken)
-            assert report.skipped == 1
-            got = {
-                digest: (key, workload) for digest, key, workload in
-                s._conn.execute("SELECT row_digest, run_key, workload FROM runs")
-            }
-        if with_journals:
-            # The journal copy still stores the run: no key, its workload.
-            assert got.pop(victim) == (None, wkey)
-        assert set(got) == set(want) - {victim}
-        for digest, (key, workload) in got.items():
-            assert key == want[digest]
-            assert workload == (wkey if with_journals else None)
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["tear", "non-object", "forward-version", "unknown-dtype",
+                         "blank", "duplicate"]),
+        st.integers(0, 1_000),
+        st.integers(0, 100_000),
+    ),
+    max_size=8,
+)
+
+
+class TestJournalDamage:
+    @given(edits=_EDITS)
+    # The PR 15 shape: one torn line in the middle, rows after it.
+    @example(edits=[("tear", 1, 2_500)])
+    # A duplicate outlives the damage of the line it copied.
+    @example(edits=[("duplicate", 0, 0), ("non-object", 0, 0)])
+    @example(edits=[("blank", 0, 0), ("unknown-dtype", 2, 0), ("forward-version", 5, 1),
+                    ("duplicate", 3, 0), ("tear", 6, 7)])
+    def test_damage_skips_lines_and_never_moves_a_key(self, intact, edits):
+        wkey, lines, line_keys = intact
+        text, holds = _damage(lines, edits)
+        readable = [h for h in holds if isinstance(h, int)]
+        unreadable = holds.count(None)
+        want = {line_keys[h] for h in readable}
+
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp) / "run"
+            run_dir.mkdir()
+            (run_dir / "queue.jsonl").touch()
+            (run_dir / f"results-{wkey}.jsonl").write_text(
+                "".join(line + "\n" for line in text))
+            with ResultStore(":memory:") as s:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    first = ingest_path(s, run_dir)
+                    again = ingest_path(s, run_dir)
+                stored = s._conn.execute(
+                    "SELECT run_key, workload FROM runs").fetchall()
+            measurer = Measurer(run_dir)
+            with warnings.catch_warnings(record=True) as replay_caught:
+                warnings.simplefilter("always")
+                loaded = measurer.load_workload(wkey)
+
+        # One warned skip per line made unreadable, nothing else lost.
+        assert (first.inserted, first.duplicates, first.skipped) == (
+            len(want), len(readable) - len(want), unreadable)
+        assert (again.inserted, again.duplicates, again.skipped) == (
+            0, len(readable), unreadable)
+        assert len(caught) == 2 * unreadable
+        # Every surviving run keeps exactly its own key: there is no
+        # position for a skipped line to shift.
+        assert sorted(stored) == sorted((key, wkey) for key in want)
+        # The journal's other reader sees the same rows.
+        assert loaded == len(readable) and len(replay_caught) == unreadable
+        assert len(measurer) == len(want)
+        assert all(measurer.has(key) for key in want)
 
 
 class TestJsonFiles:
@@ -355,19 +501,10 @@ class TestJsonFiles:
         assert store.count() == 0
 
     def test_service_timeline_still_registers(self, store, tmp_path):
-        from repro.core.problem import QuadraticProblem
-        from repro.service import ExperimentService
-        from repro.sim.cost import CostModel
-
         from tests.conftest import make_run_config
 
-        with ExperimentService(tmp_path / "run", workers=1) as service:
-            service.map(
-                QuadraticProblem(32, h=1.0, b=1.5, noise_sigma=0.05),
-                CostModel(tc=2e-3, tu=1e-3, t_copy=0.5e-3),
-                [make_run_config(algorithm="ASYNC", max_updates=2_000)],
-            )
-            service.finalize()
+        finalized_run_dir(
+            tmp_path / "run", [make_run_config(algorithm="ASYNC", max_updates=2_000)])
         report = ingest_path(store, tmp_path / "run" / "service_timeline.json")
         assert (report.inserted, report.traces) == (0, 1)
 

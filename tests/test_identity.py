@@ -300,16 +300,18 @@ class TestEncodeOnce:
             service.map(problem, COST, configs)
             assert len(encodes) == len(configs)  # the journal appends
             first = service.finalize()
-            assert len(encodes) == len(configs)  # fingerprint + merge: none
+            assert len(encodes) == len(configs)  # the fingerprint: none
             assert service.summary()["merged_fingerprint"] == first["merged_fingerprint"]
             assert service.summary() == service.summary()
             assert len(encodes) == len(configs)
         assert service.measurer._lines == {}  # dropped by close(), not by a gc
-        merged = (tmp_path / "merged.jsonl").read_text().splitlines()
+        # The journal lines are what the fingerprint hashes: no merge file.
+        assert not (tmp_path / "merged.jsonl").exists()
         (journal,) = tmp_path.glob("results-*.jsonl")
-        assert merged == journal.read_text().splitlines()
+        lines = journal.read_text().splitlines()
+        assert len(lines) == len(configs)
         assert first["merged_fingerprint"] == identity.merged_fingerprint(
-            identity.simulation_fingerprint(json.loads(line)) for line in merged
+            identity.simulation_fingerprint(json.loads(line)) for line in lines
         )
 
     def test_resumed_session_encodes_each_run_once(self, tmp_path, problem, encodes):
@@ -317,17 +319,18 @@ class TestEncodeOnce:
         with ExperimentService(tmp_path, workers=1, replicas=2) as service:
             service.map(problem, COST, configs)
             populated = service.finalize()
-        merged = (tmp_path / "merged.jsonl").read_bytes()
+        (journal,) = tmp_path.glob("results-*.jsonl")
+        on_disk = journal.read_bytes()
         del encodes[:]
         with ExperimentService(tmp_path, workers=1, replicas=2) as service:
             service.map(problem, COST, configs)
             assert service.stats.runs_from_journal == len(configs)
-            assert encodes == []  # replayed rows are not re-journaled
             resumed = service.finalize()
             service.summary()
-        assert len(encodes) == len(configs)
+        # The one encoding of a row already on disk is its journal line.
+        assert encodes == []
         assert resumed["merged_fingerprint"] == populated["merged_fingerprint"]
-        assert (tmp_path / "merged.jsonl").read_bytes() == merged
+        assert journal.read_bytes() == on_disk
 
     def test_volatile_session_encodes_nothing_until_asked(self, problem, encodes):
         configs = _configs()
