@@ -228,8 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "benchmarks/rendered/",
     )
     report_p.add_argument("--rendered", default="benchmarks/rendered", metavar="DIR")
-    report_p.add_argument("--out", default="reproduction_report.md", metavar="PATH",
-                          help="output path (default report.html in --db mode)")
+    report_p.add_argument("--out", default=None, metavar="PATH",
+                          help="output path (default reproduction_report.md, "
+                               "report.html in --db mode)")
     report_p.add_argument("--profile", default="quick")
     report_p.add_argument("--db", default=None, metavar="FILE",
                           help="build the self-contained HTML report from "
@@ -767,15 +768,12 @@ def _cmd_report_db(args) -> int:
     from repro.report import validate_report_html, write_report
     from repro.store import ResultStore
 
-    out = args.out
-    if out == "reproduction_report.md":
-        out = "report.html"
     generated_at = args.generated_at or (
         datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%S UTC")
     )
     with ResultStore(args.db) as store:
         path = write_report(
-            store, out, eps=args.eps, n_boot=args.boot, seed=args.seed,
+            store, args.out or "report.html", eps=args.eps, n_boot=args.boot, seed=args.seed,
             generated_at=generated_at,
         )
     validate_report_html(path.read_text(encoding="utf-8"))
@@ -840,7 +838,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_report_db(args)
         from repro.harness.report import write_report
 
-        path = write_report(args.rendered, args.out, profile_name=args.profile)
+        path = write_report(
+            args.rendered, args.out or "reproduction_report.md",
+            profile_name=args.profile,
+        )
         print(f"wrote {path}")
         return 0
     if args.command == "db":

@@ -13,10 +13,14 @@ Key
     can change a result changes the key.
 
 Value
-    The run's canonical row line (:func:`repro.identity.result_to_line`),
-    one file per key under ``<root>/<key[:2]>/``, written atomically
-    (tmp + rename). A hit rebuilds a full :class:`RunResult` that is
-    bitwise-identical to recomputation on every simulation field
+    The run's canonical row line, one file per key under
+    ``<root>/<key[:2]>/``, written atomically (tmp + rename). The cache
+    encodes nothing: :meth:`RunCache.put` is handed the line the
+    caller's one :func:`~repro.identity.result_to_line` produced, and a
+    hit returns the entry's text next to the :class:`RunResult` rebuilt
+    from it, so a served run is journalled as that text and never
+    encoded again. The rebuilt result is bitwise-identical to
+    recomputation on every simulation field
     (``tests/harness/test_cache.py`` enforces it via
     :func:`~repro.identity.simulation_fingerprint`).
 
@@ -59,7 +63,6 @@ from repro.identity import (
     cache_key,
     migrate_row_strict,
     result_from_row,
-    result_to_line,
     row_from_line,
 )
 
@@ -106,22 +109,12 @@ def resolve_cache_dir(cache_dir: str | None = None, *, no_cache: bool = False) -
 # ----------------------------------------------------------------------
 @dataclass
 class CacheStats:
-    """Tallies of one :class:`RunCache`.
-
-    ``tasks_served`` / ``tasks_executed`` are queue-level counters the
-    experiment service mirrors in (see
-    :class:`repro.service.dispatcher.Dispatcher`): how many *tasks*
-    (seed-cohort boxes) were satisfied without simulating — from this
-    cache or a resume journal — versus dispatched onto workers. They
-    stay 0 outside the service path, and the ``__str__`` line only
-    mentions them when the service actually ran tasks."""
+    """Tallies of one :class:`RunCache`."""
 
     hits: int = 0
     misses: int = 0
     bypasses: int = 0
     stores: int = 0
-    tasks_served: int = 0
-    tasks_executed: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -129,17 +122,11 @@ class CacheStats:
             "misses": self.misses,
             "bypasses": self.bypasses,
             "stores": self.stores,
-            "tasks_served": self.tasks_served,
-            "tasks_executed": self.tasks_executed,
         }
 
     def __str__(self) -> str:
-        line = (f"{self.hits} hits / {self.misses} misses / "
+        return (f"{self.hits} hits / {self.misses} misses / "
                 f"{self.bypasses} bypassed")
-        if self.tasks_served or self.tasks_executed:
-            line += (f"; tasks: {self.tasks_served} served / "
-                     f"{self.tasks_executed} executed")
-        return line
 
 
 class RunCache:
@@ -174,10 +161,13 @@ class RunCache:
             self.bus.cache_bypass(reason)
 
     # -- lookup / store ------------------------------------------------
-    def get(self, problem: "Problem", cost: "CostModel", config: "RunConfig") -> "RunResult | None":
-        """The cached result for this exact (problem, cost, config), or
-        None (counting a miss). Corrupt or foreign-schema entries are
-        warned misses, never errors."""
+    def get(
+        self, problem: "Problem", cost: "CostModel", config: "RunConfig"
+    ) -> "tuple[RunResult, str] | None":
+        """The cached ``(result, line)`` for this exact (problem, cost,
+        config), ``line`` being the entry's text (the run's canonical
+        row line), or None (counting a miss). Corrupt or foreign-schema
+        entries are warned misses, never errors."""
         key = cache_key(problem, cost, config)
         path = self._path(key)
         row = None
@@ -191,8 +181,12 @@ class RunCache:
             text = None
         if text is not None:
             where = str(path)
+            lines = text.splitlines()
             try:
-                row = migrate_row_strict(row_from_line(text, where=where), where=where)
+                # A hit's text is journalled verbatim: it must be one line.
+                if len(lines) != 1:
+                    raise ConfigurationError(f"{where}: not a single row line")
+                row = migrate_row_strict(row_from_line(lines[0], where=where), where=where)
             except ConfigurationError as exc:  # names the path itself
                 warnings.warn(f"run cache: corrupt entry {exc}; re-running",
                               RuntimeWarning, stacklevel=2)
@@ -206,15 +200,19 @@ class RunCache:
                 self.stats.hits += 1
                 if self.bus is not None:
                     self.bus.cache_hit(key)
-                return result
+                return result, lines[0]
         self.stats.misses += 1
         if self.bus is not None:
             self.bus.cache_miss(key)
         return None
 
-    def put(self, problem: "Problem", cost: "CostModel", config: "RunConfig", result: "RunResult") -> bool:
-        """Store one completed run; returns False (a bypass) for results
-        the cache must not serve (see the module docstring)."""
+    def put(
+        self, problem: "Problem", cost: "CostModel", config: "RunConfig",
+        result: "RunResult", line: str,
+    ) -> bool:
+        """Store one completed run as ``line``, its canonical row line;
+        returns False (a bypass) for results the cache must not serve
+        (see the module docstring)."""
         from repro.core.convergence import RunStatus
 
         if (
@@ -231,7 +229,7 @@ class RunCache:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(result_to_line(result) + "\n")
+        tmp.write_text(line + "\n")
         os.replace(tmp, path)
         self.stats.stores += 1
         return True

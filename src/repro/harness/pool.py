@@ -230,40 +230,23 @@ def make_broadcast(problem: "Problem", cost: "CostModel") -> ProblemBroadcast | 
     """
     key = f"bcast-{os.getpid()}-{next(_broadcast_counter)}"
     shm = _shm_module()
-    if shm is not None:
-        segments: list = []
-        buffer = io.BytesIO()
-        try:
-            _ShmPickler(buffer, shm, segments).dump((problem, cost))
-            return ProblemBroadcast(
-                key=key, mode="shm", payload=buffer.getvalue(), segments=segments
-            )
-        except OSError:
-            # shm unavailable (or exhausted): fall through to plain pickle.
-            for segment in segments:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except OSError:
-                    pass
-        except Exception as exc:
-            for segment in segments:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except OSError:
-                    pass
-            warnings.warn(
-                f"parallel run falling back to serial: payload not picklable ({exc})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
+    segments: list = []
     try:
+        if shm is not None:
+            buffer = io.BytesIO()
+            try:
+                _ShmPickler(buffer, shm, segments).dump((problem, cost))
+                return ProblemBroadcast(
+                    key=key, mode="shm", payload=buffer.getvalue(), segments=segments
+                )
+            except OSError:
+                # shm unavailable (or exhausted): fall through to plain pickle.
+                _release_segments(segments)
         return ProblemBroadcast(
             key=key, mode="pickle", payload=pickle.dumps((problem, cost))
         )
     except Exception as exc:
+        _release_segments(segments)
         warnings.warn(
             f"parallel run falling back to serial: payload not picklable ({exc})",
             RuntimeWarning,

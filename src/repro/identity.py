@@ -29,11 +29,15 @@ Reading
     :func:`row_from_line` followed by :func:`migrate_row_strict` is the
     tolerant-reader contract shared by ``read_jsonl``, ``RunCache.get``,
     ``Measurer.load_workload`` and the store's ingester: anything that
-    is not a readable row of a schema this build knows raises
+    is not a readable row of *the* schema (:data:`SCHEMA_VERSION`,
+    nothing older and nothing newer: no migration exists) raises
     :class:`~repro.errors.ConfigurationError` (its subclass
     :class:`~repro.errors.SchemaVersionError` for the version gate) and
     nothing else, so each reader turns exactly one exception family into
-    its warned skip.
+    its warned skip. With no migration a parsed line *is* the encoded
+    row, so a reader that needs the encoding (the store's digest and
+    ``row_json``) takes it from the parse and never calls
+    :func:`encode`.
 
 Volatile fields
     :data:`WALL_FIELDS` are host clocks that jitter between two
@@ -90,11 +94,11 @@ __all__ = [
     "config_hash",
     "content_digest",
     "decode",
+    "decode_row",
     "encode",
     "encoded_row_digest",
     "line_fingerprint",
     "merged_fingerprint",
-    "migrate_row",
     "migrate_row_strict",
     "problem_fingerprint",
     "result_from_row",
@@ -108,8 +112,10 @@ __all__ = [
     "workload_key",
 ]
 
-#: Bump on any incompatible change to the row's key layout
-#: (:mod:`repro.telemetry.metrics` documents the keys per version).
+#: The one row layout every reader accepts and every writer emits
+#: (:mod:`repro.telemetry.metrics` documents the keys). Bump on any
+#: incompatible change; rows of the previous layout then become foreign
+#: input.
 SCHEMA_VERSION = 3
 
 #: Host clocks: differ between two executions of the same run anywhere.
@@ -208,18 +214,14 @@ def result_to_line(result) -> str:
     return canonical(payload)
 
 
-def row_from_line(line: str, *, where: str = "<row>") -> dict:
-    """Parse one archived line into a decoded flat row.
+def decode_row(payload: Any, *, where: str = "<row>") -> dict:
+    """One parsed line (the encoded flat row) as a decoded flat row.
 
-    Raises :class:`ConfigurationError` naming ``where`` (``path:lineno``
-    for file readers) for a torn or corrupt line, JSON that is not an
-    object, or a sentinel :func:`decode` cannot restore. Follow with
-    :func:`migrate_row_strict`: the pair accepts exactly the readable
-    rows of a known schema."""
-    try:
-        payload = json.loads(line)
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: torn or corrupt JSON line ({exc})") from None
+    Raises :class:`ConfigurationError` naming ``where`` for JSON that is
+    not an object or a sentinel :func:`decode` cannot restore. This is
+    the check on outside input for a reader that keeps the parsed
+    payload (the store's ingester); the others go through
+    :func:`row_from_line`."""
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{where}: not a JSON object")
     try:
@@ -228,43 +230,37 @@ def row_from_line(line: str, *, where: str = "<row>") -> dict:
         raise ConfigurationError(f"{where}: undecodable value ({exc})") from None
 
 
+def row_from_line(line: str, *, where: str = "<row>") -> dict:
+    """Parse one archived line into a decoded flat row.
+
+    Raises :class:`ConfigurationError` naming ``where`` (``path:lineno``
+    for file readers) for a torn or corrupt line and for everything
+    :func:`decode_row` refuses. Follow with :func:`migrate_row_strict`:
+    the pair accepts exactly the readable rows of the current schema."""
+    try:
+        payload = json.loads(line)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: torn or corrupt JSON line ({exc})") from None
+    return decode_row(payload, where=where)
+
+
 # ----------------------------------------------------------------------
 # Schema gate
 # ----------------------------------------------------------------------
-def migrate_row(row: dict) -> dict:
-    """Migrate one flat run row written under an older schema to the
-    current layout, in place (rows already current pass through).
-
-    v1 -> v2 fills the observability keys with their never-ran / empty
-    defaults: ``wall_phases`` all-NaN, ``profile`` ``{}``,
-    ``provenance`` ``{}``. v2 -> v3 fills ``kernel_fallbacks`` with
-    ``0`` (no stacked kernel existed, so nothing ever de-vectorized).
-    """
-    version = row.get("schema_version")
-    if version == 1:
-        from repro.telemetry.metrics import nan_wall_phases
-
-        row.setdefault("wall_phases", nan_wall_phases())
-        row.setdefault("profile", {})
-        row.setdefault("provenance", {})
-    if version in (1, 2):
-        row.setdefault("kernel_fallbacks", 0)
-        row["schema_version"] = SCHEMA_VERSION
-    return row
-
-
 def migrate_row_strict(row: dict, *, where: str = "<row>") -> dict:
-    """:func:`migrate_row` behind the version gate: ``schema_version``
-    must be an ``int`` (not a ``bool``) in ``1..SCHEMA_VERSION``;
-    anything else (missing, newer, or not a version at all) raises
-    :class:`SchemaVersionError` naming ``where``."""
+    """The version gate: ``schema_version`` must be the ``int`` (not a
+    ``bool``) :data:`SCHEMA_VERSION`; anything else (older, newer,
+    missing, or not a version at all) raises
+    :class:`SchemaVersionError` naming ``where``. Returns ``row``
+    untouched. Nothing is migrated; the name is the one
+    ``bench/trace.py`` binds."""
     version = row.get("schema_version")
-    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{where}: schema_version {version!r} not supported "
-            f"(this build reads <= {SCHEMA_VERSION})"
+            f"(this build reads {SCHEMA_VERSION})"
         )
-    return migrate_row(row)
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +347,7 @@ def config_hash(config) -> str:
 
 def archived_config_hash(config: dict) -> str:
     """:func:`config_hash` of a decoded row's ``config`` mapping, for rows
-    whose provenance recorded none (v1): rebuild the frozen ``RunConfig`` and
+    whose provenance recorded none: rebuild the frozen ``RunConfig`` and
     hash that; a config that no longer reconstructs falls back to a
     digest of the mapping itself."""
     try:

@@ -12,7 +12,9 @@ One :meth:`Dispatcher.run` call drives one workload batch end to end:
    leased, and each leased run is looked up first in the journal
    (a resumed run under a different cohort grouping) then in the
    content-addressed :class:`~repro.harness.cache.RunCache` — the
-   tentpole contract that resumption and dedup share one identity.
+   tentpole contract that resumption and dedup share one identity. A
+   cache hit hands its entry text to the measurer, which journals it
+   as the run's line.
    Tasks fully satisfied without simulating complete immediately.
 3. **Execute** — the rest go onto the persistent
    :class:`~repro.harness.pool.WorkerPool` as super-cohort chunks, with
@@ -129,24 +131,22 @@ class Dispatcher:
         if self.kill_after and self._session_completions >= self.kill_after:
             os._exit(KILL_EXIT_CODE)
 
-    def _mirror_cache_counters(self, *, served: bool) -> None:
-        if self.cache is not None:
-            if served:
-                self.cache.stats.tasks_served += 1
-            else:
-                self.cache.stats.tasks_executed += 1
-
     def _complete(
         self, problem, cost, wkey: str, task: "PlannedTask",
         results: dict[int, object], executed: Sequence[int],
         cached: Sequence[int],
     ) -> str:
         """Durably finish one task: cache-store, journal, mark DONE.
-        Returns the completion source for progress labelling."""
+        Returns the completion source for progress labelling. The cache
+        entry and the journal row of an executed run are the same line,
+        the measurer's one encoding of it."""
         if self.cache is not None:
             for i in executed:
                 if self.cache.eligible(task.configs[i]):
-                    self.cache.put(problem, cost, task.configs[i], results[i])
+                    self.cache.put(
+                        problem, cost, task.configs[i], results[i],
+                        self.measurer.line(task.run_keys[i], results[i]),
+                    )
         self.measurer.ingest(
             wkey, [(task.run_keys[i], results[i]) for i in sorted(results)]
         )
@@ -159,7 +159,6 @@ class Dispatcher:
         else:
             source = "journal"
             self.stats.tasks_from_journal += 1
-        self._mirror_cache_counters(served=not executed)
         self.queue.mark_done(task.task_id, source=source)
         return source
 
@@ -191,7 +190,6 @@ class Dispatcher:
                 if all(self.measurer.has(key) for key in task.run_keys):
                     self.stats.tasks_from_journal += 1
                     self.stats.runs_from_journal += len(task)
-                    self._mirror_cache_counters(served=True)
                     done_runs += len(task)
                     self._progress(progress, done_runs, total, task, " [journal]")
                     continue
@@ -219,7 +217,8 @@ class Dispatcher:
                     else:
                         hit = self.cache.get(problem, cost, config)
                         if hit is not None:
-                            served[i] = hit
+                            served[i], line = hit
+                            self.measurer.adopt(key, line)
                             cached.append(i)
                             self.stats.runs_from_cache += 1
                             continue

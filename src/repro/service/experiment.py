@@ -151,37 +151,39 @@ class ExperimentService:
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self._lock = acquire_run_lock(self.run_dir, self.owner)
-            try:
+        try:
+            if self.run_dir is not None:
                 self._reconcile_manifest(manifest or {})
-            except BaseException:
-                # Never leave the lock behind on a failed construction —
-                # a live-pid lock is a hard error for the next attempt.
+            self.bus = ProbeBus()
+            self.timeline = TimelineRecorder()
+            self.bus.attach(self.timeline)
+            self._t0 = time.monotonic()
+            self.queue = TaskQueue(
+                self.run_dir / "queue.jsonl" if self.run_dir is not None else None,
+                bus=self.bus,
+                clock=lambda: time.monotonic() - self._t0,
+            )
+            self.measurer = Measurer(self.run_dir)
+            self.scheduler = SweepScheduler(self.replicas)
+            self.cache = cache
+            self._owned_pool = None
+            if pool is None and self.workers > 1:
+                pool = self._owned_pool = WorkerPool(self.workers)
+            self.pool = pool
+            self.dispatcher = Dispatcher(
+                self.queue, self.measurer, owner=self.owner,
+                pool=self.pool, cache=self.cache,
+            )
+            self._order: list[str] = []
+            self._seen: set[str] = set()
+            self._closed = False
+        except BaseException:
+            # Never leave the lock behind on a failed construction
+            # (manifest mismatch, corrupt queue journal, pool bring-up):
+            # a live-pid lock is a hard error for the next attempt.
+            if self._lock is not None:
                 self._lock.unlink(missing_ok=True)
-                raise
-
-        self.bus = ProbeBus()
-        self.timeline = TimelineRecorder()
-        self.bus.attach(self.timeline)
-        self._t0 = time.monotonic()
-        self.queue = TaskQueue(
-            self.run_dir / "queue.jsonl" if self.run_dir is not None else None,
-            bus=self.bus,
-            clock=lambda: time.monotonic() - self._t0,
-        )
-        self.measurer = Measurer(self.run_dir)
-        self.scheduler = SweepScheduler(self.replicas)
-        self.cache = cache
-        self._owned_pool = None
-        if pool is None and self.workers > 1:
-            pool = self._owned_pool = WorkerPool(self.workers)
-        self.pool = pool
-        self.dispatcher = Dispatcher(
-            self.queue, self.measurer, owner=self.owner,
-            pool=self.pool, cache=self.cache,
-        )
-        self._order: list[str] = []
-        self._seen: set[str] = set()
-        self._closed = False
+            raise
 
     # -- manifest ------------------------------------------------------
     def _reconcile_manifest(self, manifest: dict) -> None:

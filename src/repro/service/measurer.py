@@ -14,16 +14,18 @@ plus the file's own workload prefix, never a re-fingerprint of the
 corpus. The journals are also the run directory's one row store: the
 result store ingests them directly, and nothing writes a second copy.
 
-**A result is encoded once.** The measurer keeps, per run key, the one
-line that encodes the result it stores: what its single
-:func:`~repro.identity.result_to_line` call produced for a run that
-completed in this session, the journal line itself for a run replayed
-from disk (a row migrated from an older schema is re-encoded when
-first asked for). The journal append and
-:meth:`Measurer.merged_fingerprint` both read that line. The lines are
-dropped by :meth:`Measurer.close`, and in volatile mode
-(``run_dir=None``: same interface, no files — the one-shot CLI path)
-nothing is encoded until a summary asks.
+**A run has one line, encoded at most once.** The measurer keeps, per
+run key, the canonical line of the run: what the session's single
+:func:`~repro.identity.result_to_line` call (:meth:`Measurer.line`)
+produced for a run that executed, the cache entry's text for a run the
+cache served (:meth:`Measurer.adopt`), the journal line itself for a
+run replayed from disk. The run cache's entry, the journal append and
+:meth:`Measurer.merged_fingerprint` all read that line, so a fresh run
+costs one encode whether or not a cache stores it and a served or
+resumed run costs none. The lines are dropped by
+:meth:`Measurer.close`, and in volatile mode (``run_dir=None``: same
+interface, no files — the one-shot CLI path) nothing is encoded until
+a cache entry or a summary asks.
 
 The :func:`~repro.identity.merged_fingerprint` over the runs in global
 submission order (``summary.json`` ``run_keys``) is what the
@@ -39,7 +41,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.identity import (
-    SCHEMA_VERSION,
     line_fingerprint,
     merged_fingerprint,
     migrate_row_strict,
@@ -61,16 +62,23 @@ class Measurer:
     def __init__(self, run_dir: str | Path | None = None) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self._results: dict[str, "RunResult"] = {}
-        self._lines: dict[str, str] = {}  # run key -> the result's one encoding
+        self._lines: dict[str, str] = {}  # run key -> the run's one line
         self._journals: dict[str, object] = {}  # wkey -> open append handle
         self._loaded: set[str] = set()
 
-    def _line(self, key: str) -> str:
-        """The canonical line of the stored result, encoded on first use."""
+    def line(self, key: str, result: "RunResult") -> str:
+        """The canonical line of run ``key``: the text it was served or
+        replayed from, else ``result`` encoded now and kept."""
         line = self._lines.get(key)
         if line is None:
-            line = self._lines[key] = result_to_line(self._results[key])
+            line = self._lines[key] = result_to_line(result)
         return line
+
+    def adopt(self, key: str, line: str) -> None:
+        """Keep a cache entry's text as the line of run ``key``, ahead of
+        the :meth:`ingest` that journals it. A key that already has a
+        line keeps it."""
+        self._lines.setdefault(key, line)
 
     # -- journal replay ------------------------------------------------
     def _journal_path(self, wkey: str) -> Path:
@@ -95,9 +103,9 @@ class Measurer:
                 continue
             where = f"{path}:{lineno}"
             try:
-                row = row_from_line(line, where=where)
-                current = row.get("schema_version") == SCHEMA_VERSION
-                result = result_from_row(migrate_row_strict(row, where=where))
+                result = result_from_row(
+                    migrate_row_strict(row_from_line(line, where=where), where=where)
+                )
             except Exception as exc:
                 warnings.warn(
                     f"measurer: skipping unreadable row {path}:{lineno} "
@@ -108,8 +116,7 @@ class Measurer:
             key = run_key(wkey, result.config)
             if key not in self._results:
                 self._results[key] = result
-                if current:
-                    self._lines[key] = line
+                self._lines[key] = line
             loaded += 1
         return loaded
 
@@ -138,8 +145,8 @@ class Measurer:
             journal = self._journals[wkey] = open(
                 self._journal_path(wkey), "a", encoding="utf-8"
             )
-        for key, _ in fresh:
-            journal.write(self._line(key) + "\n")
+        for key, result in fresh:
+            journal.write(self.line(key, result) + "\n")
         journal.flush()
         os.fsync(journal.fileno())
 
@@ -148,7 +155,9 @@ class Measurer:
         """:func:`repro.identity.merged_fingerprint` of the runs in
         ``order``: the identity of the *science* this service run
         produced."""
-        return merged_fingerprint(line_fingerprint(self._line(key)) for key in order)
+        return merged_fingerprint(
+            line_fingerprint(self.line(key, self._results[key])) for key in order
+        )
 
     def close(self) -> None:
         for journal in self._journals.values():

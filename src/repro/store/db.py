@@ -42,7 +42,6 @@ from repro.errors import ConfigurationError
 from repro.identity import (
     canonical,
     content_digest,
-    encode,
     encoded_row_digest,
     row_config_hash,
     row_from_line,
@@ -210,28 +209,27 @@ class ResultStore:
     def insert_row(
         self,
         row: dict,
+        encoded: dict,
         *,
         source: str,
         workload: str | None = None,
         run_key: str | None = None,
-        original_schema_version: int | None = None,
     ) -> bool:
-        """Insert one migrated, decoded run row; returns False (a no-op)
-        when its content address is already stored.
+        """Insert one run row; returns False (a no-op) when its content
+        address is already stored.
 
-        ``row`` must be a current-schema flat row (the ingester migrates
-        first). ``workload`` is a grouping label (the service's workload
-        key, or a caller-supplied name); ``run_key`` the service-wide
-        run identity when known; ``original_schema_version`` the version
-        the row was *written* under (migration overwrites it in the row
-        itself) — provenance for "which builds produced this sample".
+        ``encoded`` is the parsed line and ``row`` what
+        :func:`repro.identity.decode_row` made of it (the ingester has
+        both): the digest and (for a new row) the ``row_json`` come from
+        ``encoded`` as it stands, the column values from ``row``; nothing
+        is encoded here. ``workload`` is a grouping label (the service's
+        workload key, or a caller-supplied name); ``run_key`` the
+        service-wide run identity when known.
 
-        The row is encoded once; its digest and (for a new row) its
-        ``row_json`` both come from that encoding. A digest that is
-        already stored returns at once — no column values, no
-        ``row_json``, and the stored row keeps the ``run_key``,
-        ``workload`` and ``source`` it was first written with. The
-        lookup is only an early out: the UNIQUE ``row_digest``
+        A digest that is already stored returns at once — no column
+        values, no ``row_json``, and the stored row keeps the
+        ``run_key``, ``workload`` and ``source`` it was first written
+        with. The lookup is only an early out: the UNIQUE ``row_digest``
         constraint still decides dedup.
         """
         config = row.get("config")
@@ -240,7 +238,6 @@ class ResultStore:
             raise ConfigurationError(
                 "run row has no config/report mapping — not a result row"
             )
-        encoded = encode(row)
         digest = encoded_row_digest(encoded)
         if self._conn.execute(
             "SELECT 1 FROM runs WHERE row_digest = ?", (digest,)
@@ -286,9 +283,7 @@ class ResultStore:
                 float(config.get("eta", float("nan"))),
                 int(config.get("seed", 0)),
                 str(row.get("status", "?")),
-                int(original_schema_version
-                    if original_schema_version is not None
-                    else row.get("schema_version", 0)),
+                int(row.get("schema_version", 0)),
                 _finite_or_none(target),
                 virtual_time,
                 _finite_or_none(row.get("wall_seconds")),

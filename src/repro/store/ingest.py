@@ -3,9 +3,10 @@
 ``repro db ingest PATH...`` accepts, per path:
 
 * a **plain JSONL results file** — ``repro analyze --jsonl`` output or
-  any v1/v2/v3 rows (read through :func:`repro.identity.row_from_line`
-  and the :func:`~repro.identity.migrate_row_strict` gate, the same
-  reader as ``read_jsonl``, the run cache and the service journal);
+  any file of current-schema rows (checked by
+  :func:`repro.identity.decode_row` and the
+  :func:`~repro.identity.migrate_row_strict` gate, the same contract as
+  ``read_jsonl``, the run cache and the service journal);
 * a **``--json`` archive** — the JSON list of rows ``repro run --json``
   and ``repro sweep --json`` write (``save_results``): each element
   goes through the same gate and skip rules as a JSONL line;
@@ -31,9 +32,15 @@ that is neither a row list nor a trace is a
 
 Robustness contract (the ingester reads files that may be mid-write by
 a live service, or hand-concatenated): a torn/corrupt line, a value
-the codec cannot restore, or a row under a foreign schema version is a
-*warned skip*, never an abort — one bad line must not discard the
-thousands of good rows around it.
+the codec cannot restore, or a row under a foreign schema version
+(v1/v2 included: deleted, not migrated) is a *warned skip*, never an
+abort — one bad line must not discard the thousands of good rows
+around it.
+
+A line is parsed once and never re-encoded: the parsed payload *is* the
+encoded row, so the store takes its digest and ``row_json`` from it;
+decoding it is the check on outside input and feeds the column values
+and :func:`~repro.identity.row_config_hash`.
 The per-file tallies come back in :class:`IngestReport` so callers
 (and CI) can assert exact insert/duplicate/skip counts.
 """
@@ -46,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.identity import migrate_row_strict, row_config_hash, row_from_line
+from repro.identity import decode_row, migrate_row_strict, row_config_hash
 from repro.store.db import ResultStore
 
 __all__ = ["IngestReport", "ingest_path", "ingest_paths"]
@@ -83,22 +90,17 @@ def _warn_skip(what: str) -> None:
     warnings.warn(f"ingest: skipping {what}", stacklevel=3)
 
 
-def _nonblank_lines(path: Path):
-    """Yield ``(lineno, text)`` per non-blank line."""
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, line
-
-
 def _iter_lines(path: Path):
     """Yield ``(lineno, parsed-or-None)`` per non-blank line; a
     torn/corrupt line parses to None (callers warn + count it)."""
-    for lineno, line in _nonblank_lines(path):
-        try:
-            yield lineno, json.loads(line)
-        except json.JSONDecodeError:
-            yield lineno, None
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError:
+                yield lineno, None
 
 
 def _ingest_result_file(
@@ -110,18 +112,18 @@ def _ingest_result_file(
     rows=None,
 ) -> IngestReport:
     """One file of run rows: a JSONL file's non-blank lines, or the
-    ``(where, row text)`` pairs in ``rows``. ``wkey`` (a service
+    ``(where, parsed row)`` pairs in ``rows``. ``wkey`` (a service
     journal's workload key) labels every row's ``workload`` and, with
     the row's own config hash, gives its ``run_key``: nothing about a
     row's identity depends on the lines around it."""
     report = IngestReport(files=[str(path)])
     if rows is None:
-        rows = ((f"{path}:{lineno}", line) for lineno, line in _nonblank_lines(path))
-    for where, line in rows:
+        rows = ((f"{path}:{lineno}", item) for lineno, item in _iter_lines(path))
+    for where, encoded in rows:
         try:
-            row = row_from_line(line, where=where)
-            original_version = row.get("schema_version")
-            row = migrate_row_strict(row, where=where)
+            if encoded is None:
+                raise ConfigurationError(f"{where}: torn or corrupt JSON line")
+            row = migrate_row_strict(decode_row(encoded, where=where), where=where)
         except ConfigurationError as exc:  # names ``where`` itself
             _warn_skip(str(exc))
             report.skipped += 1
@@ -129,8 +131,7 @@ def _ingest_result_file(
         run_key = None if wkey is None else f"{wkey}:{row_config_hash(row)}"
         try:
             fresh = store.insert_row(
-                row, source=source, workload=wkey, run_key=run_key,
-                original_schema_version=original_version,
+                row, encoded, source=source, workload=wkey, run_key=run_key
             )
         except ConfigurationError as exc:
             _warn_skip(f"{where}: {exc}")
@@ -217,7 +218,7 @@ def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
     except ValueError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
     if isinstance(payload, list):
-        rows = ((f"{path}[{i}]", json.dumps(item)) for i, item in enumerate(payload))
+        rows = ((f"{path}[{i}]", item) for i, item in enumerate(payload))
         return _ingest_result_file(store, path, source=path.name, rows=rows)
     if isinstance(payload, dict) and isinstance(payload.get("traceEvents"), list):
         report = IngestReport(files=[str(path)])

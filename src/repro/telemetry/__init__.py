@@ -28,7 +28,6 @@ afterthought. This package provides the three layers:
 
 from repro.telemetry.bus import EVENTS, ProbeBus
 from repro.telemetry.jsonl import (
-    migrate_row,
     migrate_row_strict,
     read_jsonl,
     result_to_line,
@@ -74,7 +73,6 @@ __all__ = [
     "read_jsonl",
     "result_to_line",
     "write_jsonl",
-    "migrate_row",
     "migrate_row_strict",
     "nan_wall_phases",
 ]

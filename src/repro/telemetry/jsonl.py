@@ -8,16 +8,14 @@ result_to_line`), so NumPy arrays and NaN/inf round-trip exactly, and
 every line carries the :data:`~repro.identity.SCHEMA_VERSION` it was
 written under.
 
-Versioning policy (the gate itself is :func:`repro.identity.
-migrate_row_strict`):
-
-* rows written under an **older** schema are migrated forward on read
-  (a v1 row gains NaN ``wall_phases``, an empty ``profile`` and an empty
-  ``provenance``; v1 and v2 rows gain ``kernel_fallbacks`` ``0``);
-* rows written under a **newer or missing** schema raise
-  :class:`~repro.errors.SchemaVersionError` (a
-  :class:`~repro.errors.ConfigurationError`) under ``strict`` reads —
-  a clear refusal instead of a ``KeyError`` deep in a consumer.
+There is one schema (the gate is :func:`repro.identity.
+migrate_row_strict`): a row written under any other ``schema_version``
+(older, newer or missing) raises
+:class:`~repro.errors.SchemaVersionError` (a
+:class:`~repro.errors.ConfigurationError`), a clear refusal instead of
+a ``KeyError`` deep in a consumer. v1/v2 rows are deleted, not
+migrated: no writer has produced one since PR 6 and none is in the
+tree; to read such a file, re-write it with a tree at or before PR 20.
 """
 
 from __future__ import annotations
@@ -25,16 +23,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.identity import (
-    SCHEMA_VERSION,
-    migrate_row,
-    migrate_row_strict,
-    result_to_line,
-    row_from_line,
-)
+from repro.identity import migrate_row_strict, result_to_line, row_from_line
 
 __all__ = [
-    "migrate_row",
     "migrate_row_strict",
     "read_jsonl",
     "result_to_line",
@@ -54,16 +45,14 @@ def write_jsonl(results: Iterable, path: str | Path, *, append: bool = False) ->
     return path
 
 
-def read_jsonl(path: str | Path, *, strict: bool = True) -> list[dict]:
+def read_jsonl(path: str | Path) -> list[dict]:
     """Read runs back as plain dicts (arrays/NaN restored).
 
-    Rows written under older schema versions are migrated to the
-    current layout. A line that is not a readable row raises
+    A line that is not a readable row raises
     :class:`~repro.errors.ConfigurationError`, a row whose
-    ``schema_version`` is not a version at all
-    :class:`~repro.errors.SchemaVersionError`. ``strict`` extends the
-    latter to rows written under a *newer* schema than this code knows
-    (or none at all); ``strict=False`` passes those through unmigrated.
+    ``schema_version`` is not the current one
+    :class:`~repro.errors.SchemaVersionError`; both name
+    ``path:lineno``.
     """
     out: list[dict] = []
     with Path(path).open() as fh:
@@ -71,12 +60,5 @@ def read_jsonl(path: str | Path, *, strict: bool = True) -> list[dict]:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            row = row_from_line(line, where=where)
-            version = row.get("schema_version")
-            newer = version is None or (
-                type(version) is int and version > SCHEMA_VERSION
-            )
-            if strict or not newer:
-                row = migrate_row_strict(row, where=where)
-            out.append(row)
+            out.append(migrate_row_strict(row_from_line(line, where=where), where=where))
     return out

@@ -10,13 +10,14 @@ that mapping — ``run_once`` no longer hand-plucks ~20 aggregate fields.
 The mapping is:
 
 * **schema-versioned** — :data:`~repro.identity.SCHEMA_VERSION` rides
-  along, so JSONL consumers can reject (or migrate) foreign layouts;
+  along, so every reader can refuse a foreign layout;
 * **picklable** — plain dict of floats / ints / dicts / NumPy arrays,
   so it survives the process-parallel harness unchanged;
 * **JSON-exportable** — :mod:`repro.telemetry.jsonl` round-trips it
   through the repo's NaN/ndarray-safe encoder.
 
-Keys (schema v1); probe results live under ``probes.<name>``:
+Keys of the one schema (v3); probe results live under
+``probes.<name>``:
 
 ====================  =====================================================
 ``virtual_time``      total virtual seconds of the run
@@ -40,7 +41,7 @@ Keys (schema v1); probe results live under ``probes.<name>``:
 ``probes``            ``{probe_name: probe.result()}``
 ====================  =====================================================
 
-Keys added in schema v2 (see :mod:`repro.observe`):
+Observability keys (see :mod:`repro.observe`):
 
 ====================  =====================================================
 ``wall_phases``       host seconds split into ``setup`` / ``simulate`` /
@@ -55,8 +56,7 @@ Keys added in schema v2 (see :mod:`repro.observe`):
                       host facts, seed protocol)
 ====================  =====================================================
 
-Keys added in schema v3 (replica-stacked kernels, see
-:mod:`repro.nn.replica`):
+Replica-stacked kernels (see :mod:`repro.nn.replica`):
 
 ====================  =====================================================
 ``kernel_fallbacks``  gradient requests a replica-stacked kernel declined
@@ -66,8 +66,9 @@ Keys added in schema v3 (replica-stacked kernels, see
                       outside the serial/cohort identity contract.
 ====================  =====================================================
 
-Older rows load after migration (:func:`repro.identity.migrate_row`
-fills the newer keys with their never-ran/empty defaults).
+Rows of an earlier layout (v1 lacked the observability keys, v2
+``kernel_fallbacks``) are foreign input to every reader: deleted, not
+migrated, because no writer has produced one since PR 6.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ _NAN = float("nan")
 
 
 def nan_wall_phases() -> dict[str, float]:
-    """The ``wall_phases`` value for phases that never ran (migrated v1
-    rows, partially-executed runs)."""
+    """The ``wall_phases`` value for phases that never ran
+    (partially-executed runs)."""
     return {"setup": _NAN, "simulate": _NAN, "teardown": _NAN}
 
 

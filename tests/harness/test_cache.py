@@ -22,7 +22,7 @@ from repro.harness.cache import (
 )
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_once
-from repro.identity import _fingerprint_value
+from repro.identity import _fingerprint_value, result_to_line
 from repro.nn.architectures import cnn_mnist
 from repro.sim.cost import CostModel
 from repro.telemetry.bus import ProbeBus
@@ -110,14 +110,19 @@ class TestFingerprintIsStableUnderUse:
         assert _raw_fingerprint(cnn_problem) == before
 
 
+def put(cache, problem, cost, config, result):
+    """Store ``result`` as the service does: with its canonical line."""
+    return cache.put(problem, cost, config, result, result_to_line(result))
+
+
 class TestRoundTrip:
     def test_put_get_bitwise(self, problem, cost, tmp_path):
         cache = RunCache(tmp_path)
         config = make_config()
         result = run_once(problem, cost, config)
-        assert cache.put(problem, cost, config, result)
-        served = cache.get(problem, cost, config)
-        assert served is not None
+        assert put(cache, problem, cost, config, result)
+        served, line = cache.get(problem, cost, config)
+        assert line == result_to_line(result)  # the entry's text, as stored
         assert simulation_fingerprint(served) == simulation_fingerprint(result)
         assert served.config == result.config
         assert served.status is result.status
@@ -135,7 +140,7 @@ class TestRoundTrip:
     def test_corrupt_entry_is_a_warned_miss(self, problem, cost, tmp_path):
         cache = RunCache(tmp_path)
         config = make_config()
-        cache.put(problem, cost, config, run_once(problem, cost, config))
+        put(cache, problem, cost, config, run_once(problem, cost, config))
         path = cache._path(cache_key(problem, cost, config))
         path.write_text("{not json")
         with pytest.warns(RuntimeWarning, match="corrupt entry"):
@@ -144,7 +149,7 @@ class TestRoundTrip:
     def test_foreign_schema_is_a_miss(self, problem, cost, tmp_path):
         cache = RunCache(tmp_path)
         config = make_config()
-        cache.put(problem, cost, config, run_once(problem, cost, config))
+        put(cache, problem, cost, config, run_once(problem, cost, config))
         path = cache._path(cache_key(problem, cost, config))
         row = json.loads(path.read_text())
         row["schema_version"] = 99
@@ -159,7 +164,7 @@ class TestRoundTrip:
         config = make_config(max_wall_seconds=30.0, max_updates=10_000_000)
         result = run_once(problem, cost, config)
         stopped = dataclasses.replace(result, status=RunStatus.STOPPED)
-        assert not cache.put(problem, cost, config, stopped)
+        assert not put(cache, problem, cost, config, stopped)
         assert cache.stats.bypasses == 1
         assert cache.stats.stores == 0
 
@@ -174,9 +179,8 @@ class TestRoundTrip:
         result = run_once(problem, cost, config)
         assert result.status is RunStatus.STOPPED
         assert result.n_updates >= config.max_updates
-        assert cache.put(problem, cost, config, result)
-        served = cache.get(problem, cost, config)
-        assert served is not None
+        assert put(cache, problem, cost, config, result)
+        served, _ = cache.get(problem, cost, config)
         assert simulation_fingerprint(served) == simulation_fingerprint(result)
 
 
@@ -245,7 +249,7 @@ class TestBusEvents:
         config = make_config()
         key = cache_key(problem, cost, config)
         assert cache.get(problem, cost, config) is None
-        cache.put(problem, cost, config, run_once(problem, cost, config))
+        put(cache, problem, cost, config, run_once(problem, cost, config))
         assert cache.get(problem, cost, config) is not None
         cache.note_bypass("self_profile")
         assert recorder.events == [

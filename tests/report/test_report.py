@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.identity import encode
 from repro.report import build, build_report, validate_report_html, write_report
 from repro.report.html import html_page, html_table
 from repro.store import ResultStore, ingest_path
@@ -142,9 +143,8 @@ class TestBootstrapPathOnThePage:
         with ResultStore(":memory:") as store:
             for algorithm, times in samples.items():
                 for seed, t in enumerate(times):
-                    assert store.insert_row(
-                        _synthetic_row(algorithm, seed, t), source="synthetic"
-                    )
+                    row = _synthetic_row(algorithm, seed, t)
+                    assert store.insert_row(row, encode(row), source="synthetic")
             page = build_report(store, generated_at="PINNED", seed=3)
             calls = []
 

@@ -195,6 +195,22 @@ class TestDurableMode:
             with pytest.raises(ConfigurationError, match="locked by live pid"):
                 ExperimentService(run_dir)
 
+    def test_failed_construction_leaves_no_lock(self, tmp_path, problem, cost):
+        # Anything the constructor does after taking the lock may raise;
+        # here the queue replay, on a journal corrupt mid-file.
+        run_dir = tmp_path / "run"
+        with ExperimentService(run_dir, workers=1, replicas=1) as service:
+            service.map(problem, cost, [make_config(seed=s) for s in (0, 1)])
+        journal = run_dir / "queue.jsonl"
+        lines = journal.read_text().splitlines()
+        assert len(lines) >= 3
+        lines[1] = "{corrupt"
+        journal.write_text("\n".join(lines) + "\n")
+        for _ in range(2):  # the second attempt reports the same cause
+            with pytest.raises(ConfigurationError, match="queue.jsonl"):
+                ExperimentService(run_dir, workers=1, replicas=1)
+            assert not (run_dir / "LOCK").exists()
+
 
 class TestCacheInterplay:
     def test_cache_serves_second_service(self, tmp_path, problem, cost):
@@ -203,21 +219,14 @@ class TestCacheInterplay:
         with ExperimentService(workers=1, replicas=1, cache=cache) as service:
             base = service.map(problem, cost, configs)
             assert service.stats.runs_executed == 2
-        assert cache.stats.tasks_executed == 2
+            assert service.stats.tasks_executed == 2
         with ExperimentService(workers=1, replicas=1, cache=cache) as service:
             got = service.map(problem, cost, configs)
             assert service.stats.runs_executed == 0
             assert service.stats.runs_from_cache == 2
             assert service.stats.tasks_from_cache == 2
-        assert cache.stats.tasks_served == 2
+            assert service.stats.tasks_executed == 0
         assert fingerprints(got) == fingerprints(base)
-
-    def test_stats_line_mentions_tasks(self, tmp_path, problem, cost):
-        cache = RunCache(tmp_path / "cache")
-        with ExperimentService(workers=1, replicas=1, cache=cache) as service:
-            service.map(problem, cost, [make_config()])
-        line = str(cache.stats)
-        assert "tasks: 0 served / 1 executed" in line
 
     def test_journal_wins_over_cache(self, tmp_path, problem, cost):
         # A durable resume should count as journal, not cache, even when

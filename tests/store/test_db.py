@@ -15,6 +15,15 @@ from repro.store import db as db_module
 from repro.telemetry.jsonl import read_jsonl
 
 
+def parsed_rows(path):
+    """``(decoded row, parsed line)`` per line: what the ingester hands
+    ``insert_row``."""
+    return [
+        (identity.decode_row(encoded), encoded)
+        for encoded in map(json.loads, path.read_text().splitlines())
+    ]
+
+
 @pytest.fixture
 def store(sweep_jsonl):
     with ResultStore(":memory:") as s:
@@ -54,13 +63,13 @@ class TestRowDigest:
 class TestInsert:
     def test_reinsert_is_noop(self, store, sweep_jsonl):
         before = store.count()
-        for row in read_jsonl(sweep_jsonl):
-            assert store.insert_row(row, source="again") is False
+        for row, encoded in parsed_rows(sweep_jsonl):
+            assert store.insert_row(row, encoded, source="again") is False
         assert store.count() == before
 
     def test_rejects_non_result_rows(self, store):
         with pytest.raises(ConfigurationError, match="config/report"):
-            store.insert_row({"n_updates": 3}, source="junk")
+            store.insert_row({"n_updates": 3}, {"n_updates": 3}, source="junk")
 
     def test_nan_stored_as_null(self, store):
         # HOGWILD is lock-free: mean_lock_wait is NaN in the row, and
@@ -73,13 +82,13 @@ class TestInsert:
     def test_duplicate_leaves_identity_as_first_written(self, sweep_jsonl):
         # Identity columns are first-writer-wins, like ``source``: a
         # duplicate neither fills a NULL nor replaces a value.
-        keyed, bare = read_jsonl(sweep_jsonl)[:2]
+        keyed, bare = parsed_rows(sweep_jsonl)[:2]
         with ResultStore(":memory:") as s:
-            assert s.insert_row(keyed, source="svc", run_key="wk:abc", workload="wk")
-            assert s.insert_row(bare, source="plain.jsonl")
-            for row in (keyed, bare):
+            assert s.insert_row(*keyed, source="svc", run_key="wk:abc", workload="wk")
+            assert s.insert_row(*bare, source="plain.jsonl")
+            for pair in (keyed, bare):
                 assert s.insert_row(
-                    row, source="later", run_key="other:key", workload="other"
+                    *pair, source="later", run_key="other:key", workload="other"
                 ) is False
             assert s._conn.execute(
                 "SELECT run_key, workload, source FROM runs ORDER BY id"
@@ -88,11 +97,11 @@ class TestInsert:
 
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Count the row-codec work of one ``insert_row``: ``encode`` as
-    ``db`` calls it (the top-level call per row; its recursion stays
-    inside :mod:`repro.identity`) and ``canonical`` (one JSON dump
-    each), whether ``db`` dumps the ``row_json`` itself or ``identity``
-    dumps for the digest."""
+    """Count the row-codec work of one ``insert_row``: ``encode`` (any
+    call, its recursion included: the store must make none, the parsed
+    line is the encoding) and ``canonical`` (one JSON dump each),
+    whether ``db`` dumps the ``row_json`` itself or ``identity`` dumps
+    for the digest."""
     calls = {"encode": 0, "canonical": 0}
 
     def counting(name, real):
@@ -101,7 +110,7 @@ def codec_calls(monkeypatch):
             return real(value)
         return wrapper
 
-    monkeypatch.setattr(db_module, "encode", counting("encode", identity.encode))
+    monkeypatch.setattr(identity, "encode", counting("encode", identity.encode))
     dump = counting("canonical", identity.canonical)
     monkeypatch.setattr(db_module, "canonical", dump)
     monkeypatch.setattr(identity, "canonical", dump)
@@ -112,21 +121,22 @@ class TestEncodeOnceLookupFirst:
     def test_duplicate_encodes_once_and_serialises_no_row_json(
         self, store, sweep_jsonl, codec_calls
     ):
-        (row,) = read_jsonl(sweep_jsonl)[:1]
+        row, encoded = parsed_rows(sweep_jsonl)[0]
         statements = []
         store._conn.set_trace_callback(statements.append)
-        assert store.insert_row(row, source="again") is False
+        assert store.insert_row(row, encoded, source="again") is False
         store._conn.set_trace_callback(None)
-        # One encoding; one dump for the digest, none for row_json.
-        assert codec_calls == {"encode": 1, "canonical": 1}
+        # The line's one encoding was the writer's: none here; one dump
+        # for the digest, none for row_json.
+        assert codec_calls == {"encode": 0, "canonical": 1}
         assert not any("INSERT" in sql for sql in statements)
 
     def test_fresh_row_encodes_once(self, sweep_jsonl, codec_calls):
-        (row,) = read_jsonl(sweep_jsonl)[:1]
+        row, encoded = parsed_rows(sweep_jsonl)[0]
         with ResultStore(":memory:") as fresh:
-            assert fresh.insert_row(row, source="new") is True
-        # One encoding shared by the digest and row_json dumps.
-        assert codec_calls == {"encode": 1, "canonical": 2}
+            assert fresh.insert_row(row, encoded, source="new") is True
+        # The parsed line feeds both the digest and the row_json dump.
+        assert codec_calls == {"encode": 0, "canonical": 2}
 
     def test_stored_digest_is_row_digest(self, store, sweep_jsonl):
         rows = read_jsonl(sweep_jsonl)
@@ -147,7 +157,7 @@ class TestEncodeOnceLookupFirst:
         statements = []
         store._conn.set_trace_callback(statements.append)
         with pytest.raises(ConfigurationError, match="config/report"):
-            store.insert_row(bad, source="junk")
+            store.insert_row(bad, bad, source="junk")
         store._conn.set_trace_callback(None)
         assert codec_calls == {"encode": 0, "canonical": 0}
         assert statements == []

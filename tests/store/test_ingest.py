@@ -1,6 +1,5 @@
-"""Tests for the tolerant ingester: dispatch across artifact kinds,
-migration chains through the store, and the warned-skip contract for
-torn/corrupt/foreign rows."""
+"""Tests for the tolerant ingester: dispatch across artifact kinds and
+the warned-skip contract for torn/corrupt/foreign rows."""
 
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.service.measurer import Measurer
 from repro.store import ResultStore, ingest_path, ingest_paths
-from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.metrics import SCHEMA_VERSION
 
 
@@ -61,59 +59,8 @@ class TestPlainJsonl:
 
 
 class TestMigrationChain:
-    """v1 and v2 rows ingest through the same migrate path as
-    read_jsonl — and land identically to their migrated v3 twins."""
-
-    def _downgrade(self, row: dict, version: int) -> dict:
-        row = dict(row)
-        if version == 1:
-            for key in ("wall_phases", "profile", "provenance",
-                        "kernel_fallbacks"):
-                row.pop(key, None)
-        elif version == 2:
-            row.pop("kernel_fallbacks", None)
-        row["schema_version"] = version
-        return row
-
-    def test_v1_rows_ingest_with_migrated_defaults(self, store, sweep_jsonl, tmp_path):
-        from repro.telemetry.jsonl import result_to_line
-
-        rows = read_jsonl(sweep_jsonl)
-        path = tmp_path / "v1.jsonl"
-        path.write_text("".join(
-            result_to_line(self._downgrade(r, 1)) + "\n" for r in rows
-        ))
-        report = ingest_path(store, path)
-        assert report.inserted == len(rows)
-        assert report.skipped == 0
-        # The schema_version *column* keeps the original (which build
-        # wrote this sample); the stored row itself is migrated.
-        versions = {v for (v,) in store._conn.execute(
-            "SELECT schema_version FROM runs")}
-        assert versions == {1}
-        for stored in store.run_rows():
-            assert stored["schema_version"] == SCHEMA_VERSION
-            assert stored["kernel_fallbacks"] == 0
-            assert stored["provenance"] == {}
-
-    def test_v1_v3_round_trip_same_sample(self, store, sweep_jsonl, tmp_path):
-        """A v1 archive of the same runs groups into the same
-        ε-convergence sample the v3 rows produce."""
-        from repro.telemetry.jsonl import result_to_line
-
-        rows = read_jsonl(sweep_jsonl)
-        path = tmp_path / "v1.jsonl"
-        path.write_text("".join(
-            result_to_line(self._downgrade(r, 1)) + "\n" for r in rows
-        ))
-        ingest_path(store, path)
-        v1_times = {g.key.algorithm: sorted(g.times)
-                    for g in store.group_stats(0.1)}
-        with ResultStore(":memory:") as v3_store:
-            ingest_path(v3_store, sweep_jsonl)
-            v3_times = {g.key.algorithm: sorted(g.times)
-                        for g in v3_store.group_stats(0.1)}
-        assert v1_times == pytest.approx(v3_times)
+    """There is no chain: a row of any other schema version is a warned
+    skip (v1 and v2 rows: ``tests/test_identity.py::TestTolerantReaders``)."""
 
     def test_forward_version_rows_are_warned_skips(self, store, sweep_jsonl, tmp_path):
         good = json.loads(sweep_jsonl.read_text().splitlines()[0])

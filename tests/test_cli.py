@@ -218,3 +218,17 @@ class TestCliDb:
         validate_report_html(page)
         assert "Mann-Whitney" in page
         assert "PINNED" in page
+
+    def test_report_from_db_writes_where_out_says(
+        self, sweep_jsonl, tmp_path, capsys, monkeypatch
+    ):
+        # --out equal to the markdown branch's default name is still the
+        # path the user asked for; only an absent --out gets a default.
+        db = tmp_path / "results.sqlite"
+        main(["db", "ingest", str(sweep_jsonl), "--db", str(db)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--db", str(db), "--out", "reproduction_report.md"]) == 0
+        assert (tmp_path / "reproduction_report.md").exists()
+        assert not (tmp_path / "report.html").exists()
+        assert main(["report", "--db", str(db)]) == 0
+        assert (tmp_path / "report.html").exists()

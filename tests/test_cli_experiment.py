@@ -77,10 +77,10 @@ class TestExperimentCommand:
         cache_dir = str(tmp_path / "runs")
         assert main(["experiment", "s5", "--cache-dir", cache_dir]) == 0
         cold = capsys.readouterr().out
-        assert "tasks: 0 served /" in cold
+        assert "cache: 0 hits /" in cold and " executed / 0 from cache" in cold
         assert main(["experiment", "s5", "--cache-dir", cache_dir]) == 0
         warm = capsys.readouterr().out
-        assert " served / 0 executed" in warm
+        assert " / 0 misses / 0 bypassed" in warm and " 0 executed / " in warm
 
 
 class TestExperimentService:
@@ -152,10 +152,10 @@ class TestAnalyzeCacheLine:
                 "--cache-dir", cache_dir]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        assert "cache:" in cold and "tasks: 0 served / 1 executed" in cold
+        assert "cache: 0 hits / 1 misses" in cold
         assert main(args) == 0
         warm = capsys.readouterr().out
-        assert "tasks: 1 served / 0 executed" in warm
+        assert "cache: 1 hits / 0 misses" in warm
 
 
 class TestRunCommandDLWorkload:

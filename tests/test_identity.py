@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import identity
 from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError, SchemaVersionError
+from repro.harness import cache as cache_module
 from repro.harness.cache import RunCache
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_once
@@ -145,10 +146,8 @@ OLD_PATHS = [
     ("repro.store", "row_digest"),
     ("repro.store.ingest", "migrate_row_strict"),
     ("repro.telemetry", "SCHEMA_VERSION"),
-    ("repro.telemetry", "migrate_row"),
     ("repro.telemetry", "migrate_row_strict"),
     ("repro.telemetry", "result_to_line"),
-    ("repro.telemetry.jsonl", "migrate_row"),
     ("repro.telemetry.jsonl", "migrate_row_strict"),
     ("repro.telemetry.jsonl", "result_to_line"),
     ("repro.telemetry.metrics", "SCHEMA_VERSION"),
@@ -251,6 +250,9 @@ _ENCODED = st.recursive(
     max_leaves=20,
 )
 
+#: Flat rows: a mapping at the top, like every archived line.
+_ENCODED_ROWS = st.dictionaries(_KEYS, _ENCODED, max_size=6)
+
 
 class TestCodecProperty:
     @given(_ENCODED)
@@ -263,10 +265,28 @@ class TestCodecProperty:
         assert json.loads(text) == encoded
         assert identity.canonical(json.loads(text)) == text
 
+    @given(_ENCODED_ROWS)
+    def test_parsed_line_is_the_encoded_row(self, encoded):
+        # What lets the store take digest and row_json from the parse:
+        # no reader has to encode a row it decoded.
+        parsed = json.loads(identity.canonical(encoded))
+        assert identity.encoded_row_digest(parsed) == identity.row_digest(
+            identity.decode_row(parsed)
+        )
+        assert identity.result_to_line(identity.decode_row(parsed)) == (
+            identity.canonical({"schema_version": identity.SCHEMA_VERSION, **parsed})
+        )
+
     def test_real_row_line_is_a_fixed_point(self, good_line):
         parsed = json.loads(good_line)
         assert identity.canonical(parsed) == good_line
         assert identity.encode(identity.decode(parsed)) == parsed
+        assert identity.encoded_row_digest(parsed) == identity.row_digest(
+            identity.decode(parsed)
+        )
+        assert identity.result_to_line(
+            identity.result_from_row(identity.decode(parsed))
+        ) == good_line
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +302,8 @@ def _configs(n=4):
 
 @pytest.fixture
 def encodes(monkeypatch):
-    """Calls of the measurer's own ``result_to_line`` binding."""
+    """Calls of ``result_to_line`` through the measurer's binding, and
+    through the cache's should it ever grow one again."""
     calls = []
 
     def counting(result):
@@ -290,6 +311,7 @@ def encodes(monkeypatch):
         return identity.result_to_line(result)
 
     monkeypatch.setattr(measurer_module, "result_to_line", counting)
+    monkeypatch.setattr(cache_module, "result_to_line", counting, raising=False)
     return calls
 
 
@@ -332,6 +354,65 @@ class TestEncodeOnce:
         assert resumed["merged_fingerprint"] == populated["merged_fingerprint"]
         assert journal.read_bytes() == on_disk
 
+    def test_cached_durable_session_encodes_each_executed_run_once(
+        self, tmp_path, problem, encodes
+    ):
+        # One line per run: the cache entry, the journal row and the
+        # fingerprint input are the same text.
+        configs = _configs()
+        cache = RunCache(tmp_path / "cache")
+        with ExperimentService(
+            tmp_path / "populate", workers=1, replicas=2, cache=cache
+        ) as service:
+            service.map(problem, COST, configs)
+            populated = service.finalize()
+        assert len(encodes) == service.stats.runs_executed == len(configs)
+        entries = {
+            path.read_text() for path in (tmp_path / "cache").glob("*/*.json")
+        }
+        (journal,) = (tmp_path / "populate").glob("results-*.jsonl")
+        assert set(journal.read_text().splitlines(keepends=True)) == entries
+
+        # A second session on the same cache executes and encodes nothing,
+        # and journals each entry's text as it stands.
+        del encodes[:]
+        with ExperimentService(
+            tmp_path / "cached", workers=1, replicas=2, cache=cache
+        ) as service:
+            service.map(problem, COST, configs)
+            assert service.stats.runs_from_cache == len(configs)
+            cached = service.finalize()
+        (served,) = (tmp_path / "cached").glob("results-*.jsonl")
+        assert served.read_bytes() == journal.read_bytes()
+
+        # ... and so does a session resumed on the first run dir.
+        with ExperimentService(tmp_path / "populate", workers=1, replicas=2) as service:
+            service.map(problem, COST, configs)
+            assert service.stats.runs_from_journal == len(configs)
+            resumed = service.finalize()
+        assert encodes == []
+        assert (
+            populated["merged_fingerprint"]
+            == cached["merged_fingerprint"]
+            == resumed["merged_fingerprint"]
+        )
+
+    def test_volatile_cached_session_shares_the_line_with_the_summary(
+        self, tmp_path, problem, encodes
+    ):
+        configs = _configs()
+        cache = RunCache(tmp_path / "cache")
+        with ExperimentService(workers=1, replicas=2, cache=cache) as service:
+            service.map(problem, COST, configs)
+            assert len(encodes) == len(configs)  # the cache entries
+            service.summary()
+        assert len(encodes) == len(configs)  # the fingerprint: none
+        del encodes[:]
+        with ExperimentService(workers=1, replicas=2, cache=cache) as service:
+            service.map(problem, COST, configs)
+            service.summary()
+        assert encodes == []
+
     def test_volatile_session_encodes_nothing_until_asked(self, problem, encodes):
         configs = _configs()
         with ExperimentService(workers=1, replicas=2) as service:
@@ -372,10 +453,13 @@ def good_line(good_run):
     return identity.result_to_line(good_run[1])
 
 
+_DROP = object()  # a ``_with`` change that removes the key
+
+
 def _with(line: str, **changes) -> str:
     row = json.loads(line)
     row.update(changes)
-    return json.dumps(row)
+    return json.dumps({k: v for k, v in row.items() if v is not _DROP})
 
 
 #: id -> (row mutation, the error the one reader raises for it).
@@ -403,6 +487,20 @@ BAD_ROWS = {
     "version-negative": ({"schema_version": -1}, SchemaVersionError),
     "version-fractional": ({"schema_version": 2.5}, SchemaVersionError),
     "version-bool": ({"schema_version": True}, SchemaVersionError),
+    # Rows as the v1 / v2 writers (gone since PR 6) laid them out: foreign
+    # input like any other version, never migrated.
+    "version-v1": (
+        {"schema_version": 1, "wall_phases": _DROP, "profile": _DROP,
+         "provenance": _DROP, "kernel_fallbacks": _DROP},
+        SchemaVersionError,
+    ),
+    "version-v2": (
+        {"schema_version": 2, "kernel_fallbacks": _DROP}, SchemaVersionError,
+    ),
+    "version-newer": (
+        {"schema_version": identity.SCHEMA_VERSION + 1}, SchemaVersionError,
+    ),
+    "version-missing": ({"schema_version": _DROP}, SchemaVersionError),
 }
 
 
@@ -427,13 +525,13 @@ class TestTolerantReaders:
         with pytest.raises(ConfigurationError, match="f:1"):
             identity.row_from_line(line, where="f:1")
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_read_jsonl_names_the_line(self, tmp_path, good_line, bad, strict):
+    @pytest.mark.parametrize("after_a_good_row", [True, False])
+    def test_read_jsonl_names_the_line(self, tmp_path, good_line, bad, after_a_good_row):
         line, error = bad
         path = tmp_path / "runs.jsonl"
-        path.write_text(good_line + "\n" + line + "\n")
-        with pytest.raises(error, match=r"runs\.jsonl:2"):
-            read_jsonl(path, strict=strict)
+        path.write_text((good_line + "\n") * after_a_good_row + line + "\n")
+        with pytest.raises(error, match=rf"runs\.jsonl:{1 + after_a_good_row}"):
+            read_jsonl(path)
 
     def test_ingest_skips_the_row_and_keeps_its_neighbours(self, tmp_path, good_line, bad):
         line, _ = bad
@@ -453,7 +551,7 @@ class TestTolerantReaders:
         line, _ = bad
         config, result = good_run
         cache = RunCache(tmp_path)
-        cache.put(problem, COST, config, result)
+        cache.put(problem, COST, config, result, identity.result_to_line(result))
         cache._path(identity.cache_key(problem, COST, config)).write_text(line + "\n")
         with pytest.warns(RuntimeWarning, match="run cache: corrupt entry"):
             assert cache.get(problem, COST, config) is None
@@ -466,26 +564,38 @@ class TestTolerantReaders:
         with pytest.warns(RuntimeWarning, match=r"skipping unreadable row .*:2 "):
             assert measurer.load_workload("wk") == 1
 
-    def test_non_strict_read_still_passes_newer_and_missing(self, tmp_path, good_line):
-        newer = _with(good_line, schema_version=identity.SCHEMA_VERSION + 1)
-        missing = json.loads(good_line)
-        del missing["schema_version"]
-        path = tmp_path / "runs.jsonl"
-        path.write_text(newer + "\n" + json.dumps(missing) + "\n")
-        rows = read_jsonl(path, strict=False)
-        assert [row.get("schema_version") for row in rows] == [
-            identity.SCHEMA_VERSION + 1, None
-        ]
-        with pytest.raises(SchemaVersionError, match=r"runs\.jsonl:1"):
-            read_jsonl(path)
+    def test_journal_of_foreign_rows_re_executes(self, tmp_path, problem, bad):
+        # A run dir whose journal holds only such rows (say, one written
+        # by a v2 tree) resumes by running the boxes again.
+        line, _ = bad
+        (config,) = _configs(1)
+        with ExperimentService(tmp_path, workers=1, replicas=1) as service:
+            service.map(problem, COST, [config])
+            fresh = service.finalize()
+        (journal,) = tmp_path.glob("results-*.jsonl")
+        journal.write_text(line + "\n")
+        with ExperimentService(tmp_path, workers=1, replicas=1) as service:
+            with pytest.warns(RuntimeWarning, match="skipping unreadable row"):
+                service.map(problem, COST, [config])
+            assert service.stats.runs_executed == 1
+            assert service.stats.tasks_requeued == 1
+            assert service.finalize()["merged_fingerprint"] == fresh["merged_fingerprint"]
 
-    def test_older_versions_still_migrate(self, good_line):
-        row = json.loads(good_line)
-        row["schema_version"] = 2
-        del row["kernel_fallbacks"]
-        migrated = identity.migrate_row_strict(identity.row_from_line(json.dumps(row)))
-        assert migrated["schema_version"] == identity.SCHEMA_VERSION
-        assert migrated["kernel_fallbacks"] == 0
+    def test_cache_entry_that_is_not_one_line_is_a_warned_miss(
+        self, tmp_path, problem, good_run, good_line
+    ):
+        # A hit's text is journalled as it stands, so a valid row spread
+        # over several lines must not be served.
+        config, _ = good_run
+        cache = RunCache(tmp_path)
+        path = cache._path(identity.cache_key(problem, COST, config))
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(json.loads(good_line), indent=1) + "\n")
+        with pytest.warns(RuntimeWarning, match="not a single row line"):
+            assert cache.get(problem, COST, config) is None
+        path.write_text(good_line + "\n")
+        _, line = cache.get(problem, COST, config)
+        assert line == good_line
 
     def test_archived_config_hash(self, good_run):
         config, result = good_run
