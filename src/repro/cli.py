@@ -66,6 +66,8 @@ from repro.utils.tables import render_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each sub-parser's ``func`` default is the
+    handler :func:`main` calls with the parsed arguments."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Leashed-SGD reproduction (IPDPS 2021) command-line runner",
@@ -73,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one configured execution")
+    run_p.set_defaults(func=_cmd_run)
     run_p.add_argument("--algorithm", default="LSH_psinf",
                        help="SEQ | ASYNC | HOG | SYNC | LSH_ps<k> | LSH_psinf | LSH_ADAPT")
     run_p.add_argument("--m", type=int, default=8, help="worker threads")
@@ -90,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "kernels, arena) and print the span profile")
 
     exp_p = sub.add_parser("experiment", help="run a paper experiment step")
+    exp_p.set_defaults(func=_cmd_experiment)
     exp_p.add_argument("step", nargs="?", default=None,
                        choices=("s1", "s1-eta", "s2", "s3", "s4", "s5"),
                        help="required unless --resume supplies a run directory")
@@ -125,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record one run's execution timeline and export it as "
              "Chrome-trace JSON (open in Perfetto / chrome://tracing)",
     )
+    trace_p.set_defaults(func=_cmd_trace)
     trace_p.add_argument("--algorithm", default="LSH_psinf",
                          help="SEQ | ASYNC | HOG | SYNC | LSH_ps<k> | LSH_psinf")
     trace_p.add_argument("--m", type=int, default=4, help="worker threads")
@@ -149,6 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="show the benchmark trajectory, and record a `python -m bench "
              "--out` result file into it",
     )
+    hist_p.set_defaults(func=_cmd_bench_history)
     hist_p.add_argument("result", nargs="?", default=None, metavar="RESULT.json",
                         help="a `python -m bench --out` result file to set "
                              "beside the trajectory")
@@ -162,14 +168,18 @@ def _build_parser() -> argparse.ArgumentParser:
     hist_p.add_argument("--report", default=None, metavar="PATH",
                         help="write the markdown trajectory report here")
 
-    sub.add_parser("table1", help="print the paper's Table I")
-    sub.add_parser("calibrate", help="measure real kernel times (Fig 9)")
+    table_p = sub.add_parser("table1", help="print the paper's Table I")
+    table_p.set_defaults(func=_cmd_table1)
+    cal_p = sub.add_parser("calibrate", help="measure real kernel times (Fig 9)")
+    cal_p.set_defaults(func=_cmd_calibrate)
 
     fig_p = sub.add_parser("figures", help="render the paper's figures as SVG")
+    fig_p.set_defaults(func=_cmd_figures)
     fig_p.add_argument("--out", default="figures", metavar="DIR")
     fig_p.add_argument("--seed", type=int, default=77)
 
     sweep_p = sub.add_parser("sweep", help="run a custom algorithm/m/eta grid")
+    sweep_p.set_defaults(func=_cmd_sweep)
     sweep_p.add_argument("--algorithms", default="ASYNC,HOG,LSH_ps0",
                          help="comma-separated algorithm names")
     sweep_p.add_argument("--m", default="4,16", help="comma-separated thread counts")
@@ -192,6 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="run with telemetry probes and validate Section IV predictions",
     )
+    ana_p.set_defaults(func=_cmd_analyze)
     ana_p.add_argument("--algorithm", default="LSH_ps1",
                        help="SEQ | ASYNC | HOG | SYNC | LSH_ps<k> | LSH_psinf")
     ana_p.add_argument("--m", type=int, default=8, help="worker threads")
@@ -227,6 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(--db), or the legacy paper-vs-measured markdown from "
              "benchmarks/rendered/",
     )
+    report_p.set_defaults(func=_cmd_report)
     report_p.add_argument("--rendered", default="benchmarks/rendered", metavar="DIR")
     report_p.add_argument("--out", default=None, metavar="PATH",
                           help="output path (default reproduction_report.md, "
@@ -255,11 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ingest JSONL results, service run dirs, BENCH_history "
              "trajectories and trace JSON into the store (idempotent)",
     )
+    ing_p.set_defaults(func=_cmd_db_ingest)
     ing_p.add_argument("paths", nargs="+", metavar="PATH",
                        help="results .jsonl or --json archive / service run "
                             "dir / BENCH_history.jsonl / trace .json")
     ing_p.add_argument("--db", default="results.sqlite", metavar="FILE")
     stats_p = db_sub.add_parser("stats", help="summarize what the store holds")
+    stats_p.set_defaults(func=_cmd_db_stats)
     stats_p.add_argument("--db", default="results.sqlite", metavar="FILE")
     return parser
 
@@ -392,16 +406,14 @@ def _cmd_experiment(args) -> int:
     cache = RunCache(cache_dir) if cache_dir is not None else None
     # Every step flows through the experiment service: a durable queue
     # when --run-dir/--resume name a directory, the same machinery
-    # in-memory otherwise. The service owns the persistent pool.
-    with ExperimentService(
+    # in-memory otherwise. The service owns the persistent pool and the
+    # heartbeat.
+    with ProgressReporter() as heartbeat, ExperimentService(
         run_dir, workers=args.workers, replicas=args.replicas, cache=cache,
         manifest={"step": step, "profile": workloads.profile.name},
+        progress=None if args.no_progress else heartbeat,
     ) as service:
-        if args.no_progress:
-            result = fn(workloads, service=service)
-        else:
-            with ProgressReporter() as heartbeat:
-                result = fn(workloads, progress=heartbeat, service=service)
+        result = fn(workloads, service=service)
         summary = service.finalize()
     print(result)
     stats = summary["service"]
@@ -508,7 +520,7 @@ def _cmd_bench_history(args) -> int:
     return 0
 
 
-def _cmd_table1() -> int:
+def _cmd_table1(args) -> int:
     from repro.harness.experiments import render_table_i
 
     print(render_table_i())
@@ -536,10 +548,10 @@ def _cmd_sweep(args) -> int:
         max_virtual_time=workloads.profile.max_virtual_time,
         max_wall_seconds=workloads.profile.max_wall_seconds,
     )
-    with ExperimentService(
-        workers=args.workers, replicas=args.replicas
-    ) as service, ProgressReporter() as heartbeat:
-        results = grid.run(problem, cost, progress=heartbeat, service=service)
+    with ProgressReporter() as heartbeat, ExperimentService(
+        workers=args.workers, replicas=args.replicas, progress=heartbeat
+    ) as service:
+        results = grid.run(problem, cost, service=service)
     print()
     print(summarize(results, target))
     if args.json:
@@ -725,41 +737,63 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_db(args) -> int:
+def _cmd_db_ingest(args) -> int:
     from repro.store import ResultStore, ingest_paths
 
-    if args.db_command == "ingest":
-        with ResultStore(args.db) as store:
-            report = ingest_paths(store, args.paths)
-            total = store.count()
-        print(f"ingest: {report}")
-        print(f"store {args.db}: {total} runs total")
-        return 0
-    if args.db_command == "stats":
-        with ResultStore(args.db) as store:
-            rows = [
-                ["runs", store.count()],
-                ["algorithms", ", ".join(store.algorithms()) or "—"],
-                ["workloads",
-                 ", ".join(str(w) for w in store.workloads()) or "—"],
-                ["sources", ", ".join(store.sources()) or "—"],
-                ["epsilons",
-                 ", ".join(f"{e:g}" for e in store.epsilons()) or "—"],
-                ["bench entries", store.bench_entry_count()],
-                ["traces", len(store.trace_links())],
-            ]
-            print(render_table(["store", "value"], rows, title=args.db))
-            for counts in (store.failure_counts(),):
-                if counts:
-                    print(render_table(
-                        ["algorithm", "converged", "diverged", "stopped",
-                         "crashed"],
-                        [[a, c.converged, c.diverged, c.stopped, c.crashed]
-                         for a, c in sorted(counts.items())],
-                        title="run outcomes",
-                    ))
-        return 0
-    raise AssertionError(f"unhandled db command {args.db_command!r}")
+    with ResultStore(args.db) as store:
+        report = ingest_paths(store, args.paths)
+        total = store.count()
+    print(f"ingest: {report}")
+    print(f"store {args.db}: {total} runs total")
+    return 0
+
+
+def _cmd_db_stats(args) -> int:
+    from repro.store import ResultStore
+
+    with ResultStore(args.db) as store:
+        rows = [
+            ["runs", store.count()],
+            ["algorithms", ", ".join(store.algorithms()) or "—"],
+            ["workloads",
+             ", ".join(str(w) for w in store.workloads()) or "—"],
+            ["sources", ", ".join(store.sources()) or "—"],
+            ["epsilons",
+             ", ".join(f"{e:g}" for e in store.epsilons()) or "—"],
+            ["bench entries", store.bench_entry_count()],
+            ["traces", len(store.trace_links())],
+        ]
+        print(render_table(["store", "value"], rows, title=args.db))
+        counts = store.failure_counts()
+        if counts:
+            print(render_table(
+                ["algorithm", "converged", "diverged", "stopped", "crashed"],
+                [[a, c.converged, c.diverged, c.stopped, c.crashed]
+                 for a, c in sorted(counts.items())],
+                title="run outcomes",
+            ))
+    return 0
+
+
+def _cmd_figures(args) -> int:
+    from repro.viz.figures import render_all_figures
+
+    for path in render_all_figures(args.out, seed=args.seed):
+        print(f"wrote {path}")
+    return 0
+
+
+def _cmd_report(args) -> int:
+    if args.db is not None:
+        return _cmd_report_db(args)
+    from repro.harness.report import write_report
+
+    path = write_report(
+        args.rendered, args.out or "reproduction_report.md",
+        profile_name=args.profile,
+    )
+    print(f"wrote {path}")
+    return 0
 
 
 def _cmd_report_db(args) -> int:
@@ -781,7 +815,7 @@ def _cmd_report_db(args) -> int:
     return 0
 
 
-def _cmd_calibrate() -> int:
+def _cmd_calibrate(args) -> int:
     from repro.sim.cost import calibrate_cost_model
 
     workloads = Workloads(get_profile())
@@ -810,43 +844,7 @@ def _cmd_calibrate() -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "bench-history":
-        return _cmd_bench_history(args)
-    if args.command == "table1":
-        return _cmd_table1()
-    if args.command == "calibrate":
-        return _cmd_calibrate()
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "figures":
-        from repro.viz.figures import render_all_figures
-
-        written = render_all_figures(args.out, seed=args.seed)
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "report":
-        if args.db is not None:
-            return _cmd_report_db(args)
-        from repro.harness.report import write_report
-
-        path = write_report(
-            args.rendered, args.out or "reproduction_report.md",
-            profile_name=args.profile,
-        )
-        print(f"wrote {path}")
-        return 0
-    if args.command == "db":
-        return _cmd_db(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

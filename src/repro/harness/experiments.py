@@ -1,38 +1,46 @@
 """The paper's experiment suite (Table I, steps S1-S5).
 
-Each function regenerates the data behind one group of figures and
-returns an :class:`ExperimentResult` holding both the structured data
-(for assertions / further analysis) and a rendered text report (the
-plain-text counterpart of the paper's plots, quoted in EXPERIMENTS.md).
+A step is a declaration plus a renderer. The declaration is one
+:class:`~repro.harness.grid.SweepGrid` built from the profile (S4: one
+per thread count, S5: one per workload and thread count), whose
+``configs()`` is the only place a step's runs are enumerated; the whole
+declaration goes to the experiment service as one ``map`` per workload.
+The renderer turns the returned runs into an :class:`ExperimentResult`
+holding both the structured data (for assertions / further analysis)
+and a rendered text report (the plain-text counterpart of the paper's
+plots, quoted in EXPERIMENTS.md). The service a step is handed owns
+workers, cohorts, cache, journal and the progress heartbeat.
 
-| Step | Figures    | Function                |
-|------|------------|-------------------------|
-| S1   | Fig 3      | :func:`s1_scalability`  |
-| S1   | Fig 8      | :func:`s1_stepsize`     |
-| S2   | Fig 4-6    | :func:`s2_high_precision` |
-| S3   | Fig 7      | :func:`s3_cnn`          |
-| S4   | Fig 4-6    | :func:`s4_high_parallelism` |
-| S5   | Fig 10     | :func:`s5_memory`       |
+| Step | Figures    | Function                    | Grids | ``map`` calls |
+|------|------------|-----------------------------|-------|---------------|
+| S1   | Fig 3      | :func:`s1_scalability`      | 1     | 1             |
+| S1   | Fig 8      | :func:`s1_stepsize`         | 1     | 1             |
+| S2   | Fig 4-6    | :func:`s2_high_precision`   | 1     | 1             |
+| S3   | Fig 7      | :func:`s3_cnn`              | 1     | 1             |
+| S4   | Fig 4-6    | :func:`s4_high_parallelism` | per m | 1             |
+| S5   | Fig 10     | :func:`s5_memory`           | per kind x m | 1 per kind |
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.harness.config import Profile, RunConfig, Workloads
+from repro.harness.config import Workloads
+from repro.harness.grid import SweepGrid
 from repro.harness.results import (
     convergence_boxes,
+    group_by,
     median_progress_curve,
     pooled_staleness,
     statistical_efficiency_boxes,
-    staleness_boxes,
     time_per_update_boxes,
 )
-from repro.harness.runner import RunResult, _map_configs, repeated_configs
-from repro.utils.tables import five_number_summary, render_boxes, render_series, render_table
+from repro.harness.runner import RunResult, _map_configs
+from repro.utils.tables import render_boxes, render_series, render_table
 
 #: The algorithm set of Section V (SEQ is run only at m=1).
 DEFAULT_ALGORITHMS = ("SEQ", "ASYNC", "HOG", "LSH_psinf", "LSH_ps1", "LSH_ps0")
@@ -53,60 +61,57 @@ class ExperimentResult:
         return f"== {self.experiment_id}: {self.title} ==\n{self.text}"
 
 
-def _base_config(workloads: Workloads, kind: str, *, m: int, eta: float, seed: int) -> RunConfig:
+def _grid(
+    workloads: Workloads,
+    kind: str,
+    algorithms: Sequence[str],
+    thread_counts: Sequence[int],
+    etas: Sequence[float | None],
+    *,
+    seed: int,
+    repeats: int | None = None,
+    epsilons: tuple[float, ...] | None = None,
+    max_updates: int | None = None,
+) -> SweepGrid:
+    """The declaration of one step (or one m-slice of S4/S5): the
+    caller's axes plus the profile's repeats, budgets and ``kind``'s
+    epsilon ladder, stopping at the ladder's tightest threshold. A
+    ``None`` step size is the profile's default."""
     profile = workloads.profile
-    epsilons = profile.mlp_epsilons if kind != "cnn" else profile.cnn_epsilons
-    return RunConfig(
-        algorithm="SEQ" if m == 1 else "ASYNC",  # placeholder; callers replace()
-        m=m,
-        eta=eta,
+    if epsilons is None:
+        epsilons = profile.cnn_epsilons if kind == "cnn" else profile.mlp_epsilons
+    return SweepGrid(
+        algorithms=tuple(algorithms),
+        thread_counts=tuple(thread_counts),
+        etas=tuple(profile.default_eta if eta is None else eta for eta in etas),
+        repeats=repeats or profile.repeats,
         seed=seed,
         epsilons=epsilons,
         target_epsilon=min(epsilons),
-        max_updates=profile.max_updates,
+        max_updates=profile.max_updates if max_updates is None else max_updates,
         max_virtual_time=profile.max_virtual_time,
         max_wall_seconds=profile.max_wall_seconds,
     )
 
 
-def _sweep(
-    workloads: Workloads,
-    kind: str,
-    algorithms: Sequence[str],
-    thread_counts: Sequence[int],
-    *,
-    eta: float,
-    seed: int,
-    repeats: int | None = None,
-    epsilons: tuple[float, ...] | None = None,
-    max_updates: int | None = None,
-    progress=None,
-    service=None,
-) -> list[RunResult]:
-    """Run every (algorithm, m) cell ``repeats`` times.
+def _map_grids(
+    workloads: Workloads, kind: str, grids: Sequence[SweepGrid], service
+) -> list[list[RunResult]]:
+    """Submit ``grids`` to ``service`` (an
+    :class:`~repro.service.experiment.ExperimentService`; ``None`` opens
+    a volatile one) as one batch on ``kind``'s workload, and hand the
+    runs back per grid, each in its :meth:`SweepGrid.configs` order.
 
-    All cells × seeds go to ``service`` (an
-    :class:`~repro.service.experiment.ExperimentService`) as one batch;
-    it decides processes, lockstep replica cohorts, pool reuse and
-    cache hits, none of which changes a single result bit. Sharing one
-    service across the whole experiment suite shares its pool (one
-    spawn, one problem broadcast per workload) and its cache; ``None``
-    opens a volatile service for this batch."""
-    problem = workloads.problem(kind)
-    cost = workloads.cost(kind)
-    repeats = repeats or workloads.profile.repeats
-    configs = []
-    for alg in algorithms:
-        ms = (1,) if alg == "SEQ" else thread_counts
-        for m in ms:
-            cfg = _base_config(workloads, kind, m=m, eta=eta, seed=seed)
-            cfg = replace(cfg, algorithm=alg)
-            if epsilons is not None:
-                cfg = replace(cfg, epsilons=epsilons, target_epsilon=min(epsilons))
-            if max_updates is not None:
-                cfg = replace(cfg, max_updates=max_updates)
-            configs.extend(repeated_configs(cfg, repeats=repeats))
-    return _map_configs(problem, cost, configs, service=service, progress=progress)
+    One batch per workload is what lets the service plan cohorts, fill
+    its pool and count its heartbeat over the whole step; none of that
+    changes a result bit. Sharing one service across the suite shares
+    its pool (one spawn, one problem broadcast per workload) and cache."""
+    batches = [grid.configs() for grid in grids]
+    runs = iter(_map_configs(
+        workloads.problem(kind), workloads.cost(kind),
+        [config for batch in batches for config in batch], service=service,
+    ))
+    return [list(itertools.islice(runs, len(batch))) for batch in batches]
 
 
 # ----------------------------------------------------------------------
@@ -120,25 +125,15 @@ def s1_scalability(
     eta: float | None = None,
     seed: int = 100,
     repeats: int | None = None,
-    progress=None,
     service=None,
 ) -> ExperimentResult:
     """Fig. 3: MLP 50%-convergence wall-clock time (left) and time per
     SGD iteration (right), under varying parallelism."""
-    thread_counts = tuple(thread_counts or workloads.profile.thread_counts)
-    eta = eta if eta is not None else workloads.profile.default_eta
-    runs = _sweep(
-        workloads,
-        "mlp",
-        algorithms,
-        thread_counts,
-        eta=eta,
-        seed=seed,
-        repeats=repeats,
-        epsilons=(0.75, 0.5),
-        progress=progress,
-        service=service,
+    grid = _grid(
+        workloads, "mlp", algorithms, thread_counts or workloads.profile.thread_counts,
+        (eta,), seed=seed, repeats=repeats, epsilons=(0.75, 0.5),
     )
+    (runs,) = _map_grids(workloads, "mlp", [grid], service)
     key = lambda r: f"{r.config.algorithm}/m={r.config.m}"  # noqa: E731
     boxes, failures = convergence_boxes(runs, 0.5, key=key)
     tpu = time_per_update_boxes(runs, key=key)
@@ -168,26 +163,15 @@ def s1_stepsize(
     m: int = 16,
     seed: int = 200,
     repeats: int | None = None,
-    progress=None,
     service=None,
 ) -> ExperimentResult:
     """Fig. 8: 50%-convergence time vs step size (left) and statistical
     efficiency — iterations to 50% (right), MLP at m=16."""
-    etas = tuple(etas or workloads.profile.step_sizes)
-    problem = workloads.problem("mlp")
-    cost = workloads.cost("mlp")
-    repeats = repeats or workloads.profile.repeats
-    configs = []
-    for alg in algorithms:
-        for eta in etas:
-            cfg = replace(
-                _base_config(workloads, "mlp", m=m, eta=eta, seed=seed),
-                algorithm=alg,
-                epsilons=(0.75, 0.5),
-                target_epsilon=0.5,
-            )
-            configs.extend(repeated_configs(cfg, repeats=repeats))
-    runs = _map_configs(problem, cost, configs, service=service, progress=progress)
+    grid = _grid(
+        workloads, "mlp", algorithms, (m,), etas or workloads.profile.step_sizes,
+        seed=seed, repeats=repeats, epsilons=(0.75, 0.5),
+    )
+    (runs,) = _map_grids(workloads, "mlp", [grid], service)
     key = lambda r: f"{r.config.algorithm}/eta={r.config.eta:g}"  # noqa: E731
     boxes, failures = convergence_boxes(runs, 0.5, key=key)
     stat_eff = statistical_efficiency_boxes(runs, 0.5, key=key)
@@ -208,30 +192,18 @@ def s1_stepsize(
 
 
 # ----------------------------------------------------------------------
-# S2/S4 shared machinery — Figs 4, 5, 6 at one thread count.
+# S2/S3/S4 shared machinery — Figs 4, 5, 6 at one thread count.
 # ----------------------------------------------------------------------
-def _precision_staleness_progress(
-    workloads: Workloads,
-    kind: str,
-    *,
-    m: int,
-    eta: float,
-    algorithms: Sequence[str],
-    seed: int,
-    repeats: int | None,
-    fig_prefix: str,
-    progress=None,
-    service=None,
+def _render_precision(
+    grid: SweepGrid, runs: list[RunResult], kind: str, fig_prefix: str
 ) -> ExperimentResult:
-    profile = workloads.profile
-    epsilons = profile.mlp_epsilons if kind != "cnn" else profile.cnn_epsilons
-    runs = _sweep(
-        workloads, kind, algorithms, (m,), eta=eta, seed=seed, repeats=repeats,
-        epsilons=epsilons, progress=progress, service=service,
-    )
+    """Convergence boxes per epsilon of the ladder, median progress
+    curves and the pooled staleness table of a one-thread-count grid's
+    runs."""
+    (m,) = grid.thread_counts
     sections = []
     per_eps = {}
-    for eps in sorted(epsilons, reverse=True):
+    for eps in sorted(grid.epsilons, reverse=True):
         boxes, failures = convergence_boxes(runs, eps)
         per_eps[eps] = {"boxes": boxes, "failures": failures}
         sections.append(
@@ -242,13 +214,11 @@ def _precision_staleness_progress(
                 failures=failures,
             )
         )
+    by_algorithm = group_by(runs, lambda r: r.config.algorithm)
     # Progress curves (Fig 5 / Fig 7 middle).
-    curves = {}
-    from repro.harness.results import group_by
-
-    for alg, alg_runs in group_by(runs, lambda r: r.config.algorithm).items():
-        t, loss = median_progress_curve(alg_runs)
-        curves[str(alg)] = (t, loss)
+    curves = {
+        str(alg): median_progress_curve(alg_runs) for alg, alg_runs in by_algorithm.items()
+    }
     sections.append(
         render_series(
             {k: v for k, v in curves.items() if v[0].size},
@@ -258,10 +228,7 @@ def _precision_staleness_progress(
         )
     )
     # Staleness distributions (Fig 6 / Fig 7 right).
-    stale = {}
-    for alg, alg_runs in group_by(runs, lambda r: r.config.algorithm).items():
-        pooled = pooled_staleness(alg_runs)
-        stale[str(alg)] = pooled
+    stale = {str(alg): pooled_staleness(alg_runs) for alg, alg_runs in by_algorithm.items()}
     stale_rows = [
         [alg, v.size, float(v.mean()) if v.size else float("nan"),
          float(np.median(v)) if v.size else float("nan"),
@@ -293,16 +260,13 @@ def s2_high_precision(
     algorithms: Sequence[str] = PARALLEL_ALGORITHMS,
     seed: int = 300,
     repeats: int | None = None,
-    progress=None,
     service=None,
 ) -> ExperimentResult:
     """S2 — Figs 4 (left), 5 (left), 6 (left): MLP high-precision
     convergence at m=16."""
-    eta = eta if eta is not None else workloads.profile.default_eta
-    return _precision_staleness_progress(
-        workloads, "mlp", m=m, eta=eta, algorithms=algorithms, seed=seed,
-        repeats=repeats, fig_prefix="S2/Fig4-6", progress=progress, service=service,
-    )
+    grid = _grid(workloads, "mlp", algorithms, (m,), (eta,), seed=seed, repeats=repeats)
+    (runs,) = _map_grids(workloads, "mlp", [grid], service)
+    return _render_precision(grid, runs, "mlp", "S2/Fig4-6")
 
 
 def s3_cnn(
@@ -313,15 +277,12 @@ def s3_cnn(
     algorithms: Sequence[str] = PARALLEL_ALGORITHMS,
     seed: int = 400,
     repeats: int | None = None,
-    progress=None,
     service=None,
 ) -> ExperimentResult:
     """S3 — Fig 7: CNN convergence rate / progress / staleness at m=16."""
-    eta = eta if eta is not None else workloads.profile.default_eta
-    return _precision_staleness_progress(
-        workloads, "cnn", m=m, eta=eta, algorithms=algorithms, seed=seed,
-        repeats=repeats, fig_prefix="S3/Fig7", progress=progress, service=service,
-    )
+    grid = _grid(workloads, "cnn", algorithms, (m,), (eta,), seed=seed, repeats=repeats)
+    (runs,) = _map_grids(workloads, "cnn", [grid], service)
+    return _render_precision(grid, runs, "cnn", "S3/Fig7")
 
 
 def s4_high_parallelism(
@@ -332,19 +293,20 @@ def s4_high_parallelism(
     algorithms: Sequence[str] = PARALLEL_ALGORITHMS,
     seed: int = 500,
     repeats: int | None = None,
-    progress=None,
     service=None,
 ) -> ExperimentResult:
-    """S4 — Figs 4-6 (middle/right): MLP stress test at m in {24,34,68}."""
+    """S4 — Figs 4-6 (middle/right): MLP stress test at m in {24,34,68}.
+
+    One grid per m (each under its own seed base, ``seed + 10*m``),
+    submitted together."""
     thread_counts = tuple(thread_counts or workloads.profile.high_parallelism)
-    eta = eta if eta is not None else workloads.profile.default_eta
-    parts = [
-        _precision_staleness_progress(
-            workloads, "mlp", m=m, eta=eta, algorithms=algorithms,
-            seed=seed + 10 * m, repeats=repeats, fig_prefix=f"S4/m={m}",
-            progress=progress, service=service,
-        )
+    grids = [
+        _grid(workloads, "mlp", algorithms, (m,), (eta,), seed=seed + 10 * m, repeats=repeats)
         for m in thread_counts
+    ]
+    parts = [
+        _render_precision(grid, runs, "mlp", f"S4/m={grid.thread_counts[0]}")
+        for grid, runs in zip(grids, _map_grids(workloads, "mlp", grids, service))
     ]
     return ExperimentResult(
         "S4/Fig4-6",
@@ -368,23 +330,28 @@ def s5_memory(
     seed: int = 600,
     repeats: int = 1,
     max_updates: int = 400,
-    progress=None,
     service=None,
 ) -> ExperimentResult:
     """S5 — Fig 10: continuous memory measurement; Leashed-SGD's dynamic
-    allocation vs the baselines' constant 2m+1 instances."""
-    eta = eta if eta is not None else workloads.profile.default_eta
+    allocation vs the baselines' constant 2m+1 instances.
+
+    One grid per (kind, m); each kind's grids are submitted together."""
+    cells = {
+        kind: _map_grids(
+            workloads, kind,
+            [
+                _grid(workloads, kind, algorithms, (m,), (eta,), seed=seed,
+                      repeats=repeats, max_updates=max_updates)
+                for m in thread_counts
+            ],
+            service,
+        )
+        for kind in kinds
+    }
     rows = []
     data: dict = {}
-    runs_all: list[RunResult] = []
-    for kind in kinds:
-        for m in thread_counts:
-            runs = _sweep(
-                workloads, kind, algorithms, (m,), eta=eta, seed=seed,
-                repeats=repeats, max_updates=max_updates, progress=progress,
-                service=service,
-            )
-            runs_all.extend(runs)
+    for kind, per_m in cells.items():
+        for m, runs in zip(thread_counts, per_m):
             base_mean = np.mean(
                 [r.mean_pv_bytes for r in runs if r.config.algorithm in ("ASYNC", "HOG")]
             )
@@ -407,7 +374,8 @@ def s5_memory(
         title="Fig 10: memory consumption (exact ParameterVector accounting)",
     )
     return ExperimentResult(
-        "S5/Fig10", "Memory consumption", data=data, text=text, runs=runs_all
+        "S5/Fig10", "Memory consumption", data=data, text=text,
+        runs=[r for per_m in cells.values() for runs in per_m for r in runs],
     )
 
 

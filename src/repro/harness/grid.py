@@ -1,10 +1,13 @@
 """Experiment grids: declarative cartesian sweeps over run parameters.
 
-The S1–S5 functions cover the paper's experiments; downstream users
-exploring their own questions usually want "run every combination of
-these algorithms, thread counts and step sizes, N seeds each, and give
-me a tidy table". :class:`SweepGrid` is that, with optional JSON
-archival via :mod:`repro.utils.serialization`.
+"Run every combination of these algorithms, thread counts and step
+sizes, N seeds each, and give me a tidy table": :class:`SweepGrid` is
+that declaration, and its :meth:`~SweepGrid.configs` the one place a
+sweep's runs are enumerated. The paper's S1–S5 steps
+(:mod:`repro.harness.experiments`) are grids built from a profile,
+``repro sweep`` is one built from flags, and downstream users build
+their own; :func:`archive` writes the results as JSON via
+:mod:`repro.utils.serialization`.
 
 Example
 -------
@@ -26,9 +29,9 @@ Example
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,14 +108,7 @@ class SweepGrid:
             )
         return out
 
-    def run(
-        self,
-        problem: Problem,
-        cost: CostModel,
-        *,
-        progress: Callable[[int, int, str], None] | None = None,
-        service=None,
-    ) -> list[RunResult]:
+    def run(self, problem: Problem, cost: CostModel, *, service=None) -> list[RunResult]:
         """Execute the grid; returns all runs (repeats included).
 
         The whole sweep — every (cell, seed) pair at once, not
@@ -121,14 +117,10 @@ class SweepGrid:
         workers / replicas / pool / cache apply, and same-shape cells —
         the η column at fixed algorithm/m — merge into one super-cohort
         when its ``replicas`` allows). Without one a volatile service
-        is opened for the call. ``progress`` is the service's
-        ``(done, total, label)`` heartbeat. Result order and contents
-        are identical to a serial ``run_once`` loop over
-        :meth:`configs`.
+        is opened for the call. Result order and contents are identical
+        to a serial ``run_once`` loop over :meth:`configs`.
         """
-        return _map_configs(
-            problem, cost, self.configs(), service=service, progress=progress
-        )
+        return _map_configs(problem, cost, self.configs(), service=service)
 
 
 def summarize(results: Sequence[RunResult], eps: float) -> str:
@@ -140,14 +132,13 @@ def summarize(results: Sequence[RunResult], eps: float) -> str:
     for (algorithm, m, eta), runs in sorted(cells.items()):
         times = [r.time_to(eps) for r in runs if np.isfinite(r.time_to(eps))]
         n_fail = sum(1 for r in runs if not np.isfinite(r.time_to(eps)))
+        taus = [r.staleness["mean"] for r in runs if np.isfinite(r.staleness["mean"])]
         rows.append(
             [
                 algorithm, m, f"{eta:g}",
                 len(times),
                 float(np.median(times)) if times else float("nan"),
-                float(np.mean([r.staleness["mean"] for r in runs
-                               if np.isfinite(r.staleness["mean"])]) or np.nan)
-                if any(np.isfinite(r.staleness["mean"]) for r in runs) else float("nan"),
+                float(np.mean(taus)) if taus else float("nan"),
                 n_fail,
             ]
         )

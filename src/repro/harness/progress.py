@@ -3,10 +3,10 @@
 A paper-profile sweep fans hundreds of runs out over a process pool and
 then goes silent for minutes — indistinguishable, from the terminal,
 from a hung pool. :class:`ProgressReporter` is the harness's heartbeat:
-:meth:`repro.service.experiment.ExperimentService.map` (and everything
-layered on it) accepts a ``progress`` callback invoked as
-``progress(done, total, label)`` after every completed cohort box, and
-the reporter renders those ticks either as
+an :class:`repro.service.experiment.ExperimentService` constructed with
+a ``progress`` callback invokes it as ``progress(done, total, label)``
+after every completed cohort box of every batch it maps, and the
+reporter renders those ticks either as
 
 * a single in-place updating status line (``\\r``) when the output
   stream is a TTY, or

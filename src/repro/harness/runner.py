@@ -429,16 +429,16 @@ def repeated_configs(
     return [config.with_seed(config.seed + i * seed_stride) for i in range(repeats)]
 
 
-def _map_configs(problem, cost, configs, *, service=None, progress=None) -> list[RunResult]:
+def _map_configs(problem, cost, configs, *, service=None) -> list[RunResult]:
     """Execute ``configs`` through ``service``; ``None`` opens a volatile
     :class:`~repro.service.experiment.ExperimentService` for this call
     (so ``REPRO_WORKERS`` / ``REPRO_REPLICAS`` apply)."""
     if service is not None:
-        return service.map(problem, cost, configs, progress=progress)
+        return service.map(problem, cost, configs)
     from repro.service.experiment import ExperimentService  # local: it imports the harness
 
     with ExperimentService() as volatile:
-        return volatile.map(problem, cost, configs, progress=progress)
+        return volatile.map(problem, cost, configs)
 
 
 def run_repeated(

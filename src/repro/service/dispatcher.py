@@ -110,20 +110,22 @@ class Dispatcher:
         owner: str,
         pool: "WorkerPool | None" = None,
         cache: "RunCache | None" = None,
+        progress: Callable[[int, int, str], None] | None = None,
     ) -> None:
         self.queue = queue
         self.measurer = measurer
         self.owner = owner
         self.pool = pool
         self.cache = cache
+        self.progress = progress  # the session's (done, total, label) heartbeat
         self.kill_after = int(os.environ.get(KILL_AFTER_ENV) or 0)
         self.stats = ServiceStats()
         self._session_completions = 0
 
     # -- completion plumbing -------------------------------------------
-    def _progress(self, progress, done, total, task, note: str) -> None:
-        if progress is not None:
-            progress(done, total, _label(task.configs[-1]) + note)
+    def _tick(self, done, total, task, note: str) -> None:
+        if self.progress is not None:
+            self.progress(done, total, _label(task.configs[-1]) + note)
 
     def _maybe_die(self) -> None:
         """The fault-injection crash point (see module docstring)."""
@@ -169,8 +171,6 @@ class Dispatcher:
         cost: "CostModel",
         wkey: str,
         planned: Sequence["PlannedTask"],
-        *,
-        progress: Callable[[int, int, str], None] | None = None,
     ) -> None:
         """Complete every planned task (results land in the measurer)."""
         from repro.harness.runner import run_cohort
@@ -191,7 +191,7 @@ class Dispatcher:
                     self.stats.tasks_from_journal += 1
                     self.stats.runs_from_journal += len(task)
                     done_runs += len(task)
-                    self._progress(progress, done_runs, total, task, " [journal]")
+                    self._tick(done_runs, total, task, " [journal]")
                     continue
                 # DONE in the queue but rows missing from the journal
                 # (e.g. a corrupt line was skipped): never trust it.
@@ -228,7 +228,7 @@ class Dispatcher:
                     problem, cost, wkey, task, served, (), cached
                 )
                 done_runs += len(task)
-                self._progress(progress, done_runs, total, task, f" [{source}]")
+                self._tick(done_runs, total, task, f" [{source}]")
                 self._maybe_die()
             else:
                 exec_plan.append((task, missing, served, cached))
@@ -251,7 +251,7 @@ class Dispatcher:
             self.stats.runs_executed += len(missing)
             self._complete(problem, cost, wkey, task, results, missing, cached)
             done_runs += len(task)
-            self._progress(progress, done_runs, total, task, "")
+            self._tick(done_runs, total, task, "")
             self._maybe_die()
 
         if self.pool is not None and len(chunks) > 1:

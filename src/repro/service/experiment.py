@@ -126,6 +126,13 @@ class ExperimentService:
     closes only what it created).
     ``manifest`` (durable mode) records invocation facts; on an existing
     run directory its guarded keys must match what is already there.
+    ``progress`` is the session's heartbeat, invoked as
+    ``progress(done, total, label)`` in this process after every
+    completed cohort box of every :meth:`map`, in *completion* order
+    (boxes served without simulating are labelled ``[cache]`` /
+    ``[journal]``; ``done`` counts up to that batch's ``total``) — see
+    :class:`repro.harness.progress.ProgressReporter`. It observes the
+    sweep without participating in it.
     """
 
     def __init__(
@@ -137,6 +144,7 @@ class ExperimentService:
         pool: "WorkerPool | None" = None,
         cache: "RunCache | None" = None,
         manifest: dict | None = None,
+        progress: Callable[[int, int, str], None] | None = None,
     ) -> None:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.replicas = resolve_replicas(replicas)
@@ -172,7 +180,7 @@ class ExperimentService:
             self.pool = pool
             self.dispatcher = Dispatcher(
                 self.queue, self.measurer, owner=self.owner,
-                pool=self.pool, cache=self.cache,
+                pool=self.pool, cache=self.cache, progress=progress,
             )
             self._order: list[str] = []
             self._seen: set[str] = set()
@@ -214,12 +222,7 @@ class ExperimentService:
 
     # -- the map contract ----------------------------------------------
     def map(
-        self,
-        problem: "Problem",
-        cost: "CostModel",
-        configs: Sequence,
-        *,
-        progress: Callable[[int, int, str], None] | None = None,
+        self, problem: "Problem", cost: "CostModel", configs: Sequence
     ) -> list["RunResult"]:
         """Run every config through the service; results in submission
         order, identical to a serial ``run_once`` loop modulo the host
@@ -227,21 +230,16 @@ class ExperimentService:
         cache or journal state. Falls back to serial execution (with a
         warning) when the payload cannot be pickled or the pool cannot
         be brought up; exceptions raised *inside* a simulation propagate
-        unchanged either way.
-
-        ``progress`` is an optional heartbeat callback invoked as
-        ``progress(done, total, label)`` in this process after every
-        completed cohort box, in *completion* order (boxes served
-        without simulating are labelled ``[cache]`` / ``[journal]``) —
-        see :class:`repro.harness.progress.ProgressReporter`. It
-        observes the sweep without participating in it."""
+        unchanged either way. The whole batch is planned, pooled and
+        counted by the heartbeat as one, so callers submit everything
+        they have for a workload in one call."""
         configs = list(configs)
         if not configs:
             return []
         wkey = workload_key(problem, cost)
         planned = self.scheduler.expand(problem, cost, configs)
         self.scheduler.schedule(self.queue, planned)
-        self.dispatcher.run(problem, cost, wkey, planned, progress=progress)
+        self.dispatcher.run(problem, cost, wkey, planned)
         keys = [run_key(wkey, config) for config in configs]
         for key in keys:
             if key not in self._seen:

@@ -17,35 +17,32 @@ virtual duration. The scheduler decides how it runs:
 * **Cohort mode**: the scheduler parks the request so a
   :class:`~repro.sim.replica.LockstepCohort` can harvest pending
   gradients across replicas and execute the batch as stacked array
-  kernels. A *deferrable* request (the default) parks without pausing
-  the event loop: the thread's continuation is scheduled immediately
-  (consuming the scheduler RNG exactly as the serial path does) and the
+  kernels. A request parks without pausing the event loop: the
+  thread's continuation is scheduled immediately (consuming the
+  scheduler RNG exactly as the serial path does) and the
   loop keeps processing other threads' events, harvesting *their*
   gradient requests too — the loop only pauses when the next event
   belongs to a thread whose gradient is still unexecuted. With m
   workers per replica, a round then stacks up to K*m gradients instead
   of K.
 
-Deferrability contract
-----------------------
-Deferring moves the host-side execution of ``fn`` from the yield
-instant to the round boundary, while *virtual* time and event order
-stay untouched. That is invisible exactly when nothing the simulation
-can observe changes in between:
+What a worker body must guarantee
+---------------------------------
+Parking moves the host-side execution of ``fn`` from the yield instant
+to the round boundary, while *virtual* time and event order stay
+untouched. That is invisible exactly when nothing the simulation can
+observe changes in between, so every body computes on a private copy or
+a pinned vector:
 
 * ``theta`` (the gradient input) must not be mutated by any *other*
-  thread between the yield and the thread's resume. All current worker
-  bodies satisfy this structurally: HOGWILD-family and the
-  lock-baseline compute on a worker-private copy, Leashed-SGD on a
+  thread between the yield and the thread's resume. The worker bodies
+  satisfy this structurally: HOGWILD-family and the lock-baseline
+  compute on a worker-private copy, Leashed-SGD on a
   pinned published vector (immutable by Lemma 2), SEQ's single worker
   owns its vector, and SyncSGD's shared vector only changes behind a
   barrier the yielding worker has not reached yet.
 * ``out`` and the ``post`` hook's operands must be worker-private (or
   immutable, like the pinned view Leashed's divergence probe copies).
-
-A body that computes directly on shared mutable state must yield
-``GradCompute(..., deferrable=False)``, restoring the pause-per-request
-behaviour.
 
 :class:`GradTask` is the optional batching handle: problems that can
 stage their sampling separately from the math (see
@@ -120,7 +117,7 @@ class GradCompute:
     the read view before the thread resumes.
     """
 
-    __slots__ = ("fn", "theta", "out", "duration", "task", "post", "deferrable")
+    __slots__ = ("fn", "theta", "out", "duration", "task", "post")
 
     def __init__(
         self,
@@ -130,7 +127,6 @@ class GradCompute:
         duration: float,
         task: GradTask | None = None,
         post: Callable[[], None] | None = None,
-        deferrable: bool = True,
     ) -> None:
         self.fn = fn
         self.theta = theta
@@ -138,10 +134,6 @@ class GradCompute:
         self.duration = duration
         self.task = task
         self.post = post
-        #: Whether a cohort scheduler may keep processing other threads'
-        #: events before this request executes (see module docstring for
-        #: the contract). Serial execution ignores the flag.
-        self.deferrable = deferrable
 
     def execute(self) -> None:
         """Run the gradient (and the post hook) serially."""

@@ -129,13 +129,11 @@ class Scheduler:
         # Cohort (lockstep-replica) mode: GradCompute requests park for
         # batched execution instead of running inline, so an external
         # driver can stack them across replica schedulers (see
-        # repro.sim.replica). Each entry is (thread, request, scheduled):
-        # deferrable requests schedule their thread's continuation
-        # immediately (scheduled=True) and the loop keeps running;
-        # non-deferrable ones pause the loop and are rescheduled by
-        # resume_after_grads().
+        # repro.sim.replica). Each entry is (thread, request): parking
+        # schedules the thread's continuation immediately and the loop
+        # keeps running until the next event belongs to a parked thread.
         self._cohort = False
-        self._pending_grads: list[tuple[SimThread, GradCompute, bool]] = []
+        self._pending_grads: list[tuple[SimThread, GradCompute]] = []
         self._pending_tids: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -171,27 +169,23 @@ class Scheduler:
     def pending_grads(self) -> list[tuple[SimThread, GradCompute]]:
         """Parked ``(thread, request)`` pairs, in yield order.
 
-        Deferrable requests accumulate while the loop keeps running;
-        the loop pauses either at a non-deferrable request or when the
-        next event belongs to a thread with an unexecuted gradient.
+        Requests accumulate while the loop keeps running; the loop
+        pauses when the next event belongs to a thread with an
+        unexecuted gradient.
         """
-        return [(thread, request) for thread, request, _ in self._pending_grads]
+        return self._pending_grads
 
     def resume_after_grads(self) -> None:
         """Clear the parked requests after the cohort executed them.
 
-        Deferred requests' threads were already rescheduled when they
-        parked; a trailing non-deferrable request's thread is
-        rescheduled here. Both orders consume the scheduler RNG exactly
-        as the serial inline path does: one jitter draw (when enabled
-        and the duration is positive), then one tiebreak draw, at the
-        same point of the stream.
+        Their threads were already rescheduled when they parked, which
+        consumed the scheduler RNG exactly as the serial inline path
+        does: one jitter draw (when enabled and the duration is
+        positive), then one tiebreak draw, at the same point of the
+        stream.
         """
         if not self._pending_grads:
             raise SimulationError("resume_after_grads without a pending gradient")
-        for thread, request, scheduled in self._pending_grads:
-            if not scheduled:
-                self._schedule_after(thread, request.duration)
         self._pending_grads.clear()
         self._pending_tids.clear()
 
@@ -432,17 +426,14 @@ class Scheduler:
                             # Park the request for the cohort driver, which
                             # executes it (possibly stacked with other
                             # replicas') and calls resume_after_grads().
-                            if yielded.deferrable:
-                                # Schedule the continuation now — the exact
-                                # RNG draws of the serial path — and keep
-                                # processing other threads' events, so one
-                                # round harvests every in-flight gradient.
-                                self._pending_grads.append((thread, yielded, True))
-                                pending_tids.add(thread.tid)
-                                self._schedule_after(thread, yielded.duration)
-                                continue
-                            self._pending_grads.append((thread, yielded, False))
-                            break
+                            # Schedule the continuation now — the exact
+                            # RNG draws of the serial path — and keep
+                            # processing other threads' events, so one
+                            # round harvests every in-flight gradient.
+                            self._pending_grads.append((thread, yielded))
+                            pending_tids.add(thread.tid)
+                            self._schedule_after(thread, yielded.duration)
+                            continue
                         # Serial: run the gradient now, at the instant the
                         # worker yielded — exactly when the old inline call
                         # happened — then reschedule after its duration

@@ -98,11 +98,12 @@ def make_run_config(**overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
-def service_map(problem, cost, configs, *, progress=None, **knobs):
-    """One batch through a fresh volatile ``ExperimentService(**knobs)``.
+def service_map(problem, cost, configs, **knobs):
+    """One batch through a fresh volatile ``ExperimentService(**knobs)``
+    (``progress=`` included: the heartbeat is a constructor argument).
 
     A fresh service per batch matters to tests that repeat a batch: the
     repeat must execute again (or hit the run cache), not be served from
     the first service's own in-memory results."""
     with ExperimentService(**knobs) as service:
-        return service.map(problem, cost, configs, progress=progress)
+        return service.map(problem, cost, configs)

@@ -10,6 +10,7 @@ import pytest
 from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError
 from repro.harness.grid import SweepGrid, archive, summarize
+from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 
 
@@ -57,7 +58,8 @@ class TestRun:
         # *finished* run, never a line for a cell that has not started.
         grid = SweepGrid(algorithms=("HOG",), thread_counts=(2,), etas=(0.05,), repeats=2)
         seen = []
-        grid.run(problem, cost, progress=lambda *tick: seen.append(tick))
+        with ExperimentService(progress=lambda *tick: seen.append(tick)) as service:
+            grid.run(problem, cost, service=service)
         assert seen == [(1, 2, "HOG/m=2/seed=0"), (2, 2, "HOG/m=2/seed=1000")]
 
     def test_deterministic(self, problem, cost):
@@ -78,6 +80,21 @@ class TestSummarizeArchive:
     def test_summarize_table(self, results):
         text = summarize(results, 0.1)
         assert "SEQ" in text and "LSH_ps0" in text and "median t(0.1)" in text
+
+    def test_summarize_mean_tau_of_zero_is_zero(self, problem, cost):
+        # SEQ's staleness mean is exactly 0.0, which is a value, not a
+        # missing one: only a cell with no finite mean reports NaN.
+        grid = SweepGrid(algorithms=("SEQ", "ASYNC"), thread_counts=(2,), etas=(0.05,),
+                         repeats=2, epsilons=(0.5, 0.1))
+        results = grid.run(problem, cost)
+        rows = {line.split()[0]: line.split() for line in summarize(results, 0.1).splitlines()
+                if line.split() and line.split()[0] in ("SEQ", "ASYNC")}
+        assert float(rows["SEQ"][5]) == 0.0
+        assert float(rows["ASYNC"][5]) > 0.0
+        for r in results:
+            r.metrics["staleness"]["mean"] = float("nan")
+        assert all(line.split()[5] == "nan" for line in summarize(results, 0.1).splitlines()
+                   if line.split() and line.split()[0] in ("SEQ", "ASYNC"))
 
     def test_archive_roundtrip(self, results, tmp_path):
         path = archive(results, tmp_path / "grid.json")

@@ -8,6 +8,7 @@ import io
 import numpy as np
 
 from repro.harness.progress import ProgressReporter
+from repro.service import ExperimentService
 
 from tests.conftest import make_run_config, service_map
 from tests.test_determinism import assert_identical
@@ -96,9 +97,10 @@ class TestMapRunsHeartbeat:
         from repro.harness.experiments import s1_scalability
 
         ticks = []
-        result = s1_scalability(
-            tiny_workloads, algorithms=("ASYNC",), thread_counts=(2,),
-            repeats=2, progress=lambda d, t, lab: ticks.append((d, t)),
-        )
+        with ExperimentService(progress=lambda d, t, lab: ticks.append((d, t))) as service:
+            result = s1_scalability(
+                tiny_workloads, algorithms=("ASYNC",), thread_counts=(2,),
+                repeats=2, service=service,
+            )
         assert len(result.runs) == 2
         assert ticks[-1] == (2, 2)

@@ -296,7 +296,7 @@ class TestSchedulerCohortMode:
     """The deferred-harvest machinery at the scheduler level."""
 
     @staticmethod
-    def _grad_body(thread, log, name, steps=2, deferrable=True):
+    def _grad_body(thread, log, name, steps=2):
         theta = np.zeros(1)
         out = np.zeros(1)
 
@@ -304,7 +304,7 @@ class TestSchedulerCohortMode:
             for i in range(steps):
                 yield GradCompute(
                     lambda th, o, name=name, i=i: log.append((name, i)),
-                    theta, out, 1.0, deferrable=deferrable,
+                    theta, out, 1.0,
                 )
                 yield 0.5
         return body()
@@ -341,26 +341,6 @@ class TestSchedulerCohortMode:
                 request.execute()
             s.resume_after_grads()
         assert sorted(log) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
-
-    def test_non_deferrable_pauses_immediately(self):
-        log: list = []
-        s = self._scheduler()
-        s.enable_cohort_mode()
-        for name in ("a", "b"):
-            s.spawn(
-                name, lambda t, n=name: self._grad_body(t, log, n, deferrable=False)
-            )
-        s.run()
-        # The loop pauses at the first non-deferrable request: exactly
-        # one parked, the other worker untouched.
-        assert len(s.pending_grads) == 1
-
-    def test_serial_mode_ignores_deferrable(self):
-        log: list = []
-        s = self._scheduler()  # cohort mode NOT enabled
-        s.spawn("a", lambda t: self._grad_body(t, log, "a"))
-        s.run()
-        assert log == [("a", 0), ("a", 1)]
 
     def test_resume_without_pending_raises(self):
         s = self._scheduler()

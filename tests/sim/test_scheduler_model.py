@@ -79,13 +79,10 @@ class ReferenceScheduler(Scheduler):
                         self._schedule_after(thread, yielded)
                     elif isinstance(yielded, GradCompute):
                         if self._cohort:
-                            if yielded.deferrable:
-                                self._pending_grads.append((thread, yielded, True))
-                                self._pending_tids.add(thread.tid)
-                                self._schedule_after(thread, yielded.duration)
-                                continue
-                            self._pending_grads.append((thread, yielded, False))
-                            break
+                            self._pending_grads.append((thread, yielded))
+                            self._pending_tids.add(thread.tid)
+                            self._schedule_after(thread, yielded.duration)
+                            continue
                         yielded.execute()
                         self._schedule_after(thread, yielded.duration)
                     elif isinstance(yielded, AcquireRequest):
@@ -129,7 +126,7 @@ PLAIN_OPS = st.one_of(
     st.tuples(st.just("sleep"), DURATIONS),
     st.tuples(st.just("sleep"), DURATIONS),  # listed twice: half of all ops
     st.tuples(st.just("lock"), st.integers(0, 1), DURATIONS),
-    st.tuples(st.just("grad"), DURATIONS, st.booleans()),
+    st.tuples(st.just("grad"), DURATIONS),
 )
 
 #: Ops that end or derail a run; at most a couple per program.
@@ -214,7 +211,7 @@ class World:
             elif kind == "grad":
                 def fn(theta, out, tid=thread.tid):
                     log.append((scheduler.now, tid, "grad executed"))
-                yield GradCompute(fn, None, None, op[1], deferrable=op[2])
+                yield GradCompute(fn, None, None, op[1])
             elif kind == "stop":
                 scheduler.stop()
                 yield 1e-3
@@ -236,7 +233,7 @@ class World:
             "threads": [(th.state, repr(th.error)) for th in s._threads],
             "suspended": [th.tid for th in s.suspended_threads],
             "blocked": s._blocked_count,
-            "pending": [(th.tid, req.duration, req.deferrable) for th, req in s.pending_grads],
+            "pending": [(th.tid, req.duration) for th, req in s.pending_grads],
             "stopped": s.stopped,
             "log_length": len(self.log),
         }
@@ -299,7 +296,7 @@ def _program(threads, **overrides):
 # deferred gradient is pending: it goes back and the loop pauses.
 @example(_program([[("sleep", 0.5)] * 4, [("sleep", 1)] * 2], cuts=[0.25, 0.5, 1.0]))
 @example(_program(
-    [[("grad", 1e-3, True), ("sleep", 0.5)], [("sleep", 2.5e-8)] * 6, [("grad", 0.5, False)]],
+    [[("grad", 1e-3), ("sleep", 0.5)], [("sleep", 2.5e-8)] * 6, [("grad", 0.5)]],
     cohort=True, jitter_sigma=0.08,
 ))
 # Equal times everywhere: only the tiebreak orders the threads.
