@@ -155,7 +155,8 @@ class DLProblem(Problem):
         after :meth:`eval_loss` on the same theta it costs no forward."""
         if not np.all(np.isfinite(theta)):
             return float("nan")
-        return self._eval_plan(theta).accuracy(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._eval_plan(theta).accuracy(theta)
 
 
 #: ``DLGradTask._kernel`` before the first :meth:`DLGradTask.run`

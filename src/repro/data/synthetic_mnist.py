@@ -48,6 +48,13 @@ _GLYPHS_5x7 = {
 IMAGE_SIZE = 28
 N_CLASSES = 10
 
+#: Images per pixel-noise draw. ``Generator.normal`` fills its output
+#: element by element, so drawing the noise block by block consumes the
+#: stream exactly as one whole-split draw would, and the float64 draw
+#: plus its float32 cast stay ~5 MB whatever the split size (a 60k-image
+#: split would otherwise hold 565 MB of them beside the 188 MB corpus).
+NOISE_BLOCK_IMAGES = 512
+
 
 def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of a 2-D float32 image, bit for bit what
@@ -143,7 +150,9 @@ def _generate_split(
     intensity = rng.uniform(0.7, 1.0, size=(n, 1, 1)).astype(np.float32)
     images *= intensity
     if noise_std > 0:
-        images += rng.normal(0.0, noise_std, size=images.shape).astype(np.float32)
+        for lo in range(0, n, NOISE_BLOCK_IMAGES):
+            block = images[lo : lo + NOISE_BLOCK_IMAGES]
+            block += rng.normal(0.0, noise_std, size=block.shape).astype(np.float32)
     np.clip(images, 0.0, 1.0, out=images)
     # The corpus is immutable from here on: consumers only ever sample
     # from it, and a read-only buffer is safe to alias into a zero-copy

@@ -22,10 +22,17 @@ How the bits are kept:
 * ``Conv2D`` and ``Dense`` run the layer's own GEMMs on the same
   operands (``np.matmul(cols, W.T)``, ``np.matmul(x, W)``) with ``out=``
   targets, the equivalence ``tests/nn/test_workspace.py`` pins for
-  training. The patch matrix is gathered with one ``np.take`` per call
-  instead of a sliding-window copy (same elements, same places), and the
-  conv bias is added after the transpose-copy instead of before it: one
-  IEEE addition per element either way.
+  training. The patch matrix is gathered through the layer's own table
+  (:func:`repro.nn.layers.conv2d.patch_gather`), and the conv bias is
+  added after the transpose-copy instead of before it: one IEEE addition
+  per element either way.
+* The layers before the first ``Dense`` (the conv front-end) run over
+  the split :data:`FRONT_BLOCK` samples at a time. Everything there is
+  per sample: a conv ``matmul`` is one GEMM per sample already, ReLU and
+  the pool are elementwise or window-local, so a block computes exactly
+  the rows the whole split would. The ``Dense`` tail runs once on the
+  whole split, because a GEMM over other row counts may block its
+  reduction differently.
 * The 2x2 max-pool is a comparison tree, ``right > left ? right : left``
   over column pairs and then over row pairs. Strict ``>`` keeps the
   *first* maximum in window order, which is ``argmax``'s tie rule.
@@ -40,8 +47,10 @@ How the bits are kept:
 
 Memory: a plan retains its buffers only while they total at most
 :data:`PLAN_BYTES_CAP`; a larger split (10k real-MNIST images would pin
-~600 MB) builds patches and activations per call, as the layers do.
-Activations ping-pong between two buffers sized for the largest one.
+~250 MB of layer-0 patches) builds patches and activations per call.
+Activations ping-pong between two buffers sized for the largest one the
+front-end makes of a block or the tail of the split; only the cached
+layer-0 patch matrix and the front-end's output grow with the split.
 
 Plans live in a weak-keyed module table (:func:`plan_for`), not on the
 problem, the network or the layers: whatever hangs on those objects is
@@ -58,15 +67,21 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
-from repro.nn.layers.conv2d import im2col
+from repro.nn.layers.conv2d import patch_gather
 from repro.nn.loss import softmax_cross_entropy
 
 __all__ = ["InferencePlan", "plan_for"]
 
 #: Most bytes one plan keeps between calls (patches + scratch). A
 #: constant on purpose: the 2,048-image CNN split of the default
-#: profiles needs 124 MiB and is the largest the repo evaluates.
+#: profiles is the largest the repo evaluates and needs 52 MiB, 47.5 of
+#: them its layer-0 patch matrix.
 PLAN_BYTES_CAP = 128 * 2**20
+
+#: Samples per pass of the conv front-end. Sizes the patch and ping-pong
+#: scratch (39 KB per sample on the Table-III CNN) and nothing else: no
+#: value depends on it.
+FRONT_BLOCK = 64
 
 #: Evaluations whose ``(theta, logits)`` a plan remembers so that
 #: ``accuracy`` on the same theta needs no second forward. More than one
@@ -108,22 +123,36 @@ class InferencePlan:
                 f"network {network.name!r} expects {network.input_shape}"
             )
         n = x.shape[0]
-        shapes = network.layer_shapes
-        # Per conv layer, the flat per-sample input offsets of its patch
-        # matrix: im2col of the offsets is the layer's patch layout.
+        layers, shapes = network.layers, network.layer_shapes
+        # The conv front-end: the layers before the first Dense, when a
+        # Conv2D is among them (nothing else has scratch worth blocking)
+        # and the plan runs every one itself, sample by sample.
+        head = next((i for i, layer in enumerate(layers) if type(layer) is Dense), len(layers))
+        blockable = any(type(layer) is Conv2D for layer in layers[:head]) and all(
+            type(layer) in self._STEPS for layer in layers[:head]
+        )
+        self._front = head if blockable else 0
         self._gathers = {
-            i: im2col(np.arange(int(np.prod(in_shape))).reshape(1, *in_shape), *layer.kernel)[0]
-            .reshape(-1)
-            for i, (layer, (in_shape, _)) in enumerate(zip(network.layers, shapes))
+            i: patch_gather(in_shape, layer.kernel)
+            for i, (layer, (in_shape, _)) in enumerate(zip(layers, shapes))
             if type(layer) is Conv2D
         }
-        act_elems = n * max(int(np.prod(out_shape)) for _, out_shape in shapes)
+        sizes = [int(np.prod(out_shape)) for _, out_shape in shapes]
+        rows = min(n, FRONT_BLOCK) if self._front else n  # what a conv sees at a time
+        act_elems = max(
+            rows * max(sizes[: self._front], default=0), n * max(sizes[self._front :], default=0)
+        )
         patch_elems = n * self._gathers[0].size if 0 in self._gathers else 0
-        cols_elems = n * max((g.size for i, g in self._gathers.items() if i > 0), default=0)
+        cols_elems = rows * max((g.size for i, g in self._gathers.items() if i > 0), default=0)
+        feature_elems = n * sizes[self._front - 1] if self._front else 0
         converted = np.asarray(x, dtype=self.dtype)  # Network.forward's conversion
         x_bytes = 0 if converted is x else converted.nbytes
-        total = (patch_elems + cols_elems + 2 * act_elems) * self.dtype.itemsize + x_bytes
+        total = (
+            patch_elems + cols_elems + 2 * act_elems + feature_elems
+        ) * self.dtype.itemsize + x_bytes
         retain = total <= PLAN_BYTES_CAP
+        #: Bytes this plan keeps between calls (tests pin them).
+        self.retained_bytes = total if retain else 0
         self._x = converted if retain else None
         self._patches = (
             np.take(converted.reshape(n, -1), self._gathers[0], axis=1)
@@ -132,6 +161,7 @@ class InferencePlan:
         )
         self._cols = np.empty(cols_elems if retain else 0, dtype=self.dtype)
         self._flat = [np.empty(act_elems if retain else 0, dtype=self.dtype) for _ in range(2)]
+        self._features = np.empty(feature_elems if retain else 0, dtype=self.dtype)
         self._recent: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=KEPT_EVALUATIONS)
 
     # -- scratch -------------------------------------------------------
@@ -153,10 +183,8 @@ class InferencePlan:
         f, oh, ow = layer._out_shape
         p = oh * ow
         if i == 0 and self._patches is not None:
-            cols = self._patches
+            cols = cur  # logits() feeds layer 0 rows of the cached patch matrix
         else:
-            # im2col as one gather per sample: the same patch matrix as
-            # the layer's sliding-window copy, several times faster.
             gather = self._gathers[i]
             if n * gather.size <= self._cols.size:
                 cols = self._cols[: n * gather.size].reshape(n, gather.size)
@@ -211,18 +239,39 @@ class InferencePlan:
     }
 
     # -- evaluation ----------------------------------------------------
+    def _run(self, start: int, stop: int, cur: np.ndarray, params: list) -> np.ndarray:
+        """Layers ``start..stop-1`` applied to ``cur``."""
+        layers = self.network.layers
+        held = None
+        for i in range(start, stop):
+            step = self._STEPS.get(type(layers[i]), InferencePlan._layer_forward)
+            cur, held = step(self, i, layers[i], cur, held, params[i])
+        return cur
+
     def logits(self, theta: np.ndarray) -> np.ndarray:
         """``network.forward(x, theta)``; the result may live in plan
         scratch and is valid until the next call."""
         network = self.network
         theta = network._check_theta(theta)
         self.forwards += 1
+        params = network._all_param_views(theta)
         cur = self._x if self._x is not None else np.asarray(self.x, dtype=theta.dtype)
-        held = None
-        for i, layer in enumerate(network.layers):
-            step = self._STEPS.get(type(layer), InferencePlan._layer_forward)
-            cur, held = step(self, i, layer, cur, held, network._params_for(theta, i))
-        return cur
+        if self._patches is not None:
+            cur = self._patches  # layer 0 is a Conv2D and reads its patches
+        front = self._front
+        if front:
+            n = cur.shape[0]
+            out_shape = network.layer_shapes[front - 1][1]
+            width = int(np.prod(out_shape))
+            features = self._features
+            if features.size != n * width:  # nothing retained
+                features = np.empty(n * width, dtype=self.dtype)
+            features = features.reshape(n, width)
+            for lo in range(0, n, FRONT_BLOCK):
+                block = self._run(0, front, cur[lo : lo + FRONT_BLOCK], params)
+                features[lo : lo + FRONT_BLOCK] = block.reshape(-1, width)
+            cur = features.reshape((n,) + out_shape)
+        return self._run(front, len(network.layers), cur, params)
 
     def loss(self, theta: np.ndarray) -> float:
         """``network.loss(x, y, theta)``. Always runs the forward."""

@@ -4,6 +4,7 @@ few big BLAS calls over many small ones."""
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
 import numpy as np
@@ -12,24 +13,41 @@ from repro.errors import ShapeError
 from repro.nn.layers.base import Layer
 
 
-def im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int, int]:
-    """Rearrange ``(N, C, H, W)`` into ``(N, OH*OW, C*kh*kw)`` patches.
+@functools.lru_cache(maxsize=64)
+def patch_gather(in_shape: tuple[int, int, int], kernel: tuple[int, int]) -> np.ndarray:
+    """The im2col of one ``(C, H, W)`` sample as a gather: the flat
+    input offset of every element of its ``(OH*OW, C*kh*kw)`` patch
+    matrix, row-major, read-only.
 
-    Uses :func:`numpy.lib.stride_tricks.sliding_window_view` for the
-    windowing (zero-copy) and one copy into the contiguous patch matrix.
-    Returns ``(patches, OH, OW)``.
+    This table is the repo's one im2col. The reference layer
+    (:func:`im2col`), the training kernel (:mod:`repro.nn.replica`) and
+    the evaluation plan (:mod:`repro.nn.inference`) all fill their patch
+    matrices with ``np.take`` through it, so the three cannot disagree
+    on the layout. Memoised at module level by geometry, never on the
+    layer: anything in ``vars(layer)`` is hashed by
+    ``problem_fingerprint``.
     """
-    n = x.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # windows: (N, C, OH, OW, kh, kw) -> (N, OH, OW, C, kh, kw) -> flat patches
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)
-    oh, ow = patches.shape[1], patches.shape[2]
-    # The copy is explicit: a bare reshape copies too, except for a 1x1
-    # (or single-channel kx1) kernel, where it can return a strided view
-    # and the contractions downstream then reduce in another order than
-    # the training kernel's contiguous slab (found by
-    # tests/nn/test_kernel_model.py; same bytes for every other shape).
-    return np.ascontiguousarray(patches).reshape(n, oh * ow, -1), oh, ow
+    c, h, w = in_shape
+    kh, kw = kernel
+    oh, ow = h - kh + 1, w - kw + 1
+    corner = (np.arange(oh)[:, None] * w + np.arange(ow)).reshape(-1, 1)
+    within = (
+        np.arange(c)[:, None, None] * (h * w) + np.arange(kh)[:, None] * w + np.arange(kw)
+    ).reshape(1, -1)
+    gather = (corner + within).reshape(-1)
+    gather.flags.writeable = False
+    return gather
+
+
+def im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int, int]:
+    """Rearrange ``(N, C, H, W)`` into ``(N, OH*OW, C*kh*kw)`` patches:
+    one :func:`patch_gather` ``take`` per call into a fresh contiguous
+    patch matrix. Returns ``(patches, OH, OW)``.
+    """
+    n, c, h, w = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    cols = np.take(x.reshape(n, c * h * w), patch_gather((c, h, w), (kh, kw)), axis=1)
+    return cols.reshape(n, oh * ow, c * kh * kw), oh, ow
 
 
 #: Contraction paths of the backward einsum, keyed by operand shapes:

@@ -30,16 +30,23 @@ form performs the exact same floating-point work per replica:
   per-replica operand is a leading-axis slice of a stacked buffer whose
   shape *and strides* equal the serial operand's, so BLAS sees the same
   problem and reduces in the same order.
-* **Conv2D stacks its im2col.** One ``sliding_window_view`` +
-  transpose-``copyto`` fills a K-stacked ``(K, N, OH*OW, C*kh*kw)``
-  patch slab; the filter matmuls loop per replica over contiguous
-  slices of it (exactly the reference ``cols`` layout); one stacked
-  transpose-``copyto`` produces all replicas' feature maps. Backward
+* **Conv2D stacks its im2col.** One ``np.take`` through the layer's
+  own gather table (:func:`repro.nn.layers.conv2d.patch_gather`, the
+  repo's one im2col) fills a K-stacked ``(K, N, OH*OW, C*kh*kw)`` patch
+  slab; the filter matmuls loop per replica over contiguous slices of it
+  (exactly the reference ``cols`` layout); one stacked
+  transpose-``copyto`` produces all replicas' feature maps, and the bias
+  is added after it, where the inner loop is ``OH*OW`` long instead of
+  ``F`` (one IEEE addition per element either way). Backward
   mirrors it: per-replica ``einsum``/``matmul`` (the contraction-path
   cache is shared with the reference layer — paths depend on shapes
   only) plus the per-replica multi-axis bias sum (kept reference-shaped: a
   stacked ``(K, N, F, OH, OW)`` reduction would reassociate), then one
   stacked zero-fill + slice-add scatter for the input gradient.
+* **ReLU runs in place.** It multiplies the mask into the conduit it
+  consumes: no backward step reads a layer's output (dense keeps its
+  input, conv its patches, pool its argmax, ReLU its mask), so a ReLU
+  costs one mask slab and no output slab.
 * **MaxPool2D stacks wholesale.** Tiling, argmax (first-max
   tie-breaking is per row, hence per replica), ``take_along_axis``,
   and the backward ``put_along_axis`` / un-tiling are all row-local;
@@ -78,7 +85,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers.conv2d import weight_grad_path
+from repro.nn.layers.conv2d import patch_gather, weight_grad_path
 from repro.observe import profiler as _profiler
 
 __all__ = ["ReplicaKernel"]
@@ -182,8 +189,7 @@ class ReplicaKernel:
                 # bit-for-bit what the bool mask's promotion gives —
                 # while skipping the bool→float convert per multiply.
                 mask3 = self._alloc(full, dt)
-                out3 = self._alloc(full, dt)
-                steps.append(("relu", i, mask3, out3, "kernel.relu"))
+                steps.append(("relu", i, mask3, "kernel.relu"))
             elif kind == "flatten":
                 steps.append(("flatten", i, layer_in, "kernel.flatten"))
             elif kind == "conv2d":
@@ -202,7 +208,8 @@ class ReplicaKernel:
                 else:
                     gcols4 = self._alloc((km, n, p, ckk), dt)
                     gx5 = self._alloc((km, n, c, h, w), dt)
-                bufs = (cols4, mm4, out5, gcols4, gx5, (c, h, w, f, oh, ow, kh, kw))
+                gather = patch_gather((c, h, w), (kh, kw))
+                bufs = (cols4, mm4, out5, gcols4, gx5, gather, (c, h, w, f, oh, ow, kh, kw))
                 steps.append(("conv2d", i, bufs, "kernel.conv2d"))
             else:  # maxpool2d: reject_reason admits no other kind
                 c, h, w = layer_in
@@ -332,31 +339,31 @@ class ReplicaKernel:
                     out3[r] += b
                 cur = out3
             elif tag == "relu":
-                _, _i, mask3, out3, _span = step
+                mask3 = step[2]
                 ck = cur[:k]
                 np.greater(ck, 0, out=mask3[:k])
-                np.multiply(ck, mask3[:k], out=out3[:k])
-                cur = out3
+                np.multiply(ck, mask3[:k], out=ck)
             elif tag == "conv2d":
                 _, i, bufs, _span = step
-                cols4, mm4, out5, _gcols4, _gx5, dims = bufs
-                _c, _h, _w, f, oh, ow, kh, kw = dims
-                # One stacked im2col copy: per-replica slices of cols4
+                cols4, mm4, out5, _gcols4, _gx5, gather, dims = bufs
+                _c, _h, _w, f, oh, ow, _kh, _kw = dims
+                # One stacked im2col gather: per-replica slices of cols4
                 # are contiguous (N, OH*OW, C*kh*kw) — the reference
                 # ``cols`` layout, so the matmuls below see identical
-                # operands.
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    cur[:k], (kh, kw), axis=(3, 4)
+                # operands. mode="clip" only skips take's buffered bounds
+                # pass; the offsets are in range by construction.
+                np.take(
+                    cur[:k].reshape(k * n, -1), gather, axis=1,
+                    out=cols4[:k].reshape(k * n, -1), mode="clip",
                 )
-                patches = windows.transpose(0, 1, 3, 4, 2, 5, 6)
-                np.copyto(cols4[:k].reshape(patches.shape), patches)
                 for r in range(k):
-                    W, b = params[r][i]
-                    np.matmul(cols4[r], W.T, out=mm4[r])
-                    mm4[r] += b
-                np.copyto(
-                    out5[:k].reshape(k, n, f, oh * ow), mm4[:k].transpose(0, 1, 3, 2)
-                )
+                    np.matmul(cols4[r], params[r][i][0].T, out=mm4[r])
+                out4 = out5[:k].reshape(k, n, f, oh * ow)
+                np.copyto(out4, mm4[:k].transpose(0, 1, 3, 2))
+                # The reference adds b before the transpose: the same one
+                # addition per element, here along contiguous rows.
+                for r in range(k):
+                    out4[r] += params[r][i][1][:, None]
                 cur = out5
             elif tag == "maxpool2d":
                 _, _i, bufs, _span = step
@@ -433,7 +440,7 @@ class ReplicaKernel:
                 np.multiply(g[:k], mask3[:k], out=g[:k])
             elif tag == "conv2d":
                 _, i, bufs, _span = step
-                cols4, _mm4, _out5, gcols4, gx5, dims = bufs
+                cols4, _mm4, _out5, gcols4, gx5, _gather, dims = bufs
                 c, _h, _w, f, oh, ow, kh, kw = dims
                 p = oh * ow
                 # Per-replica view with exactly the reference g2 strides

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ class TestDLProblem:
         theta = dl_problem.init_theta(np.random.default_rng(0))
         theta[:] = np.inf
         assert np.isnan(dl_problem.eval_accuracy(theta))
+
+    def test_overflowing_theta_evaluates_quietly_in_either_order(self):
+        # Large but finite: the forward overflows in matmul. eval_loss
+        # always ran it under errstate; eval_accuracy with no eval_loss
+        # on the same bits before it (so no reusable logits) did not, and
+        # raised under -W error.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(32, 8)).astype(np.float32)
+        y = rng.integers(0, 3, size=32)
+        net = mlp_custom(8, (4,), 3)
+        theta = np.full(net.n_params, 3e38, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_acc = net.accuracy(x[:16], y[:16], theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold = DLProblem(net, x, y, x[:16], y[:16], batch_size=8, dtype=np.float32)
+            assert cold.eval_accuracy(theta) == want_acc
+            warm = DLProblem(net, x, y, x[:16], y[:16], batch_size=8, dtype=np.float32)
+            assert np.isnan(warm.eval_loss(theta))
+            assert warm.eval_accuracy(theta) == want_acc
 
     def test_mismatched_data_rejected(self):
         net = mlp_custom(4, (3,), 2)

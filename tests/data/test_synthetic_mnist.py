@@ -5,13 +5,16 @@ from __future__ import annotations
 import gzip
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.data.batcher import Dataset
 from repro.data.synthetic_mnist import (
     IMAGE_SIZE,
     N_CLASSES,
+    NOISE_BLOCK_IMAGES,
     _base_glyph,
     _gaussian_blur,
     generate_synthetic_mnist,
@@ -19,6 +22,33 @@ from repro.data.synthetic_mnist import (
     load_idx_labels,
 )
 from repro.errors import ConfigurationError
+
+
+def reference_generate_split(
+    n: int, rng: np.random.Generator, *, max_shift: int, noise_std: float
+) -> Dataset:
+    """``_generate_split`` as it was before the noise was drawn in
+    blocks: one ``rng.normal`` over the whole split. Kept as the
+    reference the streamed generator must equal byte for byte."""
+    labels = rng.integers(0, N_CLASSES, size=n).astype(np.int64)
+    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    shifts_y = rng.integers(-max_shift, max_shift + 1, size=n)
+    shifts_x = rng.integers(-max_shift, max_shift + 1, size=n)
+    bases = {digit: _base_glyph(digit) for digit in range(N_CLASSES)}
+    span = 2 * max_shift + 1
+    keys = (labels * span + (shifts_y + max_shift)) * span + (shifts_x + max_shift)
+    order = np.argsort(keys, kind="stable")
+    boundaries = np.flatnonzero(np.diff(keys[order])) + 1
+    for group in np.split(order, boundaries):
+        i = group[0]
+        images[group] = np.roll(
+            bases[int(labels[i])], (int(shifts_y[i]), int(shifts_x[i])), axis=(0, 1)
+        )
+    images *= rng.uniform(0.7, 1.0, size=(n, 1, 1)).astype(np.float32)
+    if noise_std > 0:
+        images += rng.normal(0.0, noise_std, size=images.shape).astype(np.float32)
+    np.clip(images, 0.0, 1.0, out=images)
+    return Dataset(images=images, labels=labels)
 
 
 class TestBaseGlyphs:
@@ -62,6 +92,43 @@ class TestDataBits:
                 want = ndimage.gaussian_filter(image, sigma)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+class TestStreamedNoise:
+    """The pixel noise is drawn ``NOISE_BLOCK_IMAGES`` images at a time;
+    the corpus must not know."""
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.15])
+    @pytest.mark.parametrize("seed", [0, 7, 2022])
+    @pytest.mark.parametrize(
+        "n",
+        [1, NOISE_BLOCK_IMAGES - 1, NOISE_BLOCK_IMAGES, NOISE_BLOCK_IMAGES + 1,
+         2 * NOISE_BLOCK_IMAGES + 37],
+    )
+    def test_equals_the_single_draw_byte_for_byte(self, n, seed, noise_std):
+        got = generate_synthetic_mnist(n_train=n, n_eval=n, seed=seed, noise_std=noise_std)
+        streams = np.random.SeedSequence(seed).spawn(2)
+        for split, stream in zip((got.train, got.eval), streams):
+            want = reference_generate_split(
+                n, np.random.Generator(np.random.PCG64(stream)), max_shift=3, noise_std=noise_std
+            )
+            assert split.images.tobytes() == want.images.tobytes()
+            assert split.labels.tobytes() == want.labels.tobytes()
+
+    def test_generation_holds_the_corpus_once(self):
+        # numpy reports its buffers to tracemalloc. The single draw held
+        # a float64 noise array and its float32 cast beside the split:
+        # corpus + ~74 MiB here.
+        tracemalloc.start()
+        try:
+            corpus = generate_synthetic_mnist(n_train=8192, n_eval=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            split.images.nbytes + split.labels.nbytes for split in (corpus.train, corpus.eval)
+        )
+        assert peak <= held + 12 * 2**20, f"peak {peak / 2**20:.1f} MiB, corpus {held / 2**20:.1f}"
 
 
 class TestGeneration:

@@ -20,7 +20,7 @@ from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.errors import ShapeError
 from repro.nn import inference
 from repro.nn.architectures import cnn_mnist, mlp_mnist
-from repro.nn.layers import Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 
 N_EVAL = 48
@@ -147,6 +147,75 @@ class TestBitwiseIdentity:
         assert np.isnan(got_loss) == np.isnan(want_loss)
         if not np.isnan(want_loss):
             assert got_loss.hex() == want_loss.hex()
+
+
+class TestBlockedFrontEnd:
+    """The layers before the first ``Dense`` run ``FRONT_BLOCK`` samples
+    at a time; no bit of any result may depend on where a block ends."""
+
+    BLOCK = inference.FRONT_BLOCK
+
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    @pytest.mark.parametrize("n_eval", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
+    def test_equals_the_network_at_every_block_edge(self, kind, n_eval):
+        problem = _problem(kind, generate_synthetic_mnist(n_train=64, n_eval=n_eval, seed=6))
+        net = problem.network
+        thetas = _thetas(problem, np.float32)
+        plan = _plan(problem, thetas[0])
+        if kind == "cnn":
+            assert plan._front == 7  # up to and including Flatten
+        else:  # a Dense comes first: nothing to block, no feature buffer
+            assert plan._front == 0 and plan._features.size == 0
+        for count, theta in enumerate(thetas, start=1):
+            want_loss = net.loss(problem.eval_x, problem.eval_y, theta)
+            want_acc = net.accuracy(problem.eval_x, problem.eval_y, theta)
+            assert problem.eval_loss(theta).hex() == want_loss.hex()
+            assert plan.forwards == count  # one forward per loss, however many blocks
+            assert problem.eval_accuracy(theta).hex() == want_acc.hex()
+            assert plan.forwards == count
+        assert _bits(plan.logits(theta)) == _bits(net.forward(problem.eval_x, theta))
+
+    def test_unretained_blocks_equal_the_network_too(self, monkeypatch):
+        monkeypatch.setattr(inference, "PLAN_BYTES_CAP", 1024)
+        n_eval = 2 * self.BLOCK + 37
+        problem = _problem("cnn", generate_synthetic_mnist(n_train=64, n_eval=n_eval, seed=6))
+        theta = _thetas(problem, np.float32)[2]
+        plan = _plan(problem, theta)
+        assert plan.retained_bytes == 0 and plan._features.size == 0
+        assert _bits(plan.logits(theta)) == _bits(problem.network.forward(problem.eval_x, theta))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_layer_the_plan_does_not_know_unblocks_the_front(self, training):
+        # A user layer may look across samples, and Dropout draws one
+        # mask per forward: the front then runs whole, layer 0 still
+        # from its cached patches.
+        def net():
+            dropout = Dropout(0.5, rng=np.random.default_rng(11))
+            dropout.training = training
+            layers = [Conv2D(2, 3), ReLU(), dropout, MaxPool2D(2), Flatten(), Dense(10)]
+            return Network(layers, input_shape=(1, 28, 28), name="conv-dropout")
+
+        n_eval = 2 * self.BLOCK + 37
+        corpus = generate_synthetic_mnist(n_train=64, n_eval=n_eval, seed=6)
+        problem, reference = _problem("cnn", corpus, net()), net()
+        theta = _thetas(problem, np.float32, net())[2]
+        plan = _plan(problem, theta)
+        assert plan._front == 0 and plan._patches is not None and plan._features.size == 0
+        assert _bits(plan.logits(theta)) == _bits(reference.forward(problem.eval_x, theta))
+
+    @pytest.mark.parametrize(
+        "n_eval, retained", [(512, 15_369_216), (2048, 54_690_816)]
+    )
+    def test_cnn_plan_bytes_are_pinned(self, n_eval, retained):
+        # Whole-split scratch kept 32.4 MB for 512 images and 124 MiB for
+        # 2,048. What grows with the split now is the layer-0 patch
+        # matrix (6,084 floats a sample) and the front-end's output (200).
+        x = np.zeros((n_eval, 1, 28, 28), dtype=np.float32)
+        plan = inference.InferencePlan(cnn_mnist(), x, np.zeros(n_eval, np.int64), np.float32)
+        assert plan.retained_bytes == retained <= inference.PLAN_BYTES_CAP
+        buffers = [plan._patches, plan._cols, plan._features, *plan._flat]
+        assert sum(buffer.nbytes for buffer in buffers) == retained
+        assert plan._patches.nbytes == n_eval * 6084 * 4
 
 
 class TestPoolTies:
