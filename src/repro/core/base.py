@@ -59,8 +59,8 @@ class SGDContext:
     dtype: np.dtype | type = np.float32
     #: Optional payload pool shared by every ParameterVector of the run;
     #: makes the steady-state publish/reclaim cycle allocation-free (see
-    #: :mod:`repro.sim.arena`). None disables pooling (pre-arena
-    #: behaviour, bitwise-identical results either way).
+    #: :mod:`repro.sim.arena`). None gives every vector a fresh payload
+    #: (bitwise-identical results either way).
     arena: BufferArena | None = None
     global_seq: AtomicCounter = field(default_factory=AtomicCounter)
     #: Opt-in elastic-consistency instrumentation [2]: when True, each
@@ -94,7 +94,7 @@ class WorkerHandle:
     #: bulk updates — replaces the anonymous temporary NumPy would
     #: otherwise allocate every step (real memory only; never accounted,
     #: exactly as the temporary never was).
-    step_scratch: np.ndarray | None = None
+    step_scratch: np.ndarray
     #: Batchable gradient task when the problem offers one (see
     #: :meth:`repro.core.problem.Problem.make_grad_task`); ``grad_fn``
     #: is then ``grad_task.run``, so serial execution and the
@@ -133,13 +133,6 @@ class Algorithm(abc.ABC):
             arena=ctx.arena,
         )
         rng = ctx.rng_factory.named(f"worker{index}")
-        # Scratch rides with the arena switch: with pooling off the run
-        # reproduces the pre-arena allocation pattern exactly (anonymous
-        # eta*grad temporaries and all); tests/sim/test_replica.py
-        # holds the two paths bitwise equal.
-        scratch = (
-            np.empty(ctx.problem.d, dtype=ctx.dtype) if ctx.arena is not None else None
-        )
         # One sampling stream per worker: when the problem offers a
         # batchable task, task.run IS the gradient function, so serial
         # and replica-stacked runs draw identical batch sequences.
@@ -151,7 +144,7 @@ class Algorithm(abc.ABC):
             index=index,
             grad_pv=grad_pv,
             grad_fn=grad_fn,
-            step_scratch=scratch,
+            step_scratch=np.empty(ctx.problem.d, dtype=ctx.dtype),
             grad_task=task,
         )
 

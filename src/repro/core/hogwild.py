@@ -103,13 +103,10 @@ class HogwildSGD(Algorithm):
             # opened here would span the yields below and be left, out of
             # order, while other workers are inside theirs.
             for sl in slices:
-                if scratch is None:
-                    shared[sl] -= eta * grad[sl]
-                else:
-                    # eta * grad[sl] lands in the worker's scratch slice
-                    # instead of a per-chunk temporary (same bits).
-                    np.multiply(grad[sl], eta, out=scratch[sl])
-                    shared[sl] -= scratch[sl]
+                # eta * grad[sl] lands in the worker's scratch slice
+                # instead of a per-chunk temporary (same bits).
+                np.multiply(grad[sl], eta, out=scratch[sl])
+                shared[sl] -= scratch[sl]
                 yield ctx.cost.contended(update_chunk_cost, accessors.load() - 1)
             accessors.fetch_add(-1)
             param.t += 1  # measurement-only sequence bump (no sync in HOGWILD!)

@@ -144,11 +144,8 @@ class HogwildPlusPlus(Algorithm):
             shared = replica.theta
             accessors.fetch_add(1)
             for sl in slices:
-                if scratch is None:
-                    shared[sl] -= eta * grad[sl]
-                else:
-                    np.multiply(grad[sl], eta, out=scratch[sl])
-                    shared[sl] -= scratch[sl]
+                np.multiply(grad[sl], eta, out=scratch[sl])
+                shared[sl] -= scratch[sl]
                 yield ctx.cost.contended(update_chunk, accessors.load() - 1)
             accessors.fetch_add(-1)
             replica.t += 1

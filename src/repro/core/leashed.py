@@ -132,22 +132,18 @@ class LeashedSGD(Algorithm):
             while True:
                 target = yield from self._latest_pointer(ctx)
                 eta_eff = self.effective_eta(eta, target.t - view_t)
-                if view_copy is None and scratch is not None:
+                if view_copy is None:
                     # Fused Load-And-Update: two 2-operand passes write
                     # target - eta*grad straight into the candidate
                     # (bitwise-identical to copy-then-update, one full
-                    # d-vector write/re-read cheaper). ``scratch`` acting
-                    # as the arena-on marker keeps the scratch-less mode
-                    # on the exact pre-arena instruction sequence below.
+                    # d-vector write/re-read cheaper).
                     new_pv.step_from(target, grad, eta_eff)
                     yield ctx.cost.t_copy
                     target.stop_reading()
                     yield ctx.cost.t_atomic
                 else:
                     # Two-phase path: measurement mode needs the
-                    # candidate's pre-update state, and the no-arena
-                    # (scratch-less) mode reproduces the pre-arena
-                    # copy-then-update step.
+                    # candidate's pre-update state.
                     np.copyto(new_pv.theta, target.theta)
                     new_pv.t = target.t
                     yield ctx.cost.t_copy

@@ -67,6 +67,23 @@ class Problem(abc.ABC):
         """
         return None
 
+    def identity(self) -> tuple:
+        """What this workload *is*: a flat tuple of the class's qualified
+        name, scalars and arrays, the only input of every key derived
+        from the problem (:func:`repro.identity.problem_fingerprint`).
+        State not declared here (caches, hooks, private attributes)
+        moves no key. A problem that declares none still runs under
+        ``run_once``; the run cache and the experiment service refuse it.
+        """
+        raise ConfigurationError(
+            f"{type(self).__qualname__} declares no identity(): it runs under "
+            "run_once, but the run cache and the experiment service cannot key it"
+        )
+
+
+def _class_name(obj) -> str:
+    return f"{type(obj).__module__}.{type(obj).__qualname__}"
+
 
 class DLProblem(Problem):
     """Deep-learning training problem (the paper's MLP / CNN settings).
@@ -83,8 +100,6 @@ class DLProblem(Problem):
         Mini-batch size (paper: 512).
     init_std:
         Std of the N(0, std^2) initialization (paper: 0.1).
-    init_scheme:
-        ``"normal"`` (paper) or ``"he"`` / ``"xavier"`` extensions.
     dtype:
         Parameter dtype.
     """
@@ -99,7 +114,6 @@ class DLProblem(Problem):
         *,
         batch_size: int = 512,
         init_std: float = 0.1,
-        init_scheme: str = "normal",
         dtype: np.dtype | type = np.float32,
     ) -> None:
         if train_x.shape[0] != train_y.shape[0]:
@@ -115,7 +129,6 @@ class DLProblem(Problem):
         self.eval_y = eval_y
         self.batch_size = int(batch_size)
         self.init_std = float(init_std)
-        self.init_scheme = init_scheme
         self.dtype = dtype
 
     @property
@@ -123,8 +136,19 @@ class DLProblem(Problem):
         return self.network.n_params
 
     def init_theta(self, rng: np.random.Generator) -> np.ndarray:
-        return self.network.init_theta(
-            rng, scheme=self.init_scheme, std=self.init_std, dtype=self.dtype
+        return self.network.init_theta(rng, std=self.init_std, dtype=self.dtype)
+
+    def identity(self) -> tuple:
+        """The architecture (input shape, each layer's kind and
+        ``spec``), the four split arrays, batch size, init std and dtype.
+        Raises for a network holding a layer whose ``spec`` refuses
+        (``Dropout``)."""
+        network = self.network
+        return (
+            _class_name(self), network.input_shape,
+            tuple((layer.kind, *layer.spec()) for layer in network.layers),
+            self.train_x, self.train_y, self.eval_x, self.eval_y,
+            self.batch_size, self.init_std, np.dtype(self.dtype).str,
         )
 
     def make_grad_fn(self, rng: np.random.Generator) -> GradFn:
@@ -138,9 +162,9 @@ class DLProblem(Problem):
 
     def _eval_plan(self, theta: np.ndarray) -> InferencePlan:
         """The forward-only plan for the held-out split: built on the
-        first evaluation and kept outside ``vars(self)`` (see
-        :mod:`repro.nn.inference`), so evaluating changes neither the
-        problem's fingerprint nor its pickle."""
+        first evaluation and kept off the problem (see
+        :mod:`repro.nn.inference`), so evaluating does not grow its
+        pickle."""
         return plan_for(self, self.network, self.eval_x, self.eval_y, np.asarray(theta).dtype)
 
     def eval_loss(self, theta: np.ndarray) -> float:
@@ -175,7 +199,7 @@ class DLGradTask(GradTask):
     gradient function whenever no cohort harvests its requests, is that
     same kernel over a group of one, built on first use and owned by the
     task (never by the problem, the network or a layer: those are
-    fingerprinted, pickled and hoisted into shared memory). A request
+    pickled and hoisted into shared memory). A request
     the kernel declines (``ReplicaKernel.reject_reason``, or a
     ``theta`` / ``out`` of another dtype than the problem's) takes the
     reference path instead: the same index draw, then
@@ -286,6 +310,13 @@ class SparseLogisticProblem(Problem):
     def d(self) -> int:
         return self._d
 
+    def identity(self) -> tuple:
+        """The generated arrays and the scalars."""
+        return (
+            _class_name(self), self._d, self.nnz, self.batch_size, self.l2,
+            np.dtype(self.dtype).str, self.indices, self.values, self.labels,
+        )
+
     def init_theta(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self._d, dtype=self.dtype)
 
@@ -356,6 +387,13 @@ class QuadraticProblem(Problem):
     @property
     def d(self) -> int:
         return self._d
+
+    def identity(self) -> tuple:
+        """d, h, b, noise sigma, init radius and dtype."""
+        return (
+            _class_name(self), self._d, self.h, self.b, self.noise_sigma,
+            self.init_radius, np.dtype(self.dtype).str,
+        )
 
     @property
     def theta_star(self) -> np.ndarray:

@@ -11,7 +11,6 @@ from repro.harness.config import (
     Workloads,
 )
 from repro.harness.runner import RunResult, repeated_configs, run_once, run_repeated
-from repro.harness.parallel import resolve_workers
 from repro.harness.pool import WorkerPool
 from repro.harness.cache import RunCache, resolve_cache_dir
 from repro.harness.grid import SweepGrid, summarize, archive
@@ -44,7 +43,6 @@ __all__ = [
     "run_once",
     "run_repeated",
     "repeated_configs",
-    "resolve_workers",
     "WorkerPool",
     "RunCache",
     "resolve_cache_dir",

@@ -76,7 +76,7 @@ class RunConfig:
     #: Recycle reclaimed ParameterVector payloads through a run-local
     #: :class:`repro.sim.arena.BufferArena` (zero steady-state NumPy
     #: allocations per update). Results are bitwise-identical with the
-    #: pool on or off; off reproduces the pre-arena allocation pattern.
+    #: pool on or off; off, every ParameterVector gets a fresh payload.
     use_arena: bool = True
     #: Debug mode: NaN-poison recycled payloads so a use-after-free
     #: through a stale array alias fails loudly (see docs/simulator.md,

@@ -336,7 +336,7 @@ class WorkerPool:
     when parallelism is requested; to share a pool across services,
     create it yourself and close it when the sweeps are done::
 
-        with WorkerPool(workers=8) as pool:
+        with WorkerPool(8) as pool:
             for run_dir in run_dirs:
                 with ExperimentService(run_dir, pool=pool) as service:
                     results = service.map(problem, cost, configs)
@@ -348,12 +348,15 @@ class WorkerPool:
     over. Problem broadcasts (:func:`make_broadcast`) are memoized per
     (problem, cost) identity, so repeated batches against one workload
     stage its arrays into shared memory exactly once.
+
+    ``workers`` is the pool's width as given, resolved by the caller
+    (``repro.service.experiment.resolve_workers``, never capped here);
+    with 1 there are no processes, and every chunk falls back to the
+    caller's serial pass.
     """
 
-    def __init__(self, workers: int | None = None, *, max_respawns: int = 2) -> None:
-        from repro.harness.parallel import resolve_workers
-
-        self.workers = resolve_workers(workers)
+    def __init__(self, workers: int, *, max_respawns: int = 2) -> None:
+        self.workers = max(int(workers), 1)
         self.max_respawns = int(max_respawns)
         self.stats = PoolStats()
         self._executor = None

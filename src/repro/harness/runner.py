@@ -366,9 +366,10 @@ def run_cohort(problem: Problem, cost: CostModel, configs: list[RunConfig]) -> l
     workload and algorithm under different seeds — or from a sweep's
     merged grid column (different η too: η scales each replica's own
     updates, never the batched gradient math, so same-shape boxes fuse
-    into one K×|η| super-cohort — see ``parallel.plan_cohorts``). Each
-    run keeps its own scheduler, RNG streams, and model state; only the
-    gradient *arithmetic* is batched across replicas
+    into one K×|η| super-cohort — see
+    ``repro.service.scheduler.plan_cohorts``). Each run keeps its own
+    scheduler, RNG streams, and model state; only the gradient
+    *arithmetic* is batched across replicas
     (:class:`repro.nn.replica.ReplicaKernel`), so every result is
     bitwise identical to its :func:`run_once` counterpart — except
     ``wall_seconds``, which reports the shared cohort wall time (as with

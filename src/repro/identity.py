@@ -54,10 +54,12 @@ The nine keys
     :func:`workload_key`, :func:`cache_key`, :func:`run_key`,
     :func:`task_id_for`, :func:`simulation_fingerprint`,
     :func:`merged_fingerprint`, :func:`row_digest`. Existing caches, run
-    directories and SQLite files are addressed by them, so the formulas
-    are frozen: ``tests/test_identity.py`` pins each to a golden value,
-    and ``docs/service.md`` ("Run identity and the row format") tabulates
-    what each includes, excludes and is used for.
+    directories and SQLite files are addressed by them, so a formula
+    moves only for a written reason: ``tests/test_identity.py`` pins
+    each to a golden value, and ``docs/service.md`` ("Run identity and
+    the row format") tabulates what each includes, excludes and is used
+    for. A workload's part is what its problem declares
+    (``Problem.identity()``), never what happens to hang on the object.
 
 Nothing here imports from ``repro`` at module level except
 :mod:`repro.errors` (``repro.telemetry`` imports this module while it is
@@ -367,66 +369,46 @@ def row_config_hash(row: dict) -> str:
     return recorded or archived_config_hash(row.get("config"))
 
 
-_FINGERPRINT_MEMO: dict[int, tuple] = {}  # id -> (weakref, digest)
+_FINGERPRINT_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # problem -> digest
 
 
-def _fingerprint_value(h, value, seen: set) -> None:
-    if isinstance(value, np.ndarray):
-        h.update(b"nd:")
-        h.update(value.dtype.str.encode())
-        h.update(repr(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-        return
-    if value is None or isinstance(value, (bool, int, float, str, bytes, complex)):
-        h.update(repr(value).encode())
-        return
-    if isinstance(value, (list, tuple)):
-        h.update(b"seq:")
-        for item in value:
-            _fingerprint_value(h, item, seen)
-        return
-    if isinstance(value, dict):
-        h.update(b"map:")
-        for k in sorted(value, key=repr):
-            h.update(repr(k).encode())
-            _fingerprint_value(h, value[k], seen)
-        return
-    if isinstance(value, type):
-        h.update(f"type:{value.__module__}.{value.__qualname__}".encode())
-        return
-    # Arbitrary objects: class identity + state, with a cycle guard.
-    if id(value) in seen:
-        h.update(b"cycle")
-        return
-    seen.add(id(value))
-    h.update(f"obj:{type(value).__module__}.{type(value).__qualname__}:".encode())
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            h.update(f.name.encode())
-            _fingerprint_value(h, getattr(value, f.name), seen)
-    elif hasattr(value, "__dict__"):
-        for name in sorted(vars(value)):
-            h.update(name.encode())
-            _fingerprint_value(h, vars(value)[name], seen)
+def _hash_item(h, item) -> None:
+    """One element of a declared identity, length-prefixed so that no
+    two different tuples share a byte stream."""
+    if isinstance(item, np.ndarray):
+        h.update(f"nd{item.dtype.str}{item.shape}:".encode())
+        h.update(np.ascontiguousarray(item))
+    elif isinstance(item, tuple):
+        h.update(f"tuple{len(item)}:".encode())
+        for inner in item:
+            _hash_item(h, inner)
+    elif item is None or type(item) in (bool, int, float, str):
+        text = repr(item)
+        h.update(f"{type(item).__name__}{len(text)}:{text}".encode())
     else:
-        h.update(repr(value).encode())
+        raise ConfigurationError(
+            f"identity() may hold arrays, tuples and bool/int/float/str/None, "
+            f"not {type(item).__qualname__}"
+        )
+
+
+def _identity_digest(problem: "Problem") -> str:
+    """sha256 of ``problem.identity()``, computed afresh (what another
+    process or an unpickled copy computes)."""
+    h = hashlib.sha256()
+    _hash_item(h, tuple(problem.identity()))
+    return h.hexdigest()
 
 
 def problem_fingerprint(problem: "Problem") -> str:
-    """A structural content hash of a workload: class names, scalar
-    attributes, and the exact bytes of every array (corpus, eval split,
-    curvatures, ...). Memoized per live object — hashing a 60k-image
-    corpus once per sweep, not once per run."""
-    memo = _FINGERPRINT_MEMO.get(id(problem))
-    if memo is not None and memo[0]() is problem:
-        return memo[1]
-    h = hashlib.sha256()
-    _fingerprint_value(h, problem, set())
-    digest = h.hexdigest()
-    try:
-        _FINGERPRINT_MEMO[id(problem)] = (weakref.ref(problem), digest)
-    except TypeError:  # pragma: no cover - non-weakrefable problem type
-        pass
+    """The content hash of a workload: sha256 of what the problem
+    declares in ``identity()`` (class name, scalars, the exact bytes of
+    its arrays), memoised per live object so a 60k-image corpus is
+    hashed once per sweep, not once per run. A problem that declares no
+    identity raises :class:`ConfigurationError` naming its class."""
+    digest = _FINGERPRINT_MEMO.get(problem)
+    if digest is None:
+        digest = _FINGERPRINT_MEMO[problem] = _identity_digest(problem)
     return digest
 
 

@@ -54,8 +54,7 @@ layer-0 patch matrix and the front-end's output grow with the split.
 
 Plans live in a weak-keyed module table (:func:`plan_for`), not on the
 problem, the network or the layers: whatever hangs on those objects is
-hashed by ``problem_fingerprint`` (cache keys, journal names) and pickled
-or hoisted into shared memory by ``WorkerPool.broadcast_for``.
+pickled or hoisted into shared memory by ``WorkerPool.broadcast_for``.
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ class InferencePlan:
     """Forward-only evaluation of ``network`` on the fixed split
     ``(x, y)`` for thetas of one ``dtype`` (see the module docstring).
 
-    ``x`` and ``y`` are treated as constants, as ``problem_fingerprint``'s
-    memo already treats them.
+    ``x`` and ``y`` are treated as constants, as the problem's
+    ``identity()`` declares them.
     """
 
     def __init__(self, network, x: np.ndarray, y: np.ndarray, dtype: np.dtype | type) -> None:

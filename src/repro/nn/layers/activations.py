@@ -15,6 +15,9 @@ class ReLU(Layer):
 
     kind = "relu"
 
+    def spec(self) -> tuple:
+        return ()
+
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
 
@@ -46,6 +49,9 @@ class Softmax(Layer):
     """
 
     kind = "softmax"
+
+    def spec(self) -> tuple:
+        return ()
 
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape

@@ -23,6 +23,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 
 class Layer(abc.ABC):
     """Abstract base class for all layers."""
@@ -64,6 +66,15 @@ class Layer(abc.ABC):
         the flat gradient buffer, same order as :attr:`param_shapes`)
         and returns the gradient with respect to the layer input.
         """
+
+    def spec(self) -> tuple:
+        """The hyperparameters that, with :attr:`kind` and the network's
+        input shape, fix what this layer computes: its part of
+        ``DLProblem.identity()``. A layer without one cannot be keyed."""
+        raise ConfigurationError(
+            f"layer {type(self).__qualname__} declares no spec(), so a problem "
+            "over it cannot be keyed"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"{type(self).__name__}()"

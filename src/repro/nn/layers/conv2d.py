@@ -23,9 +23,8 @@ def patch_gather(in_shape: tuple[int, int, int], kernel: tuple[int, int]) -> np.
     (:func:`im2col`), the training kernel (:mod:`repro.nn.replica`) and
     the evaluation plan (:mod:`repro.nn.inference`) all fill their patch
     matrices with ``np.take`` through it, so the three cannot disagree
-    on the layout. Memoised at module level by geometry, never on the
-    layer: anything in ``vars(layer)`` is hashed by
-    ``problem_fingerprint``.
+    on the layout. Memoised at module level by geometry, so every layer
+    and plan of one geometry shares one table.
     """
     c, h, w = in_shape
     kh, kw = kernel
@@ -53,9 +52,8 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int, int]:
 #: Contraction paths of the backward einsum, keyed by operand shapes:
 #: ``optimize=True`` re-runs a path search on every call, which for the
 #: small operands here costs as much as the contraction itself. Module
-#: level, not on the layer: anything in ``vars(layer)`` is hashed by
-#: ``problem_fingerprint``, and a cache filled by the first backward
-#: would make a problem's fingerprint change after it ran.
+#: level, so the kernel (:mod:`repro.nn.replica`) shares it with the
+#: layers.
 _EINSUM_PATHS: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
 
 
@@ -86,6 +84,9 @@ class Conv2D(Layer):
         self.kernel = (int(kernel[0]), int(kernel[1]))
         self._in_shape: tuple[int, int, int] | None = None
         self._out_shape: tuple[int, int, int] | None = None
+
+    def spec(self) -> tuple:
+        return (self.filters, self.kernel)
 
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3:

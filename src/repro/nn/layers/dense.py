@@ -25,6 +25,9 @@ class Dense(Layer):
         self.units = int(units)
         self._in_features: int | None = None
 
+    def spec(self) -> tuple:
+        return (self.units,)
+
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 1:
             raise ShapeError(

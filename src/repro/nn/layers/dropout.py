@@ -34,6 +34,16 @@ class Dropout(Layer):
         self._rng = rng or np.random.default_rng(0)
         self.training = True
 
+    def spec(self) -> tuple:
+        """Refuses: the mask generator is state every run on this network
+        shares, so a run's masks depend on the runs before it and no key
+        can describe them."""
+        raise ConfigurationError(
+            f"Dropout(rate={self.rate}) draws its masks from one generator shared "
+            "by every run on the network: its runs are not a function of their "
+            "config, so a problem holding it cannot be keyed (run_once still runs it)"
+        )
+
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
 

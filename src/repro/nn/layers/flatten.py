@@ -18,6 +18,9 @@ class Flatten(Layer):
     def __init__(self) -> None:
         self._input_shape: tuple[int, ...] | None = None
 
+    def spec(self) -> tuple:
+        return ()
+
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         self._input_shape = tuple(input_shape)
         return (int(np.prod(input_shape)),)

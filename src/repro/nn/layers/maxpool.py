@@ -28,6 +28,9 @@ class MaxPool2D(Layer):
         self.pool = (int(pool[0]), int(pool[1]))
         self._in_shape: tuple[int, int, int] | None = None
 
+    def spec(self) -> tuple:
+        return (self.pool,)
+
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3:
             raise ShapeError(f"MaxPool2D expects (C, H, W) per-sample input, got {input_shape}")

@@ -105,7 +105,7 @@ def pool_mode() -> str:
 
     ``"process-pool"`` when multiple cores are available to the worker
     pool, ``"serial-fallback"`` when :func:`os.cpu_count` reports a
-    single core (``repro.harness.parallel.resolve_workers`` then caps
+    single core (``repro.service.experiment.resolve_workers`` then caps
     every request at one worker and all parallel speedup numbers
     degenerate to ~1x).
     """

@@ -33,6 +33,12 @@ Safety order per task: cache-store -> journal fsync -> ``task_done``
 fsync. A crash between any two steps leaves a task the next dispatcher
 will re-lease; the identity contract makes the re-execution bitwise
 equivalent, which is what the resume-smoke gate checks end to end.
+
+The service resolves its parallelism once, at construction
+(:func:`resolve_workers`, :func:`resolve_replicas`), and hands the
+resolved counts to the scheduler and the pool it creates. Parallelism
+is opt-in: with no argument and no environment variable a session is
+serial, so unit tests and nested callers never fork surprisingly.
 """
 
 from __future__ import annotations
@@ -41,11 +47,11 @@ import json
 import os
 import time
 import uuid
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.harness.parallel import resolve_replicas, resolve_workers
 from repro.harness.pool import WorkerPool
 from repro.observe.timeline import TimelineRecorder, export_chrome_trace
 from repro.service.dispatcher import Dispatcher
@@ -60,7 +66,81 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.runner import RunResult
     from repro.sim.cost import CostModel
 
-__all__ = ["ExperimentService", "load_manifest"]
+__all__ = ["ExperimentService", "load_manifest", "resolve_replicas", "resolve_workers"]
+
+#: Environment variable consulted when no explicit worker count is given.
+WORKERS_ENV = "REPRO_WORKERS"
+#: Environment variable consulted when no explicit replica count is given.
+REPLICAS_ENV = "REPRO_REPLICAS"
+
+
+def _from_env(value: int | None, name: str) -> int | None:
+    """``value``, else the integer in environment variable ``name``
+    (``None`` when that is unset too)."""
+    if value is not None:
+        return int(value)
+    env = os.environ.get(name)
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(f"{name} must be an integer, got {env!r}") from None
+
+
+def resolve_workers(workers: int | None = None, *, cohort_replicas: int = 1) -> int:
+    """Resolve an effective worker count (>= 1; 1 means serial).
+
+    ``workers=None`` consults ``REPRO_WORKERS`` and defaults to serial;
+    ``-1`` means one worker per CPU core; ``0`` is an explicit "serial".
+    Requests beyond the host's core count are capped (with a warning):
+    the runs are CPU-bound simulations, so oversubscribing cores only
+    adds context-switch and fork overhead — on a 1-core host a 2-worker
+    pool was measured *slower* than the serial loop (speedup 0.71).
+
+    ``cohort_replicas`` > 1 marks the cohort-batched path: each worker
+    is still one OS process however many lockstep replicas it advances,
+    so the cap applies as usual but silently — the request is a
+    chunk-level fan-out bound, not a claim on ``workers * replicas``
+    cores.
+    """
+    workers = _from_env(workers, WORKERS_ENV)
+    if workers is None:
+        return 1
+    n_cores = os.cpu_count() or 1
+    if workers == -1:
+        return n_cores
+    if workers < -1:
+        raise ConfigurationError(f"workers must be >= -1, got {workers}")
+    if workers > n_cores:
+        if cohort_replicas <= 1:
+            warnings.warn(
+                f"requested {workers} workers on a {n_cores}-core host; "
+                f"capping at {n_cores} (oversubscription slows CPU-bound runs)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return n_cores
+    return max(workers, 1)
+
+
+def resolve_replicas(replicas: int | None = None) -> int:
+    """Resolve an effective lockstep-cohort size (>= 1; 1 disables
+    batching).
+
+    ``replicas=None`` consults ``REPRO_REPLICAS`` and defaults to 1;
+    ``0`` also means 1. Unlike workers, replicas are *not* capped by the
+    core count: a cohort runs in one process, and its sweet spot (the
+    paper protocol's 11 seeds) is a property of the workload, not the
+    host.
+    """
+    replicas = _from_env(replicas, REPLICAS_ENV)
+    if replicas is None:
+        return 1
+    if replicas < 0:
+        raise ConfigurationError(f"replicas must be >= 0, got {replicas}")
+    return max(replicas, 1)
+
 
 #: Manifest keys that must agree between the original invocation and a
 #: resume — resuming ``s1`` as ``s5`` or under another profile would
@@ -117,13 +197,11 @@ def _merge_timelines(old: dict, new: dict) -> dict:
 class ExperimentService:
     """One experiment session over the queue/dispatcher/measurer split.
 
-    ``workers`` / ``replicas`` resolve through
-    :func:`~repro.harness.parallel.resolve_workers` /
-    :func:`~repro.harness.parallel.resolve_replicas` (env fallbacks
-    included); ``pool`` / ``cache`` are shared data-plane objects (a
-    given pool's width wins over ``workers``; the service creates its
-    own pool when parallelism is requested and none is given, and
-    closes only what it created).
+    ``workers`` / ``replicas`` resolve through :func:`resolve_workers`
+    / :func:`resolve_replicas` (env fallbacks included); ``pool`` /
+    ``cache`` are shared data-plane objects (a given pool's width wins
+    over ``workers``; the service creates its own pool when parallelism
+    is requested and none is given, and closes only what it created).
     ``manifest`` (durable mode) records invocation facts; on an existing
     run directory its guarded keys must match what is already there.
     ``progress`` is the session's heartbeat, invoked as

@@ -5,10 +5,10 @@ Given a workload and a config list it derives, deterministically, a
 :func:`~repro.identity.run_key` per config and a
 :func:`~repro.identity.task_id_for` per cohort box (the identities
 resumption and cache dedup share; :mod:`repro.identity` defines them).
-Boxes come from the same :func:`~repro.harness.parallel.plan_cohorts`
-the data plane batches with, so one task is exactly one super-cohort
-chunk, and re-expanding an identical sweep spec after a crash
-reproduces identical task ids (the property resume rests on).
+Boxes come from :func:`plan_cohorts`, so one task is exactly one
+super-cohort chunk that one ``run_cohort`` executes, and re-expanding an
+identical sweep spec after a crash reproduces identical task ids (the
+property resume rests on).
 
 :meth:`SweepScheduler.schedule` folds the expansion into a
 :class:`~repro.service.queue.TaskQueue`: unknown tasks are enqueued,
@@ -17,10 +17,9 @@ known ones are left untouched (their DONE state *is* the checkpoint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.harness.parallel import plan_cohorts, resolve_replicas
 from repro.identity import run_key, task_id_for, workload_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,10 +31,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "PlannedTask",
     "SweepScheduler",
+    "plan_cohorts",
     "run_key",
     "task_id_for",
     "workload_key",
 ]
+
+
+def plan_cohorts(configs: Sequence["RunConfig"], replicas: int) -> list[list[int]]:
+    """Group config *indices* into cohort chunks of at most ``replicas``.
+
+    Configs are cohort-compatible when they differ only in seed (the
+    repeated-seed protocol's shape) and/or step size η: every tensor
+    shape of a run is fixed by the remaining fields, and η only scales
+    each replica's own ``step_from`` — the stacked gradient kernels
+    never see it. A sweep's grid column (all η at fixed algorithm/m)
+    therefore merges into one compatibility group of K×|η| replicas
+    that execute inside *one* process with stacked gradient kernels
+    (:func:`repro.harness.runner.run_cohort`). Each group is chunked in
+    first-appearance order, so results scatter back into the caller's
+    ordering deterministically. Singleton chunks are fine —
+    ``run_cohort`` runs them as the plain serial ``run_once``.
+    """
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        # Canonical seed/η: both fields are simulation inputs applied
+        # privately per replica, never batch-shape inputs. eta=1.0 is
+        # safe as the canonical value (RunConfig validates eta > 0).
+        groups.setdefault(replace(config, seed=0, eta=1.0), []).append(i)
+    return [
+        indices[start : start + replicas]
+        for indices in groups.values()
+        for start in range(0, len(indices), replicas)
+    ]
 
 
 @dataclass(frozen=True)
@@ -59,12 +87,12 @@ class PlannedTask:
 class SweepScheduler:
     """Expands config batches into planned tasks and enqueues them.
 
-    ``replicas`` bounds the cohort size (None consults
-    ``REPRO_REPLICAS``); with 1, every box is a singleton task.
+    ``replicas`` (>= 1, resolved by the caller) bounds the cohort size;
+    with 1, every box is a singleton task.
     """
 
-    def __init__(self, replicas: int | None = None) -> None:
-        self.replicas = resolve_replicas(replicas)
+    def __init__(self, replicas: int) -> None:
+        self.replicas = replicas
 
     def expand(
         self,

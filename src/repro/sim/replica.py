@@ -5,7 +5,7 @@ many seeds) runs K *independent* discrete-event simulations that differ
 only in their RNG streams — and a sweep's η column at fixed m differs
 only in a scalar each replica applies privately in ``step_from``, so
 the harness merges whole same-shape grid columns into one cohort too
-(see ``harness.parallel.plan_cohorts``). :class:`LockstepCohort`
+(see ``service.scheduler.plan_cohorts``). :class:`LockstepCohort`
 advances the replicas together: each round, every live scheduler runs
 (in cohort mode) until it has parked every in-flight
 :class:`~repro.sim.grad.GradCompute` request it can defer (all m

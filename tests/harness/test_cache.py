@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -22,7 +21,7 @@ from repro.harness.cache import (
 )
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_once
-from repro.identity import _fingerprint_value, result_to_line
+from repro.identity import _identity_digest, result_to_line
 from repro.nn.architectures import cnn_mnist
 from repro.sim.cost import CostModel
 from repro.telemetry.bus import ProbeBus
@@ -77,9 +76,7 @@ class TestCacheKey:
 def _raw_fingerprint(problem) -> str:
     """``problem_fingerprint`` without its per-object memo: what a fresh
     process (or an unpickled copy) would compute now."""
-    h = hashlib.sha256()
-    _fingerprint_value(h, problem, set())
-    return h.hexdigest()
+    return _identity_digest(problem)
 
 
 class TestFingerprintIsStableUnderUse:

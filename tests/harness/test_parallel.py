@@ -9,9 +9,9 @@ from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError
 from repro.harness.config import RunConfig
 from repro.harness.grid import SweepGrid
-from repro.harness.parallel import resolve_workers
 from repro.harness.runner import repeated_configs, run_repeated
 from repro.service import ExperimentService
+from repro.service.experiment import resolve_workers
 from repro.sim.cost import CostModel
 
 from tests.conftest import service_map
@@ -45,7 +45,7 @@ class TestResolveWorkers:
         assert resolve_workers(value) == 1
 
     def test_explicit_count(self, monkeypatch):
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 8)
         assert resolve_workers(3) == 3
 
     def test_minus_one_is_cpu_count(self):
@@ -54,19 +54,19 @@ class TestResolveWorkers:
         assert resolve_workers(-1) == (os.cpu_count() or 1)
 
     def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 2)
         with pytest.warns(RuntimeWarning, match="capping at 2"):
             assert resolve_workers(8) == 2
 
     def test_env_request_also_capped(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "16")
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 4)
         with pytest.warns(RuntimeWarning, match="capping at 4"):
             assert resolve_workers() == 4
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 8)
         assert resolve_workers() == 5
 
     def test_env_zero_is_serial(self, monkeypatch):
@@ -84,7 +84,7 @@ class TestResolveWorkers:
 
     def test_explicit_arg_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 8)
         assert resolve_workers(2) == 2
 
 
@@ -95,7 +95,7 @@ class TestMapRuns:
         assert [r.config.seed for r in results] == [3, 1, 2]
 
     def test_single_task_stays_serial(self, problem, cost, monkeypatch):
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 4)
         with ExperimentService(workers=4) as service:
             results = service.map(problem, cost, [make_config()])
             assert service.pool.stats.spawns == 0

@@ -32,7 +32,7 @@ def cost():
 def two_cores(monkeypatch):
     """Pretend the host has two cores so the pool path engages (the CI
     host may be single-core, where resolve_workers caps at serial)."""
-    monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 2)
 
 
 def make_config(seed=0, algorithm="ASYNC", m=2, max_updates=60):

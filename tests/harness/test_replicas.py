@@ -12,9 +12,10 @@ import pytest
 from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError
 from repro.harness.config import RunConfig
-from repro.harness.parallel import REPLICAS_ENV, plan_cohorts, resolve_replicas
 from repro.harness.runner import repeated_configs, run_once, run_repeated
 from repro.service import ExperimentService
+from repro.service.experiment import REPLICAS_ENV, resolve_replicas
+from repro.service.scheduler import plan_cohorts
 from repro.sim.cost import CostModel
 
 
@@ -71,7 +72,7 @@ class TestResolveReplicas:
 
     def test_not_capped_by_core_count(self, monkeypatch):
         # A cohort is one process however many replicas it advances.
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 2)
         assert resolve_replicas(64) == 64
 
     def test_negative_rejected(self):
@@ -157,7 +158,7 @@ class TestReplicaHarness:
     def test_replicas_compose_with_workers(self, problem, monkeypatch):
         # Two chunks over two processes; fallbacks (pool failure) still
         # produce identical results, so this holds on any host.
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 4)
         configs = repeated_configs(make_config(), repeats=6)
         serial = [identity_of(run_once(problem, COST, c)) for c in configs]
         with ExperimentService(workers=2, replicas=3) as service:

@@ -93,7 +93,7 @@ class TestDurableMode:
     def test_manifest_records_the_given_pools_width(self, tmp_path,
                                                     monkeypatch):
         # "The pool's width wins": workers=None would resolve to 1.
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 4)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         with WorkerPool(3) as pool:
             with ExperimentService(tmp_path / "run", pool=pool) as service:

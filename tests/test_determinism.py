@@ -162,7 +162,7 @@ class TestSerialParallelEquivalence:
 
         # Pretend we have the cores so the pool path (and its pickle
         # pre-flight) is actually attempted on single-core CI hosts.
-        monkeypatch.setattr("repro.harness.parallel.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 2)
         config = make_config("SEQ", m=1)
         with ExperimentService(workers=2) as service:
             with pytest.warns(RuntimeWarning, match="falling back to serial"):

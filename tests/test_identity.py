@@ -1,27 +1,32 @@
 """``repro.identity``: the row codec, the schema gate, the volatile-field
 declaration and the nine derived keys, each defined once.
 
-The golden values below were computed **at the parent commit of the PR
-that introduced the module, with the parent's own functions** (then
-spread over five modules). They pin the formulas: a future change that
-moves any of them fails here, and must say why.
+The golden values below pin the formulas: a future change that moves
+any of them fails here, and must say why (``TestGoldenKeys`` records
+each reason).
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import identity
-from repro.core.problem import QuadraticProblem
+from repro.core.problem import DLProblem, Problem, QuadraticProblem
 from repro.errors import ConfigurationError, SchemaVersionError
 from repro.harness import cache as cache_module
 from repro.harness.cache import RunCache
 from repro.harness.config import RunConfig
+from repro.harness.pool import load_broadcast_payload, make_broadcast
 from repro.harness.runner import run_once
+from repro.nn.architectures import mlp_custom
+from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.network import Network
 from repro.service import ExperimentService, Measurer
 from repro.service import measurer as measurer_module
 from repro.sim.cost import CostModel
@@ -75,34 +80,48 @@ def problem():
 
 
 class TestGoldenKeys:
+    """The config, simulation, merged and row goldens were computed at the
+    parent commit of the change that gathered the keys into
+    ``repro.identity``, with that tree's own functions, and have not
+    moved since.
+
+    The problem, workload, cache, run and task goldens moved once, when
+    ``problem_fingerprint`` stopped walking ``vars(problem)`` and began
+    hashing only what the problem declares in ``identity()``. The walk
+    hashed whatever hung on the object, so a private attribute, a cache
+    or a layer's RNG moved the key (a ``Dropout`` network got a new key in
+    every process). The formulas around the fingerprint are unchanged:
+    rows, ``simulation_fingerprint``, ``merged_fingerprint`` and
+    ``row_digest`` are byte-identical to what earlier trees wrote."""
+
     def test_config_hash(self):
         assert identity.config_hash(CONFIG_A) == "32ec3b0883bd0db6"
         assert identity.config_hash(CONFIG_B) == "3d9f195e2469c2fa"
 
     def test_problem_fingerprint(self, problem):
         assert identity.problem_fingerprint(problem) == (
-            "f6682f47b72e394935ea872076271e68fecb52a457471c8dbe64f784f7912111"
+            "81f0798ed2aaf8dfd5eb62014ee6e5718d757ef3632e387446b3666dd114cd10"
         )
 
     def test_workload_key(self, problem):
-        assert identity.workload_key(problem, COST) == "dd5d628fe6dd1baf"
+        assert identity.workload_key(problem, COST) == "a5a3b88e02e8d1cd"
 
     def test_cache_key(self, problem):
         assert identity.cache_key(problem, COST, CONFIG_A) == (
-            "27ba9fc7a356bd3e95f8689da6e76b191f3f013ce38e2329078ebbbfece72e90"
+            "99e21d66a3713a3bd7188b77739b0a5cfa3fe6ce93a71c723641e14469c83f47"
         )
         assert identity.cache_key(problem, COST, CONFIG_B) == (
-            "4aaf72caa90c5c96bb6ada4e9b9ddad057941f2a9564569d059dbede079fe1e2"
+            "bac3f52a235b45d8f16538aea924773045a723d035db4cd83539f136b9480cde"
         )
 
     def test_run_key_and_task_id(self, problem):
         wkey = identity.workload_key(problem, COST)
         keys = [identity.run_key(wkey, CONFIG_A), identity.run_key(wkey, CONFIG_B)]
         assert keys == [
-            "dd5d628fe6dd1baf:32ec3b0883bd0db6",
-            "dd5d628fe6dd1baf:3d9f195e2469c2fa",
+            "a5a3b88e02e8d1cd:32ec3b0883bd0db6",
+            "a5a3b88e02e8d1cd:3d9f195e2469c2fa",
         ]
-        assert identity.task_id_for(keys) == "t-9f1eb10f6668eabe"
+        assert identity.task_id_for(keys) == "t-a66a4972dfe21f54"
 
     def test_simulation_fingerprint(self):
         golden = "710dc410b962dffd8e611ba8d648cc881e3a31b2a874b2f18de6dd2ceb7e1bce"
@@ -604,3 +623,161 @@ class TestTolerantReaders:
         # A config that no longer reconstructs still gets a stable label.
         broken = {**archived, "m": 0}
         assert identity.archived_config_hash(broken) == identity.content_digest(broken)[:16]
+
+
+# ----------------------------------------------------------------------
+# (vii) A workload's key is what its problem declares
+# ----------------------------------------------------------------------
+def _mlp_problem(input_dim=6, hidden=(5,), n_classes=3, *, batch_size=4,
+                 dtype=np.float32, layers=None):
+    """A small DL problem whose data depend only on its shape arguments,
+    so two calls with equal arguments build equal workloads."""
+    rng = np.random.default_rng(input_dim)
+    x = rng.normal(size=(24, input_dim)).astype(np.float32)
+    y = np.arange(24) % n_classes
+    network = (
+        Network(layers, input_shape=(input_dim,)) if layers is not None
+        else mlp_custom(input_dim, hidden, n_classes)
+    )
+    return DLProblem(network, x[:16], y[:16], x[16:], y[16:],
+                     batch_size=batch_size, dtype=dtype)
+
+
+def _dl_config(**overrides):
+    fields = dict(algorithm="ASYNC", m=2, eta=0.05, seed=3, max_updates=6,
+                  max_virtual_time=10.0)
+    return RunConfig(**{**fields, **overrides})
+
+
+class _Undeclared(Problem):
+    """A problem that declares no identity."""
+
+    d = 3
+
+    def init_theta(self, rng):
+        return np.ones(3)
+
+    def make_grad_fn(self, rng):
+        def grad(theta, out):
+            out[...] = theta
+
+        return grad
+
+    def eval_loss(self, theta):
+        return float(theta @ theta)
+
+
+class TestDeclaredIdentity:
+    def test_private_attributes_move_no_key(self):
+        plain, decorated = _mlp_problem(), _mlp_problem()
+        decorated._note = "anything"
+        decorated.network._memo = {"scratch": np.zeros(7)}
+        decorated.network.layers[0]._cache = np.ones(3)
+        decorated.network.name = "renamed"  # cosmetic, not identity
+        assert identity.problem_fingerprint(decorated) == identity.problem_fingerprint(plain)
+
+    def test_use_moves_no_key(self):
+        problem = _mlp_problem()
+        before = identity._identity_digest(problem)
+        theta = problem.init_theta(np.random.default_rng(0))
+        problem.eval_loss(theta)
+        problem.eval_accuracy(theta)
+        assert identity._identity_digest(problem) == before
+        run_once(problem, COST, _dl_config())
+        assert identity._identity_digest(problem) == before
+        assert identity.problem_fingerprint(problem) == before
+
+    def test_copies_share_the_key(self):
+        problem = _mlp_problem(input_dim=4096)  # a split large enough for shm
+        key = identity.workload_key(problem, COST)
+        assert identity.workload_key(pickle.loads(pickle.dumps(problem)), COST) == key
+        broadcast = make_broadcast(problem, COST)
+        try:
+            assert broadcast.segments  # the copy reads the shm views
+            copy, copy_cost, attached = load_broadcast_payload(broadcast.payload)
+            try:
+                assert identity.workload_key(copy, copy_cost) == key
+            finally:
+                for handle in attached:
+                    handle.close()
+        finally:
+            broadcast.close()
+
+    def test_what_is_declared_moves_the_key(self):
+        base = _mlp_problem()
+        key = identity.workload_key(base, COST)
+        flipped = _mlp_problem()
+        flipped.train_x = flipped.train_x.copy()
+        flipped.train_x.view(np.uint8)[5] ^= 1  # one corpus byte
+        others = [
+            flipped,
+            _mlp_problem(batch_size=8),
+            _mlp_problem(hidden=(6,)),  # a layer hyperparameter
+            _mlp_problem(dtype=np.float64),
+        ]
+        keys = [identity.workload_key(problem, COST) for problem in others]
+        keys.append(identity.workload_key(base, CostModel(tc=2e-3, tu=1e-3, t_copy=6e-4)))
+        assert key not in keys
+        assert len(set(keys)) == len(keys)
+
+    def test_dropout_network_is_refused_by_name(self):
+        layers = [Dense(16), ReLU(), Dropout(0.2), Dense(3)]
+        problem = _mlp_problem(layers=layers)
+        with pytest.raises(ConfigurationError, match="Dropout"):
+            identity.workload_key(problem, COST)
+        with ExperimentService() as service:
+            with pytest.raises(ConfigurationError, match="Dropout"):
+                service.map(problem, COST, [_dl_config()])
+        # Keys only: the run itself is unaffected.
+        assert run_once(problem, COST, _dl_config()).n_updates > 0
+
+    def test_undeclared_problem_runs_but_is_not_keyed(self, tmp_path):
+        problem = _Undeclared()
+        config = RunConfig(algorithm="SEQ", m=1, eta=0.1, max_updates=5, max_virtual_time=10.0)
+        assert run_once(problem, COST, config).n_updates > 0
+        with pytest.raises(ConfigurationError, match="_Undeclared"):
+            identity.problem_fingerprint(problem)
+        with pytest.raises(ConfigurationError, match="_Undeclared"):
+            RunCache(tmp_path).get(problem, COST, config)
+
+
+_QUADRATIC = st.tuples(
+    st.sampled_from([1, 2, 5]),  # d
+    st.sampled_from([1.0, 0.5]),  # h
+    st.sampled_from([0.0, 1.5, -2.0]),  # b
+    st.sampled_from([0.0, 0.1]),  # noise sigma
+    st.sampled_from([5.0, 1.0]),  # init radius
+    st.sampled_from(["float32", "float64"]),
+)
+_MLP = st.tuples(
+    st.integers(1, 3),  # input dim
+    st.lists(st.integers(1, 3), max_size=2).map(tuple),  # hidden widths
+    st.integers(2, 3),  # classes
+    st.sampled_from([2, 4]),  # batch size
+)
+
+
+def _quadratic(d, h, b, sigma, radius, dtype):
+    return QuadraticProblem(d, h=h, b=b, noise_sigma=sigma, init_radius=radius, dtype=dtype)
+
+
+def _mlp(input_dim, hidden, n_classes, batch_size):
+    return _mlp_problem(input_dim, hidden, n_classes, batch_size=batch_size)
+
+
+class TestIdentityProperty:
+    """The key is a function of the declared parameters, and only of
+    them: fresh objects built from equal parameters share it, and
+    different parameters never do."""
+
+    @given(_QUADRATIC, _QUADRATIC)
+    def test_quadratic(self, a, b):
+        key_a = identity.problem_fingerprint(_quadratic(*a))
+        assert identity.problem_fingerprint(_quadratic(*a)) == key_a
+        assert (identity.problem_fingerprint(_quadratic(*b)) == key_a) == (a == b)
+
+    @given(_MLP, _MLP)
+    def test_mlp_custom(self, a, b):
+        key_a = identity.problem_fingerprint(_mlp(*a))
+        assert identity.problem_fingerprint(_mlp(*a)) == key_a
+        assert (identity.problem_fingerprint(_mlp(*b)) == key_a) == (a == b)
