@@ -1,9 +1,10 @@
 """The experiment service: durable, resumable sweep execution.
 
-The dispatcher / scheduler / measurer split over a crash-safe task
-queue — see :mod:`repro.service.experiment` for the facade the CLI and
-the experiment helpers use, and ``docs/service.md`` for the queue
-states, lease semantics and the resume contract.
+The dispatcher / scheduler / measurer split over a per-session task
+queue, with the measurer's results journals as a run directory's one
+durable record — see :mod:`repro.service.experiment` for the facade the
+CLI and the experiment helpers use, and ``docs/service.md`` for the
+queue states, the run-dir layout and the resume contract.
 """
 
 from repro.service.dispatcher import Dispatcher, ServiceStats

@@ -2,18 +2,16 @@
 
 One :meth:`Dispatcher.run` call drives one workload batch end to end:
 
-1. **Recover** — requeue every lease left behind by a dead dispatcher
-   (expired deadline or foreign owner; see
-   :meth:`~repro.service.queue.TaskQueue.recover`) and replay the
-   measurer's journal for this workload.
-2. **Triage** — for each planned task, in order: a DONE task whose rows
-   are all in the journal is *resumed* (nothing executes); a DONE task
-   with missing rows, or a FAILED one, is requeued. What remains is
-   leased, and each leased run is looked up first in the journal
-   (a resumed run under a different cohort grouping) then in the
-   content-addressed :class:`~repro.harness.cache.RunCache` — the
-   tentpole contract that resumption and dedup share one identity. A
-   cache hit hands its entry text to the measurer, which journals it
+1. **Load** — replay the measurer's journal for this workload: the run
+   directory's one durable record of what is finished.
+2. **Triage** — for each planned task, in order: a task DONE earlier in
+   this session is served again (nothing executes); a FAILED one, or
+   one still LEASED by a ``map`` that raised, is requeued. What remains
+   is leased, and each leased run is looked up first in the journal
+   (a run a previous session finished, under any cohort grouping) then
+   in the content-addressed :class:`~repro.harness.cache.RunCache` —
+   the tentpole contract that resumption and dedup share one identity.
+   A cache hit hands its entry text to the measurer, which journals it
    as the run's line.
    Tasks fully satisfied without simulating complete immediately.
 3. **Execute** — the rest go onto the persistent
@@ -22,22 +20,23 @@ One :meth:`Dispatcher.run` call drives one workload batch end to end:
    whole plan without a pool (or with a single chunk), the unfinished
    chunks after a pool failure mid-sweep, nothing on a clean parallel
    run.
-   Completion of each task is atomic in the durable order that makes
-   resume sound: cache-store, journal-append (fsync), *then*
-   ``task_done`` — a crash between any two steps leaves the task
-   re-runnable, never falsely complete.
+   Completion of each task is durable in the order that makes resume
+   sound: cache-store, *then* journal-append (fsync). A crash before
+   the fsync leaves the box's runs absent from the journal, so the next
+   session re-executes them; nothing is ever falsely complete.
 
 Fault injection: when ``REPRO_SERVICE_KILL_AFTER=N`` is set, the
 dispatcher hard-exits (``os._exit(17)``) immediately after the N-th
-task it completes *in this process* — after the journal fsync, before
-anything else. This is the crash/resume test hook
+box whose rows it journals *in this process* — right after the journal
+fsync, before anything else (a box served whole from the journal
+appends nothing and does not count). This is the crash/resume test hook
 (``tests/service/test_resume_crash.py``): a real SIGKILL at the worst
 survivable instant, deterministic on a serial host.
 
-A simulation exception on the serial path marks its task FAILED (the
-error is journalled) and propagates. On the pool path the failing chunk
-cannot be attributed, so affected tasks stay LEASED and the next
-dispatcher's recovery requeues them.
+A simulation exception on the serial path marks its task FAILED and
+propagates. On the pool path the failing chunk cannot be attributed, so
+the undelivered tasks stay LEASED; either way the next ``map`` of the
+batch requeues them and tries again.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ KILL_AFTER_ENV = "REPRO_SERVICE_KILL_AFTER"
 #: The injected crash's exit code (distinguishes it from real errors).
 KILL_EXIT_CODE = 17
 
-#: Leases outlive any sane cohort box; crashed dispatchers are detected
-#: by owner mismatch long before this expires (the timeout only matters
-#: for a dispatcher that hangs without dying).
-DEFAULT_LEASE_TIMEOUT = 15 * 60.0
-
 
 def _label(config) -> str:
     """The heartbeat label for a just-finished run."""
@@ -82,7 +76,7 @@ class ServiceStats:
     tasks_executed: int = 0  # boxes that simulated (fully or partly)
     tasks_from_cache: int = 0  # boxes satisfied by the run cache alone
     tasks_from_journal: int = 0  # boxes resumed from a previous session
-    tasks_requeued: int = 0  # stale leases / retries / missing rows
+    tasks_requeued: int = 0  # retries of a failed or aborted map
     runs_executed: int = 0
     runs_from_cache: int = 0
     runs_from_journal: int = 0
@@ -107,20 +101,18 @@ class Dispatcher:
         queue: TaskQueue,
         measurer: "Measurer",
         *,
-        owner: str,
         pool: "WorkerPool | None" = None,
         cache: "RunCache | None" = None,
         progress: Callable[[int, int, str], None] | None = None,
     ) -> None:
         self.queue = queue
         self.measurer = measurer
-        self.owner = owner
         self.pool = pool
         self.cache = cache
         self.progress = progress  # the session's (done, total, label) heartbeat
         self.kill_after = int(os.environ.get(KILL_AFTER_ENV) or 0)
         self.stats = ServiceStats()
-        self._session_completions = 0
+        self._journalled = 0  # boxes whose rows this process appended
 
     # -- completion plumbing -------------------------------------------
     def _tick(self, done, total, task, note: str) -> None:
@@ -129,8 +121,8 @@ class Dispatcher:
 
     def _maybe_die(self) -> None:
         """The fault-injection crash point (see module docstring)."""
-        self._session_completions += 1
-        if self.kill_after and self._session_completions >= self.kill_after:
+        self._journalled += 1
+        if self.kill_after and self._journalled >= self.kill_after:
             os._exit(KILL_EXIT_CODE)
 
     def _complete(
@@ -138,7 +130,7 @@ class Dispatcher:
         results: dict[int, object], executed: Sequence[int],
         cached: Sequence[int],
     ) -> str:
-        """Durably finish one task: cache-store, journal, mark DONE.
+        """Finish one task: cache-store, journal (durably), mark DONE.
         Returns the completion source for progress labelling. The cache
         entry and the journal row of an executed run are the same line,
         the measurer's one encoding of it."""
@@ -161,6 +153,8 @@ class Dispatcher:
         else:
             source = "journal"
             self.stats.tasks_from_journal += 1
+        if source != "journal":  # the box's rows were just appended
+            self._maybe_die()
         self.queue.mark_done(task.task_id, source=source)
         return source
 
@@ -177,32 +171,26 @@ class Dispatcher:
 
         total = sum(len(task) for task in planned)
         done_runs = 0
-        self.stats.tasks_requeued += len(self.queue.recover(self.owner))
         self.measurer.load_workload(wkey)
 
-        # -- triage: resume DONE boxes, lease + look up the rest -------
+        # -- triage: retry what an earlier map left, look up the rest --
         exec_plan: list[tuple] = []  # (task, missing, served, cached)
         for task in planned:
-            queued = self.queue.get(task.task_id)
-            if queued is None:  # pragma: no cover - scheduler enqueues first
-                raise RuntimeError(f"task {task.task_id} was never enqueued")
-            if queued.state is TaskState.DONE:
-                if all(self.measurer.has(key) for key in task.run_keys):
-                    self.stats.tasks_from_journal += 1
-                    self.stats.runs_from_journal += len(task)
-                    done_runs += len(task)
-                    self._tick(done_runs, total, task, " [journal]")
-                    continue
-                # DONE in the queue but rows missing from the journal
-                # (e.g. a corrupt line was skipped): never trust it.
-                self.queue.requeue(task.task_id, reason="missing-results")
+            state = self.queue.get(task.task_id).state
+            if state is TaskState.DONE:  # mapped earlier in this session
+                self.stats.tasks_from_journal += 1
+                self.stats.runs_from_journal += len(task)
+                done_runs += len(task)
+                self._tick(done_runs, total, task, " [journal]")
+                continue
+            if state is not TaskState.PENDING:
+                # FAILED, or still LEASED by a map that raised.
+                self.queue.requeue(
+                    task.task_id,
+                    reason="retry-failed" if state is TaskState.FAILED else "aborted",
+                )
                 self.stats.tasks_requeued += 1
-            elif queued.state is TaskState.FAILED:
-                self.queue.requeue(task.task_id, reason="retry-failed")
-                self.stats.tasks_requeued += 1
-            self.queue.lease(
-                task.task_id, owner=self.owner, timeout=DEFAULT_LEASE_TIMEOUT
-            )
+            self.queue.lease(task.task_id)
             served: dict[int, object] = {}
             cached: list[int] = []
             missing: list[int] = []
@@ -229,7 +217,6 @@ class Dispatcher:
                 )
                 done_runs += len(task)
                 self._tick(done_runs, total, task, f" [{source}]")
-                self._maybe_die()
             else:
                 exec_plan.append((task, missing, served, cached))
         if not exec_plan:
@@ -252,7 +239,6 @@ class Dispatcher:
             self._complete(problem, cost, wkey, task, results, missing, cached)
             done_runs += len(task)
             self._tick(done_runs, total, task, "")
-            self._maybe_die()
 
         if self.pool is not None and len(chunks) > 1:
             self.pool.run_chunks(problem, cost, chunks, on_done=_finish)

@@ -6,33 +6,37 @@ measurer behind one ``map``-shaped call.
 ``SweepGrid.run`` and the S1–S5 helpers all call its
 :meth:`~ExperimentService.map` — results in submission order,
 bitwise-identical to a serial ``run_once`` loop modulo the host fields.
-Every batch flows through the task queue, so the same code path serves
-three modes:
+Every batch flows through the session's in-memory task queue, so the
+same code path serves three modes:
 
-* **volatile** (``run_dir=None``) — in-memory queue and measurer, no
-  files: the plain ``repro experiment s1`` behaviour;
-* **durable** (``run_dir=...``) — every task transition and completed
-  run is journalled; a killed sweep restarted on the same run directory
-  re-executes only unfinished boxes;
+* **volatile** (``run_dir=None``) — no files: the plain
+  ``repro experiment s1`` behaviour;
+* **durable** (``run_dir=...``) — every completed run is journalled; a
+  killed sweep restarted on the same run directory re-executes only the
+  runs its journals lack;
 * **resume** (durable + existing journals) — the same as durable: there
-  is no separate resume code path, because task identity is
-  content-addressed and enqueueing a known task is a no-op.
+  is no separate resume code path, because run identity is
+  content-addressed and the dispatcher looks every run up in the
+  journal before executing it.
 
 The run directory (durable mode) holds::
 
-    LOCK                      single-dispatcher lock (pid + owner)
-    manifest.json             step/profile/shape + provenance
-    queue.jsonl               task-state journal (append-only)
+    LOCK                      single-session lock (pid + owner), while open
+    manifest.json             step/profile/shape + provenance, written
+                              when the directory is first opened
     results-<wkey>.jsonl      completed run rows, per workload: the
-                              one copy resume and the store read
+                              one durable record, read by resume and
+                              by the store
     summary.json              finalize(): counts, run_keys (submission
                               order) + merged_fingerprint
     service_timeline.json     finalize(): queue lifecycle Chrome trace
 
-Safety order per task: cache-store -> journal fsync -> ``task_done``
-fsync. A crash between any two steps leaves a task the next dispatcher
-will re-lease; the identity contract makes the re-execution bitwise
-equivalent, which is what the resume-smoke gate checks end to end.
+Safety order per task: cache-store -> journal fsync. A crash before the
+fsync leaves the box's runs out of the journal and the next session
+executes them again; the identity contract makes the re-execution
+bitwise equivalent, which is what the resume-smoke gate checks end to
+end. A ``queue.jsonl`` left by builds that kept a task journal is
+ignored.
 
 The service resolves its parallelism once, at construction
 (:func:`resolve_workers`, :func:`resolve_replicas`), and hands the
@@ -232,11 +236,12 @@ class ExperimentService:
             self.workers = resolve_workers(
                 workers, cohort_replicas=self.replicas
             )
-        self.owner = f"pid{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self._lock = None
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            self._lock = acquire_run_lock(self.run_dir, self.owner)
+            self._lock = acquire_run_lock(
+                self.run_dir, f"pid{os.getpid()}-{uuid.uuid4().hex[:8]}"
+            )
         try:
             if self.run_dir is not None:
                 self._reconcile_manifest(manifest or {})
@@ -245,9 +250,7 @@ class ExperimentService:
             self.bus.attach(self.timeline)
             self._t0 = time.monotonic()
             self.queue = TaskQueue(
-                self.run_dir / "queue.jsonl" if self.run_dir is not None else None,
-                bus=self.bus,
-                clock=lambda: time.monotonic() - self._t0,
+                bus=self.bus, clock=lambda: time.monotonic() - self._t0
             )
             self.measurer = Measurer(self.run_dir)
             self.scheduler = SweepScheduler(self.replicas)
@@ -257,7 +260,7 @@ class ExperimentService:
                 pool = self._owned_pool = WorkerPool(self.workers)
             self.pool = pool
             self.dispatcher = Dispatcher(
-                self.queue, self.measurer, owner=self.owner,
+                self.queue, self.measurer,
                 pool=self.pool, cache=self.cache, progress=progress,
             )
             self._order: list[str] = []
@@ -265,7 +268,7 @@ class ExperimentService:
             self._closed = False
         except BaseException:
             # Never leave the lock behind on a failed construction
-            # (manifest mismatch, corrupt queue journal, pool bring-up):
+            # (manifest mismatch or corrupt, pool bring-up):
             # a live-pid lock is a hard error for the next attempt.
             if self._lock is not None:
                 self._lock.unlink(missing_ok=True)
@@ -337,7 +340,8 @@ class ExperimentService:
 
         ``run_keys`` is the one record of submission order: the
         journals hold the rows in completion order, and
-        ``merged_fingerprint`` hashes them in this one.
+        ``merged_fingerprint`` hashes them in this one. ``n_tasks``,
+        ``queue`` and ``service`` count this session's boxes.
         """
         payload = {
             "n_runs": len(self._order),
@@ -359,10 +363,10 @@ class ExperimentService:
             trace_path = self.run_dir / "service_timeline.json"
             payload = self.timeline.result()
             if trace_path.exists():
-                # A resumed dispatcher only transitions the tasks it
-                # actually touched — journal-served boxes make no queue
-                # transitions at all — so this recording alone would
-                # erase the original run's history.
+                # This session's recording holds only its own queue
+                # transitions (a journal-served box is leased and done
+                # again in it), so alone it would erase the earlier
+                # sessions' history.
                 try:
                     payload = _merge_timelines(
                         json.loads(trace_path.read_text()), payload
@@ -383,7 +387,6 @@ class ExperimentService:
         self._closed = True
         if self._owned_pool is not None:
             self._owned_pool.close()
-        self.queue.close()
         self.measurer.close()
         if self._lock is not None:
             try:

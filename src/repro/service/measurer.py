@@ -4,11 +4,11 @@ The measurer is the service's result plane. As the dispatcher completes
 cohort boxes it hands their :class:`RunResult`\\ s over one task at a
 time, and the measurer appends them — as canonical row lines — to a
 per-workload journal ``results-<workload_key>.jsonl`` in the run
-directory (append + flush + fsync, so a crash after ``task_done`` never
-loses the rows that justified it). On resume, replaying the journals
-rebuilds bitwise-identical :class:`RunResult`\\ s through the same
-reader the run cache uses — the journal *is* a cache keyed by run key
-instead of content address. Journals are per-workload because the run
+directory (append + flush + fsync: a run is finished exactly when its
+row is on disk here; no other file records it). On resume, replaying
+the journals rebuilds bitwise-identical :class:`RunResult`\\ s through
+the same reader the run cache uses — the journal *is* a cache keyed by
+run key instead of content address. Journals are per-workload because the run
 key embeds the workload key: replay needs only the config of each row
 plus the file's own workload prefix, never a re-fingerprint of the
 corpus. The journals are also the run directory's one row store: the
@@ -88,7 +88,7 @@ class Measurer:
         """Replay this workload's journal (idempotent); returns how many
         archived runs it holds. Torn or corrupt lines are skipped with a
         warning — the affected runs simply re-execute (the dispatcher
-        requeues any DONE task whose rows went missing)."""
+        executes every run the journal lacks)."""
         if self.run_dir is None or wkey in self._loaded:
             return sum(1 for key in self._results if key.startswith(f"{wkey}:"))
         self._loaded.add(wkey)
@@ -120,6 +120,25 @@ class Measurer:
             loaded += 1
         return loaded
 
+    def _open_journal(self, wkey: str):
+        """The append handle of a workload's journal. An unterminated
+        last line (a crash mid-append) is cut first: no reader can parse
+        it and its run re-executes, so the re-executed row must start a
+        line of its own rather than finish the fragment."""
+        path = self._journal_path(wkey)
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(path, "rb+") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                if size:
+                    fh.seek(size - 1)
+                    if fh.read(1) != b"\n":
+                        fh.seek(0)
+                        fh.truncate(fh.read().rfind(b"\n") + 1)
+        except FileNotFoundError:
+            pass
+        return open(path, "a", encoding="utf-8")
+
     # -- ingestion -----------------------------------------------------
     def has(self, run_key: str) -> bool:
         return run_key in self._results
@@ -141,10 +160,7 @@ class Measurer:
             return
         journal = self._journals.get(wkey)
         if journal is None:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-            journal = self._journals[wkey] = open(
-                self._journal_path(wkey), "a", encoding="utf-8"
-            )
+            journal = self._journals[wkey] = self._open_journal(wkey)
         for key, result in fresh:
             journal.write(self.line(key, result) + "\n")
         journal.flush()

@@ -1,13 +1,12 @@
-r"""Durable task queue: the experiment service's crash-safe work ledger.
+r"""Task queue: the experiment service's per-session work state machine.
 
 One :class:`Task` is one seed-cohort box of a sweep — the unit the
 dispatcher leases onto the worker pool (a ``plan_cohorts`` chunk: up to
 ``replicas`` same-shape configs). Its identity is content-addressed:
 ``task_id`` hashes the ordered run keys it covers (see
 :mod:`repro.service.scheduler`), so re-expanding the same sweep spec
-after a crash regenerates the *same* task ids and the queue can tell
-finished work from pending work without trusting wall clocks or
-counters.
+regenerates the *same* task ids and a second ``map`` of a batch in one
+session finds its boxes already DONE.
 
 State machine::
 
@@ -15,27 +14,13 @@ State machine::
        ^                  |  \--fail--> FAILED --requeue--> PENDING
        \--requeue---------/
 
-Durability is an **append-only JSONL journal** (``queue.jsonl`` in the
-run directory): every transition appends one self-contained line
-``{"op": ..., "task": ..., ...}`` and flushes. Replay folds the lines
-in order; a torn final line (the crash happened mid-write) is dropped
-with a warning — the transition it described simply re-happens. There
-is no in-place mutation anywhere, so the journal can never be
-half-updated: the worst case after ``kill -9`` is one lost *line*,
-never a corrupt *state*.
-
-Lease semantics: a lease carries an absolute wall-clock deadline
-(``time.time() + lease_timeout``). Leases are how crashes surface —
-a dispatcher that died holding leases leaves them behind, and the next
-dispatcher's :meth:`TaskQueue.recover` requeues every lease that is
-expired *or* owned by a different dispatcher id (an orphan: its owner
-cannot come back, because owner ids are per-process-instance). The
-sibling ``LOCK`` file (:func:`acquire_run_lock`) serialises dispatchers
-per run directory, so "different owner" always means "dead owner".
-
-Volatile mode (``path=None``) keeps the same state machine purely in
-memory — the CLI uses it when no ``--run-dir`` is given, so the
-one-shot path and the durable path exercise identical logic.
+The queue lives in memory and dies with its session. It is not what
+makes a sweep resumable: a run directory's durable record is its
+``results-<wkey>.jsonl`` journals (:mod:`repro.service.measurer`), and a
+resumed session re-derives every box from the sweep spec, leases it
+again and serves each run the journal already holds. The sibling
+``LOCK`` file (:func:`acquire_run_lock`) serialises sessions per run
+directory, so one process at a time appends to its journals.
 
 When a :class:`~repro.telemetry.bus.ProbeBus` is supplied, every
 transition emits its lifecycle event (``task_enqueued`` /
@@ -49,8 +34,7 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -94,19 +78,18 @@ class Task:
     run_keys: tuple[str, ...]
     state: TaskState = TaskState.PENDING
     attempts: int = 0
-    lease_deadline: float = 0.0
-    owner: str | None = None
     source: str | None = None
     error: str | None = None
 
 
 def acquire_run_lock(run_dir: str | Path, owner: str) -> Path:
-    """Take the single-dispatcher lock of a run directory.
+    """Take the single-session lock of a run directory.
 
     Writes ``LOCK`` (pid + owner id) with ``O_EXCL``; an existing lock
     is stolen only when its pid is provably dead (``os.kill(pid, 0)``
-    raising). Two live dispatchers on one run directory would race the
-    journal, so this is a hard error, not a wait.
+    raising). Two live sessions on one run directory would interleave
+    their appends to the results journals, so this is a hard error, not
+    a wait.
     """
     run_dir = Path(run_dir)
     lock = run_dir / "LOCK"
@@ -131,9 +114,9 @@ def acquire_run_lock(run_dir: str | Path, owner: str) -> Path:
             if alive:
                 raise ConfigurationError(
                     f"run directory {run_dir} is locked by live pid {pid}; "
-                    "a second dispatcher on one run dir would corrupt the "
-                    "queue journal (remove LOCK only if that pid is not a "
-                    "repro dispatcher)"
+                    "a second session on one run dir would corrupt its "
+                    "results journals (remove LOCK only if that pid is not "
+                    "a repro session)"
                 )
             try:
                 lock.unlink()
@@ -146,186 +129,79 @@ def acquire_run_lock(run_dir: str | Path, owner: str) -> Path:
 
 
 class TaskQueue:
-    """The durable (or volatile) task ledger.
+    """The in-memory task ledger of one session.
 
     Parameters
     ----------
-    path:
-        The ``queue.jsonl`` journal path, or ``None`` for a volatile
-        in-memory queue (same transitions, no disk).
     bus:
         Optional :class:`~repro.telemetry.bus.ProbeBus` receiving the
         ``task_*`` lifecycle events.
     clock:
         The host-relative clock stamped onto bus events (the service
         passes "seconds since service start"); defaults to
-        ``time.monotonic``. Lease *deadlines* always use wall
-        ``time.time()`` — they must be meaningful to a later process.
+        ``time.monotonic``.
     """
 
     def __init__(
         self,
-        path: str | Path | None = None,
         *,
         bus: "ProbeBus | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.path = Path(path) if path is not None else None
         self.bus = bus
         self.clock = clock
         self._tasks: dict[str, Task] = {}
-        self._order: list[str] = []
-        self._journal = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._replay()
-            self._journal = open(self.path, "a", encoding="utf-8")
 
-    # -- journal -------------------------------------------------------
-    def _replay(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                self._apply(record)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                if i == len(lines) - 1:
-                    # Torn final line: the crash happened mid-append.
-                    # The transition is lost, not the state — it will
-                    # simply re-happen (lease again, re-run the box).
-                    warnings.warn(
-                        f"task queue: dropping torn final journal line ({exc})",
-                        RuntimeWarning, stacklevel=3,
-                    )
-                    continue
-                raise ConfigurationError(
-                    f"task queue journal {self.path} is corrupt at line "
-                    f"{i + 1}: {exc}"
-                ) from exc
-
-    def _apply(self, record: dict) -> None:
-        op = record["op"]
-        task_id = record["task"]
-        if op == "enqueue":
-            self._tasks[task_id] = Task(
-                task_id=task_id, run_keys=tuple(record["run_keys"])
-            )
-            self._order.append(task_id)
-            return
+    def _require(self, task_id: str, state: TaskState, verb: str) -> Task:
         task = self._tasks[task_id]
-        if op == "lease":
-            self._tasks[task_id] = replace(
-                task, state=TaskState.LEASED, attempts=task.attempts + 1,
-                lease_deadline=float(record["deadline"]), owner=record["owner"],
+        if task.state is not state:
+            raise ConfigurationError(
+                f"cannot {verb} task {task_id} in state {task.state.value}"
             )
-        elif op == "done":
-            self._tasks[task_id] = replace(
-                task, state=TaskState.DONE, source=record.get("source"),
-                owner=None, lease_deadline=0.0,
-            )
-        elif op == "fail":
-            self._tasks[task_id] = replace(
-                task, state=TaskState.FAILED, error=record.get("error"),
-                owner=None, lease_deadline=0.0,
-            )
-        elif op == "requeue":
-            self._tasks[task_id] = replace(
-                task, state=TaskState.PENDING, owner=None, lease_deadline=0.0,
-            )
-        else:
-            raise ValueError(f"unknown journal op {op!r}")
-
-    def _append(self, record: dict) -> None:
-        self._apply(record)
-        if self._journal is not None:
-            self._journal.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            )
-            self._journal.flush()
-            os.fsync(self._journal.fileno())
+        return task
 
     # -- transitions ---------------------------------------------------
     def enqueue(self, task_id: str, run_keys: tuple[str, ...]) -> bool:
         """Add a task; False (a no-op) when the id is already known —
-        that is exactly resumption: re-expanding a sweep re-derives the
-        same ids and the finished ones keep their DONE state."""
+        a batch mapped twice in one session re-derives the same ids and
+        the finished ones keep their DONE state."""
         if task_id in self._tasks:
             return False
-        self._append({"op": "enqueue", "task": task_id, "run_keys": list(run_keys)})
+        self._tasks[task_id] = Task(task_id=task_id, run_keys=tuple(run_keys))
         if self.bus is not None:
             self.bus.task_enqueued(self.clock(), task_id, len(run_keys))
         return True
 
-    def lease(self, task_id: str, *, owner: str, timeout: float) -> Task:
-        """Move a PENDING task to LEASED with a wall-clock deadline."""
-        task = self._tasks[task_id]
-        if task.state is not TaskState.PENDING:
-            raise ConfigurationError(
-                f"cannot lease task {task_id} in state {task.state.value}"
-            )
-        self._append({
-            "op": "lease", "task": task_id, "owner": owner,
-            "deadline": time.time() + timeout,
-        })
-        task = self._tasks[task_id]
+    def lease(self, task_id: str) -> Task:
+        """PENDING -> LEASED, counting the attempt."""
+        task = self._require(task_id, TaskState.PENDING, "lease")
+        task = self._tasks[task_id] = replace(
+            task, state=TaskState.LEASED, attempts=task.attempts + 1
+        )
         if self.bus is not None:
             self.bus.task_leased(self.clock(), task_id, task.attempts)
         return task
 
     def mark_done(self, task_id: str, *, source: str) -> None:
         """LEASED -> DONE, recording how the box was satisfied."""
-        task = self._tasks[task_id]
-        if task.state is not TaskState.LEASED:
-            raise ConfigurationError(
-                f"cannot complete task {task_id} in state {task.state.value}"
-            )
-        self._append({"op": "done", "task": task_id, "source": source})
+        task = self._require(task_id, TaskState.LEASED, "complete")
+        self._tasks[task_id] = replace(task, state=TaskState.DONE, source=source)
         if self.bus is not None:
             self.bus.task_done(self.clock(), task_id, len(task.run_keys), source)
 
     def mark_failed(self, task_id: str, *, error: str) -> None:
         """LEASED -> FAILED (the simulation raised; the error is kept)."""
-        task = self._tasks[task_id]
-        if task.state is not TaskState.LEASED:
-            raise ConfigurationError(
-                f"cannot fail task {task_id} in state {task.state.value}"
-            )
-        self._append({"op": "fail", "task": task_id, "error": error})
+        task = self._require(task_id, TaskState.LEASED, "fail")
+        self._tasks[task_id] = replace(task, state=TaskState.FAILED, error=error)
 
     def requeue(self, task_id: str, *, reason: str) -> None:
-        """LEASED/FAILED/DONE -> PENDING (expired lease, retry, or a DONE
-        task whose results went missing)."""
+        """LEASED/FAILED/DONE -> PENDING (a retry in this session)."""
         task = self._tasks[task_id]
         if task.state is TaskState.PENDING:
             return
-        self._append({"op": "requeue", "task": task_id, "reason": reason})
+        self._tasks[task_id] = replace(task, state=TaskState.PENDING)
         if self.bus is not None:
             self.bus.task_requeued(self.clock(), task_id, reason)
-
-    def recover(self, owner: str, now: float | None = None) -> list[str]:
-        """Requeue every lease this dispatcher must not trust: expired
-        deadlines, and leases held by *other* owners (orphans of a dead
-        dispatcher — the run-dir lock guarantees no live one exists).
-        Returns the requeued task ids."""
-        now = time.time() if now is None else now
-        recovered = []
-        for task_id in self._order:
-            task = self._tasks[task_id]
-            if task.state is not TaskState.LEASED:
-                continue
-            if task.owner != owner:
-                self.requeue(task_id, reason="orphaned")
-                recovered.append(task_id)
-            elif task.lease_deadline <= now:
-                self.requeue(task_id, reason="lease-expired")
-                recovered.append(task_id)
-        return recovered
 
     # -- inspection ----------------------------------------------------
     def get(self, task_id: str) -> Task | None:
@@ -333,8 +209,7 @@ class TaskQueue:
 
     def tasks(self) -> Iterator[Task]:
         """All tasks in enqueue order."""
-        for task_id in self._order:
-            yield self._tasks[task_id]
+        return iter(self._tasks.values())
 
     def counts(self) -> dict[str, int]:
         """Task tally by state name (every state always present)."""
@@ -346,11 +221,5 @@ class TaskQueue:
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
     def __repr__(self) -> str:  # pragma: no cover
-        where = str(self.path) if self.path else "volatile"
-        return f"TaskQueue({where}, {self.counts()})"
+        return f"TaskQueue({self.counts()})"

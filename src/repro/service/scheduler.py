@@ -7,12 +7,13 @@ Given a workload and a config list it derives, deterministically, a
 resumption and cache dedup share; :mod:`repro.identity` defines them).
 Boxes come from :func:`plan_cohorts`, so one task is exactly one
 super-cohort chunk that one ``run_cohort`` executes, and re-expanding an
-identical sweep spec after a crash reproduces identical task ids (the
-property resume rests on).
+identical sweep spec after a crash reproduces identical run keys and
+task ids (resume looks each run key up in the results journal).
 
-:meth:`SweepScheduler.schedule` folds the expansion into a
+:meth:`SweepScheduler.schedule` folds the expansion into the session's
 :class:`~repro.service.queue.TaskQueue`: unknown tasks are enqueued,
-known ones are left untouched (their DONE state *is* the checkpoint).
+known ones (a batch mapped again in the same session) are left
+untouched.
 """
 
 from __future__ import annotations

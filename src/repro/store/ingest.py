@@ -17,9 +17,9 @@
   ``run_key``, so a dir killed before ``finalize()`` keys its rows like
   a finished one; ``service_timeline.json`` is registered as a Perfetto
   trace link. The journals are the dir's one row store: an N-run dir
-  reports N inserted and 0 duplicate. A dir with a ``queue.jsonl`` and
-  no journal yet (the run died inside its first box) is an empty run
-  dir, not an error;
+  reports N inserted and 0 duplicate. A dir with a ``manifest.json``
+  and no journal yet (the run died inside its first box) is an empty
+  run dir, not an error;
 * a **bench trajectory file** (``BENCH_history.jsonl`` layout: entries
   with a ``metrics`` dict and no per-run ``config``) — one store row
   per (entry, metric) for the report's trajectory page;
@@ -206,7 +206,7 @@ def _ingest_run_dir(store: ResultStore, run_dir: Path) -> IngestReport:
 
 
 def _is_service_run_dir(path: Path) -> bool:
-    return any(path.glob("results-*.jsonl")) or (path / "queue.jsonl").exists()
+    return any(path.glob("results-*.jsonl")) or (path / "manifest.json").exists()
 
 
 def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
@@ -241,7 +241,7 @@ def ingest_path(store: ResultStore, path: str | Path) -> IngestReport:
             return _ingest_run_dir(store, path)
         raise ConfigurationError(
             f"{path} is a directory but not a service run dir "
-            "(no results-*.jsonl / queue.jsonl)"
+            "(no results-*.jsonl / manifest.json)"
         )
     if not path.exists():
         raise ConfigurationError(f"{path}: no such file")

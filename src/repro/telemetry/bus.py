@@ -76,8 +76,9 @@ task_id, attempt)`` / ``task_done(time, task_id, n_runs, source)`` /
     ``time`` is *host* seconds since the service came up (not virtual
     time), emitted by the dispatcher process only. ``source`` says how
     a task completed (``"executed"``, ``"cache"``, ``"journal"``);
-    ``reason`` why a lease went back to PENDING (``"lease-expired"``,
-    ``"orphaned"``, ``"retry-failed"``, ``"missing-results"``).
+    ``reason`` why a task went back to PENDING for another try in the
+    same session (``"retry-failed"``: it raised in an earlier ``map``;
+    ``"aborted"``: an earlier ``map`` raised while it was leased).
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ class TestServiceTrack:
         bus.task_enqueued(0.0, "t-aaa", 2)
         bus.task_enqueued(0.0, "t-bbb", 1)
         bus.task_leased(0.1, "t-aaa", 1)
-        bus.task_requeued(0.2, "t-aaa", "lease-expired")
+        bus.task_requeued(0.2, "t-aaa", "aborted")
         bus.task_leased(0.3, "t-aaa", 2)
         bus.task_done(0.9, "t-aaa", 2, "executed")
         bus.task_leased(0.9, "t-bbb", 1)
@@ -214,7 +214,7 @@ class TestServiceTrack:
         spans = {e["name"]: e for e in payload["traceEvents"]
                  if e.get("ph") == "X"}
         assert "task t-aaa" in spans and "task t-bbb" in spans
-        # The span starts at the *latest* lease, not the expired one.
+        # The span starts at the *latest* lease, not the aborted one.
         assert spans["task t-aaa"]["ts"] == pytest.approx(0.3e6)
         assert spans["task t-aaa"]["dur"] == pytest.approx(0.6e6)
         assert spans["task t-aaa"]["args"]["source"] == "executed"

@@ -1,4 +1,4 @@
-"""The durable task queue: transitions, journal replay, leases, lock."""
+"""The in-memory task queue and the run-dir lock."""
 
 from __future__ import annotations
 
@@ -21,10 +21,9 @@ class TestTransitions:
         q = TaskQueue()
         assert q.enqueue("t-1", keys(2))
         assert q.get("t-1").state is TaskState.PENDING
-        task = q.lease("t-1", owner="me", timeout=60)
+        task = q.lease("t-1")
         assert task.state is TaskState.LEASED
         assert task.attempts == 1
-        assert task.owner == "me"
         q.mark_done("t-1", source="executed")
         assert q.get("t-1").state is TaskState.DONE
         assert q.get("t-1").source == "executed"
@@ -32,7 +31,7 @@ class TestTransitions:
     def test_enqueue_known_id_is_noop(self):
         q = TaskQueue()
         assert q.enqueue("t-1", keys(2))
-        q.lease("t-1", owner="me", timeout=60)
+        q.lease("t-1")
         q.mark_done("t-1", source="cache")
         assert not q.enqueue("t-1", keys(2))
         assert q.get("t-1").state is TaskState.DONE
@@ -40,9 +39,9 @@ class TestTransitions:
     def test_lease_requires_pending(self):
         q = TaskQueue()
         q.enqueue("t-1", keys(1))
-        q.lease("t-1", owner="me", timeout=60)
+        q.lease("t-1")
         with pytest.raises(ConfigurationError, match="cannot lease"):
-            q.lease("t-1", owner="me", timeout=60)
+            q.lease("t-1")
 
     def test_done_requires_leased(self):
         q = TaskQueue()
@@ -53,12 +52,12 @@ class TestTransitions:
     def test_fail_then_requeue_then_lease_again(self):
         q = TaskQueue()
         q.enqueue("t-1", keys(1))
-        q.lease("t-1", owner="me", timeout=60)
+        q.lease("t-1")
         q.mark_failed("t-1", error="RuntimeError('boom')")
         assert q.get("t-1").state is TaskState.FAILED
         assert "boom" in q.get("t-1").error
         q.requeue("t-1", reason="retry-failed")
-        task = q.lease("t-1", owner="me", timeout=60)
+        task = q.lease("t-1")
         assert task.attempts == 2
 
     def test_requeue_pending_is_noop(self):
@@ -72,9 +71,9 @@ class TestTransitions:
         q = TaskQueue()
         for i in range(3):
             q.enqueue(f"t-{i}", keys(1))
-        q.lease("t-0", owner="me", timeout=60)
+        q.lease("t-0")
         q.mark_done("t-0", source="executed")
-        q.lease("t-1", owner="me", timeout=60)
+        q.lease("t-1")
         tally = q.counts()
         assert tally == {"PENDING": 1, "LEASED": 1, "DONE": 1, "FAILED": 0}
         assert len(q) == 3
@@ -84,84 +83,6 @@ class TestTransitions:
         for name in ("t-b", "t-a", "t-c"):
             q.enqueue(name, keys(1))
         assert [t.task_id for t in q.tasks()] == ["t-b", "t-a", "t-c"]
-
-
-class TestRecovery:
-    def test_foreign_owner_is_orphaned(self):
-        q = TaskQueue()
-        q.enqueue("t-1", keys(1))
-        q.lease("t-1", owner="dead-pid", timeout=3600)
-        assert q.recover("live-pid") == ["t-1"]
-        assert q.get("t-1").state is TaskState.PENDING
-
-    def test_expired_own_lease_is_requeued(self):
-        q = TaskQueue()
-        q.enqueue("t-1", keys(1))
-        task = q.lease("t-1", owner="me", timeout=60)
-        assert q.recover("me", now=task.lease_deadline + 1) == ["t-1"]
-        assert q.get("t-1").state is TaskState.PENDING
-
-    def test_live_own_lease_is_kept(self):
-        q = TaskQueue()
-        q.enqueue("t-1", keys(1))
-        q.lease("t-1", owner="me", timeout=3600)
-        assert q.recover("me") == []
-        assert q.get("t-1").state is TaskState.LEASED
-
-
-class TestJournal:
-    def test_replay_restores_state(self, tmp_path):
-        path = tmp_path / "queue.jsonl"
-        q = TaskQueue(path)
-        q.enqueue("t-1", keys(2))
-        q.enqueue("t-2", keys(1))
-        q.lease("t-1", owner="me", timeout=60)
-        q.mark_done("t-1", source="executed")
-        q.lease("t-2", owner="me", timeout=60)
-        q.close()
-
-        replayed = TaskQueue(path)
-        assert replayed.get("t-1").state is TaskState.DONE
-        assert replayed.get("t-1").source == "executed"
-        assert replayed.get("t-1").run_keys == keys(2)
-        assert replayed.get("t-2").state is TaskState.LEASED
-        assert replayed.get("t-2").owner == "me"
-        replayed.close()
-
-    def test_torn_final_line_dropped_with_warning(self, tmp_path):
-        path = tmp_path / "queue.jsonl"
-        q = TaskQueue(path)
-        q.enqueue("t-1", keys(1))
-        q.lease("t-1", owner="me", timeout=60)
-        q.close()
-        with path.open("a") as fh:
-            fh.write('{"op": "done", "task": "t-1", "sou')  # kill -9 mid-write
-        with pytest.warns(RuntimeWarning, match="torn final journal line"):
-            replayed = TaskQueue(path)
-        # The lost transition re-happens: still LEASED, recoverable.
-        assert replayed.get("t-1").state is TaskState.LEASED
-        replayed.close()
-
-    def test_corrupt_middle_line_is_an_error(self, tmp_path):
-        path = tmp_path / "queue.jsonl"
-        q = TaskQueue(path)
-        q.enqueue("t-1", keys(1))
-        q.close()
-        lines = path.read_text().splitlines()
-        lines.insert(0, "not json at all")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match="corrupt at line 1"):
-            TaskQueue(path)
-
-    def test_journal_appends_not_rewrites(self, tmp_path):
-        path = tmp_path / "queue.jsonl"
-        q = TaskQueue(path)
-        q.enqueue("t-1", keys(1))
-        q.lease("t-1", owner="me", timeout=60)
-        q.mark_done("t-1", source="cache")
-        q.close()
-        ops = [json.loads(line)["op"] for line in path.read_text().splitlines()]
-        assert ops == ["enqueue", "lease", "done"]
 
 
 class TestBusEvents:
@@ -185,14 +106,14 @@ class TestBusEvents:
         bus.attach(Probe())
         q = TaskQueue(bus=bus)
         q.enqueue("t-1", keys(2))
-        q.lease("t-1", owner="a", timeout=0)
-        q.recover("b")
-        q.lease("t-1", owner="b", timeout=60)
+        q.lease("t-1")
+        q.requeue("t-1", reason="aborted")
+        q.lease("t-1")
         q.mark_done("t-1", source="executed")
         assert seen == [
             ("enqueued", "t-1", 2),
             ("leased", "t-1", 1),
-            ("requeued", "t-1", "orphaned"),
+            ("requeued", "t-1", "aborted"),
             ("leased", "t-1", 2),
             ("done", "t-1", "executed"),
         ]

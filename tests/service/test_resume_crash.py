@@ -96,11 +96,12 @@ class TestCrashResume:
         killed_dir = tmp_path / "killed"
         out = run_child(killed_dir, kill_after=1)
         assert out.returncode == KILL_EXIT_CODE, (out.returncode, out.stderr)
-        # The crash point is after the first box's journal fsync: its
-        # rows and its DONE line are on disk, nothing else is.
-        journal = (killed_dir / "queue.jsonl").read_text()
-        assert journal.count('"op":"done"') == 1
+        # The crash point is right after the first box's journal fsync:
+        # its two rows are on disk, nothing else is.
+        (journal,) = killed_dir.glob("results-*.jsonl")
+        assert len(journal.read_text().splitlines()) == 2
         assert not (killed_dir / "summary.json").exists()
+        assert not (killed_dir / "queue.jsonl").exists()
 
         out = run_child(killed_dir)
         assert out.returncode == 0, out.stderr

@@ -65,6 +65,21 @@ class TestMapContract:
         assert {r.status.value for r in got} == {r.status.value for r in base}
         assert len({r.status.value for r in got}) == 2
 
+    def test_pooled_failure_can_be_mapped_again(self, problem, cost):
+        # The pool path cannot tell which chunk raised, so it leaves the
+        # undelivered tasks LEASED; mapping the batch again must retry
+        # them and raise the simulation's own error again.
+        configs = [make_config(seed=0), make_config(seed=0, m=4),
+                   make_config(seed=0, algorithm="NOPE")]
+        with WorkerPool(2) as pool, ExperimentService(pool=pool, replicas=1) as service:
+            for _ in range(2):
+                with pytest.raises(ConfigurationError, match="unknown algorithm"):
+                    service.map(problem, cost, configs)
+            assert service.stats.tasks_requeued >= 1
+            good = service.map(problem, cost, configs[:2])
+        base = [run_once(problem, cost, c) for c in configs[:2]]
+        assert fingerprints(good) == fingerprints(base)
+
 
 class TestDurableMode:
     def test_run_dir_layout_after_finalize(self, tmp_path, problem, cost):
@@ -78,9 +93,9 @@ class TestDurableMode:
         run_dir = tmp_path / "run"
         (journal,) = run_dir.glob("results-*.jsonl")
         assert sorted(p.name for p in run_dir.iterdir()) == sorted((
-            "manifest.json", "queue.jsonl", journal.name,
+            "manifest.json", journal.name,
             "summary.json", "service_timeline.json",
-        ))  # each run once: no merged.jsonl; LOCK released on close
+        ))  # each run once: no merged.jsonl, no queue.jsonl; LOCK released
         stored = json.loads((run_dir / "summary.json").read_text())
         assert stored["merged_fingerprint"] == summary["merged_fingerprint"]
         assert stored["n_runs"] == 2
@@ -115,9 +130,9 @@ class TestDurableMode:
         assert second["merged_fingerprint"] == first["merged_fingerprint"]
 
     def test_resume_preserves_service_timeline(self, tmp_path, problem, cost):
-        # Journal-served boxes make no queue transitions, so a resume's
-        # finalize would otherwise overwrite the trace with an empty
-        # recording; finalize must merge with the prior export instead.
+        # A resume records only its own transitions, so its finalize
+        # would otherwise overwrite the first session's history; finalize
+        # must merge with the prior export instead.
         from repro.observe.timeline import validate_chrome_trace
 
         configs = [make_config(seed=s) for s in (0, 1, 2)]
@@ -135,7 +150,11 @@ class TestDurableMode:
             service.finalize()
             assert service.stats.runs_executed == 0
         second = json.loads(trace_path.read_text())
-        assert [e for e in second["traceEvents"] if e["ph"] == "X"] == spans
+        resumed = [e for e in second["traceEvents"]
+                   if e["ph"] == "X" and e not in spans]
+        assert len(resumed) == 2  # each box leased and done again
+        assert {e["args"]["source"] for e in resumed} == {"journal"}
+        assert all(e in second["traceEvents"] for e in first["traceEvents"])
         validate_chrome_trace(second)
 
     def test_resume_executes_only_missing_boxes(self, tmp_path, problem,
@@ -152,26 +171,78 @@ class TestDurableMode:
             assert service.stats.tasks_executed == 1
 
     def test_interrupted_lease_is_recovered(self, tmp_path, problem, cost):
+        # A map that raised mid-box leaves its task LEASED in the
+        # session's queue; the next map of the batch requeues it.
         configs = [make_config(seed=s) for s in (0, 1)]
-        run_dir = tmp_path / "run"
-        # Simulate a dispatcher that died mid-lease: enqueue + lease by a
-        # foreign owner, no results.
-        from repro.service.queue import TaskQueue
-        from repro.service.scheduler import SweepScheduler
-
-        run_dir.mkdir()
-        queue = TaskQueue(run_dir / "queue.jsonl")
-        planned = SweepScheduler(replicas=2).expand(problem, cost, configs)
-        SweepScheduler(replicas=2).schedule(queue, planned)
-        queue.lease(planned[0].task_id, owner="dead-dispatcher", timeout=3600)
-        queue.close()
-
-        with ExperimentService(run_dir, workers=1, replicas=2) as service:
+        with ExperimentService(tmp_path / "run", workers=1, replicas=2) as service:
+            planned = service.scheduler.expand(problem, cost, configs)
+            service.scheduler.schedule(service.queue, planned)
+            service.queue.lease(planned[0].task_id)
             got = service.map(problem, cost, configs)
             assert service.stats.tasks_requeued == 1
             assert service.stats.runs_executed == 2
+            assert service.queue.get(planned[0].task_id).attempts == 2
         base = [run_once(problem, cost, c) for c in configs]
         assert fingerprints(got) == fingerprints(base)
+
+    def test_torn_journal_tail_is_cut_before_the_next_append(self, tmp_path,
+                                                             problem, cost):
+        # A crash mid-append leaves half a row at the end of the journal.
+        # Its run re-executes on resume, and its row must land on a line
+        # of its own: the dir then ingests every run and skips nothing.
+        from repro.store import ResultStore, ingest_path
+
+        configs = [make_config(seed=s) for s in range(4)]
+        run_dir = tmp_path / "run"
+        with ExperimentService(run_dir, workers=1, replicas=2) as service:
+            service.map(problem, cost, configs)
+            first = service.finalize()
+        (journal,) = run_dir.glob("results-*.jsonl")
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        with ExperimentService(run_dir, workers=1, replicas=2) as service:
+            with pytest.warns(RuntimeWarning, match="skipping unreadable row"):
+                service.map(problem, cost, configs)
+            second = service.finalize()
+            assert service.stats.runs_executed == 1
+        assert second["merged_fingerprint"] == first["merged_fingerprint"]
+        assert len(journal.read_text().splitlines()) == 4
+        with ResultStore(":memory:") as store:
+            report = ingest_path(store, run_dir)
+        assert (report.inserted, report.duplicates, report.skipped) == (4, 0, 0)
+
+    @pytest.mark.parametrize("damage", ["intact", "corrupt-line"])
+    def test_task_journal_of_older_builds_is_ignored(self, tmp_path, problem,
+                                                     cost, damage):
+        # Builds that kept a durable task queue also left queue.jsonl in
+        # the run dir. Resume reads only the results journals, so such a
+        # dir resumes with nothing executed whatever that file holds.
+        configs = [make_config(seed=s) for s in range(3)]
+        run_dir = tmp_path / "run"
+        with ExperimentService(run_dir, workers=1, replicas=2) as service:
+            service.map(problem, cost, configs)
+            first = service.finalize()
+            planned = service.scheduler.expand(problem, cost, configs)
+        ops = []
+        for task in planned:
+            ops += [
+                {"op": "enqueue", "task": task.task_id, "run_keys": list(task.run_keys)},
+                {"op": "lease", "task": task.task_id, "owner": "pid1-dead", "deadline": 0.0},
+                {"op": "done", "task": task.task_id, "source": "executed"},
+            ]
+        lines = [json.dumps(op, sort_keys=True, separators=(",", ":")) for op in ops]
+        if damage == "corrupt-line":
+            lines[1] = "{corrupt"
+        queue_journal = run_dir / "queue.jsonl"
+        queue_journal.write_text("\n".join(lines) + "\n")
+        before = queue_journal.read_bytes()
+        with ExperimentService(run_dir, workers=1, replicas=2) as service:
+            service.map(problem, cost, configs)
+            second = service.finalize()
+            assert service.stats.runs_executed == 0
+            assert service.stats.tasks_from_journal == 2
+        assert second["merged_fingerprint"] == first["merged_fingerprint"]
+        assert queue_journal.read_bytes() == before
 
     def test_manifest_mismatch_refuses_resume(self, tmp_path, problem, cost):
         run_dir = tmp_path / "run"
@@ -197,17 +268,13 @@ class TestDurableMode:
 
     def test_failed_construction_leaves_no_lock(self, tmp_path, problem, cost):
         # Anything the constructor does after taking the lock may raise;
-        # here the queue replay, on a journal corrupt mid-file.
+        # here the manifest check, on a corrupt manifest.
         run_dir = tmp_path / "run"
         with ExperimentService(run_dir, workers=1, replicas=1) as service:
             service.map(problem, cost, [make_config(seed=s) for s in (0, 1)])
-        journal = run_dir / "queue.jsonl"
-        lines = journal.read_text().splitlines()
-        assert len(lines) >= 3
-        lines[1] = "{corrupt"
-        journal.write_text("\n".join(lines) + "\n")
+        (run_dir / "manifest.json").write_text("{corrupt")
         for _ in range(2):  # the second attempt reports the same cause
-            with pytest.raises(ConfigurationError, match="queue.jsonl"):
+            with pytest.raises(ConfigurationError, match="manifest.json"):
                 ExperimentService(run_dir, workers=1, replicas=1)
             assert not (run_dir / "LOCK").exists()
 

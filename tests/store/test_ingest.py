@@ -227,8 +227,9 @@ class TestServiceRunDir:
 
 
 class TestEmptyRunDir:
-    """A run that died inside its first box has a queue and no journal
-    yet: an empty run dir, not an error that drops the paths after it."""
+    """A run that died inside its first box has a manifest and no
+    journal yet: an empty run dir, not an error that drops the paths
+    after it."""
 
     @pytest.fixture
     def dead_dir(self, tmp_path):
@@ -237,8 +238,8 @@ class TestEmptyRunDir:
         dead = tmp_path / "dead"
         with ExperimentService(dead, workers=1) as service:
             service.queue.enqueue("t-0", ("wk:abc",))
-            service.queue.lease("t-0", owner=service.owner, timeout=60.0)
-        assert sorted(p.name for p in dead.iterdir()) == ["manifest.json", "queue.jsonl"]
+            service.queue.lease("t-0")
+        assert sorted(p.name for p in dead.iterdir()) == ["manifest.json"]
         return dead
 
     def test_ingests_as_nothing(self, store, dead_dir):
@@ -256,8 +257,9 @@ class TestEmptyRunDir:
         assert store.sources() == ["sweep.jsonl"]  # first writer wins
         assert store.count() == 8
 
-    def test_dir_without_queue_or_journal_still_raises(self, store, dead_dir):
-        (dead_dir / "queue.jsonl").unlink()
+    def test_dir_without_manifest_or_journal_still_raises(self, store, dead_dir):
+        (dead_dir / "manifest.json").unlink()
+        (dead_dir / "queue.jsonl").touch()  # an older build's task journal
         with pytest.raises(ConfigurationError, match="not a service run dir"):
             ingest_path(store, dead_dir)
 
@@ -361,7 +363,7 @@ class TestJournalDamage:
         with tempfile.TemporaryDirectory() as tmp:
             run_dir = Path(tmp) / "run"
             run_dir.mkdir()
-            (run_dir / "queue.jsonl").touch()
+            (run_dir / "manifest.json").touch()
             (run_dir / f"results-{wkey}.jsonl").write_text(
                 "".join(line + "\n" for line in text))
             with ResultStore(":memory:") as s:

@@ -89,11 +89,11 @@ class TestExperimentService:
         assert main(["experiment", "s5", "--run-dir", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "run dir:" in out and "fingerprint" in out
-        for name in ("manifest.json", "queue.jsonl",
-                     "summary.json", "service_timeline.json"):
+        for name in ("manifest.json", "summary.json", "service_timeline.json"):
             assert (run_dir / name).exists(), name
         assert any(run_dir.glob("results-*.jsonl"))
         assert not (run_dir / "merged.jsonl").exists()
+        assert not (run_dir / "queue.jsonl").exists()
 
     def test_resume_completed_run_executes_nothing(self, micro_quick, capsys,
                                                    tmp_path):
