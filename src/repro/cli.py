@@ -4,7 +4,7 @@ Commands
 --------
 ``run``
     One configured execution, printed as a metric table (optionally
-    archived as JSON).
+    appended to a JSONL results file).
 ``experiment``
     One of the paper's experiment steps (s1, s1-eta, s2, s3, s4, s5),
     rendering the corresponding figures as text.
@@ -34,23 +34,27 @@ Commands
     database (content-addressed — re-ingest is a no-op); ``db stats``
     summarizes what the store holds.
 ``report``
-    With ``--db``, build the living Section-V report from an ingested
-    store: a self-contained static HTML page with Mann-Whitney U /
-    Vargha-Delaney A12 / bootstrap-CI comparison tables, embedded SVG
-    figures, failure counts, and the benchmark trajectory. Without
-    ``--db``, assemble the legacy markdown reproduction report.
+    Build the living Section-V report from an ingested store (``--db``,
+    default ``results.sqlite``): a self-contained static HTML page with
+    Mann-Whitney U / Vargha-Delaney A12 / bootstrap-CI comparison
+    tables, embedded SVG figures, failure counts, and the benchmark
+    trajectory.
+
+Run rows leave the CLI one way: ``--jsonl PATH`` on ``run``, ``sweep``
+and ``analyze`` appends one canonical line per run, which ``db ingest``
+reads.
 
 Examples
 --------
-    python -m repro run --algorithm LSH_ps1 --m 16 --workload mlp
+    python -m repro run --algorithm LSH_ps1 --m 16 --workload mlp --jsonl runs.jsonl
     python -m repro experiment s2 --profile quick
     python -m repro calibrate
     python -m repro analyze --algorithm LSH_ps1 --m 8 --jsonl runs.jsonl
     python -m repro analyze --smoke --tolerance 0.5
     python -m repro trace --algorithm LSH_psinf --m 4 --out trace.json --svg trace.svg
     python -m repro bench-history R.json --record --label "$(git rev-parse --short HEAD)"
-    python -m repro db ingest runs.jsonl service_run/ --db results.sqlite
-    python -m repro report --db results.sqlite --out report.html
+    python -m repro db ingest runs.jsonl service_run/
+    python -m repro report --out report.html
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import sys
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.harness.config import RunConfig, Workloads, get_profile
 from repro.harness.runner import run_once
 from repro.utils.tables import render_table
@@ -86,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", default=None, choices=(None, "quick", "paper"))
     run_p.add_argument("--target-eps", type=float, default=None,
                        help="stop threshold as a fraction of the initial loss")
-    run_p.add_argument("--json", default=None, metavar="PATH",
-                       help="archive the RunResult as JSON")
+    run_p.add_argument("--jsonl", default=None, metavar="PATH",
+                       help="append the run to a JSONL results file")
     run_p.add_argument("--self-profile", action="store_true",
                        help="time the harness's own hot spots (scheduler loop, "
                             "kernels, arena) and print the span profile")
@@ -196,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="lockstep replica cohort size: batch each cell's "
                               "repeat seeds into stacked kernels (default: "
                               "REPRO_REPLICAS or 1)")
-    sweep_p.add_argument("--json", default=None, metavar="PATH")
+    sweep_p.add_argument("--jsonl", default=None, metavar="PATH",
+                         help="append the runs to a JSONL results file")
 
     ana_p = sub.add_parser(
         "analyze",
@@ -233,20 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "REPRO_CACHE_DIR is set")
 
     report_p = sub.add_parser(
-        "report",
-        help="build the statistical HTML report from a result store "
-             "(--db), or the legacy paper-vs-measured markdown from "
-             "benchmarks/rendered/",
+        "report", help="build the statistical HTML report from a result store"
     )
     report_p.set_defaults(func=_cmd_report)
-    report_p.add_argument("--rendered", default="benchmarks/rendered", metavar="DIR")
-    report_p.add_argument("--out", default=None, metavar="PATH",
-                          help="output path (default reproduction_report.md, "
-                               "report.html in --db mode)")
-    report_p.add_argument("--profile", default="quick")
-    report_p.add_argument("--db", default=None, metavar="FILE",
-                          help="build the self-contained HTML report from "
-                               "this SQLite result store instead")
+    report_p.add_argument("--out", default="report.html", metavar="PATH",
+                          help="output HTML path")
+    report_p.add_argument("--db", default="results.sqlite", metavar="FILE",
+                          help="the SQLite result store (`repro db ingest`)")
     report_p.add_argument("--eps", type=float, default=None, metavar="EPS",
                           help="comparison threshold (default: the most "
                                "common target epsilon in the store)")
@@ -269,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ing_p.set_defaults(func=_cmd_db_ingest)
     ing_p.add_argument("paths", nargs="+", metavar="PATH",
-                       help="results .jsonl or --json archive / service run "
-                            "dir / BENCH_history.jsonl / trace .json")
+                       help="results .jsonl / service run dir / "
+                            "BENCH_history.jsonl / trace .json")
     ing_p.add_argument("--db", default="results.sqlite", metavar="FILE")
     stats_p = db_sub.add_parser("stats", help="summarize what the store holds")
     stats_p.set_defaults(func=_cmd_db_stats)
@@ -364,11 +363,11 @@ def _cmd_run(args) -> int:
             ],
             title="self-profile (harness wall clock, not simulated time)",
         ))
-    if args.json:
-        from repro.utils.serialization import save_results
+    if args.jsonl:
+        from repro.telemetry import write_jsonl
 
-        path = save_results(result, args.json)
-        print(f"\nresult archived to {path}")
+        path = write_jsonl([result], args.jsonl, append=True)
+        print(f"\nappended run to {path}")
     return 0 if result.status.value == "converged" else 1
 
 
@@ -382,17 +381,17 @@ def _cmd_experiment(args) -> int:
     profile_name = args.profile
     if args.resume:
         if run_dir is not None and run_dir != args.resume:
-            print("experiment: --resume already names the run directory; "
-                  "drop --run-dir", file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                "--resume already names the run directory; drop --run-dir"
+            )
         run_dir = args.resume
         manifest = load_manifest(run_dir)
         step = step or manifest.get("step")
         profile_name = profile_name or manifest.get("profile")
     if step is None:
-        print("experiment: a step (s1..s5) is required unless --resume "
-              "names a run directory", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "a step (s1..s5) is required unless --resume names a run directory"
+        )
     workloads = Workloads(get_profile(profile_name))
     fn = {
         "s1": exp.s1_scalability,
@@ -439,10 +438,10 @@ def _cmd_trace(args) -> int:
 
         src = Path(args.service) / "service_timeline.json"
         if not src.exists():
-            print(f"trace: {src} not found — finalize the service run first "
-                  "(`repro experiment ... --run-dir` writes it on exit)",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"{src} not found — finalize the service run first "
+                "(`repro experiment ... --run-dir` writes it on exit)"
+            )
         timeline = json.loads(src.read_text())
         path = export_chrome_trace(timeline, args.out)
         summary = validate_chrome_trace(timeline)
@@ -475,7 +474,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench_history(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.observe.bench_history import (
         DEFAULT_HISTORY,
         append_history,
@@ -489,7 +487,7 @@ def _cmd_bench_history(args) -> int:
 
     if args.record and not args.result:
         raise ConfigurationError(
-            "bench-history --record needs a RESULT.json (python -m bench --out)"
+            "--record needs a RESULT.json (python -m bench --out)"
         )
     history_path = args.history or DEFAULT_HISTORY
     history = load_history(history_path)
@@ -528,7 +526,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.harness.grid import SweepGrid, archive, summarize
+    from repro.harness.grid import SweepGrid, summarize
     from repro.harness.progress import ProgressReporter
     from repro.service import ExperimentService
 
@@ -554,9 +552,11 @@ def _cmd_sweep(args) -> int:
         results = grid.run(problem, cost, service=service)
     print()
     print(summarize(results, target))
-    if args.json:
-        path = archive(results, args.json)
-        print(f"\nresults archived to {path}")
+    if args.jsonl:
+        from repro.telemetry import write_jsonl
+
+        path = write_jsonl(results, args.jsonl, append=True)
+        print(f"\nappended {len(results)} runs to {path}")
     return 0
 
 
@@ -784,30 +784,22 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.db is not None:
-        return _cmd_report_db(args)
-    from repro.harness.report import write_report
-
-    path = write_report(
-        args.rendered, args.out or "reproduction_report.md",
-        profile_name=args.profile,
-    )
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_report_db(args) -> int:
     from datetime import datetime, timezone
+    from pathlib import Path
 
     from repro.report import validate_report_html, write_report
     from repro.store import ResultStore
 
+    if not Path(args.db).exists():  # opening it would create an empty store
+        raise ConfigurationError(
+            f"{args.db}: no result store — ingest runs first (`repro db ingest`)"
+        )
     generated_at = args.generated_at or (
         datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%S UTC")
     )
     with ResultStore(args.db) as store:
         path = write_report(
-            store, args.out or "report.html", eps=args.eps, n_boot=args.boot, seed=args.seed,
+            store, args.out, eps=args.eps, n_boot=args.boot, seed=args.seed,
             generated_at=generated_at,
         )
     validate_report_html(path.read_text(encoding="utf-8"))
@@ -842,9 +834,16 @@ def _cmd_calibrate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code. A
+    :class:`~repro.errors.ConfigurationError` is the user's input
+    refused: its message goes to stderr and the exit code is 2."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        command = " ".join(filter(None, (args.command, getattr(args, "db_command", None))))
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,12 +13,10 @@ from repro.harness.config import (
 from repro.harness.runner import RunResult, repeated_configs, run_once, run_repeated
 from repro.harness.pool import WorkerPool
 from repro.harness.cache import RunCache, resolve_cache_dir
-from repro.harness.grid import SweepGrid, summarize, archive
+from repro.harness.grid import SweepGrid, summarize
 from repro.harness.results import (
     group_by,
     convergence_boxes,
-    failure_counts,
-    staleness_boxes,
     time_per_update_boxes,
 )
 from repro.harness.experiments import (
@@ -48,11 +46,8 @@ __all__ = [
     "resolve_cache_dir",
     "SweepGrid",
     "summarize",
-    "archive",
     "group_by",
     "convergence_boxes",
-    "failure_counts",
-    "staleness_boxes",
     "time_per_update_boxes",
     "ExperimentResult",
     "s1_scalability",

@@ -6,8 +6,9 @@ that declaration, and its :meth:`~SweepGrid.configs` the one place a
 sweep's runs are enumerated. The paper's S1–S5 steps
 (:mod:`repro.harness.experiments`) are grids built from a profile,
 ``repro sweep`` is one built from flags, and downstream users build
-their own; :func:`archive` writes the results as JSON via
-:mod:`repro.utils.serialization`.
+their own; :func:`summarize` tabulates the results, and
+:func:`repro.telemetry.write_jsonl` archives them as row lines
+(``repro sweep --jsonl``).
 
 Example
 -------
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -147,10 +147,3 @@ def summarize(results: Sequence[RunResult], eps: float) -> str:
         rows,
         title=f"Sweep summary at eps={eps:g}",
     )
-
-
-def archive(results: Sequence[RunResult], path: str | Path) -> Path:
-    """Write the grid's results as JSON (see repro.utils.serialization)."""
-    from repro.utils.serialization import save_results
-
-    return save_results(list(results), path)

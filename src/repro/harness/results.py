@@ -76,50 +76,12 @@ def time_per_update_boxes(
     }
 
 
-def staleness_boxes(
-    results: Iterable[RunResult],
-    *,
-    key: Callable[[RunResult], str] = lambda r: r.config.algorithm,
-    stat: str = "mean",
-) -> dict[str, list[float]]:
-    """Per-group staleness statistics across runs (paper Fig. 6)."""
-    groups = group_by(results, key)
-    return {
-        str(label): [r.staleness[stat] for r in runs if np.isfinite(r.staleness[stat])]
-        for label, runs in groups.items()
-    }
-
-
-def failure_counts(results: Iterable[RunResult]) -> dict[str, tuple[int, int]]:
-    """(did-not-converge, crashed) per algorithm label.
-
-    The first slot pools DIVERGED (virtual-time budget, the paper's
-    Diverge class) with STOPPED (harness iteration / wall-time caps):
-    for the paper's box-plot bookkeeping both are "did not reach the
-    target, did not crash".
-    """
-    groups = group_by(results, lambda r: r.config.algorithm)
-    return {
-        str(label): (
-            sum(
-                1
-                for r in runs
-                if r.status in (RunStatus.DIVERGED, RunStatus.STOPPED)
-            ),
-            sum(1 for r in runs if r.status is RunStatus.CRASHED),
-        )
-        for label, runs in groups.items()
-    }
-
-
 def failure_breakdown(results: Iterable[RunResult]) -> dict[str, dict[str, int]]:
     """Full outcome tally per algorithm label, with STOPPED (harness
     iteration / wall-time caps) split from DIVERGED (the paper's
-    Diverge class) — the distinction :func:`failure_counts` pools away
-    for box-plot bookkeeping. ``repro analyze`` and the result store's
-    report print this one: a sweep that never converges because its
-    budget is too small looks identical to one that diverges unless
-    the two are shown separately.
+    Diverge class). ``repro analyze`` prints this one: a sweep that
+    never converges because its budget is too small looks identical to
+    one that diverges unless the two are shown separately.
     """
     order = (
         ("converged", RunStatus.CONVERGED),

@@ -49,6 +49,7 @@ from repro.identity import (
     row_from_line,
     run_key,
 )
+from repro.telemetry.jsonl import open_append
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.runner import RunResult
@@ -121,23 +122,11 @@ class Measurer:
         return loaded
 
     def _open_journal(self, wkey: str):
-        """The append handle of a workload's journal. An unterminated
-        last line (a crash mid-append) is cut first: no reader can parse
-        it and its run re-executes, so the re-executed row must start a
-        line of its own rather than finish the fragment."""
-        path = self._journal_path(wkey)
+        """The append handle of a workload's journal. A torn last line
+        is cut by :func:`~repro.telemetry.jsonl.open_append`; its run
+        re-executes and journals a line of its own."""
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(path, "rb+") as fh:
-                size = fh.seek(0, os.SEEK_END)
-                if size:
-                    fh.seek(size - 1)
-                    if fh.read(1) != b"\n":
-                        fh.seek(0)
-                        fh.truncate(fh.read().rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
-        return open(path, "a", encoding="utf-8")
+        return open_append(self._journal_path(wkey))
 
     # -- ingestion -----------------------------------------------------
     def has(self, run_key: str) -> bool:

@@ -313,21 +313,6 @@ class TraceRecorder:
             "max": float(values.max()),
         }
 
-    def staleness_over_time(self, *, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-        """Mean staleness per time bin — the x/y of Fig. 6's trend."""
-        if not self._upd_time:
-            return np.zeros(0), np.zeros(0)
-        times = np.asarray(self._upd_time)
-        values = np.asarray(self._upd_staleness, dtype=float)
-        edges = np.linspace(0.0, float(times.max()) or 1.0, bins + 1)
-        which = np.clip(np.digitize(times, edges) - 1, 0, bins - 1)
-        sums = np.bincount(which, weights=values, minlength=bins)
-        counts = np.bincount(which, minlength=bins)
-        with np.errstate(invalid="ignore"):
-            means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return centers, means
-
     def retry_loop_occupancy(self, *, resolution: int = 200) -> tuple[np.ndarray, np.ndarray]:
         """Number of threads inside the LAU-SPC loop as a step function,
         sampled at ``resolution`` points — the measured counterpart of

@@ -2,14 +2,11 @@
 
 ``repro db ingest PATH...`` accepts, per path:
 
-* a **plain JSONL results file** — ``repro analyze --jsonl`` output or
-  any file of current-schema rows (checked by
-  :func:`repro.identity.decode_row` and the
+* a **plain JSONL results file** — ``repro run`` / ``sweep`` /
+  ``analyze --jsonl`` output or any file of current-schema rows
+  (checked by :func:`repro.identity.decode_row` and the
   :func:`~repro.identity.migrate_row_strict` gate, the same contract as
   ``read_jsonl``, the run cache and the service journal);
-* a **``--json`` archive** — the JSON list of rows ``repro run --json``
-  and ``repro sweep --json`` write (``save_results``): each element
-  goes through the same gate and skip rules as a JSONL line;
 * a **service run dir** from the experiment service — every
   ``results-<wkey>.jsonl`` journal is read once: the file name gives a
   row's workload key, the row's own config hash
@@ -26,9 +23,8 @@
 * a **Chrome/Perfetto trace JSON** (an object with a ``traceEvents``
   list) — registered as a trace link.
 
-A ``*.json`` file is told apart by its content, never by its name; one
-that is neither a row list nor a trace is a
-:class:`~repro.errors.ConfigurationError`.
+A ``*.json`` file is a trace link or a
+:class:`~repro.errors.ConfigurationError`: run rows are JSONL.
 
 Robustness contract (the ingester reads files that may be mid-write by
 a live service, or hand-concatenated): a torn/corrupt line, a value
@@ -109,17 +105,14 @@ def _ingest_result_file(
     *,
     source: str,
     wkey: str | None = None,
-    rows=None,
 ) -> IngestReport:
-    """One file of run rows: a JSONL file's non-blank lines, or the
-    ``(where, parsed row)`` pairs in ``rows``. ``wkey`` (a service
+    """One JSONL file of run rows, line by line. ``wkey`` (a service
     journal's workload key) labels every row's ``workload`` and, with
     the row's own config hash, gives its ``run_key``: nothing about a
     row's identity depends on the lines around it."""
     report = IngestReport(files=[str(path)])
-    if rows is None:
-        rows = ((f"{path}:{lineno}", item) for lineno, item in _iter_lines(path))
-    for where, encoded in rows:
+    for lineno, encoded in _iter_lines(path):
+        where = f"{path}:{lineno}"
         try:
             if encoded is None:
                 raise ConfigurationError(f"{where}: torn or corrupt JSON line")
@@ -210,16 +203,12 @@ def _is_service_run_dir(path: Path) -> bool:
 
 
 def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
-    """A single-JSON artifact, told apart by content: an object with a
-    ``traceEvents`` list is a Chrome/Perfetto trace (registered as a
-    link), a list is a ``--json`` archive of run rows."""
+    """A single-JSON artifact: an object with a ``traceEvents`` list is a
+    Chrome/Perfetto trace, registered as a link."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
-    if isinstance(payload, list):
-        rows = ((f"{path}[{i}]", item) for i, item in enumerate(payload))
-        return _ingest_result_file(store, path, source=path.name, rows=rows)
     if isinstance(payload, dict) and isinstance(payload.get("traceEvents"), list):
         report = IngestReport(files=[str(path)])
         if store.insert_trace(path, kind="chrome_trace"):
@@ -227,8 +216,8 @@ def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
         store.commit()
         return report
     raise ConfigurationError(
-        f"{path}: neither a list of run rows nor a trace "
-        "(a JSON object with a 'traceEvents' list)"
+        f"{path}: not a trace (a JSON object with a 'traceEvents' list); "
+        "run rows are JSONL, one row per line (write them with --jsonl)"
     )
 
 

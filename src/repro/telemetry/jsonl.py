@@ -1,12 +1,14 @@
-"""JSONL export/import of run results.
+"""JSONL export/import of run results: the one way rows leave the stack.
 
 One JSON object per line, one line per run — the append-friendly shape
 that survives the process-parallel harness (workers can be merged by
-concatenation) and streams into ``repro analyze``. A line is the
-canonical form of the flat run row (:func:`repro.identity.
-result_to_line`), so NumPy arrays and NaN/inf round-trip exactly, and
-every line carries the :data:`~repro.identity.SCHEMA_VERSION` it was
-written under.
+concatenation) and streams into ``repro analyze``. ``repro run``,
+``repro sweep`` and ``repro analyze`` archive with ``--jsonl``, the
+experiment service journals and the run cache hold the same lines, and
+``repro db ingest`` reads them all. A line is the canonical form of the
+flat run row (:func:`repro.identity.result_to_line`), so NumPy arrays
+and NaN/inf round-trip exactly, and every line carries the
+:data:`~repro.identity.SCHEMA_VERSION` it was written under.
 
 There is one schema (the gate is :func:`repro.identity.
 migrate_row_strict`): a row written under any other ``schema_version``
@@ -20,6 +22,7 @@ tree; to read such a file, re-write it with a tree at or before PR 20.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable
 
@@ -27,19 +30,39 @@ from repro.identity import migrate_row_strict, result_to_line, row_from_line
 
 __all__ = [
     "migrate_row_strict",
+    "open_append",
     "read_jsonl",
     "result_to_line",
     "write_jsonl",
 ]
 
 
-def write_jsonl(results: Iterable, path: str | Path, *, append: bool = False) -> Path:
-    """Write runs as JSONL; ``append=True`` adds to an existing file.
-    Already-flat rows (e.g. from :func:`read_jsonl`, carrying restored
-    ndarrays / NaN) are valid inputs and can be written straight back."""
+def open_append(path: str | Path):
+    """``path`` opened to append lines, created if missing. An
+    unterminated last line (a crash mid-append) is cut first: no reader
+    can parse it, so the next line must start a line of its own rather
+    than finish the fragment."""
     path = Path(path)
-    mode = "a" if append else "w"
-    with path.open(mode) as fh:
+    try:
+        with path.open("rb+") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+    except FileNotFoundError:
+        pass
+    return path.open("a", encoding="utf-8")
+
+
+def write_jsonl(results: Iterable, path: str | Path, *, append: bool = False) -> Path:
+    """Write runs as JSONL; ``append=True`` adds to an existing file
+    (through :func:`open_append`). Already-flat rows (e.g. from
+    :func:`read_jsonl`, carrying restored ndarrays / NaN) are valid
+    inputs and can be written straight back."""
+    path = Path(path)
+    with open_append(path) if append else path.open("w", encoding="utf-8") as fh:
         for result in results:
             fh.write(result_to_line(result) + "\n")
     return path

@@ -18,7 +18,6 @@ from repro.viz.scale import LinearScale, nice_ticks
 from repro.viz.charts import Chart, PALETTE
 from repro.viz.figures import (
     fig_convergence_boxes,
-    fig_scalability_sweep,
     fig_progress_curves,
     fig_staleness_histogram,
     fig_memory_timeline,
@@ -33,7 +32,6 @@ __all__ = [
     "Chart",
     "PALETTE",
     "fig_convergence_boxes",
-    "fig_scalability_sweep",
     "fig_progress_curves",
     "fig_staleness_histogram",
     "fig_memory_timeline",

@@ -188,32 +188,6 @@ def fig_occupancy_validation(
     return chart
 
 
-def fig_scalability_sweep(
-    medians: dict[str, dict[int, float]],
-    *,
-    title: str = "Fig 3-style: 50% convergence time vs parallelism",
-    y_label: str = "time to convergence [virtual s]",
-) -> Chart:
-    """Fig 3-style line chart: per-algorithm median time over thread
-    counts (NaN where a cell had no converging run — lines break there,
-    the visual analogue of the paper's missing boxes)."""
-    if not medians:
-        raise ConfigurationError("no sweep data to plot")
-    all_ms = sorted({m for per_alg in medians.values() for m in per_alg})
-    finite = [v for per_alg in medians.values() for v in per_alg.values() if np.isfinite(v)]
-    if not finite:
-        raise ConfigurationError("no finite medians to plot")
-    chart = Chart(title=title, x_label="threads m", y_label=y_label)
-    chart.set_scales((min(all_ms), max(all_ms)), (0.0, max(finite)))
-    chart.draw_frame(x_ticks=all_ms)
-    for i, (algorithm, per_alg) in enumerate(medians.items()):
-        xs = sorted(per_alg)
-        ys = [per_alg[m] for m in xs]
-        chart.add_line(xs, ys, label=algorithm, color=_color_for(i))
-    chart.draw_legend()
-    return chart
-
-
 # ----------------------------------------------------------------------
 def render_all_figures(out_dir: str | Path, *, workloads=None, seed: int = 77) -> list[Path]:
     """Regenerate every figure family as SVG files under ``out_dir``.

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.problem import QuadraticProblem
 from repro.errors import ConfigurationError
-from repro.harness.grid import SweepGrid, archive, summarize
+from repro.harness.grid import SweepGrid, summarize
 from repro.service import ExperimentService
 from repro.sim.cost import CostModel
 
@@ -95,9 +93,3 @@ class TestSummarizeArchive:
             r.metrics["staleness"]["mean"] = float("nan")
         assert all(line.split()[5] == "nan" for line in summarize(results, 0.1).splitlines()
                    if line.split() and line.split()[0] in ("SEQ", "ASYNC"))
-
-    def test_archive_roundtrip(self, results, tmp_path):
-        path = archive(results, tmp_path / "grid.json")
-        payload = json.loads(path.read_text())
-        assert len(payload) == len(results)
-        assert payload[0]["status"] in ("converged", "diverged", "crashed")

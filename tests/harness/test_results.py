@@ -8,11 +8,9 @@ import pytest
 from repro.harness.results import (
     convergence_boxes,
     failure_breakdown,
-    failure_counts,
     group_by,
     median_progress_curve,
     pooled_staleness,
-    staleness_boxes,
     statistical_efficiency_boxes,
     time_per_update_boxes,
 )
@@ -67,15 +65,6 @@ class TestBoxes:
         tpu = time_per_update_boxes(mixed_results)
         assert all(v > 0 for v in tpu["LSH_ps0"])
 
-    def test_staleness_boxes(self, mixed_results):
-        boxes = staleness_boxes(mixed_results)
-        assert all(v >= 0 for v in boxes["ASYNC"])
-
-    def test_failure_counts(self, mixed_results):
-        counts = failure_counts(mixed_results)
-        assert counts["HOG"] == (2, 0)
-        assert counts["ASYNC"] == (0, 0)
-
     def test_failure_breakdown_splits_stopped_from_diverged(self, mixed_results):
         breakdown = failure_breakdown(mixed_results)
         assert list(breakdown) == sorted(breakdown)  # deterministic order
@@ -84,11 +73,8 @@ class TestBoxes:
         }
         hog = breakdown["HOG"]
         assert hog["converged"] == 0 and hog["crashed"] == 0
-        # The budget-capped runs land in exactly one of the two classes
-        # failure_counts pools together — and the split is visible.
+        # The budget-capped runs land in exactly one of the two classes.
         assert hog["diverged"] + hog["stopped"] == 2
-        pooled, _ = failure_counts(mixed_results)["HOG"]
-        assert pooled == hog["diverged"] + hog["stopped"]
 
 
 class TestCurves:

@@ -220,14 +220,16 @@ class TestCli:
         assert bench_history("--history", history) == 0
         assert "first (abc123def)" in capsys.readouterr().out
 
-    def test_unusable_input_raises(self, tmp_path):
+    def test_unusable_input_raises(self, tmp_path, capsys):
         history = tmp_path / "h.jsonl"
-        with pytest.raises(ConfigurationError, match="needs a RESULT.json"):
-            bench_history("--history", history, "--record")
+        assert bench_history("--history", history, "--record") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro bench-history: error: ")
+        assert "needs a RESULT.json" in err
         for bad in (write_result(tmp_path / "smoke.json", smoke=True),
                     write_result(tmp_path / "failed.json", ops_failed=1)):
-            with pytest.raises(ConfigurationError, match=bad.name):
-                bench_history(bad, "--history", history, "--record")
+            assert bench_history(bad, "--history", history, "--record") == 2
+            assert bad.name in capsys.readouterr().err
             assert bench_history(bad, "--history", history) == 0  # looking is fine
         assert not history.exists()
 

@@ -40,15 +40,6 @@ class TestStaleness:
     def test_summary_empty_is_nan(self, trace):
         assert np.isnan(trace.staleness_summary()["mean"])
 
-    def test_staleness_over_time_bins(self, trace):
-        add_updates(trace, [0] * 10 + [10] * 10)
-        centers, means = trace.staleness_over_time(bins=2)
-        assert means[0] < means[1]
-
-    def test_staleness_over_time_empty(self, trace):
-        centers, means = trace.staleness_over_time()
-        assert centers.size == 0
-
 
 class TestOccupancy:
     def test_occupancy_counts_overlap(self, trace):
@@ -141,14 +132,6 @@ class TestPinnedAggregations:
         assert occ_at(2.5) == 3
         assert occ_at(3.5) == 2
         assert occ_at(5.0) == 1
-
-    def test_staleness_over_time_pinned(self, trace):
-        # Two bins over [0, 10]: times 1,2 (tau 2,4) and 6,9 (tau 10,20).
-        for t_, tau in [(1.0, 2), (2.0, 4), (6.0, 10), (9.0, 20)]:
-            trace.add_update(t_, 0, 0, tau)
-        centers, means = trace.staleness_over_time(bins=2)
-        np.testing.assert_allclose(centers, [2.25, 6.75])
-        np.testing.assert_allclose(means, [3.0, 15.0])  # (2+4)/2, (10+20)/2
 
     def test_updates_per_thread_pinned(self, trace):
         for tid in [0, 1, 1, 2, 2, 2, 5]:  # 5 out of range for m=3

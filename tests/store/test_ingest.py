@@ -394,7 +394,9 @@ class TestJournalDamage:
 
 
 class TestJsonFiles:
-    """A ``*.json`` path is dispatched on its content, not its suffix."""
+    """Run rows leave the stack as JSONL lines (``repro run`` / ``sweep``
+    / ``analyze --jsonl``) and take the journal's skip rules; a ``*.json``
+    path is a trace link or an error."""
 
     @pytest.fixture(scope="class")
     def traced_run(self):
@@ -411,34 +413,60 @@ class TestJsonFiles:
                             probes=("timeline",)),
         )
 
-    def test_run_json_archive_stores_its_rows(self, store, traced_run, tmp_path):
-        # What ``repro run --json`` / ``repro sweep --json`` write.
+    def test_run_json_archive_stores_its_rows(self, store, sweep_results, tmp_path):
         from repro.telemetry.jsonl import write_jsonl
-        from repro.utils.serialization import save_results
 
-        archive = save_results(traced_run, tmp_path / "out.json")
+        archive = write_jsonl(sweep_results[:1], tmp_path / "out.jsonl", append=True)
         first = ingest_path(store, archive)
         assert (first.inserted, first.duplicates, first.skipped, first.traces) == (1, 0, 0, 0)
-        assert store.sources() == ["out.json"]
+        assert store.sources() == ["out.jsonl"]
         again = ingest_path(store, archive)
         assert (again.inserted, again.duplicates, again.traces) == (0, 1, 0)
-        # The same run in ``analyze --jsonl`` form is the same sample.
-        as_jsonl = ingest_path(store, write_jsonl([traced_run], tmp_path / "out.jsonl"))
-        assert (as_jsonl.inserted, as_jsonl.duplicates) == (0, 1)
+        # The same run written by another command is the same sample.
+        other = ingest_path(store, write_jsonl(sweep_results[:1], tmp_path / "other.jsonl"))
+        assert (other.inserted, other.duplicates) == (0, 1)
         assert store.count() == 1
         assert store.trace_links() == []
 
     def test_archive_elements_take_the_jsonl_skip_rules(self, store, sweep_results, tmp_path):
-        from repro.utils.serialization import save_results
+        from repro.telemetry.jsonl import write_jsonl
 
-        archive = save_results(sweep_results, tmp_path / "sweep.json")
-        rows = json.loads(archive.read_text())
-        rows[1] = [1, 2, 3]
-        rows[2] = {**rows[2], "schema_version": SCHEMA_VERSION + 1}
-        archive.write_text(json.dumps(rows))
-        with pytest.warns(UserWarning, match=r"sweep\.json\[[12]\]"):
+        archive = write_jsonl(sweep_results, tmp_path / "sweep.jsonl")
+        lines = archive.read_text().splitlines()
+        lines[1] = "[1, 2, 3]"
+        row = json.loads(lines[2])
+        lines[2] = json.dumps({**row, "schema_version": SCHEMA_VERSION + 1})
+        archive.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match=r"sweep\.jsonl:[23]"):
             report = ingest_path(store, archive)
         assert (report.inserted, report.skipped) == (6, 2)
+
+    def test_append_after_a_torn_last_line_keeps_the_new_row(
+        self, store, sweep_results, tmp_path
+    ):
+        # A crash mid-append leaves a fragment with no newline; the next
+        # append must start a line of its own instead of finishing it.
+        from repro.telemetry.jsonl import read_jsonl, write_jsonl
+
+        path = write_jsonl(sweep_results[:2], tmp_path / "torn.jsonl")
+        data = path.read_bytes()
+        path.write_bytes(data[:-200])
+        write_jsonl(sweep_results[2:3], path, append=True)
+        rows = read_jsonl(path)
+        assert [row["config"]["seed"] for row in rows] == [
+            r.config.seed for r in (sweep_results[0], sweep_results[2])
+        ]
+        report = ingest_path(store, path)
+        assert (report.inserted, report.skipped) == (2, 0)
+
+    def test_row_list_is_refused_naming_the_file(self, store, sweep_results, tmp_path):
+        from repro.identity import encode
+
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(encode(list(sweep_results[:2]))))
+        with pytest.raises(ConfigurationError, match=r"rows\.json.*JSONL"):
+            ingest_path(store, path)
+        assert store.count() == 0
 
     def test_chrome_trace_still_registers(self, store, traced_run, tmp_path):
         from repro.observe.timeline import export_chrome_trace

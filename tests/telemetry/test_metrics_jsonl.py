@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import identity
 from repro.errors import ConfigurationError
 from repro.harness.runner import run_once
 from repro.telemetry import (
@@ -18,7 +19,6 @@ from repro.telemetry import (
     result_to_line,
     write_jsonl,
 )
-from repro.utils.serialization import result_to_dict
 
 from tests.conftest import make_run_config
 
@@ -115,7 +115,7 @@ class TestFlatPayload:
         """The archived flat JSON shape survives the RunMetrics refactor:
         metric keys at the top level next to config/status/report, no
         nested 'metrics' object."""
-        payload = result_to_dict(result)
+        payload = identity.encode(result)
         assert "metrics" not in payload
         assert SCHEMA_V3_KEYS <= set(payload)
         assert payload["schema_version"] == SCHEMA_VERSION

@@ -1,14 +1,11 @@
-"""Tests for the command-line interface and result serialization."""
+"""Tests for the command-line interface."""
 
 from __future__ import annotations
 
-import json
-
-import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.utils.serialization import load_results, result_to_dict, save_results
+from repro.telemetry import read_jsonl
 
 from tests.store.conftest import sweep_jsonl, sweep_results  # noqa: F401
 
@@ -35,19 +32,21 @@ class TestCliRun:
         assert code == 1
 
     def test_run_archives_json(self, tmp_path, capsys):
-        path = tmp_path / "result.json"
-        code = main(["run", "--algorithm", "HOG", "--m", "2",
-                     "--workload", "quadratic", "--target-eps", "0.1",
-                     "--json", str(path)])
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload[0]["status"] == "converged"
+        # Two runs append two lines to one file, which reads back whole.
+        path = tmp_path / "runs.jsonl"
+        for seed in ("1", "2"):
+            code = main(["run", "--algorithm", "HOG", "--m", "2", "--seed", seed,
+                         "--workload", "quadratic", "--target-eps", "0.1",
+                         "--jsonl", str(path)])
+            assert code == 0
+        rows = read_jsonl(path)
+        assert [row["status"] for row in rows] == ["converged", "converged"]
+        assert [row["config"]["seed"] for row in rows] == [1, 2]
 
-    def test_unknown_algorithm_raises(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["run", "--algorithm", "NOPE", "--workload", "quadratic"])
+    def test_unknown_algorithm_raises(self, capsys):
+        assert main(["run", "--algorithm", "NOPE", "--workload", "quadratic"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: error: ") and "NOPE" in err
 
 
 class TestCliAnalyze:
@@ -98,11 +97,10 @@ class TestCliAnalyze:
         assert code == 1
         assert "no finite occupancy" in out
 
-    def test_analyze_unknown_probe_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown probe"):
-            main(["analyze", "--probes", "bogus"])
+    def test_analyze_unknown_probe_rejected(self, capsys):
+        assert main(["analyze", "--probes", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro analyze: error: ") and "unknown probe" in err
 
 
 class TestCliTable1:
@@ -122,37 +120,6 @@ class TestCliParser:
             main(["frobnicate"])
 
 
-class TestSerialization:
-    def test_roundtrip_arrays_and_specials(self, tmp_path):
-        data = {
-            "arr": np.arange(4, dtype=np.float32),
-            "nan": float("nan"),
-            "inf": float("inf"),
-            "neg": float("-inf"),
-            "nested": [{"x": np.int64(3)}],
-        }
-        path = save_results([data], tmp_path / "x.json")
-        (loaded,) = load_results(path)
-        np.testing.assert_array_equal(loaded["arr"], data["arr"])
-        assert np.isnan(loaded["nan"])
-        assert loaded["inf"] == float("inf") and loaded["neg"] == float("-inf")
-        assert loaded["nested"][0]["x"] == 3
-
-    def test_result_to_dict_on_run_result(self, quadratic, cost_model):
-        from repro.harness.runner import run_once
-        from tests.conftest import make_run_config
-
-        result = run_once(quadratic, cost_model, make_run_config(m=2))
-        payload = result_to_dict(result)
-        assert payload["status"] == "converged"
-        assert payload["config"]["algorithm"] == "LSH_psinf"
-        assert isinstance(payload["staleness_values"], dict)  # ndarray wrapper
-
-    def test_save_single_result_wraps_in_list(self, tmp_path):
-        path = save_results({"a": 1}, tmp_path / "y.json")
-        assert load_results(path) == [{"a": 1}]
-
-
 class TestCliSweep:
     def test_sweep_quadratic(self, capsys):
         code = main(["sweep", "--algorithms", "HOG,LSH_ps0", "--m", "2",
@@ -163,24 +130,29 @@ class TestCliSweep:
         assert "Sweep summary" in out and "LSH_ps0" in out
 
     def test_sweep_archives_json(self, tmp_path, capsys):
-        path = tmp_path / "sweep.json"
-        code = main(["sweep", "--algorithms", "SEQ", "--m", "4", "--etas", "0.05",
-                     "--repeats", "1", "--workload", "quadratic",
-                     "--target-eps", "0.1", "--json", str(path)])
+        path = tmp_path / "sweep.jsonl"
+        code = main(["sweep", "--algorithms", "SEQ,HOG", "--m", "2", "--etas", "0.05",
+                     "--repeats", "2", "--workload", "quadratic",
+                     "--target-eps", "0.1", "--jsonl", str(path)])
         assert code == 0
-        assert path.exists()
+        rows = read_jsonl(path)
+        assert len(path.read_text().splitlines()) == len(rows) == 4  # one line per run
+        assert [row["config"]["algorithm"] for row in rows] == ["SEQ"] * 2 + ["HOG"] * 2
 
 
 class TestCliReport:
-    def test_report_command(self, tmp_path, capsys):
-        rendered = tmp_path / "rendered"
-        rendered.mkdir()
-        (rendered / "S1_Fig3.txt").write_text("regenerated stuff")
-        out = tmp_path / "report.md"
-        code = main(["report", "--rendered", str(rendered), "--out", str(out)])
-        assert code == 0
-        text = out.read_text()
-        assert "regenerated stuff" in text and "S1/Fig3" in text
+    def test_report_command(self, sweep_jsonl, tmp_path, capsys, monkeypatch):
+        # With no --db, the report reads ./results.sqlite, where
+        # ``db ingest`` puts rows by default.
+        from repro.report import validate_report_html
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["report"]) == 2  # nothing ingested yet, and no empty store left
+        assert "no result store" in capsys.readouterr().err
+        assert not (tmp_path / "results.sqlite").exists()
+        assert main(["db", "ingest", str(sweep_jsonl)]) == 0
+        assert main(["report", "--generated-at", "PINNED"]) == 0
+        validate_report_html((tmp_path / "report.html").read_text(encoding="utf-8"))
 
 
 class TestCliDb:
@@ -194,6 +166,16 @@ class TestCliDb:
         out = capsys.readouterr().out
         assert "0 inserted, 8 duplicate" in out
         assert "8 runs total" in out
+
+    def test_ingest_refusal_is_one_error_line(self, tmp_path, capsys):
+        # A refused input is a message on stderr and exit code 2, not a
+        # traceback; a row list in a .json file is refused.
+        path = tmp_path / "x.json"
+        path.write_text("[]")
+        assert main(["db", "ingest", str(path), "--db", str(tmp_path / "s.sqlite")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro db ingest: error: ")
+        assert "x.json" in err and "JSONL" in err
 
     def test_stats_summarizes_store(self, sweep_jsonl, tmp_path, capsys):
         db = tmp_path / "results.sqlite"
@@ -222,13 +204,13 @@ class TestCliDb:
     def test_report_from_db_writes_where_out_says(
         self, sweep_jsonl, tmp_path, capsys, monkeypatch
     ):
-        # --out equal to the markdown branch's default name is still the
-        # path the user asked for; only an absent --out gets a default.
+        # --out is the path the user asked for; only an absent --out
+        # gets the default name.
         db = tmp_path / "results.sqlite"
         main(["db", "ingest", str(sweep_jsonl), "--db", str(db)])
         monkeypatch.chdir(tmp_path)
-        assert main(["report", "--db", str(db), "--out", "reproduction_report.md"]) == 0
-        assert (tmp_path / "reproduction_report.md").exists()
+        assert main(["report", "--db", str(db), "--out", "section5.html"]) == 0
+        assert (tmp_path / "section5.html").exists()
         assert not (tmp_path / "report.html").exists()
         assert main(["report", "--db", str(db)]) == 0
         assert (tmp_path / "report.html").exists()

@@ -116,16 +116,15 @@ class TestExperimentService:
         run_dir = tmp_path / "svc"
         assert main(["experiment", "s5", "--run-dir", str(run_dir)]) == 0
         capsys.readouterr()
-        from repro.errors import ConfigurationError
+        assert main(["experiment", "s1", "--resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro experiment: error: ") and "refusing to resume" in err
 
-        with pytest.raises(ConfigurationError, match="refusing to resume"):
-            main(["experiment", "s1", "--resume", str(run_dir)])
-
-    def test_resume_missing_manifest_errors(self, micro_quick, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="no manifest.json"):
-            main(["experiment", "--resume", str(tmp_path)])
+    def test_resume_missing_manifest_errors(self, micro_quick, capsys, tmp_path):
+        # A refused input is one stderr line and exit code 2, not a traceback.
+        assert main(["experiment", "--resume", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro experiment: error: ") and "no manifest.json" in err
 
     def test_step_required_without_resume(self, micro_quick, capsys):
         assert main(["experiment"]) == 2

@@ -184,13 +184,6 @@ def test_old_import_path_is_the_identity_object(module_name, name):
     assert vars(module)[name] is getattr(identity, name)
 
 
-def test_serialization_keeps_its_public_names(tmp_path):
-    from repro.utils.serialization import load_results, result_to_dict, save_results
-
-    assert result_to_dict(identity.decode(ROW)) == ROW
-    assert load_results(save_results([ROW], tmp_path / "rows.json"))[0].keys() == ROW.keys()
-
-
 # ----------------------------------------------------------------------
 # (iii) One declaration of the volatile fields
 # ----------------------------------------------------------------------

@@ -150,32 +150,3 @@ class TestRenderAllFigures:
             assert path.exists()
             ET.fromstring(path.read_text())  # valid XML
 
-
-class TestScalabilitySweep:
-    def test_renders_lines_per_algorithm(self):
-        from repro.viz.figures import fig_scalability_sweep
-
-        chart = fig_scalability_sweep(
-            {"ASYNC": {1: 1.2, 16: 0.4, 68: float("nan")},
-             "LSH_ps0": {1: 1.2, 16: 0.3, 68: 0.25}},
-        )
-        labels = texts_of(chart)
-        assert "ASYNC" in labels and "LSH_ps0" in labels
-
-    def test_nan_cells_break_lines(self):
-        import xml.etree.ElementTree as ET
-        from repro.viz.figures import fig_scalability_sweep
-
-        chart = fig_scalability_sweep({"A": {1: 1.0, 4: float("nan"), 16: 0.5, 68: 0.4}})
-        root = ET.fromstring(chart.render())
-        # the NaN splits A's polyline; only the 2-point segment remains drawable
-        assert root.findall(f"{SVG_NS}polyline")
-
-    def test_empty_rejected(self):
-        from repro.errors import ConfigurationError
-        from repro.viz.figures import fig_scalability_sweep
-
-        with pytest.raises(ConfigurationError):
-            fig_scalability_sweep({})
-        with pytest.raises(ConfigurationError):
-            fig_scalability_sweep({"A": {1: float("nan")}})
