@@ -4,8 +4,9 @@ Each class is a classic 5x7 bitmap digit, upscaled onto a 28x28 canvas,
 then perturbed per sample by a random integer translation (up to +-3
 pixels), multiplicative intensity scaling, additive Gaussian pixel
 noise, and Gaussian blur of randomized width. The generator is fully
-vectorized (samples are produced per (shift, class) group with
-``np.roll``), so 60k images take well under a second.
+vectorized (each distinct (shift, class) glyph is rolled once and the
+samples gather it, 512 images at a time), so 60k images take well
+under a second.
 
 Why this is an adequate substitute for the paper's MNIST (DESIGN.md
 section 2): the experiments compare *synchronization schemes* of
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.data.batcher import Dataset
 from repro.errors import ConfigurationError
+from repro.utils.shm import shared_empty
 
 # Classic 5x7 bitmap font for the ten digits.
 _GLYPHS_5x7 = {
@@ -48,11 +50,12 @@ _GLYPHS_5x7 = {
 IMAGE_SIZE = 28
 N_CLASSES = 10
 
-#: Images per pixel-noise draw. ``Generator.normal`` fills its output
-#: element by element, so drawing the noise block by block consumes the
-#: stream exactly as one whole-split draw would, and the float64 draw
-#: plus its float32 cast stay ~5 MB whatever the split size (a 60k-image
-#: split would otherwise hold 565 MB of them beside the 188 MB corpus).
+#: Images per generation block (and pixel-noise draw). ``Generator.normal``
+#: fills its output element by element, so drawing the noise block by
+#: block consumes the stream exactly as one whole-split draw would, and
+#: the float64 draw plus its float32 cast stay ~5 MB whatever the split
+#: size (a 60k-image split would otherwise hold 565 MB of them beside the
+#: 188 MB corpus).
 NOISE_BLOCK_IMAGES = 512
 
 
@@ -111,7 +114,9 @@ class SyntheticMNIST:
     ----------
     train, eval:
         :class:`repro.data.batcher.Dataset` instances; images are
-        ``(n, 28, 28)`` float32 in [0, 1], labels ``(n,)`` int64.
+        ``(n, 28, 28)`` float32 in [0, 1], labels ``(n,)`` int64, all
+        read-only and held in named shared memory
+        (:func:`repro.utils.shm.shared_empty`) where the host has it.
     """
 
     def __init__(self, train: Dataset, eval: Dataset) -> None:  # noqa: A002
@@ -129,35 +134,42 @@ def _generate_split(
     max_shift: int,
     noise_std: float,
 ) -> Dataset:
-    labels = rng.integers(0, N_CLASSES, size=n).astype(np.int64)
-    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    labels = shared_empty((n,), np.int64)
+    labels[...] = rng.integers(0, N_CLASSES, size=n)
     shifts_y = rng.integers(-max_shift, max_shift + 1, size=n)
     shifts_x = rng.integers(-max_shift, max_shift + 1, size=n)
-    bases = {digit: _base_glyph(digit) for digit in range(N_CLASSES)}
-    # Group identical (class, dy, dx) triples: each group is one np.roll.
+    intensity = rng.uniform(0.7, 1.0, size=(n, 1, 1)).astype(np.float32)
+    # Every distinct (class, dy, dx) is one rolled glyph, and a sample
+    # starts as a copy of its glyph.
     span = 2 * max_shift + 1
     keys = (labels * span + (shifts_y + max_shift)) * span + (shifts_x + max_shift)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    for group in np.split(order, boundaries):
-        i = group[0]
-        rolled = np.roll(
-            bases[int(labels[i])], (int(shifts_y[i]), int(shifts_x[i])), axis=(0, 1)
-        )
-        images[group] = rolled
-    # Per-sample intensity scaling and pixel noise.
-    intensity = rng.uniform(0.7, 1.0, size=(n, 1, 1)).astype(np.float32)
-    images *= intensity
-    if noise_std > 0:
-        for lo in range(0, n, NOISE_BLOCK_IMAGES):
-            block = images[lo : lo + NOISE_BLOCK_IMAGES]
+    distinct, which = np.unique(keys, return_inverse=True)
+    bases = {digit: _base_glyph(digit) for digit in range(N_CLASSES)}
+    glyphs = np.empty((len(distinct), IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    for j, key in enumerate(distinct.tolist()):
+        digit, shift = divmod(key, span * span)
+        dy, dx = divmod(shift, span)
+        glyphs[j] = np.roll(bases[digit], (dy - max_shift, dx - max_shift), axis=(0, 1))
+    # The images are born in shared memory (one copy per host however
+    # many pool workers map them) and written once: each block of
+    # images is scaled, noised and clipped in a small heap buffer, then
+    # copied in. The shared pages have no huge-page backing, so every
+    # pass over them costs more than one over a buffer that stays in
+    # cache.
+    images = shared_empty((n, IMAGE_SIZE, IMAGE_SIZE), np.float32)
+    buffer = np.empty((min(n, NOISE_BLOCK_IMAGES), IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    for lo in range(0, n, NOISE_BLOCK_IMAGES):
+        hi = min(lo + NOISE_BLOCK_IMAGES, n)
+        block = buffer[: hi - lo]
+        np.take(glyphs, which[lo:hi], axis=0, out=block)
+        block *= intensity[lo:hi]
+        if noise_std > 0:
             block += rng.normal(0.0, noise_std, size=block.shape).astype(np.float32)
-    np.clip(images, 0.0, 1.0, out=images)
+        np.clip(block, 0.0, 1.0, out=block)
+        images[lo:hi] = block
     # The corpus is immutable from here on: consumers only ever sample
-    # from it, and a read-only buffer is safe to alias into a zero-copy
-    # shared-memory broadcast (repro.harness.pool) without a defensive
-    # copy.
+    # from it, so a pool broadcast (repro.harness.pool) ships its
+    # segments by name and every worker maps them read-only.
     images.flags.writeable = False
     labels.flags.writeable = False
     return Dataset(images=images, labels=labels)
@@ -189,6 +201,8 @@ def generate_synthetic_mnist(
         raise ConfigurationError(f"split sizes must be > 0, got {n_train}, {n_eval}")
     if not (0 <= max_shift < IMAGE_SIZE // 2):
         raise ConfigurationError(f"max_shift must be in [0, {IMAGE_SIZE // 2}), got {max_shift}")
+    if not (0.0 <= noise_std < float("inf")):
+        raise ConfigurationError(f"noise_std must be finite and >= 0, got {noise_std}")
     ss = np.random.SeedSequence(seed)
     train_rng, eval_rng = (np.random.Generator(np.random.PCG64(c)) for c in ss.spawn(2))
     train = _generate_split(n_train, train_rng, max_shift=max_shift, noise_std=noise_std)
@@ -205,24 +219,41 @@ def _open_maybe_gzip(path: Path):
     return open(path, "rb")
 
 
+def _read_exactly(fh, size: int, path: Path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ConfigurationError(
+            f"{path} is truncated: its {what} needs {size} bytes, the file holds {len(data)}"
+        )
+    return data
+
+
 def load_idx_images(path: str | Path) -> np.ndarray:
     """Read an IDX3 image file (optionally .gz) into ``(n, H, W)`` floats
-    scaled to [0, 1]."""
+    scaled to [0, 1], held in shared memory like a generated corpus."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, n, rows, cols = struct.unpack(">IIII", _read_exactly(fh, 16, path, "header"))
         if magic != 0x00000803:
             raise ConfigurationError(f"{path} is not an IDX3 image file (magic={magic:#x})")
-        raw = np.frombuffer(fh.read(n * rows * cols), dtype=np.uint8)
-    return (raw.reshape(n, rows, cols).astype(np.float32)) / 255.0
+        raw = np.frombuffer(
+            _read_exactly(fh, n * rows * cols, path, f"{n} images of {rows}x{cols}"),
+            dtype=np.uint8,
+        )
+    images = shared_empty((n, rows, cols), np.float32)
+    np.divide(raw.reshape(n, rows, cols), np.float32(255.0), out=images)
+    return images
 
 
 def load_idx_labels(path: str | Path) -> np.ndarray:
-    """Read an IDX1 label file (optionally .gz) into ``(n,)`` int64."""
+    """Read an IDX1 label file (optionally .gz) into ``(n,)`` int64, held
+    in shared memory like a generated corpus."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
-        magic, n = struct.unpack(">II", fh.read(8))
+        magic, n = struct.unpack(">II", _read_exactly(fh, 8, path, "header"))
         if magic != 0x00000801:
             raise ConfigurationError(f"{path} is not an IDX1 label file (magic={magic:#x})")
-        raw = np.frombuffer(fh.read(n), dtype=np.uint8)
-    return raw.astype(np.int64)
+        raw = np.frombuffer(_read_exactly(fh, n, path, f"{n} labels"), dtype=np.uint8)
+    labels = shared_empty((n,), np.int64)
+    labels[...] = raw
+    return labels

@@ -12,18 +12,23 @@ experiment service's dispatcher hands its cohort chunks to one
   the chunks that had not completed — up to ``max_respawns`` times
   before the serial fallback);
 * **payload shipping** — the immutable arrays of a problem (training
-  images/labels, eval split) go into ``multiprocessing.shared_memory``
-  segments created *once per broadcast* (:func:`make_broadcast`); the
-  per-task payload shrinks to the config chunk plus segment names.
+  images/labels, eval split) ride in ``multiprocessing.shared_memory``
+  segments, staged *once per broadcast* (:func:`make_broadcast`); the
+  per-task payload shrinks to the config chunk plus segment names. A
+  DL corpus is born in segments (:mod:`repro.utils.shm`), so its arrays
+  ship by name and offset, with no copy and no new segment; only an
+  array on the heap is copied into a segment the broadcast creates.
   Workers map the segments read-only (``writeable=False``), so a
   worker cannot corrupt the corpus another worker is reading.
 
 Fallback ladder (each step preserves bitwise-identical results):
 
 1. shared-memory broadcast — arrays ≥ :data:`MIN_SHM_BYTES` ride in shm
-   segments, the rest of the object graph in a small pickle;
+   segments (adopted or created), the rest of the object graph in a
+   small pickle;
 2. plain pickle broadcast — when shm is unavailable (``OSError`` at
-   segment creation, e.g. no ``/dev/shm``), the full payload ships per
+   segment creation, e.g. no ``/dev/shm`` or too little of it for the
+   reservation), the full payload ships per
    task and is unpickled once per worker (memoized by broadcast key);
 3. serial — when the payload cannot be pickled at all (problems holding
    lambdas/closures), :func:`make_broadcast` returns ``None`` with a
@@ -50,6 +55,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+
+from repro.utils.shm import attach_segment, create_segment, release_segments, segment_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.problem import Problem
@@ -79,53 +86,24 @@ _WORKER_CACHE_MAX = 4
 _broadcast_counter = itertools.count()
 
 
-def _shm_module():
-    """The shared-memory module, or None when the host lacks it."""
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-        return None
-    return shared_memory
-
-
-def _attach_segment(name: str):
-    """Attach an existing segment without registering it for cleanup.
-
-    On Python < 3.13 every ``SharedMemory(name=...)`` attach re-registers
-    the segment with the resource tracker, which then warns about (and
-    may unlink) "leaked" segments when the worker exits — the creator
-    owns the unlink here, not the attaching worker (gh-82300). Because
-    forked workers share the parent's tracker process, an attach-side
-    ``unregister`` would erase the *creator's* registration (one shared
-    name set), so registration is suppressed during the attach instead.
-    """
-    shm = _shm_module()
-    try:
-        from multiprocessing import resource_tracker
-    except Exception:  # pragma: no cover - tracker details vary by version
-        return shm.SharedMemory(name=name)
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shm.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
 class _ShmPickler(pickle.Pickler):
-    """Pickler that hoists large C-contiguous arrays into shm segments.
+    """Pickler that ships large C-contiguous arrays through shm segments.
 
-    The pickle stream keeps only ``(tag, segment, dtype, shape)``
-    persistent ids; array bytes are copied once into the segment. The
-    created segments accumulate in ``segments`` for the caller to own
-    (unlink on broadcast close) and repeated references to one array
-    dedup onto one segment.
+    The pickle stream keeps only ``(tag, segment, offset, dtype, shape)``
+    persistent ids. An array that already lies in a live segment (a
+    corpus born in shared memory, :func:`repro.utils.shm.segment_of`) is
+    *adopted*: shipped by name and offset, with no new segment and no
+    copy, and pinned in ``adopted`` so its segment outlives the
+    broadcast's use of it. Any other array's bytes are copied once into
+    a segment of its own, which accumulates in ``segments`` for the
+    caller to own (unlink on broadcast close). Repeated references to
+    one array dedup onto one persistent id.
     """
 
-    def __init__(self, buffer, shared_memory_module, segments: list) -> None:
+    def __init__(self, buffer, segments: list, adopted: list) -> None:
         super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shm = shared_memory_module
         self._segments = segments
+        self._adopted = adopted
         self._seen: dict[int, tuple] = {}
 
     def persistent_id(self, obj):
@@ -139,10 +117,16 @@ class _ShmPickler(pickle.Pickler):
         cached = self._seen.get(id(obj))
         if cached is not None:
             return cached
-        segment = self._shm.SharedMemory(create=True, size=obj.nbytes)
-        self._segments.append(segment)
-        np.ndarray(obj.shape, dtype=obj.dtype, buffer=segment.buf)[...] = obj
-        pid = (_SHM_TAG, segment.name, obj.dtype.str, obj.shape)
+        found = segment_of(obj)
+        if found is not None:
+            self._adopted.append(obj)
+            name, offset = found
+        else:
+            segment = create_segment(obj.nbytes)
+            self._segments.append(segment)
+            np.ndarray(obj.shape, dtype=obj.dtype, buffer=segment.buf)[...] = obj
+            name, offset = segment.name, 0
+        pid = (_SHM_TAG, name, offset, obj.dtype.str, obj.shape)
         self._seen[id(obj)] = pid
         return pid
 
@@ -150,36 +134,27 @@ class _ShmPickler(pickle.Pickler):
 class _ShmUnpickler(pickle.Unpickler):
     """Worker-side unpickler: attaches segments as read-only arrays.
 
-    ``attached`` collects the ``SharedMemory`` handles — they must stay
-    alive as long as the arrays viewing their buffers do.
+    ``attached`` collects the ``SharedMemory`` handles (one per segment,
+    however many arrays view it) — they must stay alive as long as the
+    arrays viewing their buffers do.
     """
 
     def __init__(self, buffer, attached: list) -> None:
         super().__init__(buffer)
         self._attached = attached
+        self._by_name: dict = {}
 
     def persistent_load(self, pid):
-        tag, name, dtype, shape = pid
+        tag, name, offset, dtype, shape = pid
         if tag != _SHM_TAG:
             raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        shm = _attach_segment(name)
-        self._attached.append(shm)
-        array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+        shm = self._by_name.get(name)
+        if shm is None:
+            shm = self._by_name[name] = attach_segment(name)
+            self._attached.append(shm)
+        array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
         array.flags.writeable = False
         return array
-
-
-def _release_segments(segments: list) -> None:
-    """Creator-side unlink of every segment, tolerating already-gone
-    ones. Mutates the list in place so the ``close()`` path and the
-    GC/exit finalizer (which share the list object) stay idempotent."""
-    while segments:
-        segment = segments.pop()
-        try:
-            segment.close()
-            segment.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
 
 
 @dataclass
@@ -187,66 +162,79 @@ class ProblemBroadcast:
     """One (problem, cost) pair staged for shipment to pool workers.
 
     ``payload`` is the pickle stream; in ``"shm"`` mode it is small (the
-    object graph minus the big arrays) and ``segments`` holds the
-    creator-side handles of the hoisted arrays; in ``"pickle"`` mode it
-    is the full payload and ``segments`` is empty. ``key`` identifies
-    the broadcast for worker-side memoization — one unpickle per worker
-    per broadcast, however many tasks it executes.
+    object graph minus the big arrays), ``segments`` holds the
+    creator-side handles of the arrays it copied into segments of its
+    own, and ``adopted`` the arrays it ships from segments it does not
+    own (a corpus born shared); in ``"pickle"`` mode it is the full
+    payload and both lists are empty. ``key`` identifies the broadcast
+    for worker-side memoization — one unpickle per worker per
+    broadcast, however many tasks it executes.
+
+    A broadcast unlinks only what it created. An adopted segment
+    belongs to its array (:func:`repro.utils.shm.shared_empty`); the
+    broadcast pins the array until ``close()``, and the segment goes
+    when the array dies.
 
     Shm segments outlive the process unless unlinked, so reaching
     ``close()`` is not optional — a ``KeyboardInterrupt`` that unwinds
     past the owning ``finally`` would otherwise leak corpus-sized
     segments in ``/dev/shm`` until reboot. A ``weakref.finalize``
     (GC or interpreter exit, whichever first) backstops ``close()``;
-    both funnel through :func:`_release_segments` on the same list
-    object, so whichever runs second is a no-op.
+    both funnel through :func:`repro.utils.shm.release_segments` on the
+    same list object, so whichever runs second is a no-op.
     """
 
     key: str
     mode: str  # "shm" | "pickle"
     payload: bytes
     segments: list = field(default_factory=list)
+    adopted: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._finalizer = weakref.finalize(self, _release_segments, self.segments)
+        self._finalizer = weakref.finalize(self, release_segments, self.segments)
 
     @property
     def shm_bytes(self) -> int:
-        """Bytes resident in shared-memory segments."""
-        return sum(segment.size for segment in self.segments)
+        """Bytes the workers map from shared memory: adopted arrays plus
+        created segments."""
+        return sum(array.nbytes for array in self.adopted) + sum(
+            segment.size for segment in self.segments
+        )
 
     def close(self) -> None:
-        """Release the shared-memory segments (creator side)."""
+        """Release the created segments and unpin the adopted arrays."""
         self._finalizer.detach()
-        _release_segments(self.segments)
+        release_segments(self.segments)
+        self.adopted.clear()
 
 
 def make_broadcast(problem: "Problem", cost: "CostModel") -> ProblemBroadcast | None:
     """Stage ``(problem, cost)`` for the pool, or ``None`` (with a
     serial-fallback warning) when it cannot be pickled.
 
-    Tries the shared-memory hoist first; an ``OSError`` while creating
-    segments (no shm on this host) degrades to a plain full pickle.
+    Tries the shared-memory broadcast first; an ``OSError`` while
+    creating segments (no shm on this host, or ``/dev/shm`` too full
+    for the reservation) degrades to a plain full pickle.
     """
     key = f"bcast-{os.getpid()}-{next(_broadcast_counter)}"
-    shm = _shm_module()
     segments: list = []
+    adopted: list = []
     try:
-        if shm is not None:
-            buffer = io.BytesIO()
-            try:
-                _ShmPickler(buffer, shm, segments).dump((problem, cost))
-                return ProblemBroadcast(
-                    key=key, mode="shm", payload=buffer.getvalue(), segments=segments
-                )
-            except OSError:
-                # shm unavailable (or exhausted): fall through to plain pickle.
-                _release_segments(segments)
+        buffer = io.BytesIO()
+        try:
+            _ShmPickler(buffer, segments, adopted).dump((problem, cost))
+            return ProblemBroadcast(
+                key=key, mode="shm", payload=buffer.getvalue(), segments=segments,
+                adopted=adopted,
+            )
+        except OSError:
+            # shm unavailable (or exhausted): fall through to plain pickle.
+            release_segments(segments)
         return ProblemBroadcast(
             key=key, mode="pickle", payload=pickle.dumps((problem, cost))
         )
     except Exception as exc:
-        _release_segments(segments)
+        release_segments(segments)
         warnings.warn(
             f"parallel run falling back to serial: payload not picklable ({exc})",
             RuntimeWarning,

@@ -61,12 +61,25 @@ form performs the exact same floating-point work per replica:
   their gradient function; the kernel computes only the logits
   gradient. (The reference loss reads the logits without writing
   them, so skipping it is bit-neutral.)
+* **Slabs are placed by liveness.** Only what the backward pass reads
+  keeps a buffer of its own: conv patches, ReLU masks, pool argmax,
+  every dense layer's input and output (the input batch too, when layer
+  0 is dense, and a conv's feature maps that reach a dense layer
+  through ReLU / flatten). The *forward-only* slabs (the input batch
+  before a spatial layer, conv GEMM outputs, feature maps that feed a
+  pool or a conv, pool tiles) and the *backward-only* ones (conv patch
+  gradients, pool gradient tiles, input gradients) are each laid out
+  disjointly from offset 0 of one shared scratch region: the forward
+  layout is dead before the backward pass writes its first slab, so
+  this is pure buffer reuse (for the paper's CNN at ``kmax`` 8, 11.4 +
+  11.9 MiB become one 11.9 MiB region).
 
 A step's scratch lives in the kernel's slabs, sized once at build. They
 come from the cohort's :class:`~repro.sim.arena.BufferArena` when one is
-supplied (``build(..., arena=...)``): the kernel acquires flat buffers,
-views them at stacked shapes, and :meth:`ReplicaKernel.release` returns
-them when the cohort rebuilds with more headroom. The cohort's arena is
+supplied (``build(..., arena=...)``): the kernel acquires flat buffers
+(the scratch region first, then one per kept slab), views them at
+stacked shapes, and :meth:`ReplicaKernel.release` returns them when the
+cohort rebuilds with more headroom. The cohort's arena is
 deliberately *not* wired to any per-replica ``MemoryAccountant``: kernel
 slabs are host-side execution scratch, and accounting them would
 perturb each replica's ``pool_*`` metrics away from its serial run. A
@@ -96,6 +109,49 @@ __all__ = ["ReplicaKernel"]
 #: path (with ``kernel_fallback`` events where a cohort would have
 #: stacked it).
 _SUPPORTED_KINDS = frozenset({"dense", "relu", "flatten", "conv2d", "maxpool2d"})
+
+
+#: Byte alignment of each slab inside the scratch region.
+_SCRATCH_ALIGN = 64
+
+
+def _backward_reads(layers, i: int) -> bool:
+    """Whether the backward pass reads the conduit layer ``i`` writes
+    (``i = -1``: the stacked input batch). Only a dense layer reads its
+    input back (conv keeps its patches, pool its argmax, ReLU its mask),
+    and ReLU and flatten pass a conduit on in place, so the answer is
+    whether the next other layer is dense."""
+    for layer in layers[i + 1 :]:
+        if layer.kind not in ("relu", "flatten"):
+            return layer.kind == "dense"
+    return True  # the last layer is dense: its output is the logits
+
+
+class _Slab:
+    """A planned kernel buffer: its shape and dtype, then its offset in
+    the scratch region (forward-only and backward-only slabs) and its
+    view once :meth:`ReplicaKernel._place` has backed it."""
+
+    __slots__ = ("shape", "dtype", "size", "offset", "view")
+
+    def __init__(self, shape: tuple, dtype: np.dtype) -> None:
+        self.shape = shape
+        self.dtype = dtype
+        self.size = 1
+        for dim in shape:
+            self.size *= int(dim)
+        self.offset = 0
+        self.view = None
+
+    @classmethod
+    def resolve_all(cls, item):
+        """``item`` with every planned slab in it (nested tuples
+        included) replaced by its view."""
+        if isinstance(item, cls):
+            return item.view
+        if isinstance(item, tuple):
+            return tuple(cls.resolve_all(part) for part in item)
+        return item
 
 
 class ReplicaKernel:
@@ -152,16 +208,18 @@ class ReplicaKernel:
         self.kmax = int(kmax)
         self._arena = arena
         self._slabs: list[np.ndarray] = []
-        n, km, dt = self.batch, self.kmax, self.dtype
+        # Every slab by liveness, placed once the plan is complete.
+        self._planned: dict[str, list[_Slab]] = {"keep": [], "forward": [], "backward": []}
+        n, km = self.batch, self.kmax
         in_shape = self.train_x.shape[1:]
+        layers = network.layers
         # Stacked batch gather: one take() fills all replicas' batches.
-        self._x3 = self._alloc((km, n) + in_shape, dt)
-        self._xflat = self._x3.reshape((km * n,) + in_shape)
-        self._idx = self._alloc((km * n,), np.intp)
-        self._y = self._alloc((km * n,), self.train_y.dtype)
+        x3 = self._slab((km, n) + in_shape, "keep" if _backward_reads(layers, -1) else "forward")
+        idx = self._slab((km * n,), "keep", np.intp)
+        y = self._slab((km * n,), "keep", self.train_y.dtype)
         self._rows = np.arange(km * n)
         # (K*N, 1) row statistic for the softmax (max, then denominator).
-        self._rowstat = self._alloc((km * n, 1), dt)
+        rowstat = self._slab((km * n, 1), "keep")
 
         # --- plan: one step per layer with its stacked buffers. Every
         # step tuple ends with its profiler span name (constant strings:
@@ -172,15 +230,15 @@ class ReplicaKernel:
             layer_in, layer_out = network.layer_shapes[i]
             kind = layer.kind
             if kind == "dense":
-                out3 = self._alloc((km, n, layer.units), dt)
+                out3 = self._slab((km, n, layer.units), "keep")
                 # Layer 0's input gradient is computed-and-discarded on
                 # the reference path; the kernel skips it outright.
-                gin3 = None if i == 0 else self._alloc((km, n, layer_in[0]), dt)
+                gin3 = None if i == 0 else self._slab((km, n, layer_in[0]), "keep")
                 # Stacked bias-gradient landing zone: one (k, units)
                 # reduction replaces k per-replica sums (same axis
                 # length, same accumulation order → bitwise identical),
                 # then each row is copied into that replica's gb view.
-                gb3 = self._alloc((km, layer.units), dt)
+                gb3 = self._slab((km, layer.units), "keep")
                 steps.append(("dense", i, out3, gin3, gb3, "kernel.dense"))
             elif kind == "relu":
                 full = (km, n) + layer_in
@@ -188,7 +246,7 @@ class ReplicaKernel:
                 # 1.0/0.0, and x * 1.0f == x, x * 0.0f == ±0.0 —
                 # bit-for-bit what the bool mask's promotion gives —
                 # while skipping the bool→float convert per multiply.
-                mask3 = self._alloc(full, dt)
+                mask3 = self._slab(full, "keep")
                 steps.append(("relu", i, mask3, "kernel.relu"))
             elif kind == "flatten":
                 steps.append(("flatten", i, layer_in, "kernel.flatten"))
@@ -200,14 +258,16 @@ class ReplicaKernel:
                 # The K-stacked im2col slab and its companions. Each
                 # per-replica slice is contiguous with exactly the
                 # reference ``cols`` layout.
-                cols4 = self._alloc((km, n, p, ckk), dt)
-                mm4 = self._alloc((km, n, p, f), dt)
-                out5 = self._alloc((km, n, f, oh, ow), dt)
+                cols4 = self._slab((km, n, p, ckk), "keep")
+                mm4 = self._slab((km, n, p, f), "forward")
+                out5 = self._slab(
+                    (km, n, f, oh, ow), "keep" if _backward_reads(layers, i) else "forward"
+                )
                 if i == 0:
                     gcols4 = gx5 = None  # input gradient skipped
                 else:
-                    gcols4 = self._alloc((km, n, p, ckk), dt)
-                    gx5 = self._alloc((km, n, c, h, w), dt)
+                    gcols4 = self._slab((km, n, p, ckk), "backward")
+                    gx5 = self._slab((km, n, c, h, w), "backward")
                 gather = patch_gather((c, h, w), (kh, kw))
                 bufs = (cols4, mm4, out5, gcols4, gx5, gather, (c, h, w, f, oh, ow, kh, kw))
                 steps.append(("conv2d", i, bufs, "kernel.conv2d"))
@@ -215,16 +275,19 @@ class ReplicaKernel:
                 c, h, w = layer_in
                 _, oh, ow = layer_out
                 ph, pw = layer.pool
-                tiles6 = self._alloc((km, n, c, oh, ow, ph * pw), dt)
-                idx5 = self._alloc((km, n, c, oh, ow), np.intp)
+                tiles6 = self._slab((km, n, c, oh, ow, ph * pw), "forward")
+                idx5 = self._slab((km, n, c, oh, ow), "keep", np.intp)
                 if i == 0:
                     gtiles6 = gx5 = None  # input gradient skipped
                 else:
-                    gtiles6 = self._alloc((km, n, c, oh, ow, ph * pw), dt)
-                    gx5 = self._alloc((km, n, c, h, w), dt)
+                    gtiles6 = self._slab((km, n, c, oh, ow, ph * pw), "backward")
+                    gx5 = self._slab((km, n, c, h, w), "backward")
                 bufs = (tiles6, idx5, gtiles6, gx5, (c, h, w, oh, ow, ph, pw))
                 steps.append(("maxpool2d", i, bufs, "kernel.maxpool2d"))
-        self._steps = steps
+        self._place()
+        self._x3, self._idx, self._y, self._rowstat = (x3.view, idx.view, y.view, rowstat.view)
+        self._xflat = self._x3.reshape((km * n,) + in_shape)
+        self._steps = [_Slab.resolve_all(step) for step in steps]
         # Per-call record for the backward pass: each dense layer's
         # stacked input conduit.
         self._fwd_in: list = [None] * len(network.layers)
@@ -243,6 +306,42 @@ class ReplicaKernel:
         flat = self._arena.acquire(size, dtype)
         self._slabs.append(flat)
         return flat.reshape(shape)
+
+    def _slab(self, shape: tuple, phase: str, dtype=None) -> "_Slab":
+        """Plan a slab (of the kernel's dtype unless given): ``"keep"``
+        for its own buffer, ``"forward"`` / ``"backward"`` for the
+        scratch region. :meth:`_place` gives it its view."""
+        slab = _Slab(shape, np.dtype(dtype or self.dtype))
+        self._planned[phase].append(slab)
+        return slab
+
+    def _place(self) -> None:
+        """Back every planned slab. The forward-only slabs are laid out
+        disjointly from offset 0 of one region, and the backward-only
+        slabs likewise over the same region, which is as large as the
+        larger of the two layouts (one buffer: an arena acquisition, or
+        ``np.empty`` for a kernel of one). No forward-only slab is read
+        after the forward pass and no backward-only slab before the
+        backward pass writes it, so the two layouts never hold live data
+        at the same time. The region is acquired first, then the kept
+        slabs one buffer each: a kernel built after another one died
+        then finds the hole the old region left before small buffers
+        split it (otherwise the heap grows by a region per box)."""
+        align = max(1, _SCRATCH_ALIGN // self.dtype.itemsize)
+        size = 0
+        for phase in ("forward", "backward"):
+            end = 0
+            for slab in self._planned[phase]:
+                slab.offset = end
+                end += -(-slab.size // align) * align
+            size = max(size, end)
+        if size:
+            region = self._alloc((size,), self.dtype)
+            for phase in ("forward", "backward"):
+                for slab in self._planned[phase]:
+                    slab.view = region[slab.offset : slab.offset + slab.size].reshape(slab.shape)
+        for slab in self._planned["keep"]:
+            slab.view = self._alloc(slab.shape, slab.dtype)
 
     def release(self) -> None:
         """Return every arena-backed slab (called when the cohort

@@ -22,6 +22,19 @@ from repro.data.synthetic_mnist import (
     load_idx_labels,
 )
 from repro.errors import ConfigurationError
+from repro.utils.shm import segment_of
+
+#: sha256 of ``generate_synthetic_mnist(n_train=256, n_eval=64, seed=7)``,
+#: computed with the scipy blur before it was replaced.
+PINNED_DIGEST = "4c303a4523a456fc4ca3f26f91600aec922cc23f9ce4807e5839f3e22688a767"
+
+
+def corpus_digest(corpus) -> str:
+    h = hashlib.sha256()
+    for split in (corpus.train, corpus.eval):
+        h.update(split.images.tobytes())
+        h.update(split.labels.tobytes())
+    return h.hexdigest()
 
 
 def reference_generate_split(
@@ -70,15 +83,20 @@ class TestDataBits:
     replaced ``scipy.ndimage.gaussian_filter`` may not move one of them."""
 
     def test_corpus_digest_is_pinned(self):
-        # Computed with the scipy blur, before it was replaced.
-        c = generate_synthetic_mnist(n_train=256, n_eval=64, seed=7)
-        h = hashlib.sha256()
-        for split in (c.train, c.eval):
-            h.update(split.images.tobytes())
-            h.update(split.labels.tobytes())
-        assert h.hexdigest() == (
-            "4c303a4523a456fc4ca3f26f91600aec922cc23f9ce4807e5839f3e22688a767"
+        assert corpus_digest(generate_synthetic_mnist(n_train=256, n_eval=64, seed=7)) == (
+            PINNED_DIGEST
         )
+
+    def test_shared_and_heap_corpora_hold_the_pinned_bytes(self, monkeypatch):
+        shared = generate_synthetic_mnist(n_train=256, n_eval=64, seed=7)
+        for split in (shared.train, shared.eval):
+            assert segment_of(split.images) is not None
+            assert segment_of(split.labels) is not None
+            assert not split.images.flags.writeable
+        monkeypatch.setattr("repro.utils.shm._shm_module", lambda: None)
+        heap = generate_synthetic_mnist(n_train=256, n_eval=64, seed=7)
+        assert segment_of(heap.train.images) is None
+        assert corpus_digest(shared) == corpus_digest(heap) == PINNED_DIGEST
 
     def test_blur_matches_scipy_bit_for_bit(self):
         ndimage = pytest.importorskip("scipy.ndimage")
@@ -190,6 +208,11 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             generate_synthetic_mnist(n_train=16, n_eval=16, max_shift=14)
 
+    @pytest.mark.parametrize("bad", [-0.15, float("nan"), float("inf")])
+    def test_invalid_noise_std(self, bad):
+        with pytest.raises(ConfigurationError, match="noise_std"):
+            generate_synthetic_mnist(n_train=16, n_eval=16, noise_std=bad)
+
 
 class TestIdxLoaders:
     def _write_idx3(self, path, images):
@@ -224,6 +247,39 @@ class TestIdxLoaders:
             fh.write(struct.pack(">II", 0x00000801, 2))
             fh.write(labels.tobytes())
         np.testing.assert_array_equal(load_idx_labels(path), labels)
+
+    def test_loaded_arrays_live_in_shared_memory(self, tmp_path):
+        images = np.random.default_rng(1).integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
+        self._write_idx3(tmp_path / "img.idx3", images)
+        self._write_idx1(tmp_path / "lab.idx1", images[:, 0, 0])
+        loaded = load_idx_images(tmp_path / "img.idx3")
+        labels = load_idx_labels(tmp_path / "lab.idx1")
+        assert segment_of(loaded) is not None and segment_of(labels) is not None
+        assert loaded.tobytes() == ((images.astype(np.float32)) / 255.0).tobytes()
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, images[:, 0, 0])
+
+    def test_short_image_file_rejected(self, tmp_path):
+        path = tmp_path / "short.idx3"
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, 10, 28, 28))
+            fh.write(bytes(3 * 28 * 28))
+        with pytest.raises(ConfigurationError, match="short.idx3"):
+            load_idx_images(path)
+
+    def test_short_label_file_rejected(self, tmp_path):
+        path = tmp_path / "short.idx1"
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(">II", 0x00000801, 10))
+            fh.write(bytes(3))
+        with pytest.raises(ConfigurationError, match="short.idx1"):
+            load_idx_labels(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "stub.idx1"
+        path.write_bytes(struct.pack(">I", 0x00000801))
+        with pytest.raises(ConfigurationError, match="stub.idx1"):
+            load_idx_labels(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad"

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import errno
+import gc
+import glob
+import multiprocessing
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.problem import QuadraticProblem
+from repro.core.problem import DLProblem, QuadraticProblem
+from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.harness.cache import simulation_fingerprint
 from repro.harness.config import RunConfig
 from repro.harness.pool import (
@@ -18,7 +23,9 @@ from repro.harness.pool import (
     make_broadcast,
 )
 from repro.harness.runner import run_once
+from repro.nn.architectures import mlp_custom
 from repro.sim.cost import CostModel
+from repro.utils.shm import attach_segment, segment_of
 
 from tests.conftest import service_map
 
@@ -99,7 +106,7 @@ class TestBroadcast:
             broadcast.close()
 
     def test_shm_unavailable_degrades_to_pickle(self, cost, monkeypatch):
-        monkeypatch.setattr("repro.harness.pool._shm_module", lambda: None)
+        monkeypatch.setattr("repro.utils.shm._shm_module", lambda: None)
         problem = BigArrayProblem()
         broadcast = make_broadcast(problem, cost)
         assert broadcast.mode == "pickle" and broadcast.segments == []
@@ -115,7 +122,7 @@ class TestBroadcast:
                 def __init__(self, *args, **kwargs):
                     raise OSError("no /dev/shm")
 
-        monkeypatch.setattr("repro.harness.pool._shm_module", lambda: _NoShm)
+        monkeypatch.setattr("repro.utils.shm._shm_module", lambda: _NoShm)
         broadcast = make_broadcast(BigArrayProblem(), cost)
         assert broadcast.mode == "pickle"
 
@@ -248,3 +255,121 @@ class TestFinalizers:
         assert broadcast.segments == []
         del broadcast
         gc.collect()  # the detached finalizer must not double-unlink
+
+
+def corpus_problem(corpus) -> DLProblem:
+    """A small MLP over a generated corpus's splits, as the CLI and the
+    benchmark build one: views of the corpus arrays, no copy."""
+    return DLProblem(
+        mlp_custom(28 * 28, (16,), 10, name="corpus_mlp"),
+        corpus.train.as_flat(), corpus.train.labels,
+        corpus.eval.as_flat(), corpus.eval.labels, batch_size=16,
+    )
+
+
+def heap_copy(problem: DLProblem) -> DLProblem:
+    return DLProblem(
+        problem.network, np.array(problem.train_x), np.array(problem.train_y),
+        np.array(problem.eval_x), np.array(problem.eval_y), batch_size=problem.batch_size,
+    )
+
+
+def dl_config(seed=0):
+    return RunConfig(
+        algorithm="LSH_ps1", m=2, eta=0.05, seed=seed, epsilons=(1e-9,), max_updates=12,
+        max_virtual_time=1e18,
+    )
+
+
+def shm_names() -> set:
+    return {os.path.basename(path) for path in glob.glob("/dev/shm/psm_*")}
+
+
+def _drop_and_collect(box):  # pragma: no cover - runs in a forked child
+    box.clear()
+    gc.collect()
+
+
+class TestCorpusBroadcast:
+    """A corpus born in shared memory ships by name: the broadcast
+    adopts its segments instead of copying them."""
+
+    def test_adopts_the_corpus_segments(self):
+        cost = CostModel.mlp_default()
+        problem = corpus_problem(generate_synthetic_mnist(n_train=128, n_eval=32, seed=3))
+        broadcast = make_broadcast(problem, cost)
+        copied = make_broadcast(heap_copy(problem), cost)
+        try:
+            assert broadcast.mode == "shm" and broadcast.segments == []
+            assert [segment_of(array) is not None for array in broadcast.adopted] == [True, True]
+            assert copied.segments and copied.adopted == []
+            assert broadcast.shm_bytes == copied.shm_bytes > 0
+        finally:
+            broadcast.close()
+            copied.close()
+
+    def test_workers_read_the_same_bytes_and_runs(self):
+        cost = CostModel.mlp_default()
+        problem = corpus_problem(generate_synthetic_mnist(n_train=128, n_eval=32, seed=3))
+        broadcast = make_broadcast(problem, cost)
+        try:
+            loaded, loaded_cost, attached = load_broadcast_payload(broadcast.payload)
+            try:
+                for name in ("train_x", "train_y", "eval_x", "eval_y"):
+                    got, want = getattr(loaded, name), getattr(problem, name)
+                    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert not loaded.train_x.flags.writeable
+                assert not loaded.eval_x.flags.writeable
+                assert simulation_fingerprint(
+                    run_once(loaded, loaded_cost, dl_config())
+                ) == simulation_fingerprint(run_once(problem, cost, dl_config()))
+            finally:
+                del loaded
+                for handle in attached:
+                    handle.close()
+        finally:
+            broadcast.close()
+
+    def test_the_corpus_owns_its_segments(self):
+        corpus = generate_synthetic_mnist(n_train=128, n_eval=32, seed=3)
+        problem = corpus_problem(corpus)
+        broadcast = make_broadcast(problem, CostModel.mlp_default())
+        names = [segment_of(array)[0] for array in broadcast.adopted]
+        broadcast.close()  # a broadcast never unlinks what it adopted
+        for name in names:
+            attach_segment(name).close()
+        del broadcast, problem, corpus
+        gc.collect()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                attach_segment(name)
+
+    def test_a_forked_child_never_unlinks_the_parents_segment(self):
+        box = [generate_synthetic_mnist(n_train=128, n_eval=32, seed=3).train.images]
+        name, _ = segment_of(box[0])
+        child = multiprocessing.get_context("fork").Process(target=_drop_and_collect, args=(box,))
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        attach_segment(name).close()
+        box.clear()
+        gc.collect()
+        with pytest.raises(FileNotFoundError):
+            attach_segment(name)
+
+    def test_a_full_dev_shm_falls_back_to_the_heap(self, monkeypatch):
+        want = generate_synthetic_mnist(n_train=128, n_eval=32, seed=3)
+        before = shm_names()
+
+        def enospc(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", enospc)
+        corpus = generate_synthetic_mnist(n_train=128, n_eval=32, seed=3)
+        for split, reference in ((corpus.train, want.train), (corpus.eval, want.eval)):
+            assert segment_of(split.images) is None
+            assert split.images.tobytes() == reference.images.tobytes()
+            assert split.labels.tobytes() == reference.labels.tobytes()
+        broadcast = make_broadcast(corpus_problem(corpus), CostModel.mlp_default())
+        assert broadcast.mode == "pickle" and broadcast.segments == []
+        assert shm_names() == before  # every refused reservation was unlinked

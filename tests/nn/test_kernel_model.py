@@ -203,6 +203,15 @@ def assert_kernel_matches_reference(case: Case) -> None:
 # order than over the kernel's contiguous slab (one ulp in gW).
 @example(Case((2, 2, 2), (("conv", 1, (1, 1)), ("flatten",), ("dense", 2)),
               batch=1, dtype="float64", kmax=1, groups=(1, 1), seed=0))
+# Scratch overlay: conv 0's maps and conv 1's feed the next conv / pool
+# (forward-only), conv 3's reach the dense layer (kept for its backward),
+# and three layers' input gradients share the region the forward used.
+@example(Case((1, 9, 9), (("conv", 2, (2, 2)), ("conv", 3, (2, 2)), ("pool", 2),
+                          ("conv", 2, (2, 2)), ("relu",), ("flatten",), ("dense", 3)),
+              batch=3, dtype="float32", kmax=3, groups=(1, 3), seed=6))
+# The input batch through ReLU to a dense layer is that layer's input.
+@example(Case((1, 4, 4), (("relu",), ("flatten",), ("dense", 3)),
+              batch=2, dtype="float64", kmax=2, groups=(1, 2), seed=7))
 @given(case=cases())
 def test_kernel_gradient_bytes_equal_the_reference(case):
     assert_kernel_matches_reference(case)
