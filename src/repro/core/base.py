@@ -175,12 +175,17 @@ def register_algorithm(name: str, factory: Callable[[], Algorithm]) -> None:
     _FACTORIES[name] = factory
 
 
-def make_algorithm(name: str) -> Algorithm:
-    """Instantiate an algorithm by its paper label.
+def algorithm_names() -> str:
+    """Every name :func:`make_algorithm` accepts, for help and error
+    text: the registered labels, then the Leashed-SGD family."""
+    return " | ".join((*sorted(_FACTORIES), "LSH_ps<k>", "LSH_psinf"))
 
-    Recognized names: ``SEQ``, ``ASYNC``, ``HOG``, ``LSH_psinf``,
-    ``LSH_ps<k>`` for any integer persistence bound ``k`` (e.g.
-    ``LSH_ps0``, ``LSH_ps1``).
+
+def make_algorithm(name: str) -> Algorithm:
+    """Instantiate an algorithm by its paper label: any name added with
+    :func:`register_algorithm` (:func:`algorithm_names` lists them), or
+    ``LSH_psinf`` / ``LSH_ps<k>`` for any integer persistence bound
+    ``k`` (e.g. ``LSH_ps0``, ``LSH_ps1``).
     """
     if name in _FACTORIES:
         return _FACTORIES[name]()
@@ -191,7 +196,7 @@ def make_algorithm(name: str) -> Algorithm:
         bound = float("inf") if match.group(1) == "inf" else int(match.group(1))
         return LeashedSGD(persistence=bound)
     raise ConfigurationError(
-        f"unknown algorithm {name!r}; known: {sorted(_FACTORIES)} and LSH_ps<k>/LSH_psinf"
+        f"unknown algorithm {name!r}; known: {algorithm_names()}"
     )
 
 

@@ -18,6 +18,7 @@ database content.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -355,14 +356,22 @@ def build_report(
 ) -> str:
     """The full report page as a string (see the module docstring for
     the determinism contract). ``eps`` defaults to the most common
-    ``target_epsilon`` across stored runs."""
+    ``target_epsilon`` across stored runs; an explicit one must be a
+    threshold some stored run was measured at."""
     if eps is None:
         eps = store.default_epsilon()
-    if eps is None:
-        raise ConfigurationError(
-            "store holds no runs with a target epsilon — ingest results "
-            "first or pass an explicit eps"
-        )
+        if eps is None:
+            raise ConfigurationError(
+                "store holds no runs with a target epsilon — ingest results "
+                "first or pass an explicit eps"
+            )
+    else:
+        stored = store.epsilons()
+        if not any(math.isclose(e, eps, rel_tol=1e-9, abs_tol=1e-12) for e in stored):
+            raise ConfigurationError(
+                f"no stored run was thresholded at eps {eps:g}; the store's "
+                f"epsilons: {', '.join(f'{e:g}' for e in stored) or 'none'}"
+            )
     comparisons, overall = _comparison_sections(
         store, eps, n_boot=n_boot, confidence=confidence, seed=seed
     )

@@ -64,6 +64,19 @@ class TestBuildReport:
         page = build_report(store, eps=0.5)
         assert "ε = 0.5" in page
 
+    def test_eps_no_run_was_measured_at_is_refused(self, store):
+        # One error naming the store's thresholds, not a page that fails
+        # validation for want of a figure.
+        with pytest.raises(ConfigurationError, match=r"eps 0\.33.*epsilons: 0\.1, 0\.5$"):
+            build_report(store, eps=0.33)
+
+    def test_default_eps_path_reads_no_threshold_list(self, store, monkeypatch):
+        def refuse(self):
+            raise AssertionError("default-eps report listed the store's epsilons")
+
+        monkeypatch.setattr(ResultStore, "epsilons", refuse)
+        validate_report_html(build_report(store))
+
     def test_empty_store_raises(self):
         with ResultStore(":memory:") as empty:
             with pytest.raises(ConfigurationError, match="no runs"):

@@ -214,3 +214,113 @@ class TestCliDb:
         assert not (tmp_path / "report.html").exists()
         assert main(["report", "--db", str(db)]) == 0
         assert (tmp_path / "report.html").exists()
+
+
+class TestCliRefusals:
+    """Refused input is exit 2 and one ``repro <command>: error:`` line,
+    never a traceback and never a silent substitute."""
+
+    @pytest.mark.parametrize("flag, value", [("--m", "2,x"), ("--etas", "0.05,y")])
+    def test_sweep_bad_comma_list_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro sweep: error: argument {flag}: ")
+        assert value in errors[0] and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_trace_refuses_a_non_positive_max_updates(self, value, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--max-updates", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro trace: error: --max-updates") and value in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_analyze_refuses_a_negative_tolerance(self, value, capsys):
+        assert main(["analyze", "--smoke", "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro analyze: error: --tolerance")
+        assert captured.out == ""  # refused before anything ran
+
+    def test_report_eps_the_store_lacks_names_its_epsilons(self, sweep_jsonl, tmp_path, capsys):
+        db = tmp_path / "results.sqlite"
+        assert main(["db", "ingest", str(sweep_jsonl), "--db", str(db)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "report.html"
+        assert main(["report", "--db", str(db), "--eps", "0.33", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro report: error: ")
+        assert "0.33" in err[0] and err[0].endswith("0.1, 0.5")
+        assert not out.exists()
+
+
+class TestAlgorithmHelp:
+    @pytest.mark.parametrize("command", ["run", "trace", "analyze"])
+    def test_help_names_every_registered_algorithm(self, command, capsys):
+        from repro.core.base import _FACTORIES
+
+        with pytest.raises(SystemExit) as exited:
+            main([command, "-h"])
+        assert exited.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo the wrapping
+        for name in (*_FACTORIES, "LSH_ps<k>", "LSH_psinf"):
+            assert name in text, name
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """Every ``(problem, cost, configs)`` an ExperimentService is asked to
+    run, in call order; the calls still execute."""
+    from repro.service import ExperimentService
+
+    calls = []
+    original = ExperimentService.map
+
+    def spy(self, problem, cost, configs):
+        configs = list(configs)
+        calls.append((problem, cost, configs))
+        return original(self, problem, cost, configs)
+
+    monkeypatch.setattr(ExperimentService, "map", spy)
+    return calls
+
+
+class TestOneExecutor:
+    """``run``, ``analyze`` and ``trace`` execute through the service,
+    and what they report is the run ``run_once`` gives for the config
+    the command built."""
+
+    @pytest.mark.parametrize("argv, probes", [
+        (["run", "--algorithm", "LSH_ps1", "--m", "4", "--seed", "3"], ()),
+        (["analyze", "--algorithm", "LSH_ps1", "--m", "4", "--seed", "3"], None),
+        (["analyze", "--algorithm", "HOG", "--m", "4", "--seed", "3", "--probes", ""], ()),
+    ])
+    def test_jsonl_line_is_the_direct_run(self, argv, probes, mapped, tmp_path, capsys):
+        from repro.harness.runner import run_once
+        from repro.identity import line_fingerprint, simulation_fingerprint
+        from repro.telemetry import STANDARD_PROBES
+
+        path = tmp_path / "runs.jsonl"
+        main(argv + ["--jsonl", str(path)])
+        [(problem, cost, [config])] = mapped
+        assert config.probes == (STANDARD_PROBES if probes is None else probes)
+        [line] = path.read_text().splitlines()
+        assert line_fingerprint(line) == simulation_fingerprint(run_once(problem, cost, config))
+
+    def test_trace_counts_are_the_direct_run(self, mapped, tmp_path, capsys):
+        from repro.harness.runner import run_once
+        from repro.observe.timeline import validate_chrome_trace
+
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--m", "2", "--seed", "1", "--max-updates", "300",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        [(problem, cost, [config])] = mapped
+        assert config.probes == ("timeline",) and config.max_updates == 300
+        direct = validate_chrome_trace(run_once(problem, cost, config).metrics.probe("timeline"))
+        assert (f"{direct['n_events']} events on {direct['n_tracks']} tracks "
+                f"({direct['n_spans']} spans, {direct['n_instants']} instants)") in printed
