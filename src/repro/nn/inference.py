@@ -4,8 +4,8 @@ The convergence monitor evaluates the *same* held-out split under a new
 ``theta`` dozens of times per run, and the simulator charges it no
 virtual time: every host second it takes is overhead on a sweep. The
 training layers are the wrong tool for that job. They im2col an input
-that never changes, keep backward caches nobody reads, and pool through
-a tile copy + ``argmax`` + ``take_along_axis``.
+that never changes, keep backward caches nobody reads, and pool the
+ReLU's output through a tile copy + ``argmax`` + ``take_along_axis``.
 
 An :class:`InferencePlan` is what one ``(network, split, theta dtype)``
 can prepare once: the split converted to the theta dtype, the first
@@ -33,17 +33,31 @@ How the bits are kept:
   the rows the whole split would. The ``Dense`` tail runs once on the
   whole split, because a GEMM over other row counts may block its
   reduction differently.
-* The 2x2 max-pool is a comparison tree, ``right > left ? right : left``
-  over column pairs and then over row pairs. Strict ``>`` keeps the
-  *first* maximum in window order, which is ``argmax``'s tie rule.
-  ``np.maximum`` would be faster and is **not** exact: ``ReLU`` here is
-  ``x * (x > 0)``, so every negative pre-activation arrives as ``-0.0``,
-  and ``np.maximum`` breaks ``-0.0`` / ``+0.0`` ties differently.
-  ``argmax`` ranks NaN above everything and ``>`` does not, so an input
-  holding a NaN goes through the layer's own ``forward``.
-* Any other pool shape and any layer type the plan does not know
-  (Dropout, Softmax, user layers, subclasses of the known ones) also go
-  through the layer's own ``forward``.
+* A ``ReLU`` that a ``MaxPool2D`` follows runs with it as one step on
+  the pre-activation ``z``. ``M``, each window's maximum, is
+  ``np.maximum`` accumulated over the window's ``ph * pw`` strided
+  slices of ``z``, and the output is ``where(M > 0, M, z_tl * 0)``, with
+  ``z_tl`` the window's top-left element. That is the layers' pool
+  (``argmax``, first maximum wins) over the ReLU's ``x * (x > 0)``, bit
+  for bit:
+
+  - ``M > 0``: ``argmax`` picks a positive maximum, and equal positive
+    values have equal bits.
+  - ``M <= 0``: every ReLU output in the window is ``+-0``, so ``argmax``
+    returns index 0 and the pool gives ``relu(z_tl) = z_tl * 0``.
+  - So ``np.maximum``'s ``-0.0`` / ``+0.0`` tie rule, which makes it
+    inexact on the ReLU's output, never reaches the result.
+
+  A NaN or ``-inf`` anywhere in ``z`` sends the block through both
+  layers' own ``forward`` (``argmax`` ranks NaN first, and
+  ``relu(-inf) = -inf * 0`` is NaN); ``z.min()`` propagates NaN, so one
+  reduction checks for both.
+* A ``MaxPool2D`` with no ``ReLU`` before it, and any layer type the plan
+  does not know (Dropout, Softmax, user layers, subclasses of the known
+  ones), go through the layer's own ``forward``. Whether a layer is
+  deterministic (:attr:`InferencePlan._PURE`: its logits may be reused
+  and the front-end blocked) does not depend on the plan having a step
+  for it.
 
 Memory: a plan retains its buffers only while they total at most
 :data:`PLAN_BYTES_CAP`; a larger split (10k real-MNIST images would pin
@@ -111,9 +125,9 @@ class InferencePlan:
         self.y = y
         self.dtype = np.dtype(dtype)
         self.forwards = 0  # forward passes run (tests count them)
-        # A layer the plan does not know may be stateful (Dropout draws a
-        # mask per forward): then no logits are ever reused.
-        self._pure = all(type(layer) in self._STEPS for layer in network.layers)
+        # A layer outside _PURE may be stateful (Dropout draws a mask per
+        # forward): then no logits are ever reused.
+        self._pure = all(type(layer) in self._PURE for layer in network.layers)
         if tuple(x.shape[1:]) != network.input_shape:
             # The conv gathers index a flat sample: a wrong shape must not
             # read the wrong pixels quietly.
@@ -123,12 +137,17 @@ class InferencePlan:
             )
         n = x.shape[0]
         layers, shapes = network.layers, network.layer_shapes
+        #: Indices of the ReLUs a MaxPool2D follows: one step runs both.
+        self._relu_pools = {
+            i for i in range(len(layers) - 1)
+            if type(layers[i]) is ReLU and type(layers[i + 1]) is MaxPool2D
+        }
         # The conv front-end: the layers before the first Dense, when a
         # Conv2D is among them (nothing else has scratch worth blocking)
-        # and the plan runs every one itself, sample by sample.
+        # and every one of them is pure, hence works sample by sample.
         head = next((i for i, layer in enumerate(layers) if type(layer) is Dense), len(layers))
         blockable = any(type(layer) is Conv2D for layer in layers[:head]) and all(
-            type(layer) in self._STEPS for layer in layers[:head]
+            type(layer) in self._PURE for layer in layers[:head]
         )
         self._front = head if blockable else 0
         self._gathers = {
@@ -214,17 +233,25 @@ class InferencePlan:
         np.multiply(cur, cur > 0, out=out)
         return out, held
 
-    def _pool(self, i, layer, cur, held, params):
-        # max() propagates NaN, the one value `argmax` and `>` rank
-        # differently (+-inf tie and order like any other number).
-        if layer.pool != (2, 2) or (cur.size and np.isnan(cur.max())):
-            return self._layer_forward(i, layer, cur, held, params)
-        oh, ow = cur.shape[2] // 2, cur.shape[3] // 2
-        left = cur[:, :, : 2 * oh, 0 : 2 * ow : 2]
-        right = cur[:, :, : 2 * oh, 1 : 2 * ow : 2]
-        rows = np.where(right > left, right, left)
-        top, bottom = rows[:, :, 0::2], rows[:, :, 1::2]
-        return np.where(bottom > top, bottom, top), None
+    def _relu_pool(self, relu, pool, z, held):
+        """``relu`` then ``pool`` as one step on the pre-activation ``z``
+        (the rule and why it is exact: the module docstring)."""
+        if z.size and not z.min() > -np.inf:  # a NaN or -inf in z
+            out, _ = relu.forward(z, [])
+            return pool.forward(out, [])[0], None
+        ph, pw = pool.pool
+        oh, ow = z.shape[2] // ph, z.shape[3] // pw
+        windows = [
+            z[:, :, a : oh * ph : ph, b : ow * pw : pw] for a in range(ph) for b in range(pw)
+        ]
+        top_left = windows[0]
+        peak, _ = self._scratch(held, top_left.shape)
+        np.maximum(top_left, windows[-1], out=peak)  # a 1x1 window: max(z, z) is z
+        for window in windows[1:-1]:
+            np.maximum(peak, window, out=peak)
+        # +inf * 0 is NaN, but only where peak > 0 discards it.
+        with np.errstate(invalid="ignore"):
+            return np.where(peak > 0, peak, top_left * 0), None
 
     def _flatten(self, i, layer, cur, held, params):
         return cur.reshape(cur.shape[0], -1), held
@@ -233,18 +260,26 @@ class InferencePlan:
         out, _ = layer.forward(cur, params)
         return out, held  # out may be (a view of) cur
 
-    _STEPS = {
-        Conv2D: _conv, Dense: _dense, ReLU: _relu, MaxPool2D: _pool, Flatten: _flatten,
-    }
+    _STEPS = {Conv2D: _conv, Dense: _dense, ReLU: _relu, Flatten: _flatten}
+
+    #: Layer types whose forward is a deterministic function of each
+    #: sample and theta, whether or not a step of their own runs them.
+    _PURE = frozenset({Conv2D, Dense, ReLU, MaxPool2D, Flatten})
 
     # -- evaluation ----------------------------------------------------
     def _run(self, start: int, stop: int, cur: np.ndarray, params: list) -> np.ndarray:
         """Layers ``start..stop-1`` applied to ``cur``."""
         layers = self.network.layers
         held = None
-        for i in range(start, stop):
+        i = start
+        while i < stop:
+            if i in self._relu_pools:  # its pool is in the run too: a Dense ends the front
+                cur, held = self._relu_pool(layers[i], layers[i + 1], cur, held)
+                i += 2
+                continue
             step = self._STEPS.get(type(layers[i]), InferencePlan._layer_forward)
             cur, held = step(self, i, layers[i], cur, held, params[i])
+            i += 1
         return cur
 
     def logits(self, theta: np.ndarray) -> np.ndarray:

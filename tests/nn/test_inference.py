@@ -10,6 +10,7 @@ views), never ``allclose``. ``Network.loss`` / ``Network.accuracy`` /
 from __future__ import annotations
 
 import gc
+import itertools
 import pickle
 
 import numpy as np
@@ -137,7 +138,8 @@ class TestBitwiseIdentity:
                 or layer_forward(self, x, params, **kw),
             )
             got = _plan(problem, theta).logits(theta)
-        # The first pool sees finite input, the second sees NaN.
+        # The first ReLU -> pool step sees finite input and runs fused; the
+        # second sees NaN and takes the layers.
         assert pool_calls == [(N_EVAL, 8, 11, 11)]
         assert np.isnan(want).any()
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -218,52 +220,155 @@ class TestBlockedFrontEnd:
         assert plan._patches.nbytes == n_eval * 6084 * 4
 
 
-class TestPoolTies:
-    """The comparison tree against ``argmax`` + ``take_along_axis``."""
+def _forwards_raise(monkeypatch) -> None:
+    """Make ``ReLU`` and ``MaxPool2D`` refuse their own ``forward``: a
+    plan that still computes proves it ran its fused step."""
 
-    def _pool_only(self, x: np.ndarray, pool=2):
-        net = Network([MaxPool2D(pool), Flatten()], input_shape=x.shape[1:], name="pool")
-        theta = np.empty(0, dtype=x.dtype)
-        y = np.zeros(x.shape[0], dtype=np.int64)
-        plan = inference.InferencePlan(net, x, y, x.dtype)
-        return plan.logits(theta), net.forward(x, theta)
+    def refuse(self, x, params):
+        raise AssertionError(f"{type(self).__name__}.forward ran")
+
+    monkeypatch.setattr(ReLU, "forward", refuse)
+    monkeypatch.setattr(MaxPool2D, "forward", refuse)
+
+
+def _count_forwards(monkeypatch) -> list[str]:
+    """Record every ``ReLU`` / ``MaxPool2D`` ``forward`` by layer kind."""
+    calls: list[str] = []
+    for cls in (ReLU, MaxPool2D):
+        original = cls.forward
+
+        def counted(self, x, params, original=original):
+            calls.append(self.kind)
+            return original(self, x, params)
+
+        monkeypatch.setattr(cls, "forward", counted)
+    return calls
+
+
+def _relu_pool_reference(z: np.ndarray, pool) -> np.ndarray:
+    """``ReLU.forward`` then ``MaxPool2D.forward`` (argmax, first max wins)."""
+    with np.errstate(invalid="ignore"):  # relu(-inf) = -inf * 0
+        activations, _ = ReLU().forward(z, [])
+    out, _ = MaxPool2D(pool).forward(activations, [])
+    return out.reshape(z.shape[0], -1)
+
+
+def _plan_logits(layers: list, x: np.ndarray) -> np.ndarray:
+    net = Network(layers, input_shape=x.shape[1:], name="pool")
+    plan = inference.InferencePlan(net, x, np.zeros(x.shape[0], dtype=np.int64), x.dtype)
+    with np.errstate(invalid="ignore"):
+        return plan.logits(np.empty(0, dtype=x.dtype))
+
+
+class TestPoolTies:
+    """``ReLU -> MaxPool2D`` as one step against ``argmax`` +
+    ``take_along_axis`` over the ReLU's ``x * (x > 0)``."""
+
+    def _relu_pool(self, x: np.ndarray, pool=2) -> np.ndarray:
+        return _plan_logits([ReLU(), MaxPool2D(pool), Flatten()], x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_signed_zero_and_equal_value_ties_in_every_position(self, dtype):
+    def test_signed_zero_and_equal_value_ties_in_every_position(self, dtype, monkeypatch):
         # Odd H, W: the paper's 11x11 -> 5x5 crop. Few distinct values,
-        # many samples: every window sees every tie pattern.
+        # many samples: every window sees every tie pattern. ReLU maps
+        # every non-positive value to a signed zero.
         values = np.array(TIE_VALUES, dtype=dtype)
         rng = np.random.default_rng(0)
         x = values[rng.integers(0, values.size, size=(512, 2, 11, 11))]
-        got, want = self._pool_only(x)
+        # -inf anywhere sends the whole call through the layers (relu(-inf)
+        # is NaN): the corpus as it is takes them, and without -inf the step.
+        want = _relu_pool_reference(x, 2)
+        calls = _count_forwards(monkeypatch)
+        got = self._relu_pool(x)
+        assert calls == ["relu", "maxpool2d"]
+        assert _bits(got) == _bits(want)
+        finite = np.where(np.isneginf(x), np.array(1.0, dtype=dtype), x)
+        want = _relu_pool_reference(finite, 2)
+        _forwards_raise(monkeypatch)
+        got = self._relu_pool(finite)
         assert got.shape == (512, 2 * 5 * 5)
         assert _bits(got) == _bits(want)
         # The corpus does exercise what np.maximum gets wrong.
         assert np.signbit(want[want == 0]).any() and not np.signbit(want[want == 0]).all()
 
-    def test_each_window_position_wins_its_tie(self):
+    def test_each_window_position_wins_its_tie(self, monkeypatch):
         # One window, all 16 sign patterns of four zeros: the result is
         # the first element's zero.
         patterns = np.array(
             [[(-0.0 if (k >> bit) & 1 else 0.0) for bit in range(4)] for k in range(16)],
             dtype=np.float32,
         )
-        got, want = self._pool_only(patterns.reshape(16, 1, 2, 2))
+        x = patterns.reshape(16, 1, 2, 2)
+        want = _relu_pool_reference(x, 2)
+        _forwards_raise(monkeypatch)
+        got = self._relu_pool(x)
         assert _bits(got) == _bits(want)
         np.testing.assert_array_equal(np.signbit(got[:, 0]), np.signbit(patterns[:, 0]))
 
-    def test_nan_input_takes_the_layer(self):
+    def test_nan_input_takes_the_layer(self, monkeypatch):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((8, 1, 6, 6)).astype(np.float32)
         x[3, 0, 2, 3] = np.nan
-        got, want = self._pool_only(x)
+        want = _relu_pool_reference(x, 2)
+        calls = _count_forwards(monkeypatch)
+        got = self._relu_pool(x)
+        assert calls == ["relu", "maxpool2d"]
         assert np.isnan(want).sum() == 1
         assert _bits(got) == _bits(want)
 
-    def test_other_pool_shapes_take_the_layer(self):
-        x = np.random.default_rng(2).standard_normal((8, 2, 9, 9)).astype(np.float32)
-        got, want = self._pool_only(x, pool=3)
+    def test_other_pool_shapes_take_the_fused_step(self, monkeypatch):
+        values = np.array([v for v in TIE_VALUES if v != -np.inf], dtype=np.float32)
+        rng = np.random.default_rng(2)
+        normals = rng.standard_normal((8, 2, 9, 9)).astype(np.float32)
+        ties = values[rng.integers(0, values.size, normals.shape)]
+        x = np.where(rng.random(normals.shape) < 0.5, normals, ties)
+        pools = [3, (2, 3), 1]
+        wants = [_relu_pool_reference(x, pool) for pool in pools]
+        _forwards_raise(monkeypatch)
+        for pool, want in zip(pools, wants):
+            assert _bits(self._relu_pool(x, pool)) == _bits(want)
+
+    def test_bare_pool_takes_its_own_forward(self, monkeypatch):
+        # No ReLU before it: the pool's input may hold any value, and
+        # only the layer itself is exact on all of them.
+        x = np.random.default_rng(3).standard_normal((8, 2, 9, 9)).astype(np.float32)
+        want, _ = MaxPool2D(2).forward(x, [])
+        calls = _count_forwards(monkeypatch)
+        got = _plan_logits([MaxPool2D(2), Flatten()], x)
+        assert calls == ["maxpool2d"]
         assert _bits(got) == _bits(want)
+
+
+#: Every ordered 4-tuple over these is one window of the exhaustive test.
+SPECIAL_VALUES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan)
+
+
+class TestFusedStepIsExhaustivelyExact:
+    """All 9**4 windows over :data:`SPECIAL_VALUES`, each the one 2x2
+    window of a 2x2 map or of a 3x3 map cropped to 1x1."""
+
+    @pytest.mark.parametrize("side", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_special_value_window(self, dtype, side, monkeypatch):
+        tuples = np.array(list(itertools.product(SPECIAL_VALUES, repeat=4)), dtype=dtype)
+        # The cropped row and column hold 3, which would win any window
+        # that read them.
+        z = np.full((len(tuples), 1, side, side), 3, dtype=dtype)
+        z[:, 0, :2, :2] = tuples.reshape(-1, 2, 2)
+        want = _relu_pool_reference(z, 2)
+        layers = [ReLU(), MaxPool2D(2), Flatten()]
+        guarded = np.isnan(tuples).any(axis=1) | np.isneginf(tuples).any(axis=1)
+        assert guarded.sum() == 9**4 - 7**4
+        # Each NaN / -inf window alone: the guard must see it and hand
+        # the call to the layers.
+        calls = _count_forwards(monkeypatch)
+        for k in np.flatnonzero(guarded):
+            assert _bits(_plan_logits(layers, z[k : k + 1])) == _bits(want[k])
+        assert len(calls) == 2 * guarded.sum()
+        # Every other window in one call, through the fused step alone.
+        _forwards_raise(monkeypatch)
+        got = _plan_logits(layers, z[~guarded])
+        assert _bits(got) == _bits(want[~guarded])
 
 
 class TestOneForwardServesBoth:
