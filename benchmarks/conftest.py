@@ -22,13 +22,15 @@ from repro.harness.config import Workloads, get_profile
 
 def pytest_configure(config):
     # The benchmark files live outside the package; make their shared
-    # asserts importable regardless of invocation directory.
+    # asserts and the test suite's helpers (``tests.event_log``)
+    # importable regardless of invocation directory.
     import sys
     from pathlib import Path
 
-    here = str(Path(__file__).resolve().parent)
-    if here not in sys.path:
-        sys.path.insert(0, here)
+    here = Path(__file__).resolve().parent
+    for path in (str(here), str(here.parent)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
     # Shape-assertion tests deliberately hold the benchmark fixture
     # without timing anything (see _runs_under_benchmark_only below).
     config.addinivalue_line(

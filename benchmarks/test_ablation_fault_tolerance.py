@@ -22,6 +22,8 @@ from repro.sim.trace import TraceRecorder
 from repro.utils.rng import RngFactory
 from repro.utils.tables import render_table
 
+from tests.event_log import EventLog
+
 COST = CostModel(tc=5e-3, tu=1e-3, t_copy=0.5e-3)
 
 
@@ -35,6 +37,7 @@ def run_with_freeze(algorithm_name, freeze_time, *, m=6, seed=5):
         problem=problem, cost=COST, eta=0.05, scheduler=scheduler,
         trace=trace, memory=memory, rng_factory=factory, dtype=np.float64,
     )
+    log = ctx.probes.attach(EventLog())
     algorithm = make_algorithm(algorithm_name)
     algorithm.setup(ctx, problem.init_theta(factory.named("init")))
     monitor = ConvergenceMonitor(
@@ -50,7 +53,7 @@ def run_with_freeze(algorithm_name, freeze_time, *, m=6, seed=5):
     scheduler.suspend_after(workers[2], freeze_time)
     scheduler.run()
     scheduler.close()
-    after = sum(1 for u in trace.updates if u.time > freeze_time)
+    after = sum(1 for u in log.publishes if u.time > freeze_time)
     return monitor.report.status.value, after
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -488,7 +489,6 @@ def _cmd_trace(args) -> int:
 
     if args.service:
         import json
-        from pathlib import Path
 
         src = Path(args.service) / "service_timeline.json"
         if not src.exists():
@@ -540,8 +540,6 @@ def _cmd_bench_history(args) -> int:
     report = bh.render_report(history, current)
     print(report)
     if args.report:
-        from pathlib import Path
-
         out = Path(args.report)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(report + "\n")
@@ -660,8 +658,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_db_ingest(args) -> int:
-    from repro.store import ResultStore, ingest_paths
+    from repro.store import ResultStore, check_ingest_path, ingest_paths
 
+    for path in args.paths:  # before the store opens: a refusal creates nothing
+        check_ingest_path(path)
     with ResultStore(args.db) as store:
         report = ingest_paths(store, args.paths)
         total = store.count()
@@ -670,9 +670,19 @@ def _cmd_db_ingest(args) -> int:
     return 0
 
 
+def _require_store(db: str) -> None:
+    """Refuse a store path that does not exist: opening it would create
+    an empty store (and its parent directories)."""
+    if not Path(db).exists():
+        raise ConfigurationError(
+            f"{db}: no result store — ingest runs first (`repro db ingest`)"
+        )
+
+
 def _cmd_db_stats(args) -> int:
     from repro.store import ResultStore
 
+    _require_store(args.db)
     with ResultStore(args.db) as store:
         rows = [
             ["runs", store.count()],
@@ -701,15 +711,11 @@ def _cmd_figures(args) -> int:
 
 def _cmd_report(args) -> int:
     from datetime import datetime, timezone
-    from pathlib import Path
 
     from repro.report import validate_report_html, write_report
     from repro.store import ResultStore
 
-    if not Path(args.db).exists():  # opening it would create an empty store
-        raise ConfigurationError(
-            f"{args.db}: no result store — ingest runs first (`repro db ingest`)"
-        )
+    _require_store(args.db)
     generated_at = args.generated_at or (
         datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%S UTC")
     )

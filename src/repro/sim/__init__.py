@@ -27,7 +27,7 @@ from repro.sim.memory import MemoryAccountant
 from repro.sim.scheduler import Scheduler, SchedulerConfig
 from repro.sim.sync import AtomicCounter, AtomicRef, SimLock, AcquireRequest
 from repro.sim.thread import SimThread, ThreadState
-from repro.sim.trace import TraceRecorder, UpdateRecord, RetryLoopRecord
+from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "BufferArena",
@@ -44,6 +44,4 @@ __all__ = [
     "SimThread",
     "ThreadState",
     "TraceRecorder",
-    "UpdateRecord",
-    "RetryLoopRecord",
 ]

@@ -10,23 +10,11 @@ strictly sharper than sampling RSS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import MemoryAccountingError
-
-
-@dataclass(frozen=True)
-class AllocationRecord:
-    """One allocation's lifetime (``freed_at`` is NaN while live)."""
-
-    block_id: int
-    tag: str
-    nbytes: int
-    allocated_at: float
-    freed_at: float = float("nan")
 
 
 class MemoryAccountant:
@@ -42,10 +30,9 @@ class MemoryAccountant:
     def __init__(self, clock_fn: Callable[[], float]) -> None:
         self._clock_fn = clock_fn
         self._next_id = 0
-        self._live: dict[int, tuple[str, int, float]] = {}
+        self._live: dict[int, tuple[str, int]] = {}  # id -> (tag, nbytes)
         self._events: list[tuple[float, int]] = []  # (time, +nbytes / -nbytes)
         self._count_events: list[tuple[float, int]] = []  # (time, +1 / -1)
-        self._history: list[AllocationRecord] = []
         self.live_bytes = 0
         self.live_count = 0
         self.peak_bytes = 0
@@ -74,7 +61,7 @@ class MemoryAccountant:
         now = self._clock_fn()
         block_id = self._next_id
         self._next_id += 1
-        self._live[block_id] = (tag, nbytes, now)
+        self._live[block_id] = (tag, nbytes)
         self.live_bytes += nbytes
         self.live_count += 1
         self.peak_bytes = max(self.peak_bytes, self.live_bytes)
@@ -87,7 +74,7 @@ class MemoryAccountant:
         """Release a block; double frees and unknown ids raise."""
         if block_id not in self._live:
             raise MemoryAccountingError(f"free of unknown or already-freed block {block_id}")
-        tag, nbytes, allocated_at = self._live.pop(block_id)
+        _, nbytes = self._live.pop(block_id)
         now = self._clock_fn()
         self.live_bytes -= nbytes
         self.live_count -= 1
@@ -95,7 +82,6 @@ class MemoryAccountant:
             raise MemoryAccountingError("accounting went negative (internal error)")
         self._events.append((now, -nbytes))
         self._count_events.append((now, -1))
-        self._history.append(AllocationRecord(block_id, tag, nbytes, allocated_at, now))
 
     # -- ProbeBus subscription (see repro.telemetry.bus) ---------------
     def on_reclaim(self, time: float, thread: int, seq: int) -> None:
@@ -127,7 +113,7 @@ class MemoryAccountant:
 
     def live_count_by_tag(self, tag: str) -> int:
         """How many live blocks carry ``tag``."""
-        return sum(1 for t, _, _ in self._live.values() if t == tag)
+        return sum(1 for t, _ in self._live.values() if t == tag)
 
     # ------------------------------------------------------------------
     def timeline(self, *, resolution: int = 200) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,12 +144,8 @@ class MemoryAccountant:
         if times[-1] <= times[0]:
             return float(curve[-1])
         durations = np.diff(times, prepend=0.0)
-        # curve[i] is live bytes after event i, holding until times[i+1].
+        # curve[i] is the live bytes *before* event i (the last "event"
+        # is now), held over (times[i-1], times[i]], from 0 for i = 0.
         held = curve[: len(durations)]
         total = float(np.sum(held * durations))
         return total / float(times[-1])
-
-    @property
-    def history(self) -> list[AllocationRecord]:
-        """Completed (freed) allocations."""
-        return list(self._history)

@@ -10,7 +10,7 @@ traces). The statistics and HTML layers on top live in
 
 from repro.identity import row_digest
 from repro.store.db import FailureCounts, GroupKey, GroupStats, ResultStore
-from repro.store.ingest import IngestReport, ingest_path, ingest_paths
+from repro.store.ingest import IngestReport, check_ingest_path, ingest_path, ingest_paths
 
 __all__ = [
     "FailureCounts",
@@ -18,6 +18,7 @@ __all__ = [
     "GroupStats",
     "IngestReport",
     "ResultStore",
+    "check_ingest_path",
     "ingest_path",
     "ingest_paths",
     "row_digest",

@@ -221,19 +221,27 @@ def _ingest_json_file(store: ResultStore, path: Path) -> IngestReport:
     )
 
 
+def check_ingest_path(path: str | Path) -> Path:
+    """Refuse a path that names no artifact (missing, or a directory
+    that is not a service run dir) without touching any store."""
+    path = Path(path)
+    if path.is_dir():
+        if not _is_service_run_dir(path):
+            raise ConfigurationError(
+                f"{path} is a directory but not a service run dir "
+                "(no results-*.jsonl / manifest.json)"
+            )
+    elif not path.exists():
+        raise ConfigurationError(f"{path}: no such file")
+    return path
+
+
 def ingest_path(store: ResultStore, path: str | Path) -> IngestReport:
     """Ingest one artifact (file or service run dir) — see the module
     docstring for the dispatch rules."""
-    path = Path(path)
+    path = check_ingest_path(path)
     if path.is_dir():
-        if _is_service_run_dir(path):
-            return _ingest_run_dir(store, path)
-        raise ConfigurationError(
-            f"{path} is a directory but not a service run dir "
-            "(no results-*.jsonl / manifest.json)"
-        )
-    if not path.exists():
-        raise ConfigurationError(f"{path}: no such file")
+        return _ingest_run_dir(store, path)
     if path.suffix == ".json":
         return _ingest_json_file(store, path)
     if _looks_like_bench_history(path):

@@ -18,7 +18,9 @@ afterthought. This package provides the three layers:
   the ``tau_c``/``tau_s`` split, per-phase virtual-time breakdown,
   CAS-contention timelines. The run's :class:`~repro.sim.trace.
   TraceRecorder` and :class:`~repro.sim.memory.MemoryAccountant` are
-  the two built-in subscribers.
+  the two built-in subscribers. The recorder keeps only what the row
+  aggregates, so a test that asserts on single events attaches its
+  own subscriber.
 * **Results layer** (:mod:`repro.telemetry.metrics`,
   :mod:`repro.telemetry.jsonl`): a schema-versioned :class:`RunMetrics`
   mapping collected from the subscribers after the run, with JSONL

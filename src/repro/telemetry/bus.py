@@ -19,8 +19,7 @@ Design constraints, in order:
    common case, e.g. ``bus.publish`` *is*
    ``TraceRecorder.on_publish``, no wrapper frame — or (c) a fan-out
    closure for several. The per-event cost with only the built-in
-   subscribers therefore matches the pre-bus direct
-   ``trace.add_*`` calls.
+   subscribers is therefore one handler call.
 
 Event vocabulary (all times are virtual seconds; ``thread`` is the
 emitting worker's tid):

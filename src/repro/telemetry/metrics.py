@@ -1,11 +1,10 @@
 """The results layer: schema-versioned run metrics.
 
-:class:`RunMetrics` replaces the old hand-copied flat ``RunResult``
-fields with one mapping produced from the run's bus subscribers.
-:func:`collect_run_metrics` is the single place that knows how to turn
+:class:`RunMetrics` is one mapping produced from the run's bus
+subscribers. :func:`collect_run_metrics` is the single place that turns
 a finished run's :class:`~repro.sim.trace.TraceRecorder` /
 :class:`~repro.sim.memory.MemoryAccountant` and attached probes into
-that mapping — ``run_once`` no longer hand-plucks ~20 aggregate fields.
+that mapping; the recorder stores exactly what it reads.
 
 The mapping is:
 
@@ -162,11 +161,11 @@ def collect_run_metrics(
         "mean_pv_bytes": memory.mean_live_bytes(),
         "pool_hits": memory.pool_hits,
         "pool_misses": memory.pool_misses,
-        "pool_trimmed": getattr(memory, "pool_trimmed", 0),
-        "reclaim_events": getattr(memory, "reclaim_events", 0),
+        "pool_trimmed": memory.pool_trimmed,
+        "reclaim_events": memory.reclaim_events,
         "memory_timeline": memory.timeline(resolution=100),
         "retry_occupancy": trace.retry_loop_occupancy(resolution=100),
-        "kernel_fallbacks": getattr(trace, "kernel_fallbacks", 0),
+        "kernel_fallbacks": trace.kernel_fallbacks,
         "final_accuracy": final_accuracy,
         "probes": {p.name: p.result() for p in probes},
     }

@@ -50,6 +50,7 @@ def run_algorithm(
     max_updates: int = 50_000,
     max_virtual_time: float = 500.0,
     jitter_sigma: float = 0.08,
+    speed_spread_sigma: float = 0.05,
     dtype=np.float64,
     problem_wrapper=None,
     arena=None,
@@ -68,7 +69,7 @@ def run_algorithm(
     factory = RngFactory(seed)
     scheduler = Scheduler(
         factory.named("scheduler"),
-        SchedulerConfig(jitter_sigma=jitter_sigma, speed_spread_sigma=0.05),
+        SchedulerConfig(jitter_sigma=jitter_sigma, speed_spread_sigma=speed_spread_sigma),
     )
     trace = TraceRecorder()
     memory = MemoryAccountant(lambda: scheduler.now)

@@ -12,8 +12,10 @@ from repro.core.base import ALGORITHMS, make_algorithm
 from repro.core.convergence import RunStatus
 from repro.errors import ConfigurationError
 from repro.sim.cost import CostModel
+from repro.sim.memory import MemoryAccountant
 
 from tests.core.conftest import ViewRecordingProblem, run_algorithm
+from tests.event_log import EventLog
 
 PARALLEL = ("ASYNC", "HOG", "LSH_psinf", "LSH_ps1", "LSH_ps0")
 
@@ -116,22 +118,27 @@ class TestStaleness:
         assert taus["LSH_ps1"] <= taus["LSH_psinf"]
 
     def test_ps0_published_updates_have_no_cas_failures(self):
-        execution = run_algorithm("LSH_ps0", m=8)
-        assert all(u.cas_failures == 0 for u in execution.trace.updates)
+        log = EventLog()
+        run_algorithm("LSH_ps0", m=8, probes=(log,))
+        assert log.publishes
+        assert all(u.cas_failures == 0 for u in log.publishes)
 
     def test_psinf_never_drops(self):
-        execution = run_algorithm("LSH_psinf", m=8)
-        assert len(execution.trace.dropped) == 0
+        log = EventLog()
+        execution = run_algorithm("LSH_psinf", m=8, probes=(log,))
+        assert execution.trace.n_dropped == 0 and log.drops == []
 
     def test_finite_persistence_drops_under_contention(self):
         cost = CostModel(tc=2e-3, tu=1e-3, t_copy=0.5e-3)
-        execution = run_algorithm("LSH_ps0", m=12, cost=cost, seed=2)
-        assert len(execution.trace.dropped) > 0
-        assert all(d.cas_failures >= 1 for d in execution.trace.dropped)
+        log = EventLog()
+        execution = run_algorithm("LSH_ps0", m=12, cost=cost, seed=2, probes=(log,))
+        assert execution.trace.n_dropped == len(log.drops) > 0
+        assert all(d.cas_failures >= 1 for d in log.drops)
 
     def test_update_sequence_totally_ordered(self):
-        execution = run_algorithm("LSH_psinf", m=6)
-        seqs = [u.seq for u in execution.trace.updates]
+        log = EventLog()
+        run_algorithm("LSH_psinf", m=6, probes=(log,))
+        seqs = [u.seq for u in log.publishes]
         assert sorted(seqs) == list(range(min(seqs), min(seqs) + len(seqs)))
 
 
@@ -148,14 +155,20 @@ class TestMemoryBounds:
         # Lemma 2: <= 3m (+1 transient, see analysis.memory_model).
         assert execution.memory.peak_count <= leashed_max_instances(m) + 1
 
-    def test_leashed_recycles_stale_vectors(self):
+    def test_leashed_recycles_stale_vectors(self, monkeypatch):
+        freed = {"published": 0}
+        free = MemoryAccountant.free
+
+        def counting_free(memory, block_id):
+            live = memory.live_count_by_tag("published")
+            free(memory, block_id)
+            freed["published"] += live - memory.live_count_by_tag("published")
+
+        monkeypatch.setattr(MemoryAccountant, "free", counting_free)
         execution = run_algorithm("LSH_psinf", m=4)
         # Published instances created ~ one per update; all but a handful
         # must have been reclaimed.
-        n_published_allocs = sum(
-            1 for rec in execution.memory.history if rec.tag == "published"
-        )
-        assert n_published_allocs >= execution.trace.n_updates - 5
+        assert freed["published"] >= execution.trace.n_updates - 5
         assert execution.memory.live_count_by_tag("published") <= 2 * 4 + 1
 
     def test_no_leak_grows_with_updates(self):

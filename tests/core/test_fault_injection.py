@@ -29,6 +29,8 @@ from repro.sim.scheduler import Scheduler, SchedulerConfig
 from repro.sim.trace import TraceRecorder
 from repro.utils.rng import RngFactory
 
+from tests.event_log import EventLog
+
 
 def run_with_fault(algorithm_name, *, m=6, freeze_tid=2, freeze_time=0.02, seed=5):
     """Run an execution, freezing worker ``freeze_tid`` at
@@ -43,6 +45,7 @@ def run_with_fault(algorithm_name, *, m=6, freeze_tid=2, freeze_time=0.02, seed=
         problem=problem, cost=cost, eta=0.05, scheduler=scheduler,
         trace=trace, memory=memory, rng_factory=factory, dtype=np.float64,
     )
+    log = ctx.probes.attach(EventLog())
     algorithm = make_algorithm(algorithm_name)
     algorithm.setup(ctx, problem.init_theta(factory.named("init")))
     monitor = ConvergenceMonitor(
@@ -59,7 +62,7 @@ def run_with_fault(algorithm_name, *, m=6, freeze_tid=2, freeze_time=0.02, seed=
     scheduler.run()
     scheduler.close()
     # Updates published strictly after the freeze point:
-    updates_after = sum(1 for u in trace.updates if u.time > freeze_time)
+    updates_after = sum(1 for u in log.publishes if u.time > freeze_time)
     return {
         "status": monitor.report.status,
         "updates_after_freeze": updates_after,

@@ -15,6 +15,8 @@ from repro.sim.scheduler import Scheduler, SchedulerConfig
 from repro.sim.trace import TraceRecorder
 from repro.utils.rng import RngFactory
 
+from tests.event_log import EventLog
+
 
 def run_instrumented(algorithm_name, *, m=6, seed=3, measure=True):
     problem = QuadraticProblem(64, h=1.0, b=2.0, noise_sigma=0.05)
@@ -28,6 +30,7 @@ def run_instrumented(algorithm_name, *, m=6, seed=3, measure=True):
         trace=trace, memory=memory, rng_factory=factory, dtype=np.float64,
         measure_view_divergence=measure,
     )
+    log = ctx.probes.attach(EventLog())
     algorithm = make_algorithm(algorithm_name)
     algorithm.setup(ctx, problem.init_theta(factory.named("init")))
     monitor = ConvergenceMonitor(
@@ -42,43 +45,43 @@ def run_instrumented(algorithm_name, *, m=6, seed=3, measure=True):
     scheduler.spawn("monitor", lambda thread: monitor.body())
     scheduler.run()
     scheduler.close()
-    return trace
+    return trace, log
 
 
 class TestInstrumentation:
     def test_off_by_default(self):
-        trace = run_instrumented("ASYNC", measure=False)
-        assert trace.view_divergences == []
+        trace, log = run_instrumented("ASYNC", measure=False)
+        assert log.divergences == []
         assert np.isnan(trace.view_divergence_summary()["mean"])
 
     @pytest.mark.parametrize("name", ["ASYNC", "HOG", "LSH_psinf", "LSH_ps0"])
     def test_records_when_enabled(self, name):
-        trace = run_instrumented(name)
-        assert len(trace.view_divergences) > 0
+        trace, log = run_instrumented(name)
+        assert len(log.divergences) > 0
         summary = trace.view_divergence_summary()
         assert np.isfinite(summary["mean"]) and summary["mean"] >= 0
 
     def test_parallel_views_do_diverge(self):
-        trace = run_instrumented("ASYNC", m=8)
+        trace, _ = run_instrumented("ASYNC", m=8)
         assert trace.view_divergence_summary()["max"] > 0
 
     def test_divergence_grows_with_parallelism(self):
-        low = run_instrumented("HOG", m=2).view_divergence_summary()["mean"]
-        high = run_instrumented("HOG", m=12).view_divergence_summary()["mean"]
+        low = run_instrumented("HOG", m=2)[0].view_divergence_summary()["mean"]
+        high = run_instrumented("HOG", m=12)[0].view_divergence_summary()["mean"]
         assert high > low
 
     def test_sequential_divergence_zero(self):
-        trace = run_instrumented("SEQ", m=1)
+        _, log = run_instrumented("SEQ", m=1)
         # SEQ records nothing (it has no view/apply gap by construction)
         # or only zeros; both mean no divergence.
-        values = [r.l2 for r in trace.view_divergences]
+        values = [r.l2 for r in log.divergences]
         assert all(v == 0.0 for v in values)
 
     def test_bounded_by_eta_times_staleness_scale(self):
         """Elastic consistency: the divergence is the sum of at most
         tau stale updates of magnitude <= eta * ||grad||, so its scale
         is bounded by eta * tau_max * max-gradient-norm."""
-        trace = run_instrumented("ASYNC", m=8)
+        trace, _ = run_instrumented("ASYNC", m=8)
         tau_max = trace.staleness_values().max()
         # gradient norm on this problem is bounded by h * ||theta - b|| + noise
         # <= ~ (5 + noise) * sqrt(d) conservatively; use a loose cap.

@@ -69,15 +69,6 @@ class TestAllocationFree:
         assert acct.live_count_by_tag("a") == 2
         assert acct.live_count_by_tag("b") == 0
 
-    def test_history_records_lifetimes(self, acct, clock):
-        bid = acct.allocate("pv", 64)
-        clock.t = 2.0
-        acct.free(bid)
-        (record,) = acct.history
-        assert record.allocated_at == 0.0
-        assert record.freed_at == 2.0
-        assert record.nbytes == 64 and record.tag == "pv"
-
 
 class TestTimeline:
     def test_empty_timeline(self, acct):

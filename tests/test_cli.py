@@ -177,6 +177,27 @@ class TestCliDb:
         assert err.startswith("repro db ingest: error: ")
         assert "x.json" in err and "JSONL" in err
 
+    def test_stats_refuses_a_missing_store(self, tmp_path, capsys):
+        # Opening the path would create the directory and an empty store.
+        db = tmp_path / "sub" / "typo.sqlite"
+        assert main(["db", "stats", "--db", str(db)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro db stats: error: ")
+        assert err.count("\n") == 1 and "no result store" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("what", ["missing.jsonl", "plain_dir"])
+    def test_ingest_refuses_a_bad_path_before_opening_the_store(
+        self, what, sweep_jsonl, tmp_path, capsys
+    ):
+        (tmp_path / "plain_dir").mkdir()
+        db = tmp_path / "fresh" / "fresh.sqlite"
+        code = main(["db", "ingest", str(sweep_jsonl), str(tmp_path / what), "--db", str(db)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro db ingest: error: ") and what in err
+        assert not db.parent.exists()  # neither the store nor its directory
+
     def test_stats_summarizes_store(self, sweep_jsonl, tmp_path, capsys):
         db = tmp_path / "results.sqlite"
         main(["db", "ingest", str(sweep_jsonl), "--db", str(db)])
