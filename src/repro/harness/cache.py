@@ -17,9 +17,10 @@ Value
     ``<root>/<key[:2]>/``, written atomically (tmp + rename). The cache
     encodes nothing: :meth:`RunCache.put` is handed the line the
     caller's one :func:`~repro.identity.result_to_line` produced, and a
-    hit returns the entry's text next to the :class:`RunResult` rebuilt
-    from it, so a served run is journalled as that text and never
-    encoded again. The rebuilt result is bitwise-identical to
+    hit returns the entry's text and its parse next to the
+    :class:`RunResult` rebuilt from it, so a served run is journalled as
+    that text, fingerprinted from that parse and never encoded or parsed
+    again. The rebuilt result is bitwise-identical to
     recomputation on every simulation field
     (``tests/harness/test_cache.py`` enforces it via
     :func:`~repro.identity.simulation_fingerprint`).
@@ -61,9 +62,10 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.identity import (
     cache_key,
+    decode_row,
     migrate_row_strict,
+    payload_from_line,
     result_from_row,
-    row_from_line,
 )
 
 # Not used in this module: bound under their original import path for
@@ -163,11 +165,12 @@ class RunCache:
     # -- lookup / store ------------------------------------------------
     def get(
         self, problem: "Problem", cost: "CostModel", config: "RunConfig"
-    ) -> "tuple[RunResult, str] | None":
-        """The cached ``(result, line)`` for this exact (problem, cost,
-        config), ``line`` being the entry's text (the run's canonical
-        row line), or None (counting a miss). Corrupt or foreign-schema
-        entries are warned misses, never errors."""
+    ) -> "tuple[RunResult, str, dict] | None":
+        """The cached ``(result, line, payload)`` for this exact (problem,
+        cost, config), ``line`` being the entry's text (the run's
+        canonical row line) and ``payload`` its parse (the encoded row),
+        or None (counting a miss). Corrupt or foreign-schema entries are
+        warned misses, never errors."""
         key = cache_key(problem, cost, config)
         path = self._path(key)
         row = None
@@ -186,7 +189,8 @@ class RunCache:
                 # A hit's text is journalled verbatim: it must be one line.
                 if len(lines) != 1:
                     raise ConfigurationError(f"{where}: not a single row line")
-                row = migrate_row_strict(row_from_line(lines[0], where=where), where=where)
+                payload = payload_from_line(lines[0], where=where)
+                row = migrate_row_strict(decode_row(payload, where=where), where=where)
             except ConfigurationError as exc:  # names the path itself
                 warnings.warn(f"run cache: corrupt entry {exc}; re-running",
                               RuntimeWarning, stacklevel=2)
@@ -200,7 +204,7 @@ class RunCache:
                 self.stats.hits += 1
                 if self.bus is not None:
                     self.bus.cache_hit(key)
-                return result, lines[0]
+                return result, lines[0], payload
         self.stats.misses += 1
         if self.bus is not None:
             self.bus.cache_miss(key)

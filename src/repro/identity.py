@@ -26,7 +26,8 @@ The row
     fingerprint input (:func:`line_fingerprint`).
 
 Reading
-    :func:`row_from_line` followed by :func:`migrate_row_strict` is the
+    :func:`row_from_line` (:func:`payload_from_line`, then
+    :func:`decode_row`) followed by :func:`migrate_row_strict` is the
     tolerant-reader contract shared by ``read_jsonl``, ``RunCache.get``,
     ``Measurer.load_workload`` and the store's ingester: anything that
     is not a readable row of *the* schema (:data:`SCHEMA_VERSION`,
@@ -35,9 +36,14 @@ Reading
     :class:`~repro.errors.SchemaVersionError` for the version gate) and
     nothing else, so each reader turns exactly one exception family into
     its warned skip. With no migration a parsed line *is* the encoded
-    row, so a reader that needs the encoding (the store's digest and
-    ``row_json``) takes it from the parse and never calls
-    :func:`encode`.
+    row, so every reader takes its keys from the one parse it makes and
+    never calls :func:`encode`: the cache and the journal replay keep
+    the payload and fingerprint it (:func:`encoded_fingerprint`), and
+    the ingester gates the payload, then either finds the line's text,
+    byte for byte, as a stored ``row_json`` (a duplicate: equal
+    canonical text is equal content) or serialises it once for its
+    digest (:func:`encoded_row_digest`), and decodes only a row it
+    inserts.
 
 Volatile fields
     :data:`WALL_FIELDS` are host clocks that jitter between two
@@ -98,10 +104,12 @@ __all__ = [
     "decode",
     "decode_row",
     "encode",
+    "encoded_fingerprint",
     "encoded_row_digest",
     "line_fingerprint",
     "merged_fingerprint",
     "migrate_row_strict",
+    "payload_from_line",
     "problem_fingerprint",
     "result_from_row",
     "result_to_line",
@@ -232,6 +240,17 @@ def decode_row(payload: Any, *, where: str = "<row>") -> dict:
         raise ConfigurationError(f"{where}: undecodable value ({exc})") from None
 
 
+def payload_from_line(line: str, *, where: str = "<row>") -> Any:
+    """Parse one archived line as it stands (for a row line: the
+    encoded row). Raises :class:`ConfigurationError` naming ``where``
+    for a torn or corrupt line. The parse of a reader that derives keys
+    from the encoding as well as a result from the decoding."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: torn or corrupt JSON line ({exc})") from None
+
+
 def row_from_line(line: str, *, where: str = "<row>") -> dict:
     """Parse one archived line into a decoded flat row.
 
@@ -239,11 +258,7 @@ def row_from_line(line: str, *, where: str = "<row>") -> dict:
     for file readers) for a torn or corrupt line and for everything
     :func:`decode_row` refuses. Follow with :func:`migrate_row_strict`:
     the pair accepts exactly the readable rows of the current schema."""
-    try:
-        payload = json.loads(line)
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: torn or corrupt JSON line ({exc})") from None
-    return decode_row(payload, where=where)
+    return decode_row(payload_from_line(line, where=where), where=where)
 
 
 # ----------------------------------------------------------------------
@@ -463,11 +478,17 @@ def simulation_fingerprint(result) -> str:
     return _digest_without(encode(result), HOST_FIELDS)
 
 
+def encoded_fingerprint(encoded: dict) -> str:
+    """:func:`simulation_fingerprint` of an already-encoded row (a parsed
+    row line): one serialisation, no encode."""
+    return _digest_without(encoded, HOST_FIELDS)
+
+
 def line_fingerprint(line: str) -> str:
     """:func:`simulation_fingerprint` of the run a
     :func:`result_to_line` line holds; the parsed line *is* the encoded
     row, so nothing is encoded again."""
-    return _digest_without(json.loads(line), HOST_FIELDS)
+    return encoded_fingerprint(json.loads(line))
 
 
 def merged_fingerprint(fingerprints: Iterable[str]) -> str:
@@ -491,3 +512,4 @@ def row_digest(row: dict) -> str:
 def encoded_row_digest(encoded: dict) -> str:
     """:func:`row_digest` of an already-encoded row."""
     return _digest_without(encoded, WALL_FIELDS)
+

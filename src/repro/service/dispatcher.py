@@ -12,7 +12,8 @@ One :meth:`Dispatcher.run` call drives one workload batch end to end:
    in the content-addressed :class:`~repro.harness.cache.RunCache` —
    the tentpole contract that resumption and dedup share one identity.
    A cache hit hands its entry text to the measurer, which journals it
-   as the run's line.
+   as the run's line, and the cache's parse of it, which a durable
+   measurer fingerprints.
    Tasks fully satisfied without simulating complete immediately.
 3. **Execute** — the rest go onto the persistent
    :class:`~repro.harness.pool.WorkerPool` as super-cohort chunks, with
@@ -205,8 +206,8 @@ class Dispatcher:
                     else:
                         hit = self.cache.get(problem, cost, config)
                         if hit is not None:
-                            served[i], line = hit
-                            self.measurer.adopt(key, line)
+                            served[i], line, payload = hit
+                            self.measurer.adopt(key, line, payload)
                             cached.append(i)
                             self.stats.runs_from_cache += 1
                             continue

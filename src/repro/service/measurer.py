@@ -19,13 +19,19 @@ run key, the canonical line of the run: what the session's single
 :func:`~repro.identity.result_to_line` call (:meth:`Measurer.line`)
 produced for a run that executed, the cache entry's text for a run the
 cache served (:meth:`Measurer.adopt`), the journal line itself for a
-run replayed from disk. The run cache's entry, the journal append and
-:meth:`Measurer.merged_fingerprint` all read that line, so a fresh run
-costs one encode whether or not a cache stores it and a served or
-resumed run costs none. The lines are dropped by
-:meth:`Measurer.close`, and in volatile mode (``run_dir=None``: same
-interface, no files — the one-shot CLI path) nothing is encoded until
-a cache entry or a summary asks.
+run replayed from disk. The run cache's entry and the journal append
+read that line, so a fresh run costs one encode whether or not a cache
+stores it and a served or resumed run costs none.
+
+**A run is parsed once.** A served or replayed run keeps, beside its
+line, the simulation fingerprint of the payload its reader already
+parsed (:func:`~repro.identity.encoded_fingerprint`: one serialisation,
+no parse), so :meth:`Measurer.merged_fingerprint` hashes stored
+fingerprints. Only an executed run is fingerprinted from its line, when
+a summary asks. Lines and fingerprints are dropped by
+:meth:`Measurer.close`. In volatile mode (``run_dir=None``: same
+interface, no files — the one-shot CLI path) nothing is encoded or
+fingerprinted until a cache entry or a summary asks.
 
 The :func:`~repro.identity.merged_fingerprint` over the runs in global
 submission order (``summary.json`` ``run_keys``) is what the
@@ -41,12 +47,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.identity import (
+    decode_row,
+    encoded_fingerprint,
     line_fingerprint,
     merged_fingerprint,
     migrate_row_strict,
+    payload_from_line,
     result_from_row,
     result_to_line,
-    row_from_line,
     run_key,
 )
 from repro.telemetry.jsonl import open_append
@@ -64,6 +72,7 @@ class Measurer:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self._results: dict[str, "RunResult"] = {}
         self._lines: dict[str, str] = {}  # run key -> the run's one line
+        self._fingerprints: dict[str, str] = {}  # run key -> simulation fingerprint
         self._journals: dict[str, object] = {}  # wkey -> open append handle
         self._loaded: set[str] = set()
 
@@ -75,11 +84,17 @@ class Measurer:
             line = self._lines[key] = result_to_line(result)
         return line
 
-    def adopt(self, key: str, line: str) -> None:
+    def adopt(self, key: str, line: str, payload: dict) -> None:
         """Keep a cache entry's text as the line of run ``key``, ahead of
-        the :meth:`ingest` that journals it. A key that already has a
-        line keeps it."""
-        self._lines.setdefault(key, line)
+        the :meth:`ingest` that journals it; ``payload`` is that text as
+        the cache parsed it. A durable measurer fingerprints the payload
+        now (a volatile one waits for a summary to ask). A key that
+        already has a line keeps it."""
+        if key in self._lines:
+            return
+        self._lines[key] = line
+        if self.run_dir is not None:
+            self._fingerprints[key] = encoded_fingerprint(payload)
 
     # -- journal replay ------------------------------------------------
     def _journal_path(self, wkey: str) -> Path:
@@ -104,8 +119,9 @@ class Measurer:
                 continue
             where = f"{path}:{lineno}"
             try:
+                payload = payload_from_line(line, where=where)
                 result = result_from_row(
-                    migrate_row_strict(row_from_line(line, where=where), where=where)
+                    migrate_row_strict(decode_row(payload, where=where), where=where)
                 )
             except Exception as exc:
                 warnings.warn(
@@ -118,6 +134,7 @@ class Measurer:
             if key not in self._results:
                 self._results[key] = result
                 self._lines[key] = line
+                self._fingerprints[key] = encoded_fingerprint(payload)
             loaded += 1
         return loaded
 
@@ -159,9 +176,12 @@ class Measurer:
     def merged_fingerprint(self, order: Sequence[str]) -> str:
         """:func:`repro.identity.merged_fingerprint` of the runs in
         ``order``: the identity of the *science* this service run
-        produced."""
+        produced. Served and replayed runs hash their stored
+        fingerprints; an executed run is fingerprinted from its line."""
         return merged_fingerprint(
-            line_fingerprint(self.line(key, self._results[key])) for key in order
+            self._fingerprints.get(key)
+            or line_fingerprint(self.line(key, self._results[key]))
+            for key in order
         )
 
     def close(self) -> None:
@@ -171,6 +191,7 @@ class Measurer:
         # The service that owns this measurer sits in a reference cycle,
         # so without this the lines would wait for a garbage collection.
         self._lines.clear()
+        self._fingerprints.clear()
 
     def __len__(self) -> int:
         return len(self._results)

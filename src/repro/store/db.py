@@ -206,6 +206,31 @@ class ResultStore:
         self._conn.commit()
 
     # -- insertion -----------------------------------------------------
+    def has_row_json(self, config_hash: str, text: str) -> bool:
+        """Whether a run stored under ``config_hash`` has ``text``, byte
+        for byte, as its ``row_json``: one ``idx_runs_config`` lookup.
+
+        A hit is a duplicate by construction: equal canonical text is
+        equal content, hence an equal digest. ``config_hash`` only
+        narrows the search, so a caller that passes the wrong one just
+        misses."""
+        return self._conn.execute(
+            "SELECT 1 FROM runs WHERE config_hash = ? AND row_json = ? LIMIT 1",
+            (config_hash, text),
+        ).fetchone() is not None
+
+    def new_digest(self, encoded: dict) -> str | None:
+        """The content address of the parsed line ``encoded``
+        (:func:`~repro.identity.encoded_row_digest`), or None when a run
+        with it is already stored: the one dedup lookup, shared by
+        :meth:`insert_row` and the ingester."""
+        digest = encoded_row_digest(encoded)
+        if self._conn.execute(
+            "SELECT 1 FROM runs WHERE row_digest = ?", (digest,)
+        ).fetchone():
+            return None
+        return digest
+
     def insert_row(
         self,
         row: dict,
@@ -214,6 +239,7 @@ class ResultStore:
         source: str,
         workload: str | None = None,
         run_key: str | None = None,
+        digest: str | None = None,
     ) -> bool:
         """Insert one run row; returns False (a no-op) when its content
         address is already stored.
@@ -230,7 +256,10 @@ class ResultStore:
         values, no ``row_json``, and the stored row keeps the
         ``run_key``, ``workload`` and ``source`` it was first written
         with. The lookup is only an early out: the UNIQUE ``row_digest``
-        constraint still decides dedup.
+        constraint still decides dedup. ``digest`` is what
+        :meth:`new_digest` returned to a caller that looked the row up
+        itself (the ingester, which decodes only a row it will insert):
+        then there is no second lookup here.
         """
         config = row.get("config")
         report = row.get("report")
@@ -238,11 +267,10 @@ class ResultStore:
             raise ConfigurationError(
                 "run row has no config/report mapping — not a result row"
             )
-        digest = encoded_row_digest(encoded)
-        if self._conn.execute(
-            "SELECT 1 FROM runs WHERE row_digest = ?", (digest,)
-        ).fetchone():
-            return False
+        if digest is None:
+            digest = self.new_digest(encoded)
+            if digest is None:
+                return False
         provenance = row.get("provenance") or {}
         if not isinstance(provenance, dict):
             provenance = {}

@@ -34,9 +34,15 @@ abort — one bad line must not discard the thousands of good rows
 around it.
 
 A line is parsed once and never re-encoded: the parsed payload *is* the
-encoded row, so the store takes its digest and ``row_json`` from it;
-decoding it is the check on outside input and feeds the column values
-and :func:`~repro.identity.row_config_hash`.
+encoded row. After the schema gate (applied to that payload) a line
+that is byte-identical to a stored ``row_json`` of the same recorded
+config hash is a duplicate on one indexed lookup, with no decode and no
+serialisation: equal canonical text is equal content. Any other line is
+serialised once for its digest and looked up by it
+(:meth:`~repro.store.db.ResultStore.new_digest`). Only a line whose
+digest is new is decoded: that is the check on outside input and feeds
+the column values and :func:`~repro.identity.row_config_hash`; its
+``row_json`` is the one other serialisation.
 The per-file tallies come back in :class:`IngestReport` so callers
 (and CI) can assert exact insert/duplicate/skip counts.
 """
@@ -49,7 +55,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.identity import decode_row, migrate_row_strict, row_config_hash
+from repro.identity import (
+    WALL_FIELDS,
+    decode_row,
+    migrate_row_strict,
+    row_config_hash,
+)
 from repro.store.db import ResultStore
 
 __all__ = ["IngestReport", "ingest_path", "ingest_paths"]
@@ -87,16 +98,27 @@ def _warn_skip(what: str) -> None:
 
 
 def _iter_lines(path: Path):
-    """Yield ``(lineno, parsed-or-None)`` per non-blank line; a
+    """Yield ``(lineno, line, parsed-or-None)`` per non-blank line; a
     torn/corrupt line parses to None (callers warn + count it)."""
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                parsed = json.loads(line)
             except json.JSONDecodeError:
-                yield lineno, None
+                parsed = None
+            yield lineno, line, parsed
+
+
+def _recorded_config_hash(encoded: dict) -> str | None:
+    """The config hash the row's provenance recorded, read from the
+    parse (every run the program writes records one): the key of the
+    byte-identical lookup. Anything else gives None, and the line takes
+    the digest lookup."""
+    provenance = encoded.get("provenance")
+    recorded = provenance.get("config_hash") if isinstance(provenance, dict) else None
+    return recorded if isinstance(recorded, str) and recorded else None
 
 
 def _ingest_result_file(
@@ -111,12 +133,26 @@ def _ingest_result_file(
     the row's own config hash, gives its ``run_key``: nothing about a
     row's identity depends on the lines around it."""
     report = IngestReport(files=[str(path)])
-    for lineno, encoded in _iter_lines(path):
+    for lineno, line, encoded in _iter_lines(path):
         where = f"{path}:{lineno}"
         try:
             if encoded is None:
                 raise ConfigurationError(f"{where}: torn or corrupt JSON line")
-            row = migrate_row_strict(decode_row(encoded, where=where), where=where)
+            if not isinstance(encoded, dict):
+                raise ConfigurationError(f"{where}: not a JSON object")
+            migrate_row_strict(encoded, where=where)
+            recorded = _recorded_config_hash(encoded)
+            if recorded is not None and store.has_row_json(recorded, line.rstrip("\n")):
+                report.duplicates += 1
+                continue
+            digest = store.new_digest(encoded)
+            if digest is None:
+                # The stored twin decoded; only the wall-clock members
+                # this line does not share with it are left to check.
+                decode_row({k: v for k, v in encoded.items() if k in WALL_FIELDS}, where=where)
+                report.duplicates += 1
+                continue
+            row = decode_row(encoded, where=where)
         except ConfigurationError as exc:  # names ``where`` itself
             _warn_skip(str(exc))
             report.skipped += 1
@@ -124,7 +160,7 @@ def _ingest_result_file(
         run_key = None if wkey is None else f"{wkey}:{row_config_hash(row)}"
         try:
             fresh = store.insert_row(
-                row, encoded, source=source, workload=wkey, run_key=run_key
+                row, encoded, source=source, workload=wkey, run_key=run_key, digest=digest
             )
         except ConfigurationError as exc:
             _warn_skip(f"{where}: {exc}")
@@ -144,7 +180,7 @@ def _ingest_bench_history(store: ResultStore, path: Path) -> IngestReport:
     are usable: a skipped line keeps its slot, so repairing it later
     never renumbers its successors."""
     report = IngestReport(files=[str(path)])
-    for entry_index, (lineno, payload) in enumerate(_iter_lines(path)):
+    for entry_index, (lineno, _, payload) in enumerate(_iter_lines(path)):
         where = f"{path}:{lineno}"
         if payload is None:
             _warn_skip(f"{where}: torn or corrupt JSON line")
@@ -167,7 +203,7 @@ def _looks_like_bench_history(path: Path) -> bool:
     """Bench trajectory entries carry ``metrics`` and no per-run
     ``config`` — distinguishable from result rows on the first parsable
     line (filename alone is not trusted: histories get copied around)."""
-    for _, payload in _iter_lines(path):
+    for _, _, payload in _iter_lines(path):
         if payload is None:
             continue
         if isinstance(payload, dict):

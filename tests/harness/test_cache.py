@@ -118,8 +118,9 @@ class TestRoundTrip:
         config = make_config()
         result = run_once(problem, cost, config)
         assert put(cache, problem, cost, config, result)
-        served, line = cache.get(problem, cost, config)
+        served, line, payload = cache.get(problem, cost, config)
         assert line == result_to_line(result)  # the entry's text, as stored
+        assert payload == json.loads(line)  # ... and its one parse
         assert simulation_fingerprint(served) == simulation_fingerprint(result)
         assert served.config == result.config
         assert served.status is result.status
@@ -177,7 +178,7 @@ class TestRoundTrip:
         assert result.status is RunStatus.STOPPED
         assert result.n_updates >= config.max_updates
         assert put(cache, problem, cost, config, result)
-        served, _ = cache.get(problem, cost, config)
+        served, _, _ = cache.get(problem, cost, config)
         assert simulation_fingerprint(served) == simulation_fingerprint(result)
 
 

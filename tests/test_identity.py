@@ -451,6 +451,152 @@ class TestEncodeOnce:
         assert before == identity.merged_fingerprint([identity.simulation_fingerprint(first)])
 
 
+@pytest.fixture
+def row_codec(monkeypatch):
+    """Row-level codec work, however it is reached: ``parse`` counts
+    ``json.loads`` of a row line, ``serialise`` ``json.dumps`` of a row
+    (a mapping with ``schema_version``: the whole row, or the row less
+    some members for a digest); of the outermost ``decode`` calls,
+    ``decode`` counts those of a row and ``decode_members`` those of a
+    mapping of some of its members."""
+    calls = dict.fromkeys(("parse", "serialise", "decode", "decode_members"), 0)
+    loads, dumps, decode = json.loads, json.dumps, identity.decode
+    depth = [0]
+
+    def counting_loads(text, *args, **kwargs):
+        if isinstance(text, str) and '"schema_version"' in text:
+            calls["parse"] += 1
+        return loads(text, *args, **kwargs)
+
+    def counting_dumps(value, *args, **kwargs):
+        if isinstance(value, dict) and "schema_version" in value:
+            calls["serialise"] += 1
+        return dumps(value, *args, **kwargs)
+
+    def counting_decode(value):
+        if depth[0] == 0 and isinstance(value, dict):
+            calls["decode" if "schema_version" in value else "decode_members"] += 1
+        depth[0] += 1
+        try:
+            return decode(value)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    monkeypatch.setattr(identity, "decode", counting_decode)
+    return calls
+
+
+def _zero(calls):
+    for name in calls:
+        calls[name] = 0
+
+
+class TestParseOnce:
+    """A served or replayed run is parsed once and fingerprinted from
+    that parse; ``finalize`` hashes stored fingerprints; an unchanged
+    re-ingest is one text lookup per line."""
+
+    def _populate(self, tmp_path, problem, configs):
+        cache = RunCache(tmp_path / "cache")
+        with ExperimentService(
+            tmp_path / "populate", workers=1, replicas=2, cache=cache
+        ) as service:
+            service.map(problem, COST, configs)
+            return cache, service.finalize()
+
+    def test_durable_cached_session_parses_each_row_once(
+        self, tmp_path, problem, row_codec
+    ):
+        configs = _configs()
+        cache, populated = self._populate(tmp_path, problem, configs)
+        _zero(row_codec)
+        with ExperimentService(
+            tmp_path / "cached", workers=1, replicas=2, cache=cache
+        ) as service:
+            service.map(problem, COST, configs)
+            assert service.stats.runs_from_cache == len(configs)
+            # The cache's one parse; the fingerprint of that parse.
+            assert row_codec == {"parse": 4, "serialise": 4, "decode": 4, "decode_members": 0}
+            _zero(row_codec)
+            summary = service.finalize()
+        assert row_codec == {"parse": 0, "serialise": 0, "decode": 0, "decode_members": 0}
+        assert summary["merged_fingerprint"] == populated["merged_fingerprint"]
+
+    def test_resumed_session_parses_each_row_once(self, tmp_path, problem, row_codec):
+        configs = _configs()
+        _, populated = self._populate(tmp_path, problem, configs)
+        _zero(row_codec)
+        with ExperimentService(tmp_path / "populate", workers=1, replicas=2) as service:
+            service.map(problem, COST, configs)
+            assert service.stats.runs_from_journal == len(configs)
+            assert row_codec == {"parse": 4, "serialise": 4, "decode": 4, "decode_members": 0}
+            _zero(row_codec)
+            summary = service.finalize()
+        assert row_codec == {"parse": 0, "serialise": 0, "decode": 0, "decode_members": 0}
+        assert summary["merged_fingerprint"] == populated["merged_fingerprint"]
+
+    def test_volatile_cached_session_serialises_nothing_extra(
+        self, tmp_path, problem, row_codec
+    ):
+        configs = _configs()
+        cache, populated = self._populate(tmp_path, problem, configs)
+        _zero(row_codec)
+        with ExperimentService(workers=1, replicas=2, cache=cache) as service:
+            service.map(problem, COST, configs)
+            assert row_codec == {"parse": 4, "serialise": 0, "decode": 4, "decode_members": 0}
+            # A summary asks: each line is fingerprinted then, as before.
+            assert service.summary()["merged_fingerprint"] == populated["merged_fingerprint"]
+
+    def test_reingest_of_an_unchanged_run_dir_decodes_and_serialises_nothing(
+        self, tmp_path, problem, row_codec
+    ):
+        configs = _configs()
+        self._populate(tmp_path, problem, configs)
+        with ResultStore(":memory:") as store:
+            first = ingest_path(store, tmp_path / "populate")
+            assert (first.inserted, first.duplicates) == (4, 0)
+            _zero(row_codec)
+            again = ingest_path(store, tmp_path / "populate")
+            assert (again.inserted, again.duplicates, again.skipped) == (0, 4, 0)
+        assert row_codec == {"parse": 4, "serialise": 0, "decode": 0, "decode_members": 0}
+
+    def test_re_rendered_line_is_serialised_once_and_decodes_only_its_wall_clocks(
+        self, tmp_path, problem, row_codec
+    ):
+        configs = _configs()
+        self._populate(tmp_path, problem, configs)
+        (journal,) = (tmp_path / "populate").glob("results-*.jsonl")
+        rendered = tmp_path / "rendered.jsonl"
+        rendered.write_text("".join(
+            json.dumps(json.loads(line), separators=(", ", ": ")) + "\n"
+            for line in journal.read_text().splitlines()
+        ))
+        with ResultStore(":memory:") as store:
+            ingest_path(store, journal)
+            _zero(row_codec)
+            again = ingest_path(store, rendered)
+            assert (again.inserted, again.duplicates, again.skipped) == (0, 4, 0)
+        # A plain file's first line is parsed once more, by the sniff that
+        # tells run rows from a bench trajectory. Each line is serialised
+        # for its digest, and only its WALL_FIELDS members, the part it
+        # does not share with its stored twin, are decoded.
+        assert row_codec == {"parse": 5, "serialise": 4, "decode": 0, "decode_members": 4}
+
+    def test_byte_identical_line_the_gate_refuses_is_a_skip(
+        self, tmp_path, problem, monkeypatch
+    ):
+        configs = _configs()
+        self._populate(tmp_path, problem, configs)
+        with ResultStore(":memory:") as store:
+            ingest_path(store, tmp_path / "populate")
+            monkeypatch.setattr(identity, "SCHEMA_VERSION", identity.SCHEMA_VERSION + 1)
+            with pytest.warns(UserWarning, match="ingest: skipping .*schema_version 3 not"):
+                again = ingest_path(store, tmp_path / "populate")
+        assert (again.inserted, again.duplicates, again.skipped) == (0, 0, 4)
+
+
 # ----------------------------------------------------------------------
 # (vi) Every reader skips the same bad rows
 # ----------------------------------------------------------------------
@@ -605,7 +751,7 @@ class TestTolerantReaders:
         with pytest.warns(RuntimeWarning, match="not a single row line"):
             assert cache.get(problem, COST, config) is None
         path.write_text(good_line + "\n")
-        _, line = cache.get(problem, COST, config)
+        _, line, _ = cache.get(problem, COST, config)
         assert line == good_line
 
     def test_archived_config_hash(self, good_run):
