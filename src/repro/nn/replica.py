@@ -20,11 +20,10 @@ generated networks. So the kernel only fuses operations whose stacked
 form performs the exact same floating-point work per replica:
 
 * **Elementwise ops stack freely.** ReLU forward/backward, the softmax
-  shift/exp/divide chain, the gathers/scatters (``copyto``,
-  ``take_along_axis`` / ``put_along_axis``), the row-local argmax, and
-  the conv input-gradient slice-adds are elementwise (or row-local) —
-  applying them to a ``(K*N, ...)`` block is the same arithmetic per
-  row as K separate ``(N, ...)`` calls.
+  shift/exp/divide chain, the gathers (``take``, ``copyto``), the pool's
+  compare-and-select and the conv input-gradient slice-adds are
+  elementwise (or row-local) — applying them to a ``(K*N, ...)`` block
+  is the same arithmetic per row as K separate ``(N, ...)`` calls.
 * **GEMMs stay per-replica.** Each replica has its own ``theta``, so
   the dense and conv matmuls/einsums loop over replicas. Every
   per-replica operand is a leading-axis slice of a stacked buffer whose
@@ -45,13 +44,23 @@ form performs the exact same floating-point work per replica:
   stacked zero-fill + slice-add scatter for the input gradient.
 * **ReLU runs in place.** It multiplies the mask into the conduit it
   consumes: no backward step reads a layer's output (dense keeps its
-  input, conv its patches, pool its argmax, ReLU its mask), so a ReLU
-  costs one mask slab and no output slab.
-* **MaxPool2D stacks wholesale.** Tiling, argmax (first-max
-  tie-breaking is per row, hence per replica), ``take_along_axis``,
-  and the backward ``put_along_axis`` / un-tiling are all row-local;
-  per-replica argmax indices route each replica's gradient exactly as
-  the reference layer would.
+  input, conv its patches, pool its window index, ReLU its mask), so a
+  ReLU costs one mask slab and no output slab.
+* **MaxPool2D selects bits.** There is one path for any ``(PH, PW)``,
+  over the ``PH*PW`` strided window views ``x[..., a::PH, b::PW]``
+  (cropped to ``OH*PH`` x ``OW*PW``), each copied once into a contiguous
+  scratch slab. The forward keeps a running first maximum: window ``j``
+  replaces it where ``w > best``, or where ``w`` is NaN and ``best`` is
+  not, as ``bits(best) ^= (bits(best) ^ bits(w)) * upd`` on the unsigned
+  view of the kernel dtype, and ``idx = maximum(idx, upd * j)``. That is
+  bit for bit the reference layer's index of the first maximum (equal
+  values and -0.0 / +0.0 keep the earlier element, the first NaN wins)
+  and its gather of that element, because the value moves as raw bits
+  and nothing is summed. The backward writes ``bits(g) * (idx == j)``
+  straight into each strided window of the input gradient, which is
+  the reference's scatter into zeros and its un-tiling, and zero-fills
+  only the cropped border. Every op is elementwise, so stacking
+  replicas changes nothing per replica.
 * **The first layer's input gradient is skipped.** The reference backward
   computes layer 0's ``d loss / d input`` and discards it
   (``Network.loss_and_grad`` never uses the final conduit); for the
@@ -62,17 +71,18 @@ form performs the exact same floating-point work per replica:
   gradient. (The reference loss reads the logits without writing
   them, so skipping it is bit-neutral.)
 * **Slabs are placed by liveness.** Only what the backward pass reads
-  keeps a buffer of its own: conv patches, ReLU masks, pool argmax,
-  every dense layer's input and output (the input batch too, when layer
-  0 is dense, and a conv's feature maps that reach a dense layer
-  through ReLU / flatten). The *forward-only* slabs (the input batch
-  before a spatial layer, conv GEMM outputs, feature maps that feed a
-  pool or a conv, pool tiles) and the *backward-only* ones (conv patch
-  gradients, pool gradient tiles, input gradients) are each laid out
-  disjointly from offset 0 of one shared scratch region: the forward
-  layout is dead before the backward pass writes its first slab, so
-  this is pure buffer reuse (for the paper's CNN at ``kmax`` 8, 11.4 +
-  11.9 MiB become one 11.9 MiB region).
+  keeps a buffer of its own: conv patches, ReLU masks, pool window
+  indices, every dense layer's input and output (the input batch too,
+  when layer 0 is dense, and a conv's or a pool's maps that reach a
+  dense layer through ReLU / flatten). The *forward-only* slabs (the
+  input batch before a spatial layer, conv GEMM outputs, maps that feed
+  a pool or a conv, the pool's window and mask scratch) and the
+  *backward-only* ones (conv patch gradients, the pool's mask, input
+  gradients) are each laid out disjointly from offset 0 of one shared
+  scratch region, a byte buffer in which every slab is a view of its
+  own dtype at a 64-byte-aligned offset: the forward layout is dead
+  before the backward pass writes its first slab, so this is pure buffer
+  reuse.
 
 A step's scratch lives in the kernel's slabs, sized once at build. They
 come from the cohort's :class:`~repro.sim.arena.BufferArena` when one is
@@ -118,9 +128,9 @@ _SCRATCH_ALIGN = 64
 def _backward_reads(layers, i: int) -> bool:
     """Whether the backward pass reads the conduit layer ``i`` writes
     (``i = -1``: the stacked input batch). Only a dense layer reads its
-    input back (conv keeps its patches, pool its argmax, ReLU its mask),
-    and ReLU and flatten pass a conduit on in place, so the answer is
-    whether the next other layer is dense."""
+    input back (conv keeps its patches, pool its window index, ReLU its
+    mask), and ReLU and flatten pass a conduit on in place, so the
+    answer is whether the next other layer is dense."""
     for layer in layers[i + 1 :]:
         if layer.kind not in ("relu", "flatten"):
             return layer.kind == "dense"
@@ -128,18 +138,18 @@ def _backward_reads(layers, i: int) -> bool:
 
 
 class _Slab:
-    """A planned kernel buffer: its shape and dtype, then its offset in
-    the scratch region (forward-only and backward-only slabs) and its
+    """A planned kernel buffer: its shape and dtype, then its byte offset
+    in the scratch region (forward-only and backward-only slabs) and its
     view once :meth:`ReplicaKernel._place` has backed it."""
 
-    __slots__ = ("shape", "dtype", "size", "offset", "view")
+    __slots__ = ("shape", "dtype", "nbytes", "offset", "view")
 
     def __init__(self, shape: tuple, dtype: np.dtype) -> None:
         self.shape = shape
         self.dtype = dtype
-        self.size = 1
+        self.nbytes = dtype.itemsize
         for dim in shape:
-            self.size *= int(dim)
+            self.nbytes *= int(dim)
         self.offset = 0
         self.view = None
 
@@ -205,6 +215,9 @@ class ReplicaKernel:
         self.train_y = problem.train_y
         self.batch = task.batcher.batch_size
         self.dtype = task.workspace.dtype
+        # The unsigned integer type of the same width: the pool moves
+        # values as these bits.
+        self._bits = np.dtype(f"u{self.dtype.itemsize}")
         self.kmax = int(kmax)
         self._arena = arena
         self._slabs: list[np.ndarray] = []
@@ -275,14 +288,23 @@ class ReplicaKernel:
                 c, h, w = layer_in
                 _, oh, ow = layer_out
                 ph, pw = layer.pool
-                tiles6 = self._slab((km, n, c, oh, ow, ph * pw), "forward")
-                idx5 = self._slab((km, n, c, oh, ow), "keep", np.intp)
+                full = (km, n, c, oh, ow)
+                best5 = self._slab(full, "keep" if _backward_reads(layers, i) else "forward")
+                # The window index, in the narrowest unsigned type that
+                # holds PH*PW - 1, is all the backward pass reads.
+                idx5 = self._slab(full, "keep", np.min_scalar_type(ph * pw - 1))
+                # Forward scratch: one window's bits, the update mask, a
+                # comparison, and the mask times the window number.
+                win5 = self._slab(full, "forward", self._bits)
+                upd5 = self._slab(full, "forward", np.bool_)
+                le5 = self._slab(full, "forward", np.bool_)
+                jdx5 = self._slab(full, "forward", idx5.dtype)
                 if i == 0:
-                    gtiles6 = gx5 = None  # input gradient skipped
+                    eq5 = gx5 = None  # input gradient skipped
                 else:
-                    gtiles6 = self._slab((km, n, c, oh, ow, ph * pw), "backward")
+                    eq5 = self._slab(full, "backward", np.bool_)
                     gx5 = self._slab((km, n, c, h, w), "backward")
-                bufs = (tiles6, idx5, gtiles6, gx5, (c, h, w, oh, ow, ph, pw))
+                bufs = (best5, idx5, win5, upd5, le5, jdx5, eq5, gx5, (oh, ow, ph, pw))
                 steps.append(("maxpool2d", i, bufs, "kernel.maxpool2d"))
         self._place()
         self._x3, self._idx, self._y, self._rowstat = (x3.view, idx.view, y.view, rowstat.view)
@@ -317,29 +339,31 @@ class ReplicaKernel:
 
     def _place(self) -> None:
         """Back every planned slab. The forward-only slabs are laid out
-        disjointly from offset 0 of one region, and the backward-only
-        slabs likewise over the same region, which is as large as the
-        larger of the two layouts (one buffer: an arena acquisition, or
-        ``np.empty`` for a kernel of one). No forward-only slab is read
-        after the forward pass and no backward-only slab before the
-        backward pass writes it, so the two layouts never hold live data
-        at the same time. The region is acquired first, then the kept
-        slabs one buffer each: a kernel built after another one died
-        then finds the hole the old region left before small buffers
-        split it (otherwise the heap grows by a region per box)."""
-        align = max(1, _SCRATCH_ALIGN // self.dtype.itemsize)
+        disjointly from byte 0 of one region, each at a
+        ``_SCRATCH_ALIGN``-byte offset and viewed as its own dtype, and
+        the backward-only slabs likewise over the same region, which is
+        as large as the larger of the two layouts (one byte buffer: an
+        arena acquisition, or ``np.empty`` for a kernel of one). No
+        forward-only slab is read after the forward pass and no
+        backward-only slab before the backward pass writes it, so the
+        two layouts never hold live data at the same time. The region is
+        acquired first, then the kept slabs one buffer each: a kernel
+        built after another one died then finds the hole the old region
+        left before small buffers split it (otherwise the heap grows by
+        a region per box)."""
         size = 0
         for phase in ("forward", "backward"):
             end = 0
             for slab in self._planned[phase]:
                 slab.offset = end
-                end += -(-slab.size // align) * align
+                end += -(-slab.nbytes // _SCRATCH_ALIGN) * _SCRATCH_ALIGN
             size = max(size, end)
         if size:
-            region = self._alloc((size,), self.dtype)
+            region = self._alloc((size,), np.uint8)
             for phase in ("forward", "backward"):
                 for slab in self._planned[phase]:
-                    slab.view = region[slab.offset : slab.offset + slab.size].reshape(slab.shape)
+                    raw = region[slab.offset : slab.offset + slab.nbytes]
+                    slab.view = raw.view(slab.dtype).reshape(slab.shape)
         for slab in self._planned["keep"]:
             slab.view = self._alloc(slab.shape, slab.dtype)
 
@@ -397,8 +421,13 @@ class ReplicaKernel:
         for task in tasks:
             idx[pos : pos + n] = task.stage()
             pos += n
-        self.train_x.take(idx, axis=0, out=self._xflat[:kn])
-        self.train_y.take(idx, axis=0, out=self._y[:kn])
+        # mode="clip" skips take's buffered bounds pass (with out=, "raise"
+        # gathers into a temporary first); the one check is here.
+        n_train = self.train_x.shape[0]
+        if kn and (idx.min() < 0 or idx.max() >= n_train):
+            raise IndexError(f"staged batch index out of bounds for {n_train} samples")
+        self.train_x.take(idx, axis=0, out=self._xflat[:kn], mode="clip")
+        self.train_y.take(idx, axis=0, out=self._y[:kn], mode="clip")
         prof.stop("kernel.stage", t0)
         network = self.network
         params = [
@@ -465,22 +494,33 @@ class ReplicaKernel:
                     out4[r] += params[r][i][1][:, None]
                 cur = out5
             elif tag == "maxpool2d":
-                _, _i, bufs, _span = step
-                tiles6, idx5, _gtiles6, _gx5, dims = bufs
-                c, _h, _w, oh, ow, ph, pw = dims
-                cropped = cur[:k, :, :, : oh * ph, : ow * pw]
-                windows = cropped.reshape(k, n, c, oh, ph, ow, pw).transpose(
-                    0, 1, 2, 3, 5, 4, 6
+                best5, idx5, win5, upd5, le5, jdx5, _eq5, _gx5, dims = step[2]
+                oh, ow, ph, pw = dims
+                xbits = cur[:k].view(self._bits)
+                best, idx, win, upd, le, jdx = (
+                    best5[:k], idx5[:k], win5[:k], upd5[:k], le5[:k], jdx5[:k]
                 )
-                tk = tiles6[:k]
-                np.copyto(tk.reshape(windows.shape), windows)
-                np.argmax(tk, axis=-1, out=idx5[:k])
-                # take_along_axis (not np.max) so the selected element
-                # matches idx exactly even on -0.0 / +0.0 ties; argmax
-                # tie-breaking (first max) is row-local, hence
-                # per-replica identical to the reference layer. The
-                # fresh result array mirrors that layer's own allocation.
-                cur = np.take_along_axis(tk, idx5[:k][..., None], axis=-1)[..., 0]
+                bbits, wval = best.view(self._bits), win.view(self.dtype)
+                np.copyto(bbits, xbits[..., 0 : oh * ph : ph, 0 : ow * pw : pw])
+                idx.fill(0)
+                for j in range(1, ph * pw):
+                    a, b = divmod(j, pw)
+                    np.copyto(win, xbits[..., a : oh * ph : ph, b : ow * pw : pw])
+                    # upd = (w > best) | (isnan(w) & ~isnan(best)):
+                    # not (w <= best), unless best is NaN. Ties keep the
+                    # earlier element; the first NaN is never replaced.
+                    np.less_equal(wval, best, out=le)
+                    np.equal(best, best, out=upd)
+                    np.greater(upd, le, out=upd)
+                    # bits(best) ^= (bits(best) ^ bits(w)) * upd: a raw
+                    # bit move where upd, bits unchanged elsewhere.
+                    np.bitwise_xor(win, bbits, out=win)
+                    np.multiply(win, upd, out=win)
+                    np.bitwise_xor(bbits, win, out=bbits)
+                    # Window numbers rise with j: the last update wins.
+                    np.multiply(upd, j, out=jdx, dtype=jdx.dtype)
+                    np.maximum(idx, jdx, out=idx)
+                cur = best5
             else:  # flatten: one zero-copy reshape of the contiguous conduit
                 cur = cur.reshape(cur.shape[0], cur.shape[1], -1)
             prof.stop(step[-1], t0)
@@ -572,25 +612,23 @@ class ReplicaKernel:
                         gx5[:k, :, :, di : di + oh, dj : dj + ow] += gcv[:, :, :, di, dj]
                 g = gx5
             elif tag == "maxpool2d":
-                _, _i, bufs, _span = step
-                _tiles6, idx5, gtiles6, gx5, dims = bufs
-                c, _h, _w, oh, ow, ph, pw = dims
+                _best5, idx5, _win5, _upd5, _le5, _jdx5, eq5, gx5, dims = step[2]
+                oh, ow, ph, pw = dims
                 if gx5 is None:
                     prof.stop(step[-1], t0)
                     return  # layer 0: the input gradient is discarded
-                gtiles6[:k].fill(0)
-                np.put_along_axis(
-                    gtiles6[:k], idx5[:k][..., None], g[:k][..., None], axis=-1
-                )
-                gx5[:k].fill(0)
-                np.copyto(
-                    gx5[:k, :, :, : oh * ph, : ow * pw].reshape(
-                        k, n, c, oh, ph, ow, pw
-                    ),
-                    gtiles6[:k]
-                    .reshape(k, n, c, oh, ow, ph, pw)
-                    .transpose(0, 1, 2, 3, 5, 4, 6),
-                )
+                gbits, gxbits = g[:k].view(self._bits), gx5[:k].view(self._bits)
+                idx, eq = idx5[:k], eq5[:k]
+                # Only the cropped border is not a window element.
+                gxbits[..., oh * ph :, :] = 0
+                gxbits[..., : oh * ph, ow * pw :] = 0
+                for j in range(ph * pw):
+                    a, b = divmod(j, pw)
+                    np.equal(idx, j, out=eq)
+                    # bits(g) where window j won, +0.0 elsewhere.
+                    np.multiply(
+                        gbits, eq, out=gxbits[..., a : oh * ph : ph, b : ow * pw : pw]
+                    )
                 g = gx5
             else:  # flatten
                 g = g.reshape((g.shape[0], n) + step[2])

@@ -123,19 +123,65 @@ CREATE TABLE IF NOT EXISTS traces (
 """
 
 
+#: SQLite's INTEGER range.
+_SQL_INT_MIN, _SQL_INT_MAX = -(2**63), 2**63 - 1
+
+
 def _finite_or_none(value) -> float | None:
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     return value if math.isfinite(value) else None
 
 
+def _sql_int(value) -> int:
+    """``int(value)``; OverflowError for an integer SQLite cannot hold
+    (and, from ``int`` itself, for an infinity)."""
+    value = int(value)
+    if not _SQL_INT_MIN <= value <= _SQL_INT_MAX:
+        raise OverflowError(f"{value} is outside SQLite's INTEGER range")
+    return value
+
+
 def _int_or_none(value) -> int | None:
+    """:func:`_sql_int`, or None for a value that is not a number."""
     try:
-        return int(value)
+        return _sql_int(value)
     except (TypeError, ValueError):
         return None
+
+
+def _sql_real(value) -> float:
+    """``float(value)`` for a NOT NULL column: SQLite stores NaN as NULL,
+    so NaN raises ValueError."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("NaN in a NOT NULL column")
+    return value
+
+
+def _sql_str(value) -> str:
+    """A NOT NULL text column's value: a string SQLite can encode."""
+    if not isinstance(value, str):
+        raise TypeError(f"{type(value).__name__} is not text")
+    value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+    return value
+
+
+def _sql_text(value):
+    """A nullable pass-through text column's value as SQLite binds it:
+    None, a float, an integer it can hold, or :func:`_sql_str`."""
+    if value is None or isinstance(value, float):
+        return value
+    if isinstance(value, int):
+        return _sql_int(value)
+    return _sql_str(value)
+
+
+def _mapping(value) -> dict:
+    """A row member read as a mapping: anything else reads as empty."""
+    return value if isinstance(value, dict) else {}
 
 
 @dataclass(frozen=True)
@@ -271,22 +317,13 @@ class ResultStore:
             digest = self.new_digest(encoded)
             if digest is None:
                 return False
-        provenance = row.get("provenance") or {}
-        if not isinstance(provenance, dict):
-            provenance = {}
-        epsilons = [float(v) for v in config.get("epsilons", ())]
-        target = config.get("target_epsilon")
-        if target is None and epsilons:
-            target = min(epsilons)
-        staleness = row.get("staleness") or {}
-        occupancy = (row.get("probes") or {}).get("occupancy") or {}
-        n_updates = _int_or_none(row.get("n_updates"))
-        virtual_time = _finite_or_none(row.get("virtual_time"))
-        time_per_update = (
-            virtual_time / n_updates
-            if virtual_time is not None and n_updates
-            else None
-        )
+        try:
+            config_hash = _sql_str(row_config_hash(row))
+            values, thresholds = self._columns(row, config, report)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(
+                f"run row has a column value SQLite cannot store ({exc})"
+            ) from None
         cur = self._conn.execute(
             """
             INSERT OR IGNORE INTO runs (
@@ -300,55 +337,86 @@ class ResultStore:
                 cpu_count, row_json
             ) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)
             """,
-            (
-                digest,
-                run_key,
-                row_config_hash(row),
-                workload,
-                source,
-                str(config.get("algorithm", "?")),
-                int(config.get("m", 0)),
-                float(config.get("eta", float("nan"))),
-                int(config.get("seed", 0)),
-                str(row.get("status", "?")),
-                int(row.get("schema_version", 0)),
-                _finite_or_none(target),
-                virtual_time,
-                _finite_or_none(row.get("wall_seconds")),
-                n_updates,
-                _int_or_none(row.get("n_dropped")),
-                time_per_update,
-                _finite_or_none(report.get("final_loss")),
-                _finite_or_none(row.get("final_accuracy")),
-                _finite_or_none(row.get("cas_failure_rate")),
-                _finite_or_none(row.get("mean_lock_wait")),
-                _finite_or_none(staleness.get("mean")),
-                _finite_or_none(staleness.get("p90")),
-                _int_or_none(row.get("kernel_fallbacks")),
-                _int_or_none(row.get("peak_pv_count")),
-                _int_or_none(row.get("peak_pv_bytes")),
-                _finite_or_none(occupancy.get("ratio_to_prediction")),
-                provenance.get("git_sha"),
-                provenance.get("hostname"),
-                _int_or_none(provenance.get("cpu_count")),
-                canonical(encoded),
-            ),
+            (digest, run_key, config_hash, workload, source, *values, canonical(encoded)),
         )
         if cur.rowcount == 0:
             return False
         run_id = cur.lastrowid
-        threshold_times = report.get("threshold_times") or {}
-        for eps, value in threshold_times.items():
-            try:
-                t, n = value
-            except (TypeError, ValueError):
-                continue
+        for threshold in thresholds:
             self._conn.execute(
                 "INSERT OR IGNORE INTO thresholds (run_id, eps, t, n_updates) "
                 "VALUES (?,?,?,?)",
-                (run_id, float(eps), _finite_or_none(t), _int_or_none(n)),
+                (run_id,) + threshold,
             )
         return True
+
+    @staticmethod
+    def _columns(row: dict, config: dict, report: dict) -> tuple[tuple, list[tuple]]:
+        """The ``runs`` column values ``algorithm`` .. ``cpu_count`` of
+        a decoded row, and its ``thresholds`` rows.
+
+        A value that is not a number where a column reads one is NULL
+        (an optional column) or drops its threshold entry; a member that
+        is not a mapping reads as empty. What no column can hold raises
+        TypeError / ValueError / OverflowError, which
+        :meth:`insert_row` turns into one :class:`ConfigurationError`:
+        a required ``config`` member (``m``, ``eta``, ``seed``,
+        ``epsilons``) that is not a number (a NaN ``eta`` included:
+        SQLite would store NULL, and ``INSERT OR IGNORE`` drop the row
+        unwarned), an integer column's infinity or value outside
+        SQLite's INTEGER range, a text column's value SQLite cannot
+        bind. (The ``config_hash`` column, converted in
+        the same ``try``, adds a ``config`` that does not hash.)"""
+        provenance = _mapping(row.get("provenance"))
+        epsilons = [float(v) for v in config.get("epsilons", ())]
+        target = config.get("target_epsilon")
+        if target is None and epsilons:
+            target = min(epsilons)
+        staleness = _mapping(row.get("staleness"))
+        occupancy = _mapping(_mapping(row.get("probes")).get("occupancy"))
+        n_updates = _int_or_none(row.get("n_updates"))
+        virtual_time = _finite_or_none(row.get("virtual_time"))
+        time_per_update = (
+            virtual_time / n_updates
+            if virtual_time is not None and n_updates
+            else None
+        )
+        thresholds = []
+        for eps, value in _mapping(report.get("threshold_times")).items():
+            try:
+                t, n = value
+                eps = float(eps)
+            except (TypeError, ValueError):
+                continue
+            thresholds.append((eps, _finite_or_none(t), _int_or_none(n)))
+        values = (
+            _sql_str(str(config.get("algorithm", "?"))),
+            _sql_int(config.get("m", 0)),
+            _sql_real(config.get("eta", float("nan"))),
+            _sql_int(config.get("seed", 0)),
+            _sql_str(str(row.get("status", "?"))),
+            _sql_int(row.get("schema_version", 0)),
+            _finite_or_none(target),
+            virtual_time,
+            _finite_or_none(row.get("wall_seconds")),
+            n_updates,
+            _int_or_none(row.get("n_dropped")),
+            time_per_update,
+            _finite_or_none(report.get("final_loss")),
+            _finite_or_none(row.get("final_accuracy")),
+            _finite_or_none(row.get("cas_failure_rate")),
+            _finite_or_none(row.get("mean_lock_wait")),
+            _finite_or_none(staleness.get("mean")),
+            _finite_or_none(staleness.get("p90")),
+            _int_or_none(row.get("kernel_fallbacks")),
+            _int_or_none(row.get("peak_pv_count")),
+            _int_or_none(row.get("peak_pv_bytes")),
+            _finite_or_none(occupancy.get("ratio_to_prediction")),
+            _sql_text(provenance.get("git_sha")),
+            _sql_text(provenance.get("hostname")),
+            _int_or_none(provenance.get("cpu_count")),
+        )
+        return values, thresholds
 
     def insert_bench_entry(self, entry: dict, *, entry_index: int) -> int:
         """Insert one BENCH_history trajectory entry (one row per

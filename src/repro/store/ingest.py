@@ -114,11 +114,20 @@ def _iter_lines(path: Path):
 def _recorded_config_hash(encoded: dict) -> str | None:
     """The config hash the row's provenance recorded, read from the
     parse (every run the program writes records one): the key of the
-    byte-identical lookup. Anything else gives None, and the line takes
-    the digest lookup."""
+    byte-identical lookup. Anything else (a hash is hex, so a string
+    that is not ASCII too: SQLite may not bind it) gives None, and the
+    line takes the digest lookup."""
     provenance = encoded.get("provenance")
     recorded = provenance.get("config_hash") if isinstance(provenance, dict) else None
-    return recorded if isinstance(recorded, str) and recorded else None
+    return recorded if isinstance(recorded, str) and recorded and recorded.isascii() else None
+
+
+def _run_key(wkey: str, row: dict) -> str:
+    """A journal row's ``run_key``: its workload key and config hash."""
+    try:
+        return f"{wkey}:{row_config_hash(row)}"
+    except (TypeError, ValueError) as exc:  # a decoded config JSON cannot hold
+        raise ConfigurationError(f"run row config does not hash ({exc})") from None
 
 
 def _ingest_result_file(
@@ -157,8 +166,8 @@ def _ingest_result_file(
             _warn_skip(str(exc))
             report.skipped += 1
             continue
-        run_key = None if wkey is None else f"{wkey}:{row_config_hash(row)}"
         try:
+            run_key = None if wkey is None else _run_key(wkey, row)
             fresh = store.insert_row(
                 row, encoded, source=source, workload=wkey, run_key=run_key, digest=digest
             )

@@ -8,7 +8,10 @@ every replica's gradient must equal the reference's **bytes** on the
 same batch — on a kernel's first use and on its dirty slabs. Inputs and
 parameters mix generic floats (so a reassociated sum shows) with the
 pool-tie corpus of ``tests/nn/test_inference.py`` (signed zeros, equal
-and quantised values in every window position, +-inf). A stack the
+and quantised values in every window position, +-inf and NaN). The
+pool alone meets every window over ``SPECIAL_VALUES`` in
+:class:`TestPoolIsExhaustivelyExact`, value, index and input gradient
+against ``MaxPool2D`` itself. A stack the
 kernel does not know (``Dropout``, a non-dense head) is declined, and
 ``DLGradTask.run`` then gives the reference's bytes.
 
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -32,7 +37,7 @@ from repro.nn.network import Network
 from repro.nn.replica import ReplicaKernel
 from repro.sim.grad import GradCompute
 
-from tests.nn.test_inference import TIE_VALUES
+from tests.nn.test_inference import SPECIAL_VALUES, TIE_VALUES
 from tests.nn.test_workspace import reference_gradient, twin_batcher
 
 N_TRAIN = 12
@@ -49,7 +54,7 @@ class Case(NamedTuple):
     kmax: int
     groups: tuple[int, ...]  # size of each successive execute(), all <= kmax
     seed: int
-    nonfinite: bool = False  # let +-inf into the inputs
+    nonfinite: bool = False  # let +-inf and NaN into the inputs
 
 
 def _make_layer(spec: tuple):
@@ -79,7 +84,10 @@ def _tie_mix(rng: np.random.Generator, shape, values, dtype) -> np.ndarray:
 
 def _problem(case: Case, network: Network) -> DLProblem:
     rng = np.random.default_rng(case.seed)
-    values = TIE_VALUES if case.nonfinite else tuple(v for v in TIE_VALUES if np.isfinite(v))
+    if case.nonfinite:
+        values = TIE_VALUES + (np.nan,)
+    else:
+        values = tuple(v for v in TIE_VALUES if np.isfinite(v))
     x = _tie_mix(rng, (N_TRAIN,) + case.input_shape, values, case.dtype)
     y = rng.integers(0, network.output_shape[0], size=N_TRAIN)
     return DLProblem(network, x, y, x[:2], y[:2], batch_size=case.batch, dtype=case.dtype)
@@ -268,3 +276,116 @@ def test_declined_stack_runs_the_reference(declined):
     case, reason = declined
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_declined_runs_the_reference(case, reason, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# The pool, window by window
+# ----------------------------------------------------------------------
+class _FixedRows:
+    """A task's batcher that draws the same rows every time."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.batch_size = rows.size
+
+    def next_batch_indices(self) -> np.ndarray:
+        return self.rows
+
+
+def _pool_run(case: Case, x: np.ndarray, rows: list, thetas: list):
+    """One stacked ``execute`` of ``case`` over the given rows of ``x``
+    per replica: the kernel, the problem and each replica's gradient."""
+    network = _network(case)
+    y = np.random.default_rng(case.seed).integers(0, network.output_shape[0], size=len(x))
+    problem = DLProblem(network, x, y, x[:2], y[:2], batch_size=len(rows[0]), dtype=case.dtype)
+    tasks = [problem.make_grad_task(np.random.default_rng(r)) for r in range(len(rows))]
+    for task, replica_rows in zip(tasks, rows):
+        task.batcher = _FixedRows(replica_rows)
+    kernel = ReplicaKernel.build(tasks[0], case.kmax)
+    outs = [np.full_like(theta, np.nan) for theta in thetas]
+    kernel.execute([GradCompute(t.run, th, o, 1.0, t) for t, th, o in zip(tasks, thetas, outs)])
+    return kernel, problem, outs
+
+
+class TestPoolIsExhaustivelyExact:
+    """All 9**4 windows over :data:`SPECIAL_VALUES`, each the one 2x2
+    window of a 2x2 map or of a 3x3 map cropped to 1x1, through the
+    kernel's pool at K = 1 and K = 3 (each replica its own row order and
+    theta). The pool's output bits, window index and input-gradient bits
+    must equal ``MaxPool2D.forward`` / ``backward`` on the same input and
+    incoming gradient. The pool is layer 0 (no input gradient), after a
+    1x1 pool (the identity: every window reaches it as written) or after
+    a 1x1 conv with no ReLU, whose GEMM sum starts at +0.0 and so hands
+    it the windows with -0.0 read as +0.0."""
+
+    FRONTS = {"layer0": (), "after_pool": (("pool", 1),), "after_conv": (("conv", 1, (1, 1)),)}
+
+    @pytest.mark.parametrize("front", list(FRONTS))
+    @pytest.mark.parametrize("kmax", [1, 3])
+    @pytest.mark.parametrize("side", [2, 3])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_every_special_value_window(self, dtype, side, kmax, front):
+        tuples = np.array(list(itertools.product(SPECIAL_VALUES, repeat=4)), dtype=dtype)
+        # The cropped row and column hold 3, which would win any window
+        # that read them.
+        x = np.full((len(tuples), 1, side, side), 3, dtype=dtype)
+        x[:, 0, :2, :2] = tuples.reshape(-1, 2, 2)
+        p = len(self.FRONTS[front])  # the pool's layer index
+        layers = self.FRONTS[front] + (("pool", 2), ("flatten",), ("dense", 2))
+        case = Case(x.shape[1:], layers, len(x), dtype, kmax, (kmax,), seed=kmax)
+        rng = np.random.default_rng(side)
+        rows = [np.arange(len(x))] + [rng.permutation(len(x)) for _ in range(kmax - 1)]
+        network = _network(case)
+        thetas = [network.init_theta(rng, std=1.0, dtype=dtype) for _ in range(kmax)]
+        for theta in thetas:
+            if front == "after_conv":
+                W, b = network._all_param_views(theta)[0]
+                W[...], b[...] = 1.0, -0.0
+        kernel, problem, outs = _pool_run(case, x, rows, thetas)
+        pool = problem.network.layers[p]
+        best5, idx5, *_, gx5, _dims = kernel._steps[p][2]
+        gin3 = kernel._steps[p + 2][3]  # the dense head's input gradient
+        assert idx5.dtype == np.uint8
+        for r in range(kmax):
+            views = problem.network._all_param_views(thetas[r])
+            pool_in = x[rows[r]]
+            for i in range(p):
+                pool_in, _ = problem.network.layers[i].forward(pool_in, views[i])
+            if front != "after_conv":
+                assert pool_in.tobytes() == x[rows[r]].tobytes()
+            want, cache = pool.forward(pool_in, [])
+            assert best5[r].tobytes() == want.tobytes(), f"replica {r}: values"
+            np.testing.assert_array_equal(idx5[r], cache[0], err_msg=f"replica {r}: index")
+            if p:
+                gx = pool.backward(gin3[r].reshape(want.shape), cache, [], [])
+                assert gx5[r].tobytes() == gx.tobytes(), f"replica {r}: input gradient"
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, grad = problem.network.loss_and_grad(
+                    x[rows[r]], problem.train_y[rows[r]], thetas[r]
+                )
+            _assert_same_bytes(outs[r], grad, f"replica {r}: gradient")
+
+
+def test_a_window_of_more_than_256_elements_indexes_in_uint16():
+    # A 16x17 pool over a 17x18 map (cropped), on the tie corpus with NaN.
+    case = Case((1, 17, 18), (("conv", 1, (1, 1)), ("pool", (16, 17)), ("flatten",),
+                              ("dense", 2)),
+                batch=5, dtype="float32", kmax=2, groups=(2, 1), seed=9, nonfinite=True)
+    network = _network(case)
+    problem = _problem(case, network)
+    kernel = ReplicaKernel.build(problem.make_grad_task(np.random.default_rng(0)), case.kmax)
+    assert kernel._steps[1][2][1].dtype == np.uint16
+    assert_kernel_matches_reference(case)
+
+
+@pytest.mark.parametrize("bad", [-1, N_TRAIN])
+def test_an_out_of_range_staged_index_raises(bad):
+    case = Case((3,), (("dense", 2),), batch=4, dtype="float32", kmax=2, groups=(2,), seed=0)
+    problem = _problem(case, _network(case))
+    tasks = [problem.make_grad_task(np.random.default_rng(r)) for r in range(2)]
+    tasks[1].batcher = _FixedRows(np.array([0, 1, bad, 2]))
+    kernel = ReplicaKernel.build(tasks[0], case.kmax)
+    theta = _theta(case, problem.network, np.random.default_rng(0))
+    gcs = [GradCompute(t.run, theta, np.empty_like(theta), 1.0, t) for t in tasks]
+    with pytest.raises(IndexError, match="out of bounds"):
+        kernel.execute(gcs)

@@ -11,12 +11,14 @@ that grows fails here, with the allocation sites that hold the most,
 instead of waiting for a benchmark run.
 
 Measured: 83.6 MiB before the evaluation front-end ran in blocks and
-ReLU in place, 60.0 MiB after, and 48.6 MiB since the kernel lays its
+ReLU in place, 60.0 MiB after, 48.6 MiB since the kernel lays its
 forward-only and backward-only slabs over one scratch region (29.0
 kernel slabs and parameter vectors out of the cohort's arena, 11.9
 layer-0 evaluation patches, 2.8 plan scratch, the rest scheduler events
-and results). The corpus is generated before tracing starts and is not
-in the figure.
+and results), and 45.2 MiB since the max-pool selects bits over strided
+windows instead of tiling them (its tile and gradient-tile slabs gone,
+its window index one byte wide). The corpus is generated before
+tracing starts and is not in the figure.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from repro.harness.runner import run_cohort
 from repro.nn.architectures import cnn_mnist
 from repro.sim.cost import CostModel
 
-#: Traced-peak budget of the box, in MiB (measured 48.6).
-COHORT_PEAK_MIB = 49.6
+#: Traced-peak budget of the box, in MiB (measured 45.2).
+COHORT_PEAK_MIB = 46.2
 
 
 def test_cnn_cohort_peak_is_within_its_budget(monkeypatch):

@@ -15,7 +15,10 @@ mappings with non-ASCII and escaped keys and strings, lists, ints,
 bools, None, ``-0.0``, ``1e300``, both sentinels and bare ``NaN``, with
 each of :data:`~repro.identity.HOST_FIELDS` present or absent. A
 re-rendered line (other separators, unsorted keys) must miss the text
-lookup and still store what its canonical twin stores.
+lookup and still store what its canonical twin stores. A real row whose
+column members (the ``config`` members, counts, times, ratios,
+provenance, thresholds) take generated values, out of range ones
+included, is one stored row or one warned skip, never a traceback.
 
 Budgets follow ``tests/conftest.py`` (``default`` in tier-1,
 ``--hypothesis-profile=ci`` for the large one); every property is also
@@ -25,9 +28,11 @@ deadline.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -270,3 +275,105 @@ def test_host_members_move_no_fingerprint(field):
     assert identity.encoded_fingerprint(moved) == identity.encoded_fingerprint(BASE)
     assert (identity.encoded_row_digest(moved) == digest) is (field in identity.WALL_FIELDS)
 
+
+
+# ----------------------------------------------------------------------
+# Column values: a stored row or one warned skip
+# ----------------------------------------------------------------------
+#: Where the store's columns read a row (each a path of keys).
+COLUMN_MEMBERS = (
+    ("config", "algorithm"), ("config", "m"), ("config", "eta"), ("config", "seed"),
+    ("config", "epsilons"), ("config", "target_epsilon"), ("status",), ("n_updates",),
+    ("n_dropped",), ("virtual_time",), ("wall_seconds",), ("final_accuracy",),
+    ("cas_failure_rate",), ("mean_lock_wait",), ("kernel_fallbacks",), ("peak_pv_count",),
+    ("peak_pv_bytes",), ("report", "final_loss"), ("report", "threshold_times"),
+    ("staleness",), ("staleness", "mean"), ("staleness", "p90"), ("probes",),
+    ("probes", "occupancy"), ("provenance", "git_sha"), ("provenance", "hostname"),
+    ("provenance", "cpu_count"), ("provenance", "config_hash"),
+)
+_COLUMN_VALUES = st.one_of(
+    _VALUES,
+    st.integers(2**63 - 2, 2**70),
+    st.integers(-(2**70), -(2**63) + 1),
+    st.sampled_from(["4", "2.5", "1e999", "0x10", "\ud800"]),
+    # Threshold tables: numeric and other keys, pairs and other values.
+    st.dictionaries(
+        st.one_of(_TEXT, st.sampled_from(["0.5", "1e999", "nan"])),
+        st.one_of(st.lists(_LEAVES, min_size=2, max_size=2), _LEAVES),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def column_rows(draw) -> dict:
+    """:data:`BASE` with a few column members replaced (a member under a
+    replaced non-mapping is left out)."""
+    row = copy.deepcopy(BASE)
+    for path in draw(st.lists(st.sampled_from(COLUMN_MEMBERS), min_size=1, max_size=4,
+                              unique=True)):
+        parent = row
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            parent[path[-1]] = draw(_COLUMN_VALUES)
+    return row
+
+
+def _replaced(path: tuple, value) -> dict:
+    row = copy.deepcopy(BASE)
+    parent = row
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return row
+
+
+#: Rows that once aborted ``repro db ingest`` with a traceback.
+KNOWN_BAD = {
+    "n_updates_inf": _replaced(("n_updates",), {"__float__": "inf"}),
+    "m_not_a_number": _replaced(("config", "m"), "four"),
+    "eta_not_a_number": _replaced(("config", "eta"), "fast"),
+    "seed_not_a_number": _replaced(("config", "seed"), [3]),
+}
+
+
+def _ingest_counting_skips(store: ResultStore, path: Path, line: str):
+    """Ingest ``line`` as ``path`` (a plain file, or a journal when its
+    parent is a run dir): the counts and how many skips were warned."""
+    path.write_text(line + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = ingest_path(store, path.parent if path.name.startswith("results-") else path)
+    warned = sum("ingest: skipping" in str(w.message) for w in caught)
+    return (report.inserted, report.duplicates, report.skipped), warned
+
+
+class TestColumnValues:
+    @DEADLINE
+    @SEED
+    @given(column_rows())
+    @example(KNOWN_BAD["n_updates_inf"])
+    @example(KNOWN_BAD["m_not_a_number"])
+    def test_any_column_value_is_a_row_or_one_warned_skip(self, payload):
+        line = identity.canonical(payload)
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "run").mkdir()
+            for path in (Path(tmp) / "runs.jsonl", Path(tmp) / "run" / "results-wk.jsonl"):
+                with ResultStore(":memory:") as store:
+                    counts, warned = _ingest_counting_skips(store, path, line)
+                    assert counts in ((1, 0, 0), (0, 0, 1))
+                    assert warned == counts[2]
+                    stored = [(identity.encoded_row_digest(payload), line)] * counts[0]
+                    assert _stored(store) == stored
+                    if not counts[0]:  # nothing of a skipped row is written
+                        thresholds = store._conn.execute("SELECT COUNT(*) FROM thresholds")
+                        assert thresholds.fetchone() == (0,)
+
+    @pytest.mark.parametrize("name", list(KNOWN_BAD))
+    def test_known_out_of_range_rows_are_skipped(self, name, tmp_path):
+        with ResultStore(":memory:") as store:
+            counts, warned = _ingest_counting_skips(
+                store, tmp_path / "runs.jsonl", identity.canonical(KNOWN_BAD[name])
+            )
+        assert (counts, warned) == ((0, 0, 1), 1)
