@@ -120,6 +120,13 @@ class DLProblem(Problem):
             raise ConfigurationError("train_x / train_y sample counts disagree")
         if eval_x.shape[0] != eval_y.shape[0]:
             raise ConfigurationError("eval_x / eval_y sample counts disagree")
+        # No batch can be drawn from an empty train split, and an empty
+        # held-out split has no f(theta) to converge on (its loss is not
+        # even defined for every network).
+        if train_x.shape[0] == 0:
+            raise ConfigurationError("the train split is empty")
+        if eval_x.shape[0] == 0:
+            raise ConfigurationError("the held-out split is empty")
         check_positive("batch_size", batch_size)
         check_positive("init_std", init_std)
         self.network = network
@@ -168,15 +175,17 @@ class DLProblem(Problem):
         return plan_for(self, self.network, self.eval_x, self.eval_y, np.asarray(theta).dtype)
 
     def eval_loss(self, theta: np.ndarray) -> float:
-        """``network.loss`` on the held-out split, bit for bit."""
+        """``network.loss`` on the held-out split, bit for bit; on a
+        theta evaluated recently (theta_0 of the run before) it costs no
+        forward."""
         if not np.all(np.isfinite(theta)):
             return float("nan")
         with np.errstate(over="ignore", invalid="ignore"):
             return self._eval_plan(theta).loss(theta)
 
     def eval_accuracy(self, theta: np.ndarray) -> float:
-        """``network.accuracy`` on the held-out split, bit for bit; right
-        after :meth:`eval_loss` on the same theta it costs no forward."""
+        """``network.accuracy`` on the held-out split, bit for bit; on a
+        theta evaluated recently it costs no forward."""
         if not np.all(np.isfinite(theta)):
             return float("nan")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -10,15 +10,28 @@ ReLU's output through a tile copy + ``argmax`` + ``take_along_axis``.
 An :class:`InferencePlan` is what one ``(network, split, theta dtype)``
 can prepare once: the split converted to the theta dtype, the first
 ``Conv2D``'s patch matrix, and scratch buffers the forward pass writes
-into. It is a cache of theta-independent work plus scratch, never of
-losses: :meth:`InferencePlan.loss` always runs its forward. Every value
-it returns is **bitwise identical** to ``Network.loss`` /
+into. It also remembers its last :data:`KEPT_EVALUATIONS` evaluations
+(theta's bits, the logits and, once asked for, the loss), and both
+:meth:`InferencePlan.loss` and :meth:`InferencePlan.accuracy` read them:
+every run of an eta column starts from the seed's theta_0, and the
+accuracy ``_finalize_run`` takes is on the theta the monitor observed
+last, so one forward per distinct theta is all a pass needs. Every value
+the plan returns is **bitwise identical** to ``Network.loss`` /
 ``Network.accuracy`` (they feed ``curve_loss``, ``threshold_times`` and
 ``final_accuracy``, hence every fingerprint); ``tests/nn/test_inference.py``
 compares bit patterns.
 
 How the bits are kept:
 
+* The memo is exact because a value is a function of theta's *bits*:
+  the split is constant, and a pure network's forward is deterministic.
+  A kept theta matches only on every bit (``-0.0`` and ``+0.0`` differ);
+  every ``stride``-th element (:data:`PROBE_ELEMENTS` of them) is
+  compared first, so a miss against d = 134,794 costs ~64 compares per
+  kept entry. A hit moves the entry to the back, so theta_0 outlives
+  the thetas of the run it started. A network holding a layer outside
+  :attr:`InferencePlan._PURE` (Dropout draws a mask per forward)
+  memoises nothing.
 * ``Conv2D`` and ``Dense`` run the layer's own GEMMs on the same
   operands (``np.matmul(cols, W.T)``, ``np.matmul(x, W)``) with ``out=``
   targets, the equivalence ``tests/nn/test_workspace.py`` pins for
@@ -35,23 +48,40 @@ How the bits are kept:
   reduction differently.
 * A ``ReLU`` that a ``MaxPool2D`` follows runs with it as one step on
   the pre-activation ``z``. ``M``, each window's maximum, is
-  ``np.maximum`` accumulated over the window's ``ph * pw`` strided
-  slices of ``z``, and the output is ``where(M > 0, M, z_tl * 0)``, with
-  ``z_tl`` the window's top-left element. That is the layers' pool
-  (``argmax``, first maximum wins) over the ReLU's ``x * (x > 0)``, bit
-  for bit:
+  ``np.maximum`` over the ``ph`` row slices of ``z`` (rows ``ow * pw``
+  long, contiguous), then over the ``pw`` column slices of that, and
+  the output is ``where(M > 0, M, z_tl * 0)``, with ``z_tl`` the
+  window's top-left element. That is the layers' pool (``argmax``, first
+  maximum wins) over the ReLU's ``x * (x > 0)``, bit for bit:
 
   - ``M > 0``: ``argmax`` picks a positive maximum, and equal positive
     values have equal bits.
   - ``M <= 0``: every ReLU output in the window is ``+-0``, so ``argmax``
     returns index 0 and the pool gives ``relu(z_tl) = z_tl * 0``.
   - So ``np.maximum``'s ``-0.0`` / ``+0.0`` tie rule, which makes it
-    inexact on the ReLU's output, never reaches the result.
+    inexact on the ReLU's output, never reaches the result, and neither
+    does the order in which the maxima are taken.
+
+  The output is computed as ``maximum(M, -0.0)``, with ``z_tl * 0``
+  written only where ``M`` is ``+-0``: where ``M < 0``, ``z_tl <= M`` is
+  negative too and ``z_tl * 0`` is ``-0.0``, so the strided top-left
+  elements are read only for the windows whose maximum is zero.
 
   A NaN or ``-inf`` anywhere in ``z`` sends the block through both
   layers' own ``forward`` (``argmax`` ranks NaN first, and
   ``relu(-inf) = -inf * 0`` is NaN); ``z.min()`` propagates NaN, so one
   reduction checks for both.
+* When a ``Conv2D`` feeds that step, its bias ``b`` is added after the
+  max: to each window's maximum of the product ``mm`` and, where that
+  sum is zero, to its top-left element, not to the whole map.
+  ``x -> fl(x + b)`` is non-decreasing, so ``max_i fl(mm_i + b) =
+  fl(max_i mm_i + b)``, and ``z_tl * 0`` is computed from the exact
+  ``fl(mm_tl + b)``. The guard
+  becomes ``fl(min(mm) + min(b)) > -inf``: by the same monotonicity it
+  fails whenever some ``fl(mm_i + b_j)`` is ``-inf`` or NaN (that needs
+  a NaN, or a ``-inf`` in ``mm`` or ``b``, or an overflow only the
+  addition makes). A failed guard adds ``b`` to the whole map and takes
+  the step above, guard included.
 * A ``MaxPool2D`` with no ``ReLU`` before it, and any layer type the plan
   does not know (Dropout, Softmax, user layers, subclasses of the known
   ones), go through the layer's own ``forward``. Whether a layer is
@@ -96,19 +126,29 @@ PLAN_BYTES_CAP = 128 * 2**20
 #: value depends on it.
 FRONT_BLOCK = 64
 
-#: Evaluations whose ``(theta, logits)`` a plan remembers so that
-#: ``accuracy`` on the same theta needs no second forward. More than one
-#: because the replicas of a lockstep cohort interleave their last
-#: monitor observations before any of them is finalized.
+#: Evaluations a plan remembers (theta's bits, its logits and, once
+#: asked for, its loss), so that a theta seen before costs no forward.
+#: More than one because the replicas of a lockstep cohort interleave
+#: their last monitor observations before any of them is finalized, and
+#: because theta_0 comes back at the start of every run of a column.
 KEPT_EVALUATIONS = 8
 
+#: Elements of theta compared, at an even stride, before the whole
+#: vector: a theta that differs from a kept one almost always differs
+#: there, so a miss costs ~64 compares per kept entry, not d.
+PROBE_ELEMENTS = 64
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bitwise equality of two same-dtype 1-D vectors (``==`` would call
-    ``-0.0`` and ``+0.0`` equal, and they need not give the same logits)."""
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint8), b.view(np.uint8)
-    )
+
+def _same_bits(a: np.ndarray, b: np.ndarray, stride: int) -> bool:
+    """Bitwise equality of two same-dtype vectors (``==`` would call
+    ``-0.0`` and ``+0.0`` equal, and they need not give the same logits).
+    Every ``stride``-th element is compared first, the rest only if
+    those agree."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    unsigned = f"u{a.dtype.itemsize}"
+    a, b = a.view(unsigned), b.view(unsigned)
+    return np.array_equal(a[::stride], b[::stride]) and np.array_equal(a, b)
 
 
 class InferencePlan:
@@ -126,8 +166,12 @@ class InferencePlan:
         self.dtype = np.dtype(dtype)
         self.forwards = 0  # forward passes run (tests count them)
         # A layer outside _PURE may be stateful (Dropout draws a mask per
-        # forward): then no logits are ever reused.
+        # forward): then nothing is ever reused.
         self._pure = all(type(layer) in self._PURE for layer in network.layers)
+        #: ``[theta, logits, loss or None]`` of recent evaluations, the
+        #: most recently used last.
+        self._kept: deque[list] = deque(maxlen=KEPT_EVALUATIONS)
+        self._stride = max(1, network.n_params // PROBE_ELEMENTS)
         if tuple(x.shape[1:]) != network.input_shape:
             # The conv gathers index a flat sample: a wrong shape must not
             # read the wrong pixels quietly.
@@ -141,6 +185,11 @@ class InferencePlan:
         self._relu_pools = {
             i for i in range(len(layers) - 1)
             if type(layers[i]) is ReLU and type(layers[i + 1]) is MaxPool2D
+        }
+        #: Indices of the Conv2Ds such a step follows: the step adds
+        #: their bias after the max.
+        self._conv_pools = {
+            i - 1 for i in self._relu_pools if i and type(layers[i - 1]) is Conv2D
         }
         # The conv front-end: the layers before the first Dense, when a
         # Conv2D is among them (nothing else has scratch worth blocking)
@@ -180,7 +229,6 @@ class InferencePlan:
         self._cols = np.empty(cols_elems if retain else 0, dtype=self.dtype)
         self._flat = [np.empty(act_elems if retain else 0, dtype=self.dtype) for _ in range(2)]
         self._features = np.empty(feature_elems if retain else 0, dtype=self.dtype)
-        self._recent: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=KEPT_EVALUATIONS)
 
     # -- scratch -------------------------------------------------------
     def _scratch(self, held: int | None, shape: tuple[int, ...]) -> tuple[np.ndarray, int | None]:
@@ -195,7 +243,7 @@ class InferencePlan:
         return np.empty(shape, dtype=self.dtype), None
 
     # -- layers --------------------------------------------------------
-    def _conv(self, i, layer, cur, held, params):
+    def _conv(self, i, layer, cur, held, params, bias=True):
         W, b = params
         n = cur.shape[0]
         f, oh, ow = layer._out_shape
@@ -218,7 +266,8 @@ class InferencePlan:
         # addition either way, and after it the inner loop is p long, not f.
         out, held = self._scratch(index, (n, f, p))
         np.copyto(out, mm.transpose(0, 2, 1))
-        out += b[:, None]
+        if bias:
+            out += b[:, None]
         return out.reshape(n, f, oh, ow), held
 
     def _dense(self, i, layer, cur, held, params):
@@ -233,25 +282,45 @@ class InferencePlan:
         np.multiply(cur, cur > 0, out=out)
         return out, held
 
-    def _relu_pool(self, relu, pool, z, held):
-        """``relu`` then ``pool`` as one step on the pre-activation ``z``
-        (the rule and why it is exact: the module docstring)."""
-        if z.size and not z.min() > -np.inf:  # a NaN or -inf in z
+    def _relu_pool(self, relu, pool, z, held, b=None):
+        """``relu`` then ``pool`` as one step on the pre-activation ``z``,
+        or on ``z + b`` (per channel) when the conv before left its bias
+        to this step (the rules and why they are exact: the module
+        docstring)."""
+        if b is not None and z.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                low = z.min() + b.min()
+            if not low > -np.inf:  # maybe a NaN or -inf in z + b: add b now
+                z += b[:, None, None]
+                b = None
+        if b is None and z.size and not z.min() > -np.inf:  # a NaN or -inf in z
             out, _ = relu.forward(z, [])
             return pool.forward(out, [])[0], None
         ph, pw = pool.pool
         oh, ow = z.shape[2] // ph, z.shape[3] // pw
-        windows = [
-            z[:, :, a : oh * ph : ph, b : ow * pw : pw] for a in range(ph) for b in range(pw)
-        ]
-        top_left = windows[0]
-        peak, _ = self._scratch(held, top_left.shape)
-        np.maximum(top_left, windows[-1], out=peak)  # a 1x1 window: max(z, z) is z
-        for window in windows[1:-1]:
-            np.maximum(peak, window, out=peak)
-        # +inf * 0 is NaN, but only where peak > 0 discards it.
-        with np.errstate(invalid="ignore"):
-            return np.where(peak > 0, peak, top_left * 0), None
+        # Row maxima first (rows ow * pw long and contiguous), then the
+        # maxima of their pw column slices.
+        rows = [z[:, :, a : oh * ph : ph, : ow * pw] for a in range(ph)]
+        wide, _ = self._scratch(held, rows[0].shape)
+        np.maximum(rows[0], rows[-1], out=wide)  # one row: max(r, r) is r
+        for row in rows[1:-1]:
+            np.maximum(wide, row, out=wide)
+        columns = [wide[..., c::pw] for c in range(pw)]
+        peak = np.maximum(columns[0], columns[-1])
+        for column in columns[1:-1]:
+            np.maximum(peak, column, out=peak)
+        if b is not None:
+            peak += b[:, None, None]
+        # Where the window's maximum is negative, so is z_tl, and
+        # z_tl * 0 is -0.0. Only a maximum of +-0 needs z_tl itself.
+        ties = peak == 0
+        np.maximum(peak, -0.0, out=peak)
+        if ties.any():
+            top_left = z[:, :, : oh * ph : ph, : ow * pw : pw][ties]
+            if b is not None:
+                top_left += np.broadcast_to(b[:, None, None], peak.shape)[ties]
+            peak[ties] = top_left * 0
+        return peak, None
 
     def _flatten(self, i, layer, cur, held, params):
         return cur.reshape(cur.shape[0], -1), held
@@ -273,6 +342,11 @@ class InferencePlan:
         held = None
         i = start
         while i < stop:
+            if i in self._conv_pools:  # conv -> ReLU -> pool, the bias after the max
+                cur, held = self._conv(i, layers[i], cur, held, params[i], bias=False)
+                cur, held = self._relu_pool(layers[i + 1], layers[i + 2], cur, held, params[i][1])
+                i += 3
+                continue
             if i in self._relu_pools:  # its pool is in the run too: a Dense ends the front
                 cur, held = self._relu_pool(layers[i], layers[i + 1], cur, held)
                 i += 2
@@ -307,26 +381,40 @@ class InferencePlan:
             cur = features.reshape((n,) + out_shape)
         return self._run(front, len(network.layers), cur, params)
 
-    def loss(self, theta: np.ndarray) -> float:
-        """``network.loss(x, y, theta)``. Always runs the forward."""
+    def _evaluation(self, theta: np.ndarray) -> list:
+        """``[theta, logits, loss or None]`` for ``theta``: the kept
+        entry of its bit pattern, moved to the back, or a new one from
+        one forward (kept only when the network is pure)."""
+        theta = np.asarray(theta)
+        kept = self._kept
+        for k in range(len(kept) - 1, -1, -1):
+            entry = kept[k]
+            if _same_bits(theta, entry[0], self._stride):
+                del kept[k]
+                kept.append(entry)
+                return entry
         logits = self.logits(theta)
-        if self._pure:
-            self._recent.append((np.array(theta, copy=True), logits.copy()))
-        return softmax_cross_entropy(logits, self.y)[0]
+        if not self._pure:
+            return [theta, logits, None]
+        entry = [np.array(theta, copy=True), logits.copy(), None]
+        kept.append(entry)
+        return entry
+
+    def loss(self, theta: np.ndarray) -> float:
+        """``network.loss(x, y, theta)``; no forward for a theta with
+        the bits of a kept evaluation."""
+        entry = self._evaluation(theta)
+        if entry[2] is None:
+            entry[2] = softmax_cross_entropy(entry[1], self.y)[0]
+        return entry[2]
 
     def accuracy(self, theta: np.ndarray) -> float:
-        """``network.accuracy(x, y, theta)``; reuses the logits of a
-        recent :meth:`loss` call on a bitwise-equal theta."""
+        """``network.accuracy(x, y, theta)``; no forward for a theta
+        with the bits of a kept evaluation."""
         y = np.asarray(self.y)
         if y.size == 0:
             return float("nan")
-        theta = np.asarray(theta)
-        for seen, kept in reversed(self._recent):
-            if _same_bits(theta, seen):
-                logits = kept
-                break
-        else:
-            logits = self.logits(theta)
+        logits = self._evaluation(theta)[1]
         return float(np.mean(np.argmax(logits, axis=-1) == y))
 
 

@@ -150,6 +150,20 @@ class TestDLProblem:
         with pytest.raises(ConfigurationError):
             DLProblem(net, x, np.zeros(10, dtype=int), x, np.zeros(9, dtype=int))
 
+    def test_empty_train_split_rejected(self):
+        net = mlp_custom(4, (3,), 2)
+        x, y = np.zeros((10, 4)), np.zeros(10, dtype=int)
+        with pytest.raises(ConfigurationError, match="train split is empty"):
+            DLProblem(net, x[:0], y[:0], x, y)
+
+    def test_empty_held_out_split_rejected(self):
+        # It would otherwise "converge" at t = 0: initial and final loss
+        # 0.0, every threshold crossed.
+        net = mlp_custom(4, (3,), 2)
+        x, y = np.zeros((10, 4)), np.zeros(10, dtype=int)
+        with pytest.raises(ConfigurationError, match="held-out split is empty"):
+            DLProblem(net, x, y, x[:0], y[:0])
+
     def test_sgd_on_dl_problem_descends(self, dl_problem):
         rng = np.random.default_rng(0)
         theta = dl_problem.init_theta(rng)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import itertools
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -343,9 +344,29 @@ class TestPoolTies:
 SPECIAL_VALUES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan)
 
 
+def _conv_pool_net(side: int, filters: int = 1) -> Network:
+    """A 1x1 ``Conv2D`` over one channel, then ReLU -> 2x2 pool: with
+    ``W = 1`` the conv's product ``mm`` is the input itself, and each
+    filter's pre-activation is ``mm * W + b``."""
+    layers = [Conv2D(filters, 1), ReLU(), MaxPool2D(2), Flatten()]
+    return Network(layers, input_shape=(1, side, side), name="conv-pool")
+
+
+def _conv_pool_logits(net: Network, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    plan = inference.InferencePlan(net, x, np.zeros(x.shape[0], dtype=np.int64), x.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plan.logits(theta)
+
+
 class TestFusedStepIsExhaustivelyExact:
     """All 9**4 windows over :data:`SPECIAL_VALUES`, each the one 2x2
-    window of a 2x2 map or of a 3x3 map cropped to 1x1."""
+    window of a 2x2 map or of a 3x3 map cropped to 1x1. After a
+    ``Conv2D`` the step adds the conv bias ``b`` to each window's
+    maximum (and, where that is zero, to its top-left element) only:
+    all 11**4 windows over :data:`SPECIAL_VALUES` and +-MAX of the
+    dtype, under every ``b`` of :data:`SPECIAL_VALUES` and +-0.75 MAX
+    (so ``mm + b`` overflows to +-inf where only the addition makes
+    it)."""
 
     @pytest.mark.parametrize("side", [2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -370,6 +391,56 @@ class TestFusedStepIsExhaustivelyExact:
         got = _plan_logits(layers, z[~guarded])
         assert _bits(got) == _bits(want[~guarded])
 
+    @pytest.mark.parametrize("side", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_special_window_under_every_bias(self, dtype, side, monkeypatch):
+        big = np.finfo(dtype).max
+        values = SPECIAL_VALUES + (big, -big)
+        tuples = np.array(list(itertools.product(values, repeat=4)), dtype=dtype)
+        x = np.full((len(tuples), 1, side, side), 3, dtype=dtype)
+        x[:, 0, :2, :2] = tuples.reshape(-1, 2, 2)
+        net = _conv_pool_net(side)
+        conv = net.layers[0]
+        for b in SPECIAL_VALUES + (0.75 * big, -0.75 * big):
+            theta = np.array([1, b], dtype=dtype)  # W = 1, then b
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = net.forward(x, theta)
+                z, _ = conv.forward(x, net._all_param_views(theta)[0])
+            # One filter: fl(min(mm) + b) is the least z, so the guard
+            # fails exactly on a call holding a NaN or -inf in z.
+            dirty = (np.isnan(z) | np.isneginf(z)).reshape(len(z), -1).any(axis=1)
+            with monkeypatch.context() as patch:
+                calls = _count_forwards(patch)
+                if dirty.any():
+                    got = _conv_pool_logits(net, x[dirty], theta)
+                    # Every block of the front-end holds a dirty window.
+                    blocks = -(-int(dirty.sum()) // inference.FRONT_BLOCK)
+                    assert calls == ["relu", "maxpool2d"] * blocks
+                    assert _bits(got) == _bits(want[dirty])
+            with monkeypatch.context() as patch:
+                _forwards_raise(patch)
+                if not dirty.all():
+                    got = _conv_pool_logits(net, x[~dirty], theta)
+                    assert _bits(got) == _bits(want[~dirty])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_failed_guard_on_a_clean_map_adds_b_and_fuses(self, dtype, monkeypatch):
+        # Filter 0 is x + MAX, filter 1 is 0 * x - MAX: no z is -inf, but
+        # min(mm) + min(b) = -MAX - MAX is. The plan then adds b to the
+        # whole map and still runs the fused step.
+        big = np.finfo(dtype).max
+        values = (-big, -1.0, -0.0, 0.0, 1.0, 2.0, big)
+        x = np.array(list(itertools.product(values, repeat=4)), dtype=dtype).reshape(-1, 1, 2, 2)
+        net = _conv_pool_net(2, filters=2)
+        theta = np.array([1, 0, big, -big], dtype=dtype)  # W = (1, 0), b = (MAX, -MAX)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = net.forward(x, theta)
+            z, _ = net.layers[0].forward(x, net._all_param_views(theta)[0])
+            assert x.min() + theta[2:].min() == -np.inf
+        assert not (np.isnan(z) | np.isneginf(z)).any()
+        _forwards_raise(monkeypatch)
+        assert _bits(_conv_pool_logits(net, x, theta)) == _bits(want)
+
 
 class TestOneForwardServesBoth:
     def test_accuracy_after_loss_on_the_same_theta_runs_no_forward(self, corpus):
@@ -382,9 +453,9 @@ class TestOneForwardServesBoth:
         assert plan.forwards == 1
         problem.eval_accuracy(other)
         assert plan.forwards == 2
-        # No memo of losses: the forward always runs.
+        # The loss of a kept theta is served too: no forward runs.
         problem.eval_loss(theta)
-        assert plan.forwards == 3
+        assert plan.forwards == 2
 
     def test_theta_equality_is_bitwise(self, corpus):
         problem = _problem("mlp", corpus)
@@ -408,6 +479,25 @@ class TestOneForwardServesBoth:
         for theta in thetas:
             problem.eval_accuracy(theta)
         assert plan.forwards == len(thetas)
+
+    def test_a_hit_keeps_its_theta_longest(self, corpus):
+        # theta_0 starts every run of a column: a hit moves it to the
+        # back, so the thetas of the run before are evicted first.
+        problem = _problem("mlp", corpus)
+        theta0 = _thetas(problem, np.float32)[0]
+        others = [theta0 + np.float32(k) for k in range(1, inference.KEPT_EVALUATIONS + 1)]
+        plan = _plan(problem, theta0)
+        problem.eval_loss(theta0)
+        for other in others[:-1]:
+            problem.eval_loss(other)
+        assert plan.forwards == inference.KEPT_EVALUATIONS
+        problem.eval_accuracy(theta0)
+        problem.eval_loss(others[-1])  # evicts others[0], not theta0
+        assert plan.forwards == inference.KEPT_EVALUATIONS + 1
+        problem.eval_loss(theta0)
+        assert plan.forwards == inference.KEPT_EVALUATIONS + 1
+        problem.eval_loss(others[0])
+        assert plan.forwards == inference.KEPT_EVALUATIONS + 2
 
     def test_non_finite_theta_is_nan_without_a_forward(self, corpus):
         problem = _problem("mlp", corpus)
@@ -468,9 +558,13 @@ class TestPlanLivesOutsideTheProblem:
             problem.eval_loss(_thetas(problem, np.float32)[0])
 
     def test_plan_dies_with_its_problem(self, corpus):
+        # Through a weakref to this problem's own plan: the table's size
+        # also counts problems another test's traceback keeps alive.
         problem = _problem("mlp", corpus)
-        problem.eval_loss(_thetas(problem, np.float32)[0])
-        alive = len(inference._PLANS)
+        theta = _thetas(problem, np.float32)[0]
+        problem.eval_loss(theta)
+        plan = weakref.ref(_plan(problem, theta))
+        assert plan() is not None
         del problem
         gc.collect()
-        assert len(inference._PLANS) == alive - 1
+        assert plan() is None

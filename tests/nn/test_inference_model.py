@@ -10,6 +10,13 @@ and the plan's ``loss`` / ``accuracy`` must equal ``Network.loss`` /
 equal-value ties land in every window position; some examples also let
 +-inf into the input, which the step hands to the layers.
 
+``test_one_forward_per_distinct_theta`` draws sequences of ``loss`` /
+``accuracy`` calls over variants of two thetas: repeats, a zero's sign
+flipped, one bit flipped at an index the plan's probe samples or skips.
+The plan must run one forward per distinct bit pattern (one per call for
+a network holding a ``Dropout``, which it never memoises), and every
+value must equal the network's by ``float.hex()``.
+
 Budgets come from the Hypothesis profiles in ``tests/conftest.py``.
 """
 
@@ -20,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from repro.nn.inference import FRONT_BLOCK, InferencePlan
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.inference import FRONT_BLOCK, KEPT_EVALUATIONS, PROBE_ELEMENTS, InferencePlan
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 
 from tests.nn.test_inference import TIE_VALUES
@@ -106,3 +113,114 @@ def test_plan_equals_the_network(case):
         assert plan.accuracy(theta).hex() == want_acc.hex()  # reuses the loss's logits
         assert plan.forwards == 1
         assert InferencePlan(network, x, y, case.dtype).accuracy(theta).hex() == want_acc.hex()
+
+
+# -- the evaluation memo ------------------------------------------------
+
+MEMO_KINDS = ("conv", "mlp", "dropout")
+#: Edits that make a variant of a base theta: none, the sign bit of a
+#: zero, one bit at an index the plan's probe skips, one bit at an index
+#: it samples.
+EDITS = ("none", "zero", "unprobed", "probed")
+
+
+class MemoCase(NamedTuple):
+    """A sequence of evaluations on one plan, as plain values."""
+
+    kind: str
+    dtype: str
+    seed: int
+    variants: tuple[tuple[int, str, int, int], ...]  # (base, edit, position, bit)
+    calls: tuple[tuple[str, int], ...]  # (method, variant)
+    training: bool = False  # the Dropout's mode
+
+
+def _memo_network(kind: str, training: bool) -> Network:
+    if kind == "conv":
+        layers = [Conv2D(4, 3), ReLU(), MaxPool2D(2), Flatten(), Dense(3)]
+        return Network(layers, (1, 10, 10), name="memo-conv")
+    middle = []
+    if kind == "dropout":
+        dropout = Dropout(0.5, rng=np.random.default_rng(7))
+        dropout.training = training
+        middle = [dropout]
+    return Network([Dense(16), ReLU(), *middle, Dense(3)], (12,), name=f"memo-{kind}")
+
+
+@st.composite
+def memo_cases(draw) -> MemoCase:
+    variants = draw(st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(EDITS), st.integers(0, 2**16),
+                  st.integers(0, 63)),
+        min_size=1, max_size=KEPT_EVALUATIONS,
+    ))
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(["loss", "accuracy"]), st.integers(0, len(variants) - 1)),
+        min_size=1, max_size=20,
+    ))
+    return MemoCase(
+        kind=draw(st.sampled_from(MEMO_KINDS)),
+        dtype=draw(st.sampled_from(["float32", "float64"])),
+        seed=draw(st.integers(0, 2**16)),
+        variants=tuple(variants),
+        calls=tuple(calls),
+        training=draw(st.booleans()),
+    )
+
+
+def _variant(bases, stride, base, edit, position, bit) -> np.ndarray:
+    theta = bases[base].copy()
+    bits = theta.view(f"u{theta.itemsize}")
+    indices = np.arange(theta.size)
+    where = {
+        "none": indices[:0],
+        "zero": np.flatnonzero(theta == 0),
+        "unprobed": indices[indices % stride != 0],
+        "probed": indices[::stride],
+    }[edit]
+    if where.size:
+        width = 8 * theta.itemsize
+        bit = width - 1 if edit == "zero" else bit % width  # a zero's sign bit
+        bits[where[position % where.size]] ^= bits.dtype.type(1) << bits.dtype.type(bit)
+    return theta
+
+
+# theta_0 back after other thetas, its -0.0 twin, a bit flipped where
+# the probe does not look, and a loss after an accuracy.
+@example(MemoCase("mlp", "float32", 0,
+                  ((0, "none", 0, 0), (1, "none", 0, 0), (0, "zero", 3, 0),
+                   (0, "unprobed", 5, 0), (0, "probed", 1, 31)),
+                  (("loss", 0), ("loss", 1), ("loss", 2), ("accuracy", 3), ("loss", 3),
+                   ("loss", 0), ("accuracy", 4), ("accuracy", 0), ("loss", 4))))
+@example(MemoCase("conv", "float64", 1,
+                  ((0, "none", 0, 0), (0, "unprobed", 9, 0), (0, "unprobed", 9, 52)),
+                  (("accuracy", 1), ("loss", 0), ("loss", 1), ("accuracy", 2), ("loss", 2))))
+@example(MemoCase("dropout", "float32", 2, ((0, "none", 0, 0),),
+                  (("loss", 0), ("accuracy", 0), ("loss", 0)), training=True))
+@given(memo_cases())
+def test_one_forward_per_distinct_theta(case):
+    network = _memo_network(case.kind, case.training)
+    reference = _memo_network(case.kind, case.training)  # Dropout draws its own stream
+    rng = np.random.default_rng(case.seed)
+    n = int(rng.integers(1, 7))
+    x = _quantized(rng, (n,) + network.input_shape, X_VALUES, case.dtype)
+    y = rng.integers(0, 3, size=n)
+    plan = InferencePlan(network, x, y, case.dtype)
+    stride = plan._stride
+    assert stride == network.n_params // PROBE_ELEMENTS > 1
+    bases = [_quantized(rng, (network.n_params,), THETA_VALUES, case.dtype) for _ in range(2)]
+    variants = [_variant(bases, stride, *variant) for variant in case.variants]
+    unsigned = f"u{bases[0].itemsize}"
+    for (base, edit, *_), theta in zip(case.variants, variants):
+        if edit == "unprobed":  # only the whole compare can tell them apart
+            probe = theta.view(unsigned)[::stride]
+            assert np.array_equal(probe, bases[base].view(unsigned)[::stride])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for method, k in case.calls:
+            got = getattr(plan, method)(variants[k])
+            want = getattr(reference, method)(x, y, variants[k])
+            assert got.hex() == want.hex()
+    if case.kind == "dropout":  # never memoises: one forward per call
+        assert plan.forwards == len(case.calls)
+    else:
+        assert plan.forwards == len({variants[k].tobytes() for _, k in case.calls})
