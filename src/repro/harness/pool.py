@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from repro.utils import lanes
 from repro.utils.shm import attach_segment, create_segment, release_segments, segment_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -365,7 +366,11 @@ class WorkerPool:
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            # The pool fills the cores: a worker's kernel steps run on
+            # one lane.
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=lanes.confine
+            )
             self.stats.spawns += 1
         return self._executor
 

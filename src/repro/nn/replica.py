@@ -29,6 +29,15 @@ form performs the exact same floating-point work per replica:
   per-replica operand is a leading-axis slice of a stacked buffer whose
   shape *and strides* equal the serial operand's, so BLAS sees the same
   problem and reduces in the same order.
+* **Dense GEMM loops may run on idle cores.** A dense layer whose
+  per-request GEMM reaches ``LANE_MIN_MACS`` runs its per-request loop
+  (forward ``x @ W + b``, backward ``x.T @ g``, the bias-gradient copy
+  and ``g @ W.T``) over :func:`repro.utils.lanes.each`: share 0 on the
+  calling thread, the rest on helper threads, joined before the next
+  stacked op. Requests write disjoint buffers and each call is the same
+  single-threaded BLAS call on the same operands, so the bits do not
+  depend on the width (1 wherever BLAS is not pinned to one thread,
+  and in a pool worker). Profiler spans stay on the calling thread.
 * **Conv2D stacks its im2col.** One ``np.take`` through the layer's
   own gather table (:func:`repro.nn.layers.conv2d.patch_gather`, the
   repo's one im2col) fills a K-stacked ``(K, N, OH*OW, C*kh*kw)`` patch
@@ -41,7 +50,10 @@ form performs the exact same floating-point work per replica:
   cache is shared with the reference layer — paths depend on shapes
   only) plus the per-replica multi-axis bias sum (kept reference-shaped: a
   stacked ``(K, N, F, OH, OW)`` reduction would reassociate), then one
-  stacked zero-fill + slice-add scatter for the input gradient.
+  stacked zero-fill + slice-add scatter for the input gradient, over
+  flattened maps through one kernel row of patch gradients at a time,
+  copied once into rows zero-padded to the input width (the pad adds
+  +0.0 to sums that are never -0.0).
 * **ReLU runs in place.** It multiplies the mask into the conduit it
   consumes: no backward step reads a layer's output (dense keeps its
   input, conv its patches, pool its window index, ReLU its mask), so a
@@ -78,11 +90,13 @@ form performs the exact same floating-point work per replica:
   input batch before a spatial layer, conv GEMM outputs, maps that feed
   a pool or a conv, the pool's window and mask scratch) and the
   *backward-only* ones (conv patch gradients, the pool's mask, input
-  gradients) are each laid out disjointly from offset 0 of one shared
-  scratch region, a byte buffer in which every slab is a view of its
-  own dtype at a 64-byte-aligned offset: the forward layout is dead
+  gradients, the col2im rows) are each laid out from offset 0 of one
+  shared scratch region, a byte buffer in which every slab is a view of
+  its own dtype at a 64-byte-aligned offset: the forward layout is dead
   before the backward pass writes its first slab, so this is pure buffer
-  reuse.
+  reuse. Forward-only slabs are disjoint; two backward-only slabs share
+  bytes when no backward step uses both (a layer's scratch lives for its
+  own step, its input gradient until the layer below consumes it).
 
 A step's scratch lives in the kernel's slabs, sized once at build. They
 come from the cohort's :class:`~repro.sim.arena.BufferArena` when one is
@@ -106,10 +120,13 @@ could have stacked, so silent de-vectorizations are observable in
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.nn.layers.conv2d import patch_gather, weight_grad_path
 from repro.observe import profiler as _profiler
+from repro.utils import lanes as _lanes
 
 __all__ = ["ReplicaKernel"]
 
@@ -124,6 +141,17 @@ _SUPPORTED_KINDS = frozenset({"dense", "relu", "flatten", "conv2d", "maxpool2d"}
 #: Byte alignment of each slab inside the scratch region.
 _SCRATCH_ALIGN = 64
 
+#: Multiply-adds per request (``batch * inputs * units``) from which a
+#: dense layer's per-request GEMM loop runs on the helper lanes
+#: (:mod:`repro.utils.lanes`). Handing one share to a helper and joining
+#: it cost ~45 us on the 2-vCPU sizing host, about one single-threaded
+#: sgemm of 1.5M multiply-adds; below the floor the loop runs inline
+#: (the paper's CNN's 32 x 200 x 128 layer, 0.8M, measured 1.6x slower
+#: on two lanes at K = 2), above it the Table-II MLP's 256 x 784 x 128
+#: and 256 x 128 x 128 layers run 0.58x and 0.82x (see
+#: ``docs/simulator.md``).
+LANE_MIN_MACS = 1 << 21
+
 
 def _backward_reads(layers, i: int) -> bool:
     """Whether the backward pass reads the conduit layer ``i`` writes
@@ -137,21 +165,61 @@ def _backward_reads(layers, i: int) -> bool:
     return True  # the last layer is dense: its output is the logits
 
 
+def _consumer(layers, i: int) -> int:
+    """The layer whose backward step reads the input gradient layer
+    ``i`` writes: the next layer below ``i`` other than ReLU and
+    flatten (which pass the conduit on in place), or 0."""
+    for j in range(i - 1, -1, -1):
+        if layers[j].kind not in ("relu", "flatten"):
+            return j
+    return 0
+
+
 class _Slab:
-    """A planned kernel buffer: its shape and dtype, then its byte offset
-    in the scratch region (forward-only and backward-only slabs) and its
-    view once :meth:`ReplicaKernel._place` has backed it."""
+    """A planned kernel buffer: its shape and dtype, the layers whose
+    backward steps use it (``live``, a backward-only slab's span; None:
+    the whole pass), then its byte offset in the scratch region
+    (forward-only and backward-only slabs) and its view once
+    :meth:`ReplicaKernel._place` has backed it."""
 
-    __slots__ = ("shape", "dtype", "nbytes", "offset", "view")
+    __slots__ = ("shape", "dtype", "nbytes", "live", "offset", "view")
 
-    def __init__(self, shape: tuple, dtype: np.dtype) -> None:
+    def __init__(self, shape: tuple, dtype: np.dtype, live: tuple | None = None) -> None:
         self.shape = shape
         self.dtype = dtype
         self.nbytes = dtype.itemsize
         for dim in shape:
             self.nbytes *= int(dim)
+        self.live = live
         self.offset = 0
         self.view = None
+
+    def meets(self, other: "_Slab") -> bool:
+        """Whether the two slabs can hold live data at the same time."""
+        if self.live is None or other.live is None:
+            return True
+        return self.live[0] <= other.live[1] and other.live[0] <= self.live[1]
+
+    @staticmethod
+    def lay_out(slabs: list) -> int:
+        """Give each slab the lowest ``_SCRATCH_ALIGN``-aligned offset
+        at which it overlaps no earlier slab it :meth:`meets`; return
+        the end of the layout. Slabs that all meet (the forward-only
+        ones) land back to back in planning order."""
+        placed: list = []
+        end = 0
+        for slab in slabs:
+            need = -(-slab.nbytes // _SCRATCH_ALIGN) * _SCRATCH_ALIGN
+            offset = 0
+            taken = sorted((o.offset, o.offset + size) for o, size in placed if o.meets(slab))
+            for start, stop in taken:
+                if offset + need <= start:
+                    break
+                offset = max(offset, stop)
+            slab.offset = offset
+            placed.append((slab, need))
+            end = max(end, offset + need)
+        return end
 
     @classmethod
     def resolve_all(cls, item):
@@ -252,7 +320,8 @@ class ReplicaKernel:
                 # length, same accumulation order → bitwise identical),
                 # then each row is copied into that replica's gb view.
                 gb3 = self._slab((km, layer.units), "keep")
-                steps.append(("dense", i, out3, gin3, gb3, "kernel.dense"))
+                wide = n * layer_in[0] * layer.units >= LANE_MIN_MACS
+                steps.append(("dense", i, out3, gin3, gb3, wide, "kernel.dense"))
             elif kind == "relu":
                 full = (km, n) + layer_in
                 # dtype (not bool) masks: np.greater writes exact
@@ -277,12 +346,18 @@ class ReplicaKernel:
                     (km, n, f, oh, ow), "keep" if _backward_reads(layers, i) else "forward"
                 )
                 if i == 0:
-                    gcols4 = gx5 = None  # input gradient skipped
+                    gcols4 = rows6 = gx5 = None  # input gradient skipped
                 else:
-                    gcols4 = self._slab((km, n, p, ckk), "backward")
-                    gx5 = self._slab((km, n, c, h, w), "backward")
+                    gcols4 = self._slab((km, n, p, ckk), "backward", live=(i, i))
+                    # One kernel row's patch gradients, channel-major, each
+                    # output row padded to the input width W with zeros.
+                    rows6 = self._slab((km, n, kw, c, oh, w), "backward", live=(i, i))
+                    gx5 = self._slab(
+                        (km, n, c, h, w), "backward", live=(_consumer(layers, i), i)
+                    )
                 gather = patch_gather((c, h, w), (kh, kw))
-                bufs = (cols4, mm4, out5, gcols4, gx5, gather, (c, h, w, f, oh, ow, kh, kw))
+                bufs = (cols4, mm4, out5, gcols4, rows6, gx5, gather,
+                        (c, h, w, f, oh, ow, kh, kw))
                 steps.append(("conv2d", i, bufs, "kernel.conv2d"))
             else:  # maxpool2d: reject_reason admits no other kind
                 c, h, w = layer_in
@@ -302,8 +377,10 @@ class ReplicaKernel:
                 if i == 0:
                     eq5 = gx5 = None  # input gradient skipped
                 else:
-                    eq5 = self._slab(full, "backward", np.bool_)
-                    gx5 = self._slab((km, n, c, h, w), "backward")
+                    eq5 = self._slab(full, "backward", np.bool_, live=(i, i))
+                    gx5 = self._slab(
+                        (km, n, c, h, w), "backward", live=(_consumer(layers, i), i)
+                    )
                 bufs = (best5, idx5, win5, upd5, le5, jdx5, eq5, gx5, (oh, ow, ph, pw))
                 steps.append(("maxpool2d", i, bufs, "kernel.maxpool2d"))
         self._place()
@@ -329,11 +406,13 @@ class ReplicaKernel:
         self._slabs.append(flat)
         return flat.reshape(shape)
 
-    def _slab(self, shape: tuple, phase: str, dtype=None) -> "_Slab":
+    def _slab(self, shape: tuple, phase: str, dtype=None, live=None) -> "_Slab":
         """Plan a slab (of the kernel's dtype unless given): ``"keep"``
         for its own buffer, ``"forward"`` / ``"backward"`` for the
-        scratch region. :meth:`_place` gives it its view."""
-        slab = _Slab(shape, np.dtype(dtype or self.dtype))
+        scratch region (a backward-only slab with the span of layers
+        whose backward steps use it). :meth:`_place` gives it its
+        view."""
+        slab = _Slab(shape, np.dtype(dtype or self.dtype), live)
         self._planned[phase].append(slab)
         return slab
 
@@ -341,23 +420,18 @@ class ReplicaKernel:
         """Back every planned slab. The forward-only slabs are laid out
         disjointly from byte 0 of one region, each at a
         ``_SCRATCH_ALIGN``-byte offset and viewed as its own dtype, and
-        the backward-only slabs likewise over the same region, which is
-        as large as the larger of the two layouts (one byte buffer: an
-        arena acquisition, or ``np.empty`` for a kernel of one). No
-        forward-only slab is read after the forward pass and no
-        backward-only slab before the backward pass writes it, so the
-        two layouts never hold live data at the same time. The region is
-        acquired first, then the kept slabs one buffer each: a kernel
-        built after another one died then finds the hole the old region
-        left before small buffers split it (otherwise the heap grows by
-        a region per box)."""
-        size = 0
-        for phase in ("forward", "backward"):
-            end = 0
-            for slab in self._planned[phase]:
-                slab.offset = end
-                end += -(-slab.nbytes // _SCRATCH_ALIGN) * _SCRATCH_ALIGN
-            size = max(size, end)
+        the backward-only slabs over the same region, where two of them
+        share bytes only if no backward step uses both
+        (:meth:`_Slab.lay_out`). The region is as large as the larger of
+        the two layouts (one byte buffer: an arena acquisition, or
+        ``np.empty`` for a kernel of one). No forward-only slab is read
+        after the forward pass and no backward-only slab before the
+        backward pass writes it, so the two layouts never hold live data
+        at the same time. The region is acquired first, then the kept
+        slabs one buffer each: a kernel built after another one died
+        then finds the hole the old region left before small buffers
+        split it (otherwise the heap grows by a region per box)."""
+        size = max(_Slab.lay_out(self._planned[phase]) for phase in ("forward", "backward"))
         if size:
             region = self._alloc((size,), np.uint8)
             for phase in ("forward", "backward"):
@@ -459,12 +533,9 @@ class ReplicaKernel:
             tag = step[0]
             t0 = prof.start()
             if tag == "dense":
-                _, i, out3, _gin3, _gb3, _span = step
+                _, i, out3, _gin3, _gb3, wide, _span = step
                 fwd_in[i] = cur
-                for r in range(k):
-                    W, b = params[r][i]
-                    np.matmul(cur[r], W, out=out3[r])
-                    out3[r] += b
+                _lanes.each(k, partial(_dense_forward, cur, out3, params, i), wide)
                 cur = out3
             elif tag == "relu":
                 mask3 = step[2]
@@ -473,7 +544,7 @@ class ReplicaKernel:
                 np.multiply(ck, mask3[:k], out=ck)
             elif tag == "conv2d":
                 _, i, bufs, _span = step
-                cols4, mm4, out5, _gcols4, _gx5, gather, dims = bufs
+                cols4, mm4, out5, _gcols4, _rows6, _gx5, gather, dims = bufs
                 _c, _h, _w, f, oh, ow, _kh, _kw = dims
                 # One stacked im2col gather: per-replica slices of cols4
                 # are contiguous (N, OH*OW, C*kh*kw) — the reference
@@ -556,20 +627,13 @@ class ReplicaKernel:
             tag = step[0]
             t0 = prof.start()
             if tag == "dense":
-                _, i, _out3, gin3, gb3, _span = step
-                x_in = fwd_in[i]
+                _, i, _out3, gin3, gb3, wide, _span = step
                 # One stacked reduction over the batch axis for every
                 # replica's bias gradient (bitwise-identical to the
                 # per-replica sums), copied out to each gb view below.
                 g[:k].sum(axis=1, out=gb3[:k])
-                for r in range(k):
-                    W = params[r][i][0]
-                    gW, gb = grads[r][i]
-                    gr = g[r]
-                    np.matmul(x_in[r].T, gr, out=gW)
-                    gb[...] = gb3[r]
-                    if gin3 is not None:
-                        np.matmul(gr, W.T, out=gin3[r])
+                backward = partial(_dense_backward, fwd_in[i], g, gin3, gb3, params, grads, i)
+                _lanes.each(k, backward, wide)
                 if gin3 is None:
                     prof.stop(step[-1], t0)
                     return  # layer 0: the input gradient is discarded
@@ -579,8 +643,8 @@ class ReplicaKernel:
                 np.multiply(g[:k], mask3[:k], out=g[:k])
             elif tag == "conv2d":
                 _, i, bufs, _span = step
-                cols4, _mm4, _out5, gcols4, gx5, _gather, dims = bufs
-                c, _h, _w, f, oh, ow, kh, kw = dims
+                cols4, _mm4, _out5, gcols4, rows6, gx5, _gather, dims = bufs
+                c, h, w, f, oh, ow, kh, kw = dims
                 p = oh * ow
                 # Per-replica view with exactly the reference g2 strides
                 # ((F*P, 1, P) elements), so einsum/matmul match bits.
@@ -601,15 +665,30 @@ class ReplicaKernel:
                 if gcols4 is None:
                     prof.stop(step[-1], t0)
                     return  # layer 0: the input gradient is discarded
-                # Stacked input-gradient scatter: each (i, j) slice-add
-                # touches each element in the same order as the reference.
+                # Stacked input-gradient scatter (col2im). Kernel row di
+                # of the patch gradients is copied once into rows, whose
+                # output rows are padded to the input width W with zeros;
+                # over flattened (H*W) maps, kernel tap (di, dj) is then
+                # one slice-add of SPAN contiguous elements at offset
+                # di*W + dj. Each element gets the reference's additions
+                # in the reference's (di, dj) order, plus +0.0 from the
+                # pad columns that wrap onto the next row: the sum starts
+                # at +0.0 and so is never -0.0, and x + 0.0 == x for
+                # every other x, NaN and +-inf included.
                 gx5[:k].fill(0)
+                rows = rows6[:k]
+                rows[..., ow:] = 0  # other slabs share these bytes
                 gcv = gcols4[:k].reshape(k, n, oh, ow, c, kh, kw).transpose(
-                    0, 1, 4, 5, 6, 2, 3
+                    0, 1, 5, 6, 4, 2, 3
                 )
+                gxf = gx5[:k].reshape(k, n, c, h * w)
+                rowsf = rows.reshape(k, n, kw, c, oh * w)
+                span = (oh - 1) * w + ow
                 for di in range(kh):
+                    np.copyto(rows[..., :ow], gcv[:, :, di])
                     for dj in range(kw):
-                        gx5[:k, :, :, di : di + oh, dj : dj + ow] += gcv[:, :, :, di, dj]
+                        at = di * w + dj
+                        gxf[..., at : at + span] += rowsf[:, :, dj, :, :span]
                 g = gx5
             elif tag == "maxpool2d":
                 _best5, idx5, _win5, _upd5, _le5, _jdx5, eq5, gx5, dims = step[2]
@@ -639,3 +718,22 @@ class ReplicaKernel:
             f"ReplicaKernel({self.network.name!r}, kmax={self.kmax}, "
             f"batch={self.batch}, dtype={self.dtype.name})"
         )
+
+
+# ----------------------------------------------------------------------
+# Per-request dense GEMMs: request ``r`` reads only shared inputs and its
+# own theta, and writes only its own slab rows and gradient views, so
+# the lanes may run different ``r`` at once.
+def _dense_forward(x3, out3, params, i: int, r: int) -> None:
+    W, b = params[r][i]
+    np.matmul(x3[r], W, out=out3[r])
+    out3[r] += b
+
+
+def _dense_backward(x3, g3, gin3, gb3, params, grads, i: int, r: int) -> None:
+    gW, gb = grads[r][i]
+    gr = g3[r]
+    np.matmul(x3[r].T, gr, out=gW)
+    gb[...] = gb3[r]
+    if gin3 is not None:
+        np.matmul(gr, params[r][i][0].T, out=gin3[r])

@@ -248,10 +248,12 @@ class ExperimentService:
             self.bus = ProbeBus()
             self.timeline = TimelineRecorder()
             self.bus.attach(self.timeline)
-            self._t0 = time.monotonic()
-            self.queue = TaskQueue(
-                bus=self.bus, clock=lambda: time.monotonic() - self._t0
-            )
+            # The clock closes over the start instant, not over self: a
+            # queue that held the service would make every session a
+            # reference cycle (service -> queue -> clock -> service)
+            # that keeps its results alive until the cyclic GC runs.
+            t0 = time.monotonic()
+            self.queue = TaskQueue(bus=self.bus, clock=lambda: time.monotonic() - t0)
             self.measurer = Measurer(self.run_dir)
             self.scheduler = SweepScheduler(self.replicas)
             self.cache = cache

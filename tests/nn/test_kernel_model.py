@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import contextlib
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -34,8 +36,10 @@ from hypothesis import example, given, strategies as st
 from repro.core.problem import DLProblem
 from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
+from repro.nn import replica
 from repro.nn.replica import ReplicaKernel
 from repro.sim.grad import GradCompute
+from repro.utils import lanes
 
 from tests.nn.test_inference import SPECIAL_VALUES, TIE_VALUES
 from tests.nn.test_workspace import reference_gradient, twin_batcher
@@ -217,12 +221,67 @@ def assert_kernel_matches_reference(case: Case) -> None:
 @example(Case((1, 9, 9), (("conv", 2, (2, 2)), ("conv", 3, (2, 2)), ("pool", 2),
                           ("conv", 2, (2, 2)), ("relu",), ("flatten",), ("dense", 3)),
               batch=3, dtype="float32", kmax=3, groups=(1, 3), seed=6))
+# col2im through zero-padded rows: 3x3 and 2x3 kernels past layer 0 on
+# the nonfinite tie corpus (the pad columns add +0.0 to sums of NaN,
+# +-inf and signed zeros).
+@example(Case((1, 9, 8), (("conv", 2, (2, 2)), ("relu",), ("conv", 2, (3, 3)), ("conv", 1, (2, 3)),
+                          ("flatten",), ("dense", 3)),
+              batch=3, dtype="float32", kmax=3, groups=(3, 2), seed=10, nonfinite=True))
 # The input batch through ReLU to a dense layer is that layer's input.
 @example(Case((1, 4, 4), (("relu",), ("flatten",), ("dense", 3)),
               batch=2, dtype="float64", kmax=2, groups=(1, 2), seed=7))
 @given(case=cases())
 def test_kernel_gradient_bytes_equal_the_reference(case):
     assert_kernel_matches_reference(case)
+
+
+# ----------------------------------------------------------------------
+# Helper lanes: the same bytes at every width
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def lanes_of(width: int):
+    """Every dense layer's per-request loop on ``width`` lanes: the
+    process width forced and the size floor removed (production sets
+    neither; the width comes from the host)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(lanes, "_width", width)
+        monkeypatch.setattr(replica, "LANE_MIN_MACS", 0)
+        yield
+
+
+@example(case=Case((5,), (("flatten",), ("dense", 4), ("dense", 3), ("relu",), ("dense", 2)),
+                   batch=3, dtype="float32", kmax=4, groups=(4, 3, 1), seed=8, nonfinite=True),
+         width=3)
+@example(case=Case((2, 6, 5), (("conv", 3, (1, 3)), ("pool", 2), ("relu",), ("flatten",),
+                               ("dense", 4), ("relu",), ("dense", 2)),
+                   batch=3, dtype="float64", kmax=3, groups=(3, 2), seed=9),
+         width=2)
+@given(case=cases(), width=st.sampled_from([1, 2, 3]))
+def test_kernel_gradient_bytes_equal_the_reference_at_every_width(case, width):
+    with lanes_of(width):
+        assert_kernel_matches_reference(case)
+
+
+def test_the_lanes_run_requests_off_the_calling_thread(monkeypatch):
+    """The width test above is not vacuous: at width 3 a group of 3 runs
+    two of its dense requests on helper threads, forward and backward."""
+    caller = threading.current_thread()
+    off_thread = {"forward": 0, "backward": 0}
+    count_lock = threading.Lock()
+    for name in off_thread:
+        original = getattr(replica, f"_dense_{name}")
+
+        def spy(*args, name=name, original=original):
+            with count_lock:
+                off_thread[name] += threading.current_thread() is not caller
+            return original(*args)
+
+        monkeypatch.setattr(replica, f"_dense_{name}", spy)
+    case = Case((4,), (("dense", 3), ("relu",), ("dense", 2)),
+                batch=2, dtype="float32", kmax=3, groups=(3,), seed=0)
+    with lanes_of(3):
+        assert_kernel_matches_reference(case)
+    assert off_thread == {"forward": 2 * 2, "backward": 2 * 2}
 
 
 # ----------------------------------------------------------------------

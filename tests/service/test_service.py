@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -277,6 +279,40 @@ class TestDurableMode:
             with pytest.raises(ConfigurationError, match="manifest.json"):
                 ExperimentService(run_dir, workers=1, replicas=1)
             assert not (run_dir / "LOCK").exists()
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_a_closed_service_is_freed_without_the_cyclic_gc(
+        self, tmp_path, problem, cost, durable
+    ):
+        """Nothing a session builds (queue, bus, timeline, dispatcher,
+        measurer, results) sits on a reference cycle: dropping a closed
+        service frees it at once, and a collection finds no ``repro``
+        object among what only the cyclic GC could free."""
+        gc.collect()
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        try:
+            run_dir = tmp_path / "run" if durable else None
+            with ExperimentService(run_dir, workers=1, replicas=2) as service:
+                results = service.map(problem, cost, [make_config(seed=s) for s in (0, 1)])
+                service.finalize()
+            alive = weakref.ref(service), weakref.ref(results[0])
+            del service, results
+            assert [ref() for ref in alive] == [None, None]
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sorted({
+                f"{type(obj).__module__}.{type(obj).__qualname__}"
+                for obj in gc.garbage if type(obj).__module__.startswith("repro")
+            })
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert leaked == []
 
 
 class TestCacheInterplay:

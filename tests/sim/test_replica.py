@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,13 @@ from repro.sim.grad import GradCompute
 from repro.sim.replica import LockstepCohort
 from repro.sim.scheduler import Scheduler, SchedulerConfig
 
+from repro.harness.cache import simulation_fingerprint
+from repro.harness.pool import WorkerPool
+from repro.nn import replica as replica_module
+from repro.utils import lanes
+
+from tests.conftest import service_map
+from tests.nn.test_kernel_model import lanes_of
 from tests.nn.test_workspace import reference_gradient, twin_batcher
 
 
@@ -413,6 +423,57 @@ class TestStackedConvPool:
 
 
 # ---------------------------------------------------------------------------
+class TestHelperLanes:
+    """Cohorts whose dense loops run on two lanes (width forced, size
+    floor removed) give the serial runs' results."""
+
+    @pytest.fixture
+    def helper_shares(self, monkeypatch) -> list:
+        """Dense requests run off the calling thread while it lives."""
+        seen: list = []
+        caller = threading.current_thread()
+        forward = replica_module._dense_forward
+
+        def spy(*args):
+            if threading.current_thread() is not caller:
+                seen.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(replica_module, "_dense_forward", spy)
+        return seen
+
+    def test_diverging_cohort_warns_nothing(self, helper_shares):
+        """Every helper share runs under the kernel's errstate: a cohort
+        driven to overflow raises no warning, and each replica ends
+        exactly as its serial run does."""
+        problem = tiny_mlp_problem()
+        configs = make_configs("LSH_ps1", 3, eta=1e3, max_updates=200)
+        serial = [run_once(problem, COST, c) for c in configs]
+        with lanes_of(2), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cohort = run_cohort(problem, COST, configs)
+        assert [simulation_fingerprint(r) for r in cohort] == [
+            simulation_fingerprint(r) for r in serial
+        ]
+        assert {r.status.value for r in cohort} == {"stopped", "crashed"}  # one went non-finite
+        assert helper_shares
+
+    def test_pooled_sweep_after_a_threaded_cohort(self, helper_shares, monkeypatch):
+        """Workers forked from a process whose helpers ran start on one
+        lane and give the serial fingerprints."""
+        monkeypatch.setattr("repro.service.experiment.os.cpu_count", lambda: 2)
+        problem = tiny_mlp_problem()
+        configs = make_configs("HOG", 4)
+        with lanes_of(2):
+            serial = [simulation_fingerprint(r) for r in run_cohort(problem, COST, configs)]
+            assert helper_shares
+            with WorkerPool(2) as pool:
+                pooled = service_map(problem, COST, configs, pool=pool)
+                assert pool.stats.chunks_completed > 0
+                assert pool._ensure_executor().submit(lanes.width).result(60) == 1
+        assert [simulation_fingerprint(r) for r in pooled] == serial
+
+
 class TestGridColumnCohorts:
     """One merged η-column super-cohort == its per-box cohorts == the
     serial runs (Level 2 of the conv-stacking issue)."""
