@@ -29,15 +29,19 @@ form performs the exact same floating-point work per replica:
   per-replica operand is a leading-axis slice of a stacked buffer whose
   shape *and strides* equal the serial operand's, so BLAS sees the same
   problem and reduces in the same order.
-* **Dense GEMM loops may run on idle cores.** A dense layer whose
-  per-request GEMM reaches ``LANE_MIN_MACS`` runs its per-request loop
-  (forward ``x @ W + b``, backward ``x.T @ g``, the bias-gradient copy
-  and ``g @ W.T``) over :func:`repro.utils.lanes.each`: share 0 on the
-  calling thread, the rest on helper threads, joined before the next
-  stacked op. Requests write disjoint buffers and each call is the same
-  single-threaded BLAS call on the same operands, so the bits do not
-  depend on the width (1 wherever BLAS is not pinned to one thread,
-  and in a pool worker). Profiler spans stay on the calling thread.
+* **Whole shares of requests may run on idle cores.** A step whose
+  per-request GEMMs reach ``LANE_MIN_MACS`` multiply-adds splits its K
+  requests into ``min(lanes, K)`` contiguous shares and hands them to
+  :func:`repro.utils.lanes.each` once: share 0 runs on the calling
+  thread, the others on whichever thread claims them first, each share
+  the whole step (batch gather, forward, softmax-CE, backward), and the
+  step returns after one join. Requests write disjoint slab rows and
+  gradient views, each share's scratch lives in a region of its own,
+  and every op is elementwise, row-local, or the same per-request call
+  on the same operand slices with the same strides, so the bits do not
+  depend on the width (1 wherever BLAS is not pinned to one thread, and
+  in a pool worker), on how the requests are split, nor on which thread
+  ran a share. Profiler spans cover share 0.
 * **Conv2D stacks its im2col.** One ``np.take`` through the layer's
   own gather table (:func:`repro.nn.layers.conv2d.patch_gather`, the
   repo's one im2col) fills a K-stacked ``(K, N, OH*OW, C*kh*kw)`` patch
@@ -83,26 +87,29 @@ form performs the exact same floating-point work per replica:
   gradient. (The reference loss reads the logits without writing
   them, so skipping it is bit-neutral.)
 * **Slabs are placed by liveness.** Only what the backward pass reads
-  keeps a buffer of its own: conv patches, ReLU masks, pool window
-  indices, every dense layer's input and output (the input batch too,
-  when layer 0 is dense, and a conv's or a pool's maps that reach a
-  dense layer through ReLU / flatten). The *forward-only* slabs (the
-  input batch before a spatial layer, conv GEMM outputs, maps that feed
-  a pool or a conv, the pool's window and mask scratch) and the
-  *backward-only* ones (conv patch gradients, the pool's mask, input
-  gradients, the col2im rows) are each laid out from offset 0 of one
-  shared scratch region, a byte buffer in which every slab is a view of
-  its own dtype at a 64-byte-aligned offset: the forward layout is dead
-  before the backward pass writes its first slab, so this is pure buffer
-  reuse. Forward-only slabs are disjoint; two backward-only slabs share
-  bytes when no backward step uses both (a layer's scratch lives for its
-  own step, its input gradient until the layer below consumes it).
+  keeps a buffer of its own, ``kmax`` requests deep: conv patches, ReLU
+  masks, pool window indices, every dense layer's input and output (the
+  input batch too, when layer 0 is dense, and a conv's or a pool's maps
+  that reach a dense layer through ReLU / flatten). The *forward-only*
+  slabs (the input batch before a spatial layer, conv GEMM outputs,
+  maps that feed a pool or a conv, the pool's window and mask scratch)
+  and the *backward-only* ones (conv patch gradients, the pool's mask,
+  input gradients, the col2im rows) are each laid out from offset 0 of
+  a scratch region sized for the largest share, a byte buffer in which
+  every slab is a view of its own dtype at a 64-byte-aligned offset:
+  the forward layout is dead before the backward pass writes its first
+  slab, so this is pure buffer reuse. Forward-only slabs are disjoint;
+  two backward-only slabs share bytes when no backward step uses both
+  (a layer's scratch lives for its own step, its input gradient until
+  the layer below consumes it). Every share of a step has a region of
+  its own (one region, ``kmax`` requests deep, at one lane), so shares
+  running at once never write the same bytes.
 
 A step's scratch lives in the kernel's slabs, sized once at build. They
 come from the cohort's :class:`~repro.sim.arena.BufferArena` when one is
 supplied (``build(..., arena=...)``): the kernel acquires flat buffers
-(the scratch region first, then one per kept slab), views them at
-stacked shapes, and :meth:`ReplicaKernel.release` returns them when the
+(the shares' scratch regions first, as one buffer, then one per kept
+slab), views them at stacked shapes, and :meth:`ReplicaKernel.release` returns them when the
 cohort rebuilds with more headroom. The cohort's arena is
 deliberately *not* wired to any per-replica ``MemoryAccountant``: kernel
 slabs are host-side execution scratch, and accounting them would
@@ -141,16 +148,25 @@ _SUPPORTED_KINDS = frozenset({"dense", "relu", "flatten", "conv2d", "maxpool2d"}
 #: Byte alignment of each slab inside the scratch region.
 _SCRATCH_ALIGN = 64
 
-#: Multiply-adds per request (``batch * inputs * units``) from which a
-#: dense layer's per-request GEMM loop runs on the helper lanes
-#: (:mod:`repro.utils.lanes`). Handing one share to a helper and joining
-#: it cost ~45 us on the 2-vCPU sizing host, about one single-threaded
-#: sgemm of 1.5M multiply-adds; below the floor the loop runs inline
-#: (the paper's CNN's 32 x 200 x 128 layer, 0.8M, measured 1.6x slower
-#: on two lanes at K = 2), above it the Table-II MLP's 256 x 784 x 128
-#: and 256 x 128 x 128 layers run 0.58x and 0.82x (see
-#: ``docs/simulator.md``).
+#: Forward multiply-adds per request (:func:`_request_macs`) from which
+#: a step splits its requests into shares for the helper lanes
+#: (:mod:`repro.utils.lanes`). Handing shares to a helper and joining
+#: them costs ~45 us on the 2-vCPU sizing host, once per step; see
+#: ``docs/simulator.md`` for the step timings the floor sits between.
 LANE_MIN_MACS = 1 << 21
+
+
+def _request_macs(layers, shapes, batch: int) -> int:
+    """Forward GEMM multiply-adds of one request: ``batch * inputs *
+    units`` per dense layer, ``batch * OH*OW * C*kh*kw * F`` per conv."""
+    macs = 0
+    for layer, (layer_in, layer_out) in zip(layers, shapes):
+        if layer.kind == "dense":
+            macs += layer_in[0] * layer.units
+        elif layer.kind == "conv2d":
+            kh, kw = layer.kernel
+            macs += layer_out[0] * layer_out[1] * layer_out[2] * layer_in[0] * kh * kw
+    return batch * macs
 
 
 def _backward_reads(layers, i: int) -> bool:
@@ -176,23 +192,28 @@ def _consumer(layers, i: int) -> int:
 
 
 class _Slab:
-    """A planned kernel buffer: its shape and dtype, the layers whose
+    """A planned kernel buffer: its shape and dtype, whether it is kept
+    (a buffer of its own, ``kmax`` requests deep) or scratch (in every
+    share's region, as deep as the largest share), the layers whose
     backward steps use it (``live``, a backward-only slab's span; None:
-    the whole pass), then its byte offset in the scratch region
-    (forward-only and backward-only slabs) and its view once
-    :meth:`ReplicaKernel._place` has backed it."""
+    the whole pass), then its byte offset in a region and, once
+    :meth:`ReplicaKernel._place` has backed it, its views (one per
+    region; a kept slab's one buffer serves every share)."""
 
-    __slots__ = ("shape", "dtype", "nbytes", "live", "offset", "view")
+    __slots__ = ("shape", "dtype", "nbytes", "kept", "live", "offset", "views")
 
-    def __init__(self, shape: tuple, dtype: np.dtype, live: tuple | None = None) -> None:
+    def __init__(
+        self, shape: tuple, dtype: np.dtype, kept: bool, live: tuple | None = None
+    ) -> None:
         self.shape = shape
         self.dtype = dtype
         self.nbytes = dtype.itemsize
         for dim in shape:
             self.nbytes *= int(dim)
+        self.kept = kept
         self.live = live
         self.offset = 0
-        self.view = None
+        self.views: list = []
 
     def meets(self, other: "_Slab") -> bool:
         """Whether the two slabs can hold live data at the same time."""
@@ -222,14 +243,35 @@ class _Slab:
         return end
 
     @classmethod
-    def resolve_all(cls, item):
+    def resolve_all(cls, item, region: int, lo: int, hi: int):
         """``item`` with every planned slab in it (nested tuples
-        included) replaced by its view."""
+        included) replaced by its rows for requests ``[lo, hi)`` on
+        ``region``: rows ``lo:hi`` of a kept slab, the first ``hi - lo``
+        rows of its view in that region for a scratch slab."""
         if isinstance(item, cls):
-            return item.view
+            return item.views[0][lo:hi] if item.kept else item.views[region][: hi - lo]
         if isinstance(item, tuple):
-            return tuple(cls.resolve_all(part) for part in item)
+            return tuple(cls.resolve_all(part, region, lo, hi) for part in item)
         return item
+
+
+class _Share:
+    """Requests ``[lo, hi)`` of a step, share ``j`` of its step, with
+    every buffer the share touches already sliced to them (its scratch
+    in region ``j``)."""
+
+    __slots__ = ("lo", "hi", "steps", "x", "xflat", "idx", "y", "rowstat")
+
+    def __init__(self, kernel: "ReplicaKernel", j: int, lo: int, hi: int) -> None:
+        n = kernel.batch
+        resolve = partial(_Slab.resolve_all, region=j, lo=lo, hi=hi)
+        self.lo, self.hi = lo, hi
+        self.steps = [resolve(step) for step in kernel._steps]
+        self.x = resolve(kernel._x)
+        self.xflat = self.x.reshape(((hi - lo) * n,) + self.x.shape[2:])
+        self.idx = resolve(kernel._idx).reshape(-1)
+        self.y = resolve(kernel._y).reshape(-1)
+        self.rowstat = resolve(kernel._rowstat).reshape(-1, 1)
 
 
 class ReplicaKernel:
@@ -238,9 +280,9 @@ class ReplicaKernel:
     One kernel instance serves every task in a cohort with the same key
     (or the one task that owns a kernel of one); it holds only
     per-problem state (corpus references, the network, and its own
-    ``(kmax, N, ...)`` slabs), never per-task state: the slot views of
-    each request's ``theta`` / ``out`` come from its task's
-    :class:`~repro.nn.workspace.StepWorkspace` memo.
+    ``(kmax, N, ...)`` slabs and per-share scratch), never per-task
+    state: the slot views of each request's ``theta`` / ``out`` come
+    from its task's :class:`~repro.nn.workspace.StepWorkspace` memo.
     """
 
     @classmethod
@@ -289,46 +331,50 @@ class ReplicaKernel:
         self.kmax = int(kmax)
         self._arena = arena
         self._slabs: list[np.ndarray] = []
+        n, km = self.batch, self.kmax
+        layers = network.layers
+        shapes = network.layer_shapes
+        # The lanes a step runs on, and the rows of its largest share.
+        wide = _request_macs(layers, shapes, n) >= LANE_MIN_MACS
+        self.lanes = min(_lanes.width(), km) if wide else 1
+        self._share_rows = -(-km // self.lanes)
         # Every slab by liveness, placed once the plan is complete.
         self._planned: dict[str, list[_Slab]] = {"keep": [], "forward": [], "backward": []}
-        n, km = self.batch, self.kmax
         in_shape = self.train_x.shape[1:]
-        layers = network.layers
-        # Stacked batch gather: one take() fills all replicas' batches.
-        x3 = self._slab((km, n) + in_shape, "keep" if _backward_reads(layers, -1) else "forward")
-        idx = self._slab((km * n,), "keep", np.intp)
-        y = self._slab((km * n,), "keep", self.train_y.dtype)
-        self._rows = np.arange(km * n)
-        # (K*N, 1) row statistic for the softmax (max, then denominator).
-        rowstat = self._slab((km * n, 1), "keep")
+        # Stacked batch gather: one take() fills a share's batches.
+        x = self._slab((n,) + in_shape, "keep" if _backward_reads(layers, -1) else "forward")
+        idx = self._slab((n,), "keep", np.intp)
+        y = self._slab((n,), "keep", self.train_y.dtype)
+        self._rows = np.arange(self._share_rows * n)
+        # Row statistic for the softmax (max, then denominator).
+        rowstat = self._slab((n, 1), "keep")
 
-        # --- plan: one step per layer with its stacked buffers. Every
-        # step tuple ends with its profiler span name (constant strings:
-        # the per-kind time split costs nothing when no profiler is
-        # active).
+        # --- plan: one step per layer with its stacked buffers, each
+        # slab planned per request (its leading axis is added by
+        # _slab). Every step tuple ends with its profiler span name
+        # (constant strings: the per-kind time split costs nothing when
+        # no profiler is active).
         steps: list[tuple] = []
-        for i, layer in enumerate(network.layers):
-            layer_in, layer_out = network.layer_shapes[i]
+        for i, layer in enumerate(layers):
+            layer_in, layer_out = shapes[i]
             kind = layer.kind
             if kind == "dense":
-                out3 = self._slab((km, n, layer.units), "keep")
+                out3 = self._slab((n, layer.units), "keep")
                 # Layer 0's input gradient is computed-and-discarded on
                 # the reference path; the kernel skips it outright.
-                gin3 = None if i == 0 else self._slab((km, n, layer_in[0]), "keep")
+                gin3 = None if i == 0 else self._slab((n, layer_in[0]), "keep")
                 # Stacked bias-gradient landing zone: one (k, units)
                 # reduction replaces k per-replica sums (same axis
                 # length, same accumulation order → bitwise identical),
                 # then each row is copied into that replica's gb view.
-                gb3 = self._slab((km, layer.units), "keep")
-                wide = n * layer_in[0] * layer.units >= LANE_MIN_MACS
-                steps.append(("dense", i, out3, gin3, gb3, wide, "kernel.dense"))
+                gb3 = self._slab((layer.units,), "keep")
+                steps.append(("dense", i, out3, gin3, gb3, "kernel.dense"))
             elif kind == "relu":
-                full = (km, n) + layer_in
                 # dtype (not bool) masks: np.greater writes exact
                 # 1.0/0.0, and x * 1.0f == x, x * 0.0f == ±0.0 —
                 # bit-for-bit what the bool mask's promotion gives —
                 # while skipping the bool→float convert per multiply.
-                mask3 = self._slab(full, "keep")
+                mask3 = self._slab((n,) + layer_in, "keep")
                 steps.append(("relu", i, mask3, "kernel.relu"))
             elif kind == "flatten":
                 steps.append(("flatten", i, layer_in, "kernel.flatten"))
@@ -340,21 +386,19 @@ class ReplicaKernel:
                 # The K-stacked im2col slab and its companions. Each
                 # per-replica slice is contiguous with exactly the
                 # reference ``cols`` layout.
-                cols4 = self._slab((km, n, p, ckk), "keep")
-                mm4 = self._slab((km, n, p, f), "forward")
+                cols4 = self._slab((n, p, ckk), "keep")
+                mm4 = self._slab((n, p, f), "forward")
                 out5 = self._slab(
-                    (km, n, f, oh, ow), "keep" if _backward_reads(layers, i) else "forward"
+                    (n, f, oh, ow), "keep" if _backward_reads(layers, i) else "forward"
                 )
                 if i == 0:
                     gcols4 = rows6 = gx5 = None  # input gradient skipped
                 else:
-                    gcols4 = self._slab((km, n, p, ckk), "backward", live=(i, i))
+                    gcols4 = self._slab((n, p, ckk), "backward", live=(i, i))
                     # One kernel row's patch gradients, channel-major, each
                     # output row padded to the input width W with zeros.
-                    rows6 = self._slab((km, n, kw, c, oh, w), "backward", live=(i, i))
-                    gx5 = self._slab(
-                        (km, n, c, h, w), "backward", live=(_consumer(layers, i), i)
-                    )
+                    rows6 = self._slab((n, kw, c, oh, w), "backward", live=(i, i))
+                    gx5 = self._slab((n, c, h, w), "backward", live=(_consumer(layers, i), i))
                 gather = patch_gather((c, h, w), (kh, kw))
                 bufs = (cols4, mm4, out5, gcols4, rows6, gx5, gather,
                         (c, h, w, f, oh, ow, kh, kw))
@@ -363,7 +407,7 @@ class ReplicaKernel:
                 c, h, w = layer_in
                 _, oh, ow = layer_out
                 ph, pw = layer.pool
-                full = (km, n, c, oh, ow)
+                full = (n, c, oh, ow)
                 best5 = self._slab(full, "keep" if _backward_reads(layers, i) else "forward")
                 # The window index, in the narrowest unsigned type that
                 # holds PH*PW - 1, is all the backward pass reads.
@@ -378,19 +422,14 @@ class ReplicaKernel:
                     eq5 = gx5 = None  # input gradient skipped
                 else:
                     eq5 = self._slab(full, "backward", np.bool_, live=(i, i))
-                    gx5 = self._slab(
-                        (km, n, c, h, w), "backward", live=(_consumer(layers, i), i)
-                    )
+                    gx5 = self._slab((n, c, h, w), "backward", live=(_consumer(layers, i), i))
                 bufs = (best5, idx5, win5, upd5, le5, jdx5, eq5, gx5, (oh, ow, ph, pw))
                 steps.append(("maxpool2d", i, bufs, "kernel.maxpool2d"))
         self._place()
-        self._x3, self._idx, self._y, self._rowstat = (x3.view, idx.view, y.view, rowstat.view)
-        self._xflat = self._x3.reshape((km * n,) + in_shape)
-        self._steps = [_Slab.resolve_all(step) for step in steps]
-        # Per-call record for the backward pass: each dense layer's
-        # stacked input conduit.
-        self._fwd_in: list = [None] * len(network.layers)
-        self._logits = None
+        self._x, self._idx, self._y, self._rowstat = x, idx, y, rowstat
+        self._steps = steps
+        # A step's shares by group size, built on first use.
+        self._shares: dict[int, list[_Share]] = {}
 
     # ------------------------------------------------------------------
     def _alloc(self, shape: tuple, dtype) -> np.ndarray:
@@ -407,39 +446,50 @@ class ReplicaKernel:
         return flat.reshape(shape)
 
     def _slab(self, shape: tuple, phase: str, dtype=None, live=None) -> "_Slab":
-        """Plan a slab (of the kernel's dtype unless given): ``"keep"``
-        for its own buffer, ``"forward"`` / ``"backward"`` for the
-        scratch region (a backward-only slab with the span of layers
-        whose backward steps use it). :meth:`_place` gives it its
-        view."""
-        slab = _Slab(shape, np.dtype(dtype or self.dtype), live)
+        """Plan a slab of per-request ``shape`` (of the kernel's dtype
+        unless given): ``"keep"`` for its own buffer of ``kmax``
+        requests, ``"forward"`` / ``"backward"`` for each share's scratch
+        region, sized for the largest share (a backward-only slab with
+        the span of layers whose backward steps use it). :meth:`_place`
+        gives it its views."""
+        kept = phase == "keep"
+        rows = self.kmax if kept else self._share_rows
+        slab = _Slab((rows,) + shape, np.dtype(dtype or self.dtype), kept, live)
         self._planned[phase].append(slab)
         return slab
 
     def _place(self) -> None:
         """Back every planned slab. The forward-only slabs are laid out
-        disjointly from byte 0 of one region, each at a
+        disjointly from byte 0 of a region, each at a
         ``_SCRATCH_ALIGN``-byte offset and viewed as its own dtype, and
         the backward-only slabs over the same region, where two of them
         share bytes only if no backward step uses both
-        (:meth:`_Slab.lay_out`). The region is as large as the larger of
-        the two layouts (one byte buffer: an arena acquisition, or
-        ``np.empty`` for a kernel of one). No forward-only slab is read
-        after the forward pass and no backward-only slab before the
-        backward pass writes it, so the two layouts never hold live data
-        at the same time. The region is acquired first, then the kept
-        slabs one buffer each: a kernel built after another one died
-        then finds the hole the old region left before small buffers
-        split it (otherwise the heap grows by a region per box)."""
-        size = max(_Slab.lay_out(self._planned[phase]) for phase in ("forward", "backward"))
+        (:meth:`_Slab.lay_out`). No forward-only slab is read after the
+        forward pass and no backward-only slab before the backward pass
+        writes it, so the two layouts never hold live data at the same
+        time. Each of the up to ``lanes`` shares of a step gets a region
+        of its own, as large as the larger of the two layouts: the
+        regions are consecutive slices of one byte buffer (an arena
+        acquisition, or ``np.empty`` for a kernel of one), so two shares
+        running at once never write the same bytes. The buffer is
+        acquired first, then the kept slabs one buffer each: a kernel
+        built after another one died then finds the hole the old buffer
+        left before small buffers split it (otherwise the heap grows by
+        a region per box)."""
+        planned = self._planned
+        size = max(_Slab.lay_out(planned[phase]) for phase in ("forward", "backward"))
+        self._regions: list[np.ndarray] = []
         if size:
-            region = self._alloc((size,), np.uint8)
-            for phase in ("forward", "backward"):
-                for slab in self._planned[phase]:
-                    raw = region[slab.offset : slab.offset + slab.nbytes]
-                    slab.view = raw.view(slab.dtype).reshape(slab.shape)
-        for slab in self._planned["keep"]:
-            slab.view = self._alloc(slab.shape, slab.dtype)
+            buffer = self._alloc((self.lanes * size,), np.uint8)
+            self._regions = [buffer[j * size : (j + 1) * size] for j in range(self.lanes)]
+            for slab in planned["forward"] + planned["backward"]:
+                at = slice(slab.offset, slab.offset + slab.nbytes)
+                slab.views = [
+                    region[at].view(slab.dtype).reshape(slab.shape) for region in self._regions
+                ]
+        for slab in planned["keep"]:
+            slab.views = [self._alloc(slab.shape, slab.dtype)]
+        del self._planned
 
     def release(self) -> None:
         """Return every arena-backed slab (called when the cohort
@@ -457,10 +507,23 @@ class ReplicaKernel:
         if bus is not None:
             bus.kernel_fallback(kind, replicas)
 
+    def _split(self, k: int) -> list[_Share]:
+        """``k`` requests as ``min(lanes, k)`` contiguous shares, the
+        last ones one request larger when they do not divide evenly."""
+        shares = self._shares.get(k)
+        if shares is None:
+            count = min(self.lanes, k)
+            shares = self._shares[k] = [
+                _Share(self, j, j * k // count, (j + 1) * k // count) for j in range(count)
+            ]
+        return shares
+
     # ------------------------------------------------------------------
     def execute(self, gcs: list) -> None:
         """Run every request's gradient as one stacked step (a group of
-        one included).
+        one included): the requests are split into shares, each share
+        runs the whole step, and the step returns once every share is
+        done.
 
         A group that outgrows ``kmax``, or that carries a ``theta`` /
         ``out`` of another dtype than the kernel's, runs request by
@@ -484,25 +547,21 @@ class ReplicaKernel:
                 return
         prof = _profiler.ACTIVE
         prof_t0 = prof.start()
-        tasks = [gc.task for gc in gcs]
-        n = self.batch
-        kn = k * n
         # Stage every replica's batch indices (each from its own RNG
         # stream, in replica order — the draws a serial run would make).
         t0 = prof.start()
-        idx = self._idx[:kn]
-        pos = 0
-        for task in tasks:
-            idx[pos : pos + n] = task.stage()
-            pos += n
-        # mode="clip" skips take's buffered bounds pass (with out=, "raise"
-        # gathers into a temporary first); the one check is here.
+        idx = self._idx.views[0][:k]
+        tasks = [gc.task for gc in gcs]
+        for r, task in enumerate(tasks):
+            idx[r] = task.stage()
+        # The shares gather with mode="clip", which skips take's buffered
+        # bounds pass (with out=, "raise" gathers into a temporary
+        # first); the one check is here.
         n_train = self.train_x.shape[0]
-        if kn and (idx.min() < 0 or idx.max() >= n_train):
+        if k and (idx.min() < 0 or idx.max() >= n_train):
             raise IndexError(f"staged batch index out of bounds for {n_train} samples")
-        self.train_x.take(idx, axis=0, out=self._xflat[:kn], mode="clip")
-        self.train_y.take(idx, axis=0, out=self._y[:kn], mode="clip")
         prof.stop("kernel.stage", t0)
+        shares = self._split(k)
         network = self.network
         params = [
             task.workspace.cached_views(gc.theta, network._all_param_views)
@@ -512,36 +571,55 @@ class ReplicaKernel:
             task.workspace.cached_views(gc.out, network._all_param_views)
             for task, gc in zip(tasks, gcs)
         ]
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._forward(k, params)
-            t0 = prof.start()
-            self._softmax_ce(k)
-            prof.stop("kernel.softmax", t0)
-            self._backward(k, params, grads)
+        _lanes.each(len(shares), partial(self._run_share, shares, params, grads))
         for gc in gcs:
             if gc.post is not None:
                 gc.post()
         prof.stop("kernel.execute", prof_t0)
 
+    def _run_share(self, shares: list, params: list, grads: list, j: int) -> None:
+        """The whole step over share ``j``: its batch gather, forward
+        pass, softmax cross-entropy gradient and backward pass. Its
+        spans are recorded for share 0 only, which runs on the calling
+        thread (the profiler is not thread-safe)."""
+        share = shares[j]
+        lo, hi = share.lo, share.hi
+        prof = _profiler.ACTIVE if j == 0 else _profiler.NULL
+        t0 = prof.start()
+        self.train_x.take(share.idx, axis=0, out=share.xflat, mode="clip")
+        self.train_y.take(share.idx, axis=0, out=share.y, mode="clip")
+        prof.stop("kernel.gather", t0)
+        params, grads = params[lo:hi], grads[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, fwd_in = self._forward(share, params, prof)
+            t0 = prof.start()
+            self._softmax_ce(share, logits)
+            prof.stop("kernel.softmax", t0)
+            self._backward(share, logits, fwd_in, params, grads, prof)
+
     # ------------------------------------------------------------------
-    def _forward(self, k: int, params: list) -> None:
-        prof = _profiler.ACTIVE
-        fwd_in = self._fwd_in
+    def _forward(self, share: _Share, params: list, prof) -> tuple:
+        """The share's forward pass: its logits, and each dense layer's
+        input conduit (what that layer's backward step reads)."""
+        k = share.hi - share.lo
         n = self.batch
-        cur = self._x3
-        for step in self._steps:
+        fwd_in: dict = {}
+        cur = share.x
+        for step in share.steps:
             tag = step[0]
             t0 = prof.start()
             if tag == "dense":
-                _, i, out3, _gin3, _gb3, wide, _span = step
+                _, i, out3, _gin3, _gb3, _span = step
                 fwd_in[i] = cur
-                _lanes.each(k, partial(_dense_forward, cur, out3, params, i), wide)
+                for r in range(k):
+                    W, b = params[r][i]
+                    np.matmul(cur[r], W, out=out3[r])
+                    out3[r] += b
                 cur = out3
             elif tag == "relu":
                 mask3 = step[2]
-                ck = cur[:k]
-                np.greater(ck, 0, out=mask3[:k])
-                np.multiply(ck, mask3[:k], out=ck)
+                np.greater(cur, 0, out=mask3)
+                np.multiply(cur, mask3, out=cur)
             elif tag == "conv2d":
                 _, i, bufs, _span = step
                 cols4, mm4, out5, _gcols4, _rows6, _gx5, gather, dims = bufs
@@ -552,25 +630,22 @@ class ReplicaKernel:
                 # operands. mode="clip" only skips take's buffered bounds
                 # pass; the offsets are in range by construction.
                 np.take(
-                    cur[:k].reshape(k * n, -1), gather, axis=1,
-                    out=cols4[:k].reshape(k * n, -1), mode="clip",
+                    cur.reshape(k * n, -1), gather, axis=1,
+                    out=cols4.reshape(k * n, -1), mode="clip",
                 )
                 for r in range(k):
                     np.matmul(cols4[r], params[r][i][0].T, out=mm4[r])
-                out4 = out5[:k].reshape(k, n, f, oh * ow)
-                np.copyto(out4, mm4[:k].transpose(0, 1, 3, 2))
+                out4 = out5.reshape(k, n, f, oh * ow)
+                np.copyto(out4, mm4.transpose(0, 1, 3, 2))
                 # The reference adds b before the transpose: the same one
                 # addition per element, here along contiguous rows.
                 for r in range(k):
                     out4[r] += params[r][i][1][:, None]
                 cur = out5
             elif tag == "maxpool2d":
-                best5, idx5, win5, upd5, le5, jdx5, _eq5, _gx5, dims = step[2]
+                best, idx, win, upd, le, jdx, _eq5, _gx5, dims = step[2]
                 oh, ow, ph, pw = dims
-                xbits = cur[:k].view(self._bits)
-                best, idx, win, upd, le, jdx = (
-                    best5[:k], idx5[:k], win5[:k], upd5[:k], le5[:k], jdx5[:k]
-                )
+                xbits = cur.view(self._bits)
                 bbits, wval = best.view(self._bits), win.view(self.dtype)
                 np.copyto(bbits, xbits[..., 0 : oh * ph : ph, 0 : ow * pw : pw])
                 idx.fill(0)
@@ -591,56 +666,59 @@ class ReplicaKernel:
                     # Window numbers rise with j: the last update wins.
                     np.multiply(upd, j, out=jdx, dtype=jdx.dtype)
                     np.maximum(idx, jdx, out=idx)
-                cur = best5
+                cur = best
             else:  # flatten: one zero-copy reshape of the contiguous conduit
-                cur = cur.reshape(cur.shape[0], cur.shape[1], -1)
+                cur = cur.reshape(k, n, -1)
             prof.stop(step[-1], t0)
-        self._logits = cur  # the last layer is dense
+        return cur, fwd_in  # the last layer is dense: cur is the logits
 
-    def _softmax_ce(self, k: int) -> None:
-        """In-place softmax cross-entropy gradient over the stacked
-        logits: the op sequence of ``softmax_cross_entropy`` with
-        ``out=`` targets, applied to all replicas' rows at once (each
-        row's arithmetic is independent, so per-replica slices are
+    def _softmax_ce(self, share: _Share, logits: np.ndarray) -> None:
+        """In-place softmax cross-entropy gradient over the share's
+        stacked logits: the op sequence of ``softmax_cross_entropy``
+        with ``out=`` targets, applied to all its replicas' rows at once
+        (each row's arithmetic is independent, so per-replica slices are
         bitwise identical), minus the loss scalar the workers discard."""
         n = self.batch
-        kn = k * n
-        lg = self._logits[:k].reshape(kn, -1)
-        stat = self._rowstat[:kn]
+        kn = (share.hi - share.lo) * n
+        lg = logits.reshape(kn, -1)
+        stat = share.rowstat
         lg.max(axis=1, keepdims=True, out=stat)
         np.subtract(lg, stat, out=lg)  # shifted
         np.exp(lg, out=lg)  # exp
         lg.sum(axis=1, keepdims=True, out=stat)  # denom
         lg /= stat  # dlogits
-        lg[self._rows[:kn], self._y[:kn]] -= 1.0
+        lg[self._rows[:kn], share.y] -= 1.0
         lg /= n  # mean over each replica's own batch
-        self._logits = None
 
-    def _backward(self, k: int, params: list, grads: list) -> None:
-        prof = _profiler.ACTIVE
-        fwd_in = self._fwd_in
+    def _backward(self, share: _Share, g: np.ndarray, fwd_in: dict, params: list,
+                  grads: list, prof) -> None:
+        """The share's backward pass, from the logits gradient ``g``
+        (the last dense layer's output, turned into dlogits in place)."""
+        k = share.hi - share.lo
         n = self.batch
-        # The gradient conduit starts at the last dense layer's stacked
-        # output buffer, which _softmax_ce turned into dlogits in place.
-        g = self._steps[-1][2]
-        for step in reversed(self._steps):
+        for step in reversed(share.steps):
             tag = step[0]
             t0 = prof.start()
             if tag == "dense":
-                _, i, _out3, gin3, gb3, wide, _span = step
+                _, i, _out3, gin3, gb3, _span = step
                 # One stacked reduction over the batch axis for every
                 # replica's bias gradient (bitwise-identical to the
                 # per-replica sums), copied out to each gb view below.
-                g[:k].sum(axis=1, out=gb3[:k])
-                backward = partial(_dense_backward, fwd_in[i], g, gin3, gb3, params, grads, i)
-                _lanes.each(k, backward, wide)
+                g.sum(axis=1, out=gb3)
+                x3 = fwd_in[i]
+                for r in range(k):
+                    gW, gb = grads[r][i]
+                    gr = g[r]
+                    np.matmul(x3[r].T, gr, out=gW)
+                    gb[...] = gb3[r]
+                    if gin3 is not None:
+                        np.matmul(gr, params[r][i][0].T, out=gin3[r])
                 if gin3 is None:
                     prof.stop(step[-1], t0)
                     return  # layer 0: the input gradient is discarded
                 g = gin3
             elif tag == "relu":
-                mask3 = step[2]
-                np.multiply(g[:k], mask3[:k], out=g[:k])
+                np.multiply(g, step[2], out=g)
             elif tag == "conv2d":
                 _, i, bufs, _span = step
                 cols4, _mm4, _out5, gcols4, rows6, gx5, _gather, dims = bufs
@@ -648,7 +726,7 @@ class ReplicaKernel:
                 p = oh * ow
                 # Per-replica view with exactly the reference g2 strides
                 # ((F*P, 1, P) elements), so einsum/matmul match bits.
-                g4 = g[:k].reshape(k, n, f, p).transpose(0, 1, 3, 2)
+                g4 = g.reshape(k, n, f, p).transpose(0, 1, 3, 2)
                 # Shared with the reference layer: paths depend on shapes only.
                 path = weight_grad_path(g4[0], cols4[0])
                 for r in range(k):
@@ -675,29 +753,25 @@ class ReplicaKernel:
                 # pad columns that wrap onto the next row: the sum starts
                 # at +0.0 and so is never -0.0, and x + 0.0 == x for
                 # every other x, NaN and +-inf included.
-                gx5[:k].fill(0)
-                rows = rows6[:k]
-                rows[..., ow:] = 0  # other slabs share these bytes
-                gcv = gcols4[:k].reshape(k, n, oh, ow, c, kh, kw).transpose(
-                    0, 1, 5, 6, 4, 2, 3
-                )
-                gxf = gx5[:k].reshape(k, n, c, h * w)
-                rowsf = rows.reshape(k, n, kw, c, oh * w)
+                gx5.fill(0)
+                rows6[..., ow:] = 0  # other slabs share these bytes
+                gcv = gcols4.reshape(k, n, oh, ow, c, kh, kw).transpose(0, 1, 5, 6, 4, 2, 3)
+                gxf = gx5.reshape(k, n, c, h * w)
+                rowsf = rows6.reshape(k, n, kw, c, oh * w)
                 span = (oh - 1) * w + ow
                 for di in range(kh):
-                    np.copyto(rows[..., :ow], gcv[:, :, di])
+                    np.copyto(rows6[..., :ow], gcv[:, :, di])
                     for dj in range(kw):
                         at = di * w + dj
                         gxf[..., at : at + span] += rowsf[:, :, dj, :, :span]
                 g = gx5
             elif tag == "maxpool2d":
-                _best5, idx5, _win5, _upd5, _le5, _jdx5, eq5, gx5, dims = step[2]
+                _best5, idx, _win5, _upd5, _le5, _jdx5, eq, gx5, dims = step[2]
                 oh, ow, ph, pw = dims
                 if gx5 is None:
                     prof.stop(step[-1], t0)
                     return  # layer 0: the input gradient is discarded
-                gbits, gxbits = g[:k].view(self._bits), gx5[:k].view(self._bits)
-                idx, eq = idx5[:k], eq5[:k]
+                gbits, gxbits = g.view(self._bits), gx5.view(self._bits)
                 # Only the cropped border is not a window element.
                 gxbits[..., oh * ph :, :] = 0
                 gxbits[..., : oh * ph, ow * pw :] = 0
@@ -710,30 +784,11 @@ class ReplicaKernel:
                     )
                 g = gx5
             else:  # flatten
-                g = g.reshape((g.shape[0], n) + step[2])
+                g = g.reshape((k, n) + step[2])
             prof.stop(step[-1], t0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (
             f"ReplicaKernel({self.network.name!r}, kmax={self.kmax}, "
-            f"batch={self.batch}, dtype={self.dtype.name})"
+            f"batch={self.batch}, dtype={self.dtype.name}, lanes={self.lanes})"
         )
-
-
-# ----------------------------------------------------------------------
-# Per-request dense GEMMs: request ``r`` reads only shared inputs and its
-# own theta, and writes only its own slab rows and gradient views, so
-# the lanes may run different ``r`` at once.
-def _dense_forward(x3, out3, params, i: int, r: int) -> None:
-    W, b = params[r][i]
-    np.matmul(x3[r], W, out=out3[r])
-    out3[r] += b
-
-
-def _dense_backward(x3, g3, gin3, gb3, params, grads, i: int, r: int) -> None:
-    gW, gb = grads[r][i]
-    gr = g3[r]
-    np.matmul(x3[r].T, gr, out=gW)
-    gb[...] = gb3[r]
-    if gin3 is not None:
-        np.matmul(gr, params[r][i][0].T, out=gin3[r])

@@ -168,6 +168,14 @@ def load_manifest(run_dir: str | Path) -> dict:
         ) from exc
 
 
+def _json_text(value) -> str:
+    """``value`` as sorted JSON, one member per line. No ``indent``:
+    that selects the pure-Python encoder, whose nested closures are
+    reference cycles only the cyclic GC frees; these separators keep
+    the C encoder."""
+    return json.dumps(value, separators=(",\n", ": "), sort_keys=True)
+
+
 def _merge_timelines(old: dict, new: dict) -> dict:
     """Fold a prior finalize's exported trace into a fresh recording.
 
@@ -300,7 +308,7 @@ class ExperimentService:
             "provenance": bench_manifest(),
         }
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(self.manifest, indent=1, sort_keys=True))
+        tmp.write_text(_json_text(self.manifest))
         os.replace(tmp, path)
 
     # -- the map contract ----------------------------------------------
@@ -378,7 +386,7 @@ class ExperimentService:
             export_chrome_trace(payload, trace_path)
             path = self.run_dir / "summary.json"
             tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-            tmp.write_text(json.dumps(summary, indent=1, sort_keys=True))
+            tmp.write_text(_json_text(summary))
             os.replace(tmp, path)
         return summary
 

@@ -1,13 +1,17 @@
-"""Helper threads for the per-request loops of one stacked kernel step.
+"""Helper threads for the shares of one stacked kernel step.
 
-The K requests a :class:`repro.nn.replica.ReplicaKernel` round executes
-are conflict-free: each has its own ``theta`` and output views and
-reads the stacked batch read-only. So a per-request loop of GEMMs
-(which release the GIL inside BLAS) can run on the cores a serial sweep
-leaves idle, with the exact serial arithmetic: :func:`each` splits
-``range(count)`` into interleaved shares, runs share 0 on the calling
-thread and the others on a small process-wide group of helper threads,
-and joins before it returns. Width 1 runs the same share loop inline.
+The K requests a :class:`repro.nn.replica.ReplicaKernel` step executes
+are conflict-free: each has its own ``theta`` and output views, and
+writes only its own slab rows. So the kernel splits them into shares,
+each with its own scratch region, and hands them to :func:`each`:
+share 0 runs on the calling thread, the caller and a small
+process-wide group of helper threads claim the others one at a time
+until none is left, and the call returns when every share has
+finished. Most of a step is GEMMs and large numpy ops, which release
+the GIL, so the shares run on the cores a serial sweep leaves idle,
+with the exact serial arithmetic; a helper the host is slow to
+schedule only means the caller runs more shares itself. Width 1 runs
+the same shares inline, in order.
 
 The width (:func:`width`) is the number of cores this process may run
 on (``os.sched_getaffinity(0)``), or 1:
@@ -28,14 +32,18 @@ There is no option, environment variable or config field for it:
 Helpers start on first use, run each share in a copy of the caller's
 ``contextvars`` context (numpy's ``errstate`` is per thread and lives
 there), and hand back any exception, which :func:`each` re-raises on
-the calling thread after every share has finished. A forked child
-never inherits the group (``os.register_at_fork``): it starts its own
-on first use.
+the calling thread after every share has finished. Before a fork
+(``os.register_at_fork``) idle helpers are stopped and joined, so a
+forked child, such as a pool worker, never starts in a multi-threaded
+process on their account; the group restarts on the next :func:`each`.
+A group that is serving a caller while another thread forks is left
+running, and the child forgets it and starts its own on first use.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import queue
 import threading
@@ -76,92 +84,145 @@ def confine() -> None:
     _width = 1
 
 
-def _share(fn, lane: int, lanes: int, count: int) -> None:
-    for r in range(lane, count, lanes):
-        fn(r)
+class _Call:
+    """One :func:`each` call: its shares, claimed one at a time, and how
+    many are still unfinished. Share 0 is the caller's; every thread,
+    the caller included once its own share is done, claims the next
+    unclaimed share until none is left, so a helper the host has not
+    yet scheduled holds up nothing it has not claimed."""
 
+    def __init__(self, fn, count: int) -> None:
+        self.fn = fn
+        self.count = count
+        self.claims = itertools.count(1)  # next() is atomic under the GIL
+        self.lock = threading.Lock()
+        self.unfinished = count
+        self.finished = threading.Event()
+        self.error: BaseException | None = None
 
-def _serve(inbox: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-    while True:
-        ctx, fn, lane, lanes, count = inbox.get()
-        failed = None
+    def run(self, r: int) -> None:
+        """Share ``r``; its exception is kept for the caller (the first
+        one wins)."""
         try:
-            ctx.run(_share, fn, lane, lanes, count)
+            self.fn(r)
         except BaseException as exc:  # handed to the caller, re-raised there
-            failed = exc
-        # An idle helper must not keep the caller's buffers alive.
-        del ctx, fn
-        done.put(failed)
-        failed = None
+            with self.lock:
+                if self.error is None:
+                    self.error = exc
+        finally:
+            with self.lock:
+                self.unfinished -= 1
+                if not self.unfinished:
+                    # A helper that wakes after the call keeps no
+                    # reference to the caller's buffers.
+                    self.fn = None
+                    self.finished.set()
+
+    def drain(self) -> None:
+        """Run unclaimed shares until every share is claimed."""
+        for r in self.claims:
+            if r >= self.count:
+                return
+            self.run(r)
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    while True:
+        work = inbox.get()
+        if work is None:  # stopped
+            return
+        ctx, call = work
+        work = None
+        ctx.run(call.drain)
+        # An idle helper must not keep the caller's context alive.
+        del ctx, call
 
 
 class _Group:
-    """Idle daemon threads, one inbox each, and one queue they report to."""
+    """Idle daemon threads, one inbox each."""
 
     def __init__(self) -> None:
         self.inboxes: list[queue.SimpleQueue] = []
-        self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.threads: list[threading.Thread] = []
 
     def grow(self, helpers: int) -> None:
         while len(self.inboxes) < helpers:
             inbox: queue.SimpleQueue = queue.SimpleQueue()
             thread = threading.Thread(
-                target=_serve, args=(inbox, self.done),
+                target=_serve, args=(inbox,),
                 name=f"repro-lane-{len(self.inboxes) + 1}", daemon=True,
             )
             thread.start()
             self.inboxes.append(inbox)
+            self.threads.append(thread)
+
+    def stop(self) -> None:
+        """End every helper and wait until its thread has exited."""
+        for inbox in self.inboxes:
+            inbox.put(None)
+        for thread in self.threads:
+            thread.join()
 
 
-def each(count: int, fn, threaded: bool = True) -> None:
+def each(count: int, fn) -> None:
     """``fn(r)`` for every ``r`` in ``range(count)``, each exactly once.
 
-    With ``threaded`` and a width above 1, request ``r`` runs on lane
-    ``r % lanes`` (lane 0 is the calling thread), ``lanes = min(width,
-    count)``; otherwise all run inline in order. ``fn`` must be safe to
-    call concurrently for different ``r``.
+    With a width above 1, share 0 runs on the calling thread and
+    ``min(width, count) - 1`` helpers are woken; each thread, the caller
+    too once share 0 is done, runs the next unclaimed share until none
+    is left, and the call returns when every share has finished.
+    Otherwise all run inline in order. ``fn`` must be safe to call
+    concurrently for different ``r``.
     """
     global _group
-    lanes = min(width(), count) if threaded else 1
+    lanes = min(width(), count)
     if lanes <= 1 or not _busy.acquire(blocking=False):
-        _share(fn, 0, 1, count)
+        for r in range(count):
+            fn(r)
         return
-    pending = 0
+    call = _Call(fn, count)
     try:
         group = _group
         if group is None:
             group = _group = _Group()
         group.grow(lanes - 1)
-        for lane in range(1, lanes):
-            group.inboxes[lane - 1].put((contextvars.copy_context(), fn, lane, lanes, count))
-            pending += 1
-        error = None
-        try:
-            _share(fn, 0, lanes, count)
-        except BaseException as exc:
-            error = exc
+        for inbox in group.inboxes[: lanes - 1]:
+            inbox.put((contextvars.copy_context(), call))
+        call.run(0)
+        call.drain()
         # Every share finishes before anything returns or raises: no
         # helper may still write into the caller's buffers.
-        while pending:
-            failed = group.done.get()
-            pending -= 1
-            if error is None and failed is not None:
-                error = failed
-        if error is not None:
-            raise error
+        call.finished.wait()
+        if call.error is not None:
+            raise call.error
     except BaseException:
-        if pending:  # interrupted while waiting: the group is not clean
+        if not call.finished.is_set():  # interrupted: the group is not clean
             _group = None
         raise
     finally:
         _busy.release()
 
 
-def _forget_group() -> None:
-    """In a forked child: the helpers' threads did not come along."""
+def _stop_idle_group() -> None:
+    """Before a fork: stop and join the helpers unless a caller is
+    inside :func:`each` (then they are busy, and stay)."""
     global _group
+    if _group is None or not _busy.acquire(blocking=False):
+        return
+    try:
+        group, _group = _group, None
+        group.stop()
+    finally:
+        _busy.release()
+
+
+def _forget_group() -> None:
+    """In a forked child: the helpers' threads did not come along, nor
+    did the caller the group was serving."""
+    global _group, _busy
     _group = None
+    _busy = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_group)
+    os.register_at_fork(before=_stop_idle_group, after_in_child=_forget_group)

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import contextlib
 import itertools
+import sys
 import threading
 
 import numpy as np
@@ -256,32 +257,123 @@ def lanes_of(width: int):
                                ("dense", 4), ("relu",), ("dense", 2)),
                    batch=3, dtype="float64", kmax=3, groups=(3, 2), seed=9),
          width=2)
+# conv -> pool -> conv -> pool -> dense, every round split into shares
+# that run their backward passes (col2im rows, pool masks, input
+# gradients: backward-only scratch) at the same time, each in its own
+# share's region: two shares of 2, then of 1 and 2, and three shares of
+# 1, 2, 2, then 1, 1, 1, then 1, 1, 2 on dirty slabs.
+@example(case=Case((1, 10, 10), (("conv", 2, (3, 3)), ("relu",), ("pool", 2), ("conv", 3, (2, 2)),
+                                 ("pool", 2), ("flatten",), ("dense", 3)),
+                   batch=3, dtype="float32", kmax=4, groups=(4, 3), seed=11, nonfinite=True),
+         width=2)
+@example(case=Case((2, 9, 8), (("conv", 2, (2, 2)), ("pool", 2), ("conv", 2, (2, 2)), ("relu",),
+                               ("pool", 2), ("flatten",), ("dense", 4), ("relu",), ("dense", 2)),
+                   batch=2, dtype="float64", kmax=5, groups=(5, 3, 4), seed=12),
+         width=3)
 @given(case=cases(), width=st.sampled_from([1, 2, 3]))
 def test_kernel_gradient_bytes_equal_the_reference_at_every_width(case, width):
     with lanes_of(width):
         assert_kernel_matches_reference(case)
 
 
-def test_the_lanes_run_requests_off_the_calling_thread(monkeypatch):
-    """The width test above is not vacuous: at width 3 a group of 3 runs
-    two of its dense requests on helper threads, forward and backward."""
+def hold_share_zero(monkeypatch) -> list:
+    """Spy on every kernel share: ``(shares in its step, share index,
+    whether it ran off the calling thread)``. When the step's shares can
+    run on helpers, share 0 (on the calling thread) first waits until
+    every other share of its step has started, so those run on helper
+    threads (otherwise the caller claims any share a helper has not yet
+    woken for)."""
     caller = threading.current_thread()
-    off_thread = {"forward": 0, "backward": 0}
-    count_lock = threading.Lock()
-    for name in off_thread:
-        original = getattr(replica, f"_dense_{name}")
+    ran: list = []
+    cond = threading.Condition()
+    run_share = ReplicaKernel._run_share
 
-        def spy(*args, name=name, original=original):
-            with count_lock:
-                off_thread[name] += threading.current_thread() is not caller
-            return original(*args)
+    def spy(self, shares, params, grads, j):
+        with cond:
+            ran.append((len(shares), j, threading.current_thread() is not caller))
+            cond.notify_all()
+            if j == 0 and len(shares) > 1 and lanes.width() > 1:
+                started = len(ran)
+                cond.wait_for(lambda: len(ran) - started == len(shares) - 1, timeout=10)
+        return run_share(self, shares, params, grads, j)
 
-        monkeypatch.setattr(replica, f"_dense_{name}", spy)
+    monkeypatch.setattr(ReplicaKernel, "_run_share", spy)
+    return ran
+
+
+def test_the_lanes_run_requests_off_the_calling_thread(monkeypatch):
+    """The width test above is not vacuous: at width 3 a group of 3 is
+    three shares of one request, two of them on helper threads, and a
+    group of 2 two shares; each ``execute`` hands off once."""
+    ran = hold_share_zero(monkeypatch)
+    handoffs: list = []
+    each = lanes.each
+
+    def each_spy(count, fn):
+        handoffs.append(count)
+        return each(count, fn)
+
+    monkeypatch.setattr(lanes, "each", each_spy)
     case = Case((4,), (("dense", 3), ("relu",), ("dense", 2)),
-                batch=2, dtype="float32", kmax=3, groups=(3,), seed=0)
+                batch=2, dtype="float32", kmax=3, groups=(3, 2), seed=0)
     with lanes_of(3):
         assert_kernel_matches_reference(case)
-    assert off_thread == {"forward": 2 * 2, "backward": 2 * 2}
+    assert handoffs == [3, 2]
+    assert sorted(ran) == [(2, 0, False), (2, 1, True), (3, 0, False), (3, 1, True), (3, 2, True)]
+
+
+def test_shares_match_the_reference_when_threads_switch_every_microsecond():
+    """Three lanes on a conv / pool stack, more lanes than a small host
+    has cores, with the interpreter switching threads every
+    microsecond: every round's gradients still equal the reference's
+    bytes, which a crossed or lost write between shares would break."""
+    case = Case((1, 10, 10), (("conv", 2, (3, 3)), ("relu",), ("pool", 2), ("conv", 3, (2, 2)),
+                              ("pool", 2), ("flatten",), ("dense", 4), ("relu",), ("dense", 3)),
+                batch=4, dtype="float32", kmax=5, groups=(5, 4, 3, 5, 2, 5, 1, 5), seed=13,
+                nonfinite=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with lanes_of(3):
+            assert_kernel_matches_reference(case)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: ``(first byte, past the last byte)`` of an array (moved in numpy 2).
+byte_bounds = getattr(np, "byte_bounds", None) or np.lib.array_utils.byte_bounds
+
+
+def _arrays(item):
+    """Every array in a step tuple (nested tuples included)."""
+    if isinstance(item, np.ndarray):
+        yield item
+    elif isinstance(item, tuple):
+        for part in item:
+            yield from _arrays(part)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_each_share_writes_only_its_own_scratch_region(width):
+    """The shares' scratch regions (one per lane) are pairwise disjoint
+    byte ranges, and no share of any group size reaches into another
+    share's region (kept slabs lie outside every region)."""
+    case = Case((1, 9, 9), (("conv", 2, (2, 2)), ("conv", 3, (2, 2)), ("pool", 2),
+                            ("conv", 2, (2, 2)), ("relu",), ("flatten",), ("dense", 3)),
+                batch=3, dtype="float32", kmax=5, groups=(5,), seed=6)
+    problem = _problem(case, _network(case))
+    with lanes_of(width):
+        kernel = ReplicaKernel.build(problem.make_grad_task(np.random.default_rng(0)), case.kmax)
+    assert kernel.lanes == len(kernel._regions) == width
+    regions = [byte_bounds(region) for region in kernel._regions]
+    for (a_lo, a_hi), (b_lo, b_hi) in itertools.combinations(regions, 2):
+        assert a_hi <= b_lo or b_hi <= a_lo
+    for k in range(1, case.kmax + 1):
+        for j, share in enumerate(kernel._split(k)):
+            for array in _arrays(tuple(share.steps)):
+                lo, hi = byte_bounds(array)
+                inside = [i for i, (r_lo, r_hi) in enumerate(regions) if lo < r_hi and r_lo < hi]
+                assert inside in ([], [j]), (k, j, inside)
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +494,10 @@ class TestPoolIsExhaustivelyExact:
                 W[...], b[...] = 1.0, -0.0
         kernel, problem, outs = _pool_run(case, x, rows, thetas)
         pool = problem.network.layers[p]
-        best5, idx5, *_, gx5, _dims = kernel._steps[p][2]
-        gin3 = kernel._steps[p + 2][3]  # the dense head's input gradient
+        assert kernel.lanes == 1  # one share: every buffer kmax requests deep
+        steps = kernel._split(kmax)[0].steps
+        best5, idx5, *_, gx5, _dims = steps[p][2]
+        gin3 = steps[p + 2][3]  # the dense head's input gradient
         assert idx5.dtype == np.uint8
         for r in range(kmax):
             views = problem.network._all_param_views(thetas[r])

@@ -13,6 +13,7 @@ from repro.observe import profiler as _profiler
 from repro.observe.profiler import SpanProfiler
 
 from tests.conftest import make_run_config
+from tests.nn.test_kernel_model import hold_share_zero, lanes_of
 from tests.sim.test_replica import COST, make_configs, tiny_mlp_problem
 from tests.test_determinism import assert_identical
 
@@ -140,3 +141,17 @@ class TestNeutrality:
         )
         for result in profiled:
             assert {"kernel.execute", "arena.acquire"} <= set(result.profile)
+
+    def test_cohort_profiling_neutral_with_helper_lanes(self, monkeypatch):
+        """At width 2 a helper runs its shares under the null profiler:
+        the runs stay bitwise equal, and the step spans come from share
+        0 alone (one batch gather per executed step)."""
+        ran = hold_share_zero(monkeypatch)
+        with lanes_of(2):
+            profiled = check_cohort_neutral(
+                tiny_mlp_problem(), COST, make_configs("LSH_ps1", 3, m=2, max_updates=40)
+            )
+        assert any(off for *_, off in ran)
+        for result in profiled:
+            spans = result.profile
+            assert spans["kernel.gather"]["count"] == spans["kernel.execute"]["count"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import threading
 import warnings
 
 import numpy as np
@@ -32,11 +31,10 @@ from repro.sim.scheduler import Scheduler, SchedulerConfig
 
 from repro.harness.cache import simulation_fingerprint
 from repro.harness.pool import WorkerPool
-from repro.nn import replica as replica_module
 from repro.utils import lanes
 
 from tests.conftest import service_map
-from tests.nn.test_kernel_model import lanes_of
+from tests.nn.test_kernel_model import hold_share_zero, lanes_of
 from tests.nn.test_workspace import reference_gradient, twin_batcher
 
 
@@ -424,23 +422,14 @@ class TestStackedConvPool:
 
 # ---------------------------------------------------------------------------
 class TestHelperLanes:
-    """Cohorts whose dense loops run on two lanes (width forced, size
-    floor removed) give the serial runs' results."""
+    """Cohorts whose kernel steps run in shares on two lanes (width
+    forced, size floor removed) give the serial runs' results."""
 
     @pytest.fixture
     def helper_shares(self, monkeypatch) -> list:
-        """Dense requests run off the calling thread while it lives."""
-        seen: list = []
-        caller = threading.current_thread()
-        forward = replica_module._dense_forward
-
-        def spy(*args):
-            if threading.current_thread() is not caller:
-                seen.append(1)
-            return forward(*args)
-
-        monkeypatch.setattr(replica_module, "_dense_forward", spy)
-        return seen
+        """Every kernel share while it lives, and whether it ran off
+        the calling thread (each one but share 0, once lanes run)."""
+        return hold_share_zero(monkeypatch)
 
     def test_diverging_cohort_warns_nothing(self, helper_shares):
         """Every helper share runs under the kernel's errstate: a cohort
@@ -456,7 +445,7 @@ class TestHelperLanes:
             simulation_fingerprint(r) for r in serial
         ]
         assert {r.status.value for r in cohort} == {"stopped", "crashed"}  # one went non-finite
-        assert helper_shares
+        assert any(off for *_, off in helper_shares)
 
     def test_pooled_sweep_after_a_threaded_cohort(self, helper_shares, monkeypatch):
         """Workers forked from a process whose helpers ran start on one
@@ -466,7 +455,7 @@ class TestHelperLanes:
         configs = make_configs("HOG", 4)
         with lanes_of(2):
             serial = [simulation_fingerprint(r) for r in run_cohort(problem, COST, configs)]
-            assert helper_shares
+            assert any(off for *_, off in helper_shares)
             with WorkerPool(2) as pool:
                 pooled = service_map(problem, COST, configs, pool=pool)
                 assert pool.stats.chunks_completed > 0

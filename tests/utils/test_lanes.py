@@ -2,8 +2,9 @@
 
 Tests force the width through the module's resolved ``_width`` (the
 production width comes from the CPU affinity and the BLAS thread
-variables, which a test host does not control); ``reset_lanes`` puts
-the width and the helper group back afterwards.
+variables, which a test host does not control); ``reset_lanes`` stops
+the test's own helper group and puts the width and the process's group
+back afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from repro.utils import lanes
 def reset_lanes(monkeypatch):
     monkeypatch.setattr(lanes, "_width", None)
     monkeypatch.setattr(lanes, "_group", None)
-    return monkeypatch
+    yield monkeypatch
+    if lanes._group is not None:  # the test's own group: end its threads
+        lanes._group.stop()
 
 
 def force_width(monkeypatch, width: int) -> None:
@@ -65,29 +68,33 @@ class TestEach:
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
     def test_every_request_once_on_its_lane(self, reset_lanes, width, count):
+        """Every share runs once, share 0 on the caller. While the
+        caller holds share 0, the ``min(width, count) - 1`` helpers run
+        every other share; at width 1 all run inline, in order."""
         force_width(reset_lanes, width)
         caller = threading.current_thread()
-        ran: dict[int, threading.Thread] = {}
-        lock = threading.Lock()
+        n_lanes = max(1, min(width, count))
+        ran: list = []
+        cond = threading.Condition()
 
         def fn(r):
-            with lock:
-                assert r not in ran
-                ran[r] = threading.current_thread()
+            with cond:
+                assert r not in [q for q, _ in ran]
+                ran.append((r, threading.current_thread()))
+                cond.notify_all()
+                if r == 0 and n_lanes > 1:
+                    assert cond.wait_for(lambda: len(ran) == count, timeout=10)
 
         lanes.each(count, fn)
-        assert sorted(ran) == list(range(count))
-        n_lanes = max(1, min(width, count))
-        for r, thread in ran.items():
-            assert (thread is caller) == (r % n_lanes == 0)
-        by_lane = {r % n_lanes: thread for r, thread in ran.items()}
-        assert len(set(by_lane.values())) == len(by_lane)
-
-    def test_not_threaded_runs_inline(self, reset_lanes):
-        force_width(reset_lanes, 2)
-        threads = set()
-        lanes.each(4, lambda r: threads.add(threading.current_thread()), threaded=False)
-        assert threads == {threading.current_thread()}
+        assert sorted(r for r, _ in ran) == list(range(count))
+        if n_lanes == 1:
+            assert ran == [(r, caller) for r in range(count)]
+            return
+        threads = dict(ran)
+        assert threads[0] is caller
+        helpers = {threads[r] for r in range(1, count)}
+        assert caller not in helpers and len(helpers) <= n_lanes - 1
+        assert helpers <= set(lanes._group.threads)
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_an_exception_reraises_on_the_caller_after_every_share(self, reset_lanes, failing):
@@ -101,9 +108,8 @@ class TestEach:
 
         with pytest.raises(ValueError, match=f"request {failing}"):
             lanes.each(4, fn)
-        # The failing share stopped there; the other lane's share
-        # finished before the caller saw the error.
-        assert sorted(done) == [r for r in range(4) if r % 2 != failing]
+        # Every other share finished before the caller saw the error.
+        assert sorted(done) == [r for r in range(4) if r != failing]
         # The group survives a failed share.
         done.clear()
         lanes.each(4, done.append)
@@ -162,17 +168,71 @@ class TestEach:
         force_width(reset_lanes, 2)
         lanes.each(2, lambda r: None)
         assert lanes._group is not None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
-            pid = os.fork()
+        pid = os.fork()
         if pid == 0:  # pragma: no cover - child
             code = 1
             try:
                 if lanes._group is None:
                     seen = set()
-                    lanes.each(2, lambda r: seen.add(threading.current_thread().name))
-                    code = 0 if len(seen) == 2 else 2
+                    lanes.each(2, seen.add)
+                    alive = lanes._group is not None and all(
+                        t.is_alive() for t in lanes._group.threads
+                    )
+                    code = 0 if seen == {0, 1} and alive else 2
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestFork:
+    def test_idle_helpers_are_joined_before_a_fork(self, reset_lanes):
+        """A fork after a threaded ``each`` finds none of its helper
+        threads alive (Python 3.12 warns about forking a multi-threaded
+        process), and the next ``each`` starts the group again."""
+        force_width(reset_lanes, 3)
+        lanes.each(3, lambda r: None)
+        helpers = list(lanes._group.threads)
+        assert len(helpers) == 2 and all(t.is_alive() for t in helpers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            os._exit(0)
+        # The hook ran before the fork, and nothing has run since.
+        assert not any(t.is_alive() for t in helpers) and lanes._group is None
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        lanes.each(3, lambda r: None)
+        assert len(lanes._group.threads) == 2 and not set(lanes._group.threads) & set(helpers)
+
+    def test_a_busy_group_is_left_running(self, reset_lanes):
+        """A fork from inside ``each`` (share 0, while the group serves
+        the call) leaves the serving group alone; the child starts
+        without it and runs its own ``each`` on its own helpers."""
+        force_width(reset_lanes, 2)
+        release = threading.Event()
+        status = []
+
+        def fn(r):
+            if r == 1:
+                release.wait(10)
+                return
+            group = lanes._group
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                code = 1
+                try:
+                    seen = set()
+                    lanes.each(2, seen.add)
+                    code = 0 if lanes._group not in (None, group) and seen == {0, 1} else 2
+                finally:
+                    os._exit(code)
+            assert lanes._group is group and all(t.is_alive() for t in group.threads)
+            release.set()
+            status.append(os.waitpid(pid, 0)[1])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
+            lanes.each(2, fn)
+        assert [os.waitstatus_to_exitcode(s) for s in status] == [0]
