@@ -203,8 +203,8 @@ class DLGradTask(GradTask):
 
     :meth:`stage` draws only the batch indices (the blocked stream of
     ``MiniBatcher.next_batch_indices``); the math runs in a
-    :class:`repro.nn.replica.ReplicaKernel`, which gathers and computes
-    many replicas' batches in stacked calls. :meth:`run`, the worker's
+    :class:`repro.nn.replica.ReplicaKernel`, which runs a group of
+    requests one at a time in preallocated buffers. :meth:`run`, the worker's
     gradient function whenever no cohort harvests its requests, is that
     same kernel over a group of one, built on first use and owned by the
     task (never by the problem, the network or a layer: those are
@@ -213,7 +213,7 @@ class DLGradTask(GradTask):
     ``theta`` / ``out`` of another dtype than the problem's) takes the
     reference path instead: the same index draw, then
     ``Network.loss_and_grad``. Either way the worker's RNG stream is
-    consumed identically, so serial, stacked and declined executions are
+    consumed identically, so serial, cohort and declined executions are
     bitwise interchangeable.
     """
 
@@ -238,7 +238,7 @@ class DLGradTask(GradTask):
     def run(self, theta: np.ndarray, out: np.ndarray) -> None:
         kernel = self._kernel
         if kernel is _UNBUILT:
-            kernel = self._kernel = self.make_kernel(1)
+            kernel = self._kernel = self.make_kernel()
         if kernel is not None and theta.dtype == out.dtype == kernel.dtype:
             kernel.execute([GradCompute(self.run, theta, out, 0.0, self)])
             return
@@ -255,10 +255,10 @@ class DLGradTask(GradTask):
     def stage(self) -> np.ndarray:
         return self.batcher.next_batch_indices()
 
-    def make_kernel(self, kmax: int, arena=None):
+    def make_kernel(self):
         from repro.nn.replica import ReplicaKernel  # local import avoids a cycle
 
-        return ReplicaKernel.build(self, kmax, arena=arena)
+        return ReplicaKernel.build(self)
 
     def kernel_fallback_kind(self) -> str:
         from repro.nn.replica import ReplicaKernel  # local import avoids a cycle

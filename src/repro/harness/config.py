@@ -91,7 +91,7 @@ class RunConfig:
     probes: tuple[str, ...] = ()
     #: Opt into the engine self-profiler (:mod:`repro.observe.profiler`):
     #: wall-clock span timings of the scheduler loop, cohort rounds,
-    #: stacked kernels and arena traffic land in
+    #: kernel steps and arena traffic land in
     #: ``RunMetrics["profile"]``. Off by default; like the probes it
     #: observes host time only and never perturbs the simulation, so
     #: profiled runs are bitwise-identical to unprofiled ones.

@@ -1,7 +1,7 @@
 """Per-task slot-view memo.
 
 What is left of the per-worker step workspace: a step's scratch buffers
-now live in the training kernel's slabs
+now live in the training kernel's regions
 (:class:`repro.nn.replica.ReplicaKernel`), and the only per-task state
 the kernel reads is this memo of the reshaped per-layer slot views of
 the flat vectors a worker hands it (``cached_views``, bounded by

@@ -2,7 +2,7 @@
 
 Worker bodies used to call their gradient closure inline and then yield
 the compute duration ``tc``. To let a cohort of replica simulations
-batch their gradient work into stacked kernels (see
+hand their gradient work to one kernel call per round (see
 :mod:`repro.sim.replica`), the call itself becomes a yielded *request*:
 a :class:`GradCompute` carries the closure, its operands, and the
 virtual duration. The scheduler decides how it runs:
@@ -16,15 +16,15 @@ virtual duration. The scheduler decides how it runs:
   request to its own kernel of one on the spot.
 * **Cohort mode**: the scheduler parks the request so a
   :class:`~repro.sim.replica.LockstepCohort` can harvest pending
-  gradients across replicas and execute the batch as stacked array
-  kernels. A request parks without pausing the event loop: the
+  gradients across replicas and execute them as one group in a
+  kernel. A request parks without pausing the event loop: the
   thread's continuation is scheduled immediately (consuming the
   scheduler RNG exactly as the serial path does) and the
   loop keeps processing other threads' events, harvesting *their*
   gradient requests too — the loop only pauses when the next event
   belongs to a thread whose gradient is still unexecuted. With m
-  workers per replica, a round then stacks up to K*m gradients instead
-  of K.
+  workers per replica, a round then harvests up to K*m gradients
+  instead of K.
 
 What a worker body must guarantee
 ---------------------------------
@@ -70,10 +70,10 @@ class GradTask:
     """
 
     #: Requests whose tasks share an equal, non-None key may execute as
-    #: one stacked kernel call. None disables batching for this task.
+    #: one kernel call. None disables batching for this task.
     stack_key: tuple | None = None
 
-    #: The run's ProbeBus, bound by the worker factory so stacked
+    #: The run's ProbeBus, bound by the worker factory so group
     #: executors can emit host-side ``kernel_fallback`` events. None
     #: (the class default) silently drops them.
     probes = None
@@ -85,17 +85,14 @@ class GradTask:
     def stage(self):
         """Draw this step's sample identity (e.g. batch indices) from
         the worker RNG — exactly the draw :meth:`run` would have made —
-        without computing anything. Stacked executors call this once
-        per replica, then perform the math jointly."""
+        without computing anything. Group executors call this once
+        per request, in request order, then run the math."""
         raise NotImplementedError
 
-    def make_kernel(self, kmax: int, arena=None):
-        """A stacked executor for groups of up to ``kmax >= 1``
-        same-key tasks, or ``None`` if this task cannot be batched
-        (unsupported layer, dtype mismatch, ...). Called once per cohort
-        per ``stack_key`` (and per headroom rebuild). ``arena`` is the
-        cohort's :class:`~repro.sim.arena.BufferArena` for the kernel's
-        scratch slabs (kernels allocate directly when it is None)."""
+    def make_kernel(self):
+        """An executor for groups of any size of same-key tasks, or
+        ``None`` if this task cannot be batched (unsupported layer,
+        dtype mismatch, ...). Called once per cohort per ``stack_key``."""
         return None
 
     def bind_probes(self, bus) -> None:

@@ -53,9 +53,10 @@ emitting worker's tid):
     Elastic-consistency measurement (opt-in, see
     ``SGDContext.measure_view_divergence``).
 ``kernel_fallback(kind, replicas)``
-    One gradient request executed serially because the replica-stacked
-    kernel de-vectorized (unsupported layer ``kind``, dtype mismatch,
-    group overflow) inside a ``replicas``-request group. Unlike the
+    One gradient request of a ``replicas``-request cohort group
+    executed through its task's own ``run`` because the training kernel
+    declined it (unsupported layer ``kind``, a non-dense head, dtype
+    mismatch). Unlike the
     protocol events above this is a *host-side execution-strategy*
     event: it carries no virtual time and never fires on the serial
     path, so its count (``metrics["kernel_fallbacks"]``) is — like

@@ -55,12 +55,13 @@ Observability keys (see :mod:`repro.observe`):
                       host facts, seed protocol)
 ====================  =====================================================
 
-Replica-stacked kernels (see :mod:`repro.nn.replica`):
+The cohort's training kernel (see :mod:`repro.nn.replica`):
 
 ====================  =====================================================
-``kernel_fallbacks``  gradient requests a replica-stacked kernel declined
-                      and executed serially (``0`` for serial runs and
-                      for cohorts that stayed fully stacked). A host-side
+``kernel_fallbacks``  gradient requests of a cohort group the kernel
+                      declined, executed through the reference path
+                      (``0`` for serial runs and for cohorts whose
+                      network the kernel runs). A host-side
                       execution tally: like ``wall_seconds`` it is
                       outside the serial/cohort identity contract.
 ====================  =====================================================

@@ -1,9 +1,9 @@
-"""Helper threads for the shares of one stacked kernel step.
+"""Helper threads for the shares of one kernel step.
 
 The K requests a :class:`repro.nn.replica.ReplicaKernel` step executes
-are conflict-free: each has its own ``theta`` and output views, and
-writes only its own slab rows. So the kernel splits them into shares,
-each with its own scratch region, and hands them to :func:`each`:
+are conflict-free: each has its own ``theta`` and output views. So the
+kernel splits them into shares, each run one request at a time in its
+own lane's region, and hands them to :func:`each`:
 share 0 runs on the calling thread, the caller and a small
 process-wide group of helper threads claim the others one at a time
 until none is left, and the call returns when every share has

@@ -145,13 +145,16 @@ class TestNeutrality:
     def test_cohort_profiling_neutral_with_helper_lanes(self, monkeypatch):
         """At width 2 a helper runs its shares under the null profiler:
         the runs stay bitwise equal, and the step spans come from share
-        0 alone (one batch gather per executed step)."""
+        0 alone (one batch gather per request it ran)."""
         ran = hold_share_zero(monkeypatch)
         with lanes_of(2):
             profiled = check_cohort_neutral(
                 tiny_mlp_problem(), COST, make_configs("LSH_ps1", 3, m=2, max_updates=40)
             )
         assert any(off for *_, off in ran)
+        # Two identical cohorts ran, the plain one and the profiled one.
+        share0_requests = sum(size for _, j, size, _ in ran if j == 0)
         for result in profiled:
             spans = result.profile
-            assert spans["kernel.gather"]["count"] == spans["kernel.execute"]["count"]
+            assert 2 * spans["kernel.gather"]["count"] == share0_requests
+            assert spans["kernel.gather"]["count"] > spans["kernel.execute"]["count"]

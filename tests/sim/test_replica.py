@@ -282,7 +282,7 @@ class TestOneKernel:
             return DLProblem(make_net(), x, y, x[:8], y[:8], batch_size=8)
 
         task = build().make_grad_task(np.random.default_rng(0))
-        assert ReplicaKernel.build(task, 1) is not None
+        assert ReplicaKernel.build(task) is not None
         (config,) = make_configs("LSH_ps1", 1, m=4, max_updates=12)
         kernel = run_once(build(), COST, config)
         gradients = len(calls["run"])
@@ -381,7 +381,7 @@ class TestStackedConvPool:
         tasks = [
             problem.make_grad_task(np.random.default_rng(100 + r)) for r in range(k)
         ]
-        kernel = ReplicaKernel.build(problem.make_grad_task(np.random.default_rng(0)), k)
+        kernel = ReplicaKernel.build(problem.make_grad_task(np.random.default_rng(0)))
         assert kernel is not None
         theta_rng = np.random.default_rng(7)
         thetas = [problem.init_theta(theta_rng) for _ in range(k)]
@@ -553,15 +553,14 @@ class TestReplicaKernelBuild:
 
     def test_builds_for_supported_mlp(self):
         task = self._task(tiny_mlp_problem())
-        kernel = ReplicaKernel.build(task, 4)
+        kernel = ReplicaKernel.build(task)
         assert kernel is not None
-        assert kernel.kmax == 4
 
     def test_kernel_of_one_matches_reference(self):
         for problem in (tiny_mlp_problem(), tiny_cnn_problem()):
             task = self._task(problem)
-            kernel = ReplicaKernel.build(task, 1)
-            assert kernel is not None and kernel.kmax == 1
+            kernel = ReplicaKernel.build(task)
+            assert kernel is not None
             theta = problem.init_theta(np.random.default_rng(1))
             out = np.empty_like(theta)
             for _ in range(2):  # first use, then dirty slabs
@@ -579,7 +578,7 @@ class TestReplicaKernelBuild:
         # convert-copies the batch, so the kernel declines.
         problem = DLProblem(net, x, y, x[:8], y[:8], batch_size=4, dtype=np.float64)
         task = self._task(problem)
-        assert ReplicaKernel.build(task, 4) is None
+        assert ReplicaKernel.build(task) is None
         assert ReplicaKernel.reject_reason(task) == "dtype"
         assert task.kernel_fallback_kind() == "dtype"
 
@@ -588,12 +587,12 @@ class TestReplicaKernelBuild:
             assert ReplicaKernel.reject_reason(self._task(make_problem())) is None
 
     def test_singleton_group_falls_back_serially(self, calls):
-        """(Historical name.) A group of one on a wider kernel no longer
-        falls back to its task's ``run``: it is the stacked code at
-        k = 1, with the reference's bits."""
+        """(Historical name.) A group of one on a cohort's kernel does
+        not fall back to its task's ``run``: it is the kernel at k = 1,
+        with the reference's bits."""
         problem = tiny_mlp_problem()
         task = self._task(problem)
-        kernel = ReplicaKernel.build(task, 4)
+        kernel = ReplicaKernel.build(task)
         theta = problem.init_theta(np.random.default_rng(1))
         out = np.empty_like(theta)
         kernel.execute([GradCompute(task.run, theta, out, 1.0, task)])
