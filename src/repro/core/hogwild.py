@@ -66,52 +66,58 @@ class HogwildSGD(Algorithm):
         handle.local_pvs.append(local_param)
         grad = handle.grad_pv.theta
         scratch = handle.step_scratch
+        local, shared = local_param.theta, param.theta
         slices = chunk_slices(ctx.problem.d, ctx.cost.n_chunks)
+        # The per-chunk views, built once: the buffers never move, and
+        # slicing them anew costs ~100 view objects per update. A chunk
+        # read is a slice assignment, the copy np.copyto makes without
+        # its Python-level dispatch frame.
+        read_chunks = [(local[sl], shared[sl]) for sl in slices]
+        update_chunks = [(grad[sl], scratch[sl], shared[sl]) for sl in slices]
+        contended = ctx.cost.contended
         copy_chunk_cost = ctx.cost.t_copy / len(slices)
         update_chunk_cost = ctx.cost.tu / len(slices)
         eta = ctx.eta
         accessors = self._accessors
+        clock = ctx.scheduler.clock
         probes = ctx.probes
+        request = GradCompute(handle.grad_fn, local, grad, ctx.cost.tc, handle.grad_task)
         while True:
             # --- unsynchronized chunk-wise read: the view may be torn,
             # and concurrent accessors inflate each chunk's cost
             # (coherence traffic on the write-shared buffer).
             view_seq = ctx.global_seq.load()
             accessors.fetch_add(1)
-            for sl in slices:
-                np.copyto(local_param.theta[sl], param.theta[sl])
-                yield ctx.cost.contended(copy_chunk_cost, accessors.load() - 1)
+            for local_chunk, shared_chunk in read_chunks:
+                local_chunk[...] = shared_chunk
+                yield contended(copy_chunk_cost, accessors.load() - 1)
             accessors.fetch_add(-1)
-            probes.read_pinned(ctx.scheduler.now, thread.tid, view_seq)
+            probes.read_pinned(clock.now, thread.tid, view_seq)
 
             # --- compute phase
-            yield GradCompute(
-                handle.grad_fn, local_param.theta, grad, ctx.cost.tc, handle.grad_task
-            )
-            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            yield request
+            probes.grad_done(clock.now, thread.tid, ctx.global_seq.load())
 
             # --- unsynchronized chunk-wise in-place update.
-            shared = param.theta
             if ctx.measure_view_divergence:
                 probes.view_divergence(
-                    ctx.scheduler.now, thread.tid,
-                    float(np.linalg.norm(local_param.theta - shared)),
+                    clock.now, thread.tid, float(np.linalg.norm(local - shared)),
                 )
             accessors.fetch_add(1)
             # Overflow under a destructive step size is silenced by the
             # run (Scheduler.run owns the numeric error state): a block
             # opened here would span the yields below and be left, out of
             # order, while other workers are inside theirs.
-            for sl in slices:
-                # eta * grad[sl] lands in the worker's scratch slice
-                # instead of a per-chunk temporary (same bits).
-                np.multiply(grad[sl], eta, out=scratch[sl])
-                shared[sl] -= scratch[sl]
-                yield ctx.cost.contended(update_chunk_cost, accessors.load() - 1)
+            for grad_chunk, scratch_chunk, shared_chunk in update_chunks:
+                # eta * grad lands in the worker's scratch chunk instead
+                # of a per-chunk temporary (same bits).
+                np.multiply(grad_chunk, eta, out=scratch_chunk)
+                shared_chunk -= scratch_chunk
+                yield contended(update_chunk_cost, accessors.load() - 1)
             accessors.fetch_add(-1)
             param.t += 1  # measurement-only sequence bump (no sync in HOGWILD!)
             seq = ctx.global_seq.fetch_add(1)
-            probes.publish(ctx.scheduler.now, thread.tid, seq, seq - view_seq)
+            probes.publish(clock.now, thread.tid, seq, seq - view_seq)
 
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:
         return self.param.theta

@@ -122,35 +122,40 @@ class HogwildPlusPlus(Algorithm):
         handle.local_pvs.append(local_param)
         grad = handle.grad_pv.theta
         scratch = handle.step_scratch
+        local, shared = local_param.theta, replica.theta
         slices = chunk_slices(ctx.problem.d, ctx.cost.n_chunks)
+        # Per-chunk views built once (see HogwildSGD.worker_body); the
+        # token mixes into the replica in place, so its views stay valid.
+        read_chunks = [(local[sl], shared[sl]) for sl in slices]
+        update_chunks = [(grad[sl], scratch[sl], shared[sl]) for sl in slices]
+        contended = ctx.cost.contended
         copy_chunk = ctx.cost.t_copy / len(slices)
         update_chunk = ctx.cost.tu / len(slices)
         eta = ctx.eta
+        clock = ctx.scheduler.clock
         probes = ctx.probes
+        request = GradCompute(handle.grad_fn, local, grad, ctx.cost.tc, handle.grad_task)
         while True:
             view_seq = ctx.global_seq.load()
             accessors.fetch_add(1)
-            for sl in slices:
-                np.copyto(local_param.theta[sl], replica.theta[sl])
-                yield ctx.cost.contended(copy_chunk, accessors.load() - 1)
+            for local_chunk, shared_chunk in read_chunks:
+                local_chunk[...] = shared_chunk
+                yield contended(copy_chunk, accessors.load() - 1)
             accessors.fetch_add(-1)
-            probes.read_pinned(ctx.scheduler.now, thread.tid, view_seq)
+            probes.read_pinned(clock.now, thread.tid, view_seq)
 
-            yield GradCompute(
-                handle.grad_fn, local_param.theta, grad, ctx.cost.tc, handle.grad_task
-            )
-            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            yield request
+            probes.grad_done(clock.now, thread.tid, ctx.global_seq.load())
 
-            shared = replica.theta
             accessors.fetch_add(1)
-            for sl in slices:
-                np.multiply(grad[sl], eta, out=scratch[sl])
-                shared[sl] -= scratch[sl]
-                yield ctx.cost.contended(update_chunk, accessors.load() - 1)
+            for grad_chunk, scratch_chunk, shared_chunk in update_chunks:
+                np.multiply(grad_chunk, eta, out=scratch_chunk)
+                shared_chunk -= scratch_chunk
+                yield contended(update_chunk, accessors.load() - 1)
             accessors.fetch_add(-1)
             replica.t += 1
             seq = ctx.global_seq.fetch_add(1)
-            probes.publish(ctx.scheduler.now, thread.tid, seq, seq - view_seq)
+            probes.publish(clock.now, thread.tid, seq, seq - view_seq)
 
     # ------------------------------------------------------------------
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:

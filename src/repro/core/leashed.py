@@ -2,7 +2,7 @@
 
 Lock-free *consistent* AsyncSGD. Each worker:
 
-1. acquires the latest published ParameterVector through the
+1. acquires the latest published ParameterVector through the paper's
    ``latest_pointer()`` retry loop (load global pointer, pin with
    ``start_reading``, re-check ``stale_flag``; P3 of the paper),
 2. computes its gradient **directly on the published payload, without
@@ -63,56 +63,55 @@ class LeashedSGD(Algorithm):
         self.pointer = AtomicRef(init_pv)
 
     # ------------------------------------------------------------------
-    def _latest_pointer(self, ctx: SGDContext) -> Generator:
-        """The paper's ``latest_pointer()``: returns a pinned, non-stale
-        ParameterVector. The yields between the pointer load, the pin,
-        and the staleness re-check expose exactly the race window P4
-        tolerates (pinning a vector that just went stale, then retrying).
-        """
-        pointer = self.pointer
-        while True:
-            latest = pointer.load()
-            yield ctx.cost.t_atomic
-            latest.start_reading()
-            yield ctx.cost.t_atomic
-            if not latest.stale_flag:
-                return latest
-            latest.stop_reading()  # let it be recycled; retry for a fresher one
-            yield ctx.cost.t_atomic
-
-    # ------------------------------------------------------------------
     def worker_body(
         self, ctx: SGDContext, thread: SimThread, handle: WorkerHandle
     ) -> Generator:
+        # Everything read per event is a local: the run loop resumes this
+        # generator tens of thousands of times per run.
         pointer = self.pointer
         grad = handle.grad_pv.theta
         scratch = handle.step_scratch
         eta = ctx.eta
-        view_copy = (
-            np.empty(ctx.problem.d, dtype=ctx.dtype)
-            if ctx.measure_view_divergence
-            else None
-        )
+        cost = ctx.cost
+        t_atomic, t_copy, t_alloc, tu = cost.t_atomic, cost.t_copy, cost.t_alloc, cost.tu
+        clock = ctx.scheduler.clock
+        tid = thread.tid
+        d, memory, arena, dtype = ctx.problem.d, ctx.memory, ctx.arena, ctx.dtype
+        view_copy = np.empty(d, dtype=dtype) if ctx.measure_view_divergence else None
         probes = ctx.probes
+        # One request object per worker: a worker has one gradient in
+        # flight at a time, and only its input view changes between them.
+        request = GradCompute(handle.grad_fn, None, grad, cost.tc, handle.grad_task)
         while True:
-            # --- read phase: pin latest, compute gradient on it in place.
-            latest = yield from self._latest_pointer(ctx)
+            # --- read phase: the paper's latest_pointer() returns a
+            # pinned, non-stale vector. The yields between the pointer
+            # load, the pin and the staleness re-check expose exactly the
+            # race window P4 tolerates (pinning a vector that just went
+            # stale, then retrying). Written out here and in the LAU-SPC
+            # loop below rather than as a sub-generator: a ``yield from``
+            # frame on every pin step is most of what a pin costs.
+            while True:
+                latest = pointer.load()
+                yield t_atomic
+                latest.start_reading()
+                yield t_atomic
+                if not latest.stale_flag:
+                    break
+                latest.stop_reading()  # let it be recycled; retry for a fresher one
+                yield t_atomic
             view_t = latest.t
-            probes.read_pinned(ctx.scheduler.now, thread.tid, view_t)
-            # Measurement hook (view-divergence mode) must snapshot the
-            # pinned payload right after the gradient reads it — bound
-            # per iteration because ``latest`` rebinds.
-            post = (
-                functools.partial(np.copyto, view_copy, latest.theta)
-                if view_copy is not None
-                else None
-            )
-            yield GradCompute(
-                handle.grad_fn, latest.theta, grad, ctx.cost.tc, handle.grad_task, post
-            )
-            probes.grad_done(ctx.scheduler.now, thread.tid, pointer.load().t)
+            probes.read_pinned(clock.now, tid, view_t)
+            # Compute the gradient on the pinned payload in place. The
+            # view-divergence hook must snapshot that payload right after
+            # the gradient reads it — bound per iteration because
+            # ``latest`` rebinds.
+            request.theta = latest.theta
+            if view_copy is not None:
+                request.post = functools.partial(np.copyto, view_copy, latest.theta)
+            yield request
+            probes.grad_done(clock.now, tid, pointer.load().t)
             latest.stop_reading()
-            yield ctx.cost.t_atomic
+            yield t_atomic
 
             # --- allocate the private candidate (dynamic allocation: P2).
             # zero_init=False (np.empty / recycled-arena semantics) is
@@ -120,17 +119,24 @@ class LeashedSGD(Algorithm):
             # overwrites the whole payload — copyto or step_from against
             # the latest published vector — before its first read.
             new_pv = ParameterVector(
-                ctx.problem.d, memory=ctx.memory, tag="published", dtype=ctx.dtype,
-                arena=ctx.arena, zero_init=False,
+                d, memory=memory, tag="published", dtype=dtype, arena=arena, zero_init=False,
             )
-            yield ctx.cost.t_alloc
+            yield t_alloc
 
             # --- LAU-SPC loop.
             num_tries = 0
-            enter_time = ctx.scheduler.now
-            probes.lau_enter(enter_time, thread.tid)
+            enter_time = clock.now
+            probes.lau_enter(enter_time, tid)
             while True:
-                target = yield from self._latest_pointer(ctx)
+                while True:  # latest_pointer(), as above
+                    target = pointer.load()
+                    yield t_atomic
+                    target.start_reading()
+                    yield t_atomic
+                    if not target.stale_flag:
+                        break
+                    target.stop_reading()
+                    yield t_atomic
                 eta_eff = self.effective_eta(eta, target.t - view_t)
                 if view_copy is None:
                     # Fused Load-And-Update: two 2-operand passes write
@@ -138,35 +144,32 @@ class LeashedSGD(Algorithm):
                     # (bitwise-identical to copy-then-update, one full
                     # d-vector write/re-read cheaper).
                     new_pv.step_from(target, grad, eta_eff)
-                    yield ctx.cost.t_copy
+                    yield t_copy
                     target.stop_reading()
-                    yield ctx.cost.t_atomic
+                    yield t_atomic
                 else:
                     # Two-phase path: measurement mode needs the
                     # candidate's pre-update state.
                     np.copyto(new_pv.theta, target.theta)
                     new_pv.t = target.t
-                    yield ctx.cost.t_copy
+                    yield t_copy
                     target.stop_reading()
-                    yield ctx.cost.t_atomic
-                    if view_copy is not None:
-                        probes.view_divergence(
-                            ctx.scheduler.now, thread.tid,
-                            float(np.linalg.norm(view_copy - new_pv.theta)),
-                        )
+                    yield t_atomic
+                    probes.view_divergence(
+                        clock.now, tid, float(np.linalg.norm(view_copy - new_pv.theta)),
+                    )
                     new_pv.update(grad, eta_eff, scratch=scratch)
-                yield ctx.cost.tu
+                yield tu
                 succ = pointer.compare_and_swap(target, new_pv)
-                yield ctx.cost.t_atomic
-                probes.cas_attempt(ctx.scheduler.now, thread.tid, succ, num_tries)
+                yield t_atomic
+                probes.cas_attempt(clock.now, tid, succ, num_tries)
                 if succ:
                     target.stale_flag = True
-                    probes.reclaim(ctx.scheduler.now, thread.tid, target.t)
+                    probes.reclaim(clock.now, tid, target.t)
                     target.safe_delete()
                     ctx.global_seq.fetch_add(1)
                     probes.publish(
-                        ctx.scheduler.now, thread.tid, new_pv.t,
-                        new_pv.t - 1 - view_t, num_tries, enter_time,
+                        clock.now, tid, new_pv.t, new_pv.t - 1 - view_t, num_tries, enter_time,
                     )
                     break
                 num_tries += 1
@@ -174,7 +177,7 @@ class LeashedSGD(Algorithm):
                     # Persistence bound exceeded: drop this gradient and
                     # return to computing a fresh one (contention relief).
                     new_pv.force_delete()
-                    probes.drop(ctx.scheduler.now, thread.tid, num_tries, enter_time)
+                    probes.drop(clock.now, tid, num_tries, enter_time)
                     break
 
     # ------------------------------------------------------------------

@@ -102,9 +102,7 @@ class ParameterVector:
         self.tag = tag
         self._memory = memory
         self._arena = arena
-        self._block_id = (
-            memory.allocate(tag, int(d) * self.theta.itemsize) if memory is not None else None
-        )
+        self._block_id = memory.allocate(tag, theta.nbytes) if memory is not None else None
 
     # -- Algorithm 1 functions ---------------------------------------------
     def rand_init(self, rng: np.random.Generator, *, std: float = 0.1) -> None:
@@ -123,7 +121,8 @@ class ParameterVector:
             raise SimulationError(
                 f"stop_reading without matching start_reading on {self.tag!r} vector"
             )
-        self.safe_delete()
+        if self.stale_flag:  # safe_delete's first condition, without its frame
+            self.safe_delete()
 
     def safe_delete(self) -> bool:
         """Reclaim iff stale, unread, and not already reclaimed.
@@ -179,10 +178,11 @@ class ParameterVector:
         unchanged, so the result stays bitwise identical to the straight
         two-pass form.
         """
-        self._require_live("step_from")
-        source._require_live("step_from source")
-        self.t = source.t + 1
         dst, src = self.theta, source.theta
+        if dst is None or src is None:
+            self._require_live("step_from")
+            source._require_live("step_from source")
+        self.t = source.t + 1
         if dst.size <= _STEP_BLOCK:
             np.multiply(delta, -eta, out=dst)
             dst += src

@@ -333,16 +333,17 @@ class SparseLogisticProblem(Problem):
         indices, values, labels = self.indices, self.values, self.labels
         n, batch, l2 = labels.shape[0], self.batch_size, self.l2
 
+        # Overflow under a destructive step size is silenced by the run
+        # (Scheduler.run owns the numeric error state), not per call.
         def grad_fn(theta: np.ndarray, out: np.ndarray) -> None:
             rows = rng.integers(0, n, size=batch)
             idx = indices[rows]  # (batch, nnz)
             val = values[rows]
-            with np.errstate(over="ignore", invalid="ignore"):
-                margins = np.einsum("ij,ij->i", val, theta[idx])
-                p = 1.0 / (1.0 + np.exp(-margins))
-                coeff = (p - labels[rows]) / batch
-                out[...] = l2 * theta  # dense regularizer term
-                np.add.at(out, idx.ravel(), (coeff[:, None] * val).ravel())
+            margins = np.einsum("ij,ij->i", val, theta[idx])
+            p = 1.0 / (1.0 + np.exp(-margins))
+            coeff = (p - labels[rows]) / batch
+            out[...] = l2 * theta  # dense regularizer term
+            np.add.at(out, idx.ravel(), (coeff[:, None] * val).ravel())
 
         return grad_fn
 
@@ -417,11 +418,12 @@ class QuadraticProblem(Problem):
     def make_grad_fn(self, rng: np.random.Generator) -> GradFn:
         h, b, sigma = self.h, self.b, self.noise_sigma
 
+        # Overflow under a destructive step size is silenced by the run
+        # (Scheduler.run owns the numeric error state), not per call.
         def grad_fn(theta: np.ndarray, out: np.ndarray) -> None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(h, theta - b, out=out)
-                if sigma > 0:
-                    out += rng.normal(0.0, sigma, size=out.shape)
+            np.multiply(h, theta - b, out=out)
+            if sigma > 0:
+                out += rng.normal(0.0, sigma, size=out.shape)
 
         return grad_fn
 

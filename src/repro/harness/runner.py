@@ -17,6 +17,7 @@ mapping — the legacy flat attributes (``n_updates``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,8 @@ def _prepare_run(problem: Problem, cost: CostModel, config: RunConfig) -> _Prepa
         ),
     )
     trace = TraceRecorder()
-    memory = MemoryAccountant(lambda: scheduler.now)
+    # A C-level getter of the clock (no Python frame per allocation).
+    memory = MemoryAccountant(functools.partial(getattr, scheduler.clock, "now"))
     arena = BufferArena(poison=config.arena_poison) if config.use_arena else None
     bus = ProbeBus()
     ctx = SGDContext(

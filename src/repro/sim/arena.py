@@ -75,10 +75,6 @@ class BufferArena:
         self.trimmed = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(size: int, dtype: np.dtype | type) -> tuple[int, np.dtype]:
-        return int(size), np.dtype(dtype)
-
     def acquire(self, size: int, dtype: np.dtype | type = np.float32) -> np.ndarray:
         """A 1-D buffer of ``size`` elements, recycled when possible.
 
@@ -90,7 +86,8 @@ class BufferArena:
             raise SimulationError(f"arena buffer size must be > 0, got {size}")
         prof = _profiler.ACTIVE
         t0 = prof.start()
-        free = self._free.get(self._key(size, dtype))
+        # Free lists are keyed by (size, dtype) as release() files them.
+        free = self._free.get((int(size), np.dtype(dtype)))
         if free:
             self.hits += 1
             buf = free.pop()
@@ -112,13 +109,15 @@ class BufferArena:
         prof = _profiler.ACTIVE
         t0 = prof.start()
         self.released += 1
-        key = self._key(buf.size, buf.dtype)
-        free = self._free.setdefault(key, [])
+        key = (buf.size, buf.dtype)
+        free = self._free.get(key)
+        if free is None:
+            free = self._free[key] = []
         if self.max_per_key is not None and len(free) >= self.max_per_key:
             self.dropped += 1
             prof.stop("arena.release", t0)
             return
-        if self.poison and np.issubdtype(buf.dtype, np.floating):
+        if self.poison and buf.dtype.kind == "f":
             buf.fill(np.nan)
         free.append(buf)
         prof.stop("arena.release", t0)

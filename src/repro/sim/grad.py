@@ -14,10 +14,12 @@ virtual duration. The scheduler decides how it runs:
   gradient, then one jitter draw, then one tiebreak draw). Results are
   bitwise identical. Nothing is parked: a DL task's ``run`` hands the
   request to its own kernel of one on the spot.
-* **Cohort mode**: the scheduler parks the request so a
-  :class:`~repro.sim.replica.LockstepCohort` can harvest pending
+* **Cohort mode**: the scheduler parks a request that carries a task
+  so a :class:`~repro.sim.replica.LockstepCohort` can harvest pending
   gradients across replicas and execute them as one group in a
-  kernel. A request parks without pausing the event loop: the
+  kernel; a request without one (the quadratic and sparse closures)
+  has nothing to stack and runs at its yield, as in serial mode. A
+  request parks without pausing the event loop: the
   thread's continuation is scheduled immediately (consuming the
   scheduler RNG exactly as the serial path does) and the
   loop keeps processing other threads' events, harvesting *their*
@@ -47,8 +49,8 @@ a pinned vector:
 :class:`GradTask` is the optional batching handle: problems that can
 stage their sampling separately from the math (see
 ``DLProblem.make_grad_task``) attach one, and requests whose tasks share
-a ``stack_key`` may be fused. A request without a task always executes
-through its closure — correct in either mode, just not batched.
+a ``stack_key`` form one group in a cohort round. A request without a
+task always executes through its closure, at its yield.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class GradTask:
     consume the worker's RNG stream identically.
     """
 
-    #: Requests whose tasks share an equal, non-None key may execute as
-    #: one kernel call. None disables batching for this task.
+    #: Requests whose tasks share an equal key form one group of a
+    #: cohort round: one kernel call when :meth:`make_kernel` builds a
+    #: kernel for the key, else one closure call per request.
     stack_key: tuple | None = None
 
     #: The run's ProbeBus, bound by the worker factory so group

@@ -24,15 +24,17 @@ class MemoryAccountant:
     ----------
     clock_fn:
         Zero-argument callable returning the current virtual time
-        (normally ``scheduler.clock`` 's ``now`` property getter).
+        (normally a getter of ``scheduler.clock.now``; it is called on
+        every allocation and free).
     """
 
     def __init__(self, clock_fn: Callable[[], float]) -> None:
         self._clock_fn = clock_fn
         self._next_id = 0
         self._live: dict[int, tuple[str, int]] = {}  # id -> (tag, nbytes)
-        self._events: list[tuple[float, int]] = []  # (time, +nbytes / -nbytes)
-        self._count_events: list[tuple[float, int]] = []  # (time, +1 / -1)
+        # (time, +nbytes / -nbytes, +1 / -1) per allocation / free: one
+        # tuple per event, read back as one float array by the series.
+        self._events: list[tuple[float, int, int]] = []
         self.live_bytes = 0
         self.live_count = 0
         self.peak_bytes = 0
@@ -60,28 +62,29 @@ class MemoryAccountant:
             raise MemoryAccountingError(f"nbytes must be >= 0, got {nbytes!r}")
         now = self._clock_fn()
         block_id = self._next_id
-        self._next_id += 1
+        self._next_id = block_id + 1
         self._live[block_id] = (tag, nbytes)
-        self.live_bytes += nbytes
-        self.live_count += 1
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-        self.peak_count = max(self.peak_count, self.live_count)
-        self._events.append((now, nbytes))
-        self._count_events.append((now, 1))
+        live_bytes = self.live_bytes = self.live_bytes + nbytes
+        live_count = self.live_count = self.live_count + 1
+        if live_bytes > self.peak_bytes:
+            self.peak_bytes = live_bytes
+        if live_count > self.peak_count:
+            self.peak_count = live_count
+        self._events.append((now, nbytes, 1))
         return block_id
 
     def free(self, block_id: int) -> None:
         """Release a block; double frees and unknown ids raise."""
-        if block_id not in self._live:
+        block = self._live.pop(block_id, None)
+        if block is None:
             raise MemoryAccountingError(f"free of unknown or already-freed block {block_id}")
-        _, nbytes = self._live.pop(block_id)
+        nbytes = block[1]
         now = self._clock_fn()
-        self.live_bytes -= nbytes
-        self.live_count -= 1
-        if self.live_bytes < 0 or self.live_count < 0:
+        live_bytes = self.live_bytes = self.live_bytes - nbytes
+        live_count = self.live_count = self.live_count - 1
+        if live_bytes < 0 or live_count < 0:
             raise MemoryAccountingError("accounting went negative (internal error)")
-        self._events.append((now, -nbytes))
-        self._count_events.append((now, -1))
+        self._events.append((now, -nbytes, -1))
 
     # -- ProbeBus subscription (see repro.telemetry.bus) ---------------
     def on_reclaim(self, time: float, thread: int, seq: int) -> None:
@@ -123,9 +126,7 @@ class MemoryAccountant:
         """
         if not self._events:
             return np.zeros(0), np.zeros(0), np.zeros(0)
-        times = np.asarray([t for t, _ in self._events])
-        byte_deltas = np.asarray([d for _, d in self._events], dtype=float)
-        count_deltas = np.asarray([d for _, d in self._count_events], dtype=float)
+        times, byte_deltas, count_deltas = np.asarray(self._events, dtype=float).T
         bytes_curve = np.cumsum(byte_deltas)
         count_curve = np.cumsum(count_deltas)
         t_end = max(times[-1], self._clock_fn())
@@ -139,8 +140,11 @@ class MemoryAccountant:
         """Time-weighted average of live bytes over the run so far."""
         if not self._events:
             return 0.0
-        times = np.asarray([t for t, _ in self._events] + [self._clock_fn()])
-        curve = np.concatenate([[0.0], np.cumsum([d for _, d in self._events])])
+        event_times, byte_deltas, _ = np.asarray(self._events, dtype=float).T
+        times = np.append(event_times, self._clock_fn())
+        # Byte deltas are integers, so the float running sum is exact
+        # (well below 2**53) and equals an integer one.
+        curve = np.concatenate([[0.0], np.cumsum(byte_deltas)])
         if times[-1] <= times[0]:
             return float(curve[-1])
         durations = np.diff(times, prepend=0.0)

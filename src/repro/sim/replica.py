@@ -104,13 +104,10 @@ class LockstepCohort:
         consumes it."""
         groups: dict = {}
         for scheduler in paused:
+            # Only requests with a task park (a closure-only gradient ran
+            # at its yield, inside Scheduler.run).
             for _thread, request in scheduler.pending_grads:
-                key = request.task.stack_key if request.task is not None else None
-                if key is None:
-                    # Closure-only gradient (no task): nothing to stack.
-                    request.execute()
-                else:
-                    groups.setdefault(key, []).append(request)
+                groups.setdefault(request.task.stack_key, []).append(request)
         for key, requests in groups.items():
             kernel = self._kernels.get(key, _UNBUILT)
             if kernel is _UNBUILT:

@@ -19,13 +19,17 @@ overhead aggressively:
   thread object, and tuple comparison is several times cheaper than a
   ``dataclass(order=True)``.
 * Random numbers (tiebreak priorities and lognormal jitter factors) are
-  drawn in vectorized blocks and consumed from plain Python lists,
+  drawn in vectorized blocks and consumed through one endless iterator
+  per stream (``itertools.chain`` over the blocks, drawn as needed: one
+  C-level ``next`` per draw, no cursor or refill test in the loop),
   amortizing the ``Generator`` call overhead across thousands of
-  events. Draws stay fully deterministic given the seed, but the
-  *order* of the underlying RNG stream differs from releases that drew
-  one scalar per event (see docs/simulator.md, "Performance").
+  events. ``seq`` is an ``itertools.count``. Draws stay
+  fully deterministic given the seed, but the *order* of the
+  underlying RNG stream differs from releases that drew one scalar per
+  event (see docs/simulator.md, "Performance").
 * An event costs one heap exchange and one generator resume. A thread
-  that yields a plain duration hands its continuation to
+  that yields a plain duration (or a gradient request, whose duration
+  takes the same path) hands its continuation to
   ``heapq.heappushpop``, which returns the next event in the same C
   call, and returns the continuation itself without touching the heap
   when it is already the smallest (most yields are far shorter than
@@ -34,7 +38,16 @@ overhead aggressively:
   entries, same total order.
 * :meth:`SimThread.step` and the clock advance are inlined in the loop
   (no call frame per event); ``step`` stays the public single-step API
-  and ``tests/sim/test_scheduler_model.py`` pins the two equal.
+  and ``tests/sim/test_scheduler_model.py`` pins the two equal. An
+  event no longer re-stores ``READY`` (a popped thread is READY and
+  stays so), no longer checks for a terminated thread (the guard sits
+  where an entry is pushed, :meth:`_schedule`; the loop only pushes the
+  thread that just yielded) and no longer calls a helper to reschedule
+  after a gradient. The bodies it resumes read ``clock.now`` (a slot,
+  not a property pair) and pin without a ``yield from`` frame. Per
+  ``quad_contention`` pass (four ``run_once`` calls, 178,256 events,
+  counted under ``sys.settrace``; docs/simulator.md has the table):
+  1.04M Python calls and 41.9M opcodes before, 0.69M and 28.0M after.
 * :meth:`Scheduler.run` owns the numeric error state: one
   ``np.errstate(over="ignore", invalid="ignore")`` per call, entered
   and left in ``run``'s own frame, covers everything thread bodies and
@@ -48,8 +61,9 @@ overhead aggressively:
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -114,22 +128,29 @@ class Scheduler:
         # Heap of (time, tiebreak, seq, thread) tuples; seq is unique so
         # comparisons never reach the thread object.
         self._queue: list[tuple[float, float, int, SimThread]] = []
-        self._seq = 0
+        self._seqs = itertools.count()
         self._threads: list[SimThread] = []
         self._stopped = False
         self._events_processed = 0
         self._blocked_count = 0
         self._suspend_after: dict[int, float] = {}
         self._suspended: list[SimThread] = []
-        # Pre-drawn RNG blocks (refilled on demand).
-        self._tiebreaks: list[float] = []
-        self._tiebreak_idx = 0
-        self._jitters: list[float] = []
-        self._jitter_idx = 0
-        # Cohort (lockstep-replica) mode: GradCompute requests park for
-        # batched execution instead of running inline, so an external
-        # driver can stack them across replica schedulers (see
-        # repro.sim.replica). Each entry is (thread, request): parking
+        # The RNG is drawn in blocks, each stream consumed through one
+        # endless iterator that draws its next block when the last one
+        # runs dry (at the draw that needs it, as a draw per event would).
+        # The lambdas hold the generator and the config, not self: no
+        # reference cycle keeps a finished run's blocks alive.
+        config = self.config
+        self._tiebreaks: Iterator[float] = itertools.chain.from_iterable(
+            iter(lambda: rng.random(_RNG_BLOCK).tolist(), None)
+        )
+        self._jitters: Iterator[float] = itertools.chain.from_iterable(
+            iter(lambda: np.exp(rng.normal(0.0, config.jitter_sigma, _RNG_BLOCK)).tolist(), None)
+        )
+        # Cohort (lockstep-replica) mode: GradCompute requests with a
+        # task park for batched execution instead of running inline, so
+        # an external driver can stack them across replica schedulers
+        # (see repro.sim.replica). Each entry is (thread, request): parking
         # schedules the thread's continuation immediately and the loop
         # keeps running until the next event belongs to a parked thread.
         self._cohort = False
@@ -158,8 +179,8 @@ class Scheduler:
 
     # -- cohort (lockstep-replica) mode --------------------------------
     def enable_cohort_mode(self) -> None:
-        """Make :meth:`run` park GradCompute requests instead of
-        executing them inline. Used by
+        """Make :meth:`run` park GradCompute requests that carry a task
+        instead of executing them inline. Used by
         :class:`repro.sim.replica.LockstepCohort` to harvest batchable
         gradient work across replica schedulers; a serial scheduler
         never parks."""
@@ -234,58 +255,27 @@ class Scheduler:
         self._schedule(thread, self.now)
         return thread
 
-    # -- amortized RNG -------------------------------------------------
-    def _next_tiebreak(self) -> float:
-        """One uniform tiebreak priority from the pre-drawn block."""
-        i = self._tiebreak_idx
-        block = self._tiebreaks
-        if i >= len(block):
-            block = self._tiebreaks = self._rng.random(_RNG_BLOCK).tolist()
-            i = 0
-        self._tiebreak_idx = i + 1
-        return block[i]
-
-    def _next_jitter_factor(self) -> float:
-        """One lognormal jitter factor from the pre-drawn block."""
-        i = self._jitter_idx
-        block = self._jitters
-        if i >= len(block):
-            block = self._jitters = np.exp(
-                self._rng.normal(0.0, self.config.jitter_sigma, _RNG_BLOCK)
-            ).tolist()
-            i = 0
-        self._jitter_idx = i + 1
-        return block[i]
-
     # ------------------------------------------------------------------
     def _schedule(self, thread: SimThread, at: float) -> None:
+        """Push ``thread`` (spawned, woken or granted a lock) at ``at``.
+
+        This and the run loop's duration path are the only places a new
+        entry enters the heap (a pause puts a popped one back as it
+        was), and the loop only pushes the thread that just yielded, so
+        the terminated-thread guard lives here and the loop pops entries
+        without one."""
+        state = thread.state
+        if state is ThreadState.FINISHED or state is ThreadState.FAILED:
+            raise SimulationError(f"thread {thread.name!r} scheduled after termination")
         thread.state = ThreadState.READY
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (at, self._next_tiebreak(), seq, thread))
+        heapq.heappush(self._queue, (at, next(self._tiebreaks), next(self._seqs), thread))
 
     def _wake(self, thread: SimThread, *, delay: float = 0.0) -> None:
         """Wake a lock-blocked thread ``delay`` seconds from now."""
         if thread.state is not ThreadState.BLOCKED:
             raise SimulationError(f"waking thread {thread.name!r} that is not blocked")
         self._blocked_count -= 1
-        self._schedule(thread, self.now + delay)
-
-    def _schedule_after(self, thread: SimThread, duration: float) -> None:
-        """Schedule ``thread`` ``duration`` virtual seconds from now,
-        drawing jitter-then-tiebreak — the exact RNG order of the
-        plain-duration fast path in :meth:`run`."""
-        if duration < 0:
-            raise SimulationError(
-                f"thread {thread.name!r} yielded a negative duration {duration!r}"
-            )
-        d = duration * thread.speed_factor
-        if self.config.jitter_sigma > 0 and d > 0:
-            d *= self._next_jitter_factor()
-        thread.state = ThreadState.READY
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (self.clock.now + d, self._next_tiebreak(), seq, thread))
+        self._schedule(thread, self.clock.now + delay)
 
     # ------------------------------------------------------------------
     def run(self, *, until: float = float("inf")) -> None:
@@ -311,8 +301,11 @@ class Scheduler:
         jitter_on = self.config.jitter_sigma > 0
         suspend_after = self._suspend_after
         pending_tids = self._pending_tids
+        cohort = self._cohort
         events = self._events_processed
-        READY = ThreadState.READY
+        tiebreaks = self._tiebreaks
+        jitters = self._jitters
+        seqs = self._seqs
         BLOCKED = ThreadState.BLOCKED
         FINISHED = ThreadState.FINISHED
         FAILED = ThreadState.FAILED
@@ -322,8 +315,8 @@ class Scheduler:
         prof = _profiler.ACTIVE
         prof_t0 = prof.start()
         # The event being processed; None means "take the next one off
-        # the heap". The plain-duration path sets it directly from its
-        # heap exchange, every other path goes back through the heap.
+        # the heap". The duration path sets it directly from its heap
+        # exchange, every other path goes back through the heap.
         entry = None
         try:
             # The run owns the numeric error state (module docstring):
@@ -341,13 +334,12 @@ class Scheduler:
                                 "likely a zero-duration spin loop in a thread body"
                             )
                         entry = heappop(queue)
-                    at = entry[0]
+                    at, _, _, thread = entry
                     if at > until:
                         # Put it back so a later run(until=...) continues seamlessly.
                         heappush(queue, entry)
                         clock.advance_to(until)
                         return
-                    thread = entry[3]
                     if pending_tids and thread.tid in pending_tids:
                         # The next event belongs to a thread whose deferred
                         # gradient has not been executed yet: pause for the
@@ -359,9 +351,9 @@ class Scheduler:
                     entry = None
                     # Inlined VirtualClock.advance_to: the never-backwards
                     # guard stays, and a violation raises from there.
-                    if at < clock._now:
+                    if at < clock.now:
                         clock.advance_to(at)
-                    clock._now = at
+                    clock.now = at
                     events += 1
                     if suspend_after:
                         deadline = suspend_after.get(thread.tid)
@@ -369,12 +361,9 @@ class Scheduler:
                             self._suspended.append(thread)
                             del suspend_after[thread.tid]
                             continue  # frozen: never rescheduled, holdings kept
-                    # Inlined SimThread.step (same guard, same transitions).
-                    state = thread.state
-                    if state is FINISHED or state is FAILED:
-                        raise SimulationError(
-                            f"thread {thread.name!r} stepped after termination"
-                        )
+                    # Inlined SimThread.step: the same transitions. Its
+                    # terminated-thread guard is checked where entries are
+                    # pushed (_schedule); a popped thread is live.
                     try:
                         yielded = next(thread._gen)
                     except StopIteration:
@@ -384,83 +373,73 @@ class Scheduler:
                         thread.state = FAILED
                         thread.error = exc
                         raise
-                    cls = type(yielded)
-                    if cls is float or cls is int or isinstance(yielded, (int, float)):
-                        # Hot path: a plain duration. Inlines _schedule_after.
-                        if yielded < 0:
-                            raise SimulationError(
-                                f"thread {thread.name!r} yielded a negative duration {yielded!r}"
-                            )
-                        d = yielded * thread.speed_factor
-                        if jitter_on and d > 0:
-                            i = self._jitter_idx
-                            block = self._jitters
-                            if i >= len(block):
-                                block = self._jitters = np.exp(
-                                    self._rng.normal(0.0, self.config.jitter_sigma, _RNG_BLOCK)
-                                ).tolist()
-                                i = 0
-                            self._jitter_idx = i + 1
-                            d *= block[i]
-                        thread.state = READY
-                        i = self._tiebreak_idx
-                        block = self._tiebreaks
-                        if i >= len(block):
-                            block = self._tiebreaks = self._rng.random(_RNG_BLOCK).tolist()
-                            i = 0
-                        self._tiebreak_idx = i + 1
-                        seq = self._seq
-                        self._seq = seq + 1
-                        if self._stopped or events >= max_events:
-                            # Leaving: the continuation goes onto the heap
-                            # so the exit at the loop top sees every
-                            # runnable thread.
-                            heappush(queue, (at + d, block[i], seq, thread))
-                        else:
-                            # One exchange: push the continuation, pop the
-                            # next event (the continuation itself, heap
-                            # untouched, when it is the earliest).
-                            entry = heappushpop(queue, (at + d, block[i], seq, thread))
-                    elif isinstance(yielded, GradCompute):
-                        if self._cohort:
-                            # Park the request for the cohort driver, which
-                            # executes it (possibly stacked with other
-                            # replicas') and calls resume_after_grads().
-                            # Schedule the continuation now — the exact
-                            # RNG draws of the serial path — and keep
-                            # processing other threads' events, so one
-                            # round harvests every in-flight gradient.
-                            self._pending_grads.append((thread, yielded))
-                            pending_tids.add(thread.tid)
-                            self._schedule_after(thread, yielded.duration)
+                    if (
+                        type(yielded) is not float
+                        and type(yielded) is not int
+                        and not isinstance(yielded, (int, float))
+                    ):
+                        if isinstance(yielded, GradCompute):
+                            if cohort and yielded.task is not None:
+                                # Park the request for the cohort driver,
+                                # which executes it (possibly stacked with
+                                # other replicas') and calls
+                                # resume_after_grads(). The continuation is
+                                # scheduled below as in the serial path, and
+                                # the loop keeps processing other threads'
+                                # events, so one round harvests every
+                                # in-flight gradient.
+                                self._pending_grads.append((thread, yielded))
+                                pending_tids.add(thread.tid)
+                            else:
+                                # Run the gradient now, at the instant the
+                                # worker yielded; a closure-only request
+                                # (no task) has nothing to stack, so a
+                                # cohort scheduler runs it here too.
+                                yielded.execute()
+                            # Then reschedule after its duration, exactly
+                            # as a plain duration.
+                            yielded = yielded.duration
+                        elif isinstance(yielded, AcquireRequest):
+                            if yielded.lock._on_acquire(thread, self):
+                                self._schedule(thread, at + yielded.lock.acquire_cost)
+                            else:
+                                thread.state = BLOCKED
+                                self._blocked_count += 1
                             continue
-                        # Serial: run the gradient now, at the instant the
-                        # worker yielded — exactly when the old inline call
-                        # happened — then reschedule after its duration
-                        # (jitter draw then tiebreak draw, as above).
-                        yielded.execute()
-                        self._schedule_after(thread, yielded.duration)
-                    elif isinstance(yielded, AcquireRequest):
-                        granted = yielded.lock._on_acquire(thread, self)
-                        if granted:
-                            self._schedule(thread, at + yielded.lock.acquire_cost)
-                        else:
+                        elif isinstance(yielded, BarrierRequest):
                             thread.state = BLOCKED
                             self._blocked_count += 1
-                    elif isinstance(yielded, BarrierRequest):
-                        thread.state = BLOCKED
-                        self._blocked_count += 1
-                        released = yielded.barrier._on_arrive(thread, self)
-                        if released:
-                            self._wake(thread, delay=yielded.barrier.release_cost)
-                    elif yielded is None:
-                        # A bare ``yield`` is what step() reports for a
-                        # finished body: the thread is not rescheduled.
-                        pass
-                    else:
+                            if yielded.barrier._on_arrive(thread, self):
+                                self._wake(thread, delay=yielded.barrier.release_cost)
+                            continue
+                        elif yielded is None:
+                            # A bare ``yield`` is what step() reports for a
+                            # finished body: the thread is not rescheduled.
+                            continue
+                        else:
+                            raise SimulationError(
+                                f"thread {thread.name!r} yielded unsupported value {yielded!r}"
+                            )
+                    # A duration: the continuation goes back READY (the
+                    # state it was popped in) after yielded * speed *
+                    # jitter, drawing the jitter factor, then the tiebreak.
+                    if yielded < 0:
                         raise SimulationError(
-                            f"thread {thread.name!r} yielded unsupported value {yielded!r}"
+                            f"thread {thread.name!r} yielded a negative duration {yielded!r}"
                         )
+                    d = yielded * thread.speed_factor
+                    if jitter_on and d > 0:
+                        d *= next(jitters)
+                    if self._stopped or events >= max_events:
+                        # Leaving: the continuation goes onto the heap so
+                        # the exit at the loop top sees every runnable
+                        # thread.
+                        heappush(queue, (at + d, next(tiebreaks), next(seqs), thread))
+                    else:
+                        # One exchange: push the continuation, pop the
+                        # next event (the continuation itself, heap
+                        # untouched, when it is the earliest).
+                        entry = heappushpop(queue, (at + d, next(tiebreaks), next(seqs), thread))
         finally:
             self._events_processed = events
             prof.stop("scheduler.run", prof_t0)

@@ -60,9 +60,10 @@ class SimThread:
         Exceptions from the body mark the thread FAILED and re-raise.
 
         This is the public single-step API. :meth:`Scheduler.run
-        <repro.sim.scheduler.Scheduler.run>` inlines exactly these
-        semantics (guard, ``next``, FINISHED / FAILED transitions) to
-        save a call frame per event;
+        <repro.sim.scheduler.Scheduler.run>` inlines the ``next`` and
+        the FINISHED / FAILED transitions to save a call frame per
+        event, and checks the terminated-thread guard where it pushes
+        an entry instead of where it pops one;
         ``tests/sim/test_scheduler_model.py`` pins the inlined copy
         equal to a reference loop that calls this method.
         """

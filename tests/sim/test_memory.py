@@ -1,11 +1,16 @@
-"""Tests for the memory accountant."""
+"""Tests for the memory accountant, and a model test of the whole
+simulated allocation path (ParameterVector + MemoryAccountant +
+BufferArena) against a plain tally."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.parameter_vector import ParameterVector
 from repro.errors import MemoryAccountingError
+from repro.sim.arena import BufferArena
 from repro.sim.memory import MemoryAccountant
 
 
@@ -114,3 +119,164 @@ class TestPoolTrimAccounting:
     def test_negative_rejected(self, acct):
         with pytest.raises(MemoryAccountingError):
             acct.record_pool_trim(-1)
+
+
+# ----------------------------------------------------------------------
+# Model test of the whole allocation path
+# ----------------------------------------------------------------------
+#: Payload shapes: two sizes, two dtypes, so the arena keeps four keys.
+SIZES = (3, 8)
+DTYPES = (np.float32, np.float64)
+
+OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(0, 1), st.integers(0, 1), st.booleans()),
+    st.tuples(st.just("alloc"), st.integers(0, 1), st.integers(0, 1), st.booleans()),
+    st.tuples(st.just("advance"), st.integers(0, 12)),
+    st.tuples(st.just("free"), st.integers(0, 63)),
+    st.tuples(st.just("reclaim"), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("trim"), st.integers(0, 2)),
+)
+
+
+class Tally:
+    """The reference: every count the accountant and the arena keep,
+    as plain Python over the same operation sequence."""
+
+    def __init__(self, max_per_key):
+        self.max_per_key = max_per_key
+        self.live_bytes = self.live_count = self.peak_bytes = self.peak_count = 0
+        self.events = []  # (time, byte delta)
+        self.parked = {}  # (size, dtype) -> parked buffers
+        self.hits = self.misses = self.dropped = self.trimmed = 0
+
+    def allocate(self, time, key, nbytes):
+        parked = self.parked.get(key, 0)
+        if parked:
+            self.hits += 1
+            self.parked[key] = parked - 1
+        else:
+            self.misses += 1
+        self.live_bytes += nbytes
+        self.live_count += 1
+        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+        self.peak_count = max(self.peak_count, self.live_count)
+        self.events.append((time, nbytes))
+
+    def free(self, time, key, nbytes):
+        self.live_bytes -= nbytes
+        self.live_count -= 1
+        self.events.append((time, -nbytes))
+        if self.max_per_key is not None and self.parked.get(key, 0) >= self.max_per_key:
+            self.dropped += 1
+        else:
+            self.parked[key] = self.parked.get(key, 0) + 1
+
+    def trim(self, keep):
+        for key, parked in self.parked.items():
+            if parked > keep:
+                self.trimmed += parked - keep
+                self.parked[key] = keep
+
+    def live_at(self, t):
+        return sum(delta for time, delta in self.events if time <= t)
+
+    def mean_live_bytes(self, now):
+        if not self.events:
+            return 0.0
+        if now <= self.events[0][0]:
+            return float(self.live_bytes)
+        total, live, prev = 0.0, 0, 0.0
+        for time, delta in self.events:
+            total += live * (time - prev)
+            live, prev = live + delta, time
+        total += live * (now - prev)
+        return total / now
+
+
+@given(
+    ops=st.lists(OPS, max_size=60),
+    poison=st.booleans(),
+    max_per_key=st.sampled_from([None, None, 0, 1, 2]),
+)
+def test_allocation_path_matches_a_plain_tally(ops, poison, max_per_key):
+    """Generated alloc / free / reclaim / trim sequences through
+    ``ParameterVector`` + ``MemoryAccountant`` + ``BufferArena`` keep the
+    reference's peaks, series, pool tallies and poison behaviour. Times
+    are multiples of 1/8 and sizes whole bytes, so every sum in the
+    series is exact and the comparison is by value."""
+    clock = FakeClock()
+    memory = MemoryAccountant(clock)
+    arena = BufferArena(poison=poison, max_per_key=max_per_key)
+    tally = Tally(max_per_key)
+    live = []  # (ParameterVector, key, nbytes)
+    for op in ops:
+        kind = op[0]
+        if kind == "alloc":
+            size, dtype = SIZES[op[1]], DTYPES[op[2]]
+            key = (size, np.dtype(dtype))
+            recycled = bool(tally.parked.get(key, 0))
+            pv = ParameterVector(
+                size, memory=memory, tag="published", dtype=dtype, arena=arena, zero_init=op[3],
+            )
+            nbytes = size * np.dtype(dtype).itemsize
+            tally.allocate(clock.t, key, nbytes)
+            assert pv.theta.dtype == dtype and pv.theta.shape == (size,)
+            if op[3]:
+                assert not pv.theta.any()
+            elif recycled:
+                # A parked payload comes back as it was parked: poisoned,
+                # or holding the 1.0 its last owner wrote.
+                assert (np.isnan(pv.theta) if poison else pv.theta == 1.0).all()
+            pv.theta[...] = 1.0
+            live.append((pv, key, nbytes))
+        elif kind == "advance":
+            clock.t += op[1] / 8
+        elif kind in ("free", "reclaim") and live:
+            pv, key, nbytes = live.pop(op[1] % len(live))
+            alias = pv.theta
+            dropped = tally.dropped
+            if kind == "free":
+                pv.force_delete()
+            else:
+                # Algorithm 1's path: stale, and the last reader leaves.
+                pv.stale_flag = True
+                if op[2]:
+                    pv.start_reading()
+                    assert not pv.safe_delete()
+                    assert memory.live_count == tally.live_count
+                    pv.stop_reading()
+                else:
+                    assert pv.safe_delete()
+            tally.free(clock.t, key, nbytes)
+            assert pv.theta is None and pv.is_deleted
+            # Only a parked payload is poisoned; one dropped past the cap
+            # goes back to the allocator untouched.
+            if poison and tally.dropped == dropped:
+                assert np.isnan(alias).all()
+            else:
+                assert (alias == 1.0).all()
+        elif kind == "trim":
+            memory.record_pool_trim(arena.trim(op[1]))
+            tally.trim(op[1])
+        assert (memory.live_bytes, memory.live_count) == (tally.live_bytes, tally.live_count)
+    clock.t += 1 / 8
+    assert (memory.peak_bytes, memory.peak_count) == (tally.peak_bytes, tally.peak_count)
+    assert (memory.pool_hits, memory.pool_misses) == (tally.hits, tally.misses)
+    assert (arena.hits, arena.misses) == (tally.hits, tally.misses)
+    assert (arena.dropped, arena.trimmed, memory.pool_trimmed) == (
+        tally.dropped, tally.trimmed, tally.trimmed,
+    )
+    assert arena.parked == sum(tally.parked.values())
+    assert arena.released == sum(1 for _t, delta in tally.events if delta < 0)
+    sample_t, sampled_bytes, sampled_count = memory.timeline(resolution=17)
+    if tally.events:
+        assert sample_t.tolist() == np.linspace(0.0, clock.t, 17).tolist()
+        assert sampled_bytes.tolist() == [float(tally.live_at(t)) for t in sample_t]
+        counts = [
+            float(sum(1 if d > 0 else -1 for time, d in tally.events if time <= t))
+            for t in sample_t
+        ]
+        assert sampled_count.tolist() == counts
+    else:
+        assert sample_t.size == sampled_bytes.size == sampled_count.size == 0
+    assert memory.mean_live_bytes() == tally.mean_live_bytes(clock.t)

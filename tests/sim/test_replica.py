@@ -25,7 +25,7 @@ from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 from repro.nn.replica import ReplicaKernel
 from repro.sim.cost import CostModel
-from repro.sim.grad import GradCompute
+from repro.sim.grad import GradCompute, GradTask
 from repro.sim.replica import LockstepCohort
 from repro.sim.scheduler import Scheduler, SchedulerConfig
 
@@ -304,7 +304,7 @@ class TestSchedulerCohortMode:
     """The deferred-harvest machinery at the scheduler level."""
 
     @staticmethod
-    def _grad_body(thread, log, name, steps=2):
+    def _grad_body(thread, log, name, steps=2, task=GradTask()):
         theta = np.zeros(1)
         out = np.zeros(1)
 
@@ -312,7 +312,7 @@ class TestSchedulerCohortMode:
             for i in range(steps):
                 yield GradCompute(
                     lambda th, o, name=name, i=i: log.append((name, i)),
-                    theta, out, 1.0,
+                    theta, out, 1.0, task,
                 )
                 yield 0.5
         return body()
@@ -333,6 +333,19 @@ class TestSchedulerCohortMode:
         # Both workers' first gradients parked before either executed.
         assert [r.fn is not None for _t, r in s.pending_grads] == [True, True]
         assert log == []
+
+    def test_taskless_requests_run_at_their_yield(self):
+        """A closure-only request has nothing to stack: a cohort-mode
+        scheduler runs it inline, as a serial one does, and never
+        pauses for it."""
+        log: list = []
+        s = self._scheduler()
+        s.enable_cohort_mode()
+        for name in ("a", "b"):
+            s.spawn(name, lambda t, n=name: self._grad_body(t, log, n, task=None))
+        s.run()
+        assert not s.pending_grads
+        assert sorted(log) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
 
     def test_resume_after_grads_continues_run(self):
         log: list = []

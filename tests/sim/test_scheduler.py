@@ -238,8 +238,8 @@ class TestSchedulerExitPaths:
                 assert sched.now == cut
             sched.run()
             return (
-                log, sched.now, sched.events_processed, sched._seq,
-                sched._tiebreak_idx, sched._jitter_idx,
+                log, sched.now, sched.events_processed, repr(sched._seqs),
+                next(sched._tiebreaks), next(sched._jitters),
             )
 
         assert execute([1.7, 4.0]) == execute([])
@@ -266,6 +266,9 @@ class TestSchedulerExitPaths:
         assert [e[3].name for e in sched._queue] == ["w0"]
         with pytest.raises(SimulationError, match="'bad' stepped after termination"):
             t.step()
+        # Nothing puts a terminated thread back on the heap.
+        with pytest.raises(SimulationError, match="'bad' scheduled after termination"):
+            sched._schedule(t, sched.now)
 
     def test_release_during_a_step_orders_waiter_before_releaser(self):
         sched = make_scheduler()

@@ -27,7 +27,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.harness import runner
 from repro.harness.cache import simulation_fingerprint
 from repro.observe import profiler as _profiler
-from repro.sim.grad import GradCompute
+from repro.sim.grad import GradCompute, GradTask
 from repro.sim.scheduler import Scheduler, SchedulerConfig
 from repro.sim.sync import AcquireRequest, BarrierRequest, SimBarrier, SimLock
 from repro.sim.thread import ThreadState
@@ -39,6 +39,20 @@ class ReferenceScheduler(Scheduler):
     """The run loop as the plain formulation: one ``heappop`` at the
     top, one ``heappush`` wherever a thread is rescheduled, the public
     ``SimThread.step`` and ``VirtualClock.advance_to``."""
+
+    def _schedule_after(self, thread, duration) -> None:
+        """Reschedule ``thread`` ``duration`` virtual seconds from now:
+        the jitter draw, then the tiebreak draw, then one push."""
+        if duration < 0:
+            raise SimulationError(
+                f"thread {thread.name!r} yielded a negative duration {duration!r}"
+            )
+        d = duration * thread.speed_factor
+        if self.config.jitter_sigma > 0 and d > 0:
+            d *= next(self._jitters)
+        thread.state = ThreadState.READY
+        tiebreak = next(self._tiebreaks)
+        heapq.heappush(self._queue, (self.clock.now + d, tiebreak, next(self._seqs), thread))
 
     def run(self, *, until: float = float("inf")) -> None:
         queue = self._queue
@@ -78,7 +92,7 @@ class ReferenceScheduler(Scheduler):
                     if isinstance(yielded, (int, float)):
                         self._schedule_after(thread, yielded)
                     elif isinstance(yielded, GradCompute):
-                        if self._cohort:
+                        if self._cohort and yielded.task is not None:
                             self._pending_grads.append((thread, yielded))
                             self._pending_tids.add(thread.tid)
                             self._schedule_after(thread, yielded.duration)
@@ -126,7 +140,7 @@ PLAIN_OPS = st.one_of(
     st.tuples(st.just("sleep"), DURATIONS),
     st.tuples(st.just("sleep"), DURATIONS),  # listed twice: half of all ops
     st.tuples(st.just("lock"), st.integers(0, 1), DURATIONS),
-    st.tuples(st.just("grad"), DURATIONS),
+    st.tuples(st.just("grad"), DURATIONS, st.booleans()),  # with / without a task
 )
 
 #: Ops that end or derail a run; at most a couple per program.
@@ -166,6 +180,11 @@ def programs(draw):
         "cuts": sorted(draw(st.lists(st.sampled_from([0.0, 1e-3, 0.25, 0.5, 1.0, 3.0]), max_size=3))),
         "cohort": draw(st.booleans()),
     }
+
+
+#: A task on a request is what makes a cohort scheduler park it; a
+#: request without one runs at its yield in either mode.
+TASK = GradTask()
 
 
 class World:
@@ -211,7 +230,7 @@ class World:
             elif kind == "grad":
                 def fn(theta, out, tid=thread.tid):
                     log.append((scheduler.now, tid, "grad executed"))
-                yield GradCompute(fn, None, None, op[1])
+                yield GradCompute(fn, None, None, op[1], TASK if op[2] else None)
             elif kind == "stop":
                 scheduler.stop()
                 yield 1e-3
@@ -226,9 +245,11 @@ class World:
         return {
             "now": s.now,
             "events": s.events_processed,
-            "seq": s._seq,
-            "tiebreak_cursor": s._tiebreak_idx,
-            "jitter_cursor": s._jitter_idx,
+            "seq": repr(s._seqs),
+            # Where each RNG stream stands: its next draw (taken in both
+            # worlds alike, so the comparison stays fair).
+            "next_tiebreak": next(s._tiebreaks),
+            "next_jitter": next(s._jitters),
             "heap": sorted((at, tb, seq, th.tid) for at, tb, seq, th in s._queue),
             "threads": [(th.state, repr(th.error)) for th in s._threads],
             "suspended": [th.tid for th in s.suspended_threads],
@@ -296,8 +317,14 @@ def _program(threads, **overrides):
 # deferred gradient is pending: it goes back and the loop pauses.
 @example(_program([[("sleep", 0.5)] * 4, [("sleep", 1)] * 2], cuts=[0.25, 0.5, 1.0]))
 @example(_program(
-    [[("grad", 1e-3), ("sleep", 0.5)], [("sleep", 2.5e-8)] * 6, [("grad", 0.5)]],
+    [[("grad", 1e-3, True), ("sleep", 0.5)], [("sleep", 2.5e-8)] * 6, [("grad", 0.5, True)]],
     cohort=True, jitter_sigma=0.08,
+))
+# A request without a task runs at its yield in cohort mode too; one with
+# a task parks, and its thread's next event pauses the loop.
+@example(_program(
+    [[("grad", 1e-3, False), ("grad", 1e-3, True)], [("grad", 0.5, False), ("sleep", 1e-3)]],
+    cohort=True,
 ))
 # Equal times everywhere: only the tiebreak orders the threads.
 @example(_program([[("sleep", 0.5)] * 5] * 4, seed=11))
