@@ -14,7 +14,7 @@ Public API overview
   paper's 36-core testbed is simulated).
 * :mod:`repro.nn` — flat-parameter NumPy DL substrate with the paper's
   exact MLP / CNN architectures (Tables II-III).
-* :mod:`repro.data` — synthetic MNIST stand-in + real IDX loaders.
+* :mod:`repro.data` — synthetic MNIST stand-in and mini-batching.
 * :mod:`repro.analysis` — Section IV's contention/staleness/memory models.
 * :mod:`repro.telemetry` — the probe bus every algorithm emits protocol
   events on, the pluggable Section-IV validation probes, and the

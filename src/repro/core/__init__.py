@@ -15,7 +15,7 @@ from repro.core.hogwild import HogwildSGD
 from repro.core.leashed import LeashedSGD
 from repro.core.sync_sgd import SyncSGD
 from repro.core.hogwild_plus import HogwildPlusPlus
-from repro.core.adaptive import AdaptiveLeashedSGD, make_adaptive
+from repro.core.adaptive import AdaptiveLeashedSGD
 from repro.core.convergence import (
     ConvergenceMonitor,
     RunStatus,
@@ -38,7 +38,6 @@ __all__ = [
     "SyncSGD",
     "HogwildPlusPlus",
     "AdaptiveLeashedSGD",
-    "make_adaptive",
     "ConvergenceMonitor",
     "RunStatus",
     "ConvergenceReport",

@@ -18,7 +18,8 @@ implementation is therefore a single overridden hook
 (:meth:`repro.core.leashed.LeashedSGD.effective_eta`).
 
 Registered as ``LSH_ADAPT`` / ``LSH_ADAPT_psinf``; build other
-persistence/damping combinations with :func:`make_adaptive`.
+persistence/damping combinations with
+``AdaptiveLeashedSGD(persistence, damping=...)``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ class AdaptiveLeashedSGD(LeashedSGD):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AdaptiveLeashedSGD(persistence={self.persistence}, damping={self.damping})"
-
-
-def make_adaptive(persistence: float = float("inf"), damping: float = 0.5) -> AdaptiveLeashedSGD:
-    """Factory for parameterized adaptive variants."""
-    return AdaptiveLeashedSGD(persistence=persistence, damping=damping)
 
 
 register_algorithm("LSH_ADAPT_psinf", AdaptiveLeashedSGD)

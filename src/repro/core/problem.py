@@ -148,8 +148,8 @@ class DLProblem(Problem):
     def identity(self) -> tuple:
         """The architecture (input shape, each layer's kind and
         ``spec``), the four split arrays, batch size, init std and dtype.
-        Raises for a network holding a layer whose ``spec`` refuses
-        (``Dropout``)."""
+        Raises for a network holding a layer that declares no ``spec``
+        (:meth:`repro.nn.layers.base.Layer.spec`)."""
         network = self.network
         return (
             _class_name(self), network.input_shape,

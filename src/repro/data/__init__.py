@@ -3,25 +3,15 @@
 The paper trains on MNIST; this environment has no network access, so
 :mod:`repro.data.synthetic_mnist` generates a procedural 10-class
 28x28 digit-glyph dataset with the same shapes, class count and batching
-(see DESIGN.md section 2 for the substitution argument). The real-MNIST
-loading path (:func:`repro.data.synthetic_mnist.load_idx_images`) is
-kept so the same experiments run unchanged on the genuine files when
-they are available on disk.
+(see DESIGN.md section 2 for the substitution argument).
 """
 
-from repro.data.synthetic_mnist import (
-    SyntheticMNIST,
-    generate_synthetic_mnist,
-    load_idx_images,
-    load_idx_labels,
-)
+from repro.data.synthetic_mnist import SyntheticMNIST, generate_synthetic_mnist
 from repro.data.batcher import MiniBatcher, Dataset
 
 __all__ = [
     "SyntheticMNIST",
     "generate_synthetic_mnist",
-    "load_idx_images",
-    "load_idx_labels",
     "MiniBatcher",
     "Dataset",
 ]

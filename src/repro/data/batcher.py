@@ -40,11 +40,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
-    @property
-    def n_classes(self) -> int:
-        """Number of distinct classes (assumes labels are 0..K-1)."""
-        return int(self.labels.max()) + 1 if len(self) else 0
-
     def as_flat(self) -> np.ndarray:
         """``(n, prod(dims))`` view/copy suitable for MLP input."""
         return self.images.reshape(len(self), -1)
@@ -58,12 +53,6 @@ class Dataset:
         if self.images.ndim == 4:
             return self.images
         raise ShapeError(f"cannot interpret images of shape {self.images.shape} spatially")
-
-    def subset(self, n: int) -> "Dataset":
-        """The first ``n`` samples (used by reduced fidelity profiles)."""
-        if not (0 < n <= len(self)):
-            raise ConfigurationError(f"subset size {n} out of range (1..{len(self)})")
-        return Dataset(images=self.images[:n], labels=self.labels[:n])
 
 
 class MiniBatcher:

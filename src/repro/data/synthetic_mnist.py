@@ -16,16 +16,9 @@ architectures — not MNIST's specific pixel statistics. Translation +
 noise make the task non-trivially non-linear (a single template match
 does not solve it), so the loss descends over hundreds of SGD
 iterations, giving the convergence curves the experiments measure.
-
-For runs against the genuine files, :func:`load_idx_images` /
-:func:`load_idx_labels` read the standard IDX format from disk.
 """
 
 from __future__ import annotations
-
-import gzip
-import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -208,52 +201,3 @@ def generate_synthetic_mnist(
     train = _generate_split(n_train, train_rng, max_shift=max_shift, noise_std=noise_std)
     eval_split = _generate_split(n_eval, eval_rng, max_shift=max_shift, noise_std=noise_std)
     return SyntheticMNIST(train=train, eval=eval_split)
-
-
-# ----------------------------------------------------------------------
-# Real-MNIST IDX readers (usable when the files exist locally).
-# ----------------------------------------------------------------------
-def _open_maybe_gzip(path: Path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_exactly(fh, size: int, path: Path, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ConfigurationError(
-            f"{path} is truncated: its {what} needs {size} bytes, the file holds {len(data)}"
-        )
-    return data
-
-
-def load_idx_images(path: str | Path) -> np.ndarray:
-    """Read an IDX3 image file (optionally .gz) into ``(n, H, W)`` floats
-    scaled to [0, 1], held in shared memory like a generated corpus."""
-    path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exactly(fh, 16, path, "header"))
-        if magic != 0x00000803:
-            raise ConfigurationError(f"{path} is not an IDX3 image file (magic={magic:#x})")
-        raw = np.frombuffer(
-            _read_exactly(fh, n * rows * cols, path, f"{n} images of {rows}x{cols}"),
-            dtype=np.uint8,
-        )
-    images = shared_empty((n, rows, cols), np.float32)
-    np.divide(raw.reshape(n, rows, cols), np.float32(255.0), out=images)
-    return images
-
-
-def load_idx_labels(path: str | Path) -> np.ndarray:
-    """Read an IDX1 label file (optionally .gz) into ``(n,)`` int64, held
-    in shared memory like a generated corpus."""
-    path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        magic, n = struct.unpack(">II", _read_exactly(fh, 8, path, "header"))
-        if magic != 0x00000801:
-            raise ConfigurationError(f"{path} is not an IDX1 label file (magic={magic:#x})")
-        raw = np.frombuffer(_read_exactly(fh, n, path, f"{n} labels"), dtype=np.uint8)
-    labels = shared_empty((n,), np.int64)
-    labels[...] = raw
-    return labels

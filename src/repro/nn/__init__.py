@@ -15,9 +15,9 @@ their synchronization protocol dictates.
 from repro.nn.parameter import ParameterLayout
 from repro.nn.network import Network
 from repro.nn.workspace import StepWorkspace
-from repro.nn.loss import softmax_cross_entropy, softmax
-from repro.nn.layers import Dense, ReLU, Flatten, Conv2D, MaxPool2D, Dropout
-from repro.nn.init import normal_init, he_init, xavier_init
+from repro.nn.loss import softmax_cross_entropy
+from repro.nn.layers import Dense, ReLU, Flatten, Conv2D, MaxPool2D
+from repro.nn.init import normal_init
 from repro.nn.architectures import mlp_mnist, cnn_mnist, mlp_custom, MLP_DIMENSION, CNN_DIMENSION
 
 __all__ = [
@@ -25,16 +25,12 @@ __all__ = [
     "Network",
     "StepWorkspace",
     "softmax_cross_entropy",
-    "softmax",
     "Dense",
     "ReLU",
     "Flatten",
     "Conv2D",
     "MaxPool2D",
-    "Dropout",
     "normal_init",
-    "he_init",
-    "xavier_init",
     "mlp_mnist",
     "cnn_mnist",
     "mlp_custom",

@@ -67,8 +67,9 @@ def mlp_custom(
     *,
     name: str = "mlp_custom",
 ) -> Network:
-    """A configurable ReLU MLP — used by the quick fidelity profile and
-    the test suite, which need smaller models than the paper's."""
+    """A configurable ReLU MLP, smaller than the paper's, on which the
+    tests build their small DL problems. Every profile, quick included,
+    runs :func:`mlp_mnist` / :func:`cnn_mnist`."""
     if input_dim <= 0 or n_classes <= 0 or any(h <= 0 for h in hidden):
         raise ConfigurationError(
             f"invalid MLP spec: input_dim={input_dim}, hidden={hidden}, n_classes={n_classes}"

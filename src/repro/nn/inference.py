@@ -30,8 +30,8 @@ How the bits are kept:
   compared first, so a miss against d = 134,794 costs ~64 compares per
   kept entry. A hit moves the entry to the back, so theta_0 outlives
   the thetas of the run it started. A network holding a layer outside
-  :attr:`InferencePlan._PURE` (Dropout draws a mask per forward)
-  memoises nothing.
+  :attr:`InferencePlan._PURE` (a user layer may keep state across
+  forwards) memoises nothing.
 * ``Conv2D`` and ``Dense`` run the layer's own GEMMs on the same
   operands (``np.matmul(cols, W.T)``, ``np.matmul(x, W)``) with ``out=``
   targets, the equivalence ``tests/nn/test_workspace.py`` pins for
@@ -83,8 +83,8 @@ How the bits are kept:
   addition makes). A failed guard adds ``b`` to the whole map and takes
   the step above, guard included.
 * A ``MaxPool2D`` with no ``ReLU`` before it, and any layer type the plan
-  does not know (Dropout, Softmax, user layers, subclasses of the known
-  ones), go through the layer's own ``forward``. Whether a layer is
+  does not know (user layers, subclasses of the known ones), go through
+  the layer's own ``forward``. Whether a layer is
   deterministic (:attr:`InferencePlan._PURE`: its logits may be reused
   and the front-end blocked) does not depend on the plan having a step
   for it.
@@ -165,8 +165,8 @@ class InferencePlan:
         self.y = y
         self.dtype = np.dtype(dtype)
         self.forwards = 0  # forward passes run (tests count them)
-        # A layer outside _PURE may be stateful (Dropout draws a mask per
-        # forward): then nothing is ever reused.
+        # A layer outside _PURE may be stateful (a user layer may change
+        # between forwards): then nothing is ever reused.
         self._pure = all(type(layer) in self._PURE for layer in network.layers)
         #: ``[theta, logits, loss or None]`` of recent evaluations, the
         #: most recently used last.

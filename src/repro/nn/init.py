@@ -1,16 +1,12 @@
-"""Weight initializers.
+"""Weight initialization.
 
 Algorithm 1's ``rand_init()`` draws ``theta ~ N(0, 0.01)`` — i.e. a
 zero-mean normal with *variance* 0.01 (std 0.1) over the whole flat
-vector; :func:`normal_init` is the faithful default. He and Xavier
-initializers are provided for the extension experiments (they are the
-modern defaults for ReLU / linear stacks respectively and markedly
-improve trainability of the deeper configurations).
+vector; :func:`normal_init` draws it, and every workload initializes
+this way (``DLProblem.init_std`` sets the std).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,50 +24,3 @@ def normal_init(
     """Flat theta with every entry ``~ N(0, std**2)`` (paper default)."""
     check_positive("std", std)
     return rng.normal(0.0, std, size=layout.total_size).astype(dtype, copy=False)
-
-
-def he_init(
-    layout: ParameterLayout,
-    rng: np.random.Generator,
-    *,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """He-normal per weight tensor (``std = sqrt(2 / fan_in)``); biases zero."""
-    theta = np.zeros(layout.total_size, dtype=dtype)
-    for slot in layout:
-        view = layout.view(theta, slot)
-        if slot.name.endswith("/b"):
-            continue
-        fan_in = int(np.prod(slot.shape[:-1])) if len(slot.shape) > 1 else slot.shape[0]
-        std = math.sqrt(2.0 / max(fan_in, 1))
-        view[...] = rng.normal(0.0, std, size=slot.shape)
-    return theta
-
-
-def xavier_init(
-    layout: ParameterLayout,
-    rng: np.random.Generator,
-    *,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Glorot-uniform per weight tensor; biases zero."""
-    theta = np.zeros(layout.total_size, dtype=dtype)
-    for slot in layout:
-        view = layout.view(theta, slot)
-        if slot.name.endswith("/b"):
-            continue
-        if len(slot.shape) > 1:
-            fan_in = int(np.prod(slot.shape[:-1]))
-            fan_out = slot.shape[-1]
-        else:
-            fan_in = fan_out = slot.shape[0]
-        bound = math.sqrt(6.0 / max(fan_in + fan_out, 1))
-        view[...] = rng.uniform(-bound, bound, size=slot.shape)
-    return theta
-
-
-INITIALIZERS = {
-    "normal": normal_init,
-    "he": he_init,
-    "xavier": xavier_init,
-}

@@ -1,4 +1,4 @@
-"""Loss functions: numerically stable softmax cross-entropy.
+"""The loss: numerically stable softmax cross-entropy.
 
 The paper's networks end in a softmax layer trained with cross-entropy
 (Appendix). As is standard, we fuse the two: the network produces
@@ -13,15 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over the last axis."""
-    with np.errstate(over="ignore"):  # inf spread maps to exp(-inf) = 0
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        shifted /= shifted.sum(axis=-1, keepdims=True)
-    return shifted
 
 
 def softmax_cross_entropy(
@@ -64,14 +55,3 @@ def softmax_cross_entropy(
     dlogits[rows, labels] -= 1.0
     dlogits /= max(n, 1)
     return loss, dlogits
-
-
-def cross_entropy_from_probs(probs: np.ndarray, labels: np.ndarray, *, eps: float = 1e-12) -> float:
-    """Mean cross-entropy when you already hold probabilities (used for
-    evaluation of a Softmax-terminated inference stack)."""
-    if probs.ndim != 2:
-        raise ShapeError(f"probs must be (N, K), got shape {probs.shape}")
-    labels = np.asarray(labels)
-    rows = np.arange(probs.shape[0])
-    picked = np.clip(probs[rows, labels], eps, 1.0)
-    return float(-np.log(picked).mean()) if probs.shape[0] else 0.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn.layers.base import Layer
-from repro.nn.loss import softmax, softmax_cross_entropy
+from repro.nn.loss import softmax_cross_entropy
 from repro.nn.parameter import ParameterLayout, ParamSlot
 
 
@@ -27,8 +27,7 @@ class Network:
     ----------
     layers:
         The layer stack, ending in a layer producing ``(N, K)`` logits
-        (no terminal Softmax — training fuses softmax+CE; use
-        :meth:`predict_proba` for probabilities).
+        (training fuses softmax with the cross-entropy).
     input_shape:
         Per-sample input shape, e.g. ``(784,)`` or ``(1, 28, 28)``.
     name:
@@ -89,18 +88,14 @@ class Network:
         self,
         rng: np.random.Generator,
         *,
-        scheme: str = "normal",
         std: float = 0.1,
         dtype: np.dtype | type = np.float64,
     ) -> np.ndarray:
-        """Fresh flat parameter vector (see :mod:`repro.nn.init`)."""
-        from repro.nn.init import INITIALIZERS  # local import avoids a cycle
+        """Fresh flat parameter vector, every entry ``~ N(0, std**2)``
+        (:func:`repro.nn.init.normal_init`)."""
+        from repro.nn.init import normal_init  # local import avoids a cycle
 
-        if scheme not in INITIALIZERS:
-            raise ShapeError(f"unknown init scheme {scheme!r}; choices: {sorted(INITIALIZERS)}")
-        if scheme == "normal":
-            return INITIALIZERS[scheme](self.layout, rng, std=std, dtype=dtype)
-        return INITIALIZERS[scheme](self.layout, rng, dtype=dtype)
+        return normal_init(self.layout, rng, std=std, dtype=dtype)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -160,10 +155,6 @@ class Network:
         return loss_value, grad_out
 
     # ------------------------------------------------------------------
-    def predict_proba(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Class probabilities (softmax over the logits)."""
-        return softmax(self.forward(x, theta))
-
     def predict(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Hard class predictions."""
         return np.argmax(self.forward(x, theta), axis=-1)

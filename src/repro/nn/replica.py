@@ -121,8 +121,8 @@ from repro.utils import lanes as _lanes
 
 __all__ = ["ReplicaKernel"]
 
-#: Layer kinds the kernel runs. Anything else (e.g. a stateful dropout
-#: layer, whose shared RNG stream is order-sensitive) makes ``build``
+#: Layer kinds the kernel runs. Anything else (e.g. a user layer with a
+#: stateful forward, whose state is order-sensitive) makes ``build``
 #: decline the whole network, which then runs the reference path (with
 #: ``kernel_fallback`` events where a cohort would have used the kernel).
 _SUPPORTED_KINDS = frozenset({"dense", "relu", "flatten", "conv2d", "maxpool2d"})

@@ -46,33 +46,23 @@ __all__ = ["BufferArena"]
 class BufferArena:
     """Free-list pool of 1-D NumPy buffers keyed by ``(size, dtype)``.
 
+    Every released buffer is parked, so steady state never grows past
+    the run's peak concurrent-buffer count; :meth:`trim` drops them.
+
     Parameters
     ----------
     poison:
         Debug mode: NaN-fill float buffers as they are released, so any
         use-after-free through a stale array alias surfaces as NaN
         propagation instead of silent reuse of recycled data.
-    max_per_key:
-        Optional cap on parked buffers per ``(size, dtype)`` key;
-        releases beyond the cap drop the buffer to the allocator.
-        ``None`` (default) parks everything — steady state never grows
-        past the run's peak concurrent-buffer count.
     """
 
-    def __init__(self, *, poison: bool = False, max_per_key: int | None = None) -> None:
-        if max_per_key is not None and max_per_key < 0:
-            raise SimulationError(f"max_per_key must be >= 0, got {max_per_key}")
+    def __init__(self, *, poison: bool = False) -> None:
         self.poison = bool(poison)
-        self.max_per_key = max_per_key
         self._free: dict[tuple[int, np.dtype], list[np.ndarray]] = {}
         #: Acquisitions served from the free list / from a fresh allocation.
         self.hits = 0
         self.misses = 0
-        #: Buffers released back (parked or dropped past the cap).
-        self.released = 0
-        self.dropped = 0
-        #: Parked buffers evicted by :meth:`trim`.
-        self.trimmed = 0
 
     # ------------------------------------------------------------------
     def acquire(self, size: int, dtype: np.dtype | type = np.float32) -> np.ndarray:
@@ -108,15 +98,10 @@ class BufferArena:
             )
         prof = _profiler.ACTIVE
         t0 = prof.start()
-        self.released += 1
         key = (buf.size, buf.dtype)
         free = self._free.get(key)
         if free is None:
             free = self._free[key] = []
-        if self.max_per_key is not None and len(free) >= self.max_per_key:
-            self.dropped += 1
-            prof.stop("arena.release", t0)
-            return
         if self.poison and buf.dtype.kind == "f":
             buf.fill(np.nan)
         free.append(buf)
@@ -128,24 +113,6 @@ class BufferArena:
         """Buffers currently sitting on free lists."""
         return sum(len(v) for v in self._free.values())
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of acquisitions served without allocating."""
-        total = self.hits + self.misses
-        return self.hits / total if total else float("nan")
-
-    def stats(self) -> dict[str, float]:
-        """Counters snapshot for run reports / benchmarks."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "released": self.released,
-            "dropped": self.dropped,
-            "trimmed": self.trimmed,
-            "parked": self.parked,
-            "hit_rate": self.hit_rate,
-        }
-
     def trim(self, keep_per_key: int = 0) -> int:
         """Bound each free list's high water to ``keep_per_key`` parked
         buffers, dropping the excess to the allocator.
@@ -154,8 +121,8 @@ class BufferArena:
         concurrent-buffer count, but a long-lived arena (the harness's
         end-of-run teardown, or callers re-using an arena across phases
         with shrinking working sets) accumulates the *historical* high
-        water. ``trim`` releases it; the eviction count is returned and
-        tallied in :attr:`trimmed` (reported through the
+        water. ``trim`` releases it and returns the eviction count (the
+        harness tallies it in the
         :class:`repro.sim.memory.MemoryAccountant` as ``pool_trimmed``).
         """
         if keep_per_key < 0:
@@ -168,15 +135,7 @@ class BufferArena:
                 evicted += excess
             if not free:
                 del self._free[key]
-        self.trimmed += evicted
         return evicted
-
-    def clear(self) -> None:
-        """Drop every parked buffer (tests / end-of-run teardown).
-
-        Unlike :meth:`trim` this is not accounted — it resets the pool
-        without touching the counters."""
-        self._free.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -104,16 +104,6 @@ class MemoryAccountant:
             raise MemoryAccountingError(f"trim count must be >= 0, got {count!r}")
         self.pool_trimmed += count
 
-    @property
-    def pool_hit_rate(self) -> float:
-        """Fraction of payload acquisitions served by recycling."""
-        total = self.pool_hits + self.pool_misses
-        return self.pool_hits / total if total else float("nan")
-
-    def is_live(self, block_id: int) -> bool:
-        """Whether a block id is currently allocated."""
-        return block_id in self._live
-
     def live_count_by_tag(self, tag: str) -> int:
         """How many live blocks carry ``tag``."""
         return sum(1 for t, _ in self._live.values() if t == tag)

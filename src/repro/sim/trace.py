@@ -117,10 +117,12 @@ class TraceRecorder:
         the analytical ``n_t`` of eq. (4)/(5)."""
         if not self._loop_enter:
             return np.zeros(0), np.zeros(0)
-        deltas = [(t, +1) for t in self._loop_enter] + [(t, -1) for t in self._loop_exit]
-        deltas.sort()
-        times = np.asarray([t for t, _ in deltas])
-        curve = np.cumsum([d for _, d in deltas])
+        times = np.asarray(self._loop_enter + self._loop_exit)
+        steps = np.repeat(np.array([1, -1]), len(self._loop_enter))
+        # Time order; at one instant an exit (-1) comes before an enter.
+        order = np.lexsort((steps, times))
+        times = times[order]
+        curve = np.cumsum(steps[order])
         sample_t = np.linspace(0.0, float(times.max()), max(2, resolution))
         idx = np.searchsorted(times, sample_t, side="right") - 1
         occupancy = np.where(idx >= 0, curve[np.clip(idx, 0, None)], 0.0)

@@ -36,7 +36,6 @@ import math
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.identity import (
@@ -44,7 +43,6 @@ from repro.identity import (
     content_digest,
     encoded_row_digest,
     row_config_hash,
-    row_from_line,
 )
 
 __all__ = [
@@ -486,15 +484,6 @@ class ResultStore:
         ).fetchone()
         return row[0] if row else None
 
-    def group_keys(self) -> list[GroupKey]:
-        """Every stored (workload, algorithm, m, eta) cell, sorted."""
-        rows = self._conn.execute(
-            "SELECT DISTINCT workload, algorithm, m, eta FROM runs"
-            " ORDER BY workload IS NULL, workload, algorithm, m, eta"
-        ).fetchall()
-        return [GroupKey(algorithm=a, m=m, eta=eta, workload=w)
-                for w, a, m, eta in rows]
-
     def group_stats(self, eps: float, *, workload: str | None = None) -> list[GroupStats]:
         """Per-(workload, algorithm, m, eta) eps-convergence times and
         outcome tallies — the sample every statistical comparison runs
@@ -615,25 +604,6 @@ class ResultStore:
             for p, k, d in self._conn.execute(
                 "SELECT path, kind, run_dir FROM traces ORDER BY path")
         ]
-
-    def run_rows(
-        self, *, workload: str | None = None, algorithm: str | None = None
-    ) -> Iterable[dict]:
-        """Full decoded rows (arrays restored) for detail consumers."""
-        clauses, params = [], []
-        if workload is not None:
-            clauses.append("workload = ?")
-            params.append(workload)
-        if algorithm is not None:
-            clauses.append("algorithm = ?")
-            params.append(algorithm)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        for (text,) in self._conn.execute(
-            f"SELECT row_json FROM runs{where} ORDER BY workload IS NULL,"
-            " workload, algorithm, m, eta, seed, id",
-            params,
-        ):
-            yield row_from_line(text, where="runs.row_json")
 
     @staticmethod
     def _workload_filter(workload: str | None) -> tuple[str, tuple]:

@@ -111,14 +111,10 @@ class RunMetrics(Mapping):
         """One probe's result dict (raises KeyError if not attached)."""
         return self.values["probes"][name]
 
-    @property
-    def probe_names(self) -> tuple[str, ...]:
-        return tuple(self.values.get("probes", ()))
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"RunMetrics(v{self.schema_version}, "
-            f"{sorted(self.values)}, probes={list(self.probe_names)})"
+            f"{sorted(self.values)}, probes={list(self.values.get('probes', ()))})"
         )
 
 

@@ -1,12 +1,10 @@
 """Small shared utilities: seeded RNG management, validation helpers,
 ASCII table/figure rendering, and real wall-clock timing."""
 
-from repro.utils.rng import RngFactory, spawn_rng
+from repro.utils.rng import RngFactory
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
-    check_probability,
-    check_array_1d,
     check_in_choices,
 )
 from repro.utils.tables import render_table, render_boxes, render_series
@@ -14,11 +12,8 @@ from repro.utils.timing import WallTimer, time_callable
 
 __all__ = [
     "RngFactory",
-    "spawn_rng",
     "check_positive",
     "check_non_negative",
-    "check_probability",
-    "check_array_1d",
     "check_in_choices",
     "render_table",
     "render_boxes",

@@ -10,29 +10,11 @@ one generator everywhere or deriving seeds by ad-hoc arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 
-def spawn_rng(seed: int | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent generators from ``seed``.
-
-    Parameters
-    ----------
-    seed:
-        Root seed (any int) or an existing ``SeedSequence``.
-    n:
-        Number of child generators to create.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(child)) for child in ss.spawn(n)]
-
-
 class RngFactory:
-    """A hierarchical, *named* source of independent RNG streams.
+    """A *named* source of independent RNG streams.
 
     Each distinct ``name`` deterministically maps to its own stream, so
     adding a new consumer of randomness never perturbs existing streams
@@ -51,7 +33,6 @@ class RngFactory:
 
     def __init__(self, seed: int) -> None:
         self._seed = int(seed)
-        self._sequence_counter = 0
 
     @property
     def seed(self) -> int:
@@ -66,16 +47,3 @@ class RngFactory:
         key = int(np.sum(digest.astype(np.uint64) * np.arange(1, digest.size + 1, dtype=np.uint64)))
         ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(0xF00D, key))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def sequence(self) -> Iterator[np.random.Generator]:
-        """An infinite iterator of fresh independent generators."""
-        while True:
-            ss = np.random.SeedSequence(
-                entropy=self._seed, spawn_key=(0xBEEF, self._sequence_counter)
-            )
-            self._sequence_counter += 1
-            yield np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, index: int) -> "RngFactory":
-        """A derived factory, e.g. one per repeated experiment run."""
-        return RngFactory((self._seed * 1_000_003 + index) % (1 << 63))

@@ -4,8 +4,7 @@ Two users share it:
 
 * **A DL corpus is born shared.** :func:`shared_empty` returns an array
   whose bytes live in a fresh named segment, and the corpus generator
-  and the IDX readers (:mod:`repro.data.synthetic_mnist`) write into
-  such arrays. A forked pool worker inherits the mapping, and a
+  (:mod:`repro.data.synthetic_mnist`) writes into such arrays. A forked pool worker inherits the mapping, and a
   broadcast ships the array by name, so every process on the host maps
   one copy.
 * **The pool's broadcast** (:mod:`repro.harness.pool`) asks

@@ -1,9 +1,9 @@
 """Argument-validation helpers used across the public API.
 
-These raise :class:`repro.errors.ConfigurationError` /
-:class:`repro.errors.ShapeError` with messages that name the offending
-parameter, so configuration mistakes fail fast and legibly instead of
-surfacing as NumPy broadcasting errors deep inside a simulation.
+These raise :class:`repro.errors.ConfigurationError` with messages
+that name the offending parameter, so configuration mistakes fail fast
+and legibly instead of surfacing as NumPy broadcasting errors deep
+inside a simulation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Any, Collection
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 
 
 def check_positive(name: str, value: float, *, allow_inf: bool = False) -> float:
@@ -31,23 +31,6 @@ def check_non_negative(name: str, value: float, *, allow_inf: bool = False) -> f
     if not allow_inf and np.isinf(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def check_probability(name: str, value: float) -> float:
-    """Require ``0 <= value <= 1``."""
-    if value is None or not (0.0 <= value <= 1.0):
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def check_array_1d(name: str, arr: Any, *, size: int | None = None) -> np.ndarray:
-    """Require a 1-D float array, optionally of exact ``size``."""
-    out = np.asarray(arr)
-    if out.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {out.shape}")
-    if size is not None and out.size != size:
-        raise ShapeError(f"{name} must have size {size}, got {out.size}")
-    return out
 
 
 def check_in_choices(name: str, value: Any, choices: Collection[Any]) -> Any:

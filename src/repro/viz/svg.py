@@ -58,16 +58,6 @@ class SvgCanvas:
             f' opacity="{_fmt(opacity)}"/>'
         )
 
-    def circle(
-        self, cx: float, cy: float, r: float,
-        *, fill: str = "black", stroke: str = "none", opacity: float = 1.0,
-    ) -> None:
-        """A filled circle (scatter markers, outliers)."""
-        self._elements.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}"'
-            f' fill="{fill}" stroke="{stroke}" opacity="{_fmt(opacity)}"/>'
-        )
-
     def polyline(
         self, points: Sequence[tuple[float, float]],
         *, stroke: str = "black", width: float = 1.5, dash: str | None = None,

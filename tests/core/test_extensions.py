@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveLeashedSGD, make_adaptive
+from repro.core.adaptive import AdaptiveLeashedSGD
 from repro.core.base import make_algorithm
 from repro.core.convergence import RunStatus
 from repro.errors import ConfigurationError
@@ -61,7 +61,7 @@ class TestSyncSGD:
 class TestAdaptiveLeashed:
     def test_registered_names(self):
         assert make_algorithm("LSH_ADAPT").name == "LSH_ADAPT_psinf"
-        assert make_adaptive(persistence=1, damping=0.2).persistence == 1
+        assert AdaptiveLeashedSGD(persistence=1, damping=0.2).persistence == 1
 
     def test_invalid_damping(self):
         with pytest.raises(ConfigurationError):

@@ -28,9 +28,6 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(images=np.zeros((3, 2, 2)), labels=np.zeros((3, 1), dtype=int))
 
-    def test_n_classes(self, dataset):
-        assert dataset.n_classes == int(dataset.labels.max()) + 1
-
     def test_as_flat(self, dataset):
         flat = dataset.as_flat()
         assert flat.shape == (20, 16)
@@ -46,14 +43,6 @@ class TestDataset:
     def test_as_images_passthrough_4d(self):
         ds = Dataset(images=np.zeros((5, 2, 3, 3)), labels=np.zeros(5, dtype=int))
         assert ds.as_images().shape == (5, 2, 3, 3)
-
-    def test_subset(self, dataset):
-        sub = dataset.subset(5)
-        assert len(sub) == 5
-        with pytest.raises(ConfigurationError):
-            dataset.subset(0)
-        with pytest.raises(ConfigurationError):
-            dataset.subset(21)
 
 
 class TestMiniBatcher:

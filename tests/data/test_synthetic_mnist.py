@@ -1,10 +1,8 @@
-"""Tests for the synthetic MNIST stand-in and IDX loaders."""
+"""Tests for the synthetic MNIST stand-in."""
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import struct
 import tracemalloc
 
 import numpy as np
@@ -18,8 +16,6 @@ from repro.data.synthetic_mnist import (
     _base_glyph,
     _gaussian_blur,
     generate_synthetic_mnist,
-    load_idx_images,
-    load_idx_labels,
 )
 from repro.errors import ConfigurationError
 from repro.utils.shm import segment_of
@@ -213,80 +209,3 @@ class TestGeneration:
         with pytest.raises(ConfigurationError, match="noise_std"):
             generate_synthetic_mnist(n_train=16, n_eval=16, noise_std=bad)
 
-
-class TestIdxLoaders:
-    def _write_idx3(self, path, images):
-        n, rows, cols = images.shape
-        with open(path, "wb") as fh:
-            fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-            fh.write(images.astype(np.uint8).tobytes())
-
-    def _write_idx1(self, path, labels):
-        with open(path, "wb") as fh:
-            fh.write(struct.pack(">II", 0x00000801, len(labels)))
-            fh.write(labels.astype(np.uint8).tobytes())
-
-    def test_roundtrip_images(self, tmp_path):
-        images = np.random.default_rng(0).integers(0, 256, size=(4, 5, 6)).astype(np.uint8)
-        path = tmp_path / "img.idx3"
-        self._write_idx3(path, images)
-        loaded = load_idx_images(path)
-        assert loaded.shape == (4, 5, 6)
-        np.testing.assert_allclose(loaded, images / 255.0, atol=1e-7)
-
-    def test_roundtrip_labels(self, tmp_path):
-        labels = np.array([3, 1, 4, 1, 5], dtype=np.uint8)
-        path = tmp_path / "lab.idx1"
-        self._write_idx1(path, labels)
-        np.testing.assert_array_equal(load_idx_labels(path), labels)
-
-    def test_gzip_supported(self, tmp_path):
-        labels = np.array([1, 2], dtype=np.uint8)
-        path = tmp_path / "lab.idx1.gz"
-        with gzip.open(path, "wb") as fh:
-            fh.write(struct.pack(">II", 0x00000801, 2))
-            fh.write(labels.tobytes())
-        np.testing.assert_array_equal(load_idx_labels(path), labels)
-
-    def test_loaded_arrays_live_in_shared_memory(self, tmp_path):
-        images = np.random.default_rng(1).integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
-        self._write_idx3(tmp_path / "img.idx3", images)
-        self._write_idx1(tmp_path / "lab.idx1", images[:, 0, 0])
-        loaded = load_idx_images(tmp_path / "img.idx3")
-        labels = load_idx_labels(tmp_path / "lab.idx1")
-        assert segment_of(loaded) is not None and segment_of(labels) is not None
-        assert loaded.tobytes() == ((images.astype(np.float32)) / 255.0).tobytes()
-        assert labels.dtype == np.int64
-        np.testing.assert_array_equal(labels, images[:, 0, 0])
-
-    def test_short_image_file_rejected(self, tmp_path):
-        path = tmp_path / "short.idx3"
-        with open(path, "wb") as fh:
-            fh.write(struct.pack(">IIII", 0x00000803, 10, 28, 28))
-            fh.write(bytes(3 * 28 * 28))
-        with pytest.raises(ConfigurationError, match="short.idx3"):
-            load_idx_images(path)
-
-    def test_short_label_file_rejected(self, tmp_path):
-        path = tmp_path / "short.idx1"
-        with open(path, "wb") as fh:
-            fh.write(struct.pack(">II", 0x00000801, 10))
-            fh.write(bytes(3))
-        with pytest.raises(ConfigurationError, match="short.idx1"):
-            load_idx_labels(path)
-
-    def test_short_header_rejected(self, tmp_path):
-        path = tmp_path / "stub.idx1"
-        path.write_bytes(struct.pack(">I", 0x00000801))
-        with pytest.raises(ConfigurationError, match="stub.idx1"):
-            load_idx_labels(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 1, 1))
-        with pytest.raises(ConfigurationError):
-            load_idx_images(path)
-        path2 = tmp_path / "bad2"
-        path2.write_bytes(struct.pack(">II", 0xDEADBEEF, 1))
-        with pytest.raises(ConfigurationError):
-            load_idx_labels(path2)

@@ -22,8 +22,10 @@ from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.errors import ShapeError
 from repro.nn import inference
 from repro.nn.architectures import cnn_mnist, mlp_mnist
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
+
+from tests.nn.user_layers import Jitter
 
 N_EVAL = 48
 
@@ -38,10 +40,9 @@ def corpus():
     return generate_synthetic_mnist(n_train=256, n_eval=N_EVAL, seed=5)
 
 
-def _dropout_net(training: bool) -> Network:
-    dropout = Dropout(0.5, rng=np.random.default_rng(11))
-    dropout.training = training
-    return Network([Dense(32), ReLU(), dropout, Dense(10)], input_shape=(784,), name="dropout")
+def _jitter_net(training: bool) -> Network:
+    layers = [Dense(32), ReLU(), Jitter(seed=11, training=training), Dense(10)]
+    return Network(layers, input_shape=(784,), name="jitter")
 
 
 def _problem(kind: str, corpus, network: Network | None = None) -> DLProblem:
@@ -98,13 +99,13 @@ class TestBitwiseIdentity:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [False, True])
     def test_unknown_layer_takes_its_own_forward(self, training, dtype, corpus):
-        # Twin networks: Dropout in training mode draws from its own
+        # Twin networks: a user layer in training mode draws from its own
         # stream on every forward, so the reference and the plan must
         # make the same sequence of forwards, accuracy included (and the
         # thetas are trained on a third twin).
-        reference = _dropout_net(training)
-        problem = _problem("mlp", corpus, _dropout_net(training))
-        for theta in _thetas(problem, dtype, _dropout_net(training)):
+        reference = _jitter_net(training)
+        problem = _problem("mlp", corpus, _jitter_net(training))
+        for theta in _thetas(problem, dtype, _jitter_net(training)):
             want_loss = reference.loss(problem.eval_x, problem.eval_y, theta)
             want_acc = reference.accuracy(problem.eval_x, problem.eval_y, theta)
             assert problem.eval_loss(theta).hex() == want_loss.hex()
@@ -189,14 +190,13 @@ class TestBlockedFrontEnd:
 
     @pytest.mark.parametrize("training", [False, True])
     def test_layer_the_plan_does_not_know_unblocks_the_front(self, training):
-        # A user layer may look across samples, and Dropout draws one
-        # mask per forward: the front then runs whole, layer 0 still
-        # from its cached patches.
+        # A user layer may look across samples, or draw from its own
+        # stream on every forward: the front then runs whole, layer 0
+        # still from its cached patches.
         def net():
-            dropout = Dropout(0.5, rng=np.random.default_rng(11))
-            dropout.training = training
-            layers = [Conv2D(2, 3), ReLU(), dropout, MaxPool2D(2), Flatten(), Dense(10)]
-            return Network(layers, input_shape=(1, 28, 28), name="conv-dropout")
+            jitter = Jitter(seed=11, training=training)
+            layers = [Conv2D(2, 3), ReLU(), jitter, MaxPool2D(2), Flatten(), Dense(10)]
+            return Network(layers, input_shape=(1, 28, 28), name="conv-jitter")
 
         n_eval = 2 * self.BLOCK + 37
         corpus = generate_synthetic_mnist(n_train=64, n_eval=n_eval, seed=6)

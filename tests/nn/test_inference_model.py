@@ -14,8 +14,9 @@ equal-value ties land in every window position; some examples also let
 ``accuracy`` calls over variants of two thetas: repeats, a zero's sign
 flipped, one bit flipped at an index the plan's probe samples or skips.
 The plan must run one forward per distinct bit pattern (one per call for
-a network holding a ``Dropout``, which it never memoises), and every
-value must equal the network's by ``float.hex()``.
+a network holding a user layer, ``tests/nn/user_layers.py``'s
+``Jitter``, which it never memoises), and every value must equal the
+network's by ``float.hex()``.
 
 Budgets come from the Hypothesis profiles in ``tests/conftest.py``.
 """
@@ -28,10 +29,11 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from repro.nn.inference import FRONT_BLOCK, KEPT_EVALUATIONS, PROBE_ELEMENTS, InferencePlan
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 
 from tests.nn.test_inference import TIE_VALUES
+from tests.nn.user_layers import Jitter
 
 #: Pre-activations of these are exact: sums of a few products of halves
 #: and quarters. Signed zeros in both make -0.0 pre-activations possible.
@@ -117,7 +119,7 @@ def test_plan_equals_the_network(case):
 
 # -- the evaluation memo ------------------------------------------------
 
-MEMO_KINDS = ("conv", "mlp", "dropout")
+MEMO_KINDS = ("conv", "mlp", "jitter")
 #: Edits that make a variant of a base theta: none, the sign bit of a
 #: zero, one bit at an index the plan's probe skips, one bit at an index
 #: it samples.
@@ -132,18 +134,14 @@ class MemoCase(NamedTuple):
     seed: int
     variants: tuple[tuple[int, str, int, int], ...]  # (base, edit, position, bit)
     calls: tuple[tuple[str, int], ...]  # (method, variant)
-    training: bool = False  # the Dropout's mode
+    training: bool = False  # the Jitter's mode
 
 
 def _memo_network(kind: str, training: bool) -> Network:
     if kind == "conv":
         layers = [Conv2D(4, 3), ReLU(), MaxPool2D(2), Flatten(), Dense(3)]
         return Network(layers, (1, 10, 10), name="memo-conv")
-    middle = []
-    if kind == "dropout":
-        dropout = Dropout(0.5, rng=np.random.default_rng(7))
-        dropout.training = training
-        middle = [dropout]
+    middle = [Jitter(seed=7, training=training)] if kind == "jitter" else []
     return Network([Dense(16), ReLU(), *middle, Dense(3)], (12,), name=f"memo-{kind}")
 
 
@@ -195,12 +193,12 @@ def _variant(bases, stride, base, edit, position, bit) -> np.ndarray:
 @example(MemoCase("conv", "float64", 1,
                   ((0, "none", 0, 0), (0, "unprobed", 9, 0), (0, "unprobed", 9, 52)),
                   (("accuracy", 1), ("loss", 0), ("loss", 1), ("accuracy", 2), ("loss", 2))))
-@example(MemoCase("dropout", "float32", 2, ((0, "none", 0, 0),),
+@example(MemoCase("jitter", "float32", 2, ((0, "none", 0, 0),),
                   (("loss", 0), ("accuracy", 0), ("loss", 0)), training=True))
 @given(memo_cases())
 def test_one_forward_per_distinct_theta(case):
     network = _memo_network(case.kind, case.training)
-    reference = _memo_network(case.kind, case.training)  # Dropout draws its own stream
+    reference = _memo_network(case.kind, case.training)  # Jitter draws its own stream
     rng = np.random.default_rng(case.seed)
     n = int(rng.integers(1, 7))
     x = _quantized(rng, (n,) + network.input_shape, X_VALUES, case.dtype)
@@ -220,7 +218,7 @@ def test_one_forward_per_distinct_theta(case):
             got = getattr(plan, method)(variants[k])
             want = getattr(reference, method)(x, y, variants[k])
             assert got.hex() == want.hex()
-    if case.kind == "dropout":  # never memoises: one forward per call
+    if case.kind == "jitter":  # never memoises: one forward per call
         assert plan.forwards == len(case.calls)
     else:
         assert plan.forwards == len({variants[k].tobytes() for _, k in case.calls})

@@ -12,7 +12,7 @@ and quantised values in every window position, +-inf and NaN). The
 pool alone meets every window over ``SPECIAL_VALUES`` in
 :class:`TestPoolIsExhaustivelyExact`, value, index and input gradient
 against ``MaxPool2D`` itself. A stack the
-kernel does not know (``Dropout``, a non-dense head) is declined, and
+kernel does not know (a user layer, a non-dense head) is declined, and
 ``DLGradTask.run`` then gives the reference's bytes.
 
 Budgets come from the Hypothesis profiles in ``tests/conftest.py``
@@ -37,7 +37,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.core.problem import DLProblem
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 from repro.nn import replica
 from repro.nn.replica import ReplicaKernel
@@ -46,6 +46,7 @@ from repro.utils import lanes
 
 from tests.nn.test_inference import SPECIAL_VALUES, TIE_VALUES
 from tests.nn.test_workspace import reference_gradient, twin_batcher
+from tests.nn.user_layers import Jitter
 
 N_TRAIN = 12
 
@@ -71,9 +72,8 @@ def _make_layer(spec: tuple):
         return Conv2D(*args)
     if kind == "pool":
         return MaxPool2D(*args)
-    if kind == "dropout":
-        rate, seed = args
-        return Dropout(rate, rng=np.random.default_rng(seed))
+    if kind == "jitter":
+        return Jitter(*args)
     return {"relu": ReLU, "flatten": Flatten}[kind]()
 
 
@@ -449,11 +449,11 @@ def declined_cases(draw) -> tuple[Case, str]:
     case = draw(cases())
     layers = list(case.layers)
     if draw(st.booleans()):
-        # Dropout anywhere before the head: a stateful layer whose mask
-        # stream is order-sensitive.
+        # A user layer anywhere before the head: its forward has state,
+        # drawn in call order.
         at = draw(st.integers(0, len(layers) - 1))
-        layers.insert(at, ("dropout", draw(st.sampled_from([0.0, 0.25, 0.5])), 7))
-        reason = "dropout"
+        layers.insert(at, ("jitter", draw(st.sampled_from([0.0, 0.25, 0.5])), 7))
+        reason = "jitter"
     else:
         layers.append(("relu",))
         reason = "head:relu"
@@ -461,7 +461,7 @@ def declined_cases(draw) -> tuple[Case, str]:
 
 
 def assert_declined_runs_the_reference(case: Case, reason: str, monkeypatch) -> None:
-    # Twin networks: Dropout draws its masks from layer state.
+    # Twin networks: Jitter draws its factors from layer state.
     problem = _problem(case, _network(case))
     twin_network = _network(case)
     task = problem.make_grad_task(np.random.default_rng(21))
@@ -482,8 +482,8 @@ def assert_declined_runs_the_reference(case: Case, reason: str, monkeypatch) -> 
         _assert_same_bytes(out, want, f"call {call}")
 
 
-@example(declined=(Case((4,), (("dense", 3), ("dropout", 0.5, 7), ("dense", 2)),
-                        batch=3, dtype="float32", groups=(1, 1), seed=0), "dropout"))
+@example(declined=(Case((4,), (("dense", 3), ("jitter", 0.5, 7), ("dense", 2)),
+                        batch=3, dtype="float32", groups=(1, 1), seed=0), "jitter"))
 @example(declined=(Case((1, 4, 4), (("conv", 1, (2, 2)), ("flatten",), ("dense", 2), ("relu",)),
                         batch=2, dtype="float64", groups=(1, 1), seed=1), "head:relu"))
 @given(declined=declined_cases())

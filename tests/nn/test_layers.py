@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.layers.conv2d import im2col
-from repro.nn.network import Network
 
 
 def numerical_grad(f, x, eps=1e-6):
@@ -109,23 +108,6 @@ class TestReLU:
         layer = ReLU()
         layer.build((3,))
         assert layer.param_shapes == []
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        layer = Softmax()
-        layer.build((5,))
-        out, _ = layer.forward(rng.normal(size=(4, 5)), [])
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-12)
-
-    def test_gradients(self, rng):
-        check_layer_gradients(Softmax(), (4,), rng)
-
-    def test_stability_large_logits(self):
-        layer = Softmax()
-        layer.build((2,))
-        out, _ = layer.forward(np.array([[1e4, 0.0]]), [])
-        assert np.all(np.isfinite(out))
 
 
 class TestFlatten:
@@ -235,79 +217,3 @@ class TestMaxPool2D:
         with pytest.raises(ShapeError):
             MaxPool2D(0)
 
-
-class TestDropout:
-    def _make(self, rate, seed=0):
-        from repro.nn.layers import Dropout
-
-        layer = Dropout(rate, rng=np.random.default_rng(seed))
-        layer.build((100,))
-        return layer
-
-    def test_invalid_rate(self):
-        from repro.errors import ConfigurationError
-        from repro.nn.layers import Dropout
-
-        with pytest.raises(ConfigurationError):
-            Dropout(1.0)
-        with pytest.raises(ConfigurationError):
-            Dropout(-0.1)
-
-    def test_zero_rate_is_identity(self, rng):
-        layer = self._make(0.0)
-        x = rng.normal(size=(4, 100))
-        out, _ = layer.forward(x, [])
-        np.testing.assert_array_equal(out, x)
-
-    def test_eval_mode_is_identity(self, rng):
-        layer = self._make(0.5)
-        layer.eval_mode()
-        x = rng.normal(size=(4, 100))
-        out, _ = layer.forward(x, [])
-        np.testing.assert_array_equal(out, x)
-        layer.train_mode()
-        out2, _ = layer.forward(x, [])
-        assert not np.array_equal(out2, x)
-
-    def test_expected_value_preserved(self, rng):
-        layer = self._make(0.5, seed=1)
-        x = np.ones((200, 100))
-        out, _ = layer.forward(x, [])
-        assert abs(out.mean() - 1.0) < 0.05  # inverted scaling
-
-    def test_mask_fraction(self, rng):
-        layer = self._make(0.3, seed=2)
-        out, mask = layer.forward(np.ones((50, 100)), [])
-        dropped = np.mean(mask == 0)
-        assert abs(dropped - 0.3) < 0.03
-
-    def test_backward_routes_through_mask(self, rng):
-        layer = self._make(0.5, seed=3)
-        x = rng.normal(size=(4, 100))
-        out, cache = layer.forward(x, [])
-        g = layer.backward(np.ones_like(out), cache, [], [])
-        np.testing.assert_array_equal(g, cache)
-
-    def test_backward_eval_mode_identity(self, rng):
-        layer = self._make(0.5)
-        layer.eval_mode()
-        out, cache = layer.forward(rng.normal(size=(2, 100)), [])
-        g = layer.backward(np.ones((2, 100)), cache, [], [])
-        np.testing.assert_array_equal(g, 1.0)
-
-    def test_trains_in_network(self, rng):
-        from repro.nn import Dense, Dropout, Network, ReLU
-
-        net = Network(
-            [Dense(16), ReLU(), Dropout(0.2, rng=np.random.default_rng(5)), Dense(3)],
-            input_shape=(8,),
-        )
-        theta = net.init_theta(rng, scheme="he", dtype=np.float64)
-        x = rng.normal(size=(64, 8))
-        y = rng.integers(0, 3, size=64)
-        g = np.empty_like(theta)
-        loss0 = net.loss(x, y, theta)
-        for _ in range(200):
-            net.loss_and_grad(x, y, theta, grad_out=g)
-            theta -= 0.1 * g
-        assert net.loss(x, y, theta) < loss0

@@ -52,25 +52,7 @@ class TestFreeList:
         arena.release(buf)
         arena.acquire(32)
         assert (arena.hits, arena.misses) == (1, 1)
-        assert arena.hit_rate == 0.5
-        stats = arena.stats()
-        assert stats["released"] == 1 and stats["parked"] == 0
-
-    def test_max_per_key_drops_excess(self):
-        arena = BufferArena(max_per_key=1)
-        a, b = arena.acquire(16), arena.acquire(16)
-        arena.release(a)
-        arena.release(b)
-        assert arena.parked == 1
-        assert arena.dropped == 1
-
-    def test_clear_drops_parked(self):
-        arena = BufferArena()
-        arena.release(arena.acquire(16))
-        arena.clear()
         assert arena.parked == 0
-        assert arena.acquire(16) is not None
-        assert arena.misses == 2
 
     def test_invalid_size_rejected(self):
         with pytest.raises(SimulationError):
@@ -79,10 +61,6 @@ class TestFreeList:
     def test_non_flat_release_rejected(self):
         with pytest.raises(SimulationError):
             BufferArena().release(np.zeros((2, 2), dtype=np.float32))
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(SimulationError):
-            BufferArena(max_per_key=-1)
 
 
 class TestPoisonMode:
@@ -153,7 +131,6 @@ class TestParameterVectorIntegration:
         ParameterVector(16, memory=memory, arena=arena)
         assert memory.pool_misses == 1
         assert memory.pool_hits == 1
-        assert memory.pool_hit_rate == 0.5
 
 
 class TestLemma2WithPooling:
@@ -208,7 +185,6 @@ class TestTrim:
         assert arena.parked == 4
         assert arena.trim() == 4
         assert arena.parked == 0
-        assert arena.trimmed == 4
 
     def test_keep_per_key_bounds_each_free_list(self):
         arena = BufferArena()
@@ -222,17 +198,10 @@ class TestTrim:
     def test_trim_empty_arena_is_noop(self):
         arena = BufferArena()
         assert arena.trim() == 0
-        assert arena.trimmed == 0
 
     def test_negative_keep_rejected(self):
         with pytest.raises(SimulationError):
             BufferArena().trim(keep_per_key=-1)
-
-    def test_trim_counts_in_stats(self):
-        arena = BufferArena()
-        arena.release(arena.acquire(16))
-        arena.trim()
-        assert arena.stats()["trimmed"] == 1
 
     def test_trimmed_keys_reallocate_fresh(self):
         arena = BufferArena()
@@ -243,9 +212,3 @@ class TestTrim:
         assert again is not buf  # the parked buffer really was dropped
         assert arena.misses == 2
 
-    def test_clear_is_unaccounted(self):
-        arena = BufferArena()
-        arena.release(arena.acquire(16))
-        arena.clear()
-        assert arena.parked == 0
-        assert arena.trimmed == 0

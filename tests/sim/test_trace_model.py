@@ -160,3 +160,36 @@ def test_aggregates_match_the_raw_events(stream, resolution):
     ref_t, ref_occupancy = reference_occupancy(stream, resolution)
     assert np.array_equal(sample_t, ref_t)
     assert np.array_equal(occupancy, ref_occupancy)
+
+
+def tuple_sort_occupancy(enters, exits, resolution):
+    """The occupancy formula as a Python tuple sort: ``(time, +1)`` per
+    enter and ``(time, -1)`` per exit, sorted, then summed."""
+    deltas = [(t, +1) for t in enters] + [(t, -1) for t in exits]
+    deltas.sort()
+    times = np.asarray([t for t, _ in deltas])
+    curve = np.cumsum([d for _, d in deltas])
+    sample_t = np.linspace(0.0, float(times.max()), max(2, resolution))
+    idx = np.searchsorted(times, sample_t, side="right") - 1
+    return sample_t, np.where(idx >= 0, curve[np.clip(idx, 0, None)], 0.0)
+
+
+@given(
+    stays=st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 3.0]),
+                             st.sampled_from([-0.0, 0.0, 0.5, 1.0, 3.0])),
+                   min_size=1, max_size=30),
+    resolution=st.integers(1, 40),
+)
+@example(stays=[(0.0, 1.0), (1.0, 1.0), (1.0, 3.0)], resolution=7)  # exit and enter at t = 1
+@example(stays=[(-0.0, 0.0), (0.0, -0.0)], resolution=2)  # signed-zero ties
+def test_occupancy_is_the_tuple_sort_curve_bit_for_bit(stays, resolution):
+    """Equal times (signed zeros among them) sort an exit before an
+    enter, as the tuple sort does, so the curve keeps every bit."""
+    trace = TraceRecorder()
+    for enter, exit_ in stays:
+        trace.on_publish(exit_, 0, 0, 0, 0, enter)
+    got = trace.retry_loop_occupancy(resolution=resolution)
+    want = tuple_sort_occupancy([e for e, _ in stays], [x for _, x in stays], resolution)
+    for got_array, want_array in zip(got, want):
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()

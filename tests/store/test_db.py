@@ -10,7 +10,7 @@ import pytest
 
 from repro import identity
 from repro.errors import ConfigurationError
-from repro.store import FailureCounts, GroupKey, ResultStore, ingest_path, row_digest
+from repro.store import FailureCounts, ResultStore, ingest_path, row_digest
 from repro.store import db as db_module
 from repro.telemetry.jsonl import read_jsonl
 
@@ -170,12 +170,6 @@ class TestQueries:
         assert store.epsilons() == [0.1, 0.5]
         assert store.default_epsilon() == 0.1
 
-    def test_group_keys(self, store):
-        assert store.group_keys() == [
-            GroupKey(algorithm="ASYNC", m=4, eta=0.05),
-            GroupKey(algorithm="HOG", m=4, eta=0.05),
-        ]
-
     def test_group_stats_times(self, store, sweep_results):
         groups = {g.key.algorithm: g for g in store.group_stats(0.1)}
         for algorithm in ("ASYNC", "HOG"):
@@ -200,13 +194,6 @@ class TestQueries:
             assert agg["n_runs"] == 4
             assert agg["kernel_fallbacks"] == 0
             assert agg["mean_staleness"] > 0
-
-    def test_run_rows_round_trip(self, store):
-        rows = list(store.run_rows(algorithm="HOG"))
-        assert len(rows) == 4
-        for row in rows:
-            assert row["config"]["algorithm"] == "HOG"
-            assert "report" in row and "threshold_times" in row["report"]
 
     def test_default_epsilon_empty_store(self):
         with ResultStore(":memory:") as empty:

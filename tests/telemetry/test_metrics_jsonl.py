@@ -80,7 +80,7 @@ class TestRunMetrics:
             metrics["no_such_key"]
 
     def test_probe_accessors(self, result):
-        assert result.metrics.probe_names == ("occupancy", "staleness")
+        assert tuple(result.metrics["probes"]) == ("occupancy", "staleness")
         occ = result.metrics.probe("occupancy")
         assert "steady_state_mean" in occ and "n_star_gamma" in occ
         with pytest.raises(KeyError):
@@ -106,7 +106,6 @@ class TestRunMetrics:
     def test_empty_metrics(self):
         metrics = RunMetrics()
         assert len(metrics) == 0
-        assert metrics.probe_names == ()
         assert metrics.schema_version == SCHEMA_VERSION
 
 

@@ -25,13 +25,15 @@ from repro.harness.config import RunConfig
 from repro.harness.pool import load_broadcast_payload, make_broadcast
 from repro.harness.runner import run_once
 from repro.nn.architectures import mlp_custom
-from repro.nn.layers import Dense, Dropout, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Network
 from repro.service import ExperimentService, Measurer
 from repro.service import measurer as measurer_module
 from repro.sim.cost import CostModel
 from repro.store import ResultStore, ingest_path
 from repro.telemetry.jsonl import read_jsonl
+
+from tests.nn.user_layers import Jitter
 
 # ----------------------------------------------------------------------
 # (i) Golden values
@@ -89,8 +91,8 @@ class TestGoldenKeys:
     ``problem_fingerprint`` stopped walking ``vars(problem)`` and began
     hashing only what the problem declares in ``identity()``. The walk
     hashed whatever hung on the object, so a private attribute, a cache
-    or a layer's RNG moved the key (a ``Dropout`` network got a new key in
-    every process). The formulas around the fingerprint are unchanged:
+    or a layer's RNG moved the key (a network holding a stateful layer
+    got a new key in every process). The formulas around the fingerprint are unchanged:
     rows, ``simulation_fingerprint``, ``merged_fingerprint`` and
     ``row_digest`` are byte-identical to what earlier trees wrote."""
 
@@ -858,13 +860,13 @@ class TestDeclaredIdentity:
         assert key not in keys
         assert len(set(keys)) == len(keys)
 
-    def test_dropout_network_is_refused_by_name(self):
-        layers = [Dense(16), ReLU(), Dropout(0.2), Dense(3)]
+    def test_layer_without_spec_is_refused_by_name(self):
+        layers = [Dense(16), ReLU(), Jitter(0.2), Dense(3)]
         problem = _mlp_problem(layers=layers)
-        with pytest.raises(ConfigurationError, match="Dropout"):
+        with pytest.raises(ConfigurationError, match="Jitter declares no spec"):
             identity.workload_key(problem, COST)
         with ExperimentService() as service:
-            with pytest.raises(ConfigurationError, match="Dropout"):
+            with pytest.raises(ConfigurationError, match="Jitter declares no spec"):
                 service.map(problem, COST, [_dl_config()])
         # Keys only: the run itself is unaffected.
         assert run_once(problem, COST, _dl_config()).n_updates > 0

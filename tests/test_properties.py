@@ -15,7 +15,7 @@ from repro.analysis.dynamics import (
 )
 from repro.core.hogwild import chunk_slices
 from repro.core.parameter_vector import ParameterVector
-from repro.nn.loss import softmax, softmax_cross_entropy
+from repro.nn.loss import softmax_cross_entropy
 from repro.nn.parameter import ParameterLayout
 from repro.sim.memory import MemoryAccountant
 from repro.sim.sync import AtomicCounter, AtomicRef
@@ -59,19 +59,6 @@ def test_layout_views_roundtrip(shapes, data):
 # ----------------------------------------------------------------------
 # Losses
 # ----------------------------------------------------------------------
-@given(
-    logits=st.lists(
-        st.lists(st.floats(-50, 50, allow_nan=False), min_size=3, max_size=3),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_softmax_is_distribution(logits):
-    p = softmax(np.asarray(logits))
-    assert np.all(p >= 0)
-    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
-
-
 @given(
     logits=st.lists(
         st.lists(st.floats(-30, 30, allow_nan=False), min_size=4, max_size=4),

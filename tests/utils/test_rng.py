@@ -3,37 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import RngFactory, spawn_rng
-
-
-class TestSpawnRng:
-    def test_returns_requested_count(self):
-        assert len(spawn_rng(0, 5)) == 5
-
-    def test_zero_children(self):
-        assert spawn_rng(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rng(0, -1)
-
-    def test_same_seed_same_streams(self):
-        a = spawn_rng(42, 3)
-        b = spawn_rng(42, 3)
-        for ga, gb in zip(a, b):
-            assert ga.integers(1 << 40) == gb.integers(1 << 40)
-
-    def test_children_are_independent(self):
-        a, b = spawn_rng(42, 2)
-        # Independent streams should produce (almost surely) different draws.
-        assert not np.array_equal(a.normal(size=16), b.normal(size=16))
-
-    def test_accepts_seed_sequence(self):
-        ss = np.random.SeedSequence(7)
-        gens = spawn_rng(ss, 2)
-        assert len(gens) == 2
+from repro.utils.rng import RngFactory
 
 
 class TestRngFactory:
@@ -68,22 +39,6 @@ class TestRngFactory:
         _ = f2.named("new-consumer")
         after = f2.named("scheduler").normal(size=4)
         np.testing.assert_array_equal(before, after)
-
-    def test_sequence_yields_distinct_streams(self):
-        f = RngFactory(5)
-        it = f.sequence()
-        a, b = next(it), next(it)
-        assert not np.array_equal(a.normal(size=8), b.normal(size=8))
-
-    def test_child_factories_differ(self):
-        f = RngFactory(11)
-        c0, c1 = f.child(0), f.child(1)
-        assert not np.array_equal(c0.named("a").normal(size=8), c1.named("a").normal(size=8))
-
-    def test_child_deterministic(self):
-        a = RngFactory(11).child(4).named("z").normal(size=4)
-        b = RngFactory(11).child(4).named("z").normal(size=4)
-        np.testing.assert_array_equal(a, b)
 
     def test_seed_property(self):
         assert RngFactory(77).seed == 77

@@ -4,17 +4,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ShapeError
-from repro.utils.validation import (
-    check_array_1d,
-    check_in_choices,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro.errors import ConfigurationError
+from repro.utils.validation import check_in_choices, check_non_negative, check_positive
 
 
 class TestCheckPositive:
@@ -47,32 +40,6 @@ class TestCheckNonNegative:
         with pytest.raises(ConfigurationError):
             check_non_negative("x", math.inf)
         assert check_non_negative("x", math.inf, allow_inf=True) == math.inf
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
-    def test_accepts(self, ok):
-        assert check_probability("p", ok) == ok
-
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan"), None])
-    def test_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
-            check_probability("p", bad)
-
-
-class TestCheckArray1d:
-    def test_accepts_list(self):
-        out = check_array_1d("v", [1.0, 2.0])
-        assert out.shape == (2,)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ShapeError):
-            check_array_1d("v", np.zeros((2, 2)))
-
-    def test_size_enforced(self):
-        with pytest.raises(ShapeError):
-            check_array_1d("v", np.zeros(3), size=4)
-        assert check_array_1d("v", np.zeros(4), size=4).size == 4
 
 
 class TestCheckInChoices:

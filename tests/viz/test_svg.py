@@ -26,7 +26,6 @@ class TestSvgCanvas:
         c = SvgCanvas(100, 50)
         c.line(0, 0, 10, 10)
         c.rect(1, 1, 5, 5, fill="red")
-        c.circle(3, 3, 2)
         c.polyline([(0, 0), (1, 1), (2, 0)])
         c.text(5, 5, "hello <world> & more")
         root = parse(c)
@@ -43,7 +42,7 @@ class TestSvgCanvas:
     def test_element_count(self):
         c = SvgCanvas(10, 10)  # background rect = 1
         c.line(0, 0, 1, 1)
-        c.circle(0, 0, 1)
+        c.rect(0, 0, 1, 1)
         assert len(c) == 3
 
     def test_short_polyline_ignored(self):
