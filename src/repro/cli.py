@@ -67,8 +67,9 @@ def _pool_flags() -> argparse.ArgumentParser:
                        help="process-parallel runs (-1: all cores; default: "
                             "REPRO_WORKERS or serial)")
     flags.add_argument("--replicas", type=int, default=None, metavar="K",
-                       help="lockstep replica cohort size: batch each cell's "
-                            "repeat seeds into stacked kernels (default: "
+                       help="lockstep replica cohort size: run each cell's "
+                            "repeat seeds as one cohort whose gradient "
+                            "requests share one training kernel (default: "
                             "REPRO_REPLICAS or 1)")
     return flags
 

@@ -52,38 +52,44 @@ class AsyncLockSGD(Algorithm):
         handle.local_pvs.append(local_param)
         grad = handle.grad_pv.theta
         scratch = handle.step_scratch
+        clock = ctx.scheduler.clock
         probes = ctx.probes
+        # Unobserved events cost no call (see repro.telemetry.bus).
+        read_pinned = probes.emitter("read_pinned")
+        grad_done = probes.emitter("grad_done")
         while True:
             # --- read phase: local_param.theta = copy(PARAM.theta) under mtx
-            requested = ctx.scheduler.now
+            requested = clock.now
             yield lock.acquire()
-            probes.lock_wait(requested, ctx.scheduler.now, thread.tid)
+            probes.lock_wait(requested, clock.now, thread.tid)
             np.copyto(local_param.theta, param.theta)
             view_seq = ctx.global_seq.load()
             yield ctx.cost.t_copy  # copy happens inside the critical section
             lock.release(thread)
-            probes.read_pinned(ctx.scheduler.now, thread.tid, view_seq)
+            if read_pinned is not None:
+                read_pinned(clock.now, thread.tid, view_seq)
 
             # --- compute phase (no lock held)
             yield GradCompute(
                 handle.grad_fn, local_param.theta, grad, ctx.cost.tc, handle.grad_task
             )
-            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            if grad_done is not None:
+                grad_done(clock.now, thread.tid, ctx.global_seq.load())
 
             # --- update phase: PARAM.update(...) under mtx
-            requested = ctx.scheduler.now
+            requested = clock.now
             yield lock.acquire()
-            probes.lock_wait(requested, ctx.scheduler.now, thread.tid)
+            probes.lock_wait(requested, clock.now, thread.tid)
             if ctx.measure_view_divergence:
                 probes.view_divergence(
-                    ctx.scheduler.now, thread.tid,
+                    clock.now, thread.tid,
                     float(np.linalg.norm(local_param.theta - param.theta)),
                 )
             param.update(grad, ctx.eta, scratch=scratch)
             yield ctx.cost.tu  # bulk write inside the critical section
             seq = ctx.global_seq.fetch_add(1)
             lock.release(thread)
-            probes.publish(ctx.scheduler.now, thread.tid, seq, seq - view_seq)
+            probes.publish(clock.now, thread.tid, seq, seq - view_seq)
 
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:
         return self.param.theta

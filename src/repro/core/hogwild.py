@@ -81,6 +81,9 @@ class HogwildSGD(Algorithm):
         accessors = self._accessors
         clock = ctx.scheduler.clock
         probes = ctx.probes
+        # Unobserved events cost no call (see repro.telemetry.bus).
+        read_pinned = probes.emitter("read_pinned")
+        grad_done = probes.emitter("grad_done")
         request = GradCompute(handle.grad_fn, local, grad, ctx.cost.tc, handle.grad_task)
         while True:
             # --- unsynchronized chunk-wise read: the view may be torn,
@@ -92,11 +95,13 @@ class HogwildSGD(Algorithm):
                 local_chunk[...] = shared_chunk
                 yield contended(copy_chunk_cost, accessors.load() - 1)
             accessors.fetch_add(-1)
-            probes.read_pinned(clock.now, thread.tid, view_seq)
+            if read_pinned is not None:
+                read_pinned(clock.now, thread.tid, view_seq)
 
             # --- compute phase
             yield request
-            probes.grad_done(clock.now, thread.tid, ctx.global_seq.load())
+            if grad_done is not None:
+                grad_done(clock.now, thread.tid, ctx.global_seq.load())
 
             # --- unsynchronized chunk-wise in-place update.
             if ctx.measure_view_divergence:

@@ -134,6 +134,9 @@ class HogwildPlusPlus(Algorithm):
         eta = ctx.eta
         clock = ctx.scheduler.clock
         probes = ctx.probes
+        # Unobserved events cost no call (see repro.telemetry.bus).
+        read_pinned = probes.emitter("read_pinned")
+        grad_done = probes.emitter("grad_done")
         request = GradCompute(handle.grad_fn, local, grad, ctx.cost.tc, handle.grad_task)
         while True:
             view_seq = ctx.global_seq.load()
@@ -142,10 +145,12 @@ class HogwildPlusPlus(Algorithm):
                 local_chunk[...] = shared_chunk
                 yield contended(copy_chunk, accessors.load() - 1)
             accessors.fetch_add(-1)
-            probes.read_pinned(clock.now, thread.tid, view_seq)
+            if read_pinned is not None:
+                read_pinned(clock.now, thread.tid, view_seq)
 
             yield request
-            probes.grad_done(clock.now, thread.tid, ctx.global_seq.load())
+            if grad_done is not None:
+                grad_done(clock.now, thread.tid, ctx.global_seq.load())
 
             accessors.fetch_add(1)
             for grad_chunk, scratch_chunk, shared_chunk in update_chunks:

@@ -16,6 +16,14 @@ Lock-free *consistent* AsyncSGD. Each worker:
    the (now very stale) gradient is dropped and the worker returns to
    step 1 — the contention-regulating mechanism analyzed in Section IV.2.
 
+The simulator charges the Load-And-Update's virtual cost ``t_copy``
+where the algorithm spends it (between the pin and the unpin) but
+computes the candidate's payload in the atomic segment of the CAS, and
+only when that CAS succeeds: the target is then still the published
+vector, so its payload is unchanged (P1) and the published bits are the
+ones an eager copy makes. A failed attempt or a dropped gradient does no
+host arithmetic.
+
 Publication totally orders updates by the per-vector sequence number
 ``t``; the staleness of an update is the number of publications between
 the gradient's view and its application, ``tau = new.t - 1 - view.t``.
@@ -79,6 +87,14 @@ class LeashedSGD(Algorithm):
         d, memory, arena, dtype = ctx.problem.d, ctx.memory, ctx.arena, ctx.dtype
         view_copy = np.empty(d, dtype=dtype) if ctx.measure_view_divergence else None
         probes = ctx.probes
+        # Emitters resolved once, as the run starts (None: nobody listens,
+        # so the event costs no call; see repro.telemetry.bus).
+        read_pinned = probes.emitter("read_pinned")
+        grad_done = probes.emitter("grad_done")
+        lau_enter = probes.emitter("lau_enter")
+        cas_attempt, publish, drop, reclaim = (
+            probes.cas_attempt, probes.publish, probes.drop, probes.reclaim,
+        )
         # One request object per worker: a worker has one gradient in
         # flight at a time, and only its input view changes between them.
         request = GradCompute(handle.grad_fn, None, grad, cost.tc, handle.grad_task)
@@ -100,7 +116,8 @@ class LeashedSGD(Algorithm):
                 latest.stop_reading()  # let it be recycled; retry for a fresher one
                 yield t_atomic
             view_t = latest.t
-            probes.read_pinned(clock.now, tid, view_t)
+            if read_pinned is not None:
+                read_pinned(clock.now, tid, view_t)
             # Compute the gradient on the pinned payload in place. The
             # view-divergence hook must snapshot that payload right after
             # the gradient reads it — bound per iteration because
@@ -109,15 +126,16 @@ class LeashedSGD(Algorithm):
             if view_copy is not None:
                 request.post = functools.partial(np.copyto, view_copy, latest.theta)
             yield request
-            probes.grad_done(clock.now, tid, pointer.load().t)
+            if grad_done is not None:
+                grad_done(clock.now, tid, pointer.load().t)
             latest.stop_reading()
             yield t_atomic
 
             # --- allocate the private candidate (dynamic allocation: P2).
             # zero_init=False (np.empty / recycled-arena semantics) is
-            # sound here: the LAU-SPC loop below unconditionally
-            # overwrites the whole payload — copyto or step_from against
-            # the latest published vector — before its first read.
+            # sound here: the LAU-SPC loop below overwrites the whole
+            # payload — copyto or step_from against the latest published
+            # vector — before the candidate is published or read.
             new_pv = ParameterVector(
                 d, memory=memory, tag="published", dtype=dtype, arena=arena, zero_init=False,
             )
@@ -126,7 +144,8 @@ class LeashedSGD(Algorithm):
             # --- LAU-SPC loop.
             num_tries = 0
             enter_time = clock.now
-            probes.lau_enter(enter_time, tid)
+            if lau_enter is not None:
+                lau_enter(enter_time, tid)
             while True:
                 while True:  # latest_pointer(), as above
                     target = pointer.load()
@@ -139,11 +158,9 @@ class LeashedSGD(Algorithm):
                     yield t_atomic
                 eta_eff = self.effective_eta(eta, target.t - view_t)
                 if view_copy is None:
-                    # Fused Load-And-Update: two 2-operand passes write
-                    # target - eta*grad straight into the candidate
-                    # (bitwise-identical to copy-then-update, one full
-                    # d-vector write/re-read cheaper).
-                    new_pv.step_from(target, grad, eta_eff)
+                    # The Load-And-Update is charged here, where the
+                    # algorithm spends it, but computed at the CAS below,
+                    # and only when that CAS publishes it.
                     yield t_copy
                     target.stop_reading()
                     yield t_atomic
@@ -160,15 +177,22 @@ class LeashedSGD(Algorithm):
                     )
                     new_pv.update(grad, eta_eff, scratch=scratch)
                 yield tu
+                if view_copy is None and pointer.load() is target:
+                    # The CAS below succeeds, so ``target`` is still
+                    # published (not stale, not reclaimed, payload
+                    # immutable: P1) and ``grad`` / ``eta_eff`` are as at
+                    # the unpin. Fused Load-And-Update, bitwise-identical
+                    # to copy-then-update; a failed CAS computes nothing.
+                    new_pv.step_from(target, grad, eta_eff)
                 succ = pointer.compare_and_swap(target, new_pv)
                 yield t_atomic
-                probes.cas_attempt(clock.now, tid, succ, num_tries)
+                cas_attempt(clock.now, tid, succ, num_tries)
                 if succ:
                     target.stale_flag = True
-                    probes.reclaim(clock.now, tid, target.t)
+                    reclaim(clock.now, tid, target.t)
                     target.safe_delete()
                     ctx.global_seq.fetch_add(1)
-                    probes.publish(
+                    publish(
                         clock.now, tid, new_pv.t, new_pv.t - 1 - view_t, num_tries, enter_time,
                     )
                     break
@@ -177,7 +201,7 @@ class LeashedSGD(Algorithm):
                     # Persistence bound exceeded: drop this gradient and
                     # return to computing a fresh one (contention relief).
                     new_pv.force_delete()
-                    probes.drop(clock.now, tid, num_tries, enter_time)
+                    drop(clock.now, tid, num_tries, enter_time)
                     break
 
     # ------------------------------------------------------------------

@@ -228,8 +228,8 @@ class DLGradTask(GradTask):
         self.batcher = MiniBatcher(problem.train_x, problem.train_y, problem.batch_size, rng)
         self.workspace = StepWorkspace(problem.dtype)
         # Tasks sharing a key draw same-shape batches from the same
-        # corpus against the same network — the precondition for fusing
-        # their forward/backward passes into one stacked call.
+        # corpus against the same network — the precondition for running
+        # their requests through one training kernel.
         self.stack_key = (id(problem), self.batcher.batch_size, np.dtype(problem.dtype))
         self.probes = None
         self._kernel = _UNBUILT
@@ -428,7 +428,12 @@ class QuadraticProblem(Problem):
         return grad_fn
 
     def eval_loss(self, theta: np.ndarray) -> float:
-        if not np.all(np.isfinite(theta)):
-            return float("nan")
+        """``f(theta)``, NaN for a non-finite theta. The sum comes first:
+        its terms are ``>= 0`` or NaN, so it is finite whenever theta is,
+        and the finiteness scan runs only on a non-finite sum (an
+        overflow from a finite theta stays ``inf``)."""
         diff = np.asarray(theta, dtype=self.dtype) - self.b
-        return float(0.5 * np.sum(self.h * diff * diff))
+        total = np.add.reduce(self.h * diff * diff)
+        if not np.isfinite(total) and not np.all(np.isfinite(theta)):
+            return float("nan")
+        return float(0.5 * total)

@@ -41,10 +41,15 @@ class SequentialSGD(Algorithm):
         grad = handle.grad_pv.theta
         scratch = handle.step_scratch
         probes = ctx.probes
+        # Unobserved events cost no call (see repro.telemetry.bus).
+        read_pinned = probes.emitter("read_pinned")
+        grad_done = probes.emitter("grad_done")
         while True:
-            probes.read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            if read_pinned is not None:
+                read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
             yield GradCompute(handle.grad_fn, param.theta, grad, ctx.cost.tc, handle.grad_task)
-            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            if grad_done is not None:
+                grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
             param.update(grad, ctx.eta, scratch=scratch)
             yield ctx.cost.tu
             seq = ctx.global_seq.fetch_add(1)

@@ -58,10 +58,15 @@ class SyncSGD(Algorithm):
         grad_sum = self._grad_sum
         m = self._m
         probes = ctx.probes
+        # Unobserved events cost no call (see repro.telemetry.bus).
+        read_pinned = probes.emitter("read_pinned")
+        grad_done = probes.emitter("grad_done")
         while True:
-            probes.read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            if read_pinned is not None:
+                read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
             yield GradCompute(handle.grad_fn, param.theta, grad, ctx.cost.tc, handle.grad_task)
-            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            if grad_done is not None:
+                grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
             # Contribute to the shared accumulator (atomic between yields).
             grad_sum += grad
             yield ctx.cost.tu / m  # each worker adds its share of traffic

@@ -238,17 +238,13 @@ def _prepare_run(problem: Problem, cost: CostModel, config: RunConfig) -> _Prepa
     algorithm.setup(ctx, theta0)
 
     def eval_fn() -> float:
-        # Held-out evaluation is the run's dominant *host* cost outside
-        # the step loop; span-profile it so a slow sweep is explainable.
-        prof = _profiler.ACTIVE
-        t0 = prof.start()
-        loss = problem.eval_loss(algorithm.snapshot_theta(ctx))
-        prof.stop("monitor.eval", t0)
-        return loss
+        return problem.eval_loss(algorithm.snapshot_theta(ctx))
 
     monitor = ConvergenceMonitor(
-        eval_fn=eval_fn,
-        n_updates_fn=lambda: trace.n_updates,
+        # Held-out evaluation is the run's dominant *host* cost outside
+        # the step loop; span-profiled so a slow sweep is explainable.
+        eval_fn=_profiler.timed("monitor.eval", eval_fn),
+        n_updates_fn=functools.partial(getattr, trace, "n_updates"),
         epsilons=config.epsilons,
         target_epsilon=config.target_epsilon,
         eval_interval=config.eval_interval or default_eval_interval(cost, config.m),
@@ -256,7 +252,7 @@ def _prepare_run(problem: Problem, cost: CostModel, config: RunConfig) -> _Prepa
         max_updates=config.max_updates,
         max_wall_seconds=config.max_wall_seconds,
         stop_fn=scheduler.stop,
-        now_fn=lambda: scheduler.now,
+        now_fn=functools.partial(getattr, scheduler.clock, "now"),
     )
 
     algorithm.spawn_workers(ctx, config.m)

@@ -132,8 +132,8 @@ SCHEMA_VERSION = 3
 WALL_FIELDS = ("wall_seconds", "wall_phases", "profile")
 
 #: Everything that describes the *execution* rather than the simulation:
-#: the clocks, the provenance manifest (tree, host) and the stacked
-#: kernels' de-vectorization tally (execution mode).
+#: the clocks, the provenance manifest (tree, host) and the training
+#: kernel's fallback tally (execution mode).
 HOST_FIELDS = WALL_FIELDS + ("provenance", "kernel_fallbacks")
 
 

@@ -10,7 +10,7 @@ The contract is ``build``, ``param_shapes``, ``forward(x, params)`` and
 ``backward(grad_out, cache, params, grads)``; both passes allocate their
 results. They are the *reference*: the gradient checks, ``Network``'s
 ``forward`` / ``loss`` / ``accuracy`` / ``predict`` and the inference
-plan run them, and so does training for a network the stacked kernel
+plan run them, and so does training for a network the training kernel
 (:class:`repro.nn.replica.ReplicaKernel`) declines. The kernel
 re-implements the stock kinds over preallocated slabs and is held
 bitwise equal to these methods by ``tests/nn/test_kernel_model.py``.

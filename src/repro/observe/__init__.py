@@ -9,7 +9,7 @@ Three layers on top of the telemetry bus (:mod:`repro.telemetry`):
   :mod:`repro.viz.timeline`.
 * :mod:`repro.observe.profiler` — a near-zero-overhead wall-clock span
   profiler for the engine hot paths (scheduler loop, cohort rounds,
-  stacked kernels, arena traffic), prebound to a no-op when disabled,
+  the training kernel, arena traffic), a no-op when disabled,
   aggregated into ``RunMetrics["profile"]``.
 * :mod:`repro.observe.provenance` / :mod:`repro.observe.bench_history`
   — run-provenance manifests on every record, and the trajectory of

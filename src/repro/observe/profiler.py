@@ -3,7 +3,7 @@
 The simulator's own instrumentation (the :class:`~repro.telemetry.bus.
 ProbeBus`) measures *virtual* dynamics; this module measures where the
 engine spends *host* time — the scheduler event loop, cohort rounds,
-stacked replica kernels, arena traffic — so a slow sweep can be
+the training kernel, arena traffic — so a slow sweep can be
 diagnosed without an external profiler.
 
 The design mirrors the bus's prebound zero-cost dispatch trick: the
@@ -18,7 +18,12 @@ without even reading the clock. An instrumented call site is::
     prof.stop("scheduler.run", t0)
 
 which, disabled, costs one module-attribute load and two trivial method
-calls — no branches, no dict lookups, no clock reads. Enabled, each
+calls — no branches, no dict lookups, no clock reads. A call site that
+runs per simulated event instead resolves its span once, when the run
+is built: :func:`timed` returns the function itself while no profiler
+is active, so an unprofiled run makes no profiler call there at all
+(``BufferArena.acquire`` / ``release``, the monitor's held-out
+evaluation). Enabled, each
 span is a :func:`time.perf_counter_ns` pair folded into count/total/max
 accumulators (no per-span allocation, no event list).
 
@@ -43,6 +48,7 @@ __all__ = [
     "activate",
     "deactivate",
     "is_active",
+    "timed",
 ]
 
 
@@ -141,3 +147,21 @@ def deactivate() -> None:
 def is_active() -> bool:
     """Whether a real profiler is currently bound."""
     return ACTIVE is not NULL
+
+
+def timed(name: str, fn):
+    """``fn`` timed as one ``name`` span of the active profiler per
+    call, or ``fn`` itself while none is active. Resolved when a run is
+    built, so a call site that runs per event costs an unprofiled run
+    no profiler call at all."""
+    prof = ACTIVE
+    if prof is NULL:
+        return fn
+
+    def span(*args):
+        t0 = prof.start()
+        result = fn(*args)
+        prof.stop(name, t0)
+        return result
+
+    return span

@@ -45,11 +45,11 @@ def plan_cohorts(configs: Sequence["RunConfig"], replicas: int) -> list[list[int
     Configs are cohort-compatible when they differ only in seed (the
     repeated-seed protocol's shape) and/or step size η: every tensor
     shape of a run is fixed by the remaining fields, and η only scales
-    each replica's own ``step_from`` — the stacked gradient kernels
-    never see it. A sweep's grid column (all η at fixed algorithm/m)
-    therefore merges into one compatibility group of K×|η| replicas
-    that execute inside *one* process with stacked gradient kernels
-    (:func:`repro.harness.runner.run_cohort`). Each group is chunked in
+    each replica's own ``step_from`` — the training kernel never sees
+    it. A sweep's grid column (all η at fixed algorithm/m) therefore
+    merges into one compatibility group of K×|η| replicas that execute
+    inside *one* process, their gradient requests sharing one training
+    kernel (:func:`repro.harness.runner.run_cohort`). Each group is chunked in
     first-appearance order, so results scatter back into the caller's
     ordering deterministically. Singleton chunks are fine —
     ``run_cohort`` runs them as the plain serial ``run_once``.

@@ -55,6 +55,11 @@ class BufferArena:
         Debug mode: NaN-fill float buffers as they are released, so any
         use-after-free through a stale array alias surfaces as NaN
         propagation instead of silent reuse of recycled data.
+
+    An arena built while the span profiler is active (a run with
+    ``self_profile``) times every acquire and release as
+    ``arena.acquire`` / ``arena.release``; any other arena makes no
+    profiler call.
     """
 
     def __init__(self, *, poison: bool = False) -> None:
@@ -63,6 +68,9 @@ class BufferArena:
         #: Acquisitions served from the free list / from a fresh allocation.
         self.hits = 0
         self.misses = 0
+        if _profiler.is_active():
+            self.acquire = _profiler.timed("arena.acquire", self.acquire)
+            self.release = _profiler.timed("arena.release", self.release)
 
     # ------------------------------------------------------------------
     def acquire(self, size: int, dtype: np.dtype | type = np.float32) -> np.ndarray:
@@ -74,8 +82,6 @@ class BufferArena:
         """
         if size <= 0:
             raise SimulationError(f"arena buffer size must be > 0, got {size}")
-        prof = _profiler.ACTIVE
-        t0 = prof.start()
         # Free lists are keyed by (size, dtype) as release() files them.
         free = self._free.get((int(size), np.dtype(dtype)))
         if free:
@@ -84,7 +90,6 @@ class BufferArena:
         else:
             self.misses += 1
             buf = np.empty(int(size), dtype=dtype)
-        prof.stop("arena.acquire", t0)
         return buf
 
     def release(self, buf: np.ndarray) -> None:
@@ -96,8 +101,6 @@ class BufferArena:
             raise SimulationError(
                 f"arena only pools flat 1-D buffers, got shape {buf.shape}"
             )
-        prof = _profiler.ACTIVE
-        t0 = prof.start()
         key = (buf.size, buf.dtype)
         free = self._free.get(key)
         if free is None:
@@ -105,7 +108,6 @@ class BufferArena:
         if self.poison and buf.dtype.kind == "f":
             buf.fill(np.nan)
         free.append(buf)
-        prof.stop("arena.release", t0)
 
     # ------------------------------------------------------------------
     @property

@@ -85,7 +85,7 @@ class TraceRecorder:
         self._divergence.append(l2)
 
     def on_kernel_fallback(self, kind: str, replicas: int) -> None:
-        """One request a stacked replica kernel declined and ran serially."""
+        """One request the training kernel declined and ran serially."""
         self.kernel_fallbacks += 1
 
     # -- aggregations ----------------------------------------------------

@@ -20,6 +20,21 @@ Design constraints, in order:
    ``TraceRecorder.on_publish``, no wrapper frame — or (c) a fan-out
    closure for several. The per-event cost with only the built-in
    subscribers is therefore one handler call.
+3. **An unobserved event costs no call.** :meth:`ProbeBus.emitter`
+   hands a thread body the dispatch target of one event, or ``None``
+   when nothing subscribes to it; the body resolves its emitters once,
+   when the run starts, and skips the call (and the evaluation of its
+   arguments) behind an ``is not None`` test. In a plain run the
+   built-in subscribers (:class:`~repro.sim.trace.TraceRecorder`,
+   :class:`~repro.sim.memory.MemoryAccountant`) leave ``read_pinned``,
+   ``grad_done`` and ``lau_enter`` unobserved.
+
+**Subscribe before the run starts.** Because thread bodies resolve
+their emitters when they first run, a subscriber attached or detached
+after the run's first scheduler step is not seen by events the bodies
+already resolved. Attach probes between building the run's context and
+running its scheduler (``RunConfig.probes``, or ``ctx.probes.attach``
+before ``Scheduler.run``).
 
 Event vocabulary (all times are virtual seconds; ``thread`` is the
 emitting worker's tid):
@@ -178,6 +193,14 @@ class ProbeBus:
     def subscribers(self) -> tuple[object, ...]:
         """Objects attached via :meth:`attach`, in attachment order."""
         return tuple(self._subscribers)
+
+    def emitter(self, event: str) -> Callable | None:
+        """The current dispatch target of ``event``, or ``None`` when
+        nothing subscribes to it (see "Subscribe before the run
+        starts" above: the answer holds until the subscriptions change).
+        """
+        target = getattr(self, event)
+        return None if target is _noop else target
 
     def handler_count(self, event: str) -> int:
         """How many handlers an event currently dispatches to."""

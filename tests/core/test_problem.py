@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.core.problem import DLProblem, QuadraticProblem
 from repro.errors import ConfigurationError
@@ -70,6 +72,47 @@ class TestQuadraticProblem:
         h = np.array([1.0, 10.0])
         p = QuadraticProblem(2, h=h, b=0.0, noise_sigma=0.0)
         assert p.eval_loss(np.array([1.0, 0.0])) < p.eval_loss(np.array([0.0, 1.0]))
+
+
+def _old_quadratic_loss(p: QuadraticProblem, theta: np.ndarray) -> float:
+    """``QuadraticProblem.eval_loss`` as it was: the finiteness scan
+    first, then ``np.sum``."""
+    if not np.all(np.isfinite(theta)):
+        return float("nan")
+    diff = np.asarray(theta, dtype=p.dtype) - p.b
+    return float(0.5 * np.sum(p.h * diff * diff))
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e200, -1e200, 3e38, 1e-320])
+
+
+@st.composite
+def quadratic_cases(draw):
+    d = draw(st.integers(1, 70))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    values = st.floats(-1e6, 1e6, width=32) | _SPECIAL
+    h = draw(st.floats(1e-3, 1e3) | st.just(1.0))
+    b = draw(st.floats(-10, 10) | st.just(0.0))
+    elements = draw(st.lists(values, min_size=d, max_size=d))
+    with np.errstate(over="ignore"):  # 1e200 as float32 is inf
+        theta = np.array(elements, dtype=draw(st.sampled_from([np.float64, np.float32])))
+    return QuadraticProblem(d, h=h, b=b, noise_sigma=0.0, dtype=dtype), theta
+
+
+@given(case=quadratic_cases())
+@example(case=(QuadraticProblem(3, b=0.0), np.array([-0.0, -0.0, 0.0])))
+@example(case=(QuadraticProblem(2, b=1.0), np.array([1e200, 1e200])))
+@example(case=(QuadraticProblem(2, b=1.0), np.array([1e200, np.nan])))
+@example(case=(QuadraticProblem(2, b=1.0), np.array([np.inf, -np.inf])))
+@example(case=(QuadraticProblem(2, b=1.0, dtype=np.float32), np.array([3e38, 1.0])))
+def test_quadratic_loss_has_the_bits_of_the_old_expression(case):
+    """Sum first, finiteness scan only on a non-finite sum: same bits as
+    the scan-first ``np.sum`` form, NaN / inf / overflow / -0.0 included
+    (compared under the error state the run loop evaluates in)."""
+    p, theta = case
+    with np.errstate(all="ignore"):
+        new, old = p.eval_loss(theta), _old_quadratic_loss(p, theta)
+    assert struct.pack("<d", new) == struct.pack("<d", old)
 
 
 @pytest.fixture

@@ -60,6 +60,21 @@ class TestSpanProfiler:
         assert not _profiler.is_active()
         assert _profiler.ACTIVE is _profiler.NULL
 
+    def test_timed_is_the_function_itself_while_inactive(self):
+        def double(x):
+            return 2 * x
+
+        assert _profiler.timed("double", double) is double
+        prof = SpanProfiler()
+        _profiler.activate(prof)
+        try:
+            timed = _profiler.timed("double", double)
+        finally:
+            _profiler.deactivate()
+        assert timed is not double
+        assert [timed(3), timed(4)] == [6, 8]  # still recorded after deactivation
+        assert prof.summary()["double"]["count"] == 2
+
 
 def check_run_once_neutral(problem, cost, config):
     """Run ``config`` plain and with ``self_profile=True``, hold the two

@@ -65,6 +65,16 @@ class TestDispatchRebinding:
         assert bus.cas_attempt is _noop
         assert bus.lock_wait is _noop
 
+    def test_emitter_is_none_without_a_subscriber(self):
+        bus = ProbeBus()
+        assert all(bus.emitter(event) is None for event in EVENTS)
+        a = bus.attach(Recorder())
+        assert bus.emitter("publish") == a.on_publish
+        assert bus.emitter("cas_attempt") is None
+        bus.attach(Recorder())
+        assert bus.emitter("publish") is bus.publish
+        bus.detach(a)
+
 
 class TestAttachValidation:
     def test_attach_returns_subscriber(self):
