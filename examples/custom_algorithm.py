@@ -68,7 +68,7 @@ class ShardedAsyncSGD(Algorithm):
         # (phase times, staleness decomposition, ...) work unchanged.
         probes = ctx.probes
         while True:
-            view_seq = ctx.global_seq.load()
+            view_seq = ctx.global_seq
             # shard-wise consistent read
             for sl, lock in zip(self.slices, self.locks):
                 requested = ctx.scheduler.now
@@ -80,7 +80,7 @@ class ShardedAsyncSGD(Algorithm):
             probes.read_pinned(ctx.scheduler.now, thread.tid, view_seq)
             handle.grad_fn(local.theta, grad)
             yield ctx.cost.tc
-            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+            probes.grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq)
             # shard-wise consistent update (no np.errstate block here: the
             # run silences overflow, and a block held across a yield would
             # leak into the other threads)
@@ -91,7 +91,10 @@ class ShardedAsyncSGD(Algorithm):
                 param.theta[sl] -= ctx.eta * grad[sl]
                 yield ctx.cost.tu / k
                 lock.release(thread)
-            seq = ctx.global_seq.fetch_add(1)
+            # Take a sequence number: a fetch-and-add on a plain int,
+            # atomic because no yield separates the read and the write.
+            seq = ctx.global_seq
+            ctx.global_seq = seq + 1
             probes.publish(ctx.scheduler.now, thread.tid, seq, seq - view_seq)
 
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:

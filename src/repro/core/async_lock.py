@@ -63,7 +63,7 @@ class AsyncLockSGD(Algorithm):
             yield lock.acquire()
             probes.lock_wait(requested, clock.now, thread.tid)
             np.copyto(local_param.theta, param.theta)
-            view_seq = ctx.global_seq.load()
+            view_seq = ctx.global_seq
             yield ctx.cost.t_copy  # copy happens inside the critical section
             lock.release(thread)
             if read_pinned is not None:
@@ -74,7 +74,7 @@ class AsyncLockSGD(Algorithm):
                 handle.grad_fn, local_param.theta, grad, ctx.cost.tc, handle.grad_task
             )
             if grad_done is not None:
-                grad_done(clock.now, thread.tid, ctx.global_seq.load())
+                grad_done(clock.now, thread.tid, ctx.global_seq)
 
             # --- update phase: PARAM.update(...) under mtx
             requested = clock.now
@@ -87,7 +87,8 @@ class AsyncLockSGD(Algorithm):
                 )
             param.update(grad, ctx.eta, scratch=scratch)
             yield ctx.cost.tu  # bulk write inside the critical section
-            seq = ctx.global_seq.fetch_add(1)
+            seq = ctx.global_seq
+            ctx.global_seq = seq + 1
             lock.release(thread)
             probes.publish(clock.now, thread.tid, seq, seq - view_seq)
 

@@ -24,7 +24,6 @@ from repro.sim.arena import BufferArena
 from repro.sim.cost import CostModel
 from repro.sim.memory import MemoryAccountant
 from repro.sim.scheduler import Scheduler
-from repro.sim.sync import AtomicCounter
 from repro.sim.thread import SimThread
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.bus import ProbeBus
@@ -42,9 +41,12 @@ class SGDContext:
     scheduler, trace, memory:
         The run's simulator instruments.
     global_seq:
-        Atomic counter giving published updates a total order (the
+        Count of published updates, giving them a total order (the
         staleness bookkeeping of Section II.2; for HOGWILD! this adopts
-        the completion-order definition of Alistarh et al. [3]).
+        the completion-order definition of Alistarh et al. [3]). A
+        plain ``int``: a worker takes a sequence number with
+        ``seq = ctx.global_seq; ctx.global_seq = seq + 1``, a
+        fetch-and-add, atomic because it runs between two yields.
     rng_factory:
         Seed-stable source of per-worker random streams.
     """
@@ -62,7 +64,7 @@ class SGDContext:
     #: :mod:`repro.sim.arena`). None gives every vector a fresh payload
     #: (bitwise-identical results either way).
     arena: BufferArena | None = None
-    global_seq: AtomicCounter = field(default_factory=AtomicCounter)
+    global_seq: int = 0
     #: Opt-in elastic-consistency instrumentation [2]: when True, each
     #: worker records the L2 distance between its gradient's view and
     #: the parameters the update is applied to (zero virtual cost — it

@@ -43,17 +43,15 @@ class HogwildSGD(Algorithm):
         # Threads currently inside an unsynchronized bulk access to the
         # shared buffer; drives the cache-coherence cost (CostModel
         # ``coherence_penalty``).
-        self._accessors = None
+        self._accessors = 0
 
     def setup(self, ctx: SGDContext, theta0: np.ndarray) -> None:
-        from repro.sim.sync import AtomicCounter
-
         self.param = ParameterVector(
             ctx.problem.d, memory=ctx.memory, tag="shared", dtype=ctx.dtype,
             arena=ctx.arena,
         )
         self.param.theta[...] = theta0
-        self._accessors = AtomicCounter(0)
+        self._accessors = 0
 
     def worker_body(
         self, ctx: SGDContext, thread: SimThread, handle: WorkerHandle
@@ -78,7 +76,6 @@ class HogwildSGD(Algorithm):
         copy_chunk_cost = ctx.cost.t_copy / len(slices)
         update_chunk_cost = ctx.cost.tu / len(slices)
         eta = ctx.eta
-        accessors = self._accessors
         clock = ctx.scheduler.clock
         probes = ctx.probes
         # Unobserved events cost no call (see repro.telemetry.bus).
@@ -89,26 +86,26 @@ class HogwildSGD(Algorithm):
             # --- unsynchronized chunk-wise read: the view may be torn,
             # and concurrent accessors inflate each chunk's cost
             # (coherence traffic on the write-shared buffer).
-            view_seq = ctx.global_seq.load()
-            accessors.fetch_add(1)
+            view_seq = ctx.global_seq
+            self._accessors += 1
             for local_chunk, shared_chunk in read_chunks:
                 local_chunk[...] = shared_chunk
-                yield contended(copy_chunk_cost, accessors.load() - 1)
-            accessors.fetch_add(-1)
+                yield contended(copy_chunk_cost, self._accessors - 1)
+            self._accessors -= 1
             if read_pinned is not None:
                 read_pinned(clock.now, thread.tid, view_seq)
 
             # --- compute phase
             yield request
             if grad_done is not None:
-                grad_done(clock.now, thread.tid, ctx.global_seq.load())
+                grad_done(clock.now, thread.tid, ctx.global_seq)
 
             # --- unsynchronized chunk-wise in-place update.
             if ctx.measure_view_divergence:
                 probes.view_divergence(
                     clock.now, thread.tid, float(np.linalg.norm(local - shared)),
                 )
-            accessors.fetch_add(1)
+            self._accessors += 1
             # Overflow under a destructive step size is silenced by the
             # run (Scheduler.run owns the numeric error state): a block
             # opened here would span the yields below and be left, out of
@@ -118,10 +115,11 @@ class HogwildSGD(Algorithm):
                 # of a per-chunk temporary (same bits).
                 np.multiply(grad_chunk, eta, out=scratch_chunk)
                 shared_chunk -= scratch_chunk
-                yield contended(update_chunk_cost, accessors.load() - 1)
-            accessors.fetch_add(-1)
+                yield contended(update_chunk_cost, self._accessors - 1)
+            self._accessors -= 1
             param.t += 1  # measurement-only sequence bump (no sync in HOGWILD!)
-            seq = ctx.global_seq.fetch_add(1)
+            seq = ctx.global_seq
+            ctx.global_seq = seq + 1
             probes.publish(clock.now, thread.tid, seq, seq - view_seq)
 
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:

@@ -35,7 +35,6 @@ from repro.core.hogwild import chunk_slices
 from repro.core.parameter_vector import ParameterVector
 from repro.errors import ConfigurationError
 from repro.sim.grad import GradCompute
-from repro.sim.sync import AtomicCounter
 from repro.sim.thread import SimThread
 
 
@@ -56,7 +55,7 @@ class HogwildPlusPlus(Algorithm):
         self.replicas: list[ParameterVector] = []
         self.snapshots: list[np.ndarray] = []
         self.token: ParameterVector | None = None
-        self._accessors: list[AtomicCounter] = []
+        self._accessors: list[int] = []
 
     # ------------------------------------------------------------------
     def setup(self, ctx: SGDContext, theta0: np.ndarray) -> None:
@@ -71,7 +70,7 @@ class HogwildPlusPlus(Algorithm):
             replica.theta[...] = theta0
             self.replicas.append(replica)
             self.snapshots.append(np.array(theta0, dtype=ctx.dtype))
-            self._accessors.append(AtomicCounter(0))
+            self._accessors.append(0)
         self.token = ParameterVector(
             ctx.problem.d, memory=ctx.memory, tag="shared", dtype=ctx.dtype,
             arena=ctx.arena,
@@ -114,7 +113,7 @@ class HogwildPlusPlus(Algorithm):
     ) -> Generator:
         cluster = handle.index % self.n_clusters
         replica = self.replicas[cluster]
-        accessors = self._accessors[cluster]
+        accessors = self._accessors  # accessors[cluster]: threads inside this replica
         local_param = ParameterVector(
             ctx.problem.d, memory=ctx.memory, tag="local_param", dtype=ctx.dtype,
             arena=ctx.arena,
@@ -139,27 +138,28 @@ class HogwildPlusPlus(Algorithm):
         grad_done = probes.emitter("grad_done")
         request = GradCompute(handle.grad_fn, local, grad, ctx.cost.tc, handle.grad_task)
         while True:
-            view_seq = ctx.global_seq.load()
-            accessors.fetch_add(1)
+            view_seq = ctx.global_seq
+            accessors[cluster] += 1
             for local_chunk, shared_chunk in read_chunks:
                 local_chunk[...] = shared_chunk
-                yield contended(copy_chunk, accessors.load() - 1)
-            accessors.fetch_add(-1)
+                yield contended(copy_chunk, accessors[cluster] - 1)
+            accessors[cluster] -= 1
             if read_pinned is not None:
                 read_pinned(clock.now, thread.tid, view_seq)
 
             yield request
             if grad_done is not None:
-                grad_done(clock.now, thread.tid, ctx.global_seq.load())
+                grad_done(clock.now, thread.tid, ctx.global_seq)
 
-            accessors.fetch_add(1)
+            accessors[cluster] += 1
             for grad_chunk, scratch_chunk, shared_chunk in update_chunks:
                 np.multiply(grad_chunk, eta, out=scratch_chunk)
                 shared_chunk -= scratch_chunk
-                yield contended(update_chunk, accessors.load() - 1)
-            accessors.fetch_add(-1)
+                yield contended(update_chunk, accessors[cluster] - 1)
+            accessors[cluster] -= 1
             replica.t += 1
-            seq = ctx.global_seq.fetch_add(1)
+            seq = ctx.global_seq
+            ctx.global_seq = seq + 1
             probes.publish(clock.now, thread.tid, seq, seq - view_seq)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,13 @@ computes the candidate's payload in the atomic segment of the CAS, and
 only when that CAS succeeds: the target is then still the published
 vector, so its payload is unchanged (P1) and the published bits are the
 ones an eager copy makes. A failed attempt or a dropped gradient does no
-host arithmetic.
+host arithmetic, and the step size (:meth:`LeashedSGD.effective_eta`)
+is computed only for the update that is published.
+
+The global pointer ``P`` is the attribute :attr:`LeashedSGD.pointer`,
+which holds the published vector. Code between two simulated yields is
+atomic, so the CAS is the identity test ``pointer is target`` and the
+store, in the segment before the ``t_atomic`` yield that charges it.
 
 Publication totally orders updates by the per-vector sequence number
 ``t``; the staleness of an update is the number of publications between
@@ -44,7 +50,6 @@ from repro.core.base import Algorithm, SGDContext, WorkerHandle
 from repro.core.parameter_vector import ParameterVector
 from repro.errors import ConfigurationError
 from repro.sim.grad import GradCompute
-from repro.sim.sync import AtomicRef
 from repro.sim.thread import SimThread
 
 
@@ -59,7 +64,8 @@ class LeashedSGD(Algorithm):
         self.persistence = persistence
         suffix = "inf" if persistence == float("inf") else str(int(persistence))
         self.name = f"LSH_ps{suffix}"
-        self.pointer: AtomicRef | None = None
+        #: The published vector (the paper's global pointer ``P``).
+        self.pointer: ParameterVector | None = None
 
     # ------------------------------------------------------------------
     def setup(self, ctx: SGDContext, theta0: np.ndarray) -> None:
@@ -68,15 +74,15 @@ class LeashedSGD(Algorithm):
             arena=ctx.arena,
         )
         init_pv.theta[...] = theta0
-        self.pointer = AtomicRef(init_pv)
+        self.pointer = init_pv
 
     # ------------------------------------------------------------------
     def worker_body(
         self, ctx: SGDContext, thread: SimThread, handle: WorkerHandle
     ) -> Generator:
-        # Everything read per event is a local: the run loop resumes this
-        # generator tens of thousands of times per run.
-        pointer = self.pointer
+        # Everything read per event but the shared pointer is a local:
+        # the run loop resumes this generator tens of thousands of times
+        # per run.
         grad = handle.grad_pv.theta
         scratch = handle.step_scratch
         eta = ctx.eta
@@ -107,7 +113,7 @@ class LeashedSGD(Algorithm):
             # loop below rather than as a sub-generator: a ``yield from``
             # frame on every pin step is most of what a pin costs.
             while True:
-                latest = pointer.load()
+                latest = self.pointer
                 yield t_atomic
                 latest.start_reading()
                 yield t_atomic
@@ -127,7 +133,7 @@ class LeashedSGD(Algorithm):
                 request.post = functools.partial(np.copyto, view_copy, latest.theta)
             yield request
             if grad_done is not None:
-                grad_done(clock.now, tid, pointer.load().t)
+                grad_done(clock.now, tid, self.pointer.t)
             latest.stop_reading()
             yield t_atomic
 
@@ -148,7 +154,7 @@ class LeashedSGD(Algorithm):
                 lau_enter(enter_time, tid)
             while True:
                 while True:  # latest_pointer(), as above
-                    target = pointer.load()
+                    target = self.pointer
                     yield t_atomic
                     target.start_reading()
                     yield t_atomic
@@ -156,7 +162,6 @@ class LeashedSGD(Algorithm):
                         break
                     target.stop_reading()
                     yield t_atomic
-                eta_eff = self.effective_eta(eta, target.t - view_t)
                 if view_copy is None:
                     # The Load-And-Update is charged here, where the
                     # algorithm spends it, but computed at the CAS below,
@@ -167,6 +172,7 @@ class LeashedSGD(Algorithm):
                 else:
                     # Two-phase path: measurement mode needs the
                     # candidate's pre-update state.
+                    eta_eff = self.effective_eta(eta, target.t - view_t)
                     np.copyto(new_pv.theta, target.theta)
                     new_pv.t = target.t
                     yield t_copy
@@ -177,21 +183,26 @@ class LeashedSGD(Algorithm):
                     )
                     new_pv.update(grad, eta_eff, scratch=scratch)
                 yield tu
-                if view_copy is None and pointer.load() is target:
-                    # The CAS below succeeds, so ``target`` is still
-                    # published (not stale, not reclaimed, payload
-                    # immutable: P1) and ``grad`` / ``eta_eff`` are as at
-                    # the unpin. Fused Load-And-Update, bitwise-identical
-                    # to copy-then-update; a failed CAS computes nothing.
-                    new_pv.step_from(target, grad, eta_eff)
-                succ = pointer.compare_and_swap(target, new_pv)
+                # CAS(P, target, new_pv).
+                succ = self.pointer is target
+                if succ:
+                    if view_copy is None:
+                        # ``target`` is still published (not stale, not
+                        # reclaimed, payload immutable: P1), so its ``t``
+                        # and payload are as at the unpin. Fused
+                        # Load-And-Update, bitwise-identical to
+                        # copy-then-update; a failed CAS computes nothing.
+                        new_pv.step_from(
+                            target, grad, self.effective_eta(eta, target.t - view_t),
+                        )
+                    self.pointer = new_pv
                 yield t_atomic
                 cas_attempt(clock.now, tid, succ, num_tries)
                 if succ:
                     target.stale_flag = True
                     reclaim(clock.now, tid, target.t)
                     target.safe_delete()
-                    ctx.global_seq.fetch_add(1)
+                    ctx.global_seq += 1
                     publish(
                         clock.now, tid, new_pv.t, new_pv.t - 1 - view_t, num_tries, enter_time,
                     )
@@ -210,15 +221,17 @@ class LeashedSGD(Algorithm):
 
         ``staleness`` is the number of publications between the
         gradient's view and the vector the update is applied to — known
-        exactly at this point thanks to the consistent design. The base
-        algorithm ignores it; the staleness-adaptive extension
-        (:class:`repro.core.adaptive.AdaptiveLeashedSGD`) overrides this
-        hook.
+        exactly at this point thanks to the consistent design. Called
+        once per publication (once per attempt with
+        ``measure_view_divergence``, which builds the candidate before
+        its CAS). The base algorithm ignores it; the staleness-adaptive
+        extension (:class:`repro.core.adaptive.AdaptiveLeashedSGD`)
+        overrides this hook.
         """
         return eta
 
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:
-        return self.pointer.load().theta
+        return self.pointer.theta
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LeashedSGD(persistence={self.persistence})"

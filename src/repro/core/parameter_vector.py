@@ -2,10 +2,12 @@
 
 The collective data structure holding the flattened model parameters
 ``theta`` (dimension d), a sequence number ``t`` of the most recent
-update, and the metadata driving lock-free memory recycling: an atomic
-reader count ``n_rdrs``, a ``stale_flag`` set when the instance has been
+update, and the metadata driving lock-free memory recycling: a reader
+count ``n_rdrs``, a ``stale_flag`` set when the instance has been
 replaced as the globally published vector, and a ``deleted`` flag
 claimed with test-and-set so exactly one thread performs reclamation.
+Each is a plain value: code between two simulated yields is atomic, so
+a fetch-and-add or a test-and-set is one read and one write there.
 
 Reclamation really releases the payload here (the array reference is
 dropped and the simulated allocation is freed in the
@@ -30,7 +32,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.arena import BufferArena
 from repro.sim.memory import MemoryAccountant
-from repro.sim.sync import AtomicCounter, AtomicFlag
 
 #: Block length (float32 elements) for the fused LAU in
 #: :meth:`ParameterVector.step_from`. 32768 elements = 128 KiB keeps a
@@ -96,9 +97,9 @@ class ParameterVector:
             theta = np.zeros(d, dtype=dtype) if zero_init else np.empty(d, dtype=dtype)
         self.theta: np.ndarray | None = theta
         self.t = 0
-        self.n_rdrs = AtomicCounter(0)
+        self.n_rdrs = 0
         self.stale_flag = False
-        self.deleted = AtomicFlag(False)
+        self.deleted = False
         self.tag = tag
         self._memory = memory
         self._arena = arena
@@ -111,13 +112,13 @@ class ParameterVector:
         self.theta[...] = rng.normal(0.0, std, size=self.theta.size)
 
     def start_reading(self) -> None:
-        """``n_rdrs.fetch_add(1)`` — pin the instance against recycling."""
-        self.n_rdrs.fetch_add(1)
+        """``FAA(n_rdrs, 1)`` — pin the instance against recycling."""
+        self.n_rdrs += 1
 
     def stop_reading(self) -> None:
-        """``n_rdrs.fetch_add(-1)`` then attempt reclamation."""
-        prev = self.n_rdrs.fetch_add(-1)
-        if prev <= 0:
+        """``FAA(n_rdrs, -1)`` then attempt reclamation."""
+        self.n_rdrs -= 1
+        if self.n_rdrs < 0:
             raise SimulationError(
                 f"stop_reading without matching start_reading on {self.tag!r} vector"
             )
@@ -129,7 +130,8 @@ class ParameterVector:
 
         Returns True when *this* call performed the reclamation.
         """
-        if self.stale_flag and self.n_rdrs.load() == 0 and self.deleted.test_and_set():
+        if self.stale_flag and self.n_rdrs == 0 and not self.deleted:
+            self.deleted = True  # CAS(deleted, false, true) won
             self._release_payload()
             return True
         return False
@@ -210,7 +212,8 @@ class ParameterVector:
         abandoned when the persistence bound trips, or end-of-run
         cleanup of thread-local buffers). Never call on a published
         vector."""
-        if self.deleted.test_and_set():
+        if not self.deleted:
+            self.deleted = True
             self._release_payload()
 
     def _require_live(self, op: str) -> None:
@@ -220,14 +223,9 @@ class ParameterVector:
                 "use-after-free in the synchronization protocol"
             )
 
-    @property
-    def is_deleted(self) -> bool:
-        """Whether the payload has been reclaimed."""
-        return self.deleted.load()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         d = self.theta.size if self.theta is not None else "freed"
         return (
             f"ParameterVector(tag={self.tag!r}, d={d}, t={self.t}, "
-            f"n_rdrs={self.n_rdrs.load()}, stale={self.stale_flag}, deleted={self.is_deleted})"
+            f"n_rdrs={self.n_rdrs}, stale={self.stale_flag}, deleted={self.deleted})"
         )

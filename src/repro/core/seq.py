@@ -46,13 +46,14 @@ class SequentialSGD(Algorithm):
         grad_done = probes.emitter("grad_done")
         while True:
             if read_pinned is not None:
-                read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+                read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq)
             yield GradCompute(handle.grad_fn, param.theta, grad, ctx.cost.tc, handle.grad_task)
             if grad_done is not None:
-                grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+                grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq)
             param.update(grad, ctx.eta, scratch=scratch)
             yield ctx.cost.tu
-            seq = ctx.global_seq.fetch_add(1)
+            seq = ctx.global_seq
+            ctx.global_seq = seq + 1
             probes.publish(ctx.scheduler.now, thread.tid, seq, 0)
 
     def snapshot_theta(self, ctx: SGDContext) -> np.ndarray:

@@ -63,10 +63,10 @@ class SyncSGD(Algorithm):
         grad_done = probes.emitter("grad_done")
         while True:
             if read_pinned is not None:
-                read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+                read_pinned(ctx.scheduler.now, thread.tid, ctx.global_seq)
             yield GradCompute(handle.grad_fn, param.theta, grad, ctx.cost.tc, handle.grad_task)
             if grad_done is not None:
-                grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq.load())
+                grad_done(ctx.scheduler.now, thread.tid, ctx.global_seq)
             # Contribute to the shared accumulator (atomic between yields).
             grad_sum += grad
             yield ctx.cost.tu / m  # each worker adds its share of traffic
@@ -81,7 +81,8 @@ class SyncSGD(Algorithm):
                 param.update(grad_sum, ctx.eta / m, scratch=handle.step_scratch)
                 grad_sum[...] = 0.0
                 yield ctx.cost.tu
-                seq = ctx.global_seq.fetch_add(1)
+                seq = ctx.global_seq
+                ctx.global_seq = seq + 1
                 probes.publish(ctx.scheduler.now, thread.tid, seq, 0)
             # Second barrier: nobody starts the next round until the
             # aggregated step has been applied.

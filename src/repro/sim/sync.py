@@ -1,115 +1,28 @@
-"""Simulated synchronization primitives.
+"""Simulated blocking synchronization: the mutex and the barrier.
 
-These model the single-word atomic operations of the paper's system
-model (Section II.2): ``CompareAndSwap`` on a reference cell
-(:class:`AtomicRef`), ``FetchAndAdd`` on an integer cell
-(:class:`AtomicCounter`), plus a blocking mutex (:class:`SimLock`) for
-the lock-based AsyncSGD baseline.
+The simulator has one atomicity rule: code a simulated thread runs
+between two yields is atomic, and each shared-memory primitive of the
+paper's system model (Section II.2) gets its own step. A single-word
+CAS, fetch-and-add or test-and-set is therefore plain Python on a plain
+value (an attribute, an ``int``, a ``bool``) in the segment before the
+yield that charges it; the SGD algorithms in :mod:`repro.core` place
+one primitive per segment, so the interesting interleavings (a CAS
+failing because a competitor published first, a pointer going stale
+between its load and ``start_reading``) all occur.
 
-Because simulated-thread code between two yields executes atomically,
-the *methods* here are trivially linearizable; what makes them
-semantically faithful is that the SGD algorithms only invoke one
-shared-memory primitive per scheduling step and yield (a small
-synchronization cost) around it, so the interesting interleavings — a
-CAS failing because a competitor published first, a pointer going stale
-between load and ``start_reading`` — all occur.
+What is left here is what the scheduler itself acts on: a thread that
+yields an :class:`AcquireRequest` or a :class:`BarrierRequest` parks
+until :class:`SimLock` or :class:`SimBarrier` wakes it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.thread import SimThread
-
-
-class AtomicCounter:
-    """An integer cell supporting fetch-and-add and read, e.g. the
-    ParameterVector sequence number ``t`` and reader count ``n_rdrs``."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, initial: int = 0) -> None:
-        self._value = int(initial)
-
-    def load(self) -> int:
-        """Atomic read."""
-        return self._value
-
-    def fetch_add(self, delta: int) -> int:
-        """Atomically add ``delta``; return the *previous* value."""
-        old = self._value
-        self._value = old + delta
-        return old
-
-    def store(self, value: int) -> None:
-        """Atomic write (used only at initialization)."""
-        self._value = int(value)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AtomicCounter({self._value})"
-
-
-class AtomicRef:
-    """A reference cell supporting load / store / compare-and-swap.
-
-    Comparison is by identity (``is``), matching pointer CAS on real
-    hardware: the ABA problem is out of scope because the paper's
-    recycling scheme never re-publishes a reclaimed instance.
-    """
-
-    __slots__ = ("_ref",)
-
-    def __init__(self, initial: Any = None) -> None:
-        self._ref = initial
-
-    def load(self) -> Any:
-        """Atomic read of the reference."""
-        return self._ref
-
-    def store(self, value: Any) -> None:
-        """Atomic unconditional write."""
-        self._ref = value
-
-    def compare_and_swap(self, expected: Any, new: Any) -> bool:
-        """If the cell holds ``expected`` (identity), write ``new``.
-
-        Returns ``True`` on success; on failure the cell is unchanged.
-        """
-        if self._ref is expected:
-            self._ref = new
-            return True
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AtomicRef({self._ref!r})"
-
-
-class AtomicFlag:
-    """A boolean cell with test-and-set semantics (the ``deleted`` flag
-    of Algorithm 1, which is claimed with ``CAS(deleted, false, true)``)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, initial: bool = False) -> None:
-        self._value = bool(initial)
-
-    def load(self) -> bool:
-        """Atomic read."""
-        return self._value
-
-    def store(self, value: bool) -> None:
-        """Atomic write."""
-        self._value = bool(value)
-
-    def test_and_set(self) -> bool:
-        """Atomically set to True; return whether *this* call claimed it
-        (i.e. the previous value was False)."""
-        claimed = not self._value
-        self._value = True
-        return claimed
 
 
 @dataclass(frozen=True)
@@ -131,7 +44,7 @@ class SimBarrier:
     ``release_cost`` (it performs the wake-ups); the rest resume free.
     """
 
-    __slots__ = ("name", "parties", "_waiting", "release_cost", "_scheduler", "generation")
+    __slots__ = ("name", "parties", "_waiting", "release_cost", "generation")
 
     def __init__(self, name: str, parties: int, *, release_cost: float = 0.0) -> None:
         if parties < 1:
@@ -142,7 +55,6 @@ class SimBarrier:
         self.parties = int(parties)
         self._waiting: list[SimThread] = []
         self.release_cost = float(release_cost)
-        self._scheduler = None
         #: Completed barrier rounds (for tests / tracing).
         self.generation = 0
 
@@ -153,7 +65,6 @@ class SimBarrier:
     # -- scheduler protocol ---------------------------------------------
     def _on_arrive(self, thread: SimThread, scheduler) -> bool:
         """Returns True if this arrival releases the cohort."""
-        self._scheduler = scheduler
         self._waiting.append(thread)
         if len(self._waiting) >= self.parties:
             waiters, self._waiting = self._waiting, []
@@ -200,7 +111,7 @@ class SimLock:
         self._owner: SimThread | None = None
         self._waiters: Deque[SimThread] = deque()
         self.acquire_cost = float(acquire_cost)
-        self._scheduler = None  # set by Scheduler.add_lock / first acquire
+        self._scheduler = None  # set at the first acquire (_on_acquire)
 
     # -- protocol used by simulated threads -------------------------------
     def acquire(self) -> AcquireRequest:

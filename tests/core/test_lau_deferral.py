@@ -10,7 +10,8 @@ generated schedules (m in 1..16, ``T_p`` in {0, 1, 2, inf} and
 ``LSH_ADAPT``, jitter and speed spread on and off, an optional
 ``suspend_after`` victim, ``arena_poison`` on and off) both must give the
 same ``simulation_fingerprint``, and production must call ``step_from``
-once per publication. Budgets follow ``tests/conftest.py``.
+and the step-size hook ``effective_eta`` once per publication. Budgets
+follow ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class EagerLeashedSGD(LeashedSGD):
     """The LAU-SPC loop with the candidate computed before the unpin."""
 
     def worker_body(self, ctx, thread, handle):
-        pointer = self.pointer
         grad = handle.grad_pv.theta
         cost = ctx.cost
         t_atomic, t_copy, t_alloc, tu = cost.t_atomic, cost.t_copy, cost.t_alloc, cost.tu
@@ -52,7 +52,7 @@ class EagerLeashedSGD(LeashedSGD):
         request = GradCompute(handle.grad_fn, None, grad, cost.tc, handle.grad_task)
         while True:
             while True:
-                latest = pointer.load()
+                latest = self.pointer
                 yield t_atomic
                 latest.start_reading()
                 yield t_atomic
@@ -64,7 +64,7 @@ class EagerLeashedSGD(LeashedSGD):
             probes.read_pinned(clock.now, tid, view_t)
             request.theta = latest.theta
             yield request
-            probes.grad_done(clock.now, tid, pointer.load().t)
+            probes.grad_done(clock.now, tid, self.pointer.t)
             latest.stop_reading()
             yield t_atomic
             new_pv = ParameterVector(
@@ -77,7 +77,7 @@ class EagerLeashedSGD(LeashedSGD):
             probes.lau_enter(enter_time, tid)
             while True:
                 while True:
-                    target = pointer.load()
+                    target = self.pointer
                     yield t_atomic
                     target.start_reading()
                     yield t_atomic
@@ -91,14 +91,16 @@ class EagerLeashedSGD(LeashedSGD):
                 target.stop_reading()
                 yield t_atomic
                 yield tu
-                succ = pointer.compare_and_swap(target, new_pv)
+                succ = self.pointer is target
+                if succ:
+                    self.pointer = new_pv
                 yield t_atomic
                 probes.cas_attempt(clock.now, tid, succ, num_tries)
                 if succ:
                     target.stale_flag = True
                     probes.reclaim(clock.now, tid, target.t)
                     target.safe_delete()
-                    ctx.global_seq.fetch_add(1)
+                    ctx.global_seq += 1
                     probes.publish(
                         clock.now, tid, new_pv.t, new_pv.t - 1 - view_t, num_tries, enter_time,
                     )
@@ -124,7 +126,8 @@ def eager_algorithm(name: str) -> LeashedSGD:
 
 def run(schedule: dict, *, eager: bool, monkeypatch: pytest.MonkeyPatch):
     """One run of ``schedule``: the result, how many times
-    ``ParameterVector.step_from`` ran, and how many CASes were tried."""
+    ``ParameterVector.step_from`` and ``effective_eta`` ran, and how many
+    CASes were tried."""
     noise = schedule["noise"]
     config = make_run_config(
         algorithm=schedule["name"], m=schedule["m"], seed=schedule["seed"],
@@ -132,15 +135,23 @@ def run(schedule: dict, *, eager: bool, monkeypatch: pytest.MonkeyPatch):
         epsilons=(0.5, 1e-9), target_epsilon=1e-9, max_updates=schedule["updates"],
         max_virtual_time=5.0, max_wall_seconds=float("inf"),
     )
-    calls = []
+    calls, eta_calls = [], []
     step_from = ParameterVector.step_from
 
     def spy(self, *args):
         calls.append(1)
         return step_from(self, *args)
 
+    def eta_spy(hook):
+        def effective_eta(self, *args):
+            eta_calls.append(1)
+            return hook(self, *args)
+        return effective_eta
+
     with monkeypatch.context() as patch:
         patch.setattr(ParameterVector, "step_from", spy)
+        for cls in (LeashedSGD, AdaptiveLeashedSGD):
+            patch.setattr(cls, "effective_eta", eta_spy(cls.effective_eta))
         if eager:
             patch.setattr(runner, "make_algorithm", eager_algorithm)
         prepared = runner._prepare_run(PROBLEM, COST, config)
@@ -150,7 +161,7 @@ def run(schedule: dict, *, eager: bool, monkeypatch: pytest.MonkeyPatch):
             scheduler.suspend_after(scheduler._threads[victim % config.m], at)
         scheduler.run()
     result = runner._finalize_run(PROBLEM, prepared, 0.0)
-    return result, len(calls), prepared.trace.cas_attempt_count
+    return result, len(calls), len(eta_calls), prepared.trace.cas_attempt_count
 
 
 @st.composite
@@ -175,10 +186,13 @@ def schedules(draw):
                    "victim": (1, 0.01), "updates": 60})
 def test_deferred_candidate_equals_the_eager_one(schedule):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        deferred, deferred_calls, _ = run(schedule, eager=False, monkeypatch=monkeypatch)
-        eager, eager_calls, eager_attempts = run(schedule, eager=True, monkeypatch=monkeypatch)
+        deferred, deferred_calls, deferred_etas, _ = run(
+            schedule, eager=False, monkeypatch=monkeypatch,
+        )
+        eager, eager_calls, _, eager_attempts = run(schedule, eager=True, monkeypatch=monkeypatch)
     assert simulation_fingerprint(deferred) == simulation_fingerprint(eager)
     assert deferred_calls == deferred.n_updates
+    assert deferred_etas == deferred.n_updates
     # The eager loop computes a candidate for every CAS it tries, failed
     # ones included (and for one it has not tried yet when the run
     # stops or its worker is frozen): the reference really is eager.

@@ -26,7 +26,7 @@ class TestConstruction:
     def test_starts_zeroed(self):
         pv = ParameterVector(8)
         np.testing.assert_array_equal(pv.theta, 0.0)
-        assert pv.t == 0 and not pv.stale_flag and not pv.is_deleted
+        assert pv.t == 0 and not pv.stale_flag and not pv.deleted
 
     def test_invalid_dimension(self):
         with pytest.raises(SimulationError):
@@ -70,7 +70,7 @@ class TestRecycling:
     def test_safe_delete_requires_stale(self):
         pv = ParameterVector(2)
         assert not pv.safe_delete()
-        assert not pv.is_deleted
+        assert not pv.deleted
 
     def test_safe_delete_requires_no_readers(self):
         pv = ParameterVector(2)
@@ -78,7 +78,7 @@ class TestRecycling:
         pv.start_reading()
         assert not pv.safe_delete()
         pv.stop_reading()  # last reader reclaims
-        assert pv.is_deleted
+        assert pv.deleted
 
     def test_safe_delete_claims_once(self):
         pv = ParameterVector(2)
@@ -97,9 +97,9 @@ class TestRecycling:
         pv.start_reading()
         pv.stale_flag = True
         pv.stop_reading()
-        assert not pv.is_deleted  # one reader left
+        assert not pv.deleted  # one reader left
         pv.stop_reading()
-        assert pv.is_deleted
+        assert pv.deleted
 
     def test_frees_accounted_memory(self, memory):
         pv = ParameterVector(10, memory=memory, dtype=np.float32)
@@ -114,7 +114,7 @@ class TestRecycling:
         pv = ParameterVector(2)
         pv.stale_flag = True
         pv.safe_delete()  # reclaimed while some thread still holds the pointer
-        assert pv.is_deleted
+        assert pv.deleted
         pv.start_reading()  # late reader pins the carcass — allowed
         assert pv.stale_flag  # reader re-checks and will back off
         pv.stop_reading()  # back-off path: must not double-free or raise
@@ -122,7 +122,7 @@ class TestRecycling:
     def test_force_delete_private_instance(self, memory):
         pv = ParameterVector(4, memory=memory)
         pv.force_delete()
-        assert pv.is_deleted and memory.live_bytes == 0
+        assert pv.deleted and memory.live_bytes == 0
         pv.force_delete()  # idempotent
         assert memory.live_bytes == 0
 

@@ -239,7 +239,7 @@ def test_allocation_path_matches_a_plain_tally(ops, poison):
                 else:
                     assert pv.safe_delete()
             tally.free(clock.t, key, nbytes)
-            assert pv.theta is None and pv.is_deleted
+            assert pv.theta is None and pv.deleted
             # Every freed payload is parked, and poisoned when asked.
             if poison:
                 assert np.isnan(alias).all()

@@ -1,11 +1,11 @@
-"""Tests for simulated atomics and the mutex."""
+"""Tests for the simulated mutex."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.sync import AcquireRequest, AtomicCounter, AtomicFlag, AtomicRef, SimLock
+from repro.sim.sync import AcquireRequest, SimLock
 from repro.sim.thread import SimThread
 
 
@@ -14,74 +14,6 @@ def _dummy_thread(name="t"):
         yield 0.0
 
     return SimThread(name, 0, gen())
-
-
-class TestAtomicCounter:
-    def test_initial_and_load(self):
-        assert AtomicCounter(5).load() == 5
-
-    def test_fetch_add_returns_previous(self):
-        c = AtomicCounter(10)
-        assert c.fetch_add(3) == 10
-        assert c.load() == 13
-
-    def test_negative_delta(self):
-        c = AtomicCounter(2)
-        c.fetch_add(-2)
-        assert c.load() == 0
-
-    def test_store(self):
-        c = AtomicCounter()
-        c.store(9)
-        assert c.load() == 9
-
-
-class TestAtomicRef:
-    def test_load_store(self):
-        r = AtomicRef("a")
-        assert r.load() == "a"
-        r.store("b")
-        assert r.load() == "b"
-
-    def test_cas_success(self):
-        obj1, obj2 = object(), object()
-        r = AtomicRef(obj1)
-        assert r.compare_and_swap(obj1, obj2)
-        assert r.load() is obj2
-
-    def test_cas_failure_leaves_value(self):
-        obj1, obj2, obj3 = object(), object(), object()
-        r = AtomicRef(obj1)
-        assert not r.compare_and_swap(obj2, obj3)
-        assert r.load() is obj1
-
-    def test_cas_is_identity_not_equality(self):
-        a, b = [1], [1]  # equal but distinct
-        r = AtomicRef(a)
-        assert not r.compare_and_swap(b, None)
-
-    def test_cas_none_initial(self):
-        r = AtomicRef(None)
-        sentinel = object()
-        assert r.compare_and_swap(None, sentinel)
-        assert r.load() is sentinel
-
-
-class TestAtomicFlag:
-    def test_test_and_set_claims_once(self):
-        f = AtomicFlag()
-        assert f.test_and_set() is True
-        assert f.test_and_set() is False
-        assert f.load() is True
-
-    def test_initially_set(self):
-        f = AtomicFlag(True)
-        assert f.test_and_set() is False
-
-    def test_store(self):
-        f = AtomicFlag(True)
-        f.store(False)
-        assert f.load() is False
 
 
 class TestSimLock:

@@ -18,7 +18,6 @@ from repro.core.parameter_vector import ParameterVector
 from repro.nn.loss import softmax_cross_entropy
 from repro.nn.parameter import ParameterLayout
 from repro.sim.memory import MemoryAccountant
-from repro.sim.sync import AtomicCounter, AtomicRef
 from repro.utils.tables import five_number_summary
 
 
@@ -76,43 +75,23 @@ def test_cross_entropy_nonnegative_and_grad_sums_zero(logits, data):
 
 
 # ----------------------------------------------------------------------
-# Atomics
-# ----------------------------------------------------------------------
-@given(deltas=st.lists(st.integers(-1000, 1000), max_size=50))
-def test_atomic_counter_sums_deltas(deltas):
-    c = AtomicCounter(0)
-    for d in deltas:
-        c.fetch_add(d)
-    assert c.load() == sum(deltas)
-
-
-@given(n_swaps=st.integers(0, 20))
-def test_atomic_ref_cas_linearizes(n_swaps):
-    """A chain of successful CASes moves through distinct objects; a CAS
-    against any stale expectation fails."""
-    objs = [object() for _ in range(n_swaps + 1)]
-    ref = AtomicRef(objs[0])
-    for i in range(n_swaps):
-        assert ref.compare_and_swap(objs[i], objs[i + 1])
-        if i > 0:
-            assert not ref.compare_and_swap(objs[i - 1], object())
-    assert ref.load() is objs[-1]
-
-
-# ----------------------------------------------------------------------
 # ParameterVector recycling protocol
 # ----------------------------------------------------------------------
 @given(
-    ops=st.lists(st.sampled_from(["start", "stop", "stale", "delete"]), max_size=60)
+    ops=st.lists(
+        st.sampled_from(["start", "stop", "stale", "delete", "force_delete"]), max_size=60
+    )
 )
 def test_parameter_vector_never_double_frees(ops):
     """Under arbitrary interleavings of reader pins/unpins, staleness
-    marking and delete attempts, the payload is freed at most once and
-    the accountant never goes negative."""
+    marking, delete attempts and unconditional (private-instance)
+    deletes, ``safe_delete`` and ``force_delete`` together free the
+    payload at most once and the accountant never goes negative."""
     clock = {"t": 0.0}
     memory = MemoryAccountant(lambda: clock["t"])
     pv = ParameterVector(4, memory=memory)
     readers = 0
+    forced = False
     for op in ops:
         clock["t"] += 1.0
         if op == "start":
@@ -126,12 +105,17 @@ def test_parameter_vector_never_double_frees(ops):
             pv.stale_flag = True
         elif op == "delete":
             pv.safe_delete()
-    assert memory.live_count in (0, 1)
-    if pv.is_deleted:
-        assert memory.live_count == 0
-    # The protocol's safety: freed only when stale and reader-free.
+        elif op == "force_delete":
+            pv.force_delete()
+            forced = True
+        assert memory.live_count in (0, 1) and memory.live_bytes >= 0
+        assert memory.live_count == (0 if pv.deleted else 1)
+    frees = [event for event in memory._events if event[2] == -1]
+    assert len(frees) <= 1
+    # The protocol's safety: freed only when stale and reader-free, or
+    # forced.
     if memory.live_count == 0:
-        assert pv.stale_flag
+        assert pv.stale_flag or forced
 
 
 @given(
@@ -147,17 +131,17 @@ def test_parameter_vector_live_while_prepinned_readers_hold(ops):
     for op in ops:
         if op == "start":
             pv.start_reading()
-            if not pv.is_deleted:
+            if not pv.deleted:
                 pre_delete_readers += 1
-        elif op == "stop" and pv.n_rdrs.load() > 0:
-            was_deleted = pv.is_deleted
+        elif op == "stop" and pv.n_rdrs > 0:
+            was_deleted = pv.deleted
             pv.stop_reading()
             if not was_deleted and pre_delete_readers > 0:
                 pre_delete_readers -= 1
         elif op == "stale":
             pv.stale_flag = True
         if pre_delete_readers > 0:
-            assert not pv.is_deleted  # never reclaimed under a live pre-pin
+            assert not pv.deleted  # never reclaimed under a live pre-pin
 
 
 # ----------------------------------------------------------------------
